@@ -67,11 +67,11 @@ runConfig(double rate_gbps, Cycles stagger, Cycles bucket, int buckets)
     SwitchConfig tor_cfg;
     tor_cfg.ports = kPerTor + 1;
     tor_cfg.minLatency = 10;
-    tor_cfg.slicePorts = bench::switchSlicePorts();
+    tor_cfg.slicePorts = bench::knobs().switchSlicePorts;
     SwitchConfig root_cfg;
     root_cfg.ports = 2;
     root_cfg.minLatency = 10;
-    root_cfg.slicePorts = bench::switchSlicePorts();
+    root_cfg.slicePorts = bench::knobs().switchSlicePorts;
     tor_cfg.name = "tor0";
     Switch tor0(tor_cfg);
     tor_cfg.name = "tor1";
@@ -98,8 +98,7 @@ runConfig(double rate_gbps, Cycles stagger, Cycles bucket, int buckets)
         root.addMacEntry(mac, i < kPerTor ? 0 : 1);
     }
     fabric.finalize();
-    fabric.setParallelHosts(bench::parallelHosts());
-    fabric.setSchedPolicy(bench::schedPolicy());
+    fabric.setParallelHosts(bench::knobs().parallelHosts);
 
     // Rate limit: k/p of the 204.8 Gbit/s line rate.
     uint64_t p = std::max<uint64_t>(

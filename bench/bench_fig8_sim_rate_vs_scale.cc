@@ -88,32 +88,29 @@ struct SweepCell
     double cyclesPerSec = 0.0;
 };
 
-/** One row of the scheduler-policy comparison (satellite of the round
- *  scheduler): how evenly the worker pool was loaded. */
+/** The round scheduler's load balance: how evenly the worker pool was
+ *  loaded. */
 struct BalanceRow
 {
-    SchedPolicy policy = SchedPolicy::RoundRobin;
     double maxMeanBusy = 0.0; //!< max/mean worker busy-ns per round
-    uint64_t steals = 0;
     uint64_t rounds = 0;
     double cyclesPerSec = 0.0;
 };
 
 /**
  * Boot-and-idle a 32-node single-ToR cluster (the ToR's 32 ports split
- * into 8 advance slices at the default slice width) under @p policy
- * and report the scheduler's load-balance telemetry. maxMeanBusy is
+ * into 8 advance slices at the default slice width) on @p hosts
+ * workers and report the scheduler's load-balance telemetry. maxMeanBusy is
  * Σ(per-round max worker busy) / Σ(per-round mean worker busy): 1.0 is
  * a perfectly level pool, W (the worker count) is one worker doing
  * everything.
  */
 BalanceRow
-runBalance(SchedPolicy policy, unsigned hosts, double target_us)
+runBalance(unsigned hosts, double target_us)
 {
     ClusterConfig cc;
     bench::applyClusterFlags(cc);
     cc.parallelHosts = hosts;
-    cc.schedPolicy = policy;
     Cluster cluster(topologies::singleTor(32), cc);
     std::vector<BootResult> boots(32);
     BootConfig bc;
@@ -129,9 +126,7 @@ runBalance(SchedPolicy policy, unsigned hosts, double target_us)
 
     const SchedTelemetry &tel = cluster.fabric().schedTelemetry();
     BalanceRow row;
-    row.policy = policy;
     row.maxMeanBusy = tel.maxMeanBusyRatio();
-    row.steals = tel.totalSteals();
     row.rounds = tel.rounds;
     row.cyclesPerSec =
         TargetClock().cyclesFromUs(target_us) / wall_s;
@@ -142,8 +137,7 @@ void
 writeSweepJson(const char *path, const std::vector<uint32_t> &scales,
                const std::vector<unsigned> &threads,
                const std::vector<SweepCell> &cells,
-               const std::vector<BalanceRow> &balance,
-               unsigned balance_hosts)
+               const BalanceRow &balance, unsigned balance_hosts)
 {
     FILE *f = std::fopen(path, "w");
     if (!f) {
@@ -192,20 +186,12 @@ writeSweepJson(const char *path, const std::vector<uint32_t> &scales,
     std::fprintf(f, "  \"load_balance\": {\n");
     std::fprintf(f, "    \"topology\": \"singleTor32\",\n");
     std::fprintf(f, "    \"workers\": %u,\n", balance_hosts);
-    std::fprintf(f, "    \"policies\": [\n");
-    for (size_t i = 0; i < balance.size(); ++i) {
-        const BalanceRow &b = balance[i];
-        std::fprintf(f,
-                     "      {\"policy\": \"%s\", "
-                     "\"max_mean_busy_ratio\": %.4f, "
-                     "\"steals\": %llu, \"rounds\": %llu, "
-                     "\"target_cycles_per_second\": %.6g}%s\n",
-                     schedPolicyName(b.policy), b.maxMeanBusy,
-                     (unsigned long long)b.steals,
-                     (unsigned long long)b.rounds, b.cyclesPerSec,
-                     i + 1 < balance.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]\n");
+    std::fprintf(f, "    \"max_mean_busy_ratio\": %.4f,\n",
+                 balance.maxMeanBusy);
+    std::fprintf(f, "    \"rounds\": %llu,\n",
+                 (unsigned long long)balance.rounds);
+    std::fprintf(f, "    \"target_cycles_per_second\": %.6g\n",
+                 balance.cyclesPerSec);
     std::fprintf(f, "  }\n");
     std::fprintf(f, "}\n");
     std::fclose(f);
@@ -239,7 +225,7 @@ main(int argc, char **argv)
         std::string meas = "-";
         if (nodes <= measure_limit)
             meas = Table::fmt(
-                measuredMhz(nodes, 2000.0, bench::parallelHosts()), 2);
+                measuredMhz(nodes, 2000.0, bench::knobs().parallelHosts), 2);
         t.addRow({Table::fmt(nodes, 0), Table::fmt(std_est.targetMhz, 2),
                   Table::fmt(sup_est.targetMhz, 2), meas});
     }
@@ -290,22 +276,14 @@ main(int argc, char **argv)
                 "drops accordingly — read the sweep on a multi-core\n"
                 "host to see the scaling the design is built for.\n\n");
 
-    // Scheduler-policy comparison: same 32-node target, same worker
-    // count, three claiming policies. Results are bit-identical across
-    // policies — only the worker-pool balance and wall clock move.
-    const unsigned balance_hosts = std::max(2u, bench::parallelHosts());
-    std::vector<BalanceRow> balance;
-    Table bal({"Policy", "Max/mean busy", "Steals", "Rounds",
-               "Target cycles/s"});
-    for (SchedPolicy pol : {SchedPolicy::RoundRobin, SchedPolicy::Cost,
-                            SchedPolicy::Steal}) {
-        BalanceRow row = runBalance(pol, balance_hosts, sweep_us);
-        balance.push_back(row);
-        bal.addRow({schedPolicyName(row.policy),
-                    Table::fmt(row.maxMeanBusy, 3),
-                    Table::fmt(row.steals, 0), Table::fmt(row.rounds, 0),
-                    Table::fmt(row.cyclesPerSec / 1e6, 2) + " M"});
-    }
+    // Worker-pool balance on the same 32-node target: results are
+    // bit-identical to 1 worker — only the balance and wall clock move.
+    const unsigned balance_hosts = std::max(2u, bench::knobs().parallelHosts);
+    BalanceRow balance = runBalance(balance_hosts, sweep_us);
+    Table bal({"Max/mean busy", "Rounds", "Target cycles/s"});
+    bal.addRow({Table::fmt(balance.maxMeanBusy, 3),
+                Table::fmt(balance.rounds, 0),
+                Table::fmt(balance.cyclesPerSec / 1e6, 2) + " M"});
     std::printf("Round-scheduler load balance (32-node single ToR, %u "
                 "workers; 1.0 = perfectly level pool):\n",
                 balance_hosts);

@@ -85,7 +85,7 @@ buildMesh(Fabric fabric, Rank &r0, Rank &r1)
     opts0.rank = 0;
     opts1.rank = 1;
     opts0.shards = opts1.shards = 2;
-    opts0.shmRingBytes = opts1.shmRingBytes = bench::shardShmRingRef();
+    opts0.shmRingBytes = opts1.shmRingBytes = bench::knobs().shardShmRing;
     if (fabric == Fabric::Shm)
         opts0.transport = opts1.transport = TransportKind::Shm;
 
@@ -180,7 +180,7 @@ writeBenchJson(const char *path, uint64_t rounds, double unix_ns,
                  "  },\n"
                  "  \"shm_speedup_vs_unix\": %.3f\n"
                  "}\n",
-                 (unsigned long long)rounds, bench::shardShmRingRef(),
+                 (unsigned long long)rounds, bench::knobs().shardShmRing,
                  unix_ns, shm_ns, loop_ns,
                  shm_ns > 0 ? unix_ns / shm_ns : 0.0);
     std::fclose(f);

@@ -46,7 +46,7 @@ namespace
 uint64_t
 heartbeatCadence()
 {
-    return bench::heartbeatEveryRef() ? bench::heartbeatEveryRef()
+    return bench::knobs().heartbeatEvery ? bench::knobs().heartbeatEvery
                                       : 8192;
 }
 

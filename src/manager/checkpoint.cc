@@ -126,8 +126,8 @@ Cluster::saveSnapshot(const std::string &path)
     };
 
     // The owner map this snapshot was taken under. Restores under the
-    // same plan take the verified fast path; any other plan goes
-    // through the re-homing path in loadSnapshotReShard.
+    // same plan also verify the rank-local sections; any other plan
+    // re-homes component and channel sections across rank files.
     {
         Serializer s;
         s.putU(cfg.shard.shards);
@@ -145,7 +145,7 @@ Cluster::saveSnapshot(const std::string &path)
     // "chan<N>" section appears exactly once.
     {
         Serializer s;
-        fabric_.snapshotSaveCore(s);
+        fabric_.snapshotSave(s);
         w.addSection("fabric", s.takeBytes());
     }
     for (size_t c = 0; c < fabric_.channelCount(); ++c) {
@@ -197,68 +197,137 @@ Cluster::saveSnapshot(const std::string &path)
         snapshotRankPath(path, cfg.shard.shards, cfg.shard.rank));
 }
 
+namespace
+{
+
+/**
+ * Open every rank file of the snapshot at @p path into @p readers,
+ * whatever geometry wrote it: a 1-shard run wrote the bare path, any
+ * distributed run wrote `<path>.rank<k>`. Returns "" or a diagnostic.
+ */
+std::string
+openAllRankFiles(const std::string &path,
+                 std::vector<SnapshotReader> &readers)
+{
+    SnapshotReader probe;
+    std::string e0 = probe.open(path);
+    if (!e0.empty()) {
+        std::string e1 = probe.open(path + ".rank0");
+        if (!e1.empty())
+            return csprintf("%s: no snapshot found for any geometry "
+                            "(%s; %s)", path.c_str(), e0.c_str(),
+                            e1.c_str());
+    }
+    uint64_t old_shards = probe.header().shards;
+    if (old_shards == 0)
+        return csprintf("%s: snapshot header claims 0 shards",
+                        path.c_str());
+
+    readers.clear();
+    readers.resize(old_shards);
+    for (uint64_t k = 0; k < old_shards; ++k) {
+        std::string file = snapshotRankPath(path, old_shards, k);
+        std::string e = readers[k].open(file);
+        if (!e.empty())
+            return csprintf("restore needs all %llu rank files: %s",
+                            (unsigned long long)old_shards, e.c_str());
+        const SnapshotHeader &h = readers[k].header();
+        if (h.shards != old_shards || h.rank != k)
+            return csprintf("%s: header says rank %llu of %llu, "
+                            "expected rank %llu of %llu", file.c_str(),
+                            (unsigned long long)h.rank,
+                            (unsigned long long)h.shards,
+                            (unsigned long long)k,
+                            (unsigned long long)old_shards);
+    }
+    return "";
+}
+
+} // namespace
+
 std::string
 Cluster::loadSnapshot(const std::string &path)
 {
-    // Same-plan fast path: our own rank file exists and was written
-    // under the exact same owner map. Anything else — different shard
-    // count, different owners at the same count, or the other
-    // geometry's file layout — re-homes sections across rank files.
-    SnapshotReader r;
-    std::string file =
-        snapshotRankPath(path, cfg.shard.shards, cfg.shard.rank);
-    std::string e = r.open(file);
-    if (e.empty() && r.header().shards == cfg.shard.shards &&
-        r.header().rank == cfg.shard.rank) {
-        bool same_plan = true;
-        if (r.hasSection("plan")) {
-            SnapshotErrors ignored;
-            Deserializer d(r.section("plan", ignored));
-            d.getU(); // shard count, already checked via the header
-            uint64_t saved_plan = d.getU();
-            same_plan = d.ok() && saved_plan == plan_.planHash;
-        }
-        if (same_plan)
-            return loadSnapshotSamePlan(r, file);
+    // The rank files sections are restored from. When our own rank
+    // file was written under this exact owner map it holds every
+    // section this rank needs, rank-local ones included. Under any
+    // other plan — different shard count, different owners at the same
+    // count, or the other geometry's file layout — each local component
+    // and channel section is re-homed from whichever old rank file
+    // holds it.
+    std::vector<SnapshotReader> readers(1);
+    bool same_plan =
+        readers[0]
+            .open(snapshotRankPath(path, cfg.shard.shards, cfg.shard.rank))
+            .empty() &&
+        readers[0].header().shards == cfg.shard.shards &&
+        readers[0].header().rank == cfg.shard.rank;
+    if (same_plan && readers[0].hasSection("plan")) {
+        SnapshotErrors ignored;
+        Deserializer d(readers[0].section("plan", ignored));
+        d.getU(); // shard count, already checked via the header
+        uint64_t saved_plan = d.getU();
+        same_plan = d.ok() && saved_plan == plan_.planHash;
     }
-    return loadSnapshotReShard(path);
-}
+    if (!same_plan) {
+        std::string e = openAllRankFiles(path, readers);
+        if (!e.empty())
+            return e;
+    }
 
-std::string
-Cluster::loadSnapshotSamePlan(SnapshotReader &r, const std::string &file)
-{
-    const SnapshotHeader &h = r.header();
-    if (h.topoHash != topoHash())
-        return csprintf("%s: topology/timing hash %016llx does not "
-                        "match this cluster (%016llx) — different "
-                        "topology or latencies",
-                        file.c_str(), (unsigned long long)h.topoHash,
-                        (unsigned long long)topoHash());
-    if (h.cycle != fabric_.now())
-        return csprintf("%s: snapshot at cycle %llu but cluster is at "
-                        "%llu — replay the run to the snapshot cycle "
-                        "before restoring", file.c_str(),
-                        (unsigned long long)h.cycle,
-                        (unsigned long long)fabric_.now());
+    for (const SnapshotReader &r : readers) {
+        const SnapshotHeader &h = r.header();
+        std::string file = snapshotRankPath(path, h.shards, h.rank);
+        if (h.topoHash != topoHash())
+            return csprintf("%s: topology/timing hash %016llx does not "
+                            "match this cluster (%016llx) — different "
+                            "topology or latencies (re-sharding only "
+                            "changes the owner map)",
+                            file.c_str(), (unsigned long long)h.topoHash,
+                            (unsigned long long)topoHash());
+        if (h.cycle != fabric_.now())
+            return csprintf("%s: snapshot at cycle %llu but cluster is at "
+                            "%llu — replay the run to the snapshot cycle "
+                            "before restoring", file.c_str(),
+                            (unsigned long long)h.cycle,
+                            (unsigned long long)fabric_.now());
+        if (h.round != readers[0].header().round)
+            return csprintf("%s: barrier mismatch (round %llu) — the "
+                            "per-rank files are not from the same "
+                            "snapshot", file.c_str(),
+                            (unsigned long long)h.round);
+    }
 
     SnapshotErrors err;
-    auto restore = [&r, &err](const std::string &name,
-                              auto &component) {
-        std::string payload = r.section(name, err);
-        if (!err.ok())
+    // Restore @p component from whichever rank file holds @p name.
+    auto restore = [&readers, &err](const std::string &name,
+                                    auto &component) {
+        for (auto &rd : readers) {
+            if (!rd.hasSection(name))
+                continue;
+            std::string payload = rd.section(name, err);
+            if (!err.ok())
+                return;
+            Deserializer d(std::move(payload));
+            component.snapshotRestore(d, err);
+            if (d.ok() && err.ok() && !d.atEnd())
+                err.add(csprintf("%s: %zu trailing bytes after "
+                                 "restore", name.c_str(),
+                                 d.remaining()));
             return;
-        Deserializer d(std::move(payload));
-        component.snapshotRestore(d, err);
-        if (d.ok() && err.ok() && !d.atEnd())
-            err.add(csprintf("%s: %zu trailing bytes after restore",
-                             name.c_str(), d.remaining()));
+        }
+        err.add(csprintf("section '%s' missing from every rank file "
+                         "— snapshot predates re-shardable format?",
+                         name.c_str()));
     };
 
+    // Fabric round state is identical across ranks by construction
+    // (same barrier); the first file's copy serves them all.
     {
-        std::string payload = r.section("fabric", err);
+        std::string payload = readers[0].section("fabric", err);
         if (err.ok()) {
             Deserializer d(std::move(payload));
-            fabric_.snapshotRestoreCore(d, err);
+            fabric_.snapshotRestore(d, err);
         }
     }
     for (size_t c = 0; c < fabric_.channelCount(); ++c)
@@ -272,33 +341,35 @@ Cluster::loadSnapshotSamePlan(SnapshotReader &r, const std::string &file)
         restore(csprintf("net%u", nodeGlobal[i]), nodes[i]->net());
     }
 
-    if ((injector_ != nullptr) != r.hasSection("fault"))
-        err.add(injector_
-                    ? "cluster has a fault injector but the snapshot "
-                      "has no 'fault' section"
-                    : "snapshot has a 'fault' section but no injector "
-                      "is attached — call injectFaults first");
-    else if (injector_)
-        restore("fault", *injector_);
+    // Rank-local sections — fault, health, autocounter, stats,
+    // transport — partition differently under another plan and are
+    // regenerated by the deterministic replay that brought this
+    // cluster to the barrier; the re-shard parity tests pin that the
+    // continued run is byte-identical to an uninterrupted one.
+    if (!same_plan)
+        return err.str();
+    SnapshotReader &r = readers[0];
 
-    if ((monitor_ != nullptr) != r.hasSection("health"))
-        err.add(monitor_
-                    ? "cluster has a health monitor but the snapshot "
-                      "has no 'health' section"
-                    : "snapshot has a 'health' section but no monitor "
-                      "is attached — call health() first");
-    else if (monitor_)
-        restore("health", *monitor_);
-
-    bool haveSampler = telemetry_ && telemetry_->sampler();
-    if (haveSampler != r.hasSection("autocounter"))
-        err.add(haveSampler
-                    ? "cluster samples AutoCounters but the snapshot "
-                      "has no 'autocounter' section"
-                    : "snapshot has an 'autocounter' section but this "
-                      "cluster has no sampler configured");
-    else if (haveSampler)
-        restore("autocounter", *telemetry_->sampler());
+    // Each rank-local section is present exactly when this cluster has
+    // the component; @p setup says how to attach a missing one.
+    auto restoreLocal = [&](const char *name, auto *component,
+                            const char *setup) {
+        if ((component != nullptr) != r.hasSection(name))
+            err.add(component
+                        ? csprintf("cluster has a %s component but the "
+                                   "snapshot has no '%s' section",
+                                   name, name)
+                        : csprintf("snapshot has a '%s' section but this "
+                                   "cluster has none — %s",
+                                   name, setup));
+        else if (component)
+            restore(name, *component);
+    };
+    restoreLocal("fault", injector_.get(), "call injectFaults first");
+    restoreLocal("health", monitor_.get(), "call health() first");
+    restoreLocal("autocounter",
+                 telemetry_ ? telemetry_->sampler() : nullptr,
+                 "configure an AutoCounter sample period");
 
     // Transport mix is advisory: a snapshot taken over shm restores
     // fine over TCP (and vice versa) because the simulation surface is
@@ -337,7 +408,7 @@ Cluster::loadSnapshotSamePlan(SnapshotReader &r, const std::string &file)
         std::string saved =
             stripHostTimingStats(r.section("stats", err));
         std::string live = stripHostTimingStats(
-            telemetry_->registry().dumpJson(h.cycle));
+            telemetry_->registry().dumpJson(fabric_.now()));
         if (err.ok() && saved != live) {
             size_t at = 0;
             size_t lim = std::min(saved.size(), live.size());
@@ -349,115 +420,6 @@ Cluster::loadSnapshotSamePlan(SnapshotReader &r, const std::string &file)
         }
     }
 
-    return err.str();
-}
-
-std::string
-Cluster::loadSnapshotReShard(const std::string &path)
-{
-    // Discover the writing run's geometry: a 1-shard run wrote the
-    // bare path, any distributed run wrote `<path>.rank0`.
-    SnapshotReader probe;
-    uint64_t old_shards = 0;
-    {
-        std::string e0 = probe.open(path);
-        if (e0.empty()) {
-            old_shards = probe.header().shards;
-        } else {
-            std::string e1 = probe.open(path + ".rank0");
-            if (!e1.empty())
-                return csprintf("%s: no snapshot found for any "
-                                "geometry (%s; %s)", path.c_str(),
-                                e0.c_str(), e1.c_str());
-            old_shards = probe.header().shards;
-        }
-    }
-    if (old_shards == 0)
-        return csprintf("%s: snapshot header claims 0 shards",
-                        path.c_str());
-
-    // Every old rank file participates: sections for the components
-    // this rank owns may live in any of them.
-    std::vector<SnapshotReader> readers(old_shards);
-    for (uint64_t k = 0; k < old_shards; ++k) {
-        std::string file = snapshotRankPath(path, old_shards, k);
-        std::string e = readers[k].open(file);
-        if (!e.empty())
-            return csprintf("re-shard restore needs all %llu rank "
-                            "files: %s", (unsigned long long)old_shards,
-                            e.c_str());
-        const SnapshotHeader &h = readers[k].header();
-        if (h.topoHash != topoHash())
-            return csprintf("%s: topology/timing hash %016llx does "
-                            "not match this cluster (%016llx) — "
-                            "re-sharding only changes the owner map, "
-                            "never the topology", file.c_str(),
-                            (unsigned long long)h.topoHash,
-                            (unsigned long long)topoHash());
-        if (h.shards != old_shards || h.rank != k)
-            return csprintf("%s: header says rank %llu of %llu, "
-                            "expected rank %llu of %llu", file.c_str(),
-                            (unsigned long long)h.rank,
-                            (unsigned long long)h.shards,
-                            (unsigned long long)k,
-                            (unsigned long long)old_shards);
-        if (h.cycle != fabric_.now() ||
-            h.round != readers[0].header().round)
-            return csprintf("%s: barrier mismatch (cycle %llu round "
-                            "%llu) — the per-rank files are not from "
-                            "the same snapshot", file.c_str(),
-                            (unsigned long long)h.cycle,
-                            (unsigned long long)h.round);
-    }
-
-    SnapshotErrors err;
-    // Restore @p component from whichever old rank file holds @p name.
-    auto restore = [&readers, &err](const std::string &name,
-                                    auto &component) {
-        for (auto &rd : readers) {
-            if (!rd.hasSection(name))
-                continue;
-            std::string payload = rd.section(name, err);
-            if (!err.ok())
-                return;
-            Deserializer d(std::move(payload));
-            component.snapshotRestore(d, err);
-            if (d.ok() && err.ok() && !d.atEnd())
-                err.add(csprintf("%s: %zu trailing bytes after "
-                                 "restore", name.c_str(),
-                                 d.remaining()));
-            return;
-        }
-        err.add(csprintf("section '%s' missing from every rank file "
-                         "— snapshot predates re-shardable format?",
-                         name.c_str()));
-    };
-
-    // Fabric round state is identical across ranks by construction
-    // (same barrier); rank 0's copy serves them all.
-    {
-        std::string payload = readers[0].section("fabric", err);
-        if (err.ok()) {
-            Deserializer d(std::move(payload));
-            fabric_.snapshotRestoreCore(d, err);
-        }
-    }
-    for (size_t c = 0; c < fabric_.channelCount(); ++c)
-        restore(csprintf("chan%u", channelGlobalLink[c]),
-                fabric_.channelAt(c));
-    for (size_t i = 0; i < switches.size(); ++i)
-        restore(csprintf("switch%u", switchGlobal[i]), *switches[i]);
-    for (size_t i = 0; i < nodes.size(); ++i) {
-        restore(csprintf("blade%u", nodeGlobal[i]), nodes[i]->blade());
-        restore(csprintf("os%u", nodeGlobal[i]), nodes[i]->os());
-        restore(csprintf("net%u", nodeGlobal[i]), nodes[i]->net());
-    }
-
-    // Rank-local sections — fault, health, autocounter, stats,
-    // transport — partition differently under the new plan and are
-    // regenerated by the deterministic replay that brought this
-    // cluster to the barrier; the re-shard parity tests pin that the
-    // continued run is byte-identical to an uninterrupted one.
     return err.str();
 }
 

@@ -11,8 +11,7 @@ namespace firesim
 namespace
 {
 
-/** Per-global-index spec lookup, numbered exactly like ShardPlan
- *  (and therefore like the single-process builder). */
+/** Per-global-index spec lookup, numbered exactly like ShardPlan. */
 struct SpecIndex
 {
     std::vector<const SwitchSpec *> switches;
@@ -60,148 +59,83 @@ Cluster::Cluster(SwitchSpec root, ClusterConfig config)
 {}
 
 Cluster::Cluster(SwitchSpec root, ClusterConfig config,
+                 std::vector<std::pair<uint32_t, SocketFd>> peer_fds)
+    : topo(std::move(root)), cfg(std::move(config))
+{
+    build(std::move(peer_fds), {});
+}
+
+Cluster::Cluster(SwitchSpec root, ClusterConfig config,
                  std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>>
                      peer_links)
     : topo(std::move(root)), cfg(std::move(config))
 {
-    if (topo.downlinkCount() == 0)
-        fatal("cluster topology has an empty root switch");
-    if (cfg.shard.shards <= 1)
-        fatal("peer links passed to a single-process cluster");
-    if (cfg.functionalWindow)
-        fabric_.setFunctionalMode(cfg.functionalWindow);
-    buildSharded({}, std::move(peer_links));
+    build({}, std::move(peer_links));
 }
 
-Cluster::Cluster(SwitchSpec root, ClusterConfig config,
-                 std::vector<std::pair<uint32_t, SocketFd>> peer_fds)
-    : topo(std::move(root)), cfg(config)
+ShardPlan
+Cluster::resolvePlan() const
 {
-    if (topo.downlinkCount() == 0)
-        fatal("cluster topology has an empty root switch");
-
-    if (cfg.functionalWindow)
-        fabric_.setFunctionalMode(cfg.functionalWindow);
-
-    if (cfg.shard.shards > 1) {
-        buildSharded(std::move(peer_fds), {});
-        return;
+    // Everything here is a pure function of the shared config, so every
+    // rank independently computes the same plan; planHash double-checks
+    // that at rendezvous. A single-process run is the trivial 1-shard
+    // plan, which still carries the global numbering and topoHash that
+    // snapshots and the deployment profile are keyed by.
+    const ShardSpec &ss = cfg.shard;
+    if (ss.shards <= 1)
+        return ShardPlan::build(topo, 1, cfg.linkLatency, cfg.switchLatency,
+                                cfg.functionalWindow);
+    // Resolve the server->rank map: an explicit owner map wins, then
+    // the configured policy.
+    if (!ss.owners.empty())
+        return ShardPlan::build(topo, ss.shards, cfg.linkLatency,
+                                cfg.switchLatency, cfg.functionalWindow,
+                                ss.owners);
+    ShardPlan base = ShardPlan::build(topo, ss.shards, cfg.linkLatency,
+                                      cfg.switchLatency,
+                                      cfg.functionalWindow);
+    if (ss.policy != ShardPolicy::Cost)
+        return base;
+    DeploymentProfile profile;
+    std::string perr;
+    if (!ss.profileIn.empty()) {
+        profile = DeploymentProfile::loadMerged(ss.profileIn, &perr);
+        if (!perr.empty())
+            fatal("--shard-profile-in: %s", perr.c_str());
+        if (profile.empty())
+            warn("shard %u: deployment profile %s is empty or "
+                 "missing; cost policy degrades to uniform weights",
+                 ss.rank, ss.profileIn.c_str());
+    } else {
+        warn("shard %u: --shard-policy=cost without "
+             "--shard-profile-in; using uniform weights",
+             ss.rank);
     }
-    if (!peer_fds.empty())
-        fatal("peer fds passed to a single-process cluster");
-
-    // The trivial 1-shard plan still gets computed: it carries the
-    // global numbering and topoHash that snapshots and the deployment
-    // profile are keyed by.
-    plan_ = ShardPlan::build(topo, 1, cfg.linkLatency, cfg.switchLatency,
-                             cfg.functionalWindow);
-
-    buildSubtree(topo, 0);
-
-    // Single-process build: local numbering is global numbering, and
-    // buildSubtree's connect order mirrors the plan's link order, so
-    // channel 2k carries downLinkId(k) and channel 2k+1 upLinkId(k).
-    switchGlobal.resize(switches.size());
-    for (uint32_t s = 0; s < switchGlobal.size(); ++s)
-        switchGlobal[s] = s;
-    nodeGlobal.resize(nodes.size());
-    for (uint32_t j = 0; j < nodeGlobal.size(); ++j)
-        nodeGlobal[j] = j;
-    channelGlobalLink.clear();
-    for (size_t k = 0; k < plan_.links.size(); ++k) {
-        channelGlobalLink.push_back(ShardPlan::downLinkId(k));
-        channelGlobalLink.push_back(ShardPlan::upLinkId(k));
-    }
-
-    // Populate every switch's static MAC table: for every server MAC,
-    // the port that leads toward it (a downlink when the server is in
-    // that downlink's subtree, else the uplink).
-    for (size_t s = 0; s < switches.size(); ++s) {
-        const SwitchSpec *spec = switchSpecs[s];
-        uint32_t downlinks = spec->downlinkCount();
-        bool has_uplink = (s != 0);
-        std::vector<int> port_of(nodes.size(), -1);
-        for (uint32_t p = 0; p < downlinks; ++p)
-            for (size_t server : switchPortServers[s][p])
-                port_of[server] = static_cast<int>(p);
-        for (size_t j = 0; j < nodes.size(); ++j) {
-            if (port_of[j] >= 0) {
-                switches[s]->addMacEntry(macFor(j),
-                                         static_cast<uint32_t>(port_of[j]));
-            } else if (has_uplink) {
-                switches[s]->addMacEntry(macFor(j), downlinks);
-            } else {
-                panic("server %zu unreachable from the root switch", j);
-            }
-        }
-    }
-
-    // Pre-populate every node's ARP table (static addressing, like the
-    // static MAC tables: datacenter topologies are relatively fixed).
-    for (size_t i = 0; i < nodes.size(); ++i)
-        for (size_t j = 0; j < nodes.size(); ++j)
-            if (i != j)
-                nodes[i]->net().addArp(ipFor(j), macFor(j));
-
-    fabric_.finalize();
-    FS_ASSERT(channelGlobalLink.size() == fabric_.channelCount(),
-              "channel/global-link map mismatch: %zu links mapped, %zu "
-              "channels built",
-              channelGlobalLink.size(), fabric_.channelCount());
-    fabric_.setParallelHosts(cfg.parallelHosts);
-    fabric_.setSchedPolicy(cfg.schedPolicy);
-
-    if (cfg.telemetry.enabled)
-        setupTelemetry();
-    setupObservability();
-
-    for (auto &node : nodes)
-        node->start();
+    return ShardPlan::build(topo, ss.shards, cfg.linkLatency,
+                            cfg.switchLatency, cfg.functionalWindow,
+                            computeCostOwners(base, profile));
 }
 
 void
-Cluster::buildSharded(
+Cluster::build(
     std::vector<std::pair<uint32_t, SocketFd>> peer_fds,
     std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>> peer_links)
 {
+    if (topo.downlinkCount() == 0)
+        fatal("cluster topology has an empty root switch");
+    if (cfg.functionalWindow)
+        fabric_.setFunctionalMode(cfg.functionalWindow);
+
     const ShardSpec &ss = cfg.shard;
-    if (ss.rank >= ss.shards)
+    // Single process = rank 0 of the trivial plan, with no transport.
+    const bool sharded = ss.shards > 1;
+    const uint32_t rank = sharded ? ss.rank : 0;
+    if (!sharded && (!peer_fds.empty() || !peer_links.empty()))
+        fatal("shard peers passed to a single-process cluster");
+    if (sharded && ss.rank >= ss.shards)
         fatal("shard rank %u >= shard count %u", ss.rank, ss.shards);
 
-    // Resolve the server->rank map: an explicit owner map wins, then
-    // the configured policy. Everything here is a pure function of the
-    // shared config, so every rank independently computes the same
-    // plan; planHash double-checks that at rendezvous.
-    if (!ss.owners.empty()) {
-        plan_ = ShardPlan::build(topo, ss.shards, cfg.linkLatency,
-                                 cfg.switchLatency, cfg.functionalWindow,
-                                 ss.owners);
-    } else if (ss.policy == ShardPolicy::Cost) {
-        ShardPlan base =
-            ShardPlan::build(topo, ss.shards, cfg.linkLatency,
-                             cfg.switchLatency, cfg.functionalWindow);
-        DeploymentProfile profile;
-        std::string perr;
-        if (!ss.profileIn.empty()) {
-            profile = DeploymentProfile::loadMerged(ss.profileIn, &perr);
-            if (!perr.empty())
-                fatal("--shard-profile-in: %s", perr.c_str());
-            if (profile.empty())
-                warn("shard %u: deployment profile %s is empty or "
-                     "missing; cost policy degrades to uniform weights",
-                     ss.rank, ss.profileIn.c_str());
-        } else {
-            warn("shard %u: --shard-policy=cost without "
-                 "--shard-profile-in; using uniform weights",
-                 ss.rank);
-        }
-        plan_ = ShardPlan::build(topo, ss.shards, cfg.linkLatency,
-                                 cfg.switchLatency, cfg.functionalWindow,
-                                 computeCostOwners(base, profile));
-    } else {
-        plan_ = ShardPlan::build(topo, ss.shards, cfg.linkLatency,
-                                 cfg.switchLatency, cfg.functionalWindow);
-    }
+    plan_ = resolvePlan();
     const ShardPlan &plan = plan_;
     SpecIndex specs;
     specs.walk(topo);
@@ -212,7 +146,7 @@ Cluster::buildSharded(
     std::vector<int> switchLocal(plan.nSwitches, -1);
     std::vector<int> nodeLocal(plan.nServers, -1);
     for (uint32_t s = 0; s < plan.nSwitches; ++s) {
-        if (plan.switchOwner[s] != ss.rank)
+        if (plan.switchOwner[s] != rank)
             continue;
         SwitchConfig scfg;
         scfg.name = csprintf("switch%u", s);
@@ -223,15 +157,10 @@ Cluster::buildSharded(
         switchLocal[s] = static_cast<int>(switches.size());
         switchGlobal.push_back(s);
         switches.push_back(std::make_unique<Switch>(scfg));
-        auto &pp = switchPortServers.emplace_back();
-        pp.resize(plan.portServers[s].size());
-        for (size_t p = 0; p < pp.size(); ++p)
-            pp[p].assign(plan.portServers[s][p].begin(),
-                         plan.portServers[s][p].end());
         fabric_.addEndpoint(switches.back().get());
     }
     for (uint32_t j = 0; j < plan.nServers; ++j) {
-        if (plan.serverOwner[j] != ss.rank)
+        if (plan.serverOwner[j] != rank)
             continue;
         const ServerSpec &server = *specs.servers[j];
         BladeConfig bc;
@@ -253,10 +182,12 @@ Cluster::buildSharded(
         fabric_.addEndpoint(&nodes.back()->blade());
     }
     if (switches.empty() && nodes.empty())
-        fatal("shard %u owns no components", ss.rank);
+        fatal("shard %u owns no components", rank);
 
-    // MAC tables know the *whole* cluster: the plan's port->servers map
-    // is global, so a sharded switch forwards exactly like its
+    // Populate every local switch's static MAC table: for every server
+    // MAC in the *whole* cluster, the port that leads toward it (a
+    // downlink when the server is in that downlink's subtree, else the
+    // uplink), so a sharded switch forwards exactly like its
     // single-process twin.
     for (uint32_t s = 0; s < plan.nSwitches; ++s) {
         if (switchLocal[s] < 0)
@@ -280,8 +211,9 @@ Cluster::buildSharded(
         }
     }
 
-    // ARP across the whole cluster: remote nodes are as addressable as
-    // local ones.
+    // Pre-populate every local node's ARP table across the whole
+    // cluster (static addressing, like the static MAC tables:
+    // datacenter topologies are relatively fixed).
     for (uint32_t i = 0; i < plan.nServers; ++i) {
         if (nodeLocal[i] < 0)
             continue;
@@ -293,12 +225,6 @@ Cluster::buildSharded(
     // Wire the links: both ends local -> an ordinary channel pair; one
     // end local -> a remote half-link, with the global link ids both
     // shards derive from the same plan.
-    struct CrossBinding
-    {
-        uint32_t linkId;
-        uint32_t peer;
-        bool rx;
-    };
     std::vector<CrossBinding> cross;
     // Channel -> global-link-id map, mirroring finalize()'s channel
     // creation order: the local channel pairs (connect-call order,
@@ -309,8 +235,8 @@ Cluster::buildSharded(
         const ShardPlan::Link &l = plan.links[k];
         uint32_t parent_owner = plan.switchOwner[l.parentSwitch];
         uint32_t child_owner = plan.ownerOfLink(l, true);
-        bool own_parent = parent_owner == ss.rank;
-        bool own_child = child_owner == ss.rank;
+        bool own_parent = parent_owner == rank;
+        bool own_child = child_owner == rank;
         if (!own_parent && !own_child)
             continue;
         TokenEndpoint *parent_ep =
@@ -354,10 +280,10 @@ Cluster::buildSharded(
     }
     channelGlobalLink.insert(channelGlobalLink.end(), remoteRxIds.begin(),
                              remoteRxIds.end());
-    if (cross.empty())
+    if (sharded && cross.empty())
         warn("shard %u has no cross-shard links; peers barrier every "
              "round but exchange no tokens",
-             ss.rank);
+             rank);
 
     fabric_.finalize();
     FS_ASSERT(channelGlobalLink.size() == fabric_.channelCount(),
@@ -365,8 +291,25 @@ Cluster::buildSharded(
               "channels built",
               channelGlobalLink.size(), fabric_.channelCount());
     fabric_.setParallelHosts(cfg.parallelHosts);
-    fabric_.setSchedPolicy(cfg.schedPolicy);
 
+    if (sharded)
+        connectShards(cross, std::move(peer_fds), std::move(peer_links));
+
+    if (cfg.telemetry.enabled)
+        setupTelemetry();
+    setupObservability();
+
+    for (auto &node : nodes)
+        node->start();
+}
+
+void
+Cluster::connectShards(
+    const std::vector<CrossBinding> &cross,
+    std::vector<std::pair<uint32_t, SocketFd>> peer_fds,
+    std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>> peer_links)
+{
+    const ShardSpec &ss = cfg.shard;
     ShardTransport::Options topts;
     topts.rank = ss.rank;
     topts.shards = ss.shards;
@@ -383,12 +326,12 @@ Cluster::buildSharded(
     topts.shmRingBytes = ss.shmRingBytes;
     if (!peer_links.empty()) {
         transport_ = ShardTransport::fromLinks(
-            topts, std::move(peer_links), plan.planHash);
+            topts, std::move(peer_links), plan_.planHash);
     } else if (!peer_fds.empty()) {
         transport_ = ShardTransport::fromFds(topts, std::move(peer_fds),
-                                             plan.planHash);
+                                             plan_.planHash);
     } else {
-        transport_ = ShardTransport::rendezvousTcp(topts, plan.planHash);
+        transport_ = ShardTransport::rendezvousTcp(topts, plan_.planHash);
     }
     for (size_t i = 0; i < transport_->peerRanks().size(); ++i) {
         inform("shard %u: peer rank %u via %s", ss.rank,
@@ -429,13 +372,6 @@ Cluster::buildSharded(
                 recorder_->dump(csprintf("peer shard %u lost", peer));
             }
         });
-
-    if (cfg.telemetry.enabled)
-        setupTelemetry();
-    setupObservability();
-
-    for (auto &node : nodes)
-        node->start();
 }
 
 Cluster::~Cluster()
@@ -588,27 +524,14 @@ Cluster::setupTelemetry()
         reg.registerProbe("cluster.fabric.sched.maxMeanBusyRatio", [fab] {
             return fab->schedTelemetry().maxMeanBusyRatio();
         });
-        reg.registerProbe("cluster.fabric.sched.steals", [fab] {
-            return static_cast<double>(fab->schedTelemetry().totalSteals());
-        });
         for (unsigned w = 0; w < std::max(1u, cfg.parallelHosts); ++w) {
-            std::string wp = csprintf("cluster.fabric.sched.worker%u", w);
-            auto worker = [fab, w]() -> const SchedTelemetry::Worker * {
-                const auto &ws = fab->schedTelemetry().workers;
-                return w < ws.size() ? &ws[w] : nullptr;
-            };
-            reg.registerProbe(wp + ".busyNs", [worker] {
-                const auto *s = worker();
-                return s ? static_cast<double>(s->busyNs) : 0.0;
-            });
-            reg.registerProbe(wp + ".unitsRun", [worker] {
-                const auto *s = worker();
-                return s ? static_cast<double>(s->unitsRun) : 0.0;
-            });
-            reg.registerProbe(wp + ".steals", [worker] {
-                const auto *s = worker();
-                return s ? static_cast<double>(s->steals) : 0.0;
-            });
+            reg.registerProbe(
+                csprintf("cluster.fabric.sched.worker%u.busyNs", w),
+                [fab, w] {
+                    const auto &ws = fab->schedTelemetry().workers;
+                    return w < ws.size() ? static_cast<double>(ws[w].busyNs)
+                                         : 0.0;
+                });
         }
     }
 
@@ -627,14 +550,10 @@ Cluster::setupTelemetry()
     }
 
     if (HostProfiler *prof = telemetry_->profiler()) {
-        for (size_t i = 0; i < fabric_.endpointCount(); ++i) {
-            const TokenEndpoint *ep = &fabric_.endpointAt(i);
-            bool is_switch = false;
-            for (const auto &s : switches)
-                is_switch = is_switch || s.get() == ep;
-            prof->labelEndpoint(i, ep->name(),
-                                is_switch ? "switch" : "blade");
-        }
+        // Endpoints are registered in plan order: switches, then nodes.
+        for (size_t i = 0; i < fabric_.endpointCount(); ++i)
+            prof->labelEndpoint(i, fabric_.endpointAt(i).name(),
+                                i < switches.size() ? "switch" : "blade");
     }
 }
 
@@ -887,12 +806,10 @@ Cluster::deploymentProfile() const
     prof.serverCostNs.assign(plan_.nServers, 0.0);
     prof.linkFlits.assign(plan_.links.size() * 2, 0);
 
-    for (size_t i = 0; i < nodes.size(); ++i) {
-        int ep = fabric_.endpointIndexOf(nodes[i]->name());
-        if (ep >= 0)
-            prof.serverCostNs[nodeGlobal[i]] =
-                fabric_.endpointCostNs(static_cast<size_t>(ep));
-    }
+    // Node i is endpoint switches.size() + i (plan order).
+    for (size_t i = 0; i < nodes.size(); ++i)
+        prof.serverCostNs[nodeGlobal[i]] =
+            fabric_.endpointCostNs(switches.size() + i);
 
     // Local channels count the flits they moved; each directed link's
     // channel lives on exactly one rank, so no double counting within a
@@ -926,66 +843,6 @@ Cluster::writeDeploymentProfile()
     std::string err = prof.saveFile(path);
     if (!err.empty())
         warn("deployment profile: %s", err.c_str());
-}
-
-size_t
-Cluster::buildSubtree(const SwitchSpec &spec, uint32_t depth)
-{
-    size_t my_idx = switches.size();
-
-    SwitchConfig scfg;
-    scfg.name = csprintf("switch%zu", my_idx);
-    scfg.ports = spec.downlinkCount() + (depth > 0 ? 1 : 0);
-    scfg.minLatency = cfg.switchLatency;
-    scfg.dropBound = cfg.switchDropBound;
-    scfg.slicePorts = cfg.switchSlicePorts;
-    switches.push_back(std::make_unique<Switch>(scfg));
-    switchSpecs.push_back(&spec);
-    switchPortServers.emplace_back(spec.downlinkCount());
-    fabric_.addEndpoint(switches[my_idx].get());
-
-    uint32_t port = 0;
-    for (const auto &child : spec.childSwitches()) {
-        size_t child_idx = buildSubtree(*child, depth + 1);
-        uint32_t child_uplink = child->downlinkCount();
-        fabric_.connect(switches[my_idx].get(), port,
-                        switches[child_idx].get(), child_uplink,
-                        cfg.linkLatency);
-        // Everything under the child subtree is reachable via this port.
-        std::vector<size_t> under;
-        for (const auto &per_port : switchPortServers[child_idx])
-            under.insert(under.end(), per_port.begin(), per_port.end());
-        switchPortServers[my_idx][port] = std::move(under);
-        ++port;
-    }
-
-    for (const ServerSpec &server : spec.childServers()) {
-        size_t node_idx = nodes.size();
-
-        BladeConfig bc;
-        bc.name = csprintf("node%zu", node_idx);
-        bc.freqGhz = cfg.freqGhz;
-        bc.cores = server.cores;
-        bc.memBytes = server.memBytes;
-        bc.nic = cfg.nic;
-        bc.mac = macFor(node_idx);
-        bc.harts = std::min(cfg.harts, server.cores);
-        bc.hart = cfg.hart;
-
-        OsConfig oc = cfg.os;
-        oc.cores = server.cores;
-        oc.seed = cfg.seed + node_idx;
-
-        nodes.push_back(std::make_unique<NodeSystem>(bc, oc, cfg.net,
-                                                     ipFor(node_idx)));
-        fabric_.addEndpoint(&nodes[node_idx]->blade());
-        fabric_.connect(switches[my_idx].get(), port,
-                        &nodes[node_idx]->blade(), 0, cfg.linkLatency);
-        switchPortServers[my_idx][port] = {node_idx};
-        ++port;
-    }
-
-    return my_idx;
 }
 
 } // namespace firesim

@@ -44,8 +44,6 @@
 namespace firesim
 {
 
-class SnapshotReader;
-
 /** Everything that makes one simulated server usable: the blade
  *  hardware, the OS, and the network stack bound together. */
 class NodeSystem
@@ -145,13 +143,6 @@ struct ClusterConfig
      */
     uint32_t switchSlicePorts = 4;
     /**
-     * How the fabric's round scheduler places advance units on worker
-     * threads (net/sched.hh): static round-robin, EWMA-cost LPT
-     * partitioning, or cost partitioning plus work stealing. Pure host
-     * policy — results are bit-identical across policies.
-     */
-    SchedPolicy schedPolicy = SchedPolicy::RoundRobin;
-    /**
      * Distributed simulation (manager/shard.hh): with shards > 1 this
      * process builds only its own shard of the topology and carries
      * cross-shard links over the socket token transport (net/remote).
@@ -176,8 +167,8 @@ class Cluster
     /**
      * Sharded build over pre-connected sockets: @p peer_fds carries
      * one (peer_rank, fd) pair per peer shard, typically AF_UNIX
-     * socketpair halves for same-host shards (and the tests). Requires
-     * config.shard.shards > 1.
+     * socketpair halves for same-host shards (and the tests). Peers
+     * passed to a single-process config are an error.
      */
     Cluster(SwitchSpec root, ClusterConfig config,
             std::vector<std::pair<uint32_t, SocketFd>> peer_fds);
@@ -185,8 +176,8 @@ class Cluster
     /**
      * Sharded build over caller-supplied transport bridges: one
      * (peer_rank, PeerLink) pair per peer shard — any fabric,
-     * including loopbackLinkPair() for in-process tests. Requires
-     * config.shard.shards > 1.
+     * including loopbackLinkPair() for in-process tests. Peers passed
+     * to a single-process config are an error.
      */
     Cluster(SwitchSpec root, ClusterConfig config,
             std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>>
@@ -328,35 +319,43 @@ class Cluster
     std::string loadSnapshot(const std::string &path);
 
   private:
-    /** Recursively instantiate switches/nodes below @p spec; returns
-     *  the index of the switch built for @p spec. */
-    size_t buildSubtree(const SwitchSpec &spec, uint32_t depth);
-
-    /** loadSnapshot, same owner map: full verification including the
-     *  stats byte-identity check. @p r is the already-opened file. */
-    std::string loadSnapshotSamePlan(SnapshotReader &r,
-                                     const std::string &file);
-
-    /**
-     * loadSnapshot under a *different* ShardPlan than the one that
-     * wrote @p path: discover the old geometry on disk, open every old
-     * rank file, and re-home each local component / channel section
-     * from whichever file holds it. Rank-local sections (fault,
-     * health, autocounter, stats, transport) are regenerated by the
-     * deterministic replay that preceded this call and are skipped.
-     */
-    std::string loadSnapshotReShard(const std::string &path);
+    /** One direction of a cross-shard link: its global link id, the
+     *  peer rank at the far end, and whether it arrives here. */
+    struct CrossBinding
+    {
+        uint32_t linkId;
+        uint32_t peer;
+        bool rx;
+    };
 
     /**
-     * Sharded build (config().shard.shards > 1): instantiate only the
-     * components this rank owns — with *global* names, MACs, and IPs —
-     * wire cross-shard links through the transport, and eagerly attach
-     * the health monitor so peer loss mid-run can be recorded.
+     * The one build path, behind all three constructors. Computes the
+     * ShardPlan (the trivial 1-shard plan in single-process mode) and
+     * instantiates only the components this rank owns — with *global*
+     * names, MACs, and IPs — wiring links between local components
+     * through fabric channels and cross-shard links through the
+     * transport. Single-process runs build no transport.
      */
     void
-    buildSharded(std::vector<std::pair<uint32_t, SocketFd>> peer_fds,
-                 std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>>
-                     peer_links);
+    build(std::vector<std::pair<uint32_t, SocketFd>> peer_fds,
+          std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>>
+              peer_links);
+
+    /** The shard plan config().shard asks for: explicit owners, then
+     *  the placement policy; the trivial plan when not sharded. */
+    ShardPlan resolvePlan() const;
+
+    /**
+     * Sharded builds only: connect the transport (caller's links, then
+     * caller's fds, else TCP rendezvous), bind the cross-shard links,
+     * and eagerly attach the health monitor so peer loss mid-run can
+     * be recorded.
+     */
+    void connectShards(
+        const std::vector<CrossBinding> &cross,
+        std::vector<std::pair<uint32_t, SocketFd>> peer_fds,
+        std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>>
+            peer_links);
 
     /** Build the telemetry bundle, register every component's stats,
      *  and attach the configured fabric observers. */
@@ -364,7 +363,7 @@ class Cluster
 
     /** Build the observability plane — flight recorder, heartbeat
      *  monitor, cross-shard aggregation hooks — per ClusterConfig.
-     *  Called by both build paths, after setupTelemetry(). */
+     *  Called by build(), after setupTelemetry(). */
     void setupObservability();
 
     /** Mirror HealthMonitor events into the flight recorder (called
@@ -383,8 +382,8 @@ class Cluster
 
     SwitchSpec topo;
     ClusterConfig cfg;
-    /** The shard plan both build paths derive their wiring from;
-     *  trivial (1 shard, every owner 0) in single-process mode. */
+    /** The shard plan build() derives the wiring from; trivial
+     *  (1 shard, every owner 0) in single-process mode. */
     ShardPlan plan_;
     // Local -> global component numbering (identity in single-process
     // mode): switchGlobal[i] is the global index of switches[i],
@@ -401,10 +400,6 @@ class Cluster
     std::unique_ptr<ShardTransport> transport_;
     std::vector<std::unique_ptr<NodeSystem>> nodes;
     std::vector<std::unique_ptr<Switch>> switches;
-    // Parallel bookkeeping per built switch: its spec, and the server
-    // indices reachable through each downlink port.
-    std::vector<const SwitchSpec *> switchSpecs;
-    std::vector<std::vector<std::vector<size_t>>> switchPortServers;
     // Observability plane. Order matters for destruction: the monitor
     // holds a flight-recorder pointer, so the recorder is declared
     // (and destroyed) after it... i.e. recorder first here.

@@ -28,9 +28,9 @@ struct Walker
 {
     ShardPlan &plan;
 
-    /** Mirrors Cluster::buildSubtree exactly: assign this switch's
-     *  global index, recurse into child switches (ports 0..), then
-     *  attach this switch's servers. Returns the global index. */
+    /** Depth-first numbering: assign this switch's global index,
+     *  recurse into child switches (ports 0..), then attach this
+     *  switch's servers. Returns the global index. */
     uint32_t
     walk(const SwitchSpec &spec, uint32_t depth)
     {

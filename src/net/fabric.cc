@@ -168,6 +168,8 @@ TokenFabric::addEndpoint(TokenEndpoint *endpoint)
     state.in.assign(endpoint->numPorts(), nullptr);
     state.out.assign(endpoint->numPorts(), nullptr);
     state.remoteOut.assign(endpoint->numPorts(), -1);
+    state.inIndex.assign(endpoint->numPorts(), 0);
+    state.outIndex.assign(endpoint->numPorts(), 0);
     endpoints.push_back(std::move(state));
 }
 
@@ -286,15 +288,6 @@ TokenFabric::setParallelHosts(unsigned hosts)
 }
 
 void
-TokenFabric::setSchedPolicy(SchedPolicy policy)
-{
-    FS_ASSERT(!running, "setSchedPolicy() mid-run");
-    schedPol = policy;
-    schedBegin.setPolicy(policy);
-    schedMain.setPolicy(policy);
-}
-
-void
 TokenFabric::finalize()
 {
     FS_ASSERT(!finalized, "finalize() called twice");
@@ -354,7 +347,9 @@ TokenFabric::finalize()
         sb.in[link.portB] = ab.get();
         sb.out[link.portB] = ba.get();
         sa.in[link.portA] = ba.get();
+        sa.outIndex[link.portA] = sb.inIndex[link.portB] = channels.size();
         channels.push_back(std::move(ab));
+        sb.outIndex[link.portB] = sa.inIndex[link.portA] = channels.size();
         channels.push_back(std::move(ba));
     }
 
@@ -369,6 +364,7 @@ TokenFabric::finalize()
                               rl.local->name().c_str(), rl.port,
                               rl.rxLinkId));
         state.in[rl.port] = rx.get();
+        state.inIndex[rl.port] = channels.size();
         state.remoteOut[rl.port] = static_cast<int64_t>(rl.txLinkId);
         remoteRx.emplace_back(rl.rxLinkId, rx.get());
         channels.push_back(std::move(rx));
@@ -448,15 +444,6 @@ TokenFabric::endpointIndexOf(const std::string &name) const
     return -1;
 }
 
-size_t
-TokenFabric::channelIndexOf(const TokenChannel *channel) const
-{
-    for (size_t i = 0; i < channels.size(); ++i)
-        if (channels[i].get() == channel)
-            return i;
-    panic("channel %s not owned by this fabric", channel->label().c_str());
-}
-
 bool
 TokenFabric::channelIsRemoteRx(size_t idx) const
 {
@@ -475,7 +462,7 @@ TokenFabric::txChannelOf(size_t endpoint_idx, uint32_t port) const
     const EndpointState &state = endpoints[endpoint_idx];
     if (port >= state.out.size() || !state.out[port])
         return -1;
-    return static_cast<int>(channelIndexOf(state.out[port]));
+    return static_cast<int>(state.outIndex[port]);
 }
 
 double
@@ -496,13 +483,11 @@ TokenFabric::endpointCostNs(size_t idx) const
 bool
 TokenFabric::reportAnomaly(FabricObserver::Anomaly kind,
                            size_t endpoint_idx, uint32_t port,
-                           const TokenChannel *channel,
-                           const TokenBatch &batch)
+                           size_t channel_idx, const TokenBatch &batch)
 {
-    size_t chan_idx = channelIndexOf(channel);
     bool recovered = false;
     for (FabricObserver *obs : observers)
-        recovered |= obs->onAnomaly(kind, endpoint_idx, port, chan_idx,
+        recovered |= obs->onAnomaly(kind, endpoint_idx, port, channel_idx,
                                     curCycle, batch);
     return recovered;
 }
@@ -537,7 +522,7 @@ TokenFabric::prepareEndpoint(size_t idx)
             TokenBatch missing(chan->nextPopCycle(),
                                static_cast<uint32_t>(quant));
             if (!reportAnomaly(FabricObserver::Anomaly::ChannelUnderflow,
-                               idx, p, chan, missing)) {
+                               idx, p, state.inIndex[p], missing)) {
                 panic("channel underflow into %s:%u (%s)",
                       state.endpoint->name().c_str(), p,
                       chan->label().c_str());
@@ -549,7 +534,7 @@ TokenFabric::prepareEndpoint(size_t idx)
         TokenBatch batch = chan->popUnchecked();
         if (batch.start != curCycle) {
             if (!reportAnomaly(FabricObserver::Anomaly::StaleBatch, idx, p,
-                               chan, batch)) {
+                               state.inIndex[p], batch)) {
                 panic("non-contiguous batch pop on %s: got %llu "
                       "expected %llu",
                       chan->label().c_str(),
@@ -669,8 +654,6 @@ TokenFabric::ensureSchedulers()
     schedTel.reset(width);
     schedBegin.configure(beginUnits.size(), width, &schedTel);
     schedMain.configure(mainUnits.size(), width, &schedTel);
-    schedBegin.setPolicy(schedPol);
-    schedMain.setPolicy(schedPol);
 }
 
 void
@@ -706,7 +689,7 @@ TokenFabric::commitEndpoint(size_t idx)
             continue;
         }
         if (!observers.empty()) {
-            size_t chan_idx = channelIndexOf(chan);
+            size_t chan_idx = state.outIndex[p];
             for (FabricObserver *obs : observers)
                 obs->onTransmit(chan_idx, state.outs[p]);
             TokenChannel::PushError err = chan->accepts(state.outs[p]);
@@ -714,7 +697,7 @@ TokenFabric::commitEndpoint(size_t idx)
                 auto kind = err == TokenChannel::PushError::BadLength
                                 ? FabricObserver::Anomaly::BadLength
                                 : FabricObserver::Anomaly::NonContiguous;
-                if (reportAnomaly(kind, idx, p, chan, state.outs[p])) {
+                if (reportAnomaly(kind, idx, p, chan_idx, state.outs[p])) {
                     // Substitute a well-formed empty batch to keep the
                     // channel's token stream intact.
                     pool.recycle(std::move(state.outs[p].flits));
@@ -849,57 +832,10 @@ TokenFabric::snapshotSave(Serializer &s) const
     s.putU(quant);
     s.putU(curCycle);
     s.putU(roundCount);
-    s.putU(batchCount);
-    s.putU(endpoints.size());
-    s.putU(channels.size());
-    for (const auto &chan : channels)
-        chan->snapshotSave(s);
 }
 
 void
 TokenFabric::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    if (!finalized) {
-        err.add("fabric restore requires finalize()");
-        return;
-    }
-    expectEq(err, "fabric quantum", (uint64_t)quant, d.getU());
-    Cycles cycle = d.getU();
-    uint64_t rounds = d.getU();
-    uint64_t batches = d.getU();
-    expectEq(err, "fabric endpoint count", (uint64_t)endpoints.size(),
-             d.getU());
-    uint64_t chanCount = d.getU();
-    if (chanCount != channels.size()) {
-        err.add(csprintf("fabric channel count: live %zu != snapshot "
-                         "%llu — different topology or shard plan",
-                         channels.size(), (unsigned long long)chanCount));
-        return;
-    }
-    for (auto &chan : channels)
-        chan->snapshotRestore(d, err);
-    if (!d.ok()) {
-        err.add(d.error());
-        return;
-    }
-    curCycle = cycle;
-    roundCount = rounds;
-    batchCount = batches;
-}
-
-void
-TokenFabric::snapshotSaveCore(Serializer &s) const
-{
-    FS_ASSERT(finalized, "fabric snapshot requires finalize()");
-    FS_ASSERT(curCycle % quant == 0,
-              "fabric snapshot must happen at a round boundary");
-    s.putU(quant);
-    s.putU(curCycle);
-    s.putU(roundCount);
-}
-
-void
-TokenFabric::snapshotRestoreCore(Deserializer &d, SnapshotErrors &err)
 {
     if (!finalized) {
         err.add("fabric restore requires finalize()");

@@ -33,9 +33,8 @@
  *      are never accessed concurrently. Endpoints may further split
  *      this phase into AdvanceUnits (a serial begin, N concurrent
  *      slices, a driving-thread merge — see TokenEndpoint); a
- *      RoundScheduler (net/sched.hh) places the units on workers,
- *      optionally cost-model-driven with work stealing. Placement is
- *      pure host policy and never affects simulated state.
+ *      RoundScheduler (net/sched.hh) places the units on workers.
+ *      Placement is pure host policy and never affects simulated state.
  *   3. commit (driving thread, step order): per endpoint, merge any
  *      slice scratch, then run transmit observers and push the
  *      produced batches into their channels.
@@ -527,14 +526,6 @@ class TokenFabric
     unsigned parallelHosts() const { return parHosts; }
 
     /**
-     * Select how advance units are partitioned across the worker pool
-     * (net/sched.hh). Pure host-side placement: results and telemetry
-     * are byte-identical for every policy. Must not be called mid-run.
-     */
-    void setSchedPolicy(SchedPolicy policy);
-    SchedPolicy schedPolicy() const { return schedPol; }
-
-    /**
      * Wall-clock per-worker load accounting for the parallel round
      * loop. Meaningful only after run() with parallelHosts >= 2;
      * never part of the deterministic telemetry surface.
@@ -584,6 +575,10 @@ class TokenFabric
      */
     void addObserver(FabricObserver *observer);
 
+    /** Number of attached observers. Any observer switches the round
+     *  loop to its slower monitored path. */
+    size_t observerCount() const { return observers.size(); }
+
     // ---- Introspection for observers and diagnostics ----------------
 
     size_t endpointCount() const { return endpoints.size(); }
@@ -627,25 +622,16 @@ class TokenFabric
     void setStepOrder(std::vector<size_t> order);
 
     /**
-     * Serialize the fabric's round state: cycle/round/batch counters,
-     * the quantum (verified on restore), and every channel's
-     * mid-flight contents in construction order. Requires finalize()
-     * and a round boundary (now() a multiple of quantum). Restore
-     * verifies the wiring shape and rebuilds every channel.
+     * Serialize the fabric's round state: the quantum (verified on
+     * restore), cycle, and round count — *without* the channels or the
+     * host-local batch counter. Snapshots (manager/checkpoint) store
+     * this as the "fabric" section and every channel under its own
+     * global link name, so a restore under a different ShardPlan can
+     * re-home channels individually. Requires finalize() and a round
+     * boundary (now() a multiple of quantum).
      */
     void snapshotSave(Serializer &s) const;
     void snapshotRestore(Deserializer &d, SnapshotErrors &err);
-
-    /**
-     * Plan-independent subset of snapshotSave: the round state
-     * (quantum, cycle, round count) *without* the channel list or the
-     * host-local batch counter. Re-shardable snapshots
-     * (manager/checkpoint) store this as the "fabric" section and
-     * every channel under its own global link name, so a restore under
-     * a different ShardPlan can re-home channels individually.
-     */
-    void snapshotSaveCore(Serializer &s) const;
-    void snapshotRestoreCore(Deserializer &d, SnapshotErrors &err);
 
   private:
     struct Link
@@ -687,6 +673,10 @@ class TokenFabric
         // RemoteRoundHook instead of a TokenChannel; -1 for local
         // ports (out[p] set) and for the RX-only remote direction.
         std::vector<int64_t> remoteOut;
+        // Per-port indices of in[p] / out[p] in `channels` (set at
+        // finalize()): the observer callbacks' channel_idx.
+        std::vector<size_t> inIndex;
+        std::vector<size_t> outIndex;
         uint32_t slices = 1; //!< cached advanceSliceCount()
         bool down = false;   //!< observers parked it this round
     };
@@ -734,15 +724,12 @@ class TokenFabric
 
     EndpointState &stateFor(TokenEndpoint *endpoint);
 
-    /** Index into `channels` of @p channel (for observer callbacks). */
-    size_t channelIndexOf(const TokenChannel *channel) const;
-
     /**
      * Report @p kind to the observers; returns true when some observer
      * recovered it. Aborts with the channel's label otherwise.
      */
     bool reportAnomaly(FabricObserver::Anomaly kind, size_t endpoint_idx,
-                       uint32_t port, const TokenChannel *channel,
+                       uint32_t port, size_t channel_idx,
                        const TokenBatch &batch);
 
     // ---- The three round phases (see the file comment) ---------------
@@ -787,7 +774,6 @@ class TokenFabric
     RoundScheduler schedBegin;
     RoundScheduler schedMain;
     SchedTelemetry schedTel;
-    SchedPolicy schedPol = SchedPolicy::RoundRobin;
     unsigned schedWidth = 0; //!< pool width the schedulers are built for
     Cycles quant = 0;
     Cycles curCycle = 0;

@@ -371,6 +371,12 @@ class ShmLink : public PeerLink
         hdrBuf_.clear();
 
         int fd = ::shm_open(name_.c_str(), O_RDWR, 0600);
+        if (fd < 0 && errno == ENOENT) {
+            // The creator closed (and so unlinked) before this first
+            // attach: a teardown race, not an error — the peer is gone.
+            peerDead_ = true;
+            return false;
+        }
         if (fd < 0)
             fatal("shm_open(%s) for attach: %s", name_.c_str(),
                   strerror(errno));

@@ -26,38 +26,6 @@ constexpr double kEwmaAlpha = 0.25;
 
 } // namespace
 
-const char *
-schedPolicyName(SchedPolicy policy)
-{
-    switch (policy) {
-      case SchedPolicy::RoundRobin:
-        return "rr";
-      case SchedPolicy::Cost:
-        return "cost";
-      case SchedPolicy::Steal:
-        return "steal";
-    }
-    return "?";
-}
-
-bool
-parseSchedPolicy(const std::string &text, SchedPolicy &out)
-{
-    if (text == "rr" || text == "roundrobin") {
-        out = SchedPolicy::RoundRobin;
-        return true;
-    }
-    if (text == "cost") {
-        out = SchedPolicy::Cost;
-        return true;
-    }
-    if (text == "steal") {
-        out = SchedPolicy::Steal;
-        return true;
-    }
-    return false;
-}
-
 void
 SchedTelemetry::reset(unsigned width)
 {
@@ -65,7 +33,6 @@ SchedTelemetry::reset(unsigned width)
     roundBusy.assign(width, 0);
     rounds = 0;
     sumMaxBusyNs = 0;
-    sumTotalBusyNs = 0;
     sumMeanBusyNs = 0.0;
 }
 
@@ -92,7 +59,6 @@ SchedTelemetry::endRound()
         return;
     ++rounds;
     sumMaxBusyNs += max;
-    sumTotalBusyNs += total;
     // Mean over the workers that did work this round, not the
     // configured width: a round that used 2 of 8 workers perfectly
     // evenly is balanced (ratio 1), not magically 4x better.
@@ -106,15 +72,6 @@ SchedTelemetry::maxMeanBusyRatio() const
     if (sumMeanBusyNs <= 0.0 || workers.empty())
         return 0.0;
     return static_cast<double>(sumMaxBusyNs) / sumMeanBusyNs;
-}
-
-uint64_t
-SchedTelemetry::totalSteals() const
-{
-    uint64_t sum = 0;
-    for (const Worker &w : workers)
-        sum += w.steals;
-    return sum;
 }
 
 uint64_t
@@ -136,68 +93,7 @@ RoundScheduler::configure(size_t units, unsigned width,
     units_ = units;
     tel = telemetry;
     ewmaNs.assign(units, 0.0);
-    lastNs.assign(units, 0);
-    if (deques.size() != width)
-        deques.resize(width);
-    for (StealDeque &d : deques)
-        d.reserve(units);
-    order.clear();
-    order.reserve(units);
-    load.assign(width, 0.0);
-    plan.resize(width);
-    for (std::vector<uint32_t> &p : plan) {
-        p.clear();
-        p.reserve(units);
-    }
     scratch.assign(width, WorkerScratch{});
-}
-
-void
-RoundScheduler::partition(unsigned width)
-{
-    for (unsigned w = 0; w < width; ++w)
-        deques[w].reset();
-
-    if (policy_ == SchedPolicy::RoundRobin || width == 1) {
-        for (uint32_t u = 0; u < units_; ++u)
-            deques[u % width].push(u);
-        return;
-    }
-
-    // Longest-processing-time-first: place units in descending expected
-    // cost onto the currently least-loaded worker. The comparator's
-    // index tiebreak makes the plan a pure function of the EWMA table.
-    order.clear();
-    for (uint32_t u = 0; u < units_; ++u)
-        order.push_back(u);
-    // std::sort, not stable_sort: the latter allocates, and the index
-    // tiebreak already pins the order.
-    std::sort(order.begin(), order.end(),
-              [this](uint32_t a, uint32_t b) {
-                  if (ewmaNs[a] != ewmaNs[b])
-                      return ewmaNs[a] > ewmaNs[b];
-                  return a < b;
-              });
-    std::fill(load.begin(), load.end(), 0.0);
-    for (unsigned w = 0; w < width; ++w)
-        plan[w].clear();
-    for (uint32_t u : order) {
-        unsigned best = 0;
-        for (unsigned w = 1; w < width; ++w)
-            if (load[w] < load[best])
-                best = w;
-        plan[best].push_back(u);
-        // Before the first measurement every EWMA is 0; count each unit
-        // as 1 so the opening round still spreads evenly.
-        load[best] += ewmaNs[u] > 0.0 ? ewmaNs[u] : 1.0;
-    }
-    // Push each worker's list costliest-first: the owner pops its
-    // cheapest units first (LIFO bottom) while thieves steal the
-    // costliest remaining one (FIFO top), so one steal moves the most
-    // imbalance.
-    for (unsigned w = 0; w < width; ++w)
-        for (uint32_t u : plan[w])
-            deques[w].push(u);
 }
 
 void
@@ -206,41 +102,13 @@ RoundScheduler::runWorker(unsigned worker, unsigned width, UnitFn fn,
 {
     WorkerScratch &ws = scratch[worker];
     ws.busyNs = 0;
-    ws.unitsRun = 0;
-    ws.steals = 0;
-
-    uint32_t u;
-    while (deques[worker].take(u)) {
+    for (size_t u = worker; u < units_; u += width) {
         uint64_t t0 = nowNs();
-        fn(ctx, u);
+        fn(ctx, static_cast<uint32_t>(u));
         uint64_t ns = nowNs() - t0;
-        lastNs[u] = ns;
+        // Unit u always runs on this worker, so its EWMA slot is ours.
+        recordSample(static_cast<uint32_t>(u), ns);
         ws.busyNs += ns;
-        ++ws.unitsRun;
-    }
-
-    if (policy_ != SchedPolicy::Steal || width <= 1)
-        return;
-    // Own deque is dry and nobody pushes mid-dispatch, so scan victims
-    // until a full pass finds nothing stealable. A concurrent owner may
-    // still be *running* its last unit — that is not stealable work, so
-    // giving up then is correct, and the barrier still waits for it.
-    bool found = true;
-    while (found) {
-        found = false;
-        for (unsigned v = 1; v < width; ++v) {
-            unsigned victim = (worker + v) % width;
-            while (deques[victim].steal(u)) {
-                found = true;
-                ++ws.steals;
-                uint64_t t0 = nowNs();
-                fn(ctx, u);
-                uint64_t ns = nowNs() - t0;
-                lastNs[u] = ns;
-                ws.busyNs += ns;
-                ++ws.unitsRun;
-            }
-        }
     }
 }
 
@@ -250,9 +118,8 @@ RoundScheduler::dispatch(ThreadPool &pool, UnitFn fn, void *ctx)
     if (units_ == 0)
         return;
     unsigned width = pool.width();
-    FS_ASSERT(deques.size() == width && scratch.size() == width,
+    FS_ASSERT(scratch.size() == width,
               "RoundScheduler not configured for this pool");
-    partition(width);
 
     if (width == 1) {
         runWorker(0, 1, fn, ctx);
@@ -270,17 +137,13 @@ RoundScheduler::dispatch(ThreadPool &pool, UnitFn fn, void *ctx)
     }
 
     // Post-barrier, driving thread: fold the measurements into the
-    // shared telemetry and the cost model.
+    // shared telemetry.
     if (tel) {
         for (unsigned w = 0; w < width; ++w) {
             tel->workers[w].busyNs += scratch[w].busyNs;
-            tel->workers[w].unitsRun += scratch[w].unitsRun;
-            tel->workers[w].steals += scratch[w].steals;
             tel->roundBusy[w] += scratch[w].busyNs;
         }
     }
-    for (uint32_t u = 0; u < units_; ++u)
-        recordSample(u, lastNs[u]);
 }
 
 void

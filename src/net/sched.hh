@@ -1,193 +1,43 @@
 /**
  * @file
- * Cost-model round scheduling for the token fabric.
+ * Round scheduling for the token fabric's worker pool.
  *
- * PR 3 split each fabric round's endpoint advances across a worker
- * pool, but claimed work items in static order: one endpoint = one
- * item, workers grab the next index. Two walls follow at datacenter
- * scale (ROADMAP): a 32+-port switch is a single item that dominates a
- * round, and a boot-heavy blade costs ~10x an idle one, so the barrier
- * leaves workers idle. The fabric now slices big endpoints into
- * multiple AdvanceUnits (net/fabric.hh) and this file decides which
- * worker runs which unit:
+ * The fabric splits each round's advance phase into AdvanceUnits (one
+ * per monolithic endpoint, or a sliced switch's begin phase and slices;
+ * see net/fabric.hh). The RoundScheduler runs them on a worker pool
+ * with a fixed strided assignment: worker w of W runs units w, w+W,
+ * w+2W, ... every round.
  *
- *  - SchedPolicy::RoundRobin — unit i goes to worker i mod W. The
- *    static baseline, and the default.
- *  - SchedPolicy::Cost — per-unit EWMA of measured advance wall time
- *    drives longest-processing-time-first partitioning every round:
- *    units are sorted by expected cost and each is placed on the
- *    least-loaded worker.
- *  - SchedPolicy::Steal — the Cost partition, plus Chase-Lev-style
- *    work-stealing deques: a worker that drains its own queue steals
- *    from the top of a victim's, so a mispredicted unit cannot strand
- *    the rest of the round behind one worker.
+ * Determinism: the assignment moves host work between host threads and
+ * never touches simulated state. Units share no mutable state (the
+ * fabric's decomposition license, paper Section III-B2), and every
+ * result-bearing callback runs on the driving thread in step order, so
+ * simulation results, stats, and telemetry artifacts are byte-identical
+ * for every worker count and slicing — property-tested in
+ * tests/net/fabric_sched_test.cc.
  *
- * Determinism: scheduling decisions move host work between host
- * threads and never touch simulated state. Units share no mutable
- * state (the fabric's decomposition license, paper Section III-B2),
- * and every result-bearing callback runs on the driving thread in
- * step order, so simulation results, stats, and telemetry artifacts
- * are byte-identical for every policy, worker count, and slicing —
- * property-tested in tests/net/fabric_sched_test.cc.
+ * The scheduler also measures every unit's wall time and folds it into
+ * a per-unit EWMA: TokenFabric::endpointCostNs reads it for the
+ * deployment profile (manager/deploy). Host-time accounting
+ * (SchedTelemetry) is wall-clock and therefore NOT part of the
+ * bit-identical surface; it is exported into the StatRegistry only
+ * behind TelemetryConfig::schedStats.
  *
- * Host-time accounting (SchedTelemetry) is wall-clock and therefore
- * NOT part of the bit-identical surface; it is exported into the
- * StatRegistry only behind TelemetryConfig::schedStats.
- *
- * Allocation discipline: every per-round structure (deques, sort
- * buffers, per-worker plans) reaches a fixed capacity after warm-up,
- * keeping the parallel round loop's steady-state zero-allocation
- * guarantee (tests/net/fabric_alloc_test.cc).
+ * Allocation discipline: every per-round structure is sized at
+ * configure() time, keeping the parallel round loop's steady-state
+ * zero-allocation guarantee (tests/net/fabric_alloc_test.cc).
  */
 
 #ifndef FIRESIM_NET_SCHED_HH
 #define FIRESIM_NET_SCHED_HH
 
-#include <atomic>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "base/thread_pool.hh"
 
 namespace firesim
 {
-
-/** How a round's advance units are partitioned across workers. */
-enum class SchedPolicy
-{
-    RoundRobin, //!< static unit-index striping (the PR 3 behavior)
-    Cost,       //!< EWMA-cost LPT partitioning, repacked every round
-    Steal,      //!< Cost partitioning + work-stealing deques
-};
-
-/** Canonical short name: "rr", "cost", "steal". */
-const char *schedPolicyName(SchedPolicy policy);
-
-/**
- * Parse "rr" / "roundrobin" / "cost" / "steal" (case-sensitive).
- * Returns false on anything else, leaving @p out untouched.
- */
-bool parseSchedPolicy(const std::string &text, SchedPolicy &out);
-
-/**
- * A fixed-capacity Chase-Lev work-stealing deque of unit indices.
- *
- * Usage contract (narrower than the textbook structure, by design):
- * the driving thread fills the deque with reset()/push() before a
- * dispatch, then exactly one owner calls take() (LIFO bottom end)
- * while any number of thieves call steal() (FIFO top end). Nobody
- * pushes while the dispatch runs, so the buffer is immutable during
- * concurrent access and only `top`/`bottom` need atomics. All atomic
- * operations are seq_cst rather than the relaxed-plus-fence original:
- * the handful of units per round cannot justify fence subtleties, and
- * plain seq_cst operations keep ThreadSanitizer fully aware of the
- * orderings (`ctest -L sanitize-thread` hammers this path).
- */
-class StealDeque
-{
-  public:
-    StealDeque() = default;
-
-    // Copyable so it can live in a resizable vector; only ever invoked
-    // on the driving thread while no dispatch is running.
-    StealDeque(const StealDeque &o)
-        : buf(o.buf),
-          top(o.top.load(std::memory_order_seq_cst)),
-          bottom(o.bottom.load(std::memory_order_seq_cst))
-    {}
-
-    StealDeque &
-    operator=(const StealDeque &o)
-    {
-        buf = o.buf;
-        top.store(o.top.load(std::memory_order_seq_cst),
-                  std::memory_order_seq_cst);
-        bottom.store(o.bottom.load(std::memory_order_seq_cst),
-                     std::memory_order_seq_cst);
-        return *this;
-    }
-
-    /** Presize for @p capacity items; callable only between rounds. */
-    void
-    reserve(size_t capacity)
-    {
-        if (buf.size() < capacity)
-            buf.resize(capacity);
-    }
-
-    /** Empty the deque (driving thread, between dispatches). */
-    void
-    reset()
-    {
-        top.store(0, std::memory_order_seq_cst);
-        bottom.store(0, std::memory_order_seq_cst);
-    }
-
-    /** Append one item (driving thread, before the dispatch starts). */
-    void
-    push(uint32_t item)
-    {
-        int64_t b = bottom.load(std::memory_order_seq_cst);
-        buf[static_cast<size_t>(b)] = item;
-        bottom.store(b + 1, std::memory_order_seq_cst);
-    }
-
-    /** Owner side: pop the most recently pushed remaining item. */
-    bool
-    take(uint32_t &item)
-    {
-        int64_t b = bottom.load(std::memory_order_seq_cst) - 1;
-        bottom.store(b, std::memory_order_seq_cst);
-        int64_t t = top.load(std::memory_order_seq_cst);
-        if (t < b) {
-            item = buf[static_cast<size_t>(b)];
-            return true;
-        }
-        if (t == b) {
-            // Last item: race the thieves for it via the CAS on top.
-            bool won = top.compare_exchange_strong(
-                t, t + 1, std::memory_order_seq_cst);
-            if (won)
-                item = buf[static_cast<size_t>(b)];
-            bottom.store(b + 1, std::memory_order_seq_cst);
-            return won;
-        }
-        bottom.store(b + 1, std::memory_order_seq_cst);
-        return false;
-    }
-
-    /** Thief side: claim the oldest remaining item. A false return
-     *  means "empty or lost a race" — callers rescan victims. */
-    bool
-    steal(uint32_t &item)
-    {
-        int64_t t = top.load(std::memory_order_seq_cst);
-        int64_t b = bottom.load(std::memory_order_seq_cst);
-        if (t >= b)
-            return false;
-        uint32_t candidate = buf[static_cast<size_t>(t)];
-        if (!top.compare_exchange_strong(t, t + 1,
-                                         std::memory_order_seq_cst))
-            return false;
-        item = candidate;
-        return true;
-    }
-
-    /** Racy size hint (exact when no dispatch is running). */
-    size_t
-    sizeHint() const
-    {
-        int64_t d = bottom.load(std::memory_order_seq_cst) -
-                    top.load(std::memory_order_seq_cst);
-        return d > 0 ? static_cast<size_t>(d) : 0;
-    }
-
-  private:
-    std::vector<uint32_t> buf;
-    std::atomic<int64_t> top{0};
-    std::atomic<int64_t> bottom{0};
-};
 
 /**
  * Host-side load-balance accounting, shared by the fabric's begin- and
@@ -199,15 +49,12 @@ struct SchedTelemetry
 {
     struct Worker
     {
-        uint64_t busyNs = 0;   //!< total ns spent inside unit advances
-        uint64_t unitsRun = 0; //!< units this worker executed
-        uint64_t steals = 0;   //!< units this worker stole from victims
+        uint64_t busyNs = 0; //!< total ns spent inside unit advances
     };
 
     std::vector<Worker> workers;
     uint64_t rounds = 0;         //!< measured rounds
     uint64_t sumMaxBusyNs = 0;   //!< Σ over rounds of max-worker busy
-    uint64_t sumTotalBusyNs = 0; //!< Σ over rounds of Σ-worker busy
     /** Σ over rounds of (Σ-worker busy / workers *that did work*).
      *  Dividing by the configured width would understate imbalance
      *  whenever a round uses fewer workers than the pool has (fewer
@@ -229,7 +76,6 @@ struct SchedTelemetry
      */
     double maxMeanBusyRatio() const;
 
-    uint64_t totalSteals() const;
     uint64_t totalBusyNs() const;
 
     /** Per-round per-worker busy scratch (owned here so both fabric
@@ -238,9 +84,9 @@ struct SchedTelemetry
 };
 
 /**
- * Partitions one pass's advance units across a worker pool each round
- * and runs them. One instance per fabric pass (begin pass, main pass):
- * the EWMA cost table is per-unit, and unit indices are pass-local.
+ * Runs one pass's advance units across a worker pool each round. One
+ * instance per fabric pass (begin pass, main pass): the EWMA cost table
+ * is per-unit, and unit indices are pass-local.
  */
 class RoundScheduler
 {
@@ -257,9 +103,6 @@ class RoundScheduler
      */
     void configure(size_t units, unsigned width, SchedTelemetry *telemetry);
 
-    void setPolicy(SchedPolicy policy) { policy_ = policy; }
-    SchedPolicy policy() const { return policy_; }
-
     /** Expected cost of @p unit in ns (0 until first measured). */
     double expectedCostNs(uint32_t unit) const { return ewmaNs.at(unit); }
 
@@ -268,7 +111,8 @@ class RoundScheduler
      * Samples are clamped to >= 1ns: 0.0 doubles as the never-measured
      * sentinel in the EWMA table, so an unclamped 0ns sample (cheap
      * unit + coarse clock) would leave the unit permanently "unseeded"
-     * and re-seeded from scratch every round. Driving thread only.
+     * and re-seeded from scratch every round. Called by the worker
+     * that owns @p unit (or the driving thread between rounds).
      */
     void recordSample(uint32_t unit, uint64_t raw_ns);
 
@@ -281,32 +125,20 @@ class RoundScheduler
     void dispatch(ThreadPool &pool, UnitFn fn, void *ctx);
 
   private:
-    /** Fill the per-worker deques according to the policy. */
-    void partition(unsigned width);
-
+    /** Worker @p worker's share: units worker, worker + width, ... */
     void runWorker(unsigned worker, unsigned width, UnitFn fn, void *ctx);
 
-    SchedPolicy policy_ = SchedPolicy::RoundRobin;
     size_t units_ = 0;
     SchedTelemetry *tel = nullptr;
 
-    /** Per-unit cost model, updated on the driving thread post-barrier. */
+    /** Per-unit cost model. Each slot is written only by the worker
+     *  that runs the unit; the dispatch barrier publishes it. */
     std::vector<double> ewmaNs;
-    /** Per-unit last measurement, written by whichever worker ran the
-     *  unit; the dispatch barrier publishes it to the driving thread. */
-    std::vector<uint64_t> lastNs;
-
-    std::vector<StealDeque> deques; //!< one per worker
-    std::vector<uint32_t> order;    //!< cost-sorted unit indices (scratch)
-    std::vector<double> load;       //!< per-worker planned cost (scratch)
-    std::vector<std::vector<uint32_t>> plan; //!< per-worker unit lists
 
     /** Per-worker measurement scratch, padded to avoid false sharing. */
     struct alignas(64) WorkerScratch
     {
         uint64_t busyNs = 0;
-        uint64_t unitsRun = 0;
-        uint64_t steals = 0;
     };
     std::vector<WorkerScratch> scratch;
 };

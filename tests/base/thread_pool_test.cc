@@ -98,6 +98,36 @@ TEST(ThreadPool, MoreItemsThanThreadsBalances)
     EXPECT_EQ(total.load(), 257ull * 256ull / 2ull);
 }
 
+TEST(ThreadPool, ParallelRunVisitsEveryWorkerExactlyOnce)
+{
+    for (unsigned width : {1u, 2u, 4u}) {
+        ThreadPool pool(width);
+        std::vector<std::atomic<uint32_t>> hits(width);
+        for (auto &h : hits)
+            h.store(0);
+        for (int round = 0; round < 50; ++round) {
+            pool.parallelRun([&](unsigned id) {
+                ASSERT_LT(id, width);
+                hits[id].fetch_add(1, std::memory_order_seq_cst);
+            });
+        }
+        for (unsigned w = 0; w < width; ++w)
+            EXPECT_EQ(hits[w].load(), 50u) << "worker " << w;
+    }
+}
+
+TEST(ThreadPool, ParallelRunCallerIsWorkerZero)
+{
+    ThreadPool pool(3);
+    std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> zero_is_caller{false};
+    pool.parallelRun([&](unsigned id) {
+        if (id == 0)
+            zero_is_caller.store(std::this_thread::get_id() == caller);
+    });
+    EXPECT_TRUE(zero_is_caller.load());
+}
+
 TEST(ThreadPoolDeath, WidthZeroRejected)
 {
     EXPECT_EXIT(ThreadPool(0), ::testing::ExitedWithCode(1),

@@ -23,6 +23,7 @@
 #include "net/remote/socket.hh"
 #include "riscv/assembler.hh"
 #include "riscv/decode_cache.hh"
+#include "tests/scoped_temp_dir.hh"
 
 namespace firesim
 {
@@ -152,9 +153,9 @@ struct ShardRun
 };
 
 std::string
-freshDir(const std::string &name)
+freshDir(const ScopedTempDir &tmp, const std::string &name)
 {
-    std::string dir = ::testing::TempDir() + name;
+    std::string dir = tmp.file(name);
     mkdir(dir.c_str(), 0755);
     return dir;
 }
@@ -171,9 +172,9 @@ runTwoShards(bool decode_cache)
     cc1.shard.rank = 1;
     // Rank 0 only builds its cross-shard aggregator when it has
     // somewhere to dump the merged view.
-    const char *mode = decode_cache ? "on" : "off";
-    cc0.telemetry.dumpDir = freshDir(std::string("fsdecode_r0_") + mode);
-    cc1.telemetry.dumpDir = freshDir(std::string("fsdecode_r1_") + mode);
+    ScopedTempDir tmp;
+    cc0.telemetry.dumpDir = freshDir(tmp, "r0");
+    cc1.telemetry.dumpDir = freshDir(tmp, "r1");
     std::vector<std::pair<uint32_t, SocketFd>> fds0, fds1;
     fds0.emplace_back(1, std::move(fd0));
     fds1.emplace_back(0, std::move(fd1));

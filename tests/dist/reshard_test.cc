@@ -29,6 +29,7 @@
 #include "manager/topology.hh"
 #include "net/remote/socket.hh"
 #include "snapshot/snapshot.hh"
+#include "tests/scoped_temp_dir.hh"
 
 namespace firesim
 {
@@ -143,14 +144,6 @@ runMulti(const MultiSpec &spec,
     return dumps;
 }
 
-void
-removeSnapshotFiles(const std::string &path)
-{
-    std::remove(path.c_str());
-    for (int r = 0; r < 4; ++r)
-        std::remove((path + ".rank" + std::to_string(r)).c_str());
-}
-
 // ---- Deployment profile + cost mapper -------------------------------
 
 TEST(DeployProfile, RoundTripsThroughTextFormat)
@@ -160,7 +153,8 @@ TEST(DeployProfile, RoundTripsThroughTextFormat)
     p.serverCostNs = {12.5, 0.0, 3.0};
     p.linkFlits = {7, 0, 0, 42};
 
-    std::string path = ::testing::TempDir() + "fsprof_rt.prof";
+    ScopedTempDir tmp;
+    std::string path = tmp.file("fsprof_rt.prof");
     ASSERT_EQ(p.saveFile(path), "");
 
     DeploymentProfile q;
@@ -186,7 +180,6 @@ TEST(DeployProfile, RoundTripsThroughTextFormat)
     DeploymentProfile bad;
     EXPECT_FALSE(bad.loadFile(path, &err));
     EXPECT_FALSE(err.empty());
-    std::remove(path.c_str());
 }
 
 TEST(DeployProfile, MergeOverwritesWithMeasuredValues)
@@ -261,8 +254,8 @@ TEST(DeployMapper, CostNeverWorseThanBlock)
 
 TEST(DeployProfile, ClusterWritesProfileAtTeardown)
 {
-    std::string path = ::testing::TempDir() + "fsprof_teardown.prof";
-    std::remove(path.c_str());
+    ScopedTempDir tmp;
+    std::string path = tmp.file("fsprof_teardown.prof");
     uint64_t topo_hash = 0;
     {
         ClusterConfig cc = testConfig();
@@ -281,15 +274,14 @@ TEST(DeployProfile, ClusterWritesProfileAtTeardown)
     for (uint64_t f : prof.linkFlits)
         moved += f;
     EXPECT_GT(moved, 0u) << "pinger traffic left no flit counts";
-    std::remove(path.c_str());
 }
 
 // ---- Re-shard parity matrix -----------------------------------------
 
 TEST(ReShard, OneProcessSnapshotRestoresAcrossPlans)
 {
-    std::string path = ::testing::TempDir() + "fsnp_reshard_1toN.snap";
-    removeSnapshotFiles(path);
+    ScopedTempDir tmp;
+    std::string path = tmp.file("fsnp_reshard_1toN.snap");
 
     // The snapshot source: a single-process run saved mid-flight.
     runSingle([&](Cluster &clu) {
@@ -336,14 +328,12 @@ TEST(ReShard, OneProcessSnapshotRestoresAcrossPlans)
     for (int r = 0; r < 3; ++r)
         EXPECT_EQ(got3[r], ref3[r])
             << "rank " << r << " diverged after 1->3 re-shard";
-
-    removeSnapshotFiles(path);
 }
 
 TEST(ReShard, ShardedSnapshotRestoresIntoOtherGeometries)
 {
-    std::string path = ::testing::TempDir() + "fsnp_reshard_Nto.snap";
-    removeSnapshotFiles(path);
+    ScopedTempDir tmp;
+    std::string path = tmp.file("fsnp_reshard_Nto.snap");
 
     // Source: a 2-shard block run saved mid-flight.
     MultiSpec block2;
@@ -392,15 +382,13 @@ TEST(ReShard, ShardedSnapshotRestoresIntoOtherGeometries)
     for (int r = 0; r < 3; ++r)
         EXPECT_EQ(got3[r], ref3[r])
             << "rank " << r << " diverged after 2->3 re-shard";
-
-    removeSnapshotFiles(path);
 }
 
 TEST(ReShard, CostPolicyPlanRestoresByteIdentically)
 {
-    std::string snap = ::testing::TempDir() + "fsnp_reshard_cost.snap";
-    std::string prof_path = ::testing::TempDir() + "fsprof_cost.prof";
-    removeSnapshotFiles(snap);
+    ScopedTempDir tmp;
+    std::string snap = tmp.file("fsnp_reshard_cost.snap");
+    std::string prof_path = tmp.file("fsprof_cost.prof");
 
     // A profile that makes node0 look expensive enough that the cost
     // mapper picks a non-block split of the 4 servers.
@@ -435,9 +423,6 @@ TEST(ReShard, CostPolicyPlanRestoresByteIdentically)
         });
     EXPECT_EQ(got[0], ref[0]) << "rank 0 diverged under cost plan";
     EXPECT_EQ(got[1], ref[1]) << "rank 1 diverged under cost plan";
-
-    removeSnapshotFiles(snap);
-    std::remove(prof_path.c_str());
 }
 
 TEST(ReShard, SamePlanRestoreStillFullyVerifies)
@@ -447,8 +432,8 @@ TEST(ReShard, SamePlanRestoreStillFullyVerifies)
     // owner map under the same shard count goes through the re-home
     // path (checked above); restoring the same plan still runs the
     // stats byte-check, and a topology mismatch is still refused.
-    std::string path = ::testing::TempDir() + "fsnp_reshard_verify.snap";
-    removeSnapshotFiles(path);
+    ScopedTempDir tmp;
+    std::string path = tmp.file("fsnp_reshard_verify.snap");
     runSingle([&](Cluster &clu) {
         clu.run(kSave);
         ASSERT_EQ(clu.saveSnapshot(path), "");
@@ -471,7 +456,6 @@ TEST(ReShard, SamePlanRestoreStillFullyVerifies)
         clu.run(kSave);
         EXPECT_EQ(clu.loadSnapshot(path), "");
     }
-    removeSnapshotFiles(path);
 }
 
 } // namespace

@@ -258,5 +258,26 @@ TEST(ShmLink, PeerCloseReadsAsGoneAfterDrain)
     opener->close();
 }
 
+TEST(ShmLink, CreatorClosedBeforeFirstAttachReadsAsGone)
+{
+    // Teardown race: the creator announces its segment, then closes
+    // (unlinking the name) before the opener ever attached. The
+    // opener's lazy attach must see a closed peer, not die in shm_open.
+    size_t before = liveShmSegments();
+    auto [fd0, fd1] = localSocketPair();
+    auto creator =
+        makeShmLink(std::move(fd0), true, 1 << 16, "early", {});
+    auto opener =
+        makeShmLink(std::move(fd1), false, 1 << 16, "early", {});
+    creator->close();
+
+    char buf[16];
+    EXPECT_EQ(opener->recvSome(buf, sizeof(buf)), -1);
+    EXPECT_EQ(opener->sendSome("x", 1), -1);
+    opener->close();
+    EXPECT_FALSE(opener->isOpen());
+    EXPECT_EQ(liveShmSegments(), before) << "leaked shm segment";
+}
+
 } // namespace
 } // namespace firesim

@@ -33,6 +33,7 @@
 #include "net/remote/peer_link.hh"
 #include "net/remote/socket.hh"
 #include "snapshot/snapshot.hh"
+#include "tests/scoped_temp_dir.hh"
 
 namespace firesim
 {
@@ -125,15 +126,12 @@ runPair(Fabric fabric,
     // for dumping runs. Rank 0's directory collects the merged
     // cross-shard dumps the destructor writes after the final
     // exchange.
-    static int pair_seq = 0;
+    ScopedTempDir tmp;
     std::string dir[2];
     for (int r = 0; r < 2; ++r) {
-        dir[r] = ::testing::TempDir() + "fs_matrix_r" +
-                 std::to_string(r) + "_" + std::to_string(pair_seq);
+        dir[r] = tmp.file("r" + std::to_string(r));
         ::mkdir(dir[r].c_str(), 0755);
     }
-    ++pair_seq;
-    std::remove((dir[0] + "/merged_stats.json").c_str());
 
     PairResult out;
     auto runShard = [&](uint32_t rank) {
@@ -204,9 +202,8 @@ TEST(TransportMatrix, StrippedStatsAndMergedTelemetryAreByteIdentical)
 TEST(TransportMatrix, ShmSnapshotRestoresIntoSocketPair)
 {
     constexpr Cycles kSave = 200000, kTotal = 400000;
-    std::string path = ::testing::TempDir() + "fsnp_matrix.snap";
-    std::remove((path + ".rank0").c_str());
-    std::remove((path + ".rank1").c_str());
+    ScopedTempDir tmp;
+    std::string path = tmp.file("fsnp_matrix.snap");
 
     // Reference: an uninterrupted socket-transport run.
     PairResult ref = runPair(Fabric::Unix, [](Cluster &clu,
@@ -243,9 +240,6 @@ TEST(TransportMatrix, ShmSnapshotRestoresIntoSocketPair)
         << "rank 0 diverged after shm -> socket restore";
     EXPECT_EQ(restored.dump[1], ref.dump[1])
         << "rank 1 diverged after shm -> socket restore";
-
-    std::remove((path + ".rank0").c_str());
-    std::remove((path + ".rank1").c_str());
 }
 
 /** /dev/shm entries left by this process's shm links. */

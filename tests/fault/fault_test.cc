@@ -262,8 +262,9 @@ TEST_F(InjectedPairTest, ZeroFaultPlanIsBitIdenticalToNoInjector)
             seen.emplace_back(cycle, frame.bytes);
         for (auto &[cycle, frame] : dst.received)
             seen.emplace_back(cycle, frame.bytes);
-        if (mon)
+        if (mon) {
             EXPECT_EQ(mon->totalEvents(), 0u);
+        }
         return seen;
     };
     EXPECT_EQ(run_once(false), run_once(true));

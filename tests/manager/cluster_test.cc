@@ -66,6 +66,19 @@ TEST(ClusterBuild, BuildsTheFigure1Cluster)
     EXPECT_EQ(cluster.switchAt(1).config().ports, 9u);
 }
 
+TEST(ClusterBuild, DefaultSingleProcessAttachesNoFabricObservers)
+{
+    // Any observer switches the fabric to its slower monitored round
+    // path. A default cluster — telemetry, monitor and faults off —
+    // must run the plain path, with no shard transport either.
+    Cluster cluster(topologies::twoLevel(2, 2), ClusterConfig{});
+    EXPECT_EQ(cluster.fabric().observerCount(), 0u);
+    EXPECT_EQ(cluster.shardTransport(), nullptr);
+    // Plan order: switches first, then nodes.
+    EXPECT_EQ(cluster.fabric().endpointIndexOf("switch2"), 2);
+    EXPECT_EQ(cluster.fabric().endpointIndexOf("node0"), 3);
+}
+
 TEST(ClusterBuild, MacTablesRouteTowardServers)
 {
     ClusterConfig cc;

@@ -153,12 +153,10 @@ struct Rig
 };
 
 void
-expectSteadyStateZeroAllocs(bool with_observer, unsigned hosts,
-                            SchedPolicy policy = SchedPolicy::RoundRobin)
+expectSteadyStateZeroAllocs(bool with_observer, unsigned hosts)
 {
     Rig rig(with_observer);
     rig.fabric.setParallelHosts(hosts);
-    rig.fabric.setSchedPolicy(policy);
 
     // Warm-up: circulate enough rounds for every flit vector's capacity
     // and the recycling pool to reach steady state (pool creation and
@@ -199,18 +197,6 @@ TEST(FabricAlloc, ParallelSteadyStateAllocatesNothing)
 TEST(FabricAlloc, ParallelMonitoredSteadyStateAllocatesNothing)
 {
     expectSteadyStateZeroAllocs(true, 4);
-}
-
-TEST(FabricAlloc, CostSchedulerSteadyStateAllocatesNothing)
-{
-    // The LPT repartition runs every round; its sort and plan buffers
-    // must reach fixed capacity during warm-up.
-    expectSteadyStateZeroAllocs(false, 4, SchedPolicy::Cost);
-}
-
-TEST(FabricAlloc, StealSchedulerSteadyStateAllocatesNothing)
-{
-    expectSteadyStateZeroAllocs(false, 4, SchedPolicy::Steal);
 }
 
 TEST(FabricAlloc, PoolMissesAreBounded)

@@ -1,17 +1,20 @@
 /**
  * @file
- * Determinism matrix for the sliced-advance round scheduler: the same
- * topology run across {1, 2, 8} workers x {monolithic, sliced switches}
- * x {rr, cost, steal} must produce bit-identical results — delivered
- * frames, token streams, switch statistics — and the same holds under
- * an active fault plan. A cluster-level variant asserts the telemetry
- * artifacts (stats.json, autocounter.csv, reports) stay byte-identical
- * too. This is the acceptance property of the AdvanceUnit refactor:
- * scheduling and slicing move host work around, never simulated state.
+ * The round scheduler and its determinism matrix. The same topology run
+ * across {1, 2, 8} workers x {monolithic, sliced switches} must produce
+ * bit-identical results — delivered frames, token streams, switch
+ * statistics — and the same holds under an active fault plan. A
+ * cluster-level variant asserts the telemetry artifacts (stats.json,
+ * autocounter.csv, reports) stay byte-identical too: scheduling and
+ * slicing move host work around, never simulated state. Unit tests
+ * cover the scheduler's every-unit-exactly-once dispatch, its cost
+ * model, and its load-balance accounting.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -21,6 +24,7 @@
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
 #include "net/fabric.hh"
+#include "net/sched.hh"
 #include "switchmodel/switch.hh"
 #include "tests/net/scripted_endpoint.hh"
 
@@ -92,8 +96,7 @@ struct RunDigest
  * monolithic, 2 splits each 5-port switch into 3 advance slices.
  */
 RunDigest
-runFabric(unsigned hosts, SchedPolicy policy, uint32_t slice_ports,
-          bool with_faults)
+runFabric(unsigned hosts, uint32_t slice_ports, bool with_faults)
 {
     const Cycles lat = 200;
 
@@ -125,7 +128,6 @@ runFabric(unsigned hosts, SchedPolicy policy, uint32_t slice_ports,
     fabric.addObserver(&stream);
     fabric.finalize();
     fabric.setParallelHosts(hosts);
-    fabric.setSchedPolicy(policy);
 
     if (slice_ports > 0 && slice_ports < scfg.ports) {
         // Vacuity guard: slicing actually decomposed the switches.
@@ -183,8 +185,7 @@ runFabric(unsigned hosts, SchedPolicy policy, uint32_t slice_ports,
     return d;
 }
 
-using MatrixParam =
-    std::tuple<unsigned /*hosts*/, SchedPolicy, uint32_t /*slicePorts*/>;
+using MatrixParam = std::tuple<unsigned /*hosts*/, uint32_t /*slicePorts*/>;
 
 class SchedMatrix : public ::testing::TestWithParam<MatrixParam>
 {
@@ -192,10 +193,9 @@ class SchedMatrix : public ::testing::TestWithParam<MatrixParam>
 
 TEST_P(SchedMatrix, BitIdenticalToMonolithicSequentialRR)
 {
-    auto [hosts, policy, slice_ports] = GetParam();
-    RunDigest ref =
-        runFabric(1, SchedPolicy::RoundRobin, 0, false);
-    RunDigest got = runFabric(hosts, policy, slice_ports, false);
+    auto [hosts, slice_ports] = GetParam();
+    RunDigest ref = runFabric(1, 0, false);
+    RunDigest got = runFabric(hosts, slice_ports, false);
     EXPECT_EQ(ref, got);
     EXPECT_EQ(ref.frames.size(), 8u * 2u * 3u);
     EXPECT_GT(ref.transmits, 0u);
@@ -203,10 +203,9 @@ TEST_P(SchedMatrix, BitIdenticalToMonolithicSequentialRR)
 
 TEST_P(SchedMatrix, BitIdenticalUnderFaultInjection)
 {
-    auto [hosts, policy, slice_ports] = GetParam();
-    RunDigest ref =
-        runFabric(1, SchedPolicy::RoundRobin, 0, true);
-    RunDigest got = runFabric(hosts, policy, slice_ports, true);
+    auto [hosts, slice_ports] = GetParam();
+    RunDigest ref = runFabric(1, 0, true);
+    RunDigest got = runFabric(hosts, slice_ports, true);
     EXPECT_EQ(ref, got);
     // The plan actually bit: payload was dropped and a port went down
     // (fault drops show up in the switch counters).
@@ -217,17 +216,15 @@ TEST_P(SchedMatrix, BitIdenticalUnderFaultInjection)
     EXPECT_GT(port_drops, 0u);
 }
 
+// `rr` in the instance names is the scheduler's strided round-robin
+// assignment.
 INSTANTIATE_TEST_SUITE_P(
     WorkersPolicySlicing, SchedMatrix,
     ::testing::Combine(::testing::Values(1u, 2u, 8u),
-                       ::testing::Values(SchedPolicy::RoundRobin,
-                                         SchedPolicy::Cost,
-                                         SchedPolicy::Steal),
                        ::testing::Values(0u, 2u)),
     [](const ::testing::TestParamInfo<MatrixParam> &info) {
-        return csprintf("w%u_%s_%s", std::get<0>(info.param),
-                        schedPolicyName(std::get<1>(info.param)),
-                        std::get<2>(info.param) ? "sliced" : "mono");
+        return csprintf("w%u_rr_%s", std::get<0>(info.param),
+                        std::get<1>(info.param) ? "sliced" : "mono");
     });
 
 TEST(SchedFabric, AdvanceUnitCountReflectsSlicing)
@@ -270,16 +267,6 @@ TEST(SchedFabric, AdvanceUnitCountReflectsSlicing)
     EXPECT_EQ(units, 6u);
 }
 
-TEST(SchedFabric, PolicyAccessorRoundTrips)
-{
-    TokenFabric fabric;
-    EXPECT_EQ(fabric.schedPolicy(), SchedPolicy::RoundRobin);
-    fabric.setSchedPolicy(SchedPolicy::Steal);
-    EXPECT_EQ(fabric.schedPolicy(), SchedPolicy::Steal);
-    fabric.setSchedPolicy(SchedPolicy::Cost);
-    EXPECT_EQ(fabric.schedPolicy(), SchedPolicy::Cost);
-}
-
 // ---- Cluster-level: telemetry artifacts stay byte-identical ---------
 
 struct ClusterDigest
@@ -293,11 +280,10 @@ struct ClusterDigest
 };
 
 ClusterDigest
-runCluster(unsigned hosts, SchedPolicy policy, uint32_t slice_ports)
+runCluster(unsigned hosts, uint32_t slice_ports)
 {
     ClusterConfig cc;
     cc.parallelHosts = hosts;
-    cc.schedPolicy = policy;
     cc.switchSlicePorts = slice_ports;
     cc.telemetry.enabled = true;
     cc.telemetry.samplePeriod = 64000;
@@ -325,29 +311,143 @@ runCluster(unsigned hosts, SchedPolicy policy, uint32_t slice_ports)
     return d;
 }
 
-TEST(SchedCluster, TelemetryByteIdenticalAcrossPolicyAndSlicing)
+TEST(SchedCluster, TelemetryByteIdenticalAcrossWorkersAndSlicing)
 {
     // The 8-port ToR slices into 4 units at slicePorts=2; the digest
-    // must match the monolithic single-threaded round-robin run for
-    // every (policy, slicing) combination at 2 workers.
-    ClusterDigest ref = runCluster(1, SchedPolicy::RoundRobin, 0);
+    // must match the monolithic single-threaded run for every slicing
+    // at 2 workers.
+    ClusterDigest ref = runCluster(1, 0);
     for (Cycles rtt : ref.rtts)
         EXPECT_GT(rtt, 0u);
     EXPECT_NE(ref.statsJson.find("framesTx"), std::string::npos);
 
-    for (SchedPolicy policy : {SchedPolicy::RoundRobin, SchedPolicy::Cost,
-                               SchedPolicy::Steal}) {
-        for (uint32_t slice_ports : {0u, 2u}) {
-            ClusterDigest got = runCluster(2, policy, slice_ports);
-            EXPECT_EQ(ref.rtts, got.rtts)
-                << schedPolicyName(policy) << "/" << slice_ports;
-            EXPECT_EQ(ref.finalCycle, got.finalCycle);
-            EXPECT_EQ(ref.batchesMoved, got.batchesMoved);
-            EXPECT_EQ(ref.statsJson, got.statsJson);
-            EXPECT_EQ(ref.counterCsv, got.counterCsv);
-            EXPECT_EQ(ref.statsReport, got.statsReport);
-        }
+    for (uint32_t slice_ports : {0u, 2u}) {
+        ClusterDigest got = runCluster(2, slice_ports);
+        EXPECT_EQ(ref.rtts, got.rtts) << "slice ports " << slice_ports;
+        EXPECT_EQ(ref.finalCycle, got.finalCycle);
+        EXPECT_EQ(ref.batchesMoved, got.batchesMoved);
+        EXPECT_EQ(ref.statsJson, got.statsJson);
+        EXPECT_EQ(ref.counterCsv, got.counterCsv);
+        EXPECT_EQ(ref.statsReport, got.statsReport);
     }
+}
+
+// ---- RoundScheduler / SchedTelemetry units --------------------------
+
+TEST(SchedulerDispatch, EveryUnitRunsExactlyOncePerRound)
+{
+    constexpr size_t kUnits = 23; // not a multiple of any pool width
+    for (unsigned width : {1u, 2u, 4u}) {
+        ThreadPool pool(width);
+        SchedTelemetry tel;
+        tel.reset(width);
+        RoundScheduler sched;
+        sched.configure(kUnits, width, &tel);
+
+        std::vector<std::atomic<uint32_t>> runs(kUnits);
+        for (auto &r : runs)
+            r.store(0);
+        struct Ctx
+        {
+            std::vector<std::atomic<uint32_t>> *runs;
+        } ctx{&runs};
+
+        const int kRounds = 20;
+        for (int round = 0; round < kRounds; ++round) {
+            tel.beginRound();
+            sched.dispatch(
+                pool,
+                [](void *c, uint32_t u) {
+                    (*static_cast<Ctx *>(c)->runs)[u].fetch_add(
+                        1, std::memory_order_seq_cst);
+                },
+                &ctx);
+            tel.endRound();
+        }
+
+        for (size_t u = 0; u < kUnits; ++u)
+            EXPECT_EQ(runs[u].load(), unsigned(kRounds))
+                << "unit " << u << " width " << width;
+
+        // Every worker with units was timed, and every unit has a
+        // cost measurement.
+        for (unsigned w = 0; w < std::min<size_t>(width, kUnits); ++w)
+            EXPECT_GT(tel.workers[w].busyNs, 0u) << "worker " << w;
+        for (uint32_t u = 0; u < kUnits; ++u)
+            EXPECT_GT(sched.expectedCostNs(u), 0.0);
+    }
+}
+
+
+TEST(SchedTelemetry, MaxMeanBusyRatioWeightsByRound)
+{
+    SchedTelemetry tel;
+    tel.reset(2);
+    // Hand-feed two rounds through the same path dispatch uses: the
+    // roundBusy scratch is folded by endRound().
+    tel.beginRound();
+    tel.roundBusy[0] = 300;
+    tel.roundBusy[1] = 100;
+    tel.endRound();
+    tel.beginRound();
+    tel.roundBusy[0] = 100;
+    tel.roundBusy[1] = 100;
+    tel.endRound();
+    // max sum = 300 + 100, total sum = 400 + 200 -> mean 300/round pair
+    // => ratio = 400 / (600 / 2) = 4/3.
+    EXPECT_EQ(tel.rounds, 2u);
+    EXPECT_NEAR(tel.maxMeanBusyRatio(), 400.0 / 300.0, 1e-9);
+
+    // Idle rounds (no busy time at all) must not dilute the ratio.
+    tel.beginRound();
+    tel.endRound();
+    EXPECT_EQ(tel.rounds, 2u);
+}
+
+TEST(SchedTelemetry, MeanIsOverWorkersThatDidWork)
+{
+    // Regression: the ratio used to divide by the configured pool
+    // width, so a round that used 2 of 4 workers looked 2x better
+    // balanced than it was (and a perfectly even 1-of-4 round scored
+    // an impossible 0.25-style ratio scaled to 4.0).
+    SchedTelemetry tel;
+    tel.reset(4);
+    tel.beginRound();
+    tel.roundBusy[0] = 300; // only one worker had any units
+    tel.endRound();
+    EXPECT_NEAR(tel.maxMeanBusyRatio(), 1.0, 1e-9);
+
+    tel.beginRound();
+    tel.roundBusy[0] = 300;
+    tel.roundBusy[1] = 100; // two active: max 300, mean 200
+    tel.endRound();
+    // Cumulative: (300 + 300) / (300 + 200).
+    EXPECT_NEAR(tel.maxMeanBusyRatio(), 600.0 / 500.0, 1e-9);
+}
+
+TEST(RoundScheduler, ZeroNsSampleSeedsTheCostModel)
+{
+    // Regression: a 0ns measurement (unit cheaper than the clock tick)
+    // collided with the "never measured" EWMA sentinel, leaving the
+    // unit permanently unseeded — it was re-seeded from scratch every
+    // round.
+    RoundScheduler sched;
+    SchedTelemetry tel;
+    tel.reset(1);
+    sched.configure(2, 1, &tel);
+
+    sched.recordSample(0, 0);
+    EXPECT_DOUBLE_EQ(sched.expectedCostNs(0), 1.0); // clamped seed
+    sched.recordSample(0, 1000);
+    // Blended, not re-seeded: 0.25 * 1000 + 0.75 * 1.
+    EXPECT_DOUBLE_EQ(sched.expectedCostNs(0), 250.75);
+
+    // A 0ns sample after real measurements decays the EWMA toward the
+    // clamp floor instead of resetting it.
+    sched.recordSample(1, 400);
+    EXPECT_DOUBLE_EQ(sched.expectedCostNs(1), 400.0);
+    sched.recordSample(1, 0);
+    EXPECT_DOUBLE_EQ(sched.expectedCostNs(1), 0.25 * 1 + 0.75 * 400);
 }
 
 } // namespace

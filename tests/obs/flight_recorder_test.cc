@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "telemetry/flight_recorder.hh"
+#include "tests/scoped_temp_dir.hh"
 #include "tests/telemetry/mini_json.hh"
 
 namespace firesim
@@ -23,13 +24,13 @@ namespace
 
 using EventKind = FlightRecorder::EventKind;
 
+/** A recorder config; tests that dump() set the path. */
 FlightRecorderConfig
-testConfig(size_t depth, const char *file)
+testConfig(size_t depth)
 {
     FlightRecorderConfig fc;
     fc.enabled = true;
     fc.depth = depth;
-    fc.path = ::testing::TempDir() + file;
     return fc;
 }
 
@@ -51,7 +52,7 @@ jsonlLines(const std::string &text)
 
 TEST(FlightRecorder, RingKeepsTheLastDepthEvents)
 {
-    FlightRecorder fr(testConfig(8, "fsfr_ring.jsonl"));
+    FlightRecorder fr(testConfig(8));
     for (uint64_t i = 0; i < 20; ++i)
         fr.record(EventKind::Note, i, i * 400, "evt", i);
     EXPECT_EQ(fr.recorded(), 20u);
@@ -78,7 +79,7 @@ TEST(FlightRecorder, RingKeepsTheLastDepthEvents)
 
 TEST(FlightRecorder, EveryEventKindRendersItsName)
 {
-    FlightRecorder fr(testConfig(16, "fsfr_kinds.jsonl"));
+    FlightRecorder fr(testConfig(16));
     for (uint8_t k = 0;
          k < static_cast<uint8_t>(EventKind::kCount); ++k)
         fr.record(static_cast<EventKind>(k), k, k);
@@ -96,7 +97,7 @@ TEST(FlightRecorder, EveryEventKindRendersItsName)
 
 TEST(FlightRecorder, DetailIsTruncatedAndEscaped)
 {
-    FlightRecorder fr(testConfig(4, "fsfr_detail.jsonl"));
+    FlightRecorder fr(testConfig(4));
     std::string long_detail(100, 'x');
     fr.record(EventKind::Note, 0, 0, long_detail.c_str());
     fr.record(EventKind::Note, 1, 1, "quote \" and back\\slash");
@@ -113,8 +114,9 @@ TEST(FlightRecorder, DetailIsTruncatedAndEscaped)
 
 TEST(FlightRecorder, DumpWritesThePostmortemFile)
 {
-    FlightRecorderConfig fc = testConfig(8, "fsfr_dump.jsonl");
-    std::remove(fc.path.c_str());
+    ScopedTempDir tmp;
+    FlightRecorderConfig fc = testConfig(8);
+    fc.path = tmp.file("fsfr_dump.jsonl");
     FlightRecorder fr(fc);
     fr.record(EventKind::PeerLoss, 9, 3600, "peer shard 1 lost", 1);
     ASSERT_TRUE(fr.dump("peer shard 1 lost"));
@@ -136,7 +138,6 @@ TEST(FlightRecorder, DumpWritesThePostmortemFile)
                   .at("reason")
                   .str,
               "peer shard 1 lost");
-    std::remove(fc.path.c_str());
 }
 
 TEST(FlightRecorder, ConcurrentWritersAndReaderStayCoherent)
@@ -146,7 +147,7 @@ TEST(FlightRecorder, ConcurrentWritersAndReaderStayCoherent)
     // crash, no torn line, and the final count is exact.
     constexpr int kThreads = 4;
     constexpr uint64_t kPerThread = 5000;
-    FlightRecorder fr(testConfig(64, "fsfr_mt.jsonl"));
+    FlightRecorder fr(testConfig(64));
 
     std::vector<std::thread> writers;
     for (int t = 0; t < kThreads; ++t) {

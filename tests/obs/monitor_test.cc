@@ -14,6 +14,7 @@
 
 #include "telemetry/flight_recorder.hh"
 #include "telemetry/monitor.hh"
+#include "tests/scoped_temp_dir.hh"
 #include "tests/telemetry/mini_json.hh"
 
 namespace firesim
@@ -54,8 +55,8 @@ lines(const std::string &text)
 
 TEST(ClusterMonitor, HeartbeatJsonlSchema)
 {
-    std::string hb = ::testing::TempDir() + "fsobs_heartbeat.jsonl";
-    std::remove(hb.c_str());
+    ScopedTempDir tmp;
+    std::string hb = tmp.file("fsobs_heartbeat.jsonl");
 
     MonitorConfig mc;
     mc.heartbeatEvery = 1;
@@ -96,16 +97,13 @@ TEST(ClusterMonitor, HeartbeatJsonlSchema)
     EXPECT_DOUBLE_EQ(second->at("cycle").number, 2500.0);
     EXPECT_DOUBLE_EQ(second->at("checkpoint_age_cycles").number,
                      1000.0);
-
-    std::remove(hb.c_str());
 }
 
 TEST(ClusterMonitor, PrometheusFileIsRefreshedInPlace)
 {
-    std::string hb = ::testing::TempDir() + "fsobs_prom_hb.jsonl";
-    std::string prom = ::testing::TempDir() + "fsobs_metrics.prom";
-    std::remove(hb.c_str());
-    std::remove(prom.c_str());
+    ScopedTempDir tmp;
+    std::string hb = tmp.file("fsobs_prom_hb.jsonl");
+    std::string prom = tmp.file("fsobs_metrics.prom");
 
     MonitorConfig mc;
     mc.heartbeatEvery = 1;
@@ -130,15 +128,12 @@ TEST(ClusterMonitor, PrometheusFileIsRefreshedInPlace)
               std::string::npos);
     EXPECT_EQ(text.find("firesim_sim_cycle{rank=\"0\"} 1000"),
               std::string::npos);
-
-    std::remove(hb.c_str());
-    std::remove(prom.c_str());
 }
 
 TEST(ClusterMonitor, RoundCadenceDrivesHeartbeats)
 {
-    std::string hb = ::testing::TempDir() + "fsobs_cadence.jsonl";
-    std::remove(hb.c_str());
+    ScopedTempDir tmp;
+    std::string hb = tmp.file("fsobs_cadence.jsonl");
 
     MonitorConfig mc;
     mc.heartbeatEvery = 2;
@@ -154,8 +149,6 @@ TEST(ClusterMonitor, RoundCadenceDrivesHeartbeats)
     EXPECT_EQ(mon.heartbeats(), 3u);
     EXPECT_GT(mon.roundLatencyNs(), 0u)
         << "round timing must feed the latency EWMA";
-
-    std::remove(hb.c_str());
 }
 
 TEST(ClusterMonitor, LatencySamplingIsStrided)
@@ -164,8 +157,8 @@ TEST(ClusterMonitor, LatencySamplingIsStrided)
     // everything else on the monitored round path — so only one round
     // per latencySampleEvery is timed, round 0 always included (the
     // EWMA must be nonzero from the first heartbeat on).
-    std::string hb = ::testing::TempDir() + "fsobs_stride.jsonl";
-    std::remove(hb.c_str());
+    ScopedTempDir tmp;
+    std::string hb = tmp.file("fsobs_stride.jsonl");
 
     MonitorConfig mc;
     mc.heartbeatEvery = 100; // no heartbeats in this test
@@ -189,14 +182,12 @@ TEST(ClusterMonitor, LatencySamplingIsStrided)
         dense.onRoundEnd(round * 400, round);
     }
     EXPECT_EQ(dense.latencySamples(), 10u);
-
-    std::remove(hb.c_str());
 }
 
 TEST(ClusterMonitor, HealthEventsProviderFeedsHeartbeat)
 {
-    std::string hb = ::testing::TempDir() + "fsobs_health.jsonl";
-    std::remove(hb.c_str());
+    ScopedTempDir tmp;
+    std::string hb = tmp.file("fsobs_health.jsonl");
 
     MonitorConfig mc;
     mc.heartbeatEvery = 1;
@@ -210,18 +201,17 @@ TEST(ClusterMonitor, HealthEventsProviderFeedsHeartbeat)
     ASSERT_EQ(hb_lines.size(), 1u);
     EXPECT_DOUBLE_EQ(
         minijson::parse(hb_lines[0])->at("health_events").number, 5.0);
-    std::remove(hb.c_str());
 }
 
 TEST(ClusterMonitor, HeartbeatsMirrorIntoTheFlightRecorder)
 {
-    std::string hb = ::testing::TempDir() + "fsobs_mirror.jsonl";
-    std::remove(hb.c_str());
+    ScopedTempDir tmp;
+    std::string hb = tmp.file("fsobs_mirror.jsonl");
 
     FlightRecorderConfig fc;
     fc.enabled = true;
     fc.depth = 16;
-    fc.path = ::testing::TempDir() + "fsobs_mirror_fr.jsonl";
+    fc.path = tmp.file("fsobs_mirror_fr.jsonl");
     FlightRecorder fr(fc);
 
     MonitorConfig mc;
@@ -235,8 +225,6 @@ TEST(ClusterMonitor, HeartbeatsMirrorIntoTheFlightRecorder)
     std::string jsonl = fr.renderJsonl("test");
     EXPECT_NE(jsonl.find("\"kind\": \"heartbeat\""), std::string::npos);
     EXPECT_NE(jsonl.find("\"cycle\": 1000"), std::string::npos);
-
-    std::remove(hb.c_str());
 }
 
 TEST(ClusterMonitor, RotatesLeftoverHeartbeatTrailToPrev)
@@ -244,10 +232,9 @@ TEST(ClusterMonitor, RotatesLeftoverHeartbeatTrailToPrev)
     // A crashed run's heartbeat trail is the postmortem's primary
     // source; reopening with "wb" used to truncate it silently. The
     // monitor must rotate a non-empty leftover to `.prev` instead.
-    std::string hb = ::testing::TempDir() + "fsobs_rotate.jsonl";
+    ScopedTempDir tmp;
+    std::string hb = tmp.file("fsobs_rotate.jsonl");
     std::string prev = hb + ".prev";
-    std::remove(hb.c_str());
-    std::remove(prev.c_str());
     {
         std::FILE *f = std::fopen(hb.c_str(), "wb");
         ASSERT_NE(f, nullptr);
@@ -268,17 +255,13 @@ TEST(ClusterMonitor, RotatesLeftoverHeartbeatTrailToPrev)
     ASSERT_EQ(fresh.size(), 1u);
     EXPECT_DOUBLE_EQ(minijson::parse(fresh[0])->at("cycle").number,
                      1000.0);
-
-    std::remove(hb.c_str());
-    std::remove(prev.c_str());
 }
 
 TEST(ClusterMonitor, EmptyLeftoverHeartbeatFileIsNotRotated)
 {
-    std::string hb = ::testing::TempDir() + "fsobs_rotate_empty.jsonl";
+    ScopedTempDir tmp;
+    std::string hb = tmp.file("fsobs_rotate_empty.jsonl");
     std::string prev = hb + ".prev";
-    std::remove(hb.c_str());
-    std::remove(prev.c_str());
     {
         std::FILE *f = std::fopen(hb.c_str(), "wb");
         ASSERT_NE(f, nullptr);
@@ -293,9 +276,6 @@ TEST(ClusterMonitor, EmptyLeftoverHeartbeatFileIsNotRotated)
     EXPECT_EQ(p, nullptr) << "an empty leftover must not create .prev";
     if (p)
         std::fclose(p);
-
-    std::remove(hb.c_str());
-    std::remove(prev.c_str());
 }
 
 TEST(ClusterMonitor, OutOfRangeAlphaCannotUnderflowTheEwma)
@@ -304,8 +284,8 @@ TEST(ClusterMonitor, OutOfRangeAlphaCannotUnderflowTheEwma)
     // past 1.0 used to make (256 - w) underflow, multiplying the EWMA
     // by ~16.7e6 every sample. Clamped, alpha >= 1.0 simply tracks the
     // newest sample.
-    std::string hb = ::testing::TempDir() + "fsobs_alpha.jsonl";
-    std::remove(hb.c_str());
+    ScopedTempDir tmp;
+    std::string hb = tmp.file("fsobs_alpha.jsonl");
 
     MonitorConfig mc;
     mc.heartbeatEvery = 100; // no heartbeats; only the EWMA matters
@@ -319,14 +299,12 @@ TEST(ClusterMonitor, OutOfRangeAlphaCannotUnderflowTheEwma)
         // the blend path (not the first-sample shortcut) runs.
         volatile uint64_t spin = 0;
         for (int i = 0; i < 5000; ++i)
-            spin += static_cast<uint64_t>(i);
+            spin = spin + static_cast<uint64_t>(i);
         mon.onRoundEnd(round * 400, round);
     }
     EXPECT_GT(mon.roundLatencyNs(), 0u);
     EXPECT_LT(mon.roundLatencyNs(), 1000000000000ull)
         << "a sub-ms round must never read as >1000 s of latency";
-
-    std::remove(hb.c_str());
 }
 
 TEST(ClusterMonitor, StragglerSinkLatchesOncePerRank)
@@ -334,8 +312,8 @@ TEST(ClusterMonitor, StragglerSinkLatchesOncePerRank)
     // No transport: the only latency sample is the local EWMA, so
     // detection has nothing to compare against and must stay silent
     // no matter how aggressive the factor is.
-    std::string hb = ::testing::TempDir() + "fsobs_straggler.jsonl";
-    std::remove(hb.c_str());
+    ScopedTempDir tmp;
+    std::string hb = tmp.file("fsobs_straggler.jsonl");
 
     MonitorConfig mc;
     mc.heartbeatEvery = 1;
@@ -351,8 +329,6 @@ TEST(ClusterMonitor, StragglerSinkLatchesOncePerRank)
     }
     EXPECT_EQ(fired, 0) << "a lone rank can never straggle";
     EXPECT_TRUE(mon.stragglers().empty());
-
-    std::remove(hb.c_str());
 }
 
 } // namespace

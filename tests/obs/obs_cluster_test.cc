@@ -30,6 +30,7 @@
 #include "manager/topology.hh"
 #include "net/remote/socket.hh"
 #include "snapshot/snapshot.hh"
+#include "tests/scoped_temp_dir.hh"
 #include "tests/telemetry/mini_json.hh"
 
 namespace firesim
@@ -69,9 +70,9 @@ jsonlLines(const std::string &text)
 }
 
 std::string
-freshDir(const char *name)
+freshDir(const ScopedTempDir &tmp, const char *name)
 {
-    std::string dir = ::testing::TempDir() + name;
+    std::string dir = tmp.file(name);
     mkdir(dir.c_str(), 0755);
     return dir;
 }
@@ -121,12 +122,9 @@ TEST(ObsCluster, MergedDumpMatchesSingleProcessRun)
 
     // Two shards over a loopback socketpair, each with its own dump
     // directory; rank 0's gets the merged cross-shard dumps.
-    std::string dir0 = freshDir("fsobs_merged_r0");
-    std::string dir1 = freshDir("fsobs_merged_r1");
-    for (const char *f :
-         {"/merged_stats.json", "/merged_stats.csv",
-          "/merged_trace.json"})
-        std::remove((dir0 + f).c_str());
+    ScopedTempDir tmp;
+    std::string dir0 = freshDir(tmp, "fsobs_merged_r0");
+    std::string dir1 = freshDir(tmp, "fsobs_merged_r1");
 
     auto [fd0, fd1] = localSocketPair();
     ClusterConfig cc0 = base, cc1 = base;
@@ -224,13 +222,11 @@ TEST(ObsCluster, MergedDumpMatchesSingleProcessRun)
 TEST(ObsCluster, ShardedHeartbeatsCoverEveryRankAndLatchStragglers)
 {
     constexpr Cycles kRun = 40000; // 100 rounds at linkLatency 400
-    std::string hb_base = ::testing::TempDir() + "fsobs_cluster_hb.jsonl";
-    std::string prom_base = ::testing::TempDir() + "fsobs_cluster.prom";
+    ScopedTempDir tmp;
+    std::string hb_base = tmp.file("fsobs_cluster_hb.jsonl");
+    std::string prom_base = tmp.file("fsobs_cluster.prom");
     std::string hb0 = snapshotRankPath(hb_base, 2, 0);
     std::string prom0 = snapshotRankPath(prom_base, 2, 0);
-    std::remove(hb0.c_str());
-    std::remove(snapshotRankPath(hb_base, 2, 1).c_str());
-    std::remove(prom0.c_str());
 
     auto [fd0, fd1] = localSocketPair();
     ClusterConfig cc0, cc1;
@@ -246,8 +242,7 @@ TEST(ObsCluster, ShardedHeartbeatsCoverEveryRankAndLatchStragglers)
     // the detection plumbing without depending on host timing.
     cc0.monitor.stragglerFactor = 0.0;
     cc0.flightRecorder.enabled = true;
-    cc0.flightRecorder.path =
-        ::testing::TempDir() + "fsobs_cluster_fr.jsonl";
+    cc0.flightRecorder.path = tmp.file("fsobs_cluster_fr.jsonl");
     std::vector<std::pair<uint32_t, SocketFd>> fds0, fds1;
     fds0.emplace_back(1, std::move(fd0));
     fds1.emplace_back(0, std::move(fd1));
@@ -307,11 +302,6 @@ TEST(ObsCluster, ShardedHeartbeatsCoverEveryRankAndLatchStragglers)
               std::string::npos);
     EXPECT_NE(prom.find("firesim_stragglers{rank=\"0\"} 2"),
               std::string::npos);
-
-    // Straggler latching mirrored into the flight recorder.
-    std::remove(hb0.c_str());
-    std::remove(snapshotRankPath(hb_base, 2, 1).c_str());
-    std::remove(prom0.c_str());
 }
 
 TEST(ObsCluster, StragglersDetectWithoutHeartbeatsAndUnlatchDeadRanks)
@@ -322,9 +312,8 @@ TEST(ObsCluster, StragglersDetectWithoutHeartbeatsAndUnlatchDeadRanks)
     // a latched rank that dies must be unlatched, because a corpse is
     // not a straggler.
     constexpr Cycles kHalf = 20000; // 50 rounds at linkLatency 400
-    std::string prom_base = ::testing::TempDir() + "fsobs_nohb.prom";
-    std::remove(snapshotRankPath(prom_base, 2, 0).c_str());
-    std::remove(snapshotRankPath(prom_base, 2, 1).c_str());
+    ScopedTempDir tmp;
+    std::string prom_base = tmp.file("fsobs_nohb.prom");
 
     auto [fd0, fd1] = localSocketPair();
     ClusterConfig cc0, cc1;
@@ -367,18 +356,15 @@ TEST(ObsCluster, StragglersDetectWithoutHeartbeatsAndUnlatchDeadRanks)
         << "a dead rank must be unlatched from firesim_stragglers";
     EXPECT_EQ(latched[0], 0u);
     EXPECT_GE(c0.health().count(FaultEvent::Kind::PeerShardLost), 1u);
-
-    std::remove(snapshotRankPath(prom_base, 2, 0).c_str());
-    std::remove(snapshotRankPath(prom_base, 2, 1).c_str());
 }
 
 TEST(ObsCluster, KilledPeerLeavesAPostmortemOnRankZero)
 {
     constexpr Cycles kChildRun = 8000;
     constexpr Cycles kRun = 80000;
-    std::string fr_base = ::testing::TempDir() + "fsobs_postmortem.jsonl";
+    ScopedTempDir tmp;
+    std::string fr_base = tmp.file("fsobs_postmortem.jsonl");
     std::string fr0 = snapshotRankPath(fr_base, 2, 0);
-    std::remove(fr0.c_str());
 
     auto [fd0, fd1] = localSocketPair();
     pid_t child = fork();
@@ -443,8 +429,6 @@ TEST(ObsCluster, KilledPeerLeavesAPostmortemOnRankZero)
     EXPECT_EQ(health->at("kind").str, "health-event");
     EXPECT_NE(health->at("detail").str.find("peer"),
               std::string::npos);
-
-    std::remove(fr0.c_str());
 }
 
 } // namespace

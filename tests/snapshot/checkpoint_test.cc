@@ -22,6 +22,7 @@
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
 #include "snapshot/snapshot.hh"
+#include "tests/scoped_temp_dir.hh"
 
 namespace firesim
 {
@@ -55,18 +56,11 @@ statsDump(Cluster &clu)
     return clu.telemetry()->registry().dumpJson(clu.now());
 }
 
-std::string
-tempSnap(const char *name)
-{
-    std::string path = ::testing::TempDir() + name;
-    std::remove(path.c_str());
-    return path;
-}
-
 TEST(ClusterCheckpoint, SaveRestoreContinuationIsByteIdentical)
 {
     constexpr Cycles kSave = 200000, kTotal = 400000;
-    std::string path = tempSnap("fsnp_roundtrip_cluster.snap");
+    ScopedTempDir tmp;
+    std::string path = tmp.file("fsnp_roundtrip_cluster.snap");
 
     // The uninterrupted reference run.
     std::string ref_dump;
@@ -97,7 +91,6 @@ TEST(ClusterCheckpoint, SaveRestoreContinuationIsByteIdentical)
     restored.run(kTotal - kSave);
     EXPECT_EQ(statsDump(restored), ref_dump)
         << "restored continuation diverged from the unbroken run";
-    std::remove(path.c_str());
 }
 
 TEST(ClusterCheckpoint, RestoreAcrossParallelHostsIsByteIdentical)
@@ -105,7 +98,8 @@ TEST(ClusterCheckpoint, RestoreAcrossParallelHostsIsByteIdentical)
     // Snapshot a single-threaded run, restore into a 2-worker fabric:
     // determinism across parallelHosts extends to snapshots.
     constexpr Cycles kSave = 120000, kTotal = 240000;
-    std::string path = tempSnap("fsnp_parhosts.snap");
+    ScopedTempDir tmp;
+    std::string path = tmp.file("fsnp_parhosts.snap");
 
     std::string ref_dump;
     {
@@ -131,12 +125,12 @@ TEST(ClusterCheckpoint, RestoreAcrossParallelHostsIsByteIdentical)
     ASSERT_EQ(resumeFromSnapshot(wide, path), "");
     wide.run(kTotal - kSave);
     EXPECT_EQ(statsDump(wide), ref_dump);
-    std::remove(path.c_str());
 }
 
 TEST(ClusterCheckpoint, LoadWithoutReplayIsRejected)
 {
-    std::string path = tempSnap("fsnp_noreplay.snap");
+    ScopedTempDir tmp;
+    std::string path = tmp.file("fsnp_noreplay.snap");
     {
         Cluster saver(topologies::singleTor(2), testConfig());
         spawnPinger(saver.node(0), 1);
@@ -148,12 +142,12 @@ TEST(ClusterCheckpoint, LoadWithoutReplayIsRejected)
     std::string e = fresh.loadSnapshot(path);
     ASSERT_NE(e, "");
     EXPECT_NE(e.find("replay"), std::string::npos) << e;
-    std::remove(path.c_str());
 }
 
 TEST(ClusterCheckpoint, MismatchedTopologyIsRejected)
 {
-    std::string path = tempSnap("fsnp_topo.snap");
+    ScopedTempDir tmp;
+    std::string path = tmp.file("fsnp_topo.snap");
     {
         Cluster saver(topologies::singleTor(2), testConfig());
         saver.run(40000);
@@ -163,12 +157,12 @@ TEST(ClusterCheckpoint, MismatchedTopologyIsRejected)
     std::string e = resumeFromSnapshot(other, path);
     ASSERT_NE(e, "");
     EXPECT_NE(e.find("hash"), std::string::npos) << e;
-    std::remove(path.c_str());
 }
 
 TEST(ClusterCheckpoint, CorruptedSnapshotIsRejectedWithDiagnostics)
 {
-    std::string path = tempSnap("fsnp_corrupt.snap");
+    ScopedTempDir tmp;
+    std::string path = tmp.file("fsnp_corrupt.snap");
     {
         Cluster saver(topologies::singleTor(2), testConfig());
         spawnPinger(saver.node(0), 1);
@@ -208,13 +202,13 @@ TEST(ClusterCheckpoint, CorruptedSnapshotIsRejectedWithDiagnostics)
         spawnPinger(clu.node(0), 1);
         EXPECT_NE(resumeFromSnapshot(clu, path), "");
     }
-    std::remove(path.c_str());
 }
 
 TEST(ClusterCheckpoint, PeriodicAndSignalDrivenCheckpoints)
 {
     constexpr Cycles kSpan = 40000; // 100 rounds at quantum 400
-    std::string path = tempSnap("fsnp_mgr.snap");
+    ScopedTempDir tmp;
+    std::string path = tmp.file("fsnp_mgr.snap");
 
     std::string ref_dump;
     {
@@ -256,7 +250,6 @@ TEST(ClusterCheckpoint, PeriodicAndSignalDrivenCheckpoints)
     EXPECT_EQ(resumed.now(), kSpan);
     resumed.run(20000);
     EXPECT_EQ(statsDump(resumed), ref_dump);
-    std::remove(path.c_str());
 }
 
 TEST(ClusterCheckpoint, WarmBootForksDivergeDeterministically)
@@ -293,7 +286,8 @@ TEST(ClusterCheckpoint, SigkillAndResumeIsByteIdentical)
     // (no handler can run), then resume from the last complete
     // snapshot — atomic tmp+fsync+rename means whatever file exists
     // is whole — and match the unbroken run byte for byte.
-    std::string path = tempSnap("fsnp_kill.snap");
+    ScopedTempDir tmp;
+    std::string path = tmp.file("fsnp_kill.snap");
 
     pid_t pid = fork();
     ASSERT_GE(pid, 0);
@@ -338,7 +332,6 @@ TEST(ClusterCheckpoint, SigkillAndResumeIsByteIdentical)
     EXPECT_EQ(resumed_dump, statsDump(ref))
         << "resumed-after-SIGKILL run diverged (resumed at cycle "
         << at_resume << ")";
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 #include "manager/topology.hh"
 #include "net/remote/socket.hh"
 #include "snapshot/snapshot.hh"
+#include "tests/scoped_temp_dir.hh"
 
 namespace firesim
 {
@@ -106,9 +107,8 @@ spawnWork(Cluster &clu, uint32_t rank)
 TEST(DistCheckpoint, TwoShardRestoreIsByteIdentical)
 {
     constexpr Cycles kSave = 200000, kTotal = 400000;
-    std::string path = ::testing::TempDir() + "fsnp_dist.snap";
-    std::remove((path + ".rank0").c_str());
-    std::remove((path + ".rank1").c_str());
+    ScopedTempDir tmp;
+    std::string path = tmp.file("fsnp_dist.snap");
 
     // Reference: the uninterrupted two-shard run.
     std::string ref[2];
@@ -160,8 +160,6 @@ TEST(DistCheckpoint, TwoShardRestoreIsByteIdentical)
         EXPECT_EQ(r.header().rank, 0u);
         EXPECT_EQ(r.header().cycle, kSave);
     }
-    std::remove((path + ".rank0").c_str());
-    std::remove((path + ".rank1").c_str());
 }
 
 } // namespace

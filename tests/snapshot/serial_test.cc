@@ -16,6 +16,7 @@
 
 #include "snapshot/serial.hh"
 #include "snapshot/snapshot.hh"
+#include "tests/scoped_temp_dir.hh"
 
 namespace firesim
 {
@@ -221,7 +222,8 @@ TEST(SnapshotContainer, WrongVersionRejected)
 
 TEST(SnapshotContainer, FileRoundTripAndMissingFile)
 {
-    std::string path = ::testing::TempDir() + "fsnp_roundtrip.snap";
+    ScopedTempDir tmp;
+    std::string path = tmp.file("fsnp_roundtrip.snap");
     SnapshotWriter w = makeWriter();
     ASSERT_EQ(w.writeFile(path), "");
     SnapshotReader r;

@@ -7,6 +7,7 @@
 #include "riscv/assembler.hh"
 #include "riscv/core.hh"
 #include "telemetry/instr_trace.hh"
+#include "tests/scoped_temp_dir.hh"
 
 namespace firesim
 {
@@ -128,10 +129,10 @@ TEST(InstructionTrace, FileDumpRoundTrip)
     trace.record(0x2000, OpClass::Store, 7);
     trace.record(0x2004, OpClass::Jump, 9);
 
-    std::string path = ::testing::TempDir() + "fsit_roundtrip.bin";
+    ScopedTempDir tmp;
+    std::string path = tmp.file("fsit_roundtrip.bin");
     ASSERT_TRUE(trace.writeCompressed(path));
     std::vector<TraceRecord> back = InstructionTrace::readCompressed(path);
-    std::remove(path.c_str());
 
     ASSERT_EQ(back.size(), 2u);
     EXPECT_EQ(back[0].pc, 0x2000u);

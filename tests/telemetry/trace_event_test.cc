@@ -3,13 +3,12 @@
 #include <cstdio>
 #include <set>
 #include <string>
-#include <sys/stat.h>
-#include <sys/types.h>
 
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/trace_event.hh"
+#include "tests/scoped_temp_dir.hh"
 #include "tests/telemetry/mini_json.hh"
 
 namespace firesim
@@ -251,13 +250,8 @@ TEST(ClusterTelemetry, SimRatePhasesCoverEveryRunCall)
 
 TEST(ClusterTelemetry, DumpAtExitWritesParseableFiles)
 {
-    std::string dir = ::testing::TempDir() + "fs_telemetry_dump";
-    std::remove((dir + "/stats.json").c_str());
-#ifdef _WIN32
-    _mkdir(dir.c_str());
-#else
-    mkdir(dir.c_str(), 0755);
-#endif
+    ScopedTempDir tmp;
+    const std::string &dir = tmp.path();
     {
         ClusterConfig cc = telemetryConfig();
         cc.telemetry.dumpDir = dir;
@@ -275,9 +269,7 @@ TEST(ClusterTelemetry, DumpAtExitWritesParseableFiles)
             text.append(buf, got);
         std::fclose(f);
         EXPECT_NO_THROW(minijson::parse(text)) << file;
-        std::remove((dir + file).c_str());
     }
-    std::remove((dir + "/autocounter.csv").c_str());
 }
 
 TEST(ClusterTelemetry, DisabledConfigBuildsNothing)
