@@ -67,11 +67,9 @@ runConfig(double rate_gbps, Cycles stagger, Cycles bucket, int buckets)
     SwitchConfig tor_cfg;
     tor_cfg.ports = kPerTor + 1;
     tor_cfg.minLatency = 10;
-    tor_cfg.slicePorts = bench::knobs().switchSlicePorts;
     SwitchConfig root_cfg;
     root_cfg.ports = 2;
     root_cfg.minLatency = 10;
-    root_cfg.slicePorts = bench::knobs().switchSlicePorts;
     tor_cfg.name = "tor0";
     Switch tor0(tor_cfg);
     tor_cfg.name = "tor1";

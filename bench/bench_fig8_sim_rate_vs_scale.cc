@@ -52,6 +52,11 @@ topoFor(uint32_t nodes)
     return topologies::threeLevel(nodes / 256, 8, 32);
 }
 
+/** Target time every measured run covers: the scaled-down 2048-sector
+ *  boot powers down at about 2541.5 us at every scale, so this window
+ *  holds the whole boot-and-power-down workload. */
+constexpr double kBootWindowUs = 3000.0;
+
 /** Measured software-simulation rate: every node boots and powers
  *  down (the paper's Section V-A workload), then target time over
  *  wall-clock time. `hosts` is the fabric worker-thread count. */
@@ -98,9 +103,8 @@ struct BalanceRow
 };
 
 /**
- * Boot-and-idle a 32-node single-ToR cluster (the ToR's 32 ports split
- * into 8 advance slices at the default slice width) on @p hosts
- * workers and report the scheduler's load-balance telemetry. maxMeanBusy is
+ * Boot-and-idle a 32-node single-ToR cluster on @p hosts workers and
+ * report the scheduler's load-balance telemetry. maxMeanBusy is
  * Σ(per-round max worker busy) / Σ(per-round mean worker busy): 1.0 is
  * a perfectly level pool, W (the worker count) is one worker doing
  * everything.
@@ -225,7 +229,9 @@ main(int argc, char **argv)
         std::string meas = "-";
         if (nodes <= measure_limit)
             meas = Table::fmt(
-                measuredMhz(nodes, 2000.0, bench::knobs().parallelHosts), 2);
+                measuredMhz(nodes, kBootWindowUs,
+                            bench::knobs().parallelHosts),
+                2);
         t.addRow({Table::fmt(nodes, 0), Table::fmt(std_est.targetMhz, 2),
                   Table::fmt(sup_est.targetMhz, 2), meas});
     }
@@ -243,7 +249,6 @@ main(int argc, char **argv)
     for (uint32_t nodes : scales)
         if (nodes >= 8 && nodes <= measure_limit)
             sweep_scales.push_back(nodes);
-    const double sweep_us = bench::fullScale() ? 2000.0 : 1000.0;
 
     std::vector<SweepCell> cells;
     Table sweep({"Nodes", "Threads", "Target cycles/s", "Speedup",
@@ -254,7 +259,7 @@ main(int argc, char **argv)
             SweepCell cell;
             cell.nodes = nodes;
             cell.threads = th;
-            cell.cyclesPerSec = measuredMhz(nodes, sweep_us, th) * 1e6;
+            cell.cyclesPerSec = measuredMhz(nodes, kBootWindowUs, th) * 1e6;
             cells.push_back(cell);
             if (th == 1)
                 base = cell.cyclesPerSec;
@@ -279,7 +284,7 @@ main(int argc, char **argv)
     // Worker-pool balance on the same 32-node target: results are
     // bit-identical to 1 worker — only the balance and wall clock move.
     const unsigned balance_hosts = std::max(2u, bench::knobs().parallelHosts);
-    BalanceRow balance = runBalance(balance_hosts, sweep_us);
+    BalanceRow balance = runBalance(balance_hosts, kBootWindowUs);
     Table bal({"Max/mean busy", "Rounds", "Target cycles/s"});
     bal.addRow({Table::fmt(balance.maxMeanBusy, 3),
                 Table::fmt(balance.rounds, 0),

@@ -153,7 +153,6 @@ parseAlphaKnob(const char *what, const char *text)
 struct Knobs
 {
     unsigned parallelHosts = 1;
-    unsigned switchSlicePorts = 4;
     unsigned shards = 1;
     unsigned shardRank = 0;
     std::string shardConnectHost = "127.0.0.1";
@@ -258,12 +257,6 @@ inline constexpr Knob kKnobTable[] = {
          cc.parallelHosts = k.parallelHosts;
      },
      "fabric worker threads (0 and 1 = single-threaded)"},
-    {"--switch-slice-ports=", "FIRESIM_SWITCH_SLICE_PORTS",
-     parseInto<&Knobs::switchSlicePorts, parseUnsignedKnob>,
-     [](ClusterConfig &cc, const Knobs &k) {
-         cc.switchSlicePorts = k.switchSlicePorts;
-     },
-     "egress ports per switch advance slice; 0 = monolithic switches"},
     {"--shards=", "FIRESIM_SHARDS",
      parseInto<&Knobs::shards, parseUnsignedKnob>,
      [](ClusterConfig &cc, const Knobs &k) { cc.shard.shards = k.shards; },
@@ -433,9 +426,8 @@ parseCommonFlags(int argc, char **argv)
     requireKnob(k.decodeCacheEntries != 0,
                 "--decode-cache-entries must be at least 1");
     if (k.parallelHosts > 1)
-        std::printf("[bench] parallel hosts: %u fabric worker threads "
-                    "(switch slice ports: %u)\n",
-                    k.parallelHosts, k.switchSlicePorts);
+        std::printf("[bench] parallel hosts: %u fabric worker threads\n",
+                    k.parallelHosts);
     if (k.shards > 1)
         std::printf("[bench] distributed: shard %u of %u, rendezvous "
                     "%s:%u, transport %s\n",

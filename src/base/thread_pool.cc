@@ -33,14 +33,6 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::drainItems()
-{
-    size_t i;
-    while ((i = nextIndex.fetch_add(1, std::memory_order_relaxed)) < jobN)
-        jobFn(jobCtx, i);
-}
-
-void
 ThreadPool::workerMain(unsigned id)
 {
     uint64_t seen = 0;
@@ -51,12 +43,8 @@ ThreadPool::workerMain(unsigned id)
         if (shutdown)
             return;
         seen = generation;
-        bool per = perWorker;
         lock.unlock();
-        if (per)
-            jobFn(jobCtx, id);
-        else
-            drainItems();
+        jobFn(jobCtx, id);
         lock.lock();
         if (--pending == 0)
             finished.notify_one();
@@ -64,40 +52,7 @@ ThreadPool::workerMain(unsigned id)
 }
 
 void
-ThreadPool::runBatch(size_t n, BatchFn fn, void *ctx)
-{
-    if (n == 0)
-        return;
-    if (workers.empty() || n == 1) {
-        // Inline fast path: a width-1 pool (or a single item) needs no
-        // synchronization at all.
-        for (size_t i = 0; i < n; ++i)
-            fn(ctx, i);
-        return;
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        FS_ASSERT(pending == 0, "ThreadPool::parallelFor is not "
-                                "reentrant");
-        jobFn = fn;
-        jobCtx = ctx;
-        jobN = n;
-        nextIndex.store(0, std::memory_order_relaxed);
-        pending = static_cast<unsigned>(workers.size());
-        ++generation;
-    }
-    wake.notify_all();
-
-    // The caller is a worker too.
-    drainItems();
-
-    std::unique_lock<std::mutex> lock(mtx);
-    finished.wait(lock, [&] { return pending == 0; });
-}
-
-void
-ThreadPool::runPerWorker(BatchFn fn, void *ctx)
+ThreadPool::runPerWorker(JobFn fn, void *ctx)
 {
     if (workers.empty()) {
         fn(ctx, 0);
@@ -109,8 +64,6 @@ ThreadPool::runPerWorker(BatchFn fn, void *ctx)
         FS_ASSERT(pending == 0, "ThreadPool dispatch is not reentrant");
         jobFn = fn;
         jobCtx = ctx;
-        jobN = 0;
-        perWorker = true;
         pending = static_cast<unsigned>(workers.size());
         ++generation;
     }
@@ -121,7 +74,6 @@ ThreadPool::runPerWorker(BatchFn fn, void *ctx)
 
     std::unique_lock<std::mutex> lock(mtx);
     finished.wait(lock, [&] { return pending == 0; });
-    perWorker = false;
 }
 
 } // namespace firesim

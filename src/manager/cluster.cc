@@ -153,7 +153,6 @@ Cluster::build(
         scfg.ports = plan.switchPorts[s];
         scfg.minLatency = cfg.switchLatency;
         scfg.dropBound = cfg.switchDropBound;
-        scfg.slicePorts = cfg.switchSlicePorts;
         switchLocal[s] = static_cast<int>(switches.size());
         switchGlobal.push_back(s);
         switches.push_back(std::make_unique<Switch>(scfg));

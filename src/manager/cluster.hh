@@ -135,14 +135,6 @@ struct ClusterConfig
      */
     unsigned parallelHosts = 1;
     /**
-     * Output ports per switch egress slice (SwitchConfig::slicePorts),
-     * applied to every switch the manager builds: big-radix switches
-     * split into multiple advance units so one 32-port ToR no longer
-     * serializes a parallel round. 0 keeps every switch monolithic.
-     * Bit-identical results for every value.
-     */
-    uint32_t switchSlicePorts = 4;
-    /**
      * Distributed simulation (manager/shard.hh): with shards > 1 this
      * process builds only its own shard of the topology and carries
      * cross-shard links over the socket token transport (net/remote).

@@ -9,48 +9,6 @@
 namespace firesim
 {
 
-void
-TokenEndpoint::advanceBegin(Cycles window_start, Cycles window,
-                            const std::vector<const TokenBatch *> &in,
-                            std::vector<TokenBatch> &out)
-{
-    (void)window_start;
-    (void)window;
-    (void)in;
-    (void)out;
-    panic("endpoint %s reports %u slices but does not implement "
-          "advanceBegin()",
-          name().c_str(), advanceSliceCount());
-}
-
-void
-TokenEndpoint::advanceSlice(uint32_t slice, Cycles window_start,
-                            Cycles window,
-                            const std::vector<const TokenBatch *> &in,
-                            std::vector<TokenBatch> &out)
-{
-    (void)slice;
-    (void)window_start;
-    (void)window;
-    (void)in;
-    (void)out;
-    panic("endpoint %s reports %u slices but does not implement "
-          "advanceSlice()",
-          name().c_str(), advanceSliceCount());
-}
-
-void
-TokenEndpoint::advanceMerge(Cycles window_start, Cycles window,
-                            std::vector<TokenBatch> &out)
-{
-    (void)window_start;
-    (void)window;
-    (void)out;
-    panic("endpoint %s reports %u slices but does not implement "
-          "advanceMerge()",
-          name().c_str(), advanceSliceCount());
-}
-
 TokenChannel::TokenChannel(Cycles latency, Cycles quantum)
     : lat(latency), quant(quantum)
 {
@@ -276,14 +234,12 @@ TokenFabric::setParallelHosts(unsigned hosts)
 {
     FS_ASSERT(!running, "setParallelHosts() mid-run");
     parHosts = hosts == 0 ? 1 : hosts;
-    if (parHosts >= 2) {
-        if (!workers || workers->width() != parHosts) {
-            workers = std::make_unique<ThreadPool>(parHosts);
-            schedWidth = 0; // force scheduler reconfiguration
-        }
-    } else {
+    if (parHosts < 2) {
         workers.reset();
-        schedWidth = 0;
+    } else if (!workers || workers->width() != parHosts) {
+        workers = std::make_unique<ThreadPool>(parHosts);
+        if (finalized)
+            sched.configure(endpoints.size(), parHosts);
     }
 }
 
@@ -390,30 +346,8 @@ TokenFabric::finalize()
         std::iota(stepOrder.begin(), stepOrder.end(), 0);
     }
 
-    // Build the advance-unit lists the round schedulers partition. A
-    // sliced endpoint contributes its serial prologue to the begin pass
-    // and one unit per slice to the main pass; everything else is one
-    // monolithic unit in the main pass.
-    beginUnits.clear();
-    mainUnits.clear();
-    for (size_t i = 0; i < endpoints.size(); ++i) {
-        EndpointState &state = endpoints[i];
-        uint32_t slices = state.endpoint->advanceSliceCount();
-        FS_ASSERT(slices >= 1, "endpoint %s reports 0 advance slices",
-                  state.endpoint->name().c_str());
-        state.slices = slices;
-        if (slices > 1) {
-            beginUnits.push_back(
-                {static_cast<uint32_t>(i), FabricObserver::kBeginSlice});
-            for (uint32_t s = 0; s < slices; ++s)
-                mainUnits.push_back(
-                    {static_cast<uint32_t>(i), static_cast<int32_t>(s)});
-        } else {
-            mainUnits.push_back(
-                {static_cast<uint32_t>(i), AdvanceUnit::kWholeEndpoint});
-        }
-    }
-    schedWidth = 0; // unit lists changed; reconfigure before next run
+    if (workers)
+        sched.configure(endpoints.size(), workers->width());
 
     finalized = true;
 }
@@ -468,16 +402,9 @@ TokenFabric::txChannelOf(size_t endpoint_idx, uint32_t port) const
 double
 TokenFabric::endpointCostNs(size_t idx) const
 {
-    if (schedWidth == 0)
-        return 0.0; // never dispatched through the schedulers
-    double total = 0.0;
-    for (size_t u = 0; u < beginUnits.size(); ++u)
-        if (beginUnits[u].endpoint == idx)
-            total += schedBegin.expectedCostNs(static_cast<uint32_t>(u));
-    for (size_t u = 0; u < mainUnits.size(); ++u)
-        if (mainUnits[u].endpoint == idx)
-            total += schedMain.expectedCostNs(static_cast<uint32_t>(u));
-    return total;
+    if (!workers)
+        return 0.0; // never dispatched through the scheduler
+    return sched.expectedCostNs(static_cast<uint32_t>(idx));
 }
 
 bool
@@ -571,9 +498,11 @@ TokenFabric::prepareEndpoint(size_t idx)
 }
 
 void
-TokenFabric::advanceMonolithic(size_t idx)
+TokenFabric::advanceEndpoint(size_t idx)
 {
     EndpointState &state = endpoints[idx];
+    if (state.down)
+        return;
     for (FabricObserver *obs : observers)
         obs->onAdvanceStart(idx, curCycle);
     state.endpoint->advance(curCycle, quant, state.inPtrs, state.outs);
@@ -582,90 +511,10 @@ TokenFabric::advanceMonolithic(size_t idx)
 }
 
 void
-TokenFabric::advanceBeginPhase(size_t idx)
-{
-    EndpointState &state = endpoints[idx];
-    for (FabricObserver *obs : observers)
-        obs->onSliceStart(idx, FabricObserver::kBeginSlice, curCycle);
-    state.endpoint->advanceBegin(curCycle, quant, state.inPtrs,
-                                 state.outs);
-    for (FabricObserver *obs : observers)
-        obs->onSliceEnd(idx, FabricObserver::kBeginSlice, curCycle);
-}
-
-void
-TokenFabric::advanceSlicePhase(size_t idx, uint32_t slice)
-{
-    EndpointState &state = endpoints[idx];
-    for (FabricObserver *obs : observers)
-        obs->onSliceStart(idx, static_cast<int32_t>(slice), curCycle);
-    state.endpoint->advanceSlice(slice, curCycle, quant, state.inPtrs,
-                                 state.outs);
-    for (FabricObserver *obs : observers)
-        obs->onSliceEnd(idx, static_cast<int32_t>(slice), curCycle);
-}
-
-void
-TokenFabric::advanceEndpoint(size_t idx)
-{
-    EndpointState &state = endpoints[idx];
-    if (state.down)
-        return;
-    if (state.slices > 1) {
-        // Single-threaded sliced execution: same phases, same observer
-        // brackets, inline — so slicing itself cannot perturb results
-        // or telemetry relative to the parallel path.
-        advanceBeginPhase(idx);
-        for (uint32_t s = 0; s < state.slices; ++s)
-            advanceSlicePhase(idx, s);
-    } else {
-        advanceMonolithic(idx);
-    }
-}
-
-void
-TokenFabric::execBeginUnit(uint32_t unit)
-{
-    const AdvanceUnit &u = beginUnits[unit];
-    if (endpoints[u.endpoint].down)
-        return;
-    advanceBeginPhase(u.endpoint);
-}
-
-void
-TokenFabric::execMainUnit(uint32_t unit)
-{
-    const AdvanceUnit &u = mainUnits[unit];
-    if (endpoints[u.endpoint].down)
-        return;
-    if (u.slice == AdvanceUnit::kWholeEndpoint)
-        advanceMonolithic(u.endpoint);
-    else
-        advanceSlicePhase(u.endpoint, static_cast<uint32_t>(u.slice));
-}
-
-void
-TokenFabric::ensureSchedulers()
-{
-    unsigned width = workers->width();
-    if (schedWidth == width)
-        return;
-    schedWidth = width;
-    schedTel.reset(width);
-    schedBegin.configure(beginUnits.size(), width, &schedTel);
-    schedMain.configure(mainUnits.size(), width, &schedTel);
-}
-
-void
 TokenFabric::commitEndpoint(size_t idx)
 {
     EndpointState &state = endpoints[idx];
     uint32_t ports = state.endpoint->numPorts();
-    // Sliced endpoints fold their per-slice scratch into shared state
-    // here, on the driving thread in step order, before any of their
-    // batches are observed or pushed.
-    if (state.slices > 1 && !state.down)
-        state.endpoint->advanceMerge(curCycle, quant, state.outs);
     for (uint32_t p = 0; p < ports; ++p) {
         TokenChannel *chan = state.out[p];
         if (!chan) {
@@ -734,28 +583,15 @@ TokenFabric::run(Cycles cycles)
             prepareEndpoint(idx);
 
         // Phase 2: the actual endpoint work, in parallel when a pool
-        // is configured. Workers touch only their unit's private round
-        // buffers; each dispatch's barrier publishes their writes. The
-        // begin pass (sliced endpoints' serial prologues) fully
-        // completes before any slice of the main pass runs.
+        // is configured. Workers touch only their endpoint's private
+        // round buffers; the dispatch barrier publishes their writes.
         if (workers) {
-            ensureSchedulers();
-            schedTel.beginRound();
-            if (!beginUnits.empty()) {
-                schedBegin.dispatch(
-                    *workers,
-                    [](void *ctx, uint32_t u) {
-                        static_cast<TokenFabric *>(ctx)->execBeginUnit(u);
-                    },
-                    this);
-            }
-            schedMain.dispatch(
+            sched.dispatch(
                 *workers,
                 [](void *ctx, uint32_t u) {
-                    static_cast<TokenFabric *>(ctx)->execMainUnit(u);
+                    static_cast<TokenFabric *>(ctx)->advanceEndpoint(u);
                 },
                 this);
-            schedTel.endRound();
         } else {
             for (size_t idx : stepOrder)
                 advanceEndpoint(idx);

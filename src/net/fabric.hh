@@ -26,18 +26,15 @@
  *   1. prepare (driving thread, step order): per endpoint, query the
  *      observers' down-verdict, pop one input batch per port, and hand
  *      the endpoint recycled output batches.
- *   2. advance (worker pool, barrier at the end): endpoint->advance()
- *      calls run concurrently. Every channel already holds this round's
- *      input batch before the round starts (latency seeding), so
- *      workers touch only their endpoint's private buffers — channels
- *      are never accessed concurrently. Endpoints may further split
- *      this phase into AdvanceUnits (a serial begin, N concurrent
- *      slices, a driving-thread merge — see TokenEndpoint); a
- *      RoundScheduler (net/sched.hh) places the units on workers.
+ *   2. advance (one pool dispatch, barrier at the end): every
+ *      endpoint's advance() is one unit, and a RoundScheduler
+ *      (net/sched.hh) places the units on workers. Every channel
+ *      already holds this round's input batch before the round starts
+ *      (latency seeding), so workers touch only their endpoint's
+ *      private buffers — channels are never accessed concurrently.
  *      Placement is pure host policy and never affects simulated state.
- *   3. commit (driving thread, step order): per endpoint, merge any
- *      slice scratch, then run transmit observers and push the
- *      produced batches into their channels.
+ *   3. commit (driving thread, step order): per endpoint, run transmit
+ *      observers and push the produced batches into their channels.
  *
  * Because phases 1 and 3 run on the driving thread in step order, every
  * observer callback except onAdvanceStart/onAdvanceEnd fires in a
@@ -217,44 +214,8 @@ class TokenEndpoint
                          const std::vector<const TokenBatch *> &in,
                          std::vector<TokenBatch> &out) = 0;
 
-    // ---- Sliced advance (optional) -----------------------------------
-    //
-    // A big endpoint (a 32-port switch) is one advance() unit and can
-    // dominate a parallel round. An endpoint may instead split each
-    // round into independent slices: the fabric then drives it as
-    //
-    //   advanceBegin   (one worker: the serial prologue, e.g. ingress
-    //                   and classification)
-    //   advanceSlice x advanceSliceCount()  (workers, concurrently;
-    //                   slices must touch disjoint state)
-    //   advanceMerge   (driving thread, in step order, before commit:
-    //                   fold per-slice scratch into shared state)
-    //
-    // and never calls advance(). The begin phase of every sliced
-    // endpoint runs to completion (pool barrier) before any slice runs.
-    // Because slices share no mutable state and all folding happens in
-    // step order on the driving thread, results and telemetry stay
-    // byte-identical to the monolithic path for any worker count.
-
-    /** Number of independent slices this endpoint splits a round into;
-     *  1 (the default) means the plain advance() path. Must be stable
-     *  while the endpoint is registered with a fabric. */
-    virtual uint32_t advanceSliceCount() const { return 1; }
-
-    /** Serial prologue of a sliced round (single worker). */
-    virtual void advanceBegin(Cycles window_start, Cycles window,
-                              const std::vector<const TokenBatch *> &in,
-                              std::vector<TokenBatch> &out);
-
-    /** One concurrent slice; `slice` < advanceSliceCount(). */
-    virtual void advanceSlice(uint32_t slice, Cycles window_start,
-                              Cycles window,
-                              const std::vector<const TokenBatch *> &in,
-                              std::vector<TokenBatch> &out);
-
-    /** Driving-thread epilogue: fold slice scratch into shared state. */
-    virtual void advanceMerge(Cycles window_start, Cycles window,
-                              std::vector<TokenBatch> &out);
+    /** Always 1; perfbench/span_trace.cc is its only user. */
+    uint32_t advanceSliceCount() const { return 1; }
 };
 
 /**
@@ -270,11 +231,12 @@ class TokenEndpoint
  *
  * Threading contract: every callback fires on the fabric's driving
  * thread, in an order independent of the worker count, EXCEPT
- * onAdvanceStart/onAdvanceEnd, which fire on whichever worker advances
+ * onAdvanceStart/onAdvanceEnd, which fire on the worker that advances
  * the endpoint and may run concurrently across endpoints when parallel
  * execution is enabled (TokenFabric::setParallelHosts). Implementations
  * of those two hooks must be thread-safe; for one endpoint the pair is
- * always called on the same thread, in order.
+ * always called on the same thread, in order. The fabric never fires
+ * onSliceStart/onSliceEnd.
  */
 class FabricObserver
 {
@@ -349,19 +311,10 @@ class FabricObserver
         (void)round_start;
     }
 
-    /** `slice` value passed to the slice brackets for the serial
-     *  advanceBegin() prologue of a sliced endpoint. */
+    /** perfbench/span_trace.cc is its only user. */
     static constexpr int32_t kBeginSlice = -1;
 
-    /**
-     * Bracketing hooks around one phase of a *sliced* endpoint's round
-     * (see TokenEndpoint::advanceSliceCount). Sliced endpoints fire
-     * these instead of onAdvanceStart/onAdvanceEnd — their phases run
-     * concurrently, so a single per-endpoint bracket would be racy.
-     * Same threading contract as onAdvanceStart/End: may fire from any
-     * worker, concurrently across (endpoint, slice) pairs; for one
-     * (endpoint, slice) the pair is called on one thread, in order.
-     */
+    /** Never fired; perfbench/span_trace.cc is their only user. */
     virtual void onSliceStart(size_t endpoint_idx, int32_t slice,
                               Cycles round_start)
     {
@@ -530,12 +483,10 @@ class TokenFabric
      * loop. Meaningful only after run() with parallelHosts >= 2;
      * never part of the deterministic telemetry surface.
      */
-    const SchedTelemetry &schedTelemetry() const { return schedTel; }
-
-    /** Advance units in the main pass (slices + monolithic advances);
-     *  equals endpointCount() when nothing is sliced. Requires
-     *  finalize(). */
-    size_t advanceUnitCount() const { return mainUnits.size(); }
+    const SchedTelemetry &schedTelemetry() const
+    {
+        return sched.telemetry();
+    }
 
     /**
      * Finalize wiring: checks that every port is connected, computes the
@@ -607,9 +558,8 @@ class TokenFabric
 
     /**
      * Measured advance cost of endpoint @p idx in ns per round: the
-     * round schedulers' EWMA summed over the endpoint's advance units
-     * (begin + slices or the monolithic advance). 0 until measured —
-     * the cost model only runs with parallelHosts >= 2. Host-side
+     * round scheduler's EWMA for the endpoint's unit. 0 until measured
+     * — the cost model only runs with parallelHosts >= 2. Host-side
      * accounting for the deployment mapper (manager/deploy); never
      * part of the deterministic simulation surface.
      */
@@ -677,21 +627,7 @@ class TokenFabric
         // finalize()): the observer callbacks' channel_idx.
         std::vector<size_t> inIndex;
         std::vector<size_t> outIndex;
-        uint32_t slices = 1; //!< cached advanceSliceCount()
-        bool down = false;   //!< observers parked it this round
-    };
-
-    /**
-     * One schedulable piece of a round's advance phase: either a whole
-     * endpoint's advance() (slice == kWholeEndpoint) or one slice of a
-     * sliced endpoint. Built at finalize(); indices into these lists
-     * are what the RoundScheduler partitions.
-     */
-    struct AdvanceUnit
-    {
-        static constexpr int32_t kWholeEndpoint = -1;
-        uint32_t endpoint = 0;
-        int32_t slice = kWholeEndpoint;
+        bool down = false; //!< observers parked it this round
     };
 
     /**
@@ -735,21 +671,10 @@ class TokenFabric
     // ---- The three round phases (see the file comment) ---------------
     /** Driving thread: down-verdict, input pops, output-batch prep. */
     void prepareEndpoint(size_t idx);
-    /** Single-threaded phase 2: whole endpoint, slices inline. */
+    /** Any thread: one endpoint's advance() inside its brackets. */
     void advanceEndpoint(size_t idx);
-    /** Driving thread: slice merge, transmit observers, pushes. */
+    /** Driving thread: transmit observers, pushes. */
     void commitEndpoint(size_t idx);
-
-    // Phase-2 building blocks shared by the single-threaded path and
-    // the scheduler's unit bodies (any worker thread).
-    void advanceMonolithic(size_t idx);
-    void advanceBeginPhase(size_t idx);
-    void advanceSlicePhase(size_t idx, uint32_t slice);
-    /** Scheduler unit bodies. */
-    void execBeginUnit(uint32_t unit);
-    void execMainUnit(uint32_t unit);
-    /** (Re)configure the schedulers when the pool width changed. */
-    void ensureSchedulers();
 
     Cycles functionalWindow = 0; //!< 0 = cycle-exact timing
     std::vector<Link> pendingLinks;
@@ -765,16 +690,9 @@ class TokenFabric
     FlitPool pool;
     std::unique_ptr<ThreadPool> workers; //!< null when single-threaded
     unsigned parHosts = 1;
-    // Advance-unit lists (finalize) and their round schedulers. The
-    // begin pass holds sliced endpoints' serial prologues; the main
-    // pass holds every slice plus every monolithic advance. Two passes
-    // ensure a sliced endpoint's ingress completes before its slices.
-    std::vector<AdvanceUnit> beginUnits;
-    std::vector<AdvanceUnit> mainUnits;
-    RoundScheduler schedBegin;
-    RoundScheduler schedMain;
-    SchedTelemetry schedTel;
-    unsigned schedWidth = 0; //!< pool width the schedulers are built for
+    /** Unit u is endpoint u; configured for `workers` whenever the
+     *  pool or the endpoint list is (re)built. */
+    RoundScheduler sched;
     Cycles quant = 0;
     Cycles curCycle = 0;
     uint64_t roundCount = 0;

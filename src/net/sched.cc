@@ -30,31 +30,25 @@ void
 SchedTelemetry::reset(unsigned width)
 {
     workers.assign(width, Worker{});
-    roundBusy.assign(width, 0);
     rounds = 0;
     sumMaxBusyNs = 0;
     sumMeanBusyNs = 0.0;
 }
 
 void
-SchedTelemetry::beginRound()
-{
-    std::fill(roundBusy.begin(), roundBusy.end(), 0);
-}
-
-void
-SchedTelemetry::endRound()
+SchedTelemetry::recordRound(const std::vector<uint64_t> &busy)
 {
     uint64_t max = 0, total = 0;
     unsigned active = 0;
-    for (uint64_t b : roundBusy) {
-        max = std::max(max, b);
-        total += b;
-        if (b > 0)
+    for (size_t w = 0; w < busy.size(); ++w) {
+        workers[w].busyNs += busy[w];
+        max = std::max(max, busy[w]);
+        total += busy[w];
+        if (busy[w] > 0)
             ++active;
     }
-    // Rounds where nothing was measured (no units, or a width change
-    // mid-run) would skew the ratio toward zero; skip them.
+    // Rounds where nothing was measured (no units) would skew the
+    // ratio toward zero; skip them.
     if (total == 0)
         return;
     ++rounds;
@@ -84,32 +78,29 @@ SchedTelemetry::totalBusyNs() const
 }
 
 void
-RoundScheduler::configure(size_t units, unsigned width,
-                          SchedTelemetry *telemetry)
+RoundScheduler::configure(size_t units, unsigned width)
 {
     FS_ASSERT(width >= 1, "scheduler width must be at least 1");
-    FS_ASSERT(!telemetry || telemetry->workers.size() >= width,
-              "telemetry not sized for the pool");
     units_ = units;
-    tel = telemetry;
+    tel.reset(width);
     ewmaNs.assign(units, 0.0);
-    scratch.assign(width, WorkerScratch{});
+    roundBusy.assign(width, 0);
 }
 
 void
 RoundScheduler::runWorker(unsigned worker, unsigned width, UnitFn fn,
                           void *ctx)
 {
-    WorkerScratch &ws = scratch[worker];
-    ws.busyNs = 0;
+    uint64_t busy = 0;
     for (size_t u = worker; u < units_; u += width) {
         uint64_t t0 = nowNs();
         fn(ctx, static_cast<uint32_t>(u));
         uint64_t ns = nowNs() - t0;
         // Unit u always runs on this worker, so its EWMA slot is ours.
         recordSample(static_cast<uint32_t>(u), ns);
-        ws.busyNs += ns;
+        busy += ns;
     }
+    roundBusy[worker] = busy;
 }
 
 void
@@ -118,32 +109,12 @@ RoundScheduler::dispatch(ThreadPool &pool, UnitFn fn, void *ctx)
     if (units_ == 0)
         return;
     unsigned width = pool.width();
-    FS_ASSERT(scratch.size() == width,
+    FS_ASSERT(roundBusy.size() == width,
               "RoundScheduler not configured for this pool");
-
-    if (width == 1) {
-        runWorker(0, 1, fn, ctx);
-    } else {
-        struct Ctx
-        {
-            RoundScheduler *self;
-            unsigned width;
-            UnitFn fn;
-            void *ctx;
-        } dc{this, width, fn, ctx};
-        pool.parallelRun([&dc](unsigned w) {
-            dc.self->runWorker(w, dc.width, dc.fn, dc.ctx);
-        });
-    }
-
-    // Post-barrier, driving thread: fold the measurements into the
-    // shared telemetry.
-    if (tel) {
-        for (unsigned w = 0; w < width; ++w) {
-            tel->workers[w].busyNs += scratch[w].busyNs;
-            tel->roundBusy[w] += scratch[w].busyNs;
-        }
-    }
+    pool.parallelRun(
+        [this, width, fn, ctx](unsigned w) { runWorker(w, width, fn, ctx); });
+    // Post-barrier, driving thread.
+    tel.recordRound(roundBusy);
 }
 
 void

@@ -2,18 +2,17 @@
  * @file
  * Round scheduling for the token fabric's worker pool.
  *
- * The fabric splits each round's advance phase into AdvanceUnits (one
- * per monolithic endpoint, or a sliced switch's begin phase and slices;
- * see net/fabric.hh). The RoundScheduler runs them on a worker pool
- * with a fixed strided assignment: worker w of W runs units w, w+W,
- * w+2W, ... every round.
+ * Each round's advance phase is one unit per endpoint (unit u is
+ * endpoint u; see net/fabric.hh). The RoundScheduler runs them with one
+ * ThreadPool::parallelRun dispatch and a fixed strided assignment:
+ * worker w of W runs units w, w+W, w+2W, ... every round.
  *
  * Determinism: the assignment moves host work between host threads and
  * never touches simulated state. Units share no mutable state (the
  * fabric's decomposition license, paper Section III-B2), and every
  * result-bearing callback runs on the driving thread in step order, so
  * simulation results, stats, and telemetry artifacts are byte-identical
- * for every worker count and slicing — property-tested in
+ * for every worker count — property-tested in
  * tests/net/fabric_sched_test.cc.
  *
  * The scheduler also measures every unit's wall time and folds it into
@@ -40,10 +39,9 @@ namespace firesim
 {
 
 /**
- * Host-side load-balance accounting, shared by the fabric's begin- and
- * main-pass schedulers so per-worker busy time aggregates per *round*.
- * All numbers are wall-clock: never byte-identical between runs, never
- * part of the deterministic telemetry surface.
+ * Host-side load-balance accounting of a RoundScheduler, per worker and
+ * per round. All numbers are wall-clock: never byte-identical between
+ * runs, never part of the deterministic telemetry surface.
  */
 struct SchedTelemetry
 {
@@ -58,15 +56,15 @@ struct SchedTelemetry
     /** Σ over rounds of (Σ-worker busy / workers *that did work*).
      *  Dividing by the configured width would understate imbalance
      *  whenever a round uses fewer workers than the pool has (fewer
-     *  units than workers, a begin-only pass, ...). */
+     *  units than workers). */
     double sumMeanBusyNs = 0.0;
 
     /** Reset all counters for a pool of @p width workers. */
     void reset(unsigned width);
 
-    /** Bracket one fabric round (driving thread). */
-    void beginRound();
-    void endRound();
+    /** Fold one round's busy ns per worker (indexed by worker id;
+     *  sized like `workers`). Driving thread only. */
+    void recordRound(const std::vector<uint64_t> &busy);
 
     /**
      * Load-balance figure of merit, weighted by round length:
@@ -77,31 +75,22 @@ struct SchedTelemetry
     double maxMeanBusyRatio() const;
 
     uint64_t totalBusyNs() const;
-
-    /** Per-round per-worker busy scratch (owned here so both fabric
-     *  passes accumulate into the same round). */
-    std::vector<uint64_t> roundBusy;
 };
 
-/**
- * Runs one pass's advance units across a worker pool each round. One
- * instance per fabric pass (begin pass, main pass): the EWMA cost table
- * is per-unit, and unit indices are pass-local.
- */
+/** Runs a round's advance units across a worker pool. */
 class RoundScheduler
 {
   public:
     /** Type-erased unit body (allocation-free dispatch, like
-     *  ThreadPool's BatchFn). */
+     *  ThreadPool's JobFn). */
     using UnitFn = void (*)(void *ctx, uint32_t unit);
 
     /**
      * (Re)configure for @p units work items on a pool of @p width
-     * workers, accumulating load accounting into @p telemetry (whose
-     * `workers` must already be sized for @p width). Resets the cost
-     * model. Driving thread only, between rounds.
+     * workers. Resets the cost model and the telemetry. Driving thread
+     * only, between rounds.
      */
-    void configure(size_t units, unsigned width, SchedTelemetry *telemetry);
+    void configure(size_t units, unsigned width);
 
     /** Expected cost of @p unit in ns (0 until first measured). */
     double expectedCostNs(uint32_t unit) const { return ewmaNs.at(unit); }
@@ -120,27 +109,26 @@ class RoundScheduler
      * Run fn(ctx, u) exactly once for every configured unit across
      * @p pool (the calling thread participates), measure per-unit wall
      * time, and fold the measurements into the EWMA cost model and the
-     * shared telemetry. Full barrier; driving thread only.
+     * telemetry. Full barrier; driving thread only.
      */
     void dispatch(ThreadPool &pool, UnitFn fn, void *ctx);
+
+    const SchedTelemetry &telemetry() const { return tel; }
 
   private:
     /** Worker @p worker's share: units worker, worker + width, ... */
     void runWorker(unsigned worker, unsigned width, UnitFn fn, void *ctx);
 
     size_t units_ = 0;
-    SchedTelemetry *tel = nullptr;
+    SchedTelemetry tel;
 
     /** Per-unit cost model. Each slot is written only by the worker
      *  that runs the unit; the dispatch barrier publishes it. */
     std::vector<double> ewmaNs;
 
-    /** Per-worker measurement scratch, padded to avoid false sharing. */
-    struct alignas(64) WorkerScratch
-    {
-        uint64_t busyNs = 0;
-    };
-    std::vector<WorkerScratch> scratch;
+    /** This round's busy ns per worker, each slot written once per
+     *  dispatch by its worker. */
+    std::vector<uint64_t> roundBusy;
 };
 
 } // namespace firesim

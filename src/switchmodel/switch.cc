@@ -17,12 +17,6 @@ Switch::Switch(SwitchConfig config)
     assemblers.resize(cfg.ports);
     outputs.resize(cfg.ports);
     portDown_.assign(cfg.ports, false);
-    // Egress slicing: ceil(ports / slicePorts) groups, but only when
-    // that actually yields more than one (a 4-port switch at the
-    // default group size stays on the plain advance() path).
-    if (cfg.slicePorts > 0 && cfg.ports > cfg.slicePorts)
-        sliceCount_ = (cfg.ports + cfg.slicePorts - 1) / cfg.slicePorts;
-    sliceScratch.resize(sliceCount_);
 }
 
 void
@@ -87,50 +81,6 @@ Switch::advance(Cycles window_start, Cycles window,
     ingress(window_start, in);
     switchingStep();
     egress(window_start, window, out);
-}
-
-void
-Switch::advanceBegin(Cycles window_start, Cycles window,
-                     const std::vector<const TokenBatch *> &in,
-                     std::vector<TokenBatch> &out)
-{
-    (void)window;
-    FS_ASSERT(in.size() == cfg.ports && out.size() == cfg.ports,
-              "switch %s handed %zu/%zu batches for %u ports",
-              cfg.name.c_str(), in.size(), out.size(), cfg.ports);
-    // The serial prologue owns the shared state (assemblers, the
-    // pending priority queue, output queues, stats) exclusively — it is
-    // a single advance unit, so updating stats_ directly is safe here.
-    ingress(window_start, in);
-    switchingStep();
-}
-
-void
-Switch::advanceSlice(uint32_t slice, Cycles window_start, Cycles window,
-                     const std::vector<const TokenBatch *> &in,
-                     std::vector<TokenBatch> &out)
-{
-    (void)in;
-    FS_ASSERT(slice < sliceCount_, "switch %s slice %u of %u",
-              cfg.name.c_str(), slice, sliceCount_);
-    Cycles window_end = window_start + window;
-    uint32_t lo = slice * cfg.slicePorts;
-    uint32_t hi = std::min(cfg.ports, lo + cfg.slicePorts);
-    EgressScratch &scratch = sliceScratch[slice];
-    scratch.clear();
-    for (uint32_t p = lo; p < hi; ++p)
-        egressPort(p, window_start, window_end, out[p], scratch);
-}
-
-void
-Switch::advanceMerge(Cycles window_start, Cycles window,
-                     std::vector<TokenBatch> &out)
-{
-    (void)window_start;
-    (void)window;
-    (void)out;
-    for (const EgressScratch &scratch : sliceScratch)
-        foldScratch(scratch);
 }
 
 void
@@ -222,25 +172,19 @@ Switch::enqueueOutput(uint32_t port, const EthFrame &frame, Cycles release,
 void
 Switch::egress(Cycles window_start, Cycles window, std::vector<TokenBatch> &out)
 {
-    // Monolithic path: same per-port routine as the sliced path, with
-    // one scratch folded immediately — identical arithmetic, identical
-    // results.
     Cycles window_end = window_start + window;
-    EgressScratch &scratch = sliceScratch[0];
-    scratch.clear();
     for (uint32_t p = 0; p < cfg.ports; ++p)
-        egressPort(p, window_start, window_end, out[p], scratch);
-    foldScratch(scratch);
+        egressPort(p, window_start, window_end, out[p]);
 }
 
 void
 Switch::egressPort(uint32_t p, Cycles window_start, Cycles window_end,
-                   TokenBatch &out, EgressScratch &scratch)
+                   TokenBatch &out)
 {
     OutputPort &port = outputs[p];
     if (portDown_[p]) {
         // Packets routed here after the port went down are lost.
-        scratch.faultPacketsDroppedOut += port.queue.size();
+        stats_.faultPacketsDroppedOut += port.queue.size();
         port.queue.clear();
         return;
     }
@@ -260,7 +204,7 @@ Switch::egressPort(uint32_t p, Cycles window_start, Cycles window_end,
             // Finite buffering: a packet that has waited longer than
             // the drop bound past its release time is discarded.
             if (start > head.release + cfg.dropBound) {
-                ++scratch.packetsDropped;
+                ++stats_.packetsDropped;
                 port.queue.pop_front();
                 continue;
             }
@@ -288,8 +232,9 @@ Switch::egressPort(uint32_t p, Cycles window_start, Cycles window_end,
         }
 
         if (port.activePos >= bytes.size()) {
-            ++scratch.packetsOut;
-            scratch.bytesOut += bytes.size();
+            ++stats_.packetsOut;
+            stats_.bytesOut += bytes.size();
+            bytesOutSinceQuery += bytes.size();
             port.active.reset();
             port.activePos = 0;
         } else {
@@ -297,16 +242,6 @@ Switch::egressPort(uint32_t p, Cycles window_start, Cycles window_end,
             break;
         }
     }
-}
-
-void
-Switch::foldScratch(const EgressScratch &scratch)
-{
-    stats_.packetsOut += scratch.packetsOut;
-    stats_.bytesOut += scratch.bytesOut;
-    stats_.packetsDropped += scratch.packetsDropped;
-    stats_.faultPacketsDroppedOut += scratch.faultPacketsDroppedOut;
-    bytesOutSinceQuery += scratch.bytesOut;
 }
 
 uint64_t

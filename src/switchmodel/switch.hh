@@ -61,17 +61,6 @@ struct SwitchConfig
      * 8 B/cycle.
      */
     Cycles dropBound = 8192;
-    /**
-     * Output ports per egress slice when the fabric runs this switch as
-     * a sliced endpoint (TokenEndpoint::advanceSliceCount): a switch
-     * with more ports than this splits its egress across
-     * ceil(ports / slicePorts) concurrent advance units, after a serial
-     * ingress/switching prologue. 0 disables slicing (one monolithic
-     * advance). The default turns a 32-port ToR into 8 slices while
-     * leaving the 4-port switches of small topologies monolithic.
-     * Results are bit-identical for every value.
-     */
-    uint32_t slicePorts = 4;
 };
 
 /** Counters exposed for experiments (e.g. Figure 6's root-switch BW). */
@@ -114,20 +103,6 @@ class Switch : public TokenEndpoint
                  const std::vector<const TokenBatch *> &in,
                  std::vector<TokenBatch> &out) override;
 
-    // Sliced advance: serial ingress/switching prologue, one egress
-    // slice per slicePorts-sized output-port group, per-slice stat
-    // scratch folded on the driving thread. The sliced and monolithic
-    // paths produce bit-identical tokens and stats (tests/switchmodel).
-    uint32_t advanceSliceCount() const override { return sliceCount_; }
-    void advanceBegin(Cycles window_start, Cycles window,
-                      const std::vector<const TokenBatch *> &in,
-                      std::vector<TokenBatch> &out) override;
-    void advanceSlice(uint32_t slice, Cycles window_start, Cycles window,
-                      const std::vector<const TokenBatch *> &in,
-                      std::vector<TokenBatch> &out) override;
-    void advanceMerge(Cycles window_start, Cycles window,
-                      std::vector<TokenBatch> &out) override;
-
     /** Install a static MAC table entry: frames for @p mac exit @p port. */
     void addMacEntry(MacAddr mac, uint32_t port);
 
@@ -164,9 +139,7 @@ class Switch : public TokenEndpoint
      * Serialize the full inter-round state: MAC table, port admin
      * state, per-port partial frames, the pending priority queue,
      * every output port (queue, active packet, link cursor), sequence
-     * counter, and counters. sliceScratch is intra-round scratch and
-     * is excluded — snapshots happen at round barriers where it is
-     * clear.
+     * counter, and counters.
      */
     void snapshotSave(Serializer &s) const;
     void snapshotRestore(Deserializer &d, SnapshotErrors &err);
@@ -207,38 +180,14 @@ class Switch : public TokenEndpoint
     virtual void insertInQueue(OutputPort &port, QueuedPacket &&packet);
 
   private:
-    /**
-     * Per-slice egress counter deltas. Concurrent egress slices may not
-     * touch the shared SwitchStats, so each accumulates here and the
-     * driving thread folds them in slice order (advanceMerge). Sums are
-     * grouping-independent, so any slicing yields identical stats.
-     * Padded so concurrent slices don't false-share a cache line.
-     */
-    struct alignas(64) EgressScratch
-    {
-        uint64_t packetsOut = 0;
-        uint64_t bytesOut = 0;
-        uint64_t packetsDropped = 0;
-        uint64_t faultPacketsDroppedOut = 0;
-
-        void
-        clear()
-        {
-            packetsOut = bytesOut = 0;
-            packetsDropped = faultPacketsDroppedOut = 0;
-        }
-    };
-
     void ingress(Cycles window_start,
                  const std::vector<const TokenBatch *> &in);
     void switchingStep();
     void egress(Cycles window_start, Cycles window,
                 std::vector<TokenBatch> &out);
-    /** Serialize one port's queue into its output batch; counter
-     *  deltas go to @p scratch, not the shared stats. */
+    /** Serialize one port's queue into its output batch. */
     void egressPort(uint32_t port, Cycles window_start, Cycles window_end,
-                    TokenBatch &out, EgressScratch &scratch);
-    void foldScratch(const EgressScratch &scratch);
+                    TokenBatch &out);
 
     void enqueueOutput(uint32_t port, const EthFrame &frame,
                        Cycles release, uint64_t seq);
@@ -266,8 +215,6 @@ class Switch : public TokenEndpoint
     std::vector<OutputPort> outputs;
     uint64_t nextSeq = 0;
     uint64_t bytesOutSinceQuery = 0;
-    uint32_t sliceCount_ = 1;
-    std::vector<EgressScratch> sliceScratch; //!< one per egress slice
 };
 
 } // namespace firesim

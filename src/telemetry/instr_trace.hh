@@ -31,7 +31,6 @@
 namespace firesim
 {
 
-class ThreadPool;
 class Serializer;
 class Deserializer;
 struct SnapshotErrors;
@@ -110,25 +109,12 @@ class InstructionTrace
      */
     std::string encodeCompressed() const;
 
-    /**
-     * Parallel encode on @p pool: the ring is chunked into one segment
-     * per pool thread, each encoded concurrently, and the results are
-     * concatenated in order. A record's encoding depends only on the
-     * previous record and itself, and each chunk reads its predecessor
-     * raw from the ring, so the output is byte-identical to the serial
-     * path (asserted in tests/telemetry). Null pool, a width-1 pool, or
-     * a small trace falls back to the serial encoder.
-     */
-    std::string encodeCompressed(ThreadPool *pool) const;
-
     /** Inverse of encodeCompressed(); panics on a corrupt stream. */
     static std::vector<TraceRecord> decodeCompressed(
         const std::string &bytes);
 
-    /** Write encodeCompressed() to @p path; false on I/O failure.
-     *  A non-null @p pool selects the parallel encoder. */
-    bool writeCompressed(const std::string &path,
-                         ThreadPool *pool = nullptr) const;
+    /** Write encodeCompressed() to @p path; false on I/O failure. */
+    bool writeCompressed(const std::string &path) const;
 
     /** Read a file written by writeCompressed(). */
     static std::vector<TraceRecord> readCompressed(

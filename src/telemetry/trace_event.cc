@@ -124,15 +124,6 @@ void
 HostProfiler::onAttach(TokenFabric &fabric)
 {
     advanceT0s.resize(fabric.endpointCount(), 0.0);
-    sliceT0Base.assign(fabric.endpointCount(), 0);
-    size_t slots = 0;
-    for (size_t i = 0; i < fabric.endpointCount(); ++i) {
-        uint32_t slices = fabric.endpointAt(i).advanceSliceCount();
-        sliceT0Base[i] = slots;
-        if (slices > 1)
-            slots += static_cast<size_t>(slices) + 1; // + begin phase
-    }
-    sliceT0s.assign(slots, 0.0);
 }
 
 void
@@ -172,35 +163,6 @@ HostProfiler::onAdvanceEnd(size_t endpoint_idx, Cycles round_start)
     else
         label.name = defaultName;
     double t0 = advanceT0s[endpoint_idx];
-    sink.complete(label.name, label.cat, t0, sink.nowUs() - t0,
-                  static_cast<uint32_t>(endpoint_idx) + 1);
-}
-
-void
-HostProfiler::onSliceStart(size_t endpoint_idx, int32_t slice,
-                           Cycles round_start)
-{
-    (void)round_start;
-    size_t slot = sliceT0Base.at(endpoint_idx) +
-                  static_cast<size_t>(slice + 1);
-    sliceT0s[slot] = sink.nowUs();
-}
-
-void
-HostProfiler::onSliceEnd(size_t endpoint_idx, int32_t slice,
-                         Cycles round_start)
-{
-    (void)round_start;
-    EndpointLabel label;
-    if (endpoint_idx < labels.size())
-        label = labels[endpoint_idx];
-    else
-        label.name = defaultName;
-    size_t slot = sliceT0Base.at(endpoint_idx) +
-                  static_cast<size_t>(slice + 1);
-    double t0 = sliceT0s[slot];
-    // Slices of one endpoint share its lane; concurrent slices render
-    // as stacked overlapping spans, which is what they are.
     sink.complete(label.name, label.cat, t0, sink.nowUs() - t0,
                   static_cast<uint32_t>(endpoint_idx) + 1);
 }

@@ -134,10 +134,6 @@ class HostProfiler : public FabricObserver
     void onRoundEnd(Cycles round_start, uint64_t round) override;
     void onAdvanceStart(size_t endpoint_idx, Cycles round_start) override;
     void onAdvanceEnd(size_t endpoint_idx, Cycles round_start) override;
-    void onSliceStart(size_t endpoint_idx, int32_t slice,
-                      Cycles round_start) override;
-    void onSliceEnd(size_t endpoint_idx, int32_t slice,
-                    Cycles round_start) override;
 
   private:
     struct EndpointLabel
@@ -156,13 +152,6 @@ class HostProfiler : public FabricObserver
     // (fabric threading contract), but each endpoint's pair stays on
     // one thread, so disjoint slots need no locking.
     std::vector<double> advanceT0s;
-    // Sliced endpoints get one slot per phase (begin + each slice),
-    // flattened: endpoint i's slots start at sliceT0Base[i], the begin
-    // phase (slice == kBeginSlice) maps to offset 0, slice s to s + 1.
-    // Same disjoint-slot argument: one (endpoint, slice) pair stays on
-    // one thread.
-    std::vector<double> sliceT0s;
-    std::vector<size_t> sliceT0Base;
 };
 
 /**

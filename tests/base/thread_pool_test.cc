@@ -1,15 +1,14 @@
 /**
  * @file
- * ThreadPool unit tests: every item runs exactly once, results are
- * visible after the barrier, pools are reusable across batches, and
- * the width-1 pool degenerates to inline execution.
+ * ThreadPool unit tests: every worker id runs exactly once per
+ * dispatch, results are visible after the barrier, pools are reusable
+ * across dispatches, and the width-1 pool degenerates to inline
+ * execution.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -30,72 +29,44 @@ TEST(ThreadPool, WidthOnePoolRunsInline)
     ThreadPool pool(1);
     EXPECT_EQ(pool.width(), 1u);
     std::thread::id caller = std::this_thread::get_id();
-    std::vector<std::thread::id> ran(16);
-    pool.parallelFor(ran.size(),
-                     [&](size_t i) { ran[i] = std::this_thread::get_id(); });
-    for (const auto &id : ran)
-        EXPECT_EQ(id, caller);
-}
-
-TEST(ThreadPool, EveryItemRunsExactlyOnce)
-{
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.width(), 4u);
-    std::vector<std::atomic<int>> hits(1000);
-    pool.parallelFor(hits.size(), [&](size_t i) { ++hits[i]; });
-    for (const auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
+    std::vector<std::thread::id> ran;
+    pool.parallelRun([&](unsigned id) {
+        EXPECT_EQ(id, 0u);
+        ran.push_back(std::this_thread::get_id());
+    });
+    ASSERT_EQ(ran.size(), 1u);
+    EXPECT_EQ(ran[0], caller);
 }
 
 TEST(ThreadPool, BarrierPublishesWorkerWrites)
 {
     // Plain (non-atomic) writes by workers must be visible to the
-    // caller after parallelFor returns: the round barrier is what lets
+    // caller after parallelRun returns: the round barrier is what lets
     // the fabric's commit phase read advance() results without locks.
-    ThreadPool pool(8);
+    constexpr unsigned kWidth = 8;
+    ThreadPool pool(kWidth);
     std::vector<uint64_t> out(4096, 0);
-    pool.parallelFor(out.size(), [&](size_t i) { out[i] = i * i; });
+    pool.parallelRun([&](unsigned id) {
+        for (size_t i = id; i < out.size(); i += kWidth)
+            out[i] = i * i;
+    });
     for (size_t i = 0; i < out.size(); ++i)
         ASSERT_EQ(out[i], i * i);
 }
 
 TEST(ThreadPool, ReusableAcrossManyBatches)
 {
-    ThreadPool pool(3);
+    constexpr unsigned kWidth = 3;
+    ThreadPool pool(kWidth);
     std::vector<uint64_t> acc(64, 0);
-    for (int round = 0; round < 200; ++round)
-        pool.parallelFor(acc.size(), [&](size_t i) { acc[i] += i; });
+    for (int round = 0; round < 200; ++round) {
+        pool.parallelRun([&](unsigned id) {
+            for (size_t i = id; i < acc.size(); i += kWidth)
+                acc[i] += i;
+        });
+    }
     for (size_t i = 0; i < acc.size(); ++i)
         EXPECT_EQ(acc[i], 200 * i);
-}
-
-TEST(ThreadPool, EmptyAndSingleItemBatches)
-{
-    ThreadPool pool(4);
-    int ran = 0;
-    pool.parallelFor(0, [&](size_t) { ++ran; });
-    EXPECT_EQ(ran, 0);
-    pool.parallelFor(1, [&](size_t i) {
-        EXPECT_EQ(i, 0u);
-        ++ran;
-    });
-    EXPECT_EQ(ran, 1);
-}
-
-TEST(ThreadPool, MoreItemsThanThreadsBalances)
-{
-    // Dynamic claiming: with wildly uneven item costs, no item is lost
-    // and the total matches (the fabric's switch-vs-blade imbalance).
-    ThreadPool pool(4);
-    std::atomic<uint64_t> total{0};
-    pool.parallelFor(257, [&](size_t i) {
-        uint64_t burn = (i % 7 == 0) ? 20000 : 10;
-        volatile uint64_t x = 0;
-        for (uint64_t k = 0; k < burn; ++k)
-            x = x + k;
-        total += i;
-    });
-    EXPECT_EQ(total.load(), 257ull * 256ull / 2ull);
 }
 
 TEST(ThreadPool, ParallelRunVisitsEveryWorkerExactlyOnce)

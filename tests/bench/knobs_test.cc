@@ -54,7 +54,6 @@ const std::map<std::string, std::vector<const char *>> kMalformed = {
     // (strtoul would skip it), no sign but '+', no junk, no overflow.
     {"--parallel-hosts=",
      {"", "abc", "-3", "3x", "+", "4294967296", " 8", "\t8", " +8", "8 "}},
-    {"--switch-slice-ports=", {"abc", "4 "}},
     {"--shards=", {"2x", "0"}},
     {"--shard-rank=", {"1 ", "x"}},
     {"--shard-connect=",

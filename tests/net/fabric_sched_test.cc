@@ -1,14 +1,14 @@
 /**
  * @file
  * The round scheduler and its determinism matrix. The same topology run
- * across {1, 2, 8} workers x {monolithic, sliced switches} must produce
- * bit-identical results — delivered frames, token streams, switch
- * statistics — and the same holds under an active fault plan. A
+ * across {1, 2, 8} workers x {cycle-exact, functional timing} must
+ * produce bit-identical results — delivered frames, token streams,
+ * switch statistics — and the same holds under an active fault plan. A
  * cluster-level variant asserts the telemetry artifacts (stats.json,
- * autocounter.csv, reports) stay byte-identical too: scheduling and
- * slicing move host work around, never simulated state. Unit tests
- * cover the scheduler's every-unit-exactly-once dispatch, its cost
- * model, and its load-balance accounting.
+ * autocounter.csv, reports) stay byte-identical too: scheduling moves
+ * host work around, never simulated state. Unit tests cover the
+ * scheduler's every-unit-exactly-once dispatch, its cost model, its
+ * load-balance accounting, and the deployment profile it feeds.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 
 #include "fault/injector.hh"
 #include "manager/cluster.hh"
+#include "manager/deploy.hh"
 #include "manager/topology.hh"
 #include "net/fabric.hh"
 #include "net/sched.hh"
@@ -91,18 +92,17 @@ struct RunDigest
 };
 
 /**
- * The 10-endpoint two-switch topology from the parallel suite, with
- * configurable scheduling: @p slice_ports 0 keeps the switches
- * monolithic, 2 splits each 5-port switch into 3 advance slices.
+ * The 10-endpoint two-switch topology from the parallel suite on
+ * @p hosts workers; a nonzero @p functional_window switches the fabric
+ * to functional timing with that window.
  */
 RunDigest
-runFabric(unsigned hosts, uint32_t slice_ports, bool with_faults)
+runFabric(unsigned hosts, Cycles functional_window, bool with_faults)
 {
     const Cycles lat = 200;
 
     SwitchConfig scfg;
     scfg.ports = 5; // 4 downlinks + trunk
-    scfg.slicePorts = slice_ports;
     scfg.name = "swA";
     Switch swA(scfg);
     scfg.name = "swB";
@@ -124,16 +124,12 @@ runFabric(unsigned hosts, uint32_t slice_ports, bool with_faults)
         swB.addMacEntry(MacAddr(i + 1), i < 4 ? 4 : i % 4);
     }
 
+    if (functional_window)
+        fabric.setFunctionalMode(functional_window);
     StreamHashObserver stream;
     fabric.addObserver(&stream);
     fabric.finalize();
     fabric.setParallelHosts(hosts);
-
-    if (slice_ports > 0 && slice_ports < scfg.ports) {
-        // Vacuity guard: slicing actually decomposed the switches.
-        EXPECT_GT(swA.advanceSliceCount(), 1u);
-        EXPECT_GT(fabric.advanceUnitCount(), fabric.endpointCount());
-    }
 
     std::unique_ptr<FaultInjector> injector;
     if (with_faults) {
@@ -185,7 +181,8 @@ runFabric(unsigned hosts, uint32_t slice_ports, bool with_faults)
     return d;
 }
 
-using MatrixParam = std::tuple<unsigned /*hosts*/, uint32_t /*slicePorts*/>;
+using MatrixParam =
+    std::tuple<unsigned /*hosts*/, Cycles /*functional window*/>;
 
 class SchedMatrix : public ::testing::TestWithParam<MatrixParam>
 {
@@ -193,9 +190,9 @@ class SchedMatrix : public ::testing::TestWithParam<MatrixParam>
 
 TEST_P(SchedMatrix, BitIdenticalToMonolithicSequentialRR)
 {
-    auto [hosts, slice_ports] = GetParam();
-    RunDigest ref = runFabric(1, 0, false);
-    RunDigest got = runFabric(hosts, slice_ports, false);
+    auto [hosts, window] = GetParam();
+    RunDigest ref = runFabric(1, window, false);
+    RunDigest got = runFabric(hosts, window, false);
     EXPECT_EQ(ref, got);
     EXPECT_EQ(ref.frames.size(), 8u * 2u * 3u);
     EXPECT_GT(ref.transmits, 0u);
@@ -203,9 +200,9 @@ TEST_P(SchedMatrix, BitIdenticalToMonolithicSequentialRR)
 
 TEST_P(SchedMatrix, BitIdenticalUnderFaultInjection)
 {
-    auto [hosts, slice_ports] = GetParam();
-    RunDigest ref = runFabric(1, 0, true);
-    RunDigest got = runFabric(hosts, slice_ports, true);
+    auto [hosts, window] = GetParam();
+    RunDigest ref = runFabric(1, window, true);
+    RunDigest got = runFabric(hosts, window, true);
     EXPECT_EQ(ref, got);
     // The plan actually bit: payload was dropped and a port went down
     // (fault drops show up in the switch counters).
@@ -217,55 +214,16 @@ TEST_P(SchedMatrix, BitIdenticalUnderFaultInjection)
 }
 
 // `rr` in the instance names is the scheduler's strided round-robin
-// assignment.
+// assignment; `mono` marks the cycle-exact runs, where every endpoint
+// advances as one unit per latency-sized round.
 INSTANTIATE_TEST_SUITE_P(
     WorkersPolicySlicing, SchedMatrix,
     ::testing::Combine(::testing::Values(1u, 2u, 8u),
-                       ::testing::Values(0u, 2u)),
+                       ::testing::Values(Cycles{0}, Cycles{500})),
     [](const ::testing::TestParamInfo<MatrixParam> &info) {
         return csprintf("w%u_rr_%s", std::get<0>(info.param),
-                        std::get<1>(info.param) ? "sliced" : "mono");
+                        std::get<1>(info.param) ? "functional" : "mono");
     });
-
-TEST(SchedFabric, AdvanceUnitCountReflectsSlicing)
-{
-    // Every switch port must be wired before finalize(), so give the
-    // 5-port switch one blade per port.
-    auto build = [](uint32_t slice_ports, size_t &units,
-                    uint32_t &slices) {
-        SwitchConfig scfg;
-        scfg.ports = 5;
-        scfg.slicePorts = slice_ports;
-        Switch sw(scfg);
-        std::vector<std::unique_ptr<ScriptedEndpoint>> eps;
-        TokenFabric fabric;
-        fabric.addEndpoint(&sw);
-        for (uint32_t p = 0; p < scfg.ports; ++p) {
-            eps.push_back(std::make_unique<ScriptedEndpoint>(
-                csprintf("e%u", p)));
-            fabric.addEndpoint(eps.back().get());
-            fabric.connect(eps.back().get(), 0, &sw, p, 100);
-        }
-        fabric.finalize();
-        units = fabric.advanceUnitCount();
-        slices = sw.advanceSliceCount();
-    };
-
-    size_t units = 0;
-    uint32_t slices = 0;
-
-    build(0, units, slices);
-    EXPECT_EQ(slices, 1u); // 0 disables slicing
-    EXPECT_EQ(units, 6u);  // one unit per endpoint
-
-    build(2, units, slices);
-    EXPECT_EQ(slices, 3u); // ceil(5 / 2)
-    EXPECT_EQ(units, 8u);  // 5 blades + 3 switch slices
-
-    build(8, units, slices);
-    EXPECT_EQ(slices, 1u); // ports <= slicePorts: monolithic
-    EXPECT_EQ(units, 6u);
-}
 
 // ---- Cluster-level: telemetry artifacts stay byte-identical ---------
 
@@ -280,14 +238,13 @@ struct ClusterDigest
 };
 
 ClusterDigest
-runCluster(unsigned hosts, uint32_t slice_ports)
+runCluster(unsigned hosts)
 {
     ClusterConfig cc;
     cc.parallelHosts = hosts;
-    cc.switchSlicePorts = slice_ports;
     cc.telemetry.enabled = true;
     cc.telemetry.samplePeriod = 64000;
-    cc.telemetry.hostProfile = true; // exercises onSliceStart/End
+    cc.telemetry.hostProfile = true; // exercises the advance brackets
     auto cluster =
         std::make_unique<Cluster>(topologies::singleTor(8), cc);
 
@@ -313,22 +270,43 @@ runCluster(unsigned hosts, uint32_t slice_ports)
 
 TEST(SchedCluster, TelemetryByteIdenticalAcrossWorkersAndSlicing)
 {
-    // The 8-port ToR slices into 4 units at slicePorts=2; the digest
-    // must match the monolithic single-threaded run for every slicing
-    // at 2 workers.
-    ClusterDigest ref = runCluster(1, 0);
+    // The digest must match the single-threaded run for every worker
+    // count.
+    ClusterDigest ref = runCluster(1);
     for (Cycles rtt : ref.rtts)
         EXPECT_GT(rtt, 0u);
     EXPECT_NE(ref.statsJson.find("framesTx"), std::string::npos);
 
-    for (uint32_t slice_ports : {0u, 2u}) {
-        ClusterDigest got = runCluster(2, slice_ports);
-        EXPECT_EQ(ref.rtts, got.rtts) << "slice ports " << slice_ports;
+    for (unsigned hosts : {2u, 4u}) {
+        ClusterDigest got = runCluster(hosts);
+        EXPECT_EQ(ref.rtts, got.rtts) << "hosts " << hosts;
         EXPECT_EQ(ref.finalCycle, got.finalCycle);
         EXPECT_EQ(ref.batchesMoved, got.batchesMoved);
         EXPECT_EQ(ref.statsJson, got.statsJson);
         EXPECT_EQ(ref.counterCsv, got.counterCsv);
         EXPECT_EQ(ref.statsReport, got.statsReport);
+    }
+}
+
+TEST(SchedCluster, DeploymentProfileCostsComeFromTheScheduler)
+{
+    // The deployment mapper's per-server cost is the scheduler's
+    // measured EWMA: nonzero for every server once a worker pool has
+    // run rounds, and all zero on the single-threaded path, which
+    // measures nothing.
+    for (unsigned hosts : {1u, 2u}) {
+        ClusterConfig cc;
+        cc.parallelHosts = hosts;
+        Cluster cluster(topologies::singleTor(4), cc);
+        cluster.runUs(20.0);
+        DeploymentProfile prof = cluster.deploymentProfile();
+        ASSERT_EQ(prof.serverCostNs.size(), 4u);
+        for (size_t j = 0; j < prof.serverCostNs.size(); ++j) {
+            if (hosts == 1)
+                EXPECT_EQ(prof.serverCostNs[j], 0.0) << "server " << j;
+            else
+                EXPECT_GT(prof.serverCostNs[j], 0.0) << "server " << j;
+        }
     }
 }
 
@@ -339,10 +317,8 @@ TEST(SchedulerDispatch, EveryUnitRunsExactlyOncePerRound)
     constexpr size_t kUnits = 23; // not a multiple of any pool width
     for (unsigned width : {1u, 2u, 4u}) {
         ThreadPool pool(width);
-        SchedTelemetry tel;
-        tel.reset(width);
         RoundScheduler sched;
-        sched.configure(kUnits, width, &tel);
+        sched.configure(kUnits, width);
 
         std::vector<std::atomic<uint32_t>> runs(kUnits);
         for (auto &r : runs)
@@ -354,7 +330,6 @@ TEST(SchedulerDispatch, EveryUnitRunsExactlyOncePerRound)
 
         const int kRounds = 20;
         for (int round = 0; round < kRounds; ++round) {
-            tel.beginRound();
             sched.dispatch(
                 pool,
                 [](void *c, uint32_t u) {
@@ -362,7 +337,6 @@ TEST(SchedulerDispatch, EveryUnitRunsExactlyOncePerRound)
                         1, std::memory_order_seq_cst);
                 },
                 &ctx);
-            tel.endRound();
         }
 
         for (size_t u = 0; u < kUnits; ++u)
@@ -371,6 +345,7 @@ TEST(SchedulerDispatch, EveryUnitRunsExactlyOncePerRound)
 
         // Every worker with units was timed, and every unit has a
         // cost measurement.
+        const SchedTelemetry &tel = sched.telemetry();
         for (unsigned w = 0; w < std::min<size_t>(width, kUnits); ++w)
             EXPECT_GT(tel.workers[w].busyNs, 0u) << "worker " << w;
         for (uint32_t u = 0; u < kUnits; ++u)
@@ -383,24 +358,17 @@ TEST(SchedTelemetry, MaxMeanBusyRatioWeightsByRound)
 {
     SchedTelemetry tel;
     tel.reset(2);
-    // Hand-feed two rounds through the same path dispatch uses: the
-    // roundBusy scratch is folded by endRound().
-    tel.beginRound();
-    tel.roundBusy[0] = 300;
-    tel.roundBusy[1] = 100;
-    tel.endRound();
-    tel.beginRound();
-    tel.roundBusy[0] = 100;
-    tel.roundBusy[1] = 100;
-    tel.endRound();
+    // Hand-feed two rounds through the same path dispatch uses.
+    tel.recordRound({300, 100});
+    tel.recordRound({100, 100});
     // max sum = 300 + 100, total sum = 400 + 200 -> mean 300/round pair
     // => ratio = 400 / (600 / 2) = 4/3.
     EXPECT_EQ(tel.rounds, 2u);
     EXPECT_NEAR(tel.maxMeanBusyRatio(), 400.0 / 300.0, 1e-9);
+    EXPECT_EQ(tel.totalBusyNs(), 600u);
 
     // Idle rounds (no busy time at all) must not dilute the ratio.
-    tel.beginRound();
-    tel.endRound();
+    tel.recordRound({0, 0});
     EXPECT_EQ(tel.rounds, 2u);
 }
 
@@ -412,15 +380,10 @@ TEST(SchedTelemetry, MeanIsOverWorkersThatDidWork)
     // an impossible 0.25-style ratio scaled to 4.0).
     SchedTelemetry tel;
     tel.reset(4);
-    tel.beginRound();
-    tel.roundBusy[0] = 300; // only one worker had any units
-    tel.endRound();
+    tel.recordRound({300, 0, 0, 0}); // only one worker had any units
     EXPECT_NEAR(tel.maxMeanBusyRatio(), 1.0, 1e-9);
 
-    tel.beginRound();
-    tel.roundBusy[0] = 300;
-    tel.roundBusy[1] = 100; // two active: max 300, mean 200
-    tel.endRound();
+    tel.recordRound({300, 100, 0, 0}); // two active: max 300, mean 200
     // Cumulative: (300 + 300) / (300 + 200).
     EXPECT_NEAR(tel.maxMeanBusyRatio(), 600.0 / 500.0, 1e-9);
 }
@@ -432,9 +395,7 @@ TEST(RoundScheduler, ZeroNsSampleSeedsTheCostModel)
     // unit permanently unseeded — it was re-seeded from scratch every
     // round.
     RoundScheduler sched;
-    SchedTelemetry tel;
-    tel.reset(1);
-    sched.configure(2, 1, &tel);
+    sched.configure(2, 1);
 
     sched.recordSample(0, 0);
     EXPECT_DOUBLE_EQ(sched.expectedCostNs(0), 1.0); // clamped seed
