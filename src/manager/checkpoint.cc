@@ -267,7 +267,14 @@ Cluster::loadSnapshot(const std::string &path)
         Deserializer d(readers[0].section("plan", ignored));
         d.getU(); // shard count, already checked via the header
         uint64_t saved_plan = d.getU();
-        same_plan = d.ok() && saved_plan == plan_.planHash;
+        uint64_t owners = d.getU();
+        for (uint64_t i = 0; i < owners && d.ok(); ++i)
+            d.getU();
+        if (!d.ok() || !d.atEnd())
+            return csprintf("%s: malformed 'plan' section: %s",
+                            path.c_str(),
+                            d.ok() ? "trailing bytes" : d.error().c_str());
+        same_plan = saved_plan == plan_.planHash;
     }
     if (!same_plan) {
         std::string e = openAllRankFiles(path, readers);

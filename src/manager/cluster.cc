@@ -31,10 +31,10 @@ struct SpecIndex
 } // namespace
 
 NodeSystem::NodeSystem(BladeConfig blade_cfg, OsConfig os_cfg,
-                       NetConfig net_cfg, Ip ip)
+                       NetConfig net_cfg, Ip ip, const ArpTable &arp)
     : blade_(std::move(blade_cfg)),
       os_(os_cfg, blade_.eventQueue()),
-      net_(os_, blade_.nic(), blade_.memory(), net_cfg)
+      net_(os_, blade_.nic(), blade_.memory(), net_cfg, arp)
 {
     net_.setIp(ip);
 }
@@ -145,6 +145,12 @@ Cluster::build(
     // single-process twin (the basis of the byte-identity tests).
     std::vector<int> switchLocal(plan.nSwitches, -1);
     std::vector<int> nodeLocal(plan.nServers, -1);
+    // One ARP table for the whole cluster (static addressing, like the
+    // static MAC tables: datacenter topologies are relatively fixed).
+    // Every local node resolves through it; a node's own IP is excluded
+    // at lookup time.
+    for (uint32_t j = 0; j < plan.nServers; ++j)
+        arp_.put(ipFor(j), macFor(j));
     for (uint32_t s = 0; s < plan.nSwitches; ++s) {
         if (plan.switchOwner[s] != rank)
             continue;
@@ -177,7 +183,7 @@ Cluster::build(
         nodeLocal[j] = static_cast<int>(nodes.size());
         nodeGlobal.push_back(j);
         nodes.push_back(
-            std::make_unique<NodeSystem>(bc, oc, cfg.net, ipFor(j)));
+            std::make_unique<NodeSystem>(bc, oc, cfg.net, ipFor(j), arp_));
         fabric_.addEndpoint(&nodes.back()->blade());
     }
     if (switches.empty() && nodes.empty())
@@ -208,17 +214,6 @@ Cluster::build(
             else
                 panic("server %u unreachable from the root switch", j);
         }
-    }
-
-    // Pre-populate every local node's ARP table across the whole
-    // cluster (static addressing, like the static MAC tables:
-    // datacenter topologies are relatively fixed).
-    for (uint32_t i = 0; i < plan.nServers; ++i) {
-        if (nodeLocal[i] < 0)
-            continue;
-        for (uint32_t j = 0; j < plan.nServers; ++j)
-            if (i != j)
-                nodes[nodeLocal[i]]->net().addArp(ipFor(j), macFor(j));
     }
 
     // Wire the links: both ends local -> an ordinary channel pair; one

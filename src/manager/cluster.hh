@@ -50,7 +50,7 @@ class NodeSystem
 {
   public:
     NodeSystem(BladeConfig blade_cfg, OsConfig os_cfg, NetConfig net_cfg,
-               Ip ip);
+               Ip ip, const ArpTable &arp);
 
     /** Tear down threads before the stack they reference (see
      *  SimOS::shutdown). */
@@ -265,6 +265,10 @@ class Cluster
     /** The IP assigned to server index @p i. */
     static Ip ipFor(size_t i);
 
+    /** The cluster's one ARP table (every server's IP -> MAC), shared
+     *  by every local node's stack. */
+    const ArpTable &arpTable() const { return arp_; }
+
     /** The deterministic shard plan this cluster was built under
      *  (single-process runs carry the trivial 1-shard plan). */
     const ShardPlan &plan() const { return plan_; }
@@ -377,6 +381,9 @@ class Cluster
     /** The shard plan build() derives the wiring from; trivial
      *  (1 shard, every owner 0) in single-process mode. */
     ShardPlan plan_;
+    /** Built once in build(); declared before `nodes`, whose stacks
+     *  hold references to it. */
+    ArpTable arp_;
     // Local -> global component numbering (identity in single-process
     // mode): switchGlobal[i] is the global index of switches[i],
     // nodeGlobal[i] of nodes[i]. channelGlobalLink[c] is the global

@@ -677,14 +677,15 @@ TokenFabric::snapshotRestore(Deserializer &d, SnapshotErrors &err)
         err.add("fabric restore requires finalize()");
         return;
     }
+    // Restore replays to the snapshot cycle first, so the saved cycle
+    // is verified, not applied.
     expectEq(err, "fabric quantum", (uint64_t)quant, d.getU());
-    Cycles cycle = d.getU();
+    expectEq(err, "fabric cycle", (uint64_t)curCycle, d.getU());
     uint64_t rounds = d.getU();
     if (!d.ok()) {
         err.add(d.error());
         return;
     }
-    curCycle = cycle;
     roundCount = rounds;
 }
 

@@ -572,8 +572,8 @@ class TokenFabric
     void setStepOrder(std::vector<size_t> order);
 
     /**
-     * Serialize the fabric's round state: the quantum (verified on
-     * restore), cycle, and round count — *without* the channels or the
+     * Serialize the fabric's round state: the quantum and cycle (both
+     * verified on restore) and round count — *without* the channels or the
      * host-local batch counter. Snapshots (manager/checkpoint) store
      * this as the "fabric" section and every channel under its own
      * global link name, so a restore under a different ShardPlan can

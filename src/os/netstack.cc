@@ -120,8 +120,8 @@ UdpSocket::sendToHw(Ip dst_ip, uint16_t dst_port,
 // ---- NetStack ----------------------------------------------------------
 
 NetStack::NetStack(SimOS &os, Nic &nic, FunctionalMemory &memory,
-                   NetConfig config)
-    : sys(os), nicDev(nic), mem(memory), cfg(config)
+                   NetConfig config, const ArpTable &arp_table)
+    : sys(os), nicDev(nic), mem(memory), cfg(config), arp(arp_table)
 {
     if (cfg.mtu < kIpLiteHeaderBytes + 1)
         fatal("MTU %u below the IP-lite header size", cfg.mtu);
@@ -205,14 +205,14 @@ NetStack::transmitCosted(Ip dst_ip, uint8_t proto, uint16_t sport,
 
     co_await sys.cpu(cpu_cycles);
 
-    auto arp = arpTable.find(dst_ip);
-    if (arp == arpTable.end())
+    const MacAddr *dst_mac = resolve(dst_ip);
+    if (!dst_mac)
         fatal("no ARP entry for %s (manager must pre-populate)",
               ipStr(dst_ip).c_str());
 
     std::vector<uint8_t> ip_payload =
         buildIpLite(proto, myIp, dst_ip, sport, dport, payload);
-    EthFrame frame(arp->second, nicDev.mac(), EtherType::Ipv4, ip_payload);
+    EthFrame frame(*dst_mac, nicDev.mac(), EtherType::Ipv4, ip_payload);
 
     uint64_t addr =
         kTxRingBase + (txCursor % cfg.txRingEntries) * cfg.ringBufBytes;
@@ -373,11 +373,6 @@ NetStack::snapshotSave(Serializer &s) const
     s.putB(irqPending);
     s.putU(txCursor);
     s.putU(pingSeq);
-    s.putU(arpTable.size());
-    for (const auto &[ip, mac] : arpTable) {
-        s.putU(ip);
-        s.putU(mac.value);
-    }
     s.putU(hwRxPorts.size());
     for (const auto &[port, cycles] : hwRxPorts) {
         s.putU(port);
@@ -409,22 +404,6 @@ NetStack::snapshotRestore(Deserializer &d, SnapshotErrors &err)
     pingSeq = static_cast<uint16_t>(d.getU());
 
     uint64_t n = d.getU();
-    expectEq(err, "net arp entries", (uint64_t)arpTable.size(), n);
-    if (n == arpTable.size()) {
-        for (const auto &[ip, mac] : arpTable) {
-            expectEq(err, csprintf("net arp %s ip", ipStr(ip).c_str()),
-                     (uint64_t)ip, d.getU());
-            expectEq(err, csprintf("net arp %s mac", ipStr(ip).c_str()),
-                     mac.value, d.getU());
-        }
-    } else {
-        for (uint64_t i = 0; i < n && d.ok(); ++i) {
-            d.getU();
-            d.getU();
-        }
-    }
-
-    n = d.getU();
     expectEq(err, "net hw rx ports", (uint64_t)hwRxPorts.size(), n);
     if (n == hwRxPorts.size()) {
         for (const auto &[port, cycles] : hwRxPorts) {

@@ -16,8 +16,8 @@
  *   [proto u8][srcIp u32][dstIp u32][srcPort u16][dstPort u16]
  * with protocols UDP (sockets) and ICMP echo request/reply (ping,
  * answered in the kernel as Linux does). Address resolution is static:
- * the simulation manager pre-populates every node's ARP table, exactly
- * as it pre-populates switch MAC tables.
+ * the simulation manager builds one ARP table per cluster, which every
+ * node's stack reads, exactly as it pre-populates switch MAC tables.
  */
 
 #ifndef FIRESIM_OS_NETSTACK_HH
@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "base/flat_map.hh"
 #include "base/stats.hh"
 #include "base/units.hh"
 #include "mem/functional_memory.hh"
@@ -48,6 +49,10 @@ using Ip = uint32_t;
 
 /** Render an Ip as dotted quad. */
 std::string ipStr(Ip ip);
+
+/** Static IP -> MAC resolution, built once by the manager and shared
+ *  read-only by every node's stack. */
+using ArpTable = FlatU64Map<MacAddr>;
 
 /** Wire protocol numbers inside the IP-lite header. */
 constexpr uint8_t kProtoIcmpEchoReq = 1;
@@ -163,14 +168,25 @@ class UdpSocket
 class NetStack
 {
   public:
-    NetStack(SimOS &os, Nic &nic, FunctionalMemory &mem, NetConfig config);
+    /** @p arp must outlive the stack; the manager shares one table
+     *  across every node of a cluster. */
+    NetStack(SimOS &os, Nic &nic, FunctionalMemory &mem, NetConfig config,
+             const ArpTable &arp);
 
     /** Configure this node's address (manager-assigned). */
     void setIp(Ip ip) { myIp = ip; }
     Ip ip() const { return myIp; }
 
-    /** Install a static ARP entry (manager-populated). */
-    void addArp(Ip ip, MacAddr mac) { arpTable[ip] = mac; }
+    /** The shared ARP table this stack resolves through. */
+    const ArpTable &arpTable() const { return arp; }
+
+    /** The MAC a frame for @p ip is sent to, or nullptr when the table
+     *  has no entry or @p ip is this node's own address. */
+    const MacAddr *
+    resolve(Ip ip) const
+    {
+        return ip == myIp ? nullptr : arp.find(ip);
+    }
 
     /**
      * Boot the stack: post receive buffers, hook the NIC interrupt and
@@ -201,7 +217,7 @@ class NetStack
 
     /**
      * Serialize counters and protocol cursors (applied on restore)
-     * plus the configuration-derived tables — ARP, bound ports, ping
+     * plus the configuration-derived tables — bound ports, ping
      * waiters, hardware fast paths — which restore VERIFIES against
      * the live (replay-rebuilt) state, since sockets and ping records
      * live inside application coroutine frames.
@@ -236,7 +252,7 @@ class NetStack
     NetStackStats stats_;
 
     Ip myIp = 0;
-    std::map<Ip, MacAddr> arpTable;
+    const ArpTable &arp;
     std::map<uint16_t, UdpSocket *> ports;
 
     bool started = false;

@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "base/logging.hh"
@@ -31,7 +30,7 @@ namespace firesim
  * A deterministic discrete-event queue over target cycles.
  *
  * Ties are broken by insertion order, so a simulation is a pure function
- * of its inputs regardless of std::priority_queue internals.
+ * of its inputs regardless of the heap's internal layout.
  */
 class EventQueue
 {
@@ -54,7 +53,8 @@ class EventQueue
         if (when < curCycle)
             panic("scheduling event at %llu before now=%llu",
                   (unsigned long long)when, (unsigned long long)curCycle);
-        heap.push(Entry{when, nextSeq++, std::move(fn)});
+        heap.push_back(Entry{when, nextSeq++, std::move(fn)});
+        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
     }
 
     /** Schedule @p fn @p delta cycles from now. */
@@ -74,9 +74,8 @@ class EventQueue
     runUntil(Cycles limit)
     {
         FS_ASSERT(limit >= curCycle, "runUntil moving backwards");
-        while (!heap.empty() && heap.top().when < limit) {
-            Entry top = heap.top();
-            heap.pop();
+        while (!heap.empty() && heap.front().when < limit) {
+            Entry top = popEarliest();
             curCycle = top.when;
             top.fn();
         }
@@ -91,9 +90,8 @@ class EventQueue
     drain(Cycles limit = kNoCycle)
     {
         Cycles last = curCycle;
-        while (!heap.empty() && heap.top().when < limit) {
-            Entry top = heap.top();
-            heap.pop();
+        while (!heap.empty() && heap.front().when < limit) {
+            Entry top = popEarliest();
             curCycle = top.when;
             last = top.when;
             top.fn();
@@ -110,7 +108,7 @@ class EventQueue
     Cycles
     nextEventCycle() const
     {
-        return heap.empty() ? kNoCycle : heap.top().when;
+        return heap.empty() ? kNoCycle : heap.front().when;
     }
 
     /** Total events ever scheduled (the tie-break counter). */
@@ -127,17 +125,9 @@ class EventQueue
     uint64_t
     scheduleDigest() const
     {
-        struct Peek : HeapType
-        {
-            static const std::vector<Entry> &
-            container(const HeapType &q)
-            {
-                return q.*(&Peek::c);
-            }
-        };
         std::vector<std::pair<Cycles, uint64_t>> sched;
         sched.reserve(heap.size());
-        for (const Entry &e : Peek::container(heap))
+        for (const Entry &e : heap)
             sched.emplace_back(e.when, e.seq);
         std::sort(sched.begin(), sched.end());
         uint64_t h = 0xcbf29ce484222325ULL;
@@ -170,10 +160,19 @@ class EventQueue
         }
     };
 
-    using HeapType =
-        std::priority_queue<Entry, std::vector<Entry>, std::greater<>>;
+    /** Move the earliest entry out of the heap. (when, seq) is a total
+     *  order, so the pop order does not depend on the heap layout. */
+    Entry
+    popEarliest()
+    {
+        std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+        Entry top = std::move(heap.back());
+        heap.pop_back();
+        return top;
+    }
 
-    HeapType heap;
+    /** Min-heap on (when, seq), kept with std::push_heap/pop_heap. */
+    std::vector<Entry> heap;
     Cycles curCycle = 0;
     uint64_t nextSeq = 0;
 };

@@ -47,8 +47,11 @@ namespace firesim
  *  sections are named by *global* index, fabric round state and
  *  per-channel rings split into "fabric" + "chan<link>" sections, and
  *  a "plan" section records the owner map — together these let a
- *  snapshot be restored under a different ShardPlan (re-sharding). */
-constexpr uint32_t kSnapshotVersion = 2;
+ *  snapshot be restored under a different ShardPlan (re-sharding).
+ *  v3: "net<i>" sections no longer carry ARP entries (the cluster's
+ *  one shared ARP table is a function of the topology, which the
+ *  header's topoHash already pins). */
+constexpr uint32_t kSnapshotVersion = 3;
 
 /** "FSNP" little-endian. */
 constexpr uint32_t kSnapshotMagic = 0x504e5346u;

@@ -10,34 +10,12 @@
 #ifndef FIRESIM_SNAPSHOT_STATE_IO_HH
 #define FIRESIM_SNAPSHOT_STATE_IO_HH
 
-#include <queue>
-
 #include "base/random.hh"
 #include "base/stats.hh"
 #include "snapshot/serial.hh"
 
 namespace firesim
 {
-
-/**
- * Read access to a std::priority_queue's underlying container (the
- * standard exposes it only as a protected member). Snapshots need to
- * enumerate queued entries without popping them from a const object.
- */
-template <typename T, typename C, typename Cmp>
-const C &
-pqUnderlying(const std::priority_queue<T, C, Cmp> &q)
-{
-    struct Peek : std::priority_queue<T, C, Cmp>
-    {
-        static const C &
-        get(const std::priority_queue<T, C, Cmp> &queue)
-        {
-            return queue.*(&Peek::c);
-        }
-    };
-    return Peek::get(q);
-}
 
 inline void
 saveRandom(Serializer &s, const Random &rng)

@@ -9,6 +9,22 @@
 namespace firesim
 {
 
+namespace
+{
+
+/** Switching order: timestamp, then arrival. A total order (seq is
+ *  unique), so the drain order is independent of the sort algorithm. */
+template <typename Packet>
+bool
+releaseOrder(const Packet &a, const Packet &b)
+{
+    if (a.release != b.release)
+        return a.release < b.release;
+    return a.seq < b.seq;
+}
+
+} // namespace
+
 Switch::Switch(SwitchConfig config)
     : cfg(std::move(config))
 {
@@ -58,16 +74,16 @@ Switch::addMacEntry(MacAddr mac, uint32_t port)
     if (port >= cfg.ports)
         fatal("MAC entry for %s names port %u on a %u-port switch",
               mac.str().c_str(), port, cfg.ports);
-    macTable[mac.value] = port;
+    macTable.put(mac.value, port);
 }
 
 std::optional<uint32_t>
 Switch::lookupMac(MacAddr mac) const
 {
-    auto it = macTable.find(mac.value);
-    if (it == macTable.end())
+    const uint32_t *port = macTable.find(mac.value);
+    if (!port)
         return std::nullopt;
-    return it->second;
+    return *port;
 }
 
 void
@@ -107,7 +123,7 @@ Switch::ingress(Cycles window_start, const std::vector<const TokenBatch *> &in)
                 qp.release = frame.timestamp + cfg.minLatency;
                 qp.seq = nextSeq++;
                 qp.frame = std::move(frame);
-                pending.push(std::move(qp));
+                pending.push_back(std::move(qp));
             }
         }
     }
@@ -140,30 +156,35 @@ Switch::insertInQueue(OutputPort &port, QueuedPacket &&packet)
 void
 Switch::switchingStep()
 {
-    // Drain the timestamp-sorted priority queue into output port
+    // Drain this round's packets in timestamp order into output port
     // buffers via the forwarding policy (default: static MAC table,
-    // duplicating for broadcast/flood).
+    // duplicating for broadcast/flood). The last egress port takes the
+    // frame itself; only the extra ports of a flood copy it.
+    std::sort(pending.begin(), pending.end(),
+              releaseOrder<QueuedPacket>);
     std::vector<uint32_t> out_ports;
-    while (!pending.empty()) {
-        QueuedPacket qp = pending.top();
-        pending.pop();
+    for (QueuedPacket &qp : pending) {
         out_ports.clear();
         route(qp.frame, out_ports);
         if (qp.frame.dst().isBroadcast())
             ++stats_.broadcasts;
-        for (uint32_t p : out_ports)
-            enqueueOutput(p, qp.frame, qp.release, qp.seq);
+        for (size_t i = 0; i + 1 < out_ports.size(); ++i)
+            enqueueOutput(out_ports[i], qp.frame, qp.release, qp.seq);
+        if (!out_ports.empty())
+            enqueueOutput(out_ports.back(), std::move(qp.frame),
+                          qp.release, qp.seq);
     }
+    pending.clear();
 }
 
 void
-Switch::enqueueOutput(uint32_t port, const EthFrame &frame, Cycles release,
+Switch::enqueueOutput(uint32_t port, EthFrame frame, Cycles release,
                       uint64_t seq)
 {
     FS_ASSERT(port < cfg.ports, "route() returned port %u of %u", port,
               cfg.ports);
     QueuedPacket qp;
-    qp.frame = frame;
+    qp.frame = std::move(frame);
     qp.release = release;
     qp.seq = seq;
     insertInQueue(outputs[port], std::move(qp));
@@ -284,7 +305,7 @@ Switch::snapshotSave(Serializer &s) const
 
     s.putU(cfg.ports);
     s.putU(macTable.size());
-    for (const auto &[mac, port] : macTable) {
+    for (const auto &[mac, port] : macTable.sorted()) {
         s.putU(mac);
         s.putU(port);
     }
@@ -293,17 +314,10 @@ Switch::snapshotSave(Serializer &s) const
     for (const FrameAssembler &a : assemblers)
         saveAssembler(s, a);
 
-    // The pending heap in canonical (release, seq) order: the physical
-    // heap layout depends on insertion history, but the comparator is a
-    // total order, so a heap rebuilt from the sorted sequence pops
-    // identically.
-    std::vector<QueuedPacket> pend(pqUnderlying(pending));
-    std::sort(pend.begin(), pend.end(),
-              [](const QueuedPacket &a, const QueuedPacket &b) {
-                  if (a.release != b.release)
-                      return a.release < b.release;
-                  return a.seq < b.seq;
-              });
+    // Pending packets in canonical (release, seq) order, the order the
+    // switching step drains them in.
+    std::vector<QueuedPacket> pend(pending);
+    std::sort(pend.begin(), pend.end(), releaseOrder<QueuedPacket>);
     s.putU(pend.size());
     for (const QueuedPacket &p : pend)
         savePacket(p);
@@ -352,17 +366,23 @@ Switch::snapshotRestore(Deserializer &d, SnapshotErrors &err)
     uint64_t n = d.getU();
     for (uint64_t i = 0; i < n && d.ok(); ++i) {
         uint64_t mac = d.getU();
-        macTable[mac] = static_cast<uint32_t>(d.getU());
+        uint64_t port = d.getU();
+        if (mac > MacAddr::kMask || port >= cfg.ports)
+            d.fail(csprintf("MAC entry %#llx -> port %llu on a %u-port "
+                            "switch", (unsigned long long)mac,
+                            (unsigned long long)port, cfg.ports));
+        else if (d.ok())
+            macTable.put(mac, static_cast<uint32_t>(port));
     }
     for (uint32_t p = 0; p < cfg.ports; ++p)
         portDown_[p] = d.getB();
     for (FrameAssembler &a : assemblers)
         restoreAssembler(d, a);
 
-    pending = {};
+    pending.clear();
     n = d.getU();
     for (uint64_t i = 0; i < n && d.ok(); ++i)
-        pending.push(readPacket());
+        pending.push_back(readPacket());
 
     for (OutputPort &out : outputs) {
         out.queue.clear();

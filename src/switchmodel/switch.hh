@@ -6,10 +6,9 @@
  * number of ports. At ingress, tokens that carry valid data are buffered
  * into full packets, timestamped with the arrival cycle of their last
  * token plus a configurable minimum switching latency, and placed into
- * input packet queues. A global switching step pushes all input packets
- * through a priority queue sorted on timestamp and drains it into output
- * port buffers based on a static MAC address table (duplicating packets
- * for broadcast). Output ports release packets in token form when the
+ * input packet queues. A global switching step sorts all input packets
+ * on timestamp and drains them into output port buffers based on a
+ * static MAC address table (duplicating packets for broadcast). Output ports release packets in token form when the
  * packet's release timestamp is <= the port's current cycle and there is
  * space in the output token buffer; because the output token buffer is
  * of fixed size each iteration (one token per cycle of the window),
@@ -27,12 +26,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
-#include <queue>
 #include <string>
 #include <vector>
 
+#include "base/flat_map.hh"
 #include "base/stats.hh"
 #include "base/units.hh"
 #include "net/eth.hh"
@@ -136,8 +134,9 @@ class Switch : public TokenEndpoint
     uint64_t takeBytesOutDelta();
 
     /**
-     * Serialize the full inter-round state: MAC table, port admin
-     * state, per-port partial frames, the pending priority queue,
+     * Serialize the full inter-round state: MAC table (in ascending
+     * MAC order), port admin state, per-port partial frames, the
+     * pending packets,
      * every output port (queue, active packet, link cursor), sequence
      * counter, and counters.
      */
@@ -175,7 +174,7 @@ class Switch : public TokenEndpoint
     /**
      * Output queueing discipline: place @p packet into @p port's
      * queue. Default: FIFO in timestamp order (packets arrive from a
-     * timestamp-sorted priority queue, so push_back preserves it).
+     * timestamp-sorted switching step, so push_back preserves it).
      */
     virtual void insertInQueue(OutputPort &port, QueuedPacket &&packet);
 
@@ -189,29 +188,19 @@ class Switch : public TokenEndpoint
     void egressPort(uint32_t port, Cycles window_start, Cycles window_end,
                     TokenBatch &out);
 
-    void enqueueOutput(uint32_t port, const EthFrame &frame,
-                       Cycles release, uint64_t seq);
+    void enqueueOutput(uint32_t port, EthFrame frame, Cycles release,
+                       uint64_t seq);
 
     SwitchConfig cfg;
     SwitchStats stats_;
-    std::map<uint64_t, uint32_t> macTable;
+    FlatU64Map<uint32_t> macTable; //!< MAC value -> egress port
     std::vector<bool> portDown_; //!< administratively-down ports
 
     std::vector<FrameAssembler> assemblers;      //!< per input port
-    /** Packets completed at ingress this round, pending the switching
-     *  step; ordered by (timestamp, seq) in a priority queue. */
-    struct PendingCmp
-    {
-        bool
-        operator()(const QueuedPacket &a, const QueuedPacket &b) const
-        {
-            if (a.release != b.release)
-                return a.release > b.release;
-            return a.seq > b.seq;
-        }
-    };
-    std::priority_queue<QueuedPacket, std::vector<QueuedPacket>,
-                        PendingCmp> pending;
+    /** Packets completed at ingress this round, in arrival (seq)
+     *  order; the switching step drains them in (timestamp, seq)
+     *  order. */
+    std::vector<QueuedPacket> pending;
     std::vector<OutputPort> outputs;
     uint64_t nextSeq = 0;
     uint64_t bytesOutSinceQuery = 0;

@@ -95,6 +95,28 @@ TEST(ClusterBuild, MacTablesRouteTowardServers)
     EXPECT_EQ(tor0.lookupMac(Cluster::macFor(3)), std::optional<uint32_t>(2u));
 }
 
+TEST(ClusterBuild, EveryNodeResolvesThroughOneSharedArpTable)
+{
+    Cluster cluster(topologies::twoLevel(3, 4), ClusterConfig{});
+    const ArpTable &arp = cluster.arpTable();
+    const size_t n = cluster.nodeCount();
+    EXPECT_EQ(arp.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+        const NetStack &net = cluster.node(i).net();
+        EXPECT_EQ(&net.arpTable(), &arp) << "node " << i;
+        EXPECT_EQ(net.resolve(Cluster::ipFor(i)), nullptr)
+            << "node " << i << " must not resolve its own IP";
+        EXPECT_EQ(net.resolve(Cluster::ipFor(n)), nullptr);
+        for (size_t j = 0; j < n; ++j) {
+            if (j == i)
+                continue;
+            const MacAddr *mac = net.resolve(Cluster::ipFor(j));
+            ASSERT_NE(mac, nullptr) << "node " << i << " -> " << j;
+            EXPECT_EQ(*mac, Cluster::macFor(j));
+        }
+    }
+}
+
 TEST(ClusterBuild, CrossTorTrafficTraversesRoot)
 {
     ClusterConfig cc;

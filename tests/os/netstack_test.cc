@@ -244,5 +244,24 @@ TEST(NetStackDeath, OversizeDatagramIsFatal)
     cluster.runUs(10.0);
 }
 
+TEST(NetStackDeath, UnresolvableDestinationIsFatal)
+{
+    // The shared ARP table knows every server; a node still may not
+    // resolve its own IP, and an IP outside the plan has no entry.
+    auto sendFromNode0 = [](Ip dst) {
+        Cluster cluster(topologies::singleTor(2), ClusterConfig{});
+        NodeSystem &n = cluster.node(0);
+        n.os().spawn("send", -1, [&n, dst]() -> Task<> {
+            UdpSocket sock(n.net(), 80);
+            co_await sock.sendTo(dst, 81, std::vector<uint8_t>(3, 0));
+        });
+        cluster.runUs(100.0);
+    };
+    EXPECT_EXIT(sendFromNode0(Cluster::ipFor(7)),
+                ::testing::ExitedWithCode(1), "no ARP entry for 10.0.0.8");
+    EXPECT_EXIT(sendFromNode0(Cluster::ipFor(0)),
+                ::testing::ExitedWithCode(1), "no ARP entry for 10.0.0.1");
+}
+
 } // namespace
 } // namespace firesim

@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "snapshot/serial.hh"
 #include "switchmodel/switch.hh"
 #include "tests/net/scripted_endpoint.hh"
 
@@ -230,6 +231,102 @@ TEST_F(ThreePortSwitchTest, TimestampTiesResolveDeterministically)
             first_run = tags;
         else
             EXPECT_EQ(first_run, tags);
+    }
+}
+
+TEST(SwitchMacTable, SparseTableRoutesFloodsOverwritesAndRoundTrips)
+{
+    // A hand-built table with MACs far apart in the address space:
+    // the flat index must not assume the manager's dense address plan.
+    const MacAddr kLow(0xa), kPlan(0x020000000001ULL),
+        kHigh(0xfffffffffffeULL);
+    SwitchConfig cfg;
+    cfg.name = "sparse";
+    cfg.ports = 4;
+    cfg.minLatency = 10;
+    Switch sw(cfg);
+    sw.addMacEntry(kLow, 0);
+    sw.addMacEntry(kPlan, 1);
+    sw.addMacEntry(kHigh, 2);
+    EXPECT_EQ(sw.lookupMac(MacAddr(0xb)), std::nullopt);
+
+    std::vector<std::unique_ptr<ScriptedEndpoint>> eps;
+    TokenFabric fab;
+    for (uint32_t p = 0; p < cfg.ports; ++p) {
+        eps.push_back(std::make_unique<ScriptedEndpoint>(
+            "ep" + std::to_string(p)));
+        fab.addEndpoint(eps.back().get());
+    }
+    fab.addEndpoint(&sw);
+    for (uint32_t p = 0; p < cfg.ports; ++p)
+        fab.connect(eps[p].get(), 0, &sw, p, 100);
+    fab.finalize();
+
+    // Each known MAC exits its own port; an unknown unicast floods
+    // every port, the sender's included.
+    const MacAddr src(0x30);
+    eps[3]->sendAt(0, frameTo(kLow, src, 10, 1));
+    eps[3]->sendAt(100, frameTo(kPlan, src, 10, 2));
+    eps[3]->sendAt(200, frameTo(kHigh, src, 10, 3));
+    eps[3]->sendAt(300, frameTo(MacAddr(0xb), src, 10, 4));
+    fab.run(3000);
+    for (uint32_t p = 0; p < 3; ++p) {
+        ASSERT_EQ(eps[p]->received.size(), 2u) << "port " << p;
+        EXPECT_EQ(eps[p]->received[0].second.payload()[0], p + 1);
+        EXPECT_EQ(eps[p]->received[1].second.payload()[0], 4);
+    }
+    ASSERT_EQ(eps[3]->received.size(), 1u);
+    EXPECT_EQ(eps[3]->received[0].second.payload()[0], 4);
+
+    // Re-adding a MAC overwrites its port instead of adding an entry.
+    sw.addMacEntry(kLow, 3);
+    EXPECT_EQ(sw.lookupMac(kLow), std::optional<uint32_t>(3u));
+    EXPECT_EQ(sw.lookupMac(kPlan), std::optional<uint32_t>(1u));
+    EXPECT_EQ(sw.lookupMac(kHigh), std::optional<uint32_t>(2u));
+
+    // save -> restore -> save is byte-identical, and the table is
+    // saved in ascending MAC order.
+    Serializer first;
+    sw.snapshotSave(first);
+    {
+        Deserializer d(first.bytes());
+        EXPECT_EQ(d.getU(), cfg.ports);
+        ASSERT_EQ(d.getU(), 3u);
+        const uint64_t want[3][2] = {
+            {kLow.value, 3}, {kPlan.value, 1}, {kHigh.value, 2}};
+        for (const auto &entry : want) {
+            EXPECT_EQ(d.getU(), entry[0]);
+            EXPECT_EQ(d.getU(), entry[1]);
+        }
+    }
+    Switch copy(cfg);
+    Deserializer d(first.bytes());
+    SnapshotErrors err;
+    copy.snapshotRestore(d, err);
+    ASSERT_TRUE(err.ok()) << err.str();
+    EXPECT_TRUE(d.atEnd());
+    EXPECT_EQ(copy.lookupMac(kLow), std::optional<uint32_t>(3u));
+    Serializer second;
+    copy.snapshotSave(second);
+    EXPECT_EQ(second.bytes(), first.bytes());
+}
+
+TEST(SwitchMacTable, RestoreRejectsOutOfRangeEntries)
+{
+    SwitchConfig cfg;
+    cfg.ports = 2;
+    Switch sw(cfg);
+    for (auto [mac, port] : {std::pair<uint64_t, uint64_t>{0xa, 2},
+                             {MacAddr::kMask + 1, 0}}) {
+        Serializer s;
+        s.putU(cfg.ports);
+        s.putU(1);
+        s.putU(mac);
+        s.putU(port);
+        Deserializer d(s.bytes());
+        SnapshotErrors err;
+        sw.snapshotRestore(d, err);
+        EXPECT_FALSE(err.ok()) << "entry " << mac << " -> " << port;
     }
 }
 
