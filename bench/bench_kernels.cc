@@ -90,7 +90,7 @@ BM_TokenChannelPushPop(benchmark::State &state)
         f.size = 8;
         f.last = true;
         b.push(f);
-        ch.push(std::move(b));
+        ch.push(b);
         benchmark::DoNotOptimize(ch.pop());
         t += 6400;
     }

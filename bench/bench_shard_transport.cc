@@ -122,8 +122,7 @@ void
 driveRank(Rank &rank, uint32_t tx_link, uint64_t rounds)
 {
     for (uint64_t r = 0; r < rounds; ++r) {
-        TokenBatch in = rank.rx.pop();
-        (void)in;
+        rank.rx.pop();
         TokenBatch out(Cycles(r) * kQuantum, kQuantum);
         Flit f;
         f.offset = static_cast<uint32_t>(r % kQuantum);

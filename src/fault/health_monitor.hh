@@ -7,7 +7,7 @@
  *  - converts recoverable token-protocol violations (an endpoint that
  *    stops producing batches, produces a malformed batch, or whose
  *    channel misbehaves) into structured FaultEvents instead of the
- *    bare FS_ASSERT aborts an unmonitored fabric raises,
+ *    panics an unmonitored fabric raises,
  *  - tracks per-endpoint round progress and per-channel occupancy so
  *    stalls and token deadlock are detected within a configurable
  *    round budget,

@@ -16,43 +16,30 @@ TokenChannel::TokenChannel(Cycles latency, Cycles quantum)
     FS_ASSERT(quantum > 0 && latency % quantum == 0,
               "quantum %llu must divide latency %llu",
               (unsigned long long)quantum, (unsigned long long)latency);
-    // Ring sized for the invariant occupancy plus slack for the one
-    // transient extra batch a push-before-pop round shape can create.
+    // Ring sized for the invariant occupancy plus slack, so the slot a
+    // producer fills is never the one its consumer reads that round.
     slots.resize(static_cast<size_t>(latency / quantum) + 2);
     // Seed the link with latency/quantum batches of empty tokens: the
     // first `latency` arrival cycles carry nothing because nothing was
     // transmitted before target cycle 0.
     for (Cycles at = 0; at < latency; at += quantum) {
-        enqueue(TokenBatch(at, static_cast<uint32_t>(quantum)));
+        claim(at); // seeds are stamped with their arrival cycles
+        enqueueTail();
         nextPushStart = at + quantum;
     }
-    nextPopStart = 0;
 }
 
 void
-TokenChannel::enqueue(TokenBatch &&batch)
+TokenChannel::enqueueTail()
 {
-    if (used == slots.size()) {
-        // Only reachable through pushRaw() abuse (fault tests stuffing
-        // rogue batches); the normal protocol never exceeds the seeded
-        // occupancy.
-        std::vector<TokenBatch> bigger(slots.size() * 2);
-        for (size_t i = 0; i < used; ++i)
-            bigger[i] = std::move(slots[(head + i) % slots.size()]);
-        slots = std::move(bigger);
-        head = 0;
-    }
-    slots[(head + used) % slots.size()] = std::move(batch);
     ++used;
-}
-
-TokenBatch
-TokenChannel::dequeue()
-{
-    TokenBatch batch = std::move(slots[head]);
-    head = (head + 1) % slots.size();
-    --used;
-    return batch;
+    if (used < slots.size())
+        return;
+    std::vector<TokenBatch> bigger(slots.size() * 2);
+    for (size_t i = 0; i < used; ++i)
+        bigger[i] = std::move(slots[(head + i) % slots.size()]);
+    slots = std::move(bigger);
+    head = 0;
 }
 
 TokenChannel::PushError
@@ -65,9 +52,17 @@ TokenChannel::accepts(const TokenBatch &batch) const
     return PushError::Ok;
 }
 
-void
-TokenChannel::push(TokenBatch batch)
+TokenBatch &
+TokenChannel::claim(Cycles production_start)
 {
+    return slots[(head + used) % slots.size()].reset(
+        production_start, static_cast<uint32_t>(quant));
+}
+
+void
+TokenChannel::publish()
+{
+    TokenBatch &batch = slots[(head + used) % slots.size()];
     FS_ASSERT(batch.len == quant,
               "batch len %u != channel quantum %llu on %s", batch.len,
               (unsigned long long)quant, lbl.c_str());
@@ -80,7 +75,16 @@ TokenChannel::push(TokenBatch batch)
               (unsigned long long)nextPushStart);
     nextPushStart += quant;
     flitCount += batch.flits.size();
-    enqueue(std::move(batch));
+    enqueueTail();
+}
+
+void
+TokenChannel::push(const TokenBatch &batch)
+{
+    TokenBatch &slot = claim(batch.start);
+    slot.len = batch.len;
+    slot.flits.assign(batch.flits.begin(), batch.flits.end());
+    publish();
 }
 
 void
@@ -88,27 +92,17 @@ TokenChannel::pushRaw(TokenBatch batch)
 {
     batch.start += lat;
     flitCount += batch.flits.size();
-    enqueue(std::move(batch));
+    claim(0) = std::move(batch);
+    enqueueTail();
 }
 
-TokenBatch
+TokenBatch &
 TokenChannel::pop()
 {
     FS_ASSERT(used > 0, "pop from empty token channel %s", lbl.c_str());
-    TokenBatch batch = dequeue();
-    FS_ASSERT(batch.start == nextPopStart,
-              "non-contiguous batch pop on %s: got %llu expected %llu",
-              lbl.c_str(), (unsigned long long)batch.start,
-              (unsigned long long)nextPopStart);
-    nextPopStart += quant;
-    return batch;
-}
-
-TokenBatch
-TokenChannel::popUnchecked()
-{
-    FS_ASSERT(used > 0, "pop from empty token channel %s", lbl.c_str());
-    TokenBatch batch = dequeue();
+    TokenBatch &batch = slots[head];
+    head = (head + 1) % slots.size();
+    --used;
     nextPopStart = batch.start + quant;
     return batch;
 }
@@ -201,7 +195,7 @@ TokenFabric::connectRemote(TokenEndpoint *local, uint32_t port,
                   rl.rxLinkId == rx_link_id ? rx_link_id : tx_link_id);
     }
     pendingRemote.push_back(RemoteLink{local, port, latency, rx_link_id,
-                                       tx_link_id, peer_label});
+                                       tx_link_id, peer_label, {}});
 }
 
 TokenChannel *
@@ -309,7 +303,8 @@ TokenFabric::finalize()
         channels.push_back(std::move(ba));
     }
 
-    for (const auto &rl : pendingRemote) {
+    for (size_t i = 0; i < pendingRemote.size(); ++i) {
+        const RemoteLink &rl = pendingRemote[i];
         EndpointState &state = stateFor(rl.local);
         // RX half only: seeded like any channel, so the first
         // latency/quantum rounds pop empty batches while the peer's
@@ -321,7 +316,7 @@ TokenFabric::finalize()
                               rl.rxLinkId));
         state.in[rl.port] = rx.get();
         state.inIndex[rl.port] = channels.size();
-        state.remoteOut[rl.port] = static_cast<int64_t>(rl.txLinkId);
+        state.remoteOut[rl.port] = static_cast<int64_t>(i);
         remoteRx.emplace_back(rl.rxLinkId, rx.get());
         channels.push_back(std::move(rx));
     }
@@ -333,12 +328,8 @@ TokenFabric::finalize()
                 fatal("port %u of endpoint %s left unconnected", p,
                       state.endpoint->name().c_str());
         }
-        // Round buffers are sized once here so the round loop never
-        // grows them.
-        size_t ports = state.in.size();
-        state.popped.reserve(ports);
-        state.inPtrs.reserve(ports);
-        state.outs.reserve(ports);
+        state.inPtrs.resize(state.in.size());
+        state.outPtrs.resize(state.in.size());
     }
 
     if (stepOrder.empty()) {
@@ -423,42 +414,26 @@ void
 TokenFabric::prepareEndpoint(size_t idx)
 {
     EndpointState &state = endpoints[idx];
-    uint32_t ports = state.endpoint->numPorts();
+    auto quantum = static_cast<uint32_t>(quant);
 
     state.down = false;
     for (FabricObserver *obs : observers)
         state.down |= obs->endpointDown(idx, curCycle);
 
-    // Recycle the previous round's input storage: these flit vectors
-    // arrived through the channels from whoever produced them, and feed
-    // the pool that the output batches below draw from.
-    for (TokenBatch &spent : state.popped)
-        pool.recycle(std::move(spent.flits));
-    state.popped.clear();
-
-    for (uint32_t p = 0; p < ports; ++p) {
+    for (uint32_t p = 0; p < state.in.size(); ++p) {
         TokenChannel *chan = state.in[p];
-        if (observers.empty()) {
-            FS_ASSERT(chan->ready(), "channel underflow into %s:%u",
-                      state.endpoint->name().c_str(), p);
-            state.popped.push_back(chan->pop());
-            continue;
-        }
-        // Monitored path: report-and-repair instead of abort.
         if (!chan->ready()) {
-            TokenBatch missing(chan->nextPopCycle(),
-                               static_cast<uint32_t>(quant));
+            missingBatch.reset(chan->nextPopCycle(), quantum);
             if (!reportAnomaly(FabricObserver::Anomaly::ChannelUnderflow,
-                               idx, p, state.inIndex[p], missing)) {
+                               idx, p, state.inIndex[p], missingBatch)) {
                 panic("channel underflow into %s:%u (%s)",
                       state.endpoint->name().c_str(), p,
                       chan->label().c_str());
             }
-            state.popped.emplace_back(curCycle,
-                                      static_cast<uint32_t>(quant));
+            state.inPtrs[p] = &missingBatch.reset(curCycle, quantum);
             continue;
         }
-        TokenBatch batch = chan->popUnchecked();
+        TokenBatch &batch = chan->pop();
         if (batch.start != curCycle) {
             if (!reportAnomaly(FabricObserver::Anomaly::StaleBatch, idx, p,
                                state.inIndex[p], batch)) {
@@ -471,27 +446,24 @@ TokenFabric::prepareEndpoint(size_t idx)
             // Recover by restamping the payload into the current window
             // (a real lossy transport delivers late tokens late).
             batch.start = curCycle;
-            batch.len = static_cast<uint32_t>(quant);
+            batch.len = quantum;
         }
-        state.popped.push_back(std::move(batch));
+        state.inPtrs[p] = &batch;
     }
 
-    state.inPtrs.clear();
-    for (uint32_t p = 0; p < ports; ++p)
-        state.inPtrs.push_back(&state.popped[p]);
-
-    state.outs.clear();
-    for (uint32_t p = 0; p < ports; ++p) {
-        TokenBatch out(curCycle, static_cast<uint32_t>(quant));
-        out.flits = pool.take();
-        state.outs.push_back(std::move(out));
+    for (uint32_t p = 0; p < state.out.size(); ++p) {
+        state.outPtrs[p] =
+            state.out[p] ? &state.out[p]->claim(curCycle)
+                         : &pendingRemote[state.remoteOut[p]].tx.reset(
+                               curCycle, quantum);
     }
 
     if (state.down) {
         // Graceful degradation: a crashed / stalled endpoint keeps the
-        // token protocol alive with empty batches so every other
-        // endpoint stays cycle-exact. Notified here, on the driving
-        // thread, so only the advance brackets ever run on workers.
+        // token protocol alive with the empty batches claimed above so
+        // every other endpoint stays cycle-exact. Notified here, on the
+        // driving thread, so only the advance brackets ever run on
+        // workers.
         for (FabricObserver *obs : observers)
             obs->onEndpointSkipped(idx, curCycle);
     }
@@ -505,7 +477,7 @@ TokenFabric::advanceEndpoint(size_t idx)
         return;
     for (FabricObserver *obs : observers)
         obs->onAdvanceStart(idx, curCycle);
-    state.endpoint->advance(curCycle, quant, state.inPtrs, state.outs);
+    state.endpoint->advance(curCycle, quant, state.inPtrs, state.outPtrs);
     for (FabricObserver *obs : observers)
         obs->onAdvanceEnd(idx, curCycle);
 }
@@ -514,51 +486,38 @@ void
 TokenFabric::commitEndpoint(size_t idx)
 {
     EndpointState &state = endpoints[idx];
-    uint32_t ports = state.endpoint->numPorts();
-    for (uint32_t p = 0; p < ports; ++p) {
+    for (uint32_t p = 0; p < state.out.size(); ++p) {
+        TokenBatch &batch = *state.outPtrs[p];
         TokenChannel *chan = state.out[p];
+        ++batchCount;
         if (!chan) {
             // Remote TX: no local channel — serialize the batch to the
             // peer shard instead. Still on the driving thread in step
             // order, so the byte stream (and therefore the peer's
             // simulation) is independent of the worker count. The
-            // length invariant is the push()-side check; contiguity is
-            // re-checked by the peer's RX push().
-            FS_ASSERT(state.remoteOut[p] >= 0 && remoteHook,
-                      "unconnected TX port %u on %s", p,
-                      state.endpoint->name().c_str());
-            FS_ASSERT(state.outs[p].len == quant,
-                      "batch len %u != quantum %llu on remote link %lld",
-                      state.outs[p].len, (unsigned long long)quant,
-                      (long long)state.remoteOut[p]);
-            remoteHook->onTxBatch(
-                static_cast<uint32_t>(state.remoteOut[p]), state.outs[p]);
-            pool.recycle(std::move(state.outs[p].flits));
-            ++batchCount;
+            // length invariant is the publish()-side check; contiguity
+            // is re-checked by the peer's RX push().
+            uint32_t link = pendingRemote[state.remoteOut[p]].txLinkId;
+            FS_ASSERT(batch.len == quant,
+                      "batch len %u != quantum %llu on remote link %u",
+                      batch.len, (unsigned long long)quant, link);
+            remoteHook->onTxBatch(link, batch);
             continue;
         }
-        if (!observers.empty()) {
-            size_t chan_idx = state.outIndex[p];
-            for (FabricObserver *obs : observers)
-                obs->onTransmit(chan_idx, state.outs[p]);
-            TokenChannel::PushError err = chan->accepts(state.outs[p]);
-            if (err != TokenChannel::PushError::Ok) {
-                auto kind = err == TokenChannel::PushError::BadLength
-                                ? FabricObserver::Anomaly::BadLength
-                                : FabricObserver::Anomaly::NonContiguous;
-                if (reportAnomaly(kind, idx, p, chan_idx, state.outs[p])) {
-                    // Substitute a well-formed empty batch to keep the
-                    // channel's token stream intact.
-                    pool.recycle(std::move(state.outs[p].flits));
-                    state.outs[p] =
-                        TokenBatch(curCycle, static_cast<uint32_t>(quant));
-                }
-                // else: fall through to push(), which aborts with the
-                // channel label.
-            }
+        for (FabricObserver *obs : observers)
+            obs->onTransmit(state.outIndex[p], batch);
+        TokenChannel::PushError err = chan->accepts(batch);
+        if (err != TokenChannel::PushError::Ok &&
+            reportAnomaly(err == TokenChannel::PushError::BadLength
+                              ? FabricObserver::Anomaly::BadLength
+                              : FabricObserver::Anomaly::NonContiguous,
+                          idx, p, state.outIndex[p], batch)) {
+            // Substitute a well-formed empty batch to keep the
+            // channel's token stream intact.
+            batch.reset(curCycle, static_cast<uint32_t>(quant));
         }
-        chan->push(std::move(state.outs[p]));
-        ++batchCount;
+        // Panics with the channel label if the batch is still malformed.
+        chan->publish();
     }
 }
 
@@ -576,15 +535,16 @@ TokenFabric::run(Cycles cycles)
             obs->onRoundStart(curCycle, roundCount);
 
         // Phase 1 (driving thread, step order): down-verdicts, input
-        // pops, output-batch prep. Latency seeding guarantees every
+        // pops, output-slot claims. Latency seeding guarantees every
         // channel already holds this round's input batch, so all pops
-        // complete before any push and channels need no locks.
+        // complete before any publish and channels need no locks.
         for (size_t idx : stepOrder)
             prepareEndpoint(idx);
 
         // Phase 2: the actual endpoint work, in parallel when a pool
-        // is configured. Workers touch only their endpoint's private
-        // round buffers; the dispatch barrier publishes their writes.
+        // is configured. Workers touch only their endpoint's popped
+        // and claimed slots; the dispatch barrier publishes their
+        // writes.
         if (workers) {
             sched.dispatch(
                 *workers,
@@ -598,7 +558,7 @@ TokenFabric::run(Cycles cycles)
         }
 
         // Phase 3 (driving thread, step order): transmit observers and
-        // channel pushes — all shared counters accumulate here, in an
+        // channel publishes — all shared counters accumulate here, in an
         // order independent of which worker ran what.
         for (size_t idx : stepOrder)
             commitEndpoint(idx);
@@ -636,9 +596,9 @@ TokenChannel::snapshotSave(Serializer &s) const
 void
 TokenChannel::snapshotRestore(Deserializer &d, SnapshotErrors &err)
 {
-    expectEq(err, "channel " + lbl + " latency", (uint64_t)lat, d.getU());
-    expectEq(err, "channel " + lbl + " quantum", (uint64_t)quant,
-             d.getU());
+    const std::string what = "channel " + lbl;
+    expectEq(err, what + " latency", (uint64_t)lat, d.getU());
+    expectEq(err, what + " quantum", (uint64_t)quant, d.getU());
     Cycles pushStart = d.getU();
     Cycles popStart = d.getU();
     uint64_t n = d.getU();
@@ -646,15 +606,39 @@ TokenChannel::snapshotRestore(Deserializer &d, SnapshotErrors &err)
     for (uint64_t i = 0; i < n && d.ok(); ++i)
         batches.push_back(restoreBatch(d));
     if (!d.ok()) {
-        err.add("channel " + lbl + ": " + d.error());
+        err.add(what + ": " + d.error());
+        return;
+    }
+    // Reject, before applying anything, a stream the round loop would
+    // trip over later: exactly latency/quantum well-formed batches,
+    // contiguous from the pop cursor up to the push cursor.
+    std::string bad;
+    if (n != expectedDepth())
+        bad = csprintf("%llu batches in flight, expected %zu",
+                       (unsigned long long)n, expectedDepth());
+    else if (pushStart != popStart + lat)
+        bad = csprintf("push cursor %llu != pop cursor %llu + latency",
+                       (unsigned long long)pushStart,
+                       (unsigned long long)popStart);
+    for (size_t i = 0; i < batches.size() && bad.empty(); ++i) {
+        const TokenBatch &b = batches[i];
+        Cycles start = popStart + i * quant;
+        if (b.start != start || b.len != quant)
+            bad = csprintf("batch %zu covers %llu+%u, expected %llu+%llu",
+                           i, (unsigned long long)b.start, b.len,
+                           (unsigned long long)start,
+                           (unsigned long long)quant);
+        else
+            bad = b.flitError();
+    }
+    if (!bad.empty()) {
+        err.add(what + ": " + bad);
         return;
     }
     nextPushStart = pushStart;
     nextPopStart = popStart;
     head = 0;
     used = batches.size();
-    if (slots.size() < used)
-        slots.resize(used + 2);
     for (size_t i = 0; i < slots.size(); ++i)
         slots[i] = i < used ? std::move(batches[i]) : TokenBatch{};
 }

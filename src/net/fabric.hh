@@ -24,17 +24,20 @@
  * executed in three phases:
  *
  *   1. prepare (driving thread, step order): per endpoint, query the
- *      observers' down-verdict, pop one input batch per port, and hand
- *      the endpoint recycled output batches.
+ *      observers' down-verdict, pop one input batch per port, and
+ *      claim one output slot per port. Batches never move: the
+ *      endpoint is handed pointers to the channels' ring slots.
  *   2. advance (one pool dispatch, barrier at the end): every
  *      endpoint's advance() is one unit, and a RoundScheduler
  *      (net/sched.hh) places the units on workers. Every channel
  *      already holds this round's input batch before the round starts
- *      (latency seeding), so workers touch only their endpoint's
- *      private buffers — channels are never accessed concurrently.
- *      Placement is pure host policy and never affects simulated state.
+ *      (latency seeding), so a worker reads the head slots and fills
+ *      the tail slots of its endpoint's channels — distinct slots per
+ *      endpoint — while ring heads and tails move only on the driving
+ *      thread. Placement is pure host policy and never affects
+ *      simulated state.
  *   3. commit (driving thread, step order): per endpoint, run transmit
- *      observers and push the produced batches into their channels.
+ *      observers, check each filled slot in place and publish it.
  *
  * Because phases 1 and 3 run on the driving thread in step order, every
  * observer callback except onAdvanceStart/onAdvanceEnd fires in a
@@ -47,8 +50,9 @@
  * attach to the fabric to take endpoints down, mutate in-flight batches,
  * and convert token-protocol violations — an endpoint that stops
  * producing well-formed batches — into structured diagnostics instead of
- * aborts. With no observers attached the fabric behaves exactly as it
- * always has: protocol violations are hard invariant failures.
+ * aborts. The round loop has one path: it detects every violation and
+ * asks the observers; when none recovers it (always, with no observers
+ * attached) it panics, naming the channel.
  */
 
 #ifndef FIRESIM_NET_FABRIC_HH
@@ -102,11 +106,27 @@ class TokenChannel
     const std::string &label() const { return lbl; }
     void setLabel(std::string label) { lbl = std::move(label); }
 
-    /** Check whether push(batch) would satisfy the token protocol. */
+    /** Check whether publishing @p batch would satisfy the token
+     *  protocol. */
     PushError accepts(const TokenBatch &batch) const;
 
-    /** Producer side: enqueue the next batch. */
-    void push(TokenBatch batch);
+    /**
+     * Producer side: the ring's free slot, emptied (flit capacity kept)
+     * and stamped (@p production_start, quantum), to be filled in place
+     * and then enqueued by publish(). The slot is never the one the
+     * consumer is reading this round.
+     */
+    TokenBatch &claim(Cycles production_start);
+
+    /**
+     * Producer side: enqueue the claimed slot, restamped from production
+     * to arrival time. Panics, naming the channel, when the batch has
+     * the wrong length or does not extend the token stream.
+     */
+    void publish();
+
+    /** Producer side: enqueue a copy of @p batch (claim + publish). */
+    void push(const TokenBatch &batch);
 
     /**
      * Testing / fault-injection hook: enqueue a batch with the usual
@@ -120,15 +140,13 @@ class TokenChannel
     /** Consumer side: true when a batch is ready. */
     bool ready() const { return used > 0; }
 
-    /** Consumer side: dequeue the next batch. */
-    TokenBatch pop();
-
     /**
-     * Consumer side: dequeue without the contiguity invariant check.
-     * Used by the fabric's health-monitored path, which reports and
-     * repairs non-contiguous streams instead of aborting.
+     * Consumer side: dequeue the oldest batch and return its slot,
+     * which stays intact until the producer claims it again (not this
+     * round). Only moves the ring head; checking that the batch is the
+     * one the consumer expects is the caller's job (TokenFabric).
      */
-    TokenBatch popUnchecked();
+    TokenBatch &pop();
 
     /** Arrival cycle the next pop() is expected to carry. */
     Cycles nextPopCycle() const { return nextPopStart; }
@@ -153,16 +171,20 @@ class TokenChannel
      * Serialize the channel's full mid-flight state: latency/quantum
      * (verified on restore), both stream cursors, and every buffered
      * batch's flits. Restore rebuilds the ring byte-identically, so a
-     * restored channel pops the exact batches the saved one would.
+     * restored channel pops the exact batches the saved one would. It
+     * first rejects a token stream the round loop would trip over:
+     * occupancy other than latency/quantum, batches that are not
+     * quantum-long and contiguous from the pop cursor up to the push
+     * cursor, or flits that break TokenBatch::push()'s invariants.
      */
     void snapshotSave(Serializer &s) const;
     void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
   private:
-    /** Append to the ring, growing only if it is full (never in the
-     *  steady state: the ring is sized for latency/quantum + slack). */
-    void enqueue(TokenBatch &&batch);
-    TokenBatch dequeue();
+    /** Enqueue the tail slot, growing the ring when that fills it
+     *  (only pushRaw() abuse can: the protocol keeps the occupancy
+     *  at latency/quantum). */
+    void enqueueTail();
 
     Cycles lat;
     Cycles quant;
@@ -170,10 +192,12 @@ class TokenChannel
     std::string lbl = "unnamed-channel";
     Cycles nextPushStart = 0; //!< producer-side batch start bookkeeping
     Cycles nextPopStart = 0;  //!< consumer-side expected batch start
-    // Fixed-capacity ring instead of a deque: channel occupancy is
-    // invariant in the steady state, so a ring sized at construction
-    // never reallocates — one piece of the hot loop's zero-allocation
-    // guarantee (tests/net/fabric_alloc_test).
+    // The ring owns all of the link's batch storage: producers fill
+    // the tail slot in place and consumers read the head slot in
+    // place, so once each slot's flit capacity has warmed up, moving
+    // tokens allocates nothing (tests/net/fabric_alloc_test). Sized at
+    // construction for the invariant occupancy plus slack, it never
+    // reallocates in the steady state.
     std::vector<TokenBatch> slots;
     size_t head = 0; //!< index of the oldest batch
     size_t used = 0; //!< batches in the ring
@@ -208,11 +232,16 @@ class TokenEndpoint
      * @param window number of cycles to advance
      * @param in one input batch per port (covering the *link arrival*
      *           cycles of this window; the fabric accounts for latency)
-     * @param out one pre-sized empty output batch per port to fill
+     * @param out one empty output batch per port to fill, stamped with
+     *            this window (start = window_start, len = window)
+     *
+     * Both batch sets live in the channels' ring slots and are valid
+     * only during this call; the fabric checks and publishes the
+     * outputs afterwards.
      */
     virtual void advance(Cycles window_start, Cycles window,
                          const std::vector<const TokenBatch *> &in,
-                         std::vector<TokenBatch> &out) = 0;
+                         const std::vector<TokenBatch *> &out) = 0;
 
     /** Always 1; perfbench/span_trace.cc is its only user. */
     uint32_t advanceSliceCount() const { return 1; }
@@ -511,13 +540,6 @@ class TokenFabric
     uint64_t batchesMoved() const { return batchCount; }
 
     /**
-     * Flit-storage allocations the round loop could not serve from its
-     * recycling pool. Grows only while batch capacities are warming up;
-     * flat in the steady state (asserted in tests/net).
-     */
-    uint64_t batchAllocations() const { return pool.misses; }
-
-    /**
      * Attach a fault-injection / health-monitoring observer. Callbacks
      * fire in registration order. May be called after finalize() (the
      * observers typically need the finalized channel list to resolve
@@ -526,8 +548,7 @@ class TokenFabric
      */
     void addObserver(FabricObserver *observer);
 
-    /** Number of attached observers. Any observer switches the round
-     *  loop to its slower monitored path. */
+    /** Number of attached observers. */
     size_t observerCount() const { return observers.size(); }
 
     // ---- Introspection for observers and diagnostics ----------------
@@ -602,6 +623,9 @@ class TokenFabric
         uint32_t rxLinkId = 0; //!< id of tokens arriving on this port
         uint32_t txLinkId = 0; //!< id of tokens produced by this port
         std::string peerLabel;
+        /** The port's output batch, reused every round (the TX half
+         *  has no channel to own it). */
+        TokenBatch tx;
     };
 
     struct EndpointState
@@ -611,17 +635,16 @@ class TokenFabric
         std::vector<TokenChannel *> in;
         std::vector<TokenChannel *> out;
 
-        // Round-persistent buffers. `popped` holds this round's input
-        // batches, `inPtrs` aliases them for the advance() signature,
-        // `outs` the batches the endpoint fills. Only the worker
-        // stepping this endpoint touches them during the advance
-        // phase; the driving thread refills them between phases.
-        std::vector<TokenBatch> popped;
+        // This round's batches, set in the prepare phase: inPtrs[p] is
+        // the slot popped from in[p], outPtrs[p] the slot claimed in
+        // out[p] (or the remote link's `tx` batch). Only the worker
+        // stepping this endpoint touches the batches during the advance
+        // phase.
         std::vector<const TokenBatch *> inPtrs;
-        std::vector<TokenBatch> outs;
-        // Per-port remote link id when the TX side is carried by the
-        // RemoteRoundHook instead of a TokenChannel; -1 for local
-        // ports (out[p] set) and for the RX-only remote direction.
+        std::vector<TokenBatch *> outPtrs;
+        // Per-port index into `pendingRemote` when the TX side is
+        // carried by the RemoteRoundHook instead of a TokenChannel; -1
+        // for local ports (out[p] set).
         std::vector<int64_t> remoteOut;
         // Per-port indices of in[p] / out[p] in `channels` (set at
         // finalize()): the observer callbacks' channel_idx.
@@ -630,50 +653,20 @@ class TokenFabric
         bool down = false; //!< observers parked it this round
     };
 
-    /**
-     * Free list of flit storage. Batches circulate producer -> channel
-     * -> consumer; the consumer's spent input vectors are recycled into
-     * the next round's output batches, so the steady-state round loop
-     * allocates nothing. Touched only from the driving thread (prepare
-     * and commit phases).
-     */
-    struct FlitPool
-    {
-        std::vector<std::vector<Flit>> free;
-        uint64_t misses = 0;
-
-        std::vector<Flit>
-        take()
-        {
-            if (free.empty()) {
-                ++misses;
-                return {};
-            }
-            std::vector<Flit> v = std::move(free.back());
-            free.pop_back();
-            v.clear();
-            return v;
-        }
-
-        void recycle(std::vector<Flit> &&v) { free.push_back(std::move(v)); }
-    };
-
     EndpointState &stateFor(TokenEndpoint *endpoint);
 
-    /**
-     * Report @p kind to the observers; returns true when some observer
-     * recovered it. Aborts with the channel's label otherwise.
-     */
+    /** Report @p kind to the observers; returns true when some
+     *  observer recovered it (never with no observers attached). */
     bool reportAnomaly(FabricObserver::Anomaly kind, size_t endpoint_idx,
                        uint32_t port, size_t channel_idx,
                        const TokenBatch &batch);
 
     // ---- The three round phases (see the file comment) ---------------
-    /** Driving thread: down-verdict, input pops, output-batch prep. */
+    /** Driving thread: down-verdict, input pops, output-slot claims. */
     void prepareEndpoint(size_t idx);
     /** Any thread: one endpoint's advance() inside its brackets. */
     void advanceEndpoint(size_t idx);
-    /** Driving thread: transmit observers, pushes. */
+    /** Driving thread: transmit observers, checks, publishes. */
     void commitEndpoint(size_t idx);
 
     Cycles functionalWindow = 0; //!< 0 = cycle-exact timing
@@ -687,7 +680,9 @@ class TokenFabric
     std::vector<std::unique_ptr<TokenChannel>> channels;
     std::vector<FabricObserver *> observers;
     std::vector<size_t> stepOrder;
-    FlitPool pool;
+    /** Stands in for the batch of an input channel that underflowed,
+     *  when an observer recovers it. */
+    TokenBatch missingBatch;
     std::unique_ptr<ThreadPool> workers; //!< null when single-threaded
     unsigned parHosts = 1;
     /** Unit u is endpoint u; configured for `workers` whenever the

@@ -540,10 +540,11 @@ ShardTransport::drainFrames(Peer &peer, uint64_t round,
                 b.nextStart += b.chan->quantum();
                 ++b.pushed;
                 ++peer.stats.batchesRx;
-                // push() restamps production -> arrival (+latency) and
-                // re-checks stream contiguity, exactly as for a local
-                // producer.
-                b.chan->push(std::move(f.batch));
+                // push() copies into the channel's free slot (the
+                // frame's flit vector stays with the frame), restamps
+                // production -> arrival (+latency) and re-checks stream
+                // contiguity, exactly as for a local producer.
+                b.chan->push(f.batch);
                 bound = true;
                 break;
             }
@@ -597,11 +598,10 @@ ShardTransport::synthesizeMissing(uint64_t round)
                       "live peer rank %u missed round %llu on link %u",
                       ranks[b.peerIdx], (unsigned long long)round,
                       b.linkId);
-            TokenBatch empty(
-                b.nextStart, static_cast<uint32_t>(b.chan->quantum()));
+            b.chan->claim(b.nextStart);
+            b.chan->publish();
             b.nextStart += b.chan->quantum();
             ++b.pushed;
-            b.chan->push(std::move(empty));
         }
     }
 }

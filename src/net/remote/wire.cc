@@ -1,5 +1,7 @@
 #include "net/remote/wire.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "base/varint.hh"
 
@@ -125,9 +127,14 @@ decodeFrame(const std::string &in, size_t &pos, Frame &out)
         if (nflits > out.batch.len)
             panic("wire: batch frame with %llu flits but len %u",
                   (unsigned long long)nflits, out.batch.len);
-        out.batch.flits.reserve(nflits);
+        // nflits is peer-controlled: clamp the reserve to what the
+        // frame body can hold (a flit takes at least 3 bytes).
+        out.batch.flits.reserve(std::min<uint64_t>(
+            nflits, p < frame_end ? (frame_end - p) / 3 : 0));
         uint32_t offset = 0;
         for (uint64_t i = 0; i < nflits; ++i) {
+            if (p >= frame_end)
+                panic("wire: truncated flit offset");
             uint64_t delta = getVarint(in, p);
             if (delta == 0)
                 panic("wire: zero flit-offset delta");

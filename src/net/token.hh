@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "base/logging.hh"
@@ -72,6 +73,34 @@ struct TokenBatch
         FS_ASSERT(flit.size >= 1 && flit.size <= kFlitBytes,
                   "flit size %u invalid", flit.size);
         flits.push_back(flit);
+    }
+
+    /** Empty the batch for reuse (keeping flit capacity) and restamp
+     *  it to cover `length` cycles from `start_cycle`. */
+    TokenBatch &
+    reset(Cycles start_cycle, uint32_t length)
+    {
+        start = start_cycle;
+        len = length;
+        flits.clear();
+        return *this;
+    }
+
+    /** Empty when the flits keep push()'s invariants, else why not. */
+    std::string
+    flitError() const
+    {
+        for (size_t i = 0; i < flits.size(); ++i) {
+            const Flit &f = flits[i];
+            if (f.offset >= len)
+                return csprintf("flit offset %u outside batch len %u",
+                                f.offset, len);
+            if (i > 0 && flits[i - 1].offset >= f.offset)
+                return "flit offsets must be strictly increasing";
+            if (f.size < 1 || f.size > kFlitBytes)
+                return csprintf("flit size %u invalid", f.size);
+        }
+        return {};
     }
 
     /** Absolute target cycle of a flit in this batch. */

@@ -50,7 +50,7 @@ ServerBlade::ServerBlade(BladeConfig config)
 void
 ServerBlade::advance(Cycles window_start, Cycles window,
                      const std::vector<const TokenBatch *> &in,
-                     std::vector<TokenBatch> &out)
+                     const std::vector<TokenBatch *> &out)
 {
     FS_ASSERT(in.size() == 1 && out.size() == 1,
               "blade %s is a single-port endpoint", cfg.name.c_str());
@@ -81,7 +81,7 @@ ServerBlade::advance(Cycles window_start, Cycles window,
         eq.runUntil(window_end);
 
     // Emit this window's transmitted tokens.
-    nicDev->drainTx(window_start, out[0]);
+    nicDev->drainTx(window_start, *out[0]);
 }
 
 void

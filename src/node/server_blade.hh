@@ -86,7 +86,7 @@ class ServerBlade : public TokenEndpoint
     std::string name() const override { return cfg.name; }
     void advance(Cycles window_start, Cycles window,
                  const std::vector<const TokenBatch *> &in,
-                 std::vector<TokenBatch> &out) override;
+                 const std::vector<TokenBatch *> &out) override;
 
     const BladeConfig &config() const { return cfg; }
     EventQueue &eventQueue() { return eq; }

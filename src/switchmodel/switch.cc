@@ -89,7 +89,7 @@ Switch::lookupMac(MacAddr mac) const
 void
 Switch::advance(Cycles window_start, Cycles window,
                 const std::vector<const TokenBatch *> &in,
-                std::vector<TokenBatch> &out)
+                const std::vector<TokenBatch *> &out)
 {
     FS_ASSERT(in.size() == cfg.ports && out.size() == cfg.ports,
               "switch %s handed %zu/%zu batches for %u ports",
@@ -191,11 +191,12 @@ Switch::enqueueOutput(uint32_t port, EthFrame frame, Cycles release,
 }
 
 void
-Switch::egress(Cycles window_start, Cycles window, std::vector<TokenBatch> &out)
+Switch::egress(Cycles window_start, Cycles window,
+               const std::vector<TokenBatch *> &out)
 {
     Cycles window_end = window_start + window;
     for (uint32_t p = 0; p < cfg.ports; ++p)
-        egressPort(p, window_start, window_end, out[p]);
+        egressPort(p, window_start, window_end, *out[p]);
 }
 
 void

@@ -99,7 +99,7 @@ class Switch : public TokenEndpoint
     std::string name() const override { return cfg.name; }
     void advance(Cycles window_start, Cycles window,
                  const std::vector<const TokenBatch *> &in,
-                 std::vector<TokenBatch> &out) override;
+                 const std::vector<TokenBatch *> &out) override;
 
     /** Install a static MAC table entry: frames for @p mac exit @p port. */
     void addMacEntry(MacAddr mac, uint32_t port);
@@ -183,7 +183,7 @@ class Switch : public TokenEndpoint
                  const std::vector<const TokenBatch *> &in);
     void switchingStep();
     void egress(Cycles window_start, Cycles window,
-                std::vector<TokenBatch> &out);
+                const std::vector<TokenBatch *> &out);
     /** Serialize one port's queue into its output batch. */
     void egressPort(uint32_t port, Cycles window_start, Cycles window_end,
                     TokenBatch &out);

@@ -38,7 +38,7 @@ class TracedEndpoint : public ScriptedEndpoint
     void
     advance(Cycles window_start, Cycles window,
             const std::vector<const TokenBatch *> &in,
-            std::vector<TokenBatch> &out) override
+            const std::vector<TokenBatch *> &out) override
     {
         ScriptedEndpoint::advance(window_start, window, in, out);
         for (const Flit &flit : in[0]->flits) {

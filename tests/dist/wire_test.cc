@@ -10,6 +10,7 @@
 #include <string>
 
 #include "base/random.hh"
+#include "base/varint.hh"
 #include "net/remote/wire.hh"
 
 namespace firesim
@@ -164,6 +165,26 @@ TEST(WireDeath, MalformedFrameTypePanics)
     size_t pos = 0;
     Frame f;
     EXPECT_DEATH(decodeFrame(buf, pos, f), "");
+}
+
+TEST(WireDeath, HugeFlitCountDiesWithAWireError)
+{
+    // A 14-byte Batch frame claiming 2^32-1 flits in a 2^32-1-cycle
+    // batch and carrying none: decode must reject it, not reserve
+    // storage for the claimed count.
+    std::string body;
+    putVarint(body, 7);           // link id
+    putVarint(body, 0);           // start
+    putVarint(body, 0xffffffffu); // len
+    putVarint(body, 0xffffffffu); // nflits
+    std::string buf;
+    buf.push_back(static_cast<char>(FrameType::Batch));
+    putVarint(buf, body.size());
+    buf += body;
+    ASSERT_EQ(buf.size(), 14u);
+    size_t pos = 0;
+    Frame f;
+    EXPECT_DEATH(decodeFrame(buf, pos, f), "wire: truncated flit");
 }
 
 } // namespace

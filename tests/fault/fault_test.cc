@@ -300,7 +300,7 @@ TEST(FaultInjectorDeath, PortDownNeedsASwitch)
 
 /**
  * An endpoint that stops producing well-formed batches at a given
- * cycle: it overwrites its pre-sized output with a default-constructed
+ * cycle: it overwrites its output batch with a default-constructed
  * (zero-length) batch — the in-process analogue of a hung simulation
  * host that stops pumping tokens.
  */
@@ -315,10 +315,10 @@ class StallingEndpoint : public TokenEndpoint
     void
     advance(Cycles window_start, Cycles,
             const std::vector<const TokenBatch *> &,
-            std::vector<TokenBatch> &out) override
+            const std::vector<TokenBatch *> &out) override
     {
         if (window_start >= stallAt)
-            out[0] = TokenBatch(); // len 0: no tokens this round
+            *out[0] = TokenBatch(); // len 0: no tokens this round
     }
 
   private:
@@ -394,10 +394,10 @@ TEST(HealthMonitorStall, RecoveringEndpointKeepsItsBudget)
         void
         advance(Cycles window_start, Cycles,
                 const std::vector<const TokenBatch *> &,
-                std::vector<TokenBatch> &out) override
+                const std::vector<TokenBatch *> &out) override
         {
             if (window_start == 400)
-                out[0] = TokenBatch();
+                *out[0] = TokenBatch();
         }
     } hiccup;
     ScriptedEndpoint peer("peer");

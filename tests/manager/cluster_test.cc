@@ -68,9 +68,9 @@ TEST(ClusterBuild, BuildsTheFigure1Cluster)
 
 TEST(ClusterBuild, DefaultSingleProcessAttachesNoFabricObservers)
 {
-    // Any observer switches the fabric to its slower monitored round
-    // path. A default cluster — telemetry, monitor and faults off —
-    // must run the plain path, with no shard transport either.
+    // Every observer adds its callbacks to each round. A default
+    // cluster — telemetry, monitor and faults off — must attach none,
+    // and no shard transport either.
     Cluster cluster(topologies::twoLevel(2, 2), ClusterConfig{});
     EXPECT_EQ(cluster.fabric().observerCount(), 0u);
     EXPECT_EQ(cluster.shardTransport(), nullptr);

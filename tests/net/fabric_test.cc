@@ -36,7 +36,7 @@ TEST(TokenChannel, RestampsProductionToArrivalTime)
     f.size = 8;
     f.last = true;
     b.push(f);
-    ch.push(std::move(b));
+    ch.push(b);
     TokenBatch got = ch.pop();
     // Produced in window [0,100), consumed in arrival window [100,200):
     // a flit sent at cycle 42 arrives at cycle 142.
@@ -73,13 +73,18 @@ TEST(TokenChannelDeath, NonContiguousPushNamesTheChannel)
 
 TEST(TokenChannelDeath, RawCorruptionDiesOnNonContiguousPop)
 {
-    // pushRaw deliberately skips the contiguity check; the consumer
-    // still catches the corrupted stream.
-    TokenChannel ch(100, 100);
-    ch.setLabel("A:0->B:0");
-    ch.pop();                          // consume the seed batch
-    ch.pushRaw(TokenBatch(900, 100));  // stream expects start 0
-    EXPECT_DEATH(ch.pop(), "non-contiguous batch pop on A:0->B:0");
+    // pushRaw deliberately skips the contiguity check; the consuming
+    // fabric still catches the corrupted stream and names the channel.
+    ScriptedEndpoint a("A"), b("B");
+    TokenFabric fabric;
+    fabric.addEndpoint(&a);
+    fabric.addEndpoint(&b);
+    fabric.connect(&a, 0, &b, 0, 100);
+    fabric.finalize();
+    // Queued behind the seed batch: round 1 expects start 100.
+    fabric.channelAt(fabric.txChannelOf(0, 0))
+        .pushRaw(TokenBatch(900, 100));
+    EXPECT_DEATH(fabric.run(300), "non-contiguous batch pop on A:0->B:0");
 }
 
 TEST(TokenFabric, FinalizeLabelsEveryChannel)
@@ -206,12 +211,12 @@ TEST(TokenFabric, MixedCommensurateLatencies)
         std::string name() const override { return "relay"; }
         void
         advance(Cycles, Cycles, const std::vector<const TokenBatch *> &in,
-                std::vector<TokenBatch> &out) override
+                const std::vector<TokenBatch *> &out) override
         {
             // Zero-cycle repeater: copy tokens across at the same offsets.
             for (int p = 0; p < 2; ++p)
                 for (const Flit &f : in[p]->flits)
-                    out[1 - p].push(f);
+                    out[1 - p]->push(f);
         }
     } relay;
 

@@ -46,7 +46,7 @@ class ScriptedEndpoint : public TokenEndpoint
     void
     advance(Cycles window_start, Cycles window,
             const std::vector<const TokenBatch *> &in,
-            std::vector<TokenBatch> &out) override
+            const std::vector<TokenBatch *> &out) override
     {
         // Receive side.
         for (const Flit &flit : in[0]->flits) {
@@ -62,7 +62,7 @@ class ScriptedEndpoint : public TokenEndpoint
                       "scripted flit at %llu missed its window",
                       (unsigned long long)cycle);
             flit.offset = static_cast<uint32_t>(cycle - window_start);
-            out[0].push(flit);
+            out[0]->push(flit);
             txScript.pop_front();
         }
     }

@@ -18,11 +18,17 @@
  * After each mutated restore the pristine image must restore cleanly
  * again, so a decoder that half-applies garbage cannot leave the live
  * cluster in a state the next restore trips over.
+ *
+ * A second test re-seals one channel section with targeted, well-framed
+ * corruptions of the token stream (wrong occupancy, stale or misshapen
+ * batches, bad flits) that would otherwise only trip the round loop
+ * after the restore reported success.
  */
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -30,6 +36,7 @@
 
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
+#include "net/token_io.hh"
 #include "snapshot/snapshot.hh"
 #include "tests/scoped_temp_dir.hh"
 
@@ -102,36 +109,56 @@ struct SectionImage
     }
 };
 
-TEST(SnapshotFuzz, MutatedSectionsAreRejectedAndNeverCrash)
+/** A small cluster with pings in flight, saved once to `path`. */
+struct SavedCluster
 {
     ScopedTempDir tmp;
     const std::string path = tmp.file("fuzz.snap");
+    Cluster clu{topologies::twoLevel(2, 2), config()};
+    std::string pristine;
 
-    ClusterConfig cc;
-    cc.linkLatency = 400;
-    cc.telemetry.enabled = true;
-    cc.telemetry.samplePeriod = 2000;
-    Cluster clu(topologies::twoLevel(2, 2), cc);
-    clu.health();
-    for (size_t from : {0, 3}) {
-        NodeSystem &n = clu.node(from);
-        size_t to = 3 - from;
-        n.os().spawn("pinger", -1, [&n, to]() -> Task<> {
-            while (true)
-                co_await n.net().ping(Cluster::ipFor(to));
-        });
+    static ClusterConfig
+    config()
+    {
+        ClusterConfig cc;
+        cc.linkLatency = 400;
+        cc.telemetry.enabled = true;
+        cc.telemetry.samplePeriod = 2000;
+        return cc;
     }
-    clu.run(90000);
-    ASSERT_EQ(clu.saveSnapshot(path), "");
-    const std::string pristine = readFile(path);
-    SectionImage img(pristine);
-    ASSERT_GE(img.names.size(), 10u);
 
-    auto restoreImage = [&](const std::string &image) {
+    SavedCluster()
+    {
+        clu.health();
+        for (size_t from : {0, 3}) {
+            NodeSystem &n = clu.node(from);
+            size_t to = 3 - from;
+            n.os().spawn("pinger", -1, [&n, to]() -> Task<> {
+                while (true)
+                    co_await n.net().ping(Cluster::ipFor(to));
+            });
+        }
+        clu.run(90000);
+        EXPECT_EQ(clu.saveSnapshot(path), "");
+        pristine = readFile(path);
+    }
+
+    /** Restore @p image into the live cluster; "" on success. */
+    std::string
+    restore(const std::string &image)
+    {
         writeFile(path, image);
         return clu.loadSnapshot(path);
-    };
-    ASSERT_EQ(restoreImage(pristine), "");
+    }
+};
+
+TEST(SnapshotFuzz, MutatedSectionsAreRejectedAndNeverCrash)
+{
+    SavedCluster saved;
+    const std::string &pristine = saved.pristine;
+    SectionImage img(pristine);
+    ASSERT_GE(img.names.size(), 10u);
+    ASSERT_EQ(saved.restore(pristine), "");
 
     std::mt19937_64 rng(0x5eed);
     size_t resealed_flips = 0, resealed_flip_errors = 0;
@@ -144,13 +171,13 @@ TEST(SnapshotFuzz, MutatedSectionsAreRejectedAndNeverCrash)
         // Raw truncation inside the section, and a raw flip of its
         // last payload byte (just before the CRC): the container
         // rejects both.
-        EXPECT_NE(restoreImage(pristine.substr(0, (begin + end) / 2)), "");
+        EXPECT_NE(saved.restore(pristine.substr(0, (begin + end) / 2)), "");
         {
             std::string bad = pristine;
             bad[end - 5] ^= 0x01;
-            EXPECT_NE(restoreImage(bad), "");
+            EXPECT_NE(saved.restore(bad), "");
         }
-        ASSERT_EQ(restoreImage(pristine), "");
+        ASSERT_EQ(saved.restore(pristine), "");
 
         // Re-sealed truncations reach the decoder, which must notice.
         // An empty payload is included: even a section that decodes
@@ -159,11 +186,11 @@ TEST(SnapshotFuzz, MutatedSectionsAreRejectedAndNeverCrash)
                             payload.size() ? payload.size() - 1 : 0}) {
             if (keep >= payload.size())
                 continue;
-            EXPECT_NE(restoreImage(img.resealed(k, payload.substr(0, keep))),
+            EXPECT_NE(saved.restore(img.resealed(k, payload.substr(0, keep))),
                       "")
                 << "payload truncated to " << keep << " of "
                 << payload.size() << " bytes";
-            ASSERT_EQ(restoreImage(pristine), "");
+            ASSERT_EQ(saved.restore(pristine), "");
         }
 
         // Re-sealed flips: one to three bytes XORed with a random
@@ -177,9 +204,9 @@ TEST(SnapshotFuzz, MutatedSectionsAreRejectedAndNeverCrash)
                 bad[rng() % bad.size()] ^=
                     static_cast<char>(1 + rng() % 255);
             ++resealed_flips;
-            if (!restoreImage(img.resealed(k, bad)).empty())
+            if (!saved.restore(img.resealed(k, bad)).empty())
                 ++resealed_flip_errors;
-            ASSERT_EQ(restoreImage(pristine), "")
+            ASSERT_EQ(saved.restore(pristine), "")
                 << "flip iteration " << iter
                 << " left state the pristine restore rejects";
         }
@@ -192,6 +219,105 @@ TEST(SnapshotFuzz, MutatedSectionsAreRejectedAndNeverCrash)
     // stats byte-identity check covers.
     EXPECT_GT(resealed_flip_errors, resealed_flips / 2)
         << resealed_flip_errors << " of " << resealed_flips;
+}
+
+/** A decoded channel section (TokenChannel::snapshotSave layout). */
+struct ChannelImage
+{
+    uint64_t lat = 0, quant = 0, pushStart = 0, popStart = 0;
+    std::vector<TokenBatch> batches;
+
+    explicit ChannelImage(const std::string &payload)
+    {
+        Deserializer d(payload);
+        lat = d.getU();
+        quant = d.getU();
+        pushStart = d.getU();
+        popStart = d.getU();
+        uint64_t n = d.getU();
+        for (uint64_t i = 0; i < n && d.ok(); ++i)
+            batches.push_back(restoreBatch(d));
+        EXPECT_TRUE(d.ok() && d.atEnd()) << d.error();
+    }
+
+    std::string
+    encode() const
+    {
+        Serializer s;
+        s.putU(lat);
+        s.putU(quant);
+        s.putU(pushStart);
+        s.putU(popStart);
+        s.putU(batches.size());
+        for (const TokenBatch &b : batches)
+            saveBatch(s, b);
+        return s.takeBytes();
+    }
+};
+
+TEST(SnapshotFuzz, MalformedChannelSectionsAreRejected)
+{
+    SavedCluster saved;
+    SectionImage img(saved.pristine);
+    size_t k = 0;
+    while (k < img.names.size() && img.names[k] != "chan0")
+        ++k;
+    ASSERT_LT(k, img.names.size());
+    const ChannelImage chan(img.payloads[k]);
+    ASSERT_EQ(chan.encode(), img.payloads[k]);
+    ASSERT_EQ(chan.batches.size(), chan.lat / chan.quant);
+
+    auto flit = [](uint32_t offset, uint8_t size) {
+        Flit f;
+        f.offset = offset;
+        f.size = size;
+        return f;
+    };
+    struct Case
+    {
+        const char *name;
+        const char *error; //!< expected in the restore diagnostic
+        std::function<void(ChannelImage &)> mutate;
+    };
+    const std::vector<Case> cases = {
+        {"extra batch", "batches in flight",
+         [](ChannelImage &c) {
+             c.batches.emplace_back(c.pushStart,
+                                    static_cast<uint32_t>(c.quant));
+             c.pushStart += c.quant;
+         }},
+        {"missing batch", "batches in flight",
+         [](ChannelImage &c) {
+             c.batches.pop_back();
+             c.pushStart -= c.quant;
+         }},
+        {"short batch", "covers",
+         [](ChannelImage &c) { c.batches[0].len -= 1; }},
+        {"stale batch", "covers",
+         [](ChannelImage &c) { c.batches[0].start -= 400; }},
+        {"push cursor", "push cursor",
+         [](ChannelImage &c) { c.pushStart += c.quant; }},
+        {"repeated flit offset", "strictly increasing",
+         [&](ChannelImage &c) {
+             c.batches[0].flits = {flit(3, 8), flit(3, 8)};
+         }},
+        {"flit offset past len", "outside batch len",
+         [&](ChannelImage &c) {
+             c.batches[0].flits = {flit(c.batches[0].len, 8)};
+         }},
+        {"zero-byte flit", "flit size 0",
+         [&](ChannelImage &c) { c.batches[0].flits = {flit(3, 0)}; }},
+        {"nine-byte flit", "flit size 9",
+         [&](ChannelImage &c) { c.batches[0].flits = {flit(3, 9)}; }},
+    };
+    for (const Case &tc : cases) {
+        SCOPED_TRACE(tc.name);
+        ChannelImage bad = chan;
+        tc.mutate(bad);
+        std::string err = saved.restore(img.resealed(k, bad.encode()));
+        EXPECT_NE(err.find(tc.error), std::string::npos) << err;
+        ASSERT_EQ(saved.restore(saved.pristine), "");
+    }
 }
 
 } // namespace
