@@ -94,14 +94,6 @@ class Random
             out[i] = state[i];
     }
 
-    /** Overwrite the stream state with a saved copy. */
-    void
-    restoreState(const uint64_t in[4])
-    {
-        for (int i = 0; i < 4; ++i)
-            state[i] = in[i];
-    }
-
   private:
     static uint64_t rotl(uint64_t x, int k)
     {

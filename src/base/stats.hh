@@ -30,8 +30,6 @@ class Counter
     void operator+=(uint64_t n) { count += n; }
     uint64_t value() const { return count; }
     void reset() { count = 0; }
-    /** Overwrite the count (checkpoint support). */
-    void set(uint64_t v) { count = v; }
 
   private:
     uint64_t count = 0;
@@ -176,24 +174,7 @@ class Histogram
     double rawMax() const { return hi; }
 
     /** The reservoir's RNG stream (state travels with checkpoints). */
-    Random &reservoirRng() { return rng; }
     const Random &reservoirRng() const { return rng; }
-
-    /** Overwrite the full sample state from a checkpoint. The
-     *  reservoir cap is configuration, not state — the owner must
-     *  have applied the same setReservoir() before restoring. */
-    void
-    restoreState(std::vector<double> vals, double s, uint64_t cnt,
-                 double mn, double mx)
-    {
-        values = std::move(vals);
-        scratch.clear();
-        sorted = false;
-        sum = s;
-        n = cnt;
-        lo = mn;
-        hi = mx;
-    }
 
   private:
     void
@@ -240,16 +221,6 @@ class RunningStat
     double rawSum() const { return sum; }
     double rawMin() const { return lo; }
     double rawMax() const { return hi; }
-
-    /** Overwrite the aggregates from a checkpoint. */
-    void
-    restoreState(double s, uint64_t cnt, double mn, double mx)
-    {
-        sum = s;
-        n = cnt;
-        lo = mn;
-        hi = mx;
-    }
 
     void
     reset()

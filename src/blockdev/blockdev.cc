@@ -138,29 +138,4 @@ BlockDevice::snapshotSave(Serializer &s) const
     storage.snapshotSave(s);
 }
 
-void
-BlockDevice::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    uint64_t n = d.getU();
-    if (n != trackerBusy.size()) {
-        err.add(csprintf("%s tracker count: live %zu != snapshot %llu",
-                         cfg.name.c_str(), trackerBusy.size(),
-                         (unsigned long long)n));
-        return;
-    }
-    for (size_t i = 0; i < trackerBusy.size(); ++i)
-        trackerBusy[i] = d.getB();
-    completions.clear();
-    n = d.getU();
-    for (uint64_t i = 0; i < n && d.ok(); ++i)
-        completions.push_back(static_cast<uint32_t>(d.getU()));
-    restoreCounter(d, stats_.reads);
-    restoreCounter(d, stats_.writes);
-    restoreCounter(d, stats_.sectorsMoved);
-    restoreCounter(d, stats_.interruptsRaised);
-    storage.snapshotRestore(d, err);
-    if (!d.ok())
-        err.add(cfg.name + ": " + d.error());
-}
-
 } // namespace firesim

@@ -40,8 +40,6 @@ namespace firesim
 {
 
 class Serializer;
-class Deserializer;
-struct SnapshotErrors;
 
 /** Sector size mandated by the controller. */
 constexpr uint32_t kSectorBytes = 512;
@@ -119,7 +117,6 @@ class BlockDevice
      * digest covers them and replay rebuilds them.
      */
     void snapshotSave(Serializer &s) const;
-    void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
   private:
     BlockDevConfig cfg;

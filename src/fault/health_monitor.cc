@@ -71,7 +71,7 @@ HealthMonitor::record(FaultEvent event)
         warn("health: %s", event.str().c_str());
     if (eventHook)
         eventHook(event);
-    if (log.size() < cfg.maxEvents)
+    if (log.size() < kMaxEvents)
         log.push_back(std::move(event));
 }
 
@@ -307,61 +307,6 @@ HealthMonitor::snapshotSave(Serializer &s) const
     s.putU(occupancyFlagged.size());
     for (bool f : occupancyFlagged)
         s.putB(f);
-}
-
-void
-HealthMonitor::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    curRound = d.getU();
-    curRoundStart = d.getU();
-    for (Counter &c : counts)
-        restoreCounter(d, c);
-    log.clear();
-    uint64_t n = d.getU();
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-        FaultEvent e;
-        uint64_t kind = d.getU();
-        if (kind >= static_cast<uint64_t>(FaultEvent::Kind::kCount)) {
-            err.add(csprintf("health event %llu: bad kind %llu",
-                             (unsigned long long)i,
-                             (unsigned long long)kind));
-            return;
-        }
-        e.kind = static_cast<FaultEvent::Kind>(kind);
-        e.round = d.getU();
-        e.cycle = d.getU();
-        e.endpoint = d.getStr();
-        e.port = static_cast<int>(d.getI());
-        e.channel = d.getStr();
-        e.detail = d.getStr();
-        log.push_back(std::move(e));
-    }
-    n = d.getU();
-    if (n != eps.size()) {
-        err.add(csprintf("health endpoint count: live %zu != snapshot "
-                         "%llu", eps.size(), (unsigned long long)n));
-        return;
-    }
-    for (EndpointHealth &h : eps) {
-        h.roundsAdvanced = d.getU();
-        h.roundsSkipped = d.getU();
-        h.anomalies = d.getU();
-        h.consecutiveBad = static_cast<uint32_t>(d.getU());
-        h.badThisRound = d.getB();
-        h.skippedThisRound = d.getB();
-        h.degraded = d.getB();
-    }
-    n = d.getU();
-    if (n != occupancyFlagged.size()) {
-        err.add(csprintf("health channel count: live %zu != snapshot "
-                         "%llu", occupancyFlagged.size(),
-                         (unsigned long long)n));
-        return;
-    }
-    for (size_t i = 0; i < occupancyFlagged.size(); ++i)
-        occupancyFlagged[i] = d.getB();
-    if (!d.ok())
-        err.add("health monitor: " + d.error());
 }
 
 } // namespace firesim

@@ -92,8 +92,6 @@ struct HealthConfig
     uint32_t stallRoundBudget = 3;
     /** warn() each event as it is recorded. */
     bool logEvents = true;
-    /** Upper bound on retained events (counters keep counting). */
-    size_t maxEvents = 4096;
 };
 
 class HealthMonitor : public FabricObserver
@@ -113,8 +111,11 @@ class HealthMonitor : public FabricObserver
     using EventHookFn = std::function<void(const FaultEvent &)>;
     void setEventHook(EventHookFn fn) { eventHook = std::move(fn); }
 
+    /** Upper bound on retained events (counters keep counting). */
+    static constexpr size_t kMaxEvents = 4096;
+
     const std::vector<FaultEvent> &events() const { return log; }
-    /** Total events of @p kind recorded (not bounded by maxEvents). */
+    /** Total events of @p kind recorded (not bounded by kMaxEvents). */
     uint64_t count(FaultEvent::Kind kind) const;
     /** Total events recorded across all kinds. */
     uint64_t totalEvents() const;
@@ -134,11 +135,11 @@ class HealthMonitor : public FabricObserver
     /**
      * Serialize the full diagnostic record: the event log, per-kind
      * counters, per-endpoint health, latched channel-occupancy flags
-     * and the round cursor, so a restored run's post-run health report
-     * matches an unbroken run's.
+     * and the round cursor; restore compares it with the replayed
+     * monitor, so a resumed run's health report matches an unbroken
+     * run's.
      */
     void snapshotSave(Serializer &s) const;
-    void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
     // ---- FabricObserver ---------------------------------------------
     void onRoundStart(Cycles round_start, uint64_t round) override;

@@ -294,54 +294,4 @@ FaultInjector::snapshotSave(Serializer &s) const
     }
 }
 
-void
-FaultInjector::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    curRound = d.getU();
-    dropped = d.getU();
-    corrupted = d.getU();
-    delayed = d.getU();
-    uint64_t n = d.getU();
-    if (n != links.size()) {
-        err.add(csprintf("fault link count: live %zu != snapshot %llu",
-                         links.size(), (unsigned long long)n));
-        return;
-    }
-    for (LinkState &l : links) {
-        expectEq(err, "fault link channel", (uint64_t)l.channel,
-                 d.getU());
-        restoreRandom(d, l.rng);
-        l.carry.clear();
-        uint64_t m = d.getU();
-        for (uint64_t i = 0; i < m && d.ok(); ++i) {
-            Cycles at = d.getU();
-            l.carry.emplace_back(at, restoreFlit(d));
-        }
-        l.lastCycle = d.getU();
-        l.haveLast = d.getB();
-    }
-    n = d.getU();
-    if (n != ports.size()) {
-        err.add(csprintf("fault port count: live %zu != snapshot %llu",
-                         ports.size(), (unsigned long long)n));
-        return;
-    }
-    for (PortState &p : ports) {
-        p.downApplied = d.getB();
-        p.upApplied = d.getB();
-    }
-    n = d.getU();
-    if (n != crashes.size()) {
-        err.add(csprintf("fault crash count: live %zu != snapshot %llu",
-                         crashes.size(), (unsigned long long)n));
-        return;
-    }
-    for (CrashState &c : crashes) {
-        c.crashLogged = d.getB();
-        c.restartLogged = d.getB();
-    }
-    if (!d.ok())
-        err.add("fault injector: " + d.error());
-}
-
 } // namespace firesim

@@ -61,12 +61,11 @@ class FaultInjector : public FabricObserver
     /**
      * Serialize injection progress: per-link RNG streams and delay
      * carry buffers, port/crash applied flags, round cursor and the
-     * drop/corrupt/delay totals. Restoring puts every stochastic
-     * stream exactly where it was, so faults after the checkpoint
-     * land on the same flits they would have in an unbroken run.
+     * drop/corrupt/delay totals. Restore compares this with the
+     * replayed injector, so a resumed run's faults land on the same
+     * flits they would have in an unbroken run.
      */
     void snapshotSave(Serializer &s) const;
-    void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
     uint64_t flitsDropped() const { return dropped; }
     uint64_t flitsCorrupted() const { return corrupted; }

@@ -10,12 +10,14 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <string_view>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "base/logging.hh"
 #include "manager/cluster.hh"
 #include "snapshot/snapshot.hh"
+#include "telemetry/stat_registry.hh"
 
 namespace firesim
 {
@@ -23,182 +25,82 @@ namespace firesim
 std::string
 stripHostTimingStats(std::string json)
 {
-    // Erase the `"name": value` pair whose opening quote is at @p at.
-    auto eraseEntry = [&json](size_t at) {
-        size_t next = json.find(", \"", at);
+    // Drop every `"name": value` entry whose name isHostTimingStat,
+    // with the separator that joined it to its neighbour.
+    size_t at = 0;
+    while ((at = json.find('"', at)) != std::string::npos) {
+        size_t close = at + 1;
+        while (close < json.size() && json[close] != '"')
+            close += json[close] == '\\' ? 2 : 1;
+        if (close + 1 >= json.size())
+            break;
+        std::string_view name(json.data() + at + 1, close - at - 1);
+        if (json[close + 1] != ':' || !isHostTimingStat(name)) {
+            at = close + 1;
+            continue;
+        }
+        size_t next = json.find(", \"", close);
         if (next != std::string::npos) {
             json.erase(at, next + 2 - at);
         } else {
             // Last entry: drop the separator in front of it instead.
-            size_t stop = json.find('}', at);
+            size_t stop = json.find('}', close);
             if (stop == std::string::npos)
                 stop = json.size();
-            size_t begin = json.rfind(", ", at);
-            begin = begin == std::string::npos ? at : begin;
+            size_t begin =
+                at >= 2 && json.compare(at - 2, 2, ", ") == 0 ? at - 2 : at;
             json.erase(begin, stop - begin);
+            at = begin;
         }
-    };
-
-    // Matches both the plain single-process name and the merged
-    // cross-shard dump's `rankN.`-prefixed one (telemetry/aggregate).
-    const std::string key = "cluster.shard.";
-    size_t from = 0;
-    size_t hit;
-    while ((hit = json.find(key, from)) != std::string::npos) {
-        // Only strip the key when it opens a JSON name: the previous
-        // quote directly precedes it, or does so through a `rankN.`
-        // merged-dump prefix.
-        size_t quote = json.rfind('"', hit);
-        bool opens = quote != std::string::npos && quote < hit;
-        if (opens) {
-            size_t i = quote + 1;
-            if (i + 4 <= hit && json.compare(i, 4, "rank") == 0) {
-                size_t d = i + 4;
-                while (d < hit && json[d] >= '0' && json[d] <= '9')
-                    ++d;
-                if (d > i + 4 && d < hit && json[d] == '.')
-                    i = d + 1;
-            }
-            opens = i == hit;
-        }
-        if (!opens) {
-            from = hit + key.size();
-            continue;
-        }
-        eraseEntry(quote);
-        from = 0;
-    }
-
-    // A `.host.` segment anywhere in a stat name marks host-side
-    // acceleration telemetry (decode-cache hit/miss/invalidation
-    // counts): correct runs legitimately differ in these — a restored
-    // run re-misses, a cache-off run records nothing — so parity
-    // comparisons drop them alongside the fabric timing stats.
-    const std::string host_key = ".host.";
-    from = 0;
-    while ((hit = json.find(host_key, from)) != std::string::npos) {
-        size_t quote = json.rfind('"', hit);
-        size_t close = json.find('"', hit);
-        bool in_name = quote != std::string::npos &&
-                       close != std::string::npos &&
-                       close + 1 < json.size() && json[close + 1] == ':';
-        if (!in_name) {
-            from = hit + host_key.size();
-            continue;
-        }
-        eraseEntry(quote);
-        from = 0;
     }
     return json;
 }
 
 // ---- Cluster snapshot assembly --------------------------------------
 
-uint64_t
-Cluster::topoHash() const
-{
-    return plan_.topoHash;
-}
-
-std::string
-Cluster::saveSnapshot(const std::string &path)
-{
-    if (path.empty())
-        return "saveSnapshot: empty path";
-    if (fabric_.now() % fabric_.quantum() != 0)
-        return csprintf("saveSnapshot at cycle %llu: not a round "
-                        "barrier (quantum %llu)",
-                        (unsigned long long)fabric_.now(),
-                        (unsigned long long)fabric_.quantum());
-
-    SnapshotHeader hdr;
-    hdr.topoHash = topoHash();
-    hdr.shards = cfg.shard.shards;
-    hdr.rank = cfg.shard.rank;
-    hdr.round = fabric_.round();
-    hdr.cycle = fabric_.now();
-    SnapshotWriter w(hdr);
-
-    auto add = [&w](const std::string &name, const auto &component) {
-        Serializer s;
-        component.snapshotSave(s);
-        w.addSection(name, s.takeBytes());
-    };
-
-    // The owner map this snapshot was taken under. Restores under the
-    // same plan also verify the rank-local sections; any other plan
-    // re-homes component and channel sections across rank files.
-    {
-        Serializer s;
-        s.putU(cfg.shard.shards);
-        s.putU(plan_.planHash);
-        s.putU(plan_.serverOwner.size());
-        for (uint32_t o : plan_.serverOwner)
-            s.putU(o);
-        w.addSection("plan", s.takeBytes());
-    }
-
-    // Fabric round state is plan-independent; the per-channel token
-    // rings are keyed by global directed-link id so another plan can
-    // re-home them. Each directed link's channel lives on exactly one
-    // rank (the consumer side), so across a distributed snapshot every
-    // "chan<N>" section appears exactly once.
-    {
-        Serializer s;
-        fabric_.snapshotSave(s);
-        w.addSection("fabric", s.takeBytes());
-    }
-    for (size_t c = 0; c < fabric_.channelCount(); ++c) {
-        Serializer s;
-        fabric_.channelAt(c).snapshotSave(s);
-        w.addSection(csprintf("chan%u", channelGlobalLink[c]),
-                     s.takeBytes());
-    }
-
-    for (size_t i = 0; i < switches.size(); ++i)
-        add(csprintf("switch%u", switchGlobal[i]), *switches[i]);
-    for (size_t i = 0; i < nodes.size(); ++i) {
-        add(csprintf("blade%u", nodeGlobal[i]), nodes[i]->blade());
-        add(csprintf("os%u", nodeGlobal[i]), nodes[i]->os());
-        add(csprintf("net%u", nodeGlobal[i]), nodes[i]->net());
-    }
-    if (injector_)
-        add("fault", *injector_);
-    if (monitor_)
-        add("health", *monitor_);
-    if (telemetry_) {
-        if (telemetry_->sampler())
-            add("autocounter", *telemetry_->sampler());
-        // The full registry dump rides along purely for verification:
-        // a restored run must read back the exact same values. The
-        // cluster.shard.* transport subtree is host-timing-dependent
-        // (recv() chunk boundaries), so it is filtered out.
-        w.addSection("stats",
-                     stripHostTimingStats(
-                         telemetry_->registry().dumpJson(fabric_.now())));
-    }
-    if (transport_) {
-        // The negotiated per-peer transport mix, recorded so a restore
-        // can report what the original run used. Advisory only: results
-        // are byte-identical across fabrics (the parity matrix in
-        // tests/dist pins this), so restoring over a different mix is
-        // legal and loadSnapshot merely warns.
-        Serializer s;
-        s.putU(transport_->peerRanks().size());
-        for (size_t i = 0; i < transport_->peerRanks().size(); ++i) {
-            s.putU(transport_->peerRanks()[i]);
-            s.putU(static_cast<uint64_t>(
-                transport_->peerLinkAt(i)->kind()));
-        }
-        w.addSection("transport", s.takeBytes());
-    }
-
-    return w.writeFile(
-        snapshotRankPath(path, cfg.shard.shards, cfg.shard.rank));
-}
-
 namespace
 {
+
+/** @p component's snapshotSave bytes: what a section holds on save and
+ *  what restore compares it with. */
+template <typename Component>
+std::string
+sectionBytes(const Component &component)
+{
+    Serializer s;
+    component.snapshotSave(s);
+    return s.takeBytes();
+}
+
+/** The "plan" section: the owner map a snapshot was taken under. */
+std::string
+planBytes(uint64_t shards, const ShardPlan &plan)
+{
+    Serializer s;
+    s.putU(shards);
+    s.putU(plan.planHash);
+    s.putU(plan.serverOwner.size());
+    for (uint32_t o : plan.serverOwner)
+        s.putU(o);
+    return s.takeBytes();
+}
+
+/** "" when @p live reproduces section @p name's @p saved bytes, else
+ *  where the two first differ. */
+std::string
+sectionDiff(const std::string &name, const std::string &saved,
+            const std::string &live)
+{
+    if (saved == live)
+        return "";
+    size_t at = 0;
+    size_t lim = std::min(saved.size(), live.size());
+    while (at < lim && saved[at] == live[at])
+        ++at;
+    return csprintf("section '%s' diverges from snapshot at byte %zu "
+                    "(snapshot %zu bytes, live %zu)",
+                    name.c_str(), at, saved.size(), live.size());
+}
 
 /**
  * Open every rank file of the snapshot at @p path into @p readers,
@@ -245,16 +147,100 @@ openAllRankFiles(const std::string &path,
 
 } // namespace
 
+uint64_t
+Cluster::topoHash() const
+{
+    return plan_.topoHash;
+}
+
+std::string
+Cluster::saveSnapshot(const std::string &path)
+{
+    if (path.empty())
+        return "saveSnapshot: empty path";
+    if (fabric_.now() % fabric_.quantum() != 0)
+        return csprintf("saveSnapshot at cycle %llu: not a round "
+                        "barrier (quantum %llu)",
+                        (unsigned long long)fabric_.now(),
+                        (unsigned long long)fabric_.quantum());
+
+    SnapshotHeader hdr;
+    hdr.topoHash = topoHash();
+    hdr.shards = cfg.shard.shards;
+    hdr.rank = cfg.shard.rank;
+    hdr.round = fabric_.round();
+    hdr.cycle = fabric_.now();
+    SnapshotWriter w(hdr);
+
+    auto add = [&w](const std::string &name, const auto &component) {
+        w.addSection(name, sectionBytes(component));
+    };
+
+    // The owner map this snapshot was taken under. Restores under the
+    // same plan also check the rank-local sections; any other plan
+    // finds component and channel sections across rank files.
+    w.addSection("plan", planBytes(cfg.shard.shards, plan_));
+
+    // Fabric round state is plan-independent; the per-channel token
+    // rings are keyed by global directed-link id so another plan can
+    // find them. Each directed link's channel lives on exactly one
+    // rank (the consumer side), so across a distributed snapshot every
+    // "chan<N>" section appears exactly once.
+    add("fabric", fabric_);
+    for (size_t c = 0; c < fabric_.channelCount(); ++c)
+        add(csprintf("chan%u", channelGlobalLink[c]), fabric_.channelAt(c));
+
+    for (size_t i = 0; i < switches.size(); ++i)
+        add(csprintf("switch%u", switchGlobal[i]), *switches[i]);
+    for (size_t i = 0; i < nodes.size(); ++i) {
+        add(csprintf("blade%u", nodeGlobal[i]), nodes[i]->blade());
+        add(csprintf("os%u", nodeGlobal[i]), nodes[i]->os());
+        add(csprintf("net%u", nodeGlobal[i]), nodes[i]->net());
+    }
+    if (injector_)
+        add("fault", *injector_);
+    if (monitor_)
+        add("health", *monitor_);
+    if (telemetry_) {
+        if (telemetry_->sampler())
+            add("autocounter", *telemetry_->sampler());
+        // The full registry dump: a restored run must read back the
+        // exact same values. The cluster.shard.* transport subtree is
+        // host-timing-dependent (recv() chunk boundaries), so it is
+        // filtered out.
+        w.addSection("stats",
+                     stripHostTimingStats(
+                         telemetry_->registry().dumpJson(fabric_.now())));
+    }
+    if (transport_) {
+        // The negotiated per-peer transport mix, recorded so a restore
+        // can report what the original run used. Advisory only: results
+        // are byte-identical across fabrics (the parity matrix in
+        // tests/dist pins this), so restoring over a different mix is
+        // legal and loadSnapshot merely warns.
+        Serializer s;
+        s.putU(transport_->peerRanks().size());
+        for (size_t i = 0; i < transport_->peerRanks().size(); ++i) {
+            s.putU(transport_->peerRanks()[i]);
+            s.putU(static_cast<uint64_t>(
+                transport_->peerLinkAt(i)->kind()));
+        }
+        w.addSection("transport", s.takeBytes());
+    }
+
+    return w.writeFile(
+        snapshotRankPath(path, cfg.shard.shards, cfg.shard.rank));
+}
+
 std::string
 Cluster::loadSnapshot(const std::string &path)
 {
-    // The rank files sections are restored from. When our own rank
+    // The rank files sections are compared against. When our own rank
     // file was written under this exact owner map it holds every
     // section this rank needs, rank-local ones included. Under any
     // other plan — different shard count, different owners at the same
     // count, or the other geometry's file layout — each local component
-    // and channel section is re-homed from whichever old rank file
-    // holds it.
+    // and channel section is found in whichever old rank file holds it.
     std::vector<SnapshotReader> readers(1);
     bool same_plan =
         readers[0]
@@ -262,11 +248,13 @@ Cluster::loadSnapshot(const std::string &path)
             .empty() &&
         readers[0].header().shards == cfg.shard.shards &&
         readers[0].header().rank == cfg.shard.rank;
+    std::string saved_plan;
     if (same_plan && readers[0].hasSection("plan")) {
         SnapshotErrors ignored;
-        Deserializer d(readers[0].section("plan", ignored));
+        saved_plan = readers[0].section("plan", ignored);
+        Deserializer d(saved_plan);
         d.getU(); // shard count, already checked via the header
-        uint64_t saved_plan = d.getU();
+        uint64_t saved_hash = d.getU();
         uint64_t owners = d.getU();
         for (uint64_t i = 0; i < owners && d.ok(); ++i)
             d.getU();
@@ -274,7 +262,7 @@ Cluster::loadSnapshot(const std::string &path)
             return csprintf("%s: malformed 'plan' section: %s",
                             path.c_str(),
                             d.ok() ? "trailing bytes" : d.error().c_str());
-        same_plan = saved_plan == plan_.planHash;
+        same_plan = saved_hash == plan_.planHash;
     }
     if (!same_plan) {
         std::string e = openAllRankFiles(path, readers);
@@ -305,23 +293,25 @@ Cluster::loadSnapshot(const std::string &path)
                             (unsigned long long)h.round);
     }
 
+    // Deterministic replay brought this cluster to the barrier, so its
+    // state must already be the saved state: every section is checked
+    // by re-serializing the live component and comparing bytes. Nothing
+    // from the file is written back.
     SnapshotErrors err;
-    // Restore @p component from whichever rank file holds @p name.
-    auto restore = [&readers, &err](const std::string &name,
-                                    auto &component) {
-        for (auto &rd : readers) {
-            if (!rd.hasSection(name))
-                continue;
-            std::string payload = rd.section(name, err);
-            if (!err.ok())
+    auto compare = [&err](const std::string &name, const std::string &saved,
+                          const std::string &live) {
+        std::string diff = sectionDiff(name, saved, live);
+        if (!diff.empty())
+            err.add(std::move(diff));
+    };
+    // Compare @p component with whichever rank file holds @p name.
+    auto check = [&](const std::string &name, const auto &component) {
+        for (const SnapshotReader &rd : readers) {
+            if (rd.hasSection(name)) {
+                compare(name, rd.section(name, err),
+                        sectionBytes(component));
                 return;
-            Deserializer d(std::move(payload));
-            component.snapshotRestore(d, err);
-            if (d.ok() && err.ok() && !d.atEnd())
-                err.add(csprintf("%s: %zu trailing bytes after "
-                                 "restore", name.c_str(),
-                                 d.remaining()));
-            return;
+            }
         }
         err.add(csprintf("section '%s' missing from every rank file "
                          "— snapshot predates re-shardable format?",
@@ -330,37 +320,31 @@ Cluster::loadSnapshot(const std::string &path)
 
     // Fabric round state is identical across ranks by construction
     // (same barrier); the first file's copy serves them all.
-    {
-        std::string payload = readers[0].section("fabric", err);
-        if (err.ok()) {
-            Deserializer d(std::move(payload));
-            fabric_.snapshotRestore(d, err);
-        }
-    }
+    check("fabric", fabric_);
     for (size_t c = 0; c < fabric_.channelCount(); ++c)
-        restore(csprintf("chan%u", channelGlobalLink[c]),
-                fabric_.channelAt(c));
+        check(csprintf("chan%u", channelGlobalLink[c]),
+              fabric_.channelAt(c));
     for (size_t i = 0; i < switches.size(); ++i)
-        restore(csprintf("switch%u", switchGlobal[i]), *switches[i]);
+        check(csprintf("switch%u", switchGlobal[i]), *switches[i]);
     for (size_t i = 0; i < nodes.size(); ++i) {
-        restore(csprintf("blade%u", nodeGlobal[i]), nodes[i]->blade());
-        restore(csprintf("os%u", nodeGlobal[i]), nodes[i]->os());
-        restore(csprintf("net%u", nodeGlobal[i]), nodes[i]->net());
+        check(csprintf("blade%u", nodeGlobal[i]), nodes[i]->blade());
+        check(csprintf("os%u", nodeGlobal[i]), nodes[i]->os());
+        check(csprintf("net%u", nodeGlobal[i]), nodes[i]->net());
     }
 
-    // Rank-local sections — fault, health, autocounter, stats,
-    // transport — partition differently under another plan and are
-    // regenerated by the deterministic replay that brought this
-    // cluster to the barrier; the re-shard parity tests pin that the
-    // continued run is byte-identical to an uninterrupted one.
+    // Rank-local sections — plan, fault, health, autocounter, stats,
+    // transport — partition differently under another plan; the
+    // re-shard parity tests pin that the continued run is
+    // byte-identical to an uninterrupted one.
     if (!same_plan)
         return err.str();
     SnapshotReader &r = readers[0];
+    compare("plan", saved_plan, planBytes(cfg.shard.shards, plan_));
 
     // Each rank-local section is present exactly when this cluster has
     // the component; @p setup says how to attach a missing one.
-    auto restoreLocal = [&](const char *name, auto *component,
-                            const char *setup) {
+    auto checkLocal = [&](const char *name, const auto *component,
+                          const char *setup) {
         if ((component != nullptr) != r.hasSection(name))
             err.add(component
                         ? csprintf("cluster has a %s component but the "
@@ -370,13 +354,13 @@ Cluster::loadSnapshot(const std::string &path)
                                    "cluster has none — %s",
                                    name, setup));
         else if (component)
-            restore(name, *component);
+            check(name, *component);
     };
-    restoreLocal("fault", injector_.get(), "call injectFaults first");
-    restoreLocal("health", monitor_.get(), "call health() first");
-    restoreLocal("autocounter",
-                 telemetry_ ? telemetry_->sampler() : nullptr,
-                 "configure an AutoCounter sample period");
+    checkLocal("fault", injector_.get(), "call injectFaults first");
+    checkLocal("health", monitor_.get(), "call health() first");
+    checkLocal("autocounter",
+               telemetry_ ? telemetry_->sampler() : nullptr,
+               "configure an AutoCounter sample period");
 
     // Transport mix is advisory: a snapshot taken over shm restores
     // fine over TCP (and vice versa) because the simulation surface is
@@ -405,27 +389,12 @@ Cluster::loadSnapshot(const std::string &path)
         }
     }
 
-    // Final byte-identity check: with every counter applied, the stat
-    // dump must reproduce the saved one exactly. Skipped when the
-    // wall-clock scheduler stats are enabled — those legitimately
-    // vary run to run (see TelemetryConfig::schedStats).
-    if (telemetry_ && !cfg.telemetry.schedStats &&
-        r.hasSection("stats") && err.ok()) {
-        // Both sides filtered: older files may predate the filter.
-        std::string saved =
-            stripHostTimingStats(r.section("stats", err));
-        std::string live = stripHostTimingStats(
-            telemetry_->registry().dumpJson(fabric_.now()));
-        if (err.ok() && saved != live) {
-            size_t at = 0;
-            size_t lim = std::min(saved.size(), live.size());
-            while (at < lim && saved[at] == live[at])
-                ++at;
-            err.add(csprintf("stats dump diverges from snapshot at "
-                             "byte %zu (snapshot %zu bytes, live %zu)",
-                             at, saved.size(), live.size()));
-        }
-    }
+    // The stat dump, filtered the same way on save, must reproduce the
+    // saved one exactly.
+    if (telemetry_ && r.hasSection("stats"))
+        compare("stats", r.section("stats", err),
+                stripHostTimingStats(
+                    telemetry_->registry().dumpJson(fabric_.now())));
 
     return err.str();
 }
@@ -518,7 +487,7 @@ CheckpointManager::run(Cycles cycles)
     while (done < cycles) {
         if (signalPending()) {
             interrupted_ = true;
-            if (opt.finalOnSignal && !opt.path.empty())
+            if (!opt.path.empty())
                 writeCheckpoint();
             if (clu.telemetry())
                 clu.telemetry()->dumpAtExit(clu.now());

@@ -11,7 +11,7 @@
  *    with a final snapshot and a telemetry flush, so an interrupted
  *    run is resumable instead of lost,
  *  - resume (--restore) replays the freshly built cluster to the
- *    snapshot cycle and then verifies + applies the saved state.
+ *    snapshot cycle and then byte-compares it with the saved state.
  *
  * runScenarioForks() implements warm-boot forking: boot a cluster
  * once (the expensive part), then fork() one child per scenario so K
@@ -41,8 +41,6 @@ struct CheckpointOptions
     std::string path;
     /** Checkpoint every N fabric rounds; 0 disables periodic saves. */
     uint64_t everyRounds = 0;
-    /** Write a final snapshot when a signal stops the run. */
-    bool finalOnSignal = true;
     /** Log each checkpoint as it is written. */
     bool verbose = false;
 };
@@ -50,8 +48,8 @@ struct CheckpointOptions
 class CheckpointManager
 {
   public:
-    /** @p opts.path must be non-empty if everyRounds or finalOnSignal
-     *  will ever trigger a save. */
+    /** @p opts.path must be non-empty when everyRounds is set; with an
+     *  empty path a signal stops the run without a final snapshot. */
     CheckpointManager(Cluster &cluster, CheckpointOptions opts);
 
     /**
@@ -91,14 +89,11 @@ class CheckpointManager
 };
 
 /**
- * Strip host-timing-dependent entries (the `cluster.shard.*`
- * transport subtree — its byte counters depend on kernel recv()
- * chunk boundaries) from a StatRegistry::dumpJson string, leaving
- * only the deterministic simulation stats. Also recognizes the
- * merged cross-shard dump's `rankN.cluster.shard.*` spelling
- * (StatAggregator::mergedJson), so the distributed-vs-local parity
- * tests compare through the same filter. Snapshot byte-identity
- * checks compare dumps through this filter.
+ * Strip every entry whose name isHostTimingStat (telemetry/
+ * stat_registry.hh) from a StatRegistry::dumpJson or
+ * StatAggregator::mergedJson string, leaving only the deterministic
+ * simulation stats. The distributed-vs-local parity tests and the
+ * snapshot "stats" section compare dumps through this filter.
  */
 std::string stripHostTimingStats(std::string json);
 
@@ -115,8 +110,9 @@ bool snapshotExists(const Cluster &cluster, const std::string &path);
  * Resume a freshly built cluster from a snapshot written by an
  * identically configured run: read the header, replay the cluster to
  * the snapshot's cycle (deterministic replay rebuilds the coroutine
- * frames and event closures a file cannot carry), then verify + apply
- * the saved state via Cluster::loadSnapshot. The cluster must not
+ * frames and event closures a file cannot carry), then byte-compare
+ * the replayed state with the saved one via Cluster::loadSnapshot
+ * (replay + byte compare; nothing is applied). The cluster must not
  * have been run past the snapshot cycle. Returns "" on success, else
  * a diagnostic.
  */

@@ -448,8 +448,8 @@ Cluster::setupTelemetry()
     if (transport_) {
         // Per-peer transport accounting. Byte and batch counts are a
         // pure function of the token streams, so they stay
-        // byte-identical run to run; only stallNs is wall-clock and
-        // rides the schedStats gate below.
+        // byte-identical run to run; the wall-clock stallNs is not
+        // exported.
         const ShardTransport *tr = transport_.get();
         reg.registerProbe("cluster.shard.livePeers", [tr] {
             return static_cast<double>(tr->livePeers());
@@ -483,9 +483,9 @@ Cluster::setupTelemetry()
             });
             // Ring counters are registered for every fabric (zero on
             // links without rings): the AutoCounter sampler pins its
-            // column set at the first sample and a snapshot restores
-            // that set verbatim, so the registry shape must not vary
-            // with the transport choice — only values may.
+            // column set at the first sample and a restore compares
+            // that set byte for byte, so the registry shape must not
+            // vary with the transport choice — only values may.
             auto shmStat = [tr, i](auto field) {
                 const ShmLinkStats *s = tr->peerLinkAt(i)->shmStats();
                 return s ? static_cast<double>(s->*field) : 0.0;
@@ -500,31 +500,6 @@ Cluster::setupTelemetry()
             reg.registerProbe(
                 pp + ".transport.txRingFullWaits", [shmStat] {
                     return shmStat(&ShmLinkStats::txRingFullWaits);
-                });
-            if (cfg.telemetry.schedStats) {
-                reg.registerProbe(pp + ".stallNs", [tr, i] {
-                    return static_cast<double>(
-                        tr->peerStatsAt(i).stallNs);
-                });
-            }
-        }
-    }
-
-    if (cfg.telemetry.schedStats) {
-        // Wall-clock scheduler counters — gated separately because they
-        // make stats.json vary run to run (see TelemetryConfig). The
-        // telemetry vectors are sized lazily on the first parallel
-        // round, so the probes bounds-check.
-        reg.registerProbe("cluster.fabric.sched.maxMeanBusyRatio", [fab] {
-            return fab->schedTelemetry().maxMeanBusyRatio();
-        });
-        for (unsigned w = 0; w < std::max(1u, cfg.parallelHosts); ++w) {
-            reg.registerProbe(
-                csprintf("cluster.fabric.sched.worker%u.busyNs", w),
-                [fab, w] {
-                    const auto &ws = fab->schedTelemetry().workers;
-                    return w < ws.size() ? static_cast<double>(ws[w].busyNs)
-                                         : 0.0;
                 });
         }
     }

@@ -182,11 +182,8 @@ class Cluster
      *  SimRateTelemetry phase when telemetry is enabled. */
     void run(Cycles cycles);
 
-    /** Advance by @p us of target time. */
-    void runUs(double us)
-    {
-        fabric_.run(TargetClock(cfg.freqGhz).cyclesFromUs(us));
-    }
+    /** Advance by @p us of target time: one run() call. */
+    void runUs(double us) { run(clock().cyclesFromUs(us)); }
 
     Cycles now() const { return fabric_.now(); }
     TargetClock clock() const { return TargetClock(cfg.freqGhz); }
@@ -304,13 +301,15 @@ class Cluster
     std::string saveSnapshot(const std::string &path);
 
     /**
-     * Restore from a snapshot written by an identically configured
-     * cluster. The caller must first replay this cluster to the
-     * snapshot's cycle (coroutine frames and event closures are
+     * Check this cluster against a snapshot written by an identically
+     * configured cluster. The caller must first replay this cluster to
+     * the snapshot's cycle (coroutine frames and event closures are
      * rebuilt by deterministic replay; see README "Checkpoint &
-     * recovery") — data-plane state is then applied and control-plane
-     * digests verified, so any divergence from the saved run is
-     * reported, never silently continued from. Returns "" on success.
+     * recovery"). Every section is then byte-compared with the live
+     * component's snapshotSave and nothing is written back, so any
+     * divergence from the saved run is reported (section name and
+     * first differing byte), never silently continued from. Returns ""
+     * on success.
      */
     std::string loadSnapshot(const std::string &path);
 

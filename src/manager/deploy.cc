@@ -67,10 +67,22 @@ DeploymentProfile::merge(const DeploymentProfile &other)
             linkFlits[l] = other.linkFlits[l];
 }
 
+namespace
+{
+
+/** The trailer line sealing @p body: its CRC32, 8 lowercase hex digits. */
+std::string
+crcLine(const std::string &body)
+{
+    return csprintf("crc %08x\n", crc32(body.data(), body.size()));
+}
+
+} // namespace
+
 std::string
 DeploymentProfile::encode() const
 {
-    std::string out = "FSPROF v1\n";
+    std::string out = "FSPROF v2\n";
     out += csprintf("topo %016llx\n",
                     static_cast<unsigned long long>(topoHash));
     out += csprintf("servers %zu\n", serverCostNs.size());
@@ -82,7 +94,7 @@ DeploymentProfile::encode() const
         if (linkFlits[l] > 0)
             out += csprintf("l %zu %llu\n", l,
                             static_cast<unsigned long long>(linkFlits[l]));
-    return out;
+    return out + crcLine(out);
 }
 
 bool
@@ -95,18 +107,30 @@ DeploymentProfile::decode(const std::string &text, DeploymentProfile &out,
         return false;
     };
 
+    // Far above any topology; bounds what a damaged count allocates.
+    constexpr unsigned long long kMaxEntries = 1ULL << 24;
     out = DeploymentProfile{};
+    // The last line seals every byte before it, so a flipped or
+    // truncated file is rejected before any line is parsed.
+    const size_t kCrcLine = std::string("crc 00000000\n").size();
+    if (text.size() < kCrcLine ||
+        text.compare(text.size() - kCrcLine, 4, "crc ") != 0)
+        return fail("profile has no crc trailer (truncated?)");
+    const std::string body = text.substr(0, text.size() - kCrcLine);
+    if (text.compare(body.size(), kCrcLine, crcLine(body)) != 0)
+        return fail("profile crc mismatch (corrupted or truncated)");
+
     size_t pos = 0;
     bool sawMagic = false;
-    while (pos < text.size()) {
-        size_t nl = text.find('\n', pos);
-        std::string line = text.substr(
+    while (pos < body.size()) {
+        size_t nl = body.find('\n', pos);
+        std::string line = body.substr(
             pos, nl == std::string::npos ? std::string::npos : nl - pos);
-        pos = nl == std::string::npos ? text.size() : nl + 1;
+        pos = nl == std::string::npos ? body.size() : nl + 1;
         if (line.empty())
             continue;
         if (!sawMagic) {
-            if (line != "FSPROF v1")
+            if (line != "FSPROF v2")
                 return fail("bad profile magic: \"" + line + "\"");
             sawMagic = true;
             continue;
@@ -116,8 +140,12 @@ DeploymentProfile::decode(const std::string &text, DeploymentProfile &out,
         if (std::sscanf(line.c_str(), "topo %llx", &a) == 1) {
             out.topoHash = a;
         } else if (std::sscanf(line.c_str(), "servers %llu", &a) == 1) {
+            if (a > kMaxEntries)
+                return fail(csprintf("server count %llu too large", a));
             out.serverCostNs.assign(a, 0.0);
         } else if (std::sscanf(line.c_str(), "links %llu", &a) == 1) {
+            if (a > kMaxEntries)
+                return fail(csprintf("link count %llu too large", a));
             out.linkFlits.assign(a, 0);
         } else if (std::sscanf(line.c_str(), "s %llu %lf", &a, &d) == 2) {
             if (a >= out.serverCostNs.size())

@@ -68,7 +68,8 @@ struct DeploymentProfile
      *  load()). */
     void merge(const DeploymentProfile &other);
 
-    /** Deterministic "FSPROF v1" text encoding. */
+    /** Deterministic "FSPROF v2" text encoding: v1's lines plus a
+     *  final `crc <hex>` line over every byte before it. */
     std::string encode() const;
     /** Parse encode()'s format. False + @p err on malformed input. */
     static bool decode(const std::string &text, DeploymentProfile &out,

@@ -214,37 +214,6 @@ Cache::snapshotSave(Serializer &s) const
 }
 
 void
-Cache::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    const std::string &n = cfg.name;
-    expectEq(err, n + " sets", (uint64_t)sets, d.getU());
-    expectEq(err, n + " ways", (uint64_t)cfg.ways, d.getU());
-    expectEq(err, n + " lineBytes", (uint64_t)cfg.lineBytes, d.getU());
-    uint64_t tick = d.getU();
-    uint64_t count = d.getU();
-    if (count != lines.size()) {
-        err.add(csprintf("%s line count: live %zu != snapshot %llu",
-                         n.c_str(), lines.size(),
-                         (unsigned long long)count));
-        return;
-    }
-    lruTick = tick;
-    lastFetchLineNo = ~0ULL;
-    lastFetchLine = nullptr;
-    for (Line &l : lines) {
-        l.valid = d.getB();
-        l.dirty = d.getB();
-        l.tag = d.getU();
-        l.lru = d.getU();
-    }
-    restoreCounter(d, stats_.hits);
-    restoreCounter(d, stats_.misses);
-    restoreCounter(d, stats_.writebacks);
-    if (!d.ok())
-        err.add(n + ": " + d.error());
-}
-
-void
 MemHierarchy::snapshotSave(Serializer &s) const
 {
     s.putU(l1is.size());
@@ -253,23 +222,6 @@ MemHierarchy::snapshotSave(Serializer &s) const
     for (size_t c = 0; c < l1is.size(); ++c) {
         l1is[c]->snapshotSave(s);
         l1ds[c]->snapshotSave(s);
-    }
-}
-
-void
-MemHierarchy::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    uint64_t cores = d.getU();
-    if (cores != l1is.size()) {
-        err.add(csprintf("hierarchy core count: live %zu != snapshot "
-                         "%llu", l1is.size(), (unsigned long long)cores));
-        return;
-    }
-    dram_.snapshotRestore(d, err);
-    l2_->snapshotRestore(d, err);
-    for (size_t c = 0; c < l1is.size(); ++c) {
-        l1is[c]->snapshotRestore(d, err);
-        l1ds[c]->snapshotRestore(d, err);
     }
 }
 

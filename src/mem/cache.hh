@@ -28,8 +28,6 @@ namespace firesim
 {
 
 class Serializer;
-class Deserializer;
-struct SnapshotErrors;
 
 struct CacheConfig
 {
@@ -148,10 +146,9 @@ class Cache
     void registerStats(StatRegistry &registry,
                        const std::string &prefix) const;
 
-    /** Serialize tag state (valid/dirty/tag/lru per line), the LRU
-     *  clock and the counters; geometry is verified on restore. */
+    /** Serialize geometry, tag state (valid/dirty/tag/lru per line),
+     *  the LRU clock and the counters. */
     void snapshotSave(Serializer &s) const;
-    void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
   private:
     struct Line
@@ -178,8 +175,8 @@ class Cache
     uint64_t setMask = 0;
     std::vector<Line> lines; //!< sets x ways
     uint64_t lruTick = 0;
-    // fetchAccess sequential-fetch memo; dropped whenever accessLine,
-    // flush or snapshotRestore can move or retag lines.
+    // fetchAccess sequential-fetch memo; dropped whenever accessLine
+    // or flush can move or retag lines.
     uint64_t lastFetchLineNo = ~0ULL;
     Line *lastFetchLine = nullptr;
 };
@@ -212,7 +209,6 @@ class MemHierarchy
 
     /** Serialize every level (dram, l2, per-core l1i/l1d) in order. */
     void snapshotSave(Serializer &s) const;
-    void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
   private:
     DramModel dram_;

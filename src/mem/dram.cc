@@ -90,28 +90,4 @@ DramModel::snapshotSave(Serializer &s) const
     saveCounter(s, stats_.rowConflicts);
 }
 
-void
-DramModel::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    uint64_t n = d.getU();
-    if (n != banks.size()) {
-        err.add(csprintf("dram bank count: live %zu != snapshot %llu",
-                         banks.size(), (unsigned long long)n));
-        return;
-    }
-    for (Bank &b : banks) {
-        b.rowOpen = d.getB();
-        b.openRow = d.getU();
-        b.readyAt = d.getU();
-        b.activatedAt = d.getU();
-    }
-    restoreCounter(d, stats_.reads);
-    restoreCounter(d, stats_.writes);
-    restoreCounter(d, stats_.rowHits);
-    restoreCounter(d, stats_.rowMisses);
-    restoreCounter(d, stats_.rowConflicts);
-    if (!d.ok())
-        err.add("dram: " + d.error());
-}
-
 } // namespace firesim

@@ -24,8 +24,6 @@ namespace firesim
 {
 
 class Serializer;
-class Deserializer;
-struct SnapshotErrors;
 
 /** DDR3-1600 style parameters in CPU-clock cycles at 3.2 GHz
  *  (1 DRAM clock @ 800 MHz = 4 CPU cycles). */
@@ -87,7 +85,6 @@ class DramModel
 
     /** Serialize per-bank row state and the counters. */
     void snapshotSave(Serializer &s) const;
-    void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
   private:
     struct Bank

@@ -103,30 +103,4 @@ FunctionalMemory::snapshotSave(Serializer &s) const
     }
 }
 
-void
-FunctionalMemory::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    expectEq(err, "memory capacity", capacity, d.getU());
-    uint64_t count = d.getU();
-    std::unordered_map<uint64_t, std::unique_ptr<uint8_t[]>> restored;
-    for (uint64_t i = 0; i < count && d.ok(); ++i) {
-        uint64_t idx = d.getU();
-        auto page = std::make_unique<uint8_t[]>(kPageBytes);
-        if (!d.getBytesInto(page.get(), kPageBytes))
-            break;
-        restored.emplace(idx, std::move(page));
-    }
-    if (!d.ok()) {
-        err.add("memory pages: " + d.error());
-        return;
-    }
-    pages = std::move(restored);
-    lastPage = ~0ULL;
-    lastPtr = nullptr;
-    // A restore rewrites memory wholesale; watchers must drop anything
-    // derived from the old contents.
-    for (CodeWriteWatch *w : watches)
-        w->onCodeWrite(0, capacity);
-}
-
 } // namespace firesim

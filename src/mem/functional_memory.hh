@@ -24,14 +24,12 @@ namespace firesim
 {
 
 class Serializer;
-class Deserializer;
-struct SnapshotErrors;
 
 /**
  * Observer for writes into a watched address range, registered with
  * FunctionalMemory::addCodeWatch. Used by the decode cache
  * (riscv/decode_cache.hh) to invalidate predecoded instructions when
- * anything — a store, a DMA engine, a snapshot restore — rewrites
+ * anything — a store or a DMA engine — rewrites
  * code it has cached. The watcher maintains its own [watchLo, watchHi)
  * half-open range; writes outside it cost two compares.
  */
@@ -115,8 +113,7 @@ class FunctionalMemory
 
     /**
      * Register/unregister a write watcher. Watchers are notified from
-     * write() for any overlap with their [watchLo, watchHi) range, and
-     * with the full capacity on snapshotRestore (a wholesale clobber).
+     * write() for any overlap with their [watchLo, watchHi) range.
      */
     void addCodeWatch(CodeWriteWatch *watch);
     void removeCodeWatch(CodeWriteWatch *watch);
@@ -124,11 +121,9 @@ class FunctionalMemory
     /**
      * Serialize only the allocated (dirty) pages, sorted by page
      * index — untouched memory reads as zero and costs nothing in the
-     * snapshot. Restore drops all current pages and rebuilds exactly
-     * the saved set.
+     * snapshot.
      */
     void snapshotSave(Serializer &s) const;
-    void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
   private:
     static constexpr uint64_t kPageShift = 12;

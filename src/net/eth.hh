@@ -120,9 +120,6 @@ class FrameAssembler
     /** Buffered bytes of the in-progress frame (checkpoint support). */
     const std::vector<uint8_t> &partialBytes() const { return partial; }
 
-    /** Overwrite the in-progress frame state from a checkpoint. */
-    void restorePartial(std::vector<uint8_t> p) { partial = std::move(p); }
-
   private:
     std::vector<uint8_t> partial;
 };

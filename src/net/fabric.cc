@@ -594,56 +594,6 @@ TokenChannel::snapshotSave(Serializer &s) const
 }
 
 void
-TokenChannel::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    const std::string what = "channel " + lbl;
-    expectEq(err, what + " latency", (uint64_t)lat, d.getU());
-    expectEq(err, what + " quantum", (uint64_t)quant, d.getU());
-    Cycles pushStart = d.getU();
-    Cycles popStart = d.getU();
-    uint64_t n = d.getU();
-    std::vector<TokenBatch> batches;
-    for (uint64_t i = 0; i < n && d.ok(); ++i)
-        batches.push_back(restoreBatch(d));
-    if (!d.ok()) {
-        err.add(what + ": " + d.error());
-        return;
-    }
-    // Reject, before applying anything, a stream the round loop would
-    // trip over later: exactly latency/quantum well-formed batches,
-    // contiguous from the pop cursor up to the push cursor.
-    std::string bad;
-    if (n != expectedDepth())
-        bad = csprintf("%llu batches in flight, expected %zu",
-                       (unsigned long long)n, expectedDepth());
-    else if (pushStart != popStart + lat)
-        bad = csprintf("push cursor %llu != pop cursor %llu + latency",
-                       (unsigned long long)pushStart,
-                       (unsigned long long)popStart);
-    for (size_t i = 0; i < batches.size() && bad.empty(); ++i) {
-        const TokenBatch &b = batches[i];
-        Cycles start = popStart + i * quant;
-        if (b.start != start || b.len != quant)
-            bad = csprintf("batch %zu covers %llu+%u, expected %llu+%llu",
-                           i, (unsigned long long)b.start, b.len,
-                           (unsigned long long)start,
-                           (unsigned long long)quant);
-        else
-            bad = b.flitError();
-    }
-    if (!bad.empty()) {
-        err.add(what + ": " + bad);
-        return;
-    }
-    nextPushStart = pushStart;
-    nextPopStart = popStart;
-    head = 0;
-    used = batches.size();
-    for (size_t i = 0; i < slots.size(); ++i)
-        slots[i] = i < used ? std::move(batches[i]) : TokenBatch{};
-}
-
-void
 TokenFabric::snapshotSave(Serializer &s) const
 {
     FS_ASSERT(finalized, "fabric snapshot requires finalize()");
@@ -652,25 +602,6 @@ TokenFabric::snapshotSave(Serializer &s) const
     s.putU(quant);
     s.putU(curCycle);
     s.putU(roundCount);
-}
-
-void
-TokenFabric::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    if (!finalized) {
-        err.add("fabric restore requires finalize()");
-        return;
-    }
-    // Restore replays to the snapshot cycle first, so the saved cycle
-    // is verified, not applied.
-    expectEq(err, "fabric quantum", (uint64_t)quant, d.getU());
-    expectEq(err, "fabric cycle", (uint64_t)curCycle, d.getU());
-    uint64_t rounds = d.getU();
-    if (!d.ok()) {
-        err.add(d.error());
-        return;
-    }
-    roundCount = rounds;
 }
 
 } // namespace firesim

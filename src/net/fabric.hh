@@ -74,8 +74,6 @@ namespace firesim
 
 class TokenFabric;
 class Serializer;
-class Deserializer;
-struct SnapshotErrors;
 
 /** One direction of a simulated link. */
 class TokenChannel
@@ -168,17 +166,11 @@ class TokenChannel
     }
 
     /**
-     * Serialize the channel's full mid-flight state: latency/quantum
-     * (verified on restore), both stream cursors, and every buffered
-     * batch's flits. Restore rebuilds the ring byte-identically, so a
-     * restored channel pops the exact batches the saved one would. It
-     * first rejects a token stream the round loop would trip over:
-     * occupancy other than latency/quantum, batches that are not
-     * quantum-long and contiguous from the pop cursor up to the push
-     * cursor, or flits that break TokenBatch::push()'s invariants.
+     * Serialize the channel's full mid-flight state: latency/quantum,
+     * both stream cursors, and every buffered batch's flits. Restore
+     * compares these bytes with the replayed channel's.
      */
     void snapshotSave(Serializer &s) const;
-    void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
   private:
     /** Enqueue the tail slot, growing the ring when that fills it
@@ -593,8 +585,8 @@ class TokenFabric
     void setStepOrder(std::vector<size_t> order);
 
     /**
-     * Serialize the fabric's round state: the quantum and cycle (both
-     * verified on restore) and round count — *without* the channels or the
+     * Serialize the fabric's round state: the quantum, cycle and
+     * round count — *without* the channels or the
      * host-local batch counter. Snapshots (manager/checkpoint) store
      * this as the "fabric" section and every channel under its own
      * global link name, so a restore under a different ShardPlan can
@@ -602,7 +594,6 @@ class TokenFabric
      * boundary (now() a multiple of quantum).
      */
     void snapshotSave(Serializer &s) const;
-    void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
   private:
     struct Link

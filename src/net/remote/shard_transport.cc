@@ -201,8 +201,7 @@ ShardTransport::rendezvousTcp(const Options &opts, uint64_t plan_hash)
         Peer &peer = t->peers[t->peerIndexOf(q)];
         SocketFd sock = tcpConnectRetry(
             opts.host, static_cast<uint16_t>(opts.basePort + q),
-            opts.connectAttempts, opts.connectBackoffMs,
-            opts.backoffCapMs, opts.connectTimeoutMs);
+            opts.connectTimeoutMs);
         if (!sendAll(sock.fd(), hello.data(), hello.size()))
             fatal("shard %u: hello send to rank %u failed", opts.rank, q);
         peer.stats.bytesTx += hello.size();

@@ -78,12 +78,9 @@ class ShardTransport : public RemoteRoundHook
         /** Rendezvous address: rank r listens on basePort + r. */
         std::string host = "127.0.0.1";
         uint16_t basePort = 0;
-        /** Bounded-backoff connect retry (shards race to start up). */
-        int connectAttempts = 100;
-        int connectBackoffMs = 10;
-        int backoffCapMs = 500;
         /** Wall-clock cap on the whole rendezvous connect loop
-         *  (--shard-connect-timeout); 0 = attempt-bounded only. */
+         *  (--shard-connect-timeout); 0 = bounded only by
+         *  tcpConnectRetry's attempt count. */
         int connectTimeoutMs = 0;
         /** Max wall-clock to wait on one peer in a round barrier. */
         int recvTimeoutMs = 10000;

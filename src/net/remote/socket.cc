@@ -98,13 +98,14 @@ tcpAccept(const SocketFd &listener, int timeout_ms)
 }
 
 SocketFd
-tcpConnectRetry(const std::string &host, uint16_t port, int attempts,
-                int backoff_ms, int backoff_cap_ms,
+tcpConnectRetry(const std::string &host, uint16_t port,
                 int overall_timeout_ms)
 {
+    constexpr int kAttempts = 100;
+    constexpr int kBackoffCapMs = 500;
     using Clock = std::chrono::steady_clock;
     sockaddr_in addr = resolveV4(host, port);
-    int delay = backoff_ms > 0 ? backoff_ms : 1;
+    int delay = 10; // ms, doubling up to kBackoffCapMs
     Clock::time_point deadline =
         overall_timeout_ms > 0
             ? Clock::now() + std::chrono::milliseconds(overall_timeout_ms)
@@ -115,7 +116,7 @@ tcpConnectRetry(const std::string &host, uint16_t port, int attempts,
     uint64_t jseed = port;
     for (char c : host)
         jseed = jseed * 131 + static_cast<unsigned char>(c);
-    for (int attempt = 0; attempt < attempts; ++attempt) {
+    for (int attempt = 0; attempt < kAttempts; ++attempt) {
         if (attempt > 0) {
             uint64_t z = jseed + 0x9e3779b97f4a7c15ull * attempt;
             z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -137,7 +138,7 @@ tcpConnectRetry(const std::string &host, uint16_t port, int attempts,
                         std::chrono::milliseconds(1));
             }
             std::this_thread::sleep_for(sleep_ms);
-            delay = std::min(delay * 2, std::max(backoff_cap_ms, 1));
+            delay = std::min(delay * 2, kBackoffCapMs);
         }
         int fd = ::socket(AF_INET, SOCK_STREAM, 0);
         if (fd < 0)
@@ -170,7 +171,7 @@ tcpConnectRetry(const std::string &host, uint16_t port, int attempts,
     }
     fatal("shard transport: connect to %s:%u failed after %d attempts "
           "(bounded backoff exhausted)",
-          host.c_str(), port, attempts);
+          host.c_str(), port, kAttempts);
     return SocketFd(); // unreachable
 }
 

@@ -83,10 +83,10 @@ uint16_t boundPort(const SocketFd &listener);
 SocketFd tcpAccept(const SocketFd &listener, int timeout_ms);
 
 /**
- * Connect to @p host:@p port, retrying up to @p attempts times with
- * exponential backoff from @p backoff_ms (doubling, capped at
- * @p backoff_cap_ms) — shard processes race to their rendezvous, so a
- * refused connection usually means the listener is not up *yet*. Each
+ * Connect to @p host:@p port, retrying up to 100 times with
+ * exponential backoff from 10 ms (doubling, capped at 500 ms) — shard
+ * processes race to their rendezvous, so a refused connection usually
+ * means the listener is not up *yet*. Each
  * sleep gets deterministic per-attempt jitter (up to 25%, seeded from
  * host/port/attempt) so N shards hammering one listener don't retry in
  * lock-step. @p overall_timeout_ms > 0 adds a wall-clock cap on the
@@ -95,8 +95,6 @@ SocketFd tcpAccept(const SocketFd &listener, int timeout_ms);
  * message says which (never hangs).
  */
 SocketFd tcpConnectRetry(const std::string &host, uint16_t port,
-                         int attempts, int backoff_ms,
-                         int backoff_cap_ms = 500,
                          int overall_timeout_ms = 0);
 
 /**

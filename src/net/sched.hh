@@ -19,8 +19,7 @@
  * a per-unit EWMA: TokenFabric::endpointCostNs reads it for the
  * deployment profile (manager/deploy). Host-time accounting
  * (SchedTelemetry) is wall-clock and therefore NOT part of the
- * bit-identical surface; it is exported into the StatRegistry only
- * behind TelemetryConfig::schedStats.
+ * bit-identical surface; it is never exported into the StatRegistry.
  *
  * Allocation discipline: every per-round structure is sized at
  * configure() time, keeping the parallel round loop's steady-state

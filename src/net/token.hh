@@ -86,23 +86,6 @@ struct TokenBatch
         return *this;
     }
 
-    /** Empty when the flits keep push()'s invariants, else why not. */
-    std::string
-    flitError() const
-    {
-        for (size_t i = 0; i < flits.size(); ++i) {
-            const Flit &f = flits[i];
-            if (f.offset >= len)
-                return csprintf("flit offset %u outside batch len %u",
-                                f.offset, len);
-            if (i > 0 && flits[i - 1].offset >= f.offset)
-                return "flit offsets must be strictly increasing";
-            if (f.size < 1 || f.size > kFlitBytes)
-                return csprintf("flit size %u invalid", f.size);
-        }
-        return {};
-    }
-
     /** Absolute target cycle of a flit in this batch. */
     Cycles absCycle(const Flit &flit) const { return start + flit.offset; }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Snapshot (de)serializers for the token-fabric value types: flits,
+ * Snapshot serializers for the token-fabric value types: flits,
  * token batches, Ethernet frames, and frame-assembler partial state.
  * Header-only so every module that snapshots link state (nic, switch,
  * fault, net) encodes these identically.
@@ -25,17 +25,6 @@ saveFlit(Serializer &s, const Flit &f)
     s.putBytes(f.data.data(), f.data.size());
 }
 
-inline Flit
-restoreFlit(Deserializer &d)
-{
-    Flit f;
-    f.offset = static_cast<uint32_t>(d.getU());
-    f.last = d.getB();
-    f.size = static_cast<uint8_t>(d.getU());
-    d.getBytesInto(f.data.data(), f.data.size());
-    return f;
-}
-
 inline void
 saveBatch(Serializer &s, const TokenBatch &b)
 {
@@ -46,18 +35,6 @@ saveBatch(Serializer &s, const TokenBatch &b)
         saveFlit(s, f);
 }
 
-inline TokenBatch
-restoreBatch(Deserializer &d)
-{
-    TokenBatch b;
-    b.start = d.getU();
-    b.len = static_cast<uint32_t>(d.getU());
-    uint64_t n = d.getU();
-    for (uint64_t i = 0; i < n && d.ok(); ++i)
-        b.flits.push_back(restoreFlit(d));
-    return b;
-}
-
 inline void
 saveFrame(Serializer &s, const EthFrame &f)
 {
@@ -65,28 +42,11 @@ saveFrame(Serializer &s, const EthFrame &f)
     s.putBytes(f.bytes.data(), f.bytes.size());
 }
 
-inline EthFrame
-restoreFrame(Deserializer &d)
-{
-    EthFrame f;
-    f.timestamp = d.getU();
-    std::string bytes = d.getStr();
-    f.bytes.assign(bytes.begin(), bytes.end());
-    return f;
-}
-
 inline void
 saveAssembler(Serializer &s, const FrameAssembler &a)
 {
     const auto &p = a.partialBytes();
     s.putBytes(p.data(), p.size());
-}
-
-inline void
-restoreAssembler(Deserializer &d, FrameAssembler &a)
-{
-    std::string bytes = d.getStr();
-    a.restorePartial(std::vector<uint8_t>(bytes.begin(), bytes.end()));
 }
 
 } // namespace firesim

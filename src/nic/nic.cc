@@ -328,65 +328,4 @@ Nic::snapshotSave(Serializer &s) const
     saveCounter(s, stats_.interruptsRaised);
 }
 
-void
-Nic::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    expectEq(err, cfg.name + " mac", macAddr.value, d.getU());
-    sendReq.clear();
-    uint64_t n = d.getU();
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-        SendRequest r;
-        r.addr = d.getU();
-        r.len = static_cast<uint32_t>(d.getU());
-        sendReq.push_back(r);
-    }
-    recvReq.clear();
-    n = d.getU();
-    for (uint64_t i = 0; i < n && d.ok(); ++i)
-        recvReq.push_back(d.getU());
-    sendComp.clear();
-    n = d.getU();
-    for (uint64_t i = 0; i < n && d.ok(); ++i)
-        sendComp.push_back(static_cast<uint8_t>(d.getU()));
-    recvComp.clear();
-    n = d.getU();
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-        RecvCompletion c;
-        c.addr = d.getU();
-        c.len = static_cast<uint32_t>(d.getU());
-        recvComp.push_back(c);
-    }
-    readerBusy = d.getB();
-    reservationOccupied = static_cast<uint32_t>(d.getU());
-    txReady.clear();
-    n = d.getU();
-    for (uint64_t i = 0; i < n && d.ok(); ++i)
-        txReady.push_back(TxPacket{restoreFrame(d)});
-    txOutbox.clear();
-    n = d.getU();
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-        Cycles at = d.getU();
-        txOutbox.emplace_back(at, restoreFlit(d));
-    }
-    txPumpScheduled = d.getB();
-    txCursor = d.getU();
-    bucket = d.getU();
-    lastRefill = d.getU();
-    restoreAssembler(d, rxAssembler);
-    rxBufOccupied = static_cast<uint32_t>(d.getU());
-    rxBuffer.clear();
-    n = d.getU();
-    for (uint64_t i = 0; i < n && d.ok(); ++i)
-        rxBuffer.push_back(RxPacket{restoreFrame(d)});
-    writerBusy = d.getB();
-    restoreCounter(d, stats_.framesSent);
-    restoreCounter(d, stats_.framesReceived);
-    restoreCounter(d, stats_.framesDroppedRx);
-    restoreCounter(d, stats_.bytesSent);
-    restoreCounter(d, stats_.bytesReceived);
-    restoreCounter(d, stats_.interruptsRaised);
-    if (!d.ok())
-        err.add(cfg.name + ": " + d.error());
-}
-
 } // namespace firesim

@@ -49,8 +49,6 @@ namespace firesim
 {
 
 class Serializer;
-class Deserializer;
-struct SnapshotErrors;
 
 /** NIC build/runtime parameters. */
 struct NicConfig
@@ -171,11 +169,10 @@ class Nic
      * Serialize all controller queues, both DMA paths mid-transfer
      * (tx outbox flits, partial rx frame, token bucket), and the
      * counters. Event-queue closures (reader/writer/tx pumps) are not
-     * in the section — the owning blade's schedule digest verifies
-     * them; data restore + deterministic replay rebuilds them.
+     * in the section — the owning blade's schedule digest covers
+     * them; deterministic replay rebuilds them.
      */
     void snapshotSave(Serializer &s) const;
-    void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
   private:
     struct SendRequest

@@ -123,24 +123,4 @@ ServerBlade::snapshotSave(Serializer &s) const
     }
 }
 
-void
-ServerBlade::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    const std::string &n = cfg.name;
-    expectEq(err, n + " eq.now", (uint64_t)eq.now(), d.getU());
-    expectEq(err, n + " eq.scheduled", eq.scheduledTotal(), d.getU());
-    expectEq(err, n + " eq.digest", eq.scheduleDigest(),
-             d.getFixed64());
-    mem.snapshotRestore(d, err);
-    nicDev->snapshotRestore(d, err);
-    blkDev->snapshotRestore(d, err);
-    if (!harts_.empty()) {
-        hier_->snapshotRestore(d, err);
-        for (auto &core : harts_)
-            core->snapshotRestore(d, err);
-    }
-    if (!d.ok())
-        err.add(n + ": " + d.error());
-}
-
 } // namespace firesim

@@ -38,8 +38,6 @@ namespace firesim
 {
 
 class Serializer;
-class Deserializer;
-struct SnapshotErrors;
 
 /** Table I server blade configuration. */
 struct BladeConfig
@@ -114,15 +112,13 @@ class ServerBlade : public TokenEndpoint
     MemHierarchy &hierarchy() { return *hier_; }
 
     /**
-     * Serialize the blade: DRAM, NIC, block device (applied on
-     * restore), plus the event queue's clock and schedule digest.
-     * Pending events are closures and cannot be serialized — restore
-     * VERIFIES the digest against the live (replay-rebuilt) queue, so
-     * any divergence in the schedule is caught rather than silently
-     * continued from.
+     * Serialize the blade: DRAM, NIC, block device, plus the event
+     * queue's clock and schedule digest. Pending events are closures
+     * and cannot be serialized; restore compares the whole section
+     * with the live (replay-rebuilt) blade, so any divergence in the
+     * schedule is caught rather than silently continued from.
      */
     void snapshotSave(Serializer &s) const;
-    void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
   private:
     BladeConfig cfg;

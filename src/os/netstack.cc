@@ -394,69 +394,4 @@ NetStack::snapshotSave(Serializer &s) const
     saveCounter(s, stats_.socketOverflowDrops);
 }
 
-void
-NetStack::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    expectEq(err, "net ip", (uint64_t)myIp, d.getU());
-    expectEq(err, "net started", (uint64_t)started, (uint64_t)d.getB());
-    irqPending = d.getB();
-    txCursor = d.getU();
-    pingSeq = static_cast<uint16_t>(d.getU());
-
-    uint64_t n = d.getU();
-    expectEq(err, "net hw rx ports", (uint64_t)hwRxPorts.size(), n);
-    if (n == hwRxPorts.size()) {
-        for (const auto &[port, cycles] : hwRxPorts) {
-            expectEq(err, csprintf("net hw port %u", port),
-                     (uint64_t)port, d.getU());
-            expectEq(err, csprintf("net hw port %u cycles", port),
-                     (uint64_t)cycles, d.getU());
-        }
-    } else {
-        for (uint64_t i = 0; i < n && d.ok(); ++i) {
-            d.getU();
-            d.getU();
-        }
-    }
-
-    // Sockets live in application coroutine frames; replay rebuilt
-    // them, so the bound-port list and queue depths must already match.
-    n = d.getU();
-    expectEq(err, "net bound ports", (uint64_t)ports.size(), n);
-    if (n == ports.size()) {
-        for (const auto &[port, sock] : ports) {
-            expectEq(err, csprintf("net port %u", port), (uint64_t)port,
-                     d.getU());
-            expectEq(err, csprintf("net port %u rxq", port),
-                     (uint64_t)sock->rxq.size(), d.getU());
-        }
-    } else {
-        for (uint64_t i = 0; i < n && d.ok(); ++i) {
-            d.getU();
-            d.getU();
-        }
-    }
-
-    n = d.getU();
-    expectEq(err, "net outstanding pings", (uint64_t)pingWaiters.size(),
-             n);
-    if (n == pingWaiters.size()) {
-        for (const auto &kv : pingWaiters)
-            expectEq(err, csprintf("net ping seq %u", kv.first),
-                     (uint64_t)kv.first, d.getU());
-    } else {
-        for (uint64_t i = 0; i < n && d.ok(); ++i)
-            d.getU();
-    }
-
-    restoreCounter(d, stats_.framesTx);
-    restoreCounter(d, stats_.framesRx);
-    restoreCounter(d, stats_.icmpEchoed);
-    restoreCounter(d, stats_.udpDelivered);
-    restoreCounter(d, stats_.udpNoPort);
-    restoreCounter(d, stats_.socketOverflowDrops);
-    if (!d.ok())
-        err.add("net: " + d.error());
-}
-
 } // namespace firesim

@@ -41,8 +41,6 @@ namespace firesim
 {
 
 class Serializer;
-class Deserializer;
-struct SnapshotErrors;
 
 /** IPv4-style address, host byte order. */
 using Ip = uint32_t;
@@ -216,14 +214,12 @@ class NetStack
     const NetStackStats &stats() const { return stats_; }
 
     /**
-     * Serialize counters and protocol cursors (applied on restore)
-     * plus the configuration-derived tables — bound ports, ping
-     * waiters, hardware fast paths — which restore VERIFIES against
-     * the live (replay-rebuilt) state, since sockets and ping records
-     * live inside application coroutine frames.
+     * Serialize counters and protocol cursors plus the tables —
+     * bound ports, ping waiters, hardware fast paths — that live
+     * inside application coroutine frames; restore compares them with
+     * the live (replay-rebuilt) stack.
      */
     void snapshotSave(Serializer &s) const;
-    void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
   private:
     friend class UdpSocket;

@@ -479,74 +479,4 @@ SimOS::snapshotSave(Serializer &s) const
     }
 }
 
-void
-SimOS::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    restoreRandom(d, rng);
-    expectEq(err, "os totalBusy", totalBusy, d.getU());
-    expectEq(err, "os rrSpawn", (uint64_t)rrSpawn, d.getU());
-
-    std::unordered_map<const SimThread *, uint64_t> index;
-    for (size_t i = 0; i < threads.size(); ++i)
-        index[threads[i].get()] = i;
-    auto liveRef = [&index](const SimThread *t) -> uint64_t {
-        return t ? index.at(t) + 1 : 0;
-    };
-
-    uint64_t nthreads = d.getU();
-    if (nthreads != threads.size()) {
-        err.add(csprintf("os thread count: live %zu != snapshot %llu",
-                         threads.size(), (unsigned long long)nthreads));
-        return;
-    }
-    for (size_t i = 0; i < threads.size() && d.ok(); ++i) {
-        const SimThread &t = *threads[i];
-        std::string who = csprintf("os thread %zu (%s)", i,
-                                   t.label.c_str());
-        std::string label = d.getStr();
-        if (label != t.label)
-            err.add(csprintf("%s label: snapshot has '%s'", who.c_str(),
-                             label.c_str()));
-        expectEq(err, who + " kernel", (uint64_t)t.kernel,
-                 (uint64_t)d.getB());
-        expectEq(err, who + " pin", (int64_t)t.pinnedCore, d.getI());
-        expectEq(err, who + " lastCore", (int64_t)t.lastCore, d.getI());
-        expectEq(err, who + " state", (uint64_t)t.state_, d.getU());
-        expectEq(err, who + " pending", (uint64_t)t.pending, d.getU());
-        expectEq(err, who + " pendingCycles", t.pendingCycles, d.getU());
-        expectEq(err, who + " wakeAt", t.wakeAt, d.getU());
-        expectEq(err, who + " cpuUsed", t.cpuUsed, d.getU());
-    }
-
-    uint64_t ncores = d.getU();
-    if (ncores != cores.size()) {
-        err.add(csprintf("os core count: live %zu != snapshot %llu",
-                         cores.size(), (unsigned long long)ncores));
-        return;
-    }
-    for (size_t c = 0; c < cores.size() && d.ok(); ++c) {
-        const Core &core = cores[c];
-        std::string who = csprintf("os core %zu", c);
-        expectEq(err, who + " running", liveRef(core.running), d.getU());
-        expectEq(err, who + " lastRun", liveRef(core.lastRun), d.getU());
-        uint64_t qlen = d.getU();
-        expectEq(err, who + " runq length", (uint64_t)core.runq.size(),
-                 qlen);
-        if (qlen == core.runq.size()) {
-            for (size_t i = 0; i < qlen && d.ok(); ++i)
-                expectEq(err, csprintf("%s runq[%zu]", who.c_str(), i),
-                         liveRef(core.runq[i]), d.getU());
-        } else {
-            for (size_t i = 0; i < qlen && d.ok(); ++i)
-                d.getU();
-        }
-        expectEq(err, who + " seq", core.seq, d.getU());
-        expectEq(err, who + " sliceStart", core.sliceStart, d.getU());
-        expectEq(err, who + " inCtxSwitch", (uint64_t)core.inCtxSwitch,
-                 (uint64_t)d.getB());
-    }
-    if (!d.ok())
-        err.add("os: " + d.error());
-}
-
 } // namespace firesim

@@ -43,8 +43,6 @@ namespace firesim
 
 class SimOS;
 class Serializer;
-class Deserializer;
-struct SnapshotErrors;
 
 /** Tunable kernel-model parameters; defaults are calibrated for the
  *  paper's 3.2 GHz quad-core Rocket blades. */
@@ -172,12 +170,10 @@ class SimOS
      * Serialize the scheduler state: RNG stream, per-core run queues
      * (threads by spawn index), slice bookkeeping, and per-thread
      * scheduling fields. Coroutine frames cannot be serialized, so
-     * restore VERIFIES this section against the live (replay-rebuilt)
-     * state rather than overwriting it — any divergence is reported
-     * through @p err. Only the RNG stream is applied.
+     * restore compares this section with the live (replay-rebuilt)
+     * scheduler and reports any divergence.
      */
     void snapshotSave(Serializer &s) const;
-    void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
     // ---- awaitables used inside Task coroutines -----------------------
 

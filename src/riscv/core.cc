@@ -985,38 +985,4 @@ RocketCore::snapshotSave(Serializer &s) const
     s.putU(stats_.mmioAccesses);
 }
 
-void
-RocketCore::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    expectEq(err, "core hartId", (uint64_t)cfg.hartId, d.getU());
-    uint64_t regs[32];
-    for (auto &r : regs)
-        r = d.getU();
-    uint64_t pc = d.getU();
-    bool halted_ = d.getB();
-    uint64_t tohost = d.getU();
-    uint32_t accum = static_cast<uint32_t>(d.getU());
-    std::string console = d.getStr();
-    CoreStats st;
-    st.instret = d.getU();
-    st.cycles = d.getU();
-    st.loads = d.getU();
-    st.stores = d.getU();
-    st.branches = d.getU();
-    st.takenBranches = d.getU();
-    st.mmioAccesses = d.getU();
-    if (!d.ok()) {
-        err.add("core: " + d.error());
-        return;
-    }
-    for (int i = 0; i < 32; ++i)
-        x[i] = regs[i];
-    pcReg = pc;
-    isHalted = halted_;
-    tohostValue = tohost;
-    issueAccum = accum;
-    uartOut = std::move(console);
-    stats_ = st;
-}
-
 } // namespace firesim

@@ -42,8 +42,6 @@ namespace firesim
 {
 
 class Serializer;
-class Deserializer;
-struct SnapshotErrors;
 class DecodeCache;
 struct DecodeCacheStats;
 
@@ -270,11 +268,9 @@ class RocketCore
      * Serialize the full architectural + timing state: registers, pc,
      * halt/tohost, console output, issue accumulator and counters.
      * Backing memory and the cache hierarchy are snapshotted by their
-     * owners. A restored core continues instruction-for-instruction
-     * identical to the saved one.
+     * owners.
      */
     void snapshotSave(Serializer &s) const;
-    void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
   private:
     uint64_t loadData(uint64_t addr, uint32_t size, bool sign_extend);

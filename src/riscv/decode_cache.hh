@@ -14,12 +14,12 @@
  * Correctness under self-modifying code and DMA: the cache registers a
  * CodeWriteWatch on the backing FunctionalMemory covering the range of
  * offsets it has ever decoded from. Any write overlapping that range
- * (a store from the core, a NIC/blockdev DMA, or a snapshot restore
- * clobbering memory wholesale) invalidates exactly the slots whose
- * cached instruction bytes the write touched; the per-slot offset tag
- * re-validates on every dispatch, so a mid-block invalidation takes
- * effect at the next instruction boundary — the same boundary at
- * which the slow path would have fetched the fresh bytes.
+ * (a store from the core or a NIC/blockdev DMA) invalidates exactly
+ * the slots whose cached instruction bytes the write touched; the
+ * per-slot offset tag re-validates on every dispatch, so a mid-block
+ * invalidation takes effect at the next instruction boundary — the
+ * same boundary at which the slow path would have fetched the fresh
+ * bytes.
  *
  * Everything here is host-only acceleration state: it is never
  * serialized, and its hit/miss/invalidation counters register under a

@@ -35,9 +35,8 @@ namespace firesim
 uint32_t crc32(const void *data, size_t len, uint32_t seed = 0);
 
 /**
- * Accumulates restore diagnostics. Components verify control-plane
- * state against the snapshot through this instead of aborting, so a
- * failed restore reports *every* divergent field at once.
+ * Accumulates restore diagnostics instead of aborting, so a failed
+ * restore reports *every* divergent section at once.
  */
 struct SnapshotErrors
 {
@@ -59,18 +58,6 @@ struct SnapshotErrors
         return out;
     }
 };
-
-/** Record a live-vs-saved mismatch of an integral field. */
-template <typename T>
-inline void
-expectEq(SnapshotErrors &err, const std::string &what, T live, T saved)
-{
-    if (live != saved) {
-        err.add(csprintf("%s: live %llu != snapshot %llu", what.c_str(),
-                         (unsigned long long)live,
-                         (unsigned long long)saved));
-    }
-}
 
 /** Appends snapshot fields to a byte buffer. */
 class Serializer

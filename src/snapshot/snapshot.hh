@@ -1,7 +1,12 @@
 /**
  * @file
- * Versioned snapshot container: the on-disk file format plus the
- * Snapshottable component interface.
+ * Versioned snapshot container: the on-disk file format.
+ *
+ * Each stateful component serializes itself with snapshotSave. A
+ * restore replays a freshly built cluster to the snapshot cycle and
+ * then byte-compares every section with the replayed component's
+ * snapshotSave (Cluster::loadSnapshot): the file is a check on the
+ * replay, never written back into the components.
  *
  * File layout (all integers little-endian):
  *
@@ -50,26 +55,13 @@ namespace firesim
  *  snapshot be restored under a different ShardPlan (re-sharding).
  *  v3: "net<i>" sections no longer carry ARP entries (the cluster's
  *  one shared ARP table is a function of the topology, which the
- *  header's topoHash already pins). */
-constexpr uint32_t kSnapshotVersion = 3;
+ *  header's topoHash already pins).
+ *  v4: restore is replay plus a byte compare of every section; the
+ *  "autocounter" section writes host-timing columns as 0. */
+constexpr uint32_t kSnapshotVersion = 4;
 
 /** "FSNP" little-endian. */
 constexpr uint32_t kSnapshotMagic = 0x504e5346u;
-
-/**
- * Implemented by every stateful component. snapshotSave serializes
- * the component's full architectural + microarchitectural state;
- * snapshotRestore applies it (data-plane fields) and verifies it
- * (control-plane digests), reporting divergence through @p err
- * rather than crashing.
- */
-class Snapshottable
-{
-  public:
-    virtual ~Snapshottable() = default;
-    virtual void snapshotSave(Serializer &s) const = 0;
-    virtual void snapshotRestore(Deserializer &d, SnapshotErrors &err) = 0;
-};
 
 /** Identification fields every snapshot file starts with. */
 struct SnapshotHeader

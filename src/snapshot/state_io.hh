@@ -1,10 +1,10 @@
 /**
  * @file
- * Inline (de)serializers for the base-layer value types that appear
+ * Inline serializers for the base-layer value types that appear
  * inside many component snapshots: RNG streams, counters, histograms,
- * running stats. Components call these from their snapshotSave /
- * snapshotRestore methods so every module encodes these types the
- * same way — base itself stays free of any snapshot dependency.
+ * running stats. Components call these from their snapshotSave
+ * methods so every module encodes these types the same way — base
+ * itself stays free of any snapshot dependency.
  */
 
 #ifndef FIRESIM_SNAPSHOT_STATE_IO_HH
@@ -27,25 +27,9 @@ saveRandom(Serializer &s, const Random &rng)
 }
 
 inline void
-restoreRandom(Deserializer &d, Random &rng)
-{
-    uint64_t st[4];
-    for (auto &w : st)
-        w = d.getFixed64();
-    if (d.ok())
-        rng.restoreState(st);
-}
-
-inline void
 saveCounter(Serializer &s, const Counter &c)
 {
     s.putU(c.value());
-}
-
-inline void
-restoreCounter(Deserializer &d, Counter &c)
-{
-    c.set(d.getU());
 }
 
 inline void
@@ -55,17 +39,6 @@ saveRunningStat(Serializer &s, const RunningStat &r)
     s.putU(r.count());
     s.putD(r.rawMin());
     s.putD(r.rawMax());
-}
-
-inline void
-restoreRunningStat(Deserializer &d, RunningStat &r)
-{
-    double sum = d.getD();
-    uint64_t n = d.getU();
-    double lo = d.getD();
-    double hi = d.getD();
-    if (d.ok())
-        r.restoreState(sum, n, lo, hi);
 }
 
 inline void
@@ -80,24 +53,6 @@ saveHistogram(Serializer &s, const Histogram &h)
     s.putU(vals.size());
     for (double v : vals)
         s.putD(v);
-}
-
-inline void
-restoreHistogram(Deserializer &d, Histogram &h)
-{
-    double sum = d.getD();
-    uint64_t n = d.getU();
-    double lo = d.getD();
-    double hi = d.getD();
-    restoreRandom(d, h.reservoirRng());
-    uint64_t count = d.getU();
-    std::vector<double> vals;
-    if (d.ok())
-        vals.reserve(count);
-    for (uint64_t i = 0; i < count && d.ok(); ++i)
-        vals.push_back(d.getD());
-    if (d.ok())
-        h.restoreState(std::move(vals), sum, n, lo, hi);
 }
 
 } // namespace firesim

@@ -348,70 +348,4 @@ Switch::snapshotSave(Serializer &s) const
     saveCounter(s, stats_.portTransitions);
 }
 
-void
-Switch::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    expectEq(err, cfg.name + " ports", (uint64_t)cfg.ports, d.getU());
-    if (!err.ok())
-        return;
-
-    auto readPacket = [&d]() {
-        QueuedPacket p;
-        p.frame = restoreFrame(d);
-        p.release = d.getU();
-        p.seq = d.getU();
-        return p;
-    };
-
-    macTable.clear();
-    uint64_t n = d.getU();
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-        uint64_t mac = d.getU();
-        uint64_t port = d.getU();
-        if (mac > MacAddr::kMask || port >= cfg.ports)
-            d.fail(csprintf("MAC entry %#llx -> port %llu on a %u-port "
-                            "switch", (unsigned long long)mac,
-                            (unsigned long long)port, cfg.ports));
-        else if (d.ok())
-            macTable.put(mac, static_cast<uint32_t>(port));
-    }
-    for (uint32_t p = 0; p < cfg.ports; ++p)
-        portDown_[p] = d.getB();
-    for (FrameAssembler &a : assemblers)
-        restoreAssembler(d, a);
-
-    pending.clear();
-    n = d.getU();
-    for (uint64_t i = 0; i < n && d.ok(); ++i)
-        pending.push_back(readPacket());
-
-    for (OutputPort &out : outputs) {
-        out.queue.clear();
-        n = d.getU();
-        for (uint64_t i = 0; i < n && d.ok(); ++i)
-            out.queue.push_back(readPacket());
-        out.active.reset();
-        out.activePos = 0;
-        if (d.getB()) {
-            out.active = readPacket();
-            out.activePos = d.getU();
-        }
-        out.cursor = d.getU();
-    }
-
-    nextSeq = d.getU();
-    bytesOutSinceQuery = d.getU();
-    restoreCounter(d, stats_.packetsIn);
-    restoreCounter(d, stats_.packetsOut);
-    restoreCounter(d, stats_.packetsDropped);
-    restoreCounter(d, stats_.bytesIn);
-    restoreCounter(d, stats_.bytesOut);
-    restoreCounter(d, stats_.broadcasts);
-    restoreCounter(d, stats_.faultFlitsDroppedIn);
-    restoreCounter(d, stats_.faultPacketsDroppedOut);
-    restoreCounter(d, stats_.portTransitions);
-    if (!d.ok())
-        err.add(cfg.name + ": " + d.error());
-}
-
 } // namespace firesim

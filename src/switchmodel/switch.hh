@@ -41,8 +41,6 @@ namespace firesim
 {
 
 class Serializer;
-class Deserializer;
-struct SnapshotErrors;
 
 /** Runtime-configurable switch parameters (no resynthesis needed). */
 struct SwitchConfig
@@ -141,7 +139,6 @@ class Switch : public TokenEndpoint
      * counter, and counters.
      */
     void snapshotSave(Serializer &s) const;
-    void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
   protected:
     /** A packet waiting in an output port queue. */

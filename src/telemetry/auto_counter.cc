@@ -119,52 +119,18 @@ AutoCounterSampler::snapshotSave(Serializer &s) const
     s.putU(quantum);
     s.putU(nextAt);
     s.putU(cols.size());
-    for (const std::string &c : cols)
-        s.putStr(c);
+    std::vector<bool> host(cols.size());
+    for (size_t i = 0; i < cols.size(); ++i) {
+        s.putStr(cols[i]);
+        host[i] = isHostTimingStat(cols[i]);
+    }
     s.putU(samples.size());
     for (const Sample &smp : samples) {
         s.putU(smp.at);
         s.putU(smp.values.size());
-        for (double v : smp.values)
-            s.putD(v);
+        for (size_t i = 0; i < smp.values.size(); ++i)
+            s.putD(host[i] ? 0.0 : smp.values[i]);
     }
-}
-
-void
-AutoCounterSampler::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    expectEq(err, "autocounter period", per, d.getU());
-    expectEq(err, "autocounter quantum", quantum, d.getU());
-    if (!err.ok())
-        return;
-    Cycles next = d.getU();
-    std::vector<std::string> newCols;
-    uint64_t n = d.getU();
-    for (uint64_t i = 0; i < n && d.ok(); ++i)
-        newCols.push_back(d.getStr());
-    std::vector<Sample> newSamples;
-    n = d.getU();
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-        Sample smp;
-        smp.at = d.getU();
-        uint64_t vals = d.getU();
-        if (vals != newCols.size() && !(newCols.empty() && vals == 0)) {
-            err.add(csprintf("autocounter sample %llu has %llu values "
-                             "for %zu columns", (unsigned long long)i,
-                             (unsigned long long)vals, newCols.size()));
-            return;
-        }
-        for (uint64_t v = 0; v < vals && d.ok(); ++v)
-            smp.values.push_back(d.getD());
-        newSamples.push_back(std::move(smp));
-    }
-    if (!d.ok()) {
-        err.add("autocounter: " + d.error());
-        return;
-    }
-    nextAt = next;
-    cols = std::move(newCols);
-    samples = std::move(newSamples);
 }
 
 } // namespace firesim

@@ -28,8 +28,6 @@ namespace firesim
 {
 
 class Serializer;
-class Deserializer;
-struct SnapshotErrors;
 
 class AutoCounterSampler : public FabricObserver
 {
@@ -77,11 +75,12 @@ class AutoCounterSampler : public FabricObserver
 
     /**
      * Serialize the accumulated series (columns + samples) and the
-     * next-sample cursor, so csv()/json() from a restored run are
-     * byte-identical to an unbroken run's.
+     * next-sample cursor, so restore can check that the replayed
+     * series matches. Host-timing columns (isHostTimingStat) are
+     * written as 0: they vary with the shard transport, not the
+     * simulation. csv()/json() keep their real values.
      */
     void snapshotSave(Serializer &s) const;
-    void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
   private:
     const StatRegistry &reg;

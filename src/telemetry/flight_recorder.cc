@@ -151,6 +151,13 @@ FlightRecorder::record(EventKind kind, uint64_t round, Cycles cycle,
     // one bounded POD copy.
     if (!lockSlot(slot.state, prev, 1 << 20))
         return;
+    // A writer preempted between claiming seq and locking its slot can
+    // find it already holding an event `depth` or more sequence numbers
+    // newer; keep the newer event and drop this one.
+    if (prev > seq * 2 + 2) {
+        unlockSlot(slot.state, prev);
+        return;
+    }
     slot.seq = seq;
     slot.hostNs = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(

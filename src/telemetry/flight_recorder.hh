@@ -13,7 +13,8 @@
  *  - recording must be thread-safe and TSan-clean: fabric worker
  *    threads and the driving thread can record concurrently. Each
  *    slot carries its own tiny atomic spinlock, so two writers only
- *    ever contend on a wraparound collision of the same slot;
+ *    ever contend on a wraparound collision of the same slot, and
+ *    there the newer sequence number wins;
  *  - dumping must work from the ugliest contexts (a SIGSEGV handler):
  *    the ring is preallocated POD, and the write path reuses the
  *    snapshot layer's atomic tmp+fsync+rename helper so a crash

@@ -207,39 +207,4 @@ InstructionTrace::snapshotSave(Serializer &s) const
     }
 }
 
-void
-InstructionTrace::snapshotRestore(Deserializer &d, SnapshotErrors &err)
-{
-    expectEq(err, "trace capacity", (uint64_t)ring.size(), d.getU());
-    if (!err.ok())
-        return;
-    uint64_t comm = d.getU();
-    uint64_t over = d.getU();
-    uint64_t n = d.getU();
-    if (n > ring.size()) {
-        err.add(csprintf("trace holds %llu records, capacity %zu",
-                         (unsigned long long)n, ring.size()));
-        return;
-    }
-    std::vector<TraceRecord> recs;
-    recs.reserve(n);
-    for (uint64_t i = 0; i < n && d.ok(); ++i) {
-        TraceRecord r;
-        r.pc = d.getU();
-        r.cycle = d.getU();
-        r.cls = static_cast<OpClass>(d.getU());
-        recs.push_back(r);
-    }
-    if (!d.ok()) {
-        err.add("trace: " + d.error());
-        return;
-    }
-    committed_ = comm;
-    overwritten = over;
-    head = 0;
-    count = recs.size();
-    for (size_t i = 0; i < recs.size(); ++i)
-        ring[i] = recs[i];
-}
-
 } // namespace firesim

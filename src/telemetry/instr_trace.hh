@@ -32,8 +32,6 @@ namespace firesim
 {
 
 class Serializer;
-class Deserializer;
-struct SnapshotErrors;
 
 /** Coarse committed-instruction classification (TracerV groups). */
 enum class OpClass : uint8_t
@@ -122,12 +120,10 @@ class InstructionTrace
 
     /**
      * Serialize the retained records in logical (commit) order plus
-     * the lifetime counters. Restore lays the records back from slot 0
-     * — the physical ring offset is not observable through drain() or
-     * encodeCompressed(), so the restored trace behaves identically.
+     * the lifetime counters. The physical ring offset is not saved: it
+     * is not observable through drain() or encodeCompressed().
      */
     void snapshotSave(Serializer &s) const;
-    void snapshotRestore(Deserializer &d, SnapshotErrors &err);
 
   private:
     std::vector<TraceRecord> ring;

@@ -190,6 +190,20 @@ StatRegistry::dumpJson(Cycles at) const
     return out;
 }
 
+bool
+isHostTimingStat(std::string_view name)
+{
+    if (name.substr(0, 4) == "rank") {
+        size_t d = 4;
+        while (d < name.size() && name[d] >= '0' && name[d] <= '9')
+            ++d;
+        if (d > 4 && d < name.size() && name[d] == '.')
+            name.remove_prefix(d + 1);
+    }
+    return name.substr(0, 14) == "cluster.shard." ||
+           name.find(".host.") != std::string_view::npos;
+}
+
 // RFC-4180 quoting for the few names that need it (commas or quotes
 // are possible now that stat names accept printable ASCII).
 std::string

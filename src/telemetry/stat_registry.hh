@@ -20,6 +20,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -60,6 +61,17 @@ StatSnapshot diffSnapshots(const StatSnapshot &before,
  * heartbeats, flight recorder) routes strings through this.
  */
 std::string jsonEscape(const std::string &s);
+
+/**
+ * True for a stat whose value depends on the host rather than the
+ * simulation: the shard transport's `cluster.shard.*` subtree (its byte
+ * counters follow kernel recv() chunk boundaries) and any name with a
+ * `.host.` segment (host-side acceleration counters such as the decode
+ * cache's hits and misses, which a cache-off run never records). Also
+ * matches the merged cross-shard dump's `rankN.`-prefixed spelling.
+ * Parity dumps and snapshot sections leave these values out.
+ */
+bool isHostTimingStat(std::string_view name);
 
 class StatRegistry
 {

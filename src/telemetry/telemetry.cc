@@ -8,7 +8,7 @@ namespace firesim
 {
 
 Telemetry::Telemetry(TelemetryConfig config)
-    : cfg(std::move(config)), sink(cfg.maxTraceEvents)
+    : cfg(std::move(config))
 {}
 
 void

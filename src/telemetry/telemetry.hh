@@ -34,17 +34,6 @@ struct TelemetryConfig
     /** Emit Chrome trace spans for rounds / switch ticks / blade ticks. */
     bool hostProfile = false;
     /**
-     * Export the round scheduler's per-worker busy-time counters
-     * (TokenFabric::schedTelemetry) into the stat registry under
-     * cluster.fabric.sched.*. Off by default and deliberately separate
-     * from `enabled`: these numbers are host wall-clock, so turning
-     * them on makes stats.json vary run to run — everything else in the
-     * registry stays byte-identical across worker counts.
-     */
-    bool schedStats = false;
-    /** Span cap for the trace sink (long runs stay bounded). */
-    size_t maxTraceEvents = 1 << 20;
-    /**
      * When non-empty, dump stats.json, autocounter.csv and trace.json
      * into this (existing) directory at Cluster destruction. Sharded
      * runs additionally write rank 0's merged cross-shard dumps

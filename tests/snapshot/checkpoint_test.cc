@@ -22,6 +22,7 @@
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
 #include "snapshot/snapshot.hh"
+#include "telemetry/stat_registry.hh"
 #include "tests/scoped_temp_dir.hh"
 
 namespace firesim
@@ -83,7 +84,7 @@ TEST(ClusterCheckpoint, SaveRestoreContinuationIsByteIdentical)
             << "saving a snapshot must not change the simulation";
     }
 
-    // The restored run: replay to kSave, verify + apply, continue.
+    // The restored run: replay to kSave, byte-compare, continue.
     Cluster restored(topologies::singleTor(2), testConfig());
     spawnPinger(restored.node(0), 1);
     ASSERT_EQ(resumeFromSnapshot(restored, path), "");
@@ -202,6 +203,31 @@ TEST(ClusterCheckpoint, CorruptedSnapshotIsRejectedWithDiagnostics)
         spawnPinger(clu.node(0), 1);
         EXPECT_NE(resumeFromSnapshot(clu, path), "");
     }
+}
+
+TEST(StripHostTimingStats, DropsExactlyTheHostTimingEntries)
+{
+    EXPECT_TRUE(isHostTimingStat("cluster.shard.peer1.bytesTx"));
+    EXPECT_TRUE(isHostTimingStat("rank12.cluster.shard.livePeers"));
+    EXPECT_TRUE(isHostTimingStat("cluster.node0.core0.host.decode.hits"));
+    EXPECT_FALSE(isHostTimingStat("cluster.switch0.packetsIn"));
+    EXPECT_FALSE(isHostTimingStat("x.cluster.shard.y"));
+    EXPECT_FALSE(isHostTimingStat("rankA.cluster.shard.y"));
+
+    EXPECT_EQ(stripHostTimingStats(
+                  "{\"cycle\": 5, \"stats\": {\"a.b\": 1, "
+                  "\"cluster.shard.peer1.bytesTx\": 2, "
+                  "\"n0.host.decode.hits\": 3, "
+                  "\"rank1.cluster.shard.x\": 4, \"rank1.n.c\": 5}}"),
+              "{\"cycle\": 5, \"stats\": {\"a.b\": 1, \"rank1.n.c\": 5}}");
+    // A host-timing last entry takes the separator in front of it; a
+    // host-timing only entry leaves an empty, still valid object.
+    EXPECT_EQ(stripHostTimingStats("{\"cycle\": 5, \"stats\": {\"a\": 1, "
+                                   "\"cluster.shard.x\": 2}}"),
+              "{\"cycle\": 5, \"stats\": {\"a\": 1}}");
+    EXPECT_EQ(stripHostTimingStats(
+                  "{\"cycle\": 5, \"stats\": {\"cluster.shard.x\": 2}}"),
+              "{\"cycle\": 5, \"stats\": {}}");
 }
 
 TEST(ClusterCheckpoint, PeriodicAndSignalDrivenCheckpoints)

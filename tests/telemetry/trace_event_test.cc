@@ -240,12 +240,15 @@ TEST(ClusterTelemetry, SimRatePhasesCoverEveryRunCall)
     Cluster cluster(topologies::singleTor(2), telemetryConfig());
     cluster.run(20000);
     cluster.run(30000);
+    cluster.runUs(10.0);
     const auto &phases = cluster.telemetry()->simRate().phases();
-    ASSERT_EQ(phases.size(), 2u);
+    ASSERT_EQ(phases.size(), 3u);
     EXPECT_EQ(phases[0].targetCycles, 20000u);
     EXPECT_EQ(phases[0].startCycle, 0u);
     EXPECT_EQ(phases[1].targetCycles, 30000u);
     EXPECT_EQ(phases[1].startCycle, 20000u);
+    EXPECT_EQ(phases[2].targetCycles, cluster.clock().cyclesFromUs(10.0));
+    EXPECT_EQ(phases[2].startCycle, 50000u);
 }
 
 TEST(ClusterTelemetry, DumpAtExitWritesParseableFiles)
