@@ -94,6 +94,7 @@ int
 main(int argc, char **argv)
 {
     bench::parseCommonFlags(argc, argv);
+    bench::requireSingleShard("bench_fault_resilience");
     bench::banner("Resilience", "Deterministic fault injection and "
                                 "graceful degradation");
     TargetClock clk;

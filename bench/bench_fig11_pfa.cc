@@ -90,6 +90,7 @@ int
 main(int argc, char **argv)
 {
     bench::parseCommonFlags(argc, argv);
+    bench::requireSingleShard("bench_fig11_pfa");
     bench::banner("Figure 11", "Hardware-accelerated vs software paging");
 
     PfaWorkloadConfig wc;

@@ -92,6 +92,7 @@ int
 main(int argc, char **argv)
 {
     bench::parseCommonFlags(argc, argv);
+    bench::requireSingleShard("bench_fig7_memcached_imbalance");
     bench::banner("Figure 7",
                   "memcached tail latency: thread imbalance on a 4-core "
                   "server");

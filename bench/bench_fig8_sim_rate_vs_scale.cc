@@ -208,6 +208,7 @@ int
 main(int argc, char **argv)
 {
     bench::parseCommonFlags(argc, argv);
+    bench::requireSingleShard("bench_fig8_sim_rate_vs_scale");
     bench::banner("Figure 8", "Simulation rate vs simulated cluster size");
     const Cycles link = 6400; // 2 us batches
 

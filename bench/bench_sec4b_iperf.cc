@@ -46,6 +46,7 @@ int
 main(int argc, char **argv)
 {
     bench::parseCommonFlags(argc, argv);
+    bench::requireSingleShard("bench_sec4b_iperf");
     bench::banner("Section IV-B",
                   "iperf3 bandwidth over the OS network stack");
     double ms = bench::fullScale() ? 20.0 : 5.0;

@@ -16,14 +16,8 @@
  * The headline number is the shm-vs-unix speedup: the rings replace
  * two kernel round trips per barrier (send + blocking recv) with
  * cache-line traffic. Results land in BENCH_shm.json.
- *
- * A second phase scores the elastic-sharding deployment mapper
- * (manager/deploy): on a skewed measured profile, the cost policy's
- * server->rank map must carry a lower max/mean busy ratio than the
- * default contiguous block split. Results land in BENCH_reshard.json.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -31,12 +25,8 @@
 #include <utility>
 #include <vector>
 
-#include "base/logging.hh"
 #include "base/table.hh"
 #include "bench/common.hh"
-#include "manager/deploy.hh"
-#include "manager/shard.hh"
-#include "manager/topology.hh"
 #include "net/remote/peer_link.hh"
 #include "net/remote/shard_transport.hh"
 #include "net/remote/socket.hh"
@@ -186,103 +176,6 @@ writeBenchJson(const char *path, uint64_t rounds, double unix_ns,
     std::printf("Results written to %s\n", path);
 }
 
-/**
- * A skewed-but-realistic measured profile over @p plan's topology: the
- * first third of the servers run the heavy workload (8x the advance
- * cost of the rest) and chat proportionally more. Exactly the shape
- * that defeats the block split — contiguous hot servers pile onto the
- * low ranks.
- */
-DeploymentProfile
-skewedProfile(const ShardPlan &plan)
-{
-    DeploymentProfile prof;
-    prof.topoHash = plan.topoHash;
-    prof.serverCostNs.assign(plan.nServers, 0.0);
-    prof.linkFlits.assign(plan.links.size() * 2, 0);
-    for (uint32_t j = 0; j < plan.nServers; ++j)
-        prof.serverCostNs[j] = j < plan.nServers / 3 ? 4000.0 : 500.0;
-    for (size_t k = 0; k < plan.links.size(); ++k) {
-        const ShardPlan::Link &l = plan.links[k];
-        if (l.childIsSwitch)
-            continue;
-        uint64_t flits =
-            static_cast<uint64_t>(prof.serverCostNs[l.child]);
-        prof.linkFlits[ShardPlan::downLinkId(k)] = flits;
-        prof.linkFlits[ShardPlan::upLinkId(k)] = flits;
-    }
-    return prof;
-}
-
-double
-busyRatio(const PlanCost &pc)
-{
-    return pc.meanLoadNs > 0 ? pc.maxLoadNs / pc.meanLoadNs : 0.0;
-}
-
-/** Score block vs cost server->rank maps on the skewed profile and
- *  write BENCH_reshard.json. */
-void
-benchReshardPlans()
-{
-    constexpr uint32_t kServers = 12;
-    std::printf("\nelastic re-sharding: block vs cost plan quality on "
-                "a skewed profile (singleTor(%u), hot first third)\n\n",
-                kServers);
-
-    const uint32_t shardCounts[] = {2, 3, 4};
-    Table table({"shards", "block max/mean", "cost max/mean",
-                 "improvement", "block cut", "cost cut"});
-    std::string entries;
-    for (uint32_t shards : shardCounts) {
-        SwitchSpec t = topologies::singleTor(kServers);
-        ShardPlan plan = ShardPlan::build(t, shards, kQuantum, 10, 0);
-        DeploymentProfile prof = skewedProfile(plan);
-        PlanCost block = evaluateOwners(plan, plan.serverOwner, prof);
-        std::vector<uint32_t> costOwners = computeCostOwners(plan, prof);
-        PlanCost cost = evaluateOwners(plan, costOwners, prof);
-
-        double rb = busyRatio(block), rc = busyRatio(cost);
-        table.addRow({Table::fmt(shards, 0), Table::fmt(rb, 3),
-                      Table::fmt(rc, 3),
-                      Table::fmt(rc > 0 ? rb / rc : 0.0, 2) + "x",
-                      Table::fmt(block.cutFlits, 0),
-                      Table::fmt(cost.cutFlits, 0)});
-        if (!entries.empty())
-            entries += ",\n";
-        entries += csprintf(
-            "    {\"shards\": %u,\n"
-            "     \"block\": {\"max_load_ns\": %.1f, \"mean_load_ns\": "
-            "%.1f, \"busy_ratio\": %.4f, \"cut_flits\": %llu},\n"
-            "     \"cost\": {\"max_load_ns\": %.1f, \"mean_load_ns\": "
-            "%.1f, \"busy_ratio\": %.4f, \"cut_flits\": %llu},\n"
-            "     \"busy_ratio_improvement\": %.4f}",
-            shards, block.maxLoadNs, block.meanLoadNs, rb,
-            (unsigned long long)block.cutFlits, cost.maxLoadNs,
-            cost.meanLoadNs, rc, (unsigned long long)cost.cutFlits,
-            rc > 0 ? rb / rc : 0.0);
-    }
-    std::printf("%s", table.render().c_str());
-
-    FILE *f = std::fopen("BENCH_reshard.json", "w");
-    if (!f) {
-        std::fprintf(stderr,
-                     "could not open BENCH_reshard.json for writing\n");
-        return;
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"reshard_plan_quality\",\n"
-                 "  \"topology\": \"singleTor(%u)\",\n"
-                 "  \"profile\": \"hot first third: 4000 ns vs 500 ns "
-                 "per round\",\n"
-                 "  \"plans\": [\n%s\n  ]\n"
-                 "}\n",
-                 kServers, entries.c_str());
-    std::fclose(f);
-    std::printf("Results written to BENCH_reshard.json\n");
-}
-
 } // namespace
 
 int
@@ -324,7 +217,5 @@ main(int argc, char **argv)
                     ns[1], ns[0]);
     }
     writeBenchJson("BENCH_shm.json", rounds, ns[0], ns[1], ns[2]);
-
-    benchReshardPlans();
     return 0;
 }

@@ -165,6 +165,7 @@ int
 main(int argc, char **argv)
 {
     bench::parseCommonFlags(argc, argv);
+    bench::requireSingleShard("bench_tableiii_datacenter_memcached");
     DcShape shape = bench::fullScale() ? DcShape{4, 8, 32}
                                        : DcShape{4, 2, 8};
     double measure_ms = bench::fullScale() ? 20.0 : 10.0;

@@ -141,6 +141,7 @@ int
 main(int argc, char **argv)
 {
     bench::parseCommonFlags(argc, argv);
+    bench::requireSingleShard("bench_telemetry_overhead");
     bench::banner("Telemetry overhead",
                   "Out-of-band instrumentation cost on a 2-node ping run");
 

@@ -108,20 +108,6 @@ parseTransportKnob(const char *what, const char *text)
     return kind;
 }
 
-/** Parse block|cost for --shard-policy or exit(2). */
-inline ShardPolicy
-parseShardPolicyKnob(const char *what, const char *text)
-{
-    std::string s = text ? text : "";
-    if (s == "block")
-        return ShardPolicy::Block;
-    if (s == "cost")
-        return ShardPolicy::Cost;
-    std::fprintf(stderr, "error: %s expects block or cost, got '%s'\n",
-                 what, s.c_str());
-    std::exit(2);
-}
-
 /**
  * Parse @p text as a double in (0, 1] for --straggler-alpha or
  * exit(2). The monitor folds alpha into a /256 fixed-point weight;
@@ -160,9 +146,6 @@ struct Knobs
     unsigned shardConnectTimeoutMs = 0;
     TransportKind shardTransport = TransportKind::Auto;
     unsigned shardShmRing = 1u << 20;
-    ShardPolicy shardPolicy = ShardPolicy::Block;
-    std::string shardProfileIn;
-    std::string shardProfileOut;
     double stragglerAlpha = 0.2;
     std::string checkpointPath;
     unsigned checkpointEvery = 0;
@@ -291,25 +274,6 @@ inline constexpr Knob kKnobTable[] = {
          cc.shard.shmRingBytes = k.shardShmRing;
      },
      "per-direction shm ring bytes, rounded up to a power of two"},
-    {"--shard-policy=", "FIRESIM_SHARD_POLICY",
-     parseInto<&Knobs::shardPolicy, parseShardPolicyKnob>,
-     [](ClusterConfig &cc, const Knobs &k) {
-         cc.shard.policy = k.shardPolicy;
-     },
-     "server->rank placement: block | cost (cost needs "
-     "--shard-profile-in)"},
-    {"--shard-profile-in=", "FIRESIM_SHARD_PROFILE_IN",
-     textInto<&Knobs::shardProfileIn>,
-     [](ClusterConfig &cc, const Knobs &k) {
-         cc.shard.profileIn = k.shardProfileIn;
-     },
-     "measured deployment profile feeding the cost-aware mapper"},
-    {"--shard-profile-out=", "FIRESIM_SHARD_PROFILE_OUT",
-     textInto<&Knobs::shardProfileOut>,
-     [](ClusterConfig &cc, const Knobs &k) {
-         cc.shard.profileOut = k.shardProfileOut;
-     },
-     "write this run's measured deployment profile at teardown"},
     {"--straggler-alpha=", "FIRESIM_STRAGGLER_ALPHA",
      parseInto<&Knobs::stragglerAlpha, parseAlphaKnob>,
      [](ClusterConfig &cc, const Knobs &k) {
@@ -377,6 +341,21 @@ requireKnob(bool ok, const std::string &msg)
         return;
     std::fprintf(stderr, "error: %s\n", msg.c_str());
     std::exit(2);
+}
+
+/**
+ * Exit(2) when @p bench is asked to run sharded. Such a bench reads
+ * every node of its clusters, and a shard rank holds only its own.
+ * Call it before building any Cluster, so a refused rank never opens
+ * a rendezvous or a shm segment.
+ */
+inline void
+requireSingleShard(const char *bench)
+{
+    requireKnob(knobs().shards <= 1,
+                csprintf("%s reads every node and cannot run sharded "
+                         "(--shards=%u); run it with --shards=1",
+                         bench, knobs().shards));
 }
 
 /**
@@ -482,9 +461,10 @@ ordinalSnapPath(const std::string &path, uint64_t ordinal)
 
 /**
  * Apply --restore to this cluster if a snapshot exists for its sweep
- * ordinal (ordinalSnapPath): replay to the snapshot cycle and verify
- * + apply the saved state. Call once per cluster, after all setup — fault
- * plans, telemetry, workloads — so the replay matches the saved run.
+ * ordinal (ordinalSnapPath): replay to the snapshot cycle and
+ * byte-compare against the saved state. Call once per cluster, after
+ * all setup — fault plans, telemetry, workloads — so the replay matches
+ * the saved run.
  * Sweep points the interrupted run never checkpointed re-run fresh;
  * a snapshot that exists but fails to resume is an error, not a
  * silent fresh start. No-op without --restore.

@@ -80,40 +80,16 @@ Cluster::resolvePlan() const
     // rank independently computes the same plan; planHash double-checks
     // that at rendezvous. A single-process run is the trivial 1-shard
     // plan, which still carries the global numbering and topoHash that
-    // snapshots and the deployment profile are keyed by.
+    // snapshots are keyed by. An explicit owner map replaces the block
+    // placement.
     const ShardSpec &ss = cfg.shard;
-    if (ss.shards <= 1)
-        return ShardPlan::build(topo, 1, cfg.linkLatency, cfg.switchLatency,
-                                cfg.functionalWindow);
-    // Resolve the server->rank map: an explicit owner map wins, then
-    // the configured policy.
-    if (!ss.owners.empty())
+    if (ss.shards > 1 && !ss.owners.empty())
         return ShardPlan::build(topo, ss.shards, cfg.linkLatency,
                                 cfg.switchLatency, cfg.functionalWindow,
                                 ss.owners);
-    ShardPlan base = ShardPlan::build(topo, ss.shards, cfg.linkLatency,
-                                      cfg.switchLatency,
-                                      cfg.functionalWindow);
-    if (ss.policy != ShardPolicy::Cost)
-        return base;
-    DeploymentProfile profile;
-    std::string perr;
-    if (!ss.profileIn.empty()) {
-        profile = DeploymentProfile::loadMerged(ss.profileIn, &perr);
-        if (!perr.empty())
-            fatal("--shard-profile-in: %s", perr.c_str());
-        if (profile.empty())
-            warn("shard %u: deployment profile %s is empty or "
-                 "missing; cost policy degrades to uniform weights",
-                 ss.rank, ss.profileIn.c_str());
-    } else {
-        warn("shard %u: --shard-policy=cost without "
-             "--shard-profile-in; using uniform weights",
-             ss.rank);
-    }
-    return ShardPlan::build(topo, ss.shards, cfg.linkLatency,
-                            cfg.switchLatency, cfg.functionalWindow,
-                            computeCostOwners(base, profile));
+    return ShardPlan::build(topo, std::max<uint32_t>(ss.shards, 1),
+                            cfg.linkLatency, cfg.switchLatency,
+                            cfg.functionalWindow);
 }
 
 void
@@ -393,7 +369,6 @@ Cluster::~Cluster()
         telemetry_->dumpAtExit(fabric_.now());
         writeMergedDumps();
     }
-    writeDeploymentProfile();
 }
 
 void
@@ -765,53 +740,6 @@ Cluster::statsReport()
     }
     out += nd.render();
     return out;
-}
-
-DeploymentProfile
-Cluster::deploymentProfile() const
-{
-    DeploymentProfile prof;
-    prof.topoHash = plan_.topoHash;
-    prof.serverCostNs.assign(plan_.nServers, 0.0);
-    prof.linkFlits.assign(plan_.links.size() * 2, 0);
-
-    // Node i is endpoint switches.size() + i (plan order).
-    for (size_t i = 0; i < nodes.size(); ++i)
-        prof.serverCostNs[nodeGlobal[i]] =
-            fabric_.endpointCostNs(switches.size() + i);
-
-    // Local channels count the flits they moved; each directed link's
-    // channel lives on exactly one rank, so no double counting within a
-    // rank's own wiring.
-    for (size_t c = 0; c < channelGlobalLink.size() &&
-                       c < fabric_.channelCount(); ++c) {
-        uint32_t gid = channelGlobalLink[c];
-        if (gid < prof.linkFlits.size())
-            prof.linkFlits[gid] = fabric_.channelAt(c).flitsMoved();
-    }
-
-    // Cross-shard links: the TX side knows what it actually shipped.
-    if (transport_) {
-        for (auto [gid, flits] : transport_->txLinkFlits())
-            if (flits && gid < prof.linkFlits.size())
-                prof.linkFlits[gid] = flits;
-    }
-    return prof;
-}
-
-void
-Cluster::writeDeploymentProfile()
-{
-    if (cfg.shard.profileOut.empty())
-        return;
-    DeploymentProfile prof = deploymentProfile();
-    std::string path = cfg.shard.shards > 1
-        ? snapshotRankPath(cfg.shard.profileOut, cfg.shard.shards,
-                           cfg.shard.rank)
-        : cfg.shard.profileOut;
-    std::string err = prof.saveFile(path);
-    if (!err.empty())
-        warn("deployment profile: %s", err.c_str());
 }
 
 } // namespace firesim

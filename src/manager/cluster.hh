@@ -27,7 +27,6 @@
 #include "fault/fault_plan.hh"
 #include "fault/health_monitor.hh"
 #include "fault/injector.hh"
-#include "manager/deploy.hh"
 #include "manager/shard.hh"
 #include "manager/topology.hh"
 #include "net/fabric.hh"
@@ -270,16 +269,6 @@ class Cluster
      *  (single-process runs carry the trivial 1-shard plan). */
     const ShardPlan &plan() const { return plan_; }
 
-    /**
-     * This rank's measured deployment profile: per-server advance
-     * cost (the scheduler's EWMA, nonzero only with parallelHosts
-     * >= 2) and per-global-link token traffic (channel flit counters
-     * plus the transport's cross-shard TX counters). Written to
-     * ShardSpec::profileOut at destruction; feed it back via
-     * profileIn with --shard-policy=cost.
-     */
-    DeploymentProfile deploymentProfile() const;
-
     // ---- Checkpoint / restore (manager/checkpoint.cc) ----------------
 
     /**
@@ -371,10 +360,6 @@ class Cluster
     /** Rank 0, dumpDir set: write the merged cross-shard dumps. */
     void writeMergedDumps();
 
-    /** ShardSpec::profileOut set: write this rank's measured profile
-     *  (called from the destructor). */
-    void writeDeploymentProfile();
-
     SwitchSpec topo;
     ClusterConfig cfg;
     /** The shard plan build() derives the wiring from; trivial
@@ -387,8 +372,7 @@ class Cluster
     // mode): switchGlobal[i] is the global index of switches[i],
     // nodeGlobal[i] of nodes[i]. channelGlobalLink[c] is the global
     // directed link id carried by fabric channel c — the key re-shard
-    // restore and the deployment profile use to re-home per-channel
-    // state across ranks.
+    // restore uses to re-home per-channel state across ranks.
     std::vector<uint32_t> switchGlobal;
     std::vector<uint32_t> nodeGlobal;
     std::vector<uint32_t> channelGlobalLink;

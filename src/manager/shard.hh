@@ -22,8 +22,8 @@
  * each ToR with its servers for the common balanced topologies,
  * minimizing cross-shard links (which each cost one socket round trip
  * of pipeline slack the fabric already hides). build() also accepts
- * an arbitrary deterministic server->rank map (the deployment
- * mapper's cost-aware plans, manager/deploy); the map is folded into
+ * an arbitrary deterministic server->rank map (ShardSpec::owners,
+ * which the re-shard parity tests use); the map is folded into
  * planHash so shards launched with diverging maps are caught at
  * rendezvous, while topoHash stays a pure topology+timing hash so
  * snapshots can be restored under a *different* plan (re-sharding).
@@ -42,13 +42,6 @@
 
 namespace firesim
 {
-
-/** Server->rank placement policy (--shard-policy). */
-enum class ShardPolicy
-{
-    Block, //!< contiguous index blocks (the deterministic default)
-    Cost,  //!< cost-balanced split from a measured deployment profile
-};
 
 /** How (and whether) to split a Cluster across shard processes. */
 struct ShardSpec
@@ -72,16 +65,8 @@ struct ShardSpec
     /** Per-direction shm ring capacity in bytes (rounded up to a
      *  power of two); must be symmetric across the mesh. */
     size_t shmRingBytes = 1 << 20;
-    /** Server->rank placement policy (--shard-policy). Cost balances
-     *  measured per-server costs from the profile named by profileIn;
-     *  without a profile it degrades to a uniform-cost split. */
-    ShardPolicy policy = ShardPolicy::Block;
-    /** Deployment profile read at startup (--shard-profile-in). */
-    std::string profileIn;
-    /** Deployment profile written at end of run
-     *  (--shard-profile-out); rank files merge at the next load. */
-    std::string profileOut;
-    /** Explicit server->rank map; when non-empty it overrides policy.
+    /** Explicit server->rank map; when non-empty it overrides the
+     *  block placement.
      *  Every launching process must pass the same map (checked via
      *  planHash at rendezvous). */
     std::vector<uint32_t> owners;

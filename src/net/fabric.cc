@@ -74,7 +74,6 @@ TokenChannel::publish()
               lbl.c_str(), (unsigned long long)batch.start,
               (unsigned long long)nextPushStart);
     nextPushStart += quant;
-    flitCount += batch.flits.size();
     enqueueTail();
 }
 
@@ -91,7 +90,6 @@ void
 TokenChannel::pushRaw(TokenBatch batch)
 {
     batch.start += lat;
-    flitCount += batch.flits.size();
     claim(0) = std::move(batch);
     enqueueTail();
 }
@@ -388,14 +386,6 @@ TokenFabric::txChannelOf(size_t endpoint_idx, uint32_t port) const
     if (port >= state.out.size() || !state.out[port])
         return -1;
     return static_cast<int>(state.outIndex[port]);
-}
-
-double
-TokenFabric::endpointCostNs(size_t idx) const
-{
-    if (!workers)
-        return 0.0; // never dispatched through the scheduler
-    return sched.expectedCostNs(static_cast<uint32_t>(idx));
 }
 
 bool

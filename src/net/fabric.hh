@@ -152,13 +152,6 @@ class TokenChannel
     /** Number of buffered batches. */
     size_t depth() const { return used; }
 
-    /** Total flits pushed through this channel since construction —
-     *  the deployment mapper's per-link traffic signal
-     *  (manager/deploy). Deterministic (a pure function of the
-     *  simulation), but deliberately not part of the snapshot state:
-     *  a restored run re-counts from its replay. */
-    uint64_t flitsMoved() const { return flitCount; }
-
     /** Steady-state depth: latency/quantum batches are always in flight. */
     size_t expectedDepth() const
     {
@@ -180,7 +173,6 @@ class TokenChannel
 
     Cycles lat;
     Cycles quant;
-    uint64_t flitCount = 0; //!< flits pushed (host-side accounting)
     std::string lbl = "unnamed-channel";
     Cycles nextPushStart = 0; //!< producer-side batch start bookkeeping
     Cycles nextPopStart = 0;  //!< consumer-side expected batch start
@@ -568,15 +560,6 @@ class TokenFabric
      * endpoint @p endpoint_idx, or -1. Requires finalize().
      */
     int txChannelOf(size_t endpoint_idx, uint32_t port) const;
-
-    /**
-     * Measured advance cost of endpoint @p idx in ns per round: the
-     * round scheduler's EWMA for the endpoint's unit. 0 until measured
-     * — the cost model only runs with parallelHosts >= 2. Host-side
-     * accounting for the deployment mapper (manager/deploy); never
-     * part of the deterministic simulation surface.
-     */
-    double endpointCostNs(size_t idx) const;
 
     /**
      * Testing hook: permute the endpoint stepping order. Results must

@@ -385,7 +385,7 @@ ShardTransport::livePeers() const
 void
 ShardTransport::onTxBatch(uint32_t link_id, const TokenBatch &batch)
 {
-    for (auto &b : txBindings) {
+    for (const auto &b : txBindings) {
         if (b.linkId != link_id)
             continue;
         Peer &peer = peers[b.peerIdx];
@@ -393,20 +393,9 @@ ShardTransport::onTxBatch(uint32_t link_id, const TokenBatch &batch)
             return; // degraded: the far shard is gone
         encodeBatch(peer.txBuf, link_id, batch);
         ++peer.stats.batchesTx;
-        b.flits += batch.flits.size();
         return;
     }
     panic("shard %u: TX batch for unbound link %u", opts.rank, link_id);
-}
-
-std::vector<std::pair<uint32_t, uint64_t>>
-ShardTransport::txLinkFlits() const
-{
-    std::vector<std::pair<uint32_t, uint64_t>> out;
-    out.reserve(txBindings.size());
-    for (const auto &b : txBindings)
-        out.emplace_back(b.linkId, b.flits);
-    return out;
 }
 
 void

@@ -258,12 +258,6 @@ class ShardTransport : public RemoteRoundHook
     size_t livePeers() const;
     bool anyPeerLost() const { return lostPeers != 0; }
 
-    /** Flits shipped per TX link since construction, as (global link
-     *  id, flits) pairs in bind order — the deployment mapper's
-     *  cross-shard traffic signal (manager/deploy). Host-side
-     *  accounting, never part of the simulation surface. */
-    std::vector<std::pair<uint32_t, uint64_t>> txLinkFlits() const;
-
     // ---- RemoteRoundHook ---------------------------------------------
     void onTxBatch(uint32_t link_id, const TokenBatch &batch) override;
     void onRoundComplete(uint64_t round, Cycles round_start) override;
@@ -295,7 +289,6 @@ class ShardTransport : public RemoteRoundHook
     {
         uint32_t linkId = 0;
         uint32_t peerIdx = 0;
-        uint64_t flits = 0; //!< shipped through this link (host-side)
     };
 
     ShardTransport(const Options &opts, uint64_t plan_hash);

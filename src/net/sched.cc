@@ -20,10 +20,6 @@ nowNs()
             .count());
 }
 
-/** EWMA smoothing factor: heavy enough to track boot->idle phase
- *  changes within a few rounds, light enough to ride out timer noise. */
-constexpr double kEwmaAlpha = 0.25;
-
 } // namespace
 
 void
@@ -83,7 +79,6 @@ RoundScheduler::configure(size_t units, unsigned width)
     FS_ASSERT(width >= 1, "scheduler width must be at least 1");
     units_ = units;
     tel.reset(width);
-    ewmaNs.assign(units, 0.0);
     roundBusy.assign(width, 0);
 }
 
@@ -91,16 +86,16 @@ void
 RoundScheduler::runWorker(unsigned worker, unsigned width, UnitFn fn,
                           void *ctx)
 {
-    uint64_t busy = 0;
-    for (size_t u = worker; u < units_; u += width) {
-        uint64_t t0 = nowNs();
-        fn(ctx, static_cast<uint32_t>(u));
-        uint64_t ns = nowNs() - t0;
-        // Unit u always runs on this worker, so its EWMA slot is ours.
-        recordSample(static_cast<uint32_t>(u), ns);
-        busy += ns;
+    // A worker with no units records 0 busy, so it stays out of the
+    // telemetry's active-worker mean.
+    if (worker >= units_) {
+        roundBusy[worker] = 0;
+        return;
     }
-    roundBusy[worker] = busy;
+    uint64_t t0 = nowNs();
+    for (size_t u = worker; u < units_; u += width)
+        fn(ctx, static_cast<uint32_t>(u));
+    roundBusy[worker] = nowNs() - t0;
 }
 
 void
@@ -115,17 +110,6 @@ RoundScheduler::dispatch(ThreadPool &pool, UnitFn fn, void *ctx)
         [this, width, fn, ctx](unsigned w) { runWorker(w, width, fn, ctx); });
     // Post-barrier, driving thread.
     tel.recordRound(roundBusy);
-}
-
-void
-RoundScheduler::recordSample(uint32_t unit, uint64_t raw_ns)
-{
-    // Clamp: a genuine 0ns reading (unit cheaper than the clock
-    // granularity) must not collide with the 0.0 "never measured"
-    // sentinel, or the EWMA would restart from the seed every round.
-    double m = static_cast<double>(std::max<uint64_t>(raw_ns, 1));
-    double &e = ewmaNs.at(unit);
-    e = e == 0.0 ? m : kEwmaAlpha * m + (1.0 - kEwmaAlpha) * e;
 }
 
 } // namespace firesim

@@ -15,11 +15,10 @@
  * for every worker count — property-tested in
  * tests/net/fabric_sched_test.cc.
  *
- * The scheduler also measures every unit's wall time and folds it into
- * a per-unit EWMA: TokenFabric::endpointCostNs reads it for the
- * deployment profile (manager/deploy). Host-time accounting
- * (SchedTelemetry) is wall-clock and therefore NOT part of the
- * bit-identical surface; it is never exported into the StatRegistry.
+ * The scheduler also times each worker's share of every round.
+ * Host-time accounting (SchedTelemetry) is wall-clock and therefore NOT
+ * part of the bit-identical surface; it is never exported into the
+ * StatRegistry.
  *
  * Allocation discipline: every per-round structure is sized at
  * configure() time, keeping the parallel round loop's steady-state
@@ -86,29 +85,16 @@ class RoundScheduler
 
     /**
      * (Re)configure for @p units work items on a pool of @p width
-     * workers. Resets the cost model and the telemetry. Driving thread
-     * only, between rounds.
+     * workers. Resets the telemetry. Driving thread only, between
+     * rounds.
      */
     void configure(size_t units, unsigned width);
 
-    /** Expected cost of @p unit in ns (0 until first measured). */
-    double expectedCostNs(uint32_t unit) const { return ewmaNs.at(unit); }
-
-    /**
-     * Fold one wall-time measurement for @p unit into the cost model.
-     * Samples are clamped to >= 1ns: 0.0 doubles as the never-measured
-     * sentinel in the EWMA table, so an unclamped 0ns sample (cheap
-     * unit + coarse clock) would leave the unit permanently "unseeded"
-     * and re-seeded from scratch every round. Called by the worker
-     * that owns @p unit (or the driving thread between rounds).
-     */
-    void recordSample(uint32_t unit, uint64_t raw_ns);
-
     /**
      * Run fn(ctx, u) exactly once for every configured unit across
-     * @p pool (the calling thread participates), measure per-unit wall
-     * time, and fold the measurements into the EWMA cost model and the
-     * telemetry. Full barrier; driving thread only.
+     * @p pool (the calling thread participates), measure each worker's
+     * wall time, and fold it into the telemetry. Full barrier; driving
+     * thread only.
      */
     void dispatch(ThreadPool &pool, UnitFn fn, void *ctx);
 
@@ -120,10 +106,6 @@ class RoundScheduler
 
     size_t units_ = 0;
     SchedTelemetry tel;
-
-    /** Per-unit cost model. Each slot is written only by the worker
-     *  that runs the unit; the dispatch barrier publishes it. */
-    std::vector<double> ewmaNs;
 
     /** This round's busy ns per worker, each slot written once per
      *  dispatch by its worker. */

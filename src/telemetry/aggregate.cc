@@ -49,11 +49,28 @@ tryGetDoubleBits(const std::string &in, size_t &pos, double &v)
     return true;
 }
 
+/**
+ * tryGetVarint for peer bytes: an over-long encoding (more than ten
+ * bytes, wider than 64 bits) is malformed input, so it returns false
+ * here instead of reaching tryGetVarint's panic.
+ */
+bool
+getVarintField(const std::string &in, size_t &pos, uint64_t &out)
+{
+    size_t end = pos;
+    while (end < in.size() && end - pos < 10 &&
+           (static_cast<uint8_t>(in[end]) & 0x80))
+        ++end;
+    return end - pos < 10 && tryGetVarint(in, pos, out);
+}
+
 bool
 tryGetBytes(const std::string &in, size_t &pos, size_t len,
             std::string &out)
 {
-    if (pos + len > in.size())
+    // len is peer-controlled: compare against what is left, so a
+    // near-2^64 length cannot wrap pos + len past the check.
+    if (len > in.size() - pos)
         return false;
     out.assign(in, pos, len);
     pos += len;
@@ -116,13 +133,13 @@ decodeRankTelemetry(const std::string &bytes, RankTelemetry &out)
 {
     size_t p = 0;
     uint64_t version, rank, round, cycle, nstats;
-    if (!tryGetVarint(bytes, p, version) ||
+    if (!getVarintField(bytes, p, version) ||
         version != kRankTelemetryVersion)
         return false;
-    if (!tryGetVarint(bytes, p, rank) ||
-        !tryGetVarint(bytes, p, round) ||
-        !tryGetVarint(bytes, p, cycle) ||
-        !tryGetVarint(bytes, p, nstats))
+    if (!getVarintField(bytes, p, rank) ||
+        !getVarintField(bytes, p, round) ||
+        !getVarintField(bytes, p, cycle) ||
+        !getVarintField(bytes, p, nstats))
         return false;
     out = RankTelemetry{};
     out.rank = static_cast<uint32_t>(rank);
@@ -139,8 +156,8 @@ decodeRankTelemetry(const std::string &bytes, RankTelemetry &out)
     std::string name;
     for (uint64_t i = 0; i < nstats; ++i) {
         uint64_t shared, suffix_len;
-        if (!tryGetVarint(bytes, p, shared) ||
-            !tryGetVarint(bytes, p, suffix_len))
+        if (!getVarintField(bytes, p, shared) ||
+            !getVarintField(bytes, p, suffix_len))
             return false;
         if (shared > name.size())
             return false;
@@ -155,7 +172,7 @@ decodeRankTelemetry(const std::string &bytes, RankTelemetry &out)
         double value;
         if (tag == kValInt) {
             uint64_t zz;
-            if (!tryGetVarint(bytes, p, zz))
+            if (!getVarintField(bytes, p, zz))
                 return false;
             value = static_cast<double>(unzigzag(zz));
         } else if (tag == kValDouble) {
@@ -168,7 +185,7 @@ decodeRankTelemetry(const std::string &bytes, RankTelemetry &out)
     }
 
     uint64_t nphases;
-    if (!tryGetVarint(bytes, p, nphases))
+    if (!getVarintField(bytes, p, nphases))
         return false;
     // Same clamp as above: a phase entry is >= 11 bytes (name length,
     // two varints, 8-byte double), so the count cannot exceed that.
@@ -177,10 +194,10 @@ decodeRankTelemetry(const std::string &bytes, RankTelemetry &out)
     for (uint64_t i = 0; i < nphases; ++i) {
         uint64_t name_len, start, cycles;
         SimRateTelemetry::Phase ph;
-        if (!tryGetVarint(bytes, p, name_len) ||
+        if (!getVarintField(bytes, p, name_len) ||
             !tryGetBytes(bytes, p, name_len, ph.name) ||
-            !tryGetVarint(bytes, p, start) ||
-            !tryGetVarint(bytes, p, cycles) ||
+            !getVarintField(bytes, p, start) ||
+            !getVarintField(bytes, p, cycles) ||
             !tryGetDoubleBits(bytes, p, ph.hostSeconds))
             return false;
         ph.startCycle = start;

@@ -63,9 +63,6 @@ const std::map<std::string, std::vector<const char *>> kMalformed = {
     // not accept it from the command line.
     {"--shard-transport=", {"SHM", "pcie", "", "loopback", "fast"}},
     {"--shard-shm-ring=", {"1M", "0"}},
-    {"--shard-policy=", {"greedy", "", "Cost", "roundrobin"}},
-    {"--shard-profile-in=", {}},
-    {"--shard-profile-out=", {}},
     // The monitor folds alpha into a /256 fixed-point weight whose
     // complement underflows outside (0, 1].
     {"--straggler-alpha=",
@@ -262,34 +259,27 @@ TEST(KnobParseDeath, ShardTransportIsStrict)
         ::testing::ExitedWithCode(2), "FIRESIM_SHARD_TRANSPORT");
 }
 
-TEST(KnobParse, ShardPolicyAndProfileFlagsRoundTrip)
+TEST(KnobParseDeath, RequireSingleShardRefusesShardedRuns)
 {
-    EXPECT_EQ(bench::knobs().shardPolicy, ShardPolicy::Block)
-        << "block is the default";
-    parseOneFlag("--shard-policy=cost");
-    EXPECT_EQ(bench::knobs().shardPolicy, ShardPolicy::Cost);
-    parseOneFlag("--shard-policy=block");
-    EXPECT_EQ(bench::knobs().shardPolicy, ShardPolicy::Block);
-    parseOneFlag("--shard-profile-in=/tmp/fs.prof");
-    EXPECT_EQ(bench::knobs().shardProfileIn, "/tmp/fs.prof");
-    parseOneFlag("--shard-profile-out=/tmp/fs-out.prof");
-    EXPECT_EQ(bench::knobs().shardProfileOut, "/tmp/fs-out.prof");
-}
-
-TEST(KnobParseDeath, ShardPolicyIsStrict)
-{
-    EXPECT_EXIT(parseOneFlag("--shard-policy=greedy"),
-                ::testing::ExitedWithCode(2), "block or cost");
-    EXPECT_EXIT(parseOneFlag("--shard-policy="),
-                ::testing::ExitedWithCode(2), "--shard-policy");
-    EXPECT_EXIT(parseOneFlag("--shard-policy=Cost"),
-                ::testing::ExitedWithCode(2), "block or cost");
+    // Benches that read every node refuse --shards>1 with exit 2 and
+    // their own name, before they build any Cluster.
+    EXPECT_EXIT(
+        ([] {
+            bench::knobs() = bench::Knobs{};
+            const char *argv[] = {"bench", "--shards=2", "--shard-rank=1",
+                                  "--shard-connect=h:9000"};
+            parseCommonFlags(4, const_cast<char **>(argv));
+            bench::requireSingleShard("bench_fig8_sim_rate_vs_scale");
+        }()),
+        ::testing::ExitedWithCode(2),
+        "bench_fig8_sim_rate_vs_scale .*cannot run sharded");
     EXPECT_EXIT(
         {
-            setenv("FIRESIM_SHARD_POLICY", "roundrobin", 1);
-            parseCommonFlags(0, nullptr);
+            bench::knobs() = bench::Knobs{};
+            bench::requireSingleShard("bench_fig8_sim_rate_vs_scale");
+            std::exit(0);
         },
-        ::testing::ExitedWithCode(2), "FIRESIM_SHARD_POLICY");
+        ::testing::ExitedWithCode(0), "");
 }
 
 TEST(KnobParse, StragglerAlphaRoundTrips)

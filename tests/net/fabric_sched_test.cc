@@ -7,8 +7,8 @@
  * cluster-level variant asserts the telemetry artifacts (stats.json,
  * autocounter.csv, reports) stay byte-identical too: scheduling moves
  * host work around, never simulated state. Unit tests cover the
- * scheduler's every-unit-exactly-once dispatch, its cost model, its
- * load-balance accounting, and the deployment profile it feeds.
+ * scheduler's every-unit-exactly-once dispatch and its load-balance
+ * accounting.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 
 #include "fault/injector.hh"
 #include "manager/cluster.hh"
-#include "manager/deploy.hh"
 #include "manager/topology.hh"
 #include "net/fabric.hh"
 #include "net/sched.hh"
@@ -288,28 +287,6 @@ TEST(SchedCluster, TelemetryByteIdenticalAcrossWorkersAndSlicing)
     }
 }
 
-TEST(SchedCluster, DeploymentProfileCostsComeFromTheScheduler)
-{
-    // The deployment mapper's per-server cost is the scheduler's
-    // measured EWMA: nonzero for every server once a worker pool has
-    // run rounds, and all zero on the single-threaded path, which
-    // measures nothing.
-    for (unsigned hosts : {1u, 2u}) {
-        ClusterConfig cc;
-        cc.parallelHosts = hosts;
-        Cluster cluster(topologies::singleTor(4), cc);
-        cluster.runUs(20.0);
-        DeploymentProfile prof = cluster.deploymentProfile();
-        ASSERT_EQ(prof.serverCostNs.size(), 4u);
-        for (size_t j = 0; j < prof.serverCostNs.size(); ++j) {
-            if (hosts == 1)
-                EXPECT_EQ(prof.serverCostNs[j], 0.0) << "server " << j;
-            else
-                EXPECT_GT(prof.serverCostNs[j], 0.0) << "server " << j;
-        }
-    }
-}
-
 // ---- RoundScheduler / SchedTelemetry units --------------------------
 
 TEST(SchedulerDispatch, EveryUnitRunsExactlyOncePerRound)
@@ -343,13 +320,10 @@ TEST(SchedulerDispatch, EveryUnitRunsExactlyOncePerRound)
             EXPECT_EQ(runs[u].load(), unsigned(kRounds))
                 << "unit " << u << " width " << width;
 
-        // Every worker with units was timed, and every unit has a
-        // cost measurement.
+        // Every worker with units was timed.
         const SchedTelemetry &tel = sched.telemetry();
         for (unsigned w = 0; w < std::min<size_t>(width, kUnits); ++w)
             EXPECT_GT(tel.workers[w].busyNs, 0u) << "worker " << w;
-        for (uint32_t u = 0; u < kUnits; ++u)
-            EXPECT_GT(sched.expectedCostNs(u), 0.0);
     }
 }
 
@@ -386,29 +360,6 @@ TEST(SchedTelemetry, MeanIsOverWorkersThatDidWork)
     tel.recordRound({300, 100, 0, 0}); // two active: max 300, mean 200
     // Cumulative: (300 + 300) / (300 + 200).
     EXPECT_NEAR(tel.maxMeanBusyRatio(), 600.0 / 500.0, 1e-9);
-}
-
-TEST(RoundScheduler, ZeroNsSampleSeedsTheCostModel)
-{
-    // Regression: a 0ns measurement (unit cheaper than the clock tick)
-    // collided with the "never measured" EWMA sentinel, leaving the
-    // unit permanently unseeded — it was re-seeded from scratch every
-    // round.
-    RoundScheduler sched;
-    sched.configure(2, 1);
-
-    sched.recordSample(0, 0);
-    EXPECT_DOUBLE_EQ(sched.expectedCostNs(0), 1.0); // clamped seed
-    sched.recordSample(0, 1000);
-    // Blended, not re-seeded: 0.25 * 1000 + 0.75 * 1.
-    EXPECT_DOUBLE_EQ(sched.expectedCostNs(0), 250.75);
-
-    // A 0ns sample after real measurements decays the EWMA toward the
-    // clamp floor instead of resetting it.
-    sched.recordSample(1, 400);
-    EXPECT_DOUBLE_EQ(sched.expectedCostNs(1), 400.0);
-    sched.recordSample(1, 0);
-    EXPECT_DOUBLE_EQ(sched.expectedCostNs(1), 0.25 * 1 + 0.75 * 400);
 }
 
 } // namespace
