@@ -372,20 +372,6 @@ Cluster::~Cluster()
 }
 
 void
-Cluster::run(Cycles cycles)
-{
-    if (telemetry_) {
-        telemetry_->simRate().beginPhase(
-            csprintf("run.%llu", (unsigned long long)fabric_.now()),
-            fabric_.now());
-        fabric_.run(cycles);
-        telemetry_->simRate().endPhase(fabric_.now());
-    } else {
-        fabric_.run(cycles);
-    }
-}
-
-void
 Cluster::setupTelemetry()
 {
     telemetry_ = std::make_unique<Telemetry>(cfg.telemetry);
@@ -480,25 +466,6 @@ Cluster::setupTelemetry()
     }
 
     telemetry_->attach(fabric_);
-
-    if (transport_ && cfg.telemetry.hostProfile) {
-        // Bridge the transport's flush/barrier phases into the Chrome
-        // trace as spans on the driving thread (tid 0).
-        TraceEventSink *sink = &telemetry_->traceSink();
-        transport_->setSpanHook(
-            [sink](const char *name, uint64_t dur_ns) {
-                double dur_us = static_cast<double>(dur_ns) / 1e3;
-                sink->complete(sink->intern(name), "shard",
-                               sink->nowUs() - dur_us, dur_us);
-            });
-    }
-
-    if (HostProfiler *prof = telemetry_->profiler()) {
-        // Endpoints are registered in plan order: switches, then nodes.
-        for (size_t i = 0; i < fabric_.endpointCount(); ++i)
-            prof->labelEndpoint(i, fabric_.endpointAt(i).name(),
-                                i < switches.size() ? "switch" : "blade");
-    }
 }
 
 void
@@ -625,7 +592,6 @@ Cluster::localRankTelemetry(uint64_t round, Cycles cycle)
     rt.round = round;
     rt.cycle = cycle;
     rt.stats = telemetry_->registry().snapshot(cycle);
-    rt.phases = telemetry_->simRate().phases();
     return rt;
 }
 
@@ -643,7 +609,6 @@ Cluster::writeMergedDumps()
     };
     put("merged_stats.json", aggregator_->mergedJson());
     put("merged_stats.csv", aggregator_->mergedCsv());
-    put("merged_trace.json", aggregator_->mergedTraceJson());
     inform("telemetry: merged dumps for %zu rank(s) written to %s",
            aggregator_->rankCount(), cfg.telemetry.dumpDir.c_str());
 }

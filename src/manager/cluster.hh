@@ -177,9 +177,8 @@ class Cluster
     /** Dumps telemetry into TelemetryConfig::dumpDir when configured. */
     ~Cluster();
 
-    /** Advance the whole target by @p cycles. Each call is one
-     *  SimRateTelemetry phase when telemetry is enabled. */
-    void run(Cycles cycles);
+    /** Advance the whole target by @p cycles. */
+    void run(Cycles cycles) { fabric_.run(cycles); }
 
     /** Advance by @p us of target time: one run() call. */
     void runUs(double us) { run(clock().cyclesFromUs(us)); }

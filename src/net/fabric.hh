@@ -268,8 +268,8 @@ class FabricObserver
     /**
      * Called once from TokenFabric::addObserver with the fabric the
      * observer was just attached to. Observers that keep per-endpoint
-     * state (e.g. the host profiler's advance timers) size it here so
-     * no callback has to grow containers from a worker thread.
+     * state (e.g. a span tracer's advance timers) size it here so no
+     * callback has to grow containers from a worker thread.
      */
     virtual void onAttach(TokenFabric &fabric) { (void)fabric; }
 
@@ -304,9 +304,9 @@ class FabricObserver
     /**
      * Bracketing hooks around an endpoint's advance() call, fired only
      * when the endpoint actually runs (not when skipped while down).
-     * Host-time profilers (src/telemetry) hang scoped timers here to
-     * attribute wall-clock to switch ticks vs blade ticks without
-     * touching the endpoints themselves.
+     * perfbench's SpanTracer (perfbench/span_trace.cc, `--trace 1`)
+     * hangs scoped timers here to attribute wall-clock to switch ticks
+     * vs blade ticks without touching the endpoints themselves.
      *
      * These two hooks are the only callbacks that may fire concurrently
      * from worker threads (see the class comment); keep them

@@ -605,7 +605,6 @@ ShardTransport::onRoundComplete(uint64_t round, Cycles round_start)
                      statsProviderFn &&
                      (round + 1) % opts.statsEvery == 0;
     uint64_t latency_ns = latencyFn ? latencyFn() : 0;
-    auto flush_t0 = SteadyClock::now();
     for (Peer &peer : peers) {
         if (!peer.stats.alive)
             continue;
@@ -618,9 +617,6 @@ ShardTransport::onRoundComplete(uint64_t round, Cycles round_start)
         // this capacity instead of re-growing from scratch.
         peer.txBuf.clear();
     }
-    if (spanFn)
-        spanFn("shard.flush",
-               static_cast<uint64_t>(elapsedNs(flush_t0)));
 
     // Phase 2: barrier. Wait for every live peer's RoundDone for this
     // round, consuming batches as they arrive — all pending peers sit
@@ -755,10 +751,6 @@ ShardTransport::onRoundComplete(uint64_t round, Cycles round_start)
 
     // Phase 3: fill in for the dead, if any.
     synthesizeMissing(round);
-
-    if (spanFn)
-        spanFn("shard.barrier",
-               static_cast<uint64_t>(elapsedNs(barrier_t0)));
 }
 
 void

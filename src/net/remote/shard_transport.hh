@@ -176,15 +176,6 @@ class ShardTransport : public RemoteRoundHook
 
     void onPeerLoss(PeerLossFn fn) { lossFn = std::move(fn); }
 
-    /**
-     * Optional host profiling: fired on the driving thread with the
-     * wall-clock duration of each round's "shard.flush" and
-     * "shard.barrier" phases. The Cluster bridges this into its
-     * TraceEventSink (net cannot depend on telemetry).
-     */
-    using SpanFn = std::function<void(const char *name, uint64_t dur_ns)>;
-    void setSpanHook(SpanFn fn) { spanFn = std::move(fn); }
-
     // ---- observability hooks (net cannot depend on telemetry, so the
     // Cluster bridges these as callbacks) ------------------------------
 
@@ -335,7 +326,6 @@ class ShardTransport : public RemoteRoundHook
     std::vector<RxBinding> rxBindings;
     std::vector<TxBinding> txBindings;
     PeerLossFn lossFn;
-    SpanFn spanFn;
     StatsProviderFn statsProviderFn;
     StatsConsumerFn statsConsumerFn;
     RoundLatencyFn latencyFn;

@@ -24,6 +24,39 @@ beginFrame(std::string &out, FrameType type, const std::string &payload)
     out.append(payload);
 }
 
+/**
+ * Read one varint from @p in at @p p that must end before @p end,
+ * advancing @p p. False when the bytes run out first; a >64-bit
+ * encoding is corruption and panics.
+ */
+bool
+tryGetField(const std::string &in, size_t &p, size_t end, uint64_t &out)
+{
+    uint64_t v = 0;
+    for (uint32_t shift = 0; p < end; shift += 7) {
+        if (shift > 63)
+            panic("wire: over-long varint at byte %zu", p);
+        uint8_t byte = static_cast<uint8_t>(in[p++]);
+        v |= static_cast<uint64_t>(byte & 0x7f) << shift;
+        if (!(byte & 0x80)) {
+            out = v;
+            return true;
+        }
+    }
+    return false;
+}
+
+/** A payload field: running past the frame end is corruption. */
+uint64_t
+getField(const std::string &in, size_t &p, size_t frame_end)
+{
+    uint64_t v;
+    if (!tryGetField(in, p, frame_end, v))
+        panic("wire: varint field runs past the frame end at byte %zu",
+              p);
+    return v;
+}
+
 } // namespace
 
 void
@@ -100,9 +133,11 @@ decodeFrame(const std::string &in, size_t &pos, Frame &out)
         return false;
     uint8_t type_byte = static_cast<uint8_t>(in[p++]);
     uint64_t plen;
-    if (!tryGetVarint(in, p, plen))
+    if (!tryGetField(in, p, in.size(), plen))
         return false;
-    if (p + plen > in.size())
+    // plen is peer-controlled: compare against what is buffered, so a
+    // near-2^64 length cannot wrap p + plen past the check.
+    if (plen > in.size() - p)
         return false; // frame body not fully buffered yet
     size_t frame_end = p + plen;
 
@@ -110,20 +145,21 @@ decodeFrame(const std::string &in, size_t &pos, Frame &out)
     switch (static_cast<FrameType>(type_byte)) {
       case FrameType::Hello: {
         out.type = FrameType::Hello;
-        out.version = static_cast<uint32_t>(getVarint(in, p));
-        out.rank = static_cast<uint32_t>(getVarint(in, p));
-        out.shards = static_cast<uint32_t>(getVarint(in, p));
-        out.topoHash = getVarint(in, p);
-        out.transport = static_cast<uint32_t>(getVarint(in, p));
-        out.hostToken = getVarint(in, p);
+        out.version = static_cast<uint32_t>(getField(in, p, frame_end));
+        out.rank = static_cast<uint32_t>(getField(in, p, frame_end));
+        out.shards = static_cast<uint32_t>(getField(in, p, frame_end));
+        out.topoHash = getField(in, p, frame_end);
+        out.transport =
+            static_cast<uint32_t>(getField(in, p, frame_end));
+        out.hostToken = getField(in, p, frame_end);
         break;
       }
       case FrameType::Batch: {
         out.type = FrameType::Batch;
-        out.linkId = static_cast<uint32_t>(getVarint(in, p));
-        out.batch.start = getVarint(in, p);
-        out.batch.len = static_cast<uint32_t>(getVarint(in, p));
-        uint64_t nflits = getVarint(in, p);
+        out.linkId = static_cast<uint32_t>(getField(in, p, frame_end));
+        out.batch.start = getField(in, p, frame_end);
+        out.batch.len = static_cast<uint32_t>(getField(in, p, frame_end));
+        uint64_t nflits = getField(in, p, frame_end);
         if (nflits > out.batch.len)
             panic("wire: batch frame with %llu flits but len %u",
                   (unsigned long long)nflits, out.batch.len);
@@ -135,7 +171,7 @@ decodeFrame(const std::string &in, size_t &pos, Frame &out)
         for (uint64_t i = 0; i < nflits; ++i) {
             if (p >= frame_end)
                 panic("wire: truncated flit offset");
-            uint64_t delta = getVarint(in, p);
+            uint64_t delta = getField(in, p, frame_end);
             if (delta == 0)
                 panic("wire: zero flit-offset delta");
             offset += static_cast<uint32_t>(delta);
@@ -161,9 +197,9 @@ decodeFrame(const std::string &in, size_t &pos, Frame &out)
       }
       case FrameType::RoundDone: {
         out.type = FrameType::RoundDone;
-        out.round = getVarint(in, p);
-        out.cycle = getVarint(in, p);
-        out.latencyNs = getVarint(in, p);
+        out.round = getField(in, p, frame_end);
+        out.cycle = getField(in, p, frame_end);
+        out.latencyNs = getField(in, p, frame_end);
         break;
       }
       case FrameType::Bye: {

@@ -112,8 +112,10 @@ void encodeStats(std::string &out, const std::string &payload);
 /**
  * Decode the next complete frame from @p in at @p pos. Returns false
  * and leaves @p pos unchanged when the buffer ends mid-frame (read
- * more bytes and retry); panics on a malformed frame — a framing error
- * on an established connection is corruption, not congestion.
+ * more bytes and retry); panics with a "wire:" message on a malformed
+ * frame — a framing error on an established connection is corruption,
+ * not congestion. Every read stays inside @p in and every field inside
+ * its frame (fuzzed in tests/dist/wire_fuzz_test).
  */
 bool decodeFrame(const std::string &in, size_t &pos, Frame &out);
 

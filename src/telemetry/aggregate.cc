@@ -116,15 +116,6 @@ encodeRankTelemetry(const RankTelemetry &rt)
             putDoubleBits(out, value);
         }
     }
-
-    putVarint(out, rt.phases.size());
-    for (const auto &ph : rt.phases) {
-        putVarint(out, ph.name.size());
-        out.append(ph.name);
-        putVarint(out, ph.startCycle);
-        putVarint(out, ph.targetCycles);
-        putDoubleBits(out, ph.hostSeconds);
-    }
     return out;
 }
 
@@ -182,27 +173,6 @@ decodeRankTelemetry(const std::string &bytes, RankTelemetry &out)
             return false;
         }
         out.stats.values.emplace_back(name, value);
-    }
-
-    uint64_t nphases;
-    if (!getVarintField(bytes, p, nphases))
-        return false;
-    // Same clamp as above: a phase entry is >= 11 bytes (name length,
-    // two varints, 8-byte double), so the count cannot exceed that.
-    out.phases.reserve(
-        std::min<uint64_t>(nphases, (bytes.size() - p) / 11));
-    for (uint64_t i = 0; i < nphases; ++i) {
-        uint64_t name_len, start, cycles;
-        SimRateTelemetry::Phase ph;
-        if (!getVarintField(bytes, p, name_len) ||
-            !tryGetBytes(bytes, p, name_len, ph.name) ||
-            !getVarintField(bytes, p, start) ||
-            !getVarintField(bytes, p, cycles) ||
-            !tryGetDoubleBits(bytes, p, ph.hostSeconds))
-            return false;
-        ph.startCycle = start;
-        ph.targetCycles = cycles;
-        out.phases.push_back(std::move(ph));
     }
     return p == bytes.size();
 }
@@ -287,34 +257,6 @@ StatAggregator::mergedCsv() const
                 StatRegistry::formatValue(value).c_str());
         }
     }
-    return out;
-}
-
-std::string
-StatAggregator::mergedTraceJson() const
-{
-    // Chrome trace with per-rank process lanes on the *simulated*
-    // clock: one trace-cycle == one trace-microsecond, so lanes from
-    // different hosts line up exactly (host wall time cannot).
-    std::string out = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
-    bool first = true;
-    for (const auto &[rank, rt] : byRank) {
-        out += csprintf(
-            "%s\n  {\"name\": \"process_name\", \"ph\": \"M\", "
-            "\"pid\": %u, \"args\": {\"name\": \"rank %u\"}}",
-            first ? "" : ",", rank + 1, rank);
-        first = false;
-        for (const auto &ph : rt.phases) {
-            out += csprintf(
-                ",\n  {\"name\": \"%s\", \"cat\": \"simrate\", "
-                "\"ph\": \"X\", \"pid\": %u, \"tid\": 1, "
-                "\"ts\": %llu, \"dur\": %llu}",
-                jsonEscape(ph.name).c_str(), rank + 1,
-                (unsigned long long)ph.startCycle,
-                (unsigned long long)ph.targetCycles);
-        }
-    }
-    out += "\n]}";
     return out;
 }
 

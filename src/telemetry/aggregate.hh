@@ -4,19 +4,14 @@
  * simulation manager's single pane of glass over the whole cluster).
  *
  * Each non-zero rank periodically encodes a RankTelemetry — its full
- * StatRegistry snapshot plus completed SimRateTelemetry phases — into
- * a compact varint payload that the shard transport piggybacks on the
- * RoundDone barrier (net/remote/wire FrameType::Stats). Rank 0 feeds
- * every payload (and its own local snapshot) into a StatAggregator,
- * which keeps the latest view per rank and renders:
- *
- *  - mergedJson()/mergedCsv(): one global stat tree with per-rank
- *    `rankK.` name prefixes, byte-equivalent to the single-process
- *    dump modulo those prefixes and host-timing keys (pinned by
- *    tests/obs),
- *  - mergedTraceJson(): one Chrome trace with a process lane per rank,
- *    aligned on the *simulated* cycle clock (ts = phase start cycle),
- *    so cross-shard skew is visible against a common time base.
+ * StatRegistry snapshot — into a compact varint payload that the shard
+ * transport piggybacks on the RoundDone barrier (net/remote/wire
+ * FrameType::Stats). Rank 0 feeds every payload (and its own local
+ * snapshot) into a StatAggregator, which keeps the latest view per rank
+ * and renders it as one global stat tree (mergedJson()/mergedCsv())
+ * with per-rank `rankK.` name prefixes, byte-equivalent to the
+ * single-process dump modulo those prefixes and host-timing keys
+ * (pinned by tests/obs).
  *
  * The encoding is host-observability-only: it never feeds back into
  * simulation state, so shipping it cannot perturb determinism.
@@ -28,17 +23,15 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "base/units.hh"
 #include "telemetry/stat_registry.hh"
-#include "telemetry/trace_event.hh"
 
 namespace firesim
 {
 
 /** Bumped when the RankTelemetry payload layout changes. */
-constexpr uint32_t kRankTelemetryVersion = 1;
+constexpr uint32_t kRankTelemetryVersion = 2;
 
 /** One rank's point-in-time telemetry, as shipped to rank 0. */
 struct RankTelemetry
@@ -47,13 +40,12 @@ struct RankTelemetry
     uint64_t round = 0;
     Cycles cycle = 0;
     StatSnapshot stats;
-    std::vector<SimRateTelemetry::Phase> phases;
 };
 
 /**
  * Varint encoding: version, rank, round, cycle, then the stats with
  * common-prefix name compression (dotted stat trees share long
- * prefixes) and integral values as zigzag varints, then the phases.
+ * prefixes) and integral values as zigzag varints.
  */
 std::string encodeRankTelemetry(const RankTelemetry &rt);
 
@@ -88,10 +80,6 @@ class StatAggregator
 
     /** CSV matching StatRegistry::dumpCsv, rank-prefixed. */
     std::string mergedCsv() const;
-
-    /** Chrome trace: pid = rank + 1, one lane per rank, ts/dur in
-     *  simulated cycles (reported as trace microseconds). */
-    std::string mergedTraceJson() const;
 
   private:
     std::map<uint32_t, RankTelemetry> byRank;

@@ -74,11 +74,8 @@ const char *
 FlightRecorder::kindName(EventKind kind)
 {
     switch (kind) {
-      case EventKind::RoundBarrier: return "round-barrier";
-      case EventKind::FaultInjected: return "fault-injected";
       case EventKind::HealthEvent: return "health-event";
       case EventKind::PeerLoss: return "peer-loss";
-      case EventKind::PeerMessage: return "peer-message";
       case EventKind::CheckpointWrite: return "checkpoint-write";
       case EventKind::RestoreDiverged: return "restore-diverged";
       case EventKind::Heartbeat: return "heartbeat";

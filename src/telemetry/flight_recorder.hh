@@ -1,8 +1,8 @@
 /**
  * @file
  * Always-on crash flight recorder: a fixed-size lock-free ring of the
- * last N notable events (round barriers, injected faults, peer
- * messages, checkpoint writes, health transitions), dumped to a
+ * last N notable events (health events, peer losses, checkpoint
+ * writes, restore divergences, heartbeats, stragglers), dumped to a
  * postmortem JSONL file when something dies — fatal signal, peer
  * loss, restore divergence — or on explicit request.
  *
@@ -57,11 +57,8 @@ class FlightRecorder
   public:
     enum class EventKind : uint8_t
     {
-        RoundBarrier,    //!< a distributed round barrier completed
-        FaultInjected,   //!< FaultInjector applied a fault
         HealthEvent,     //!< HealthMonitor recorded a FaultEvent
         PeerLoss,        //!< a peer shard vanished
-        PeerMessage,     //!< notable transport traffic (hello/bye)
         CheckpointWrite, //!< a snapshot hit disk
         RestoreDiverged, //!< snapshot restore failed verification
         Heartbeat,       //!< monitor heartbeat emitted

@@ -27,7 +27,7 @@
  * Everything here reads simulation state and host clocks only — a
  * monitored run stays byte-identical to an unmonitored one, and with
  * MonitorConfig::enabled() false the Cluster allocates nothing
- * (bench_telemetry_overhead holds the heartbeat-on overhead to <1%).
+ * (bench_telemetry_overhead prints the heartbeat-on overhead).
  */
 
 #ifndef FIRESIM_TELEMETRY_MONITOR_HH

@@ -21,14 +21,8 @@ Telemetry::attach(TokenFabric &fabric)
             reg, cfg.samplePeriod);
         sampler_->attachTo(fabric);
     }
-    if (cfg.hostProfile) {
-        profiler_ = std::make_unique<HostProfiler>(sink);
-        fabric.addObserver(profiler_.get());
-    }
-    debug("telemetry attached: %zu stats, sample period %llu, host "
-          "profiling %s",
-          reg.size(), (unsigned long long)cfg.samplePeriod,
-          cfg.hostProfile ? "on" : "off");
+    debug("telemetry attached: %zu stats, sample period %llu",
+          reg.size(), (unsigned long long)cfg.samplePeriod);
 }
 
 void
@@ -64,8 +58,6 @@ Telemetry::dumpAtExit(Cycles now)
                    sampler_->series().size(), csv_path.c_str());
         }
     }
-    if (profiler_)
-        sink.writeJson(dir + "trace.json");
 }
 
 } // namespace firesim

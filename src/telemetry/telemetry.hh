@@ -1,14 +1,15 @@
 /**
  * @file
- * The per-cluster telemetry bundle: one StatRegistry, one optional
- * AutoCounter sampler, one optional host profiler with a Chrome
- * trace_event sink, and sim-rate accounting, configured together and
- * wired by the Cluster (manager/cluster.hh exposes telemetry()).
+ * The per-cluster telemetry bundle: one StatRegistry and one optional
+ * AutoCounter sampler, configured together and wired by the Cluster
+ * (manager/cluster.hh exposes telemetry()).
  *
  * Everything is off by default and free when off: with
  * TelemetryConfig::enabled false the Cluster allocates nothing and
  * attaches no fabric observers, so the tick loop runs the exact
- * pre-telemetry path (bench_telemetry_overhead holds this to <2%).
+ * pre-telemetry path (bench_telemetry_overhead measures the cost of
+ * each mode). Host-time attribution lives outside the simulator, in
+ * perfbench's `--trace 1` span tracer.
  */
 
 #ifndef FIRESIM_TELEMETRY_TELEMETRY_HH
@@ -20,7 +21,6 @@
 #include "telemetry/auto_counter.hh"
 #include "telemetry/instr_trace.hh"
 #include "telemetry/stat_registry.hh"
-#include "telemetry/trace_event.hh"
 
 namespace firesim
 {
@@ -31,13 +31,11 @@ struct TelemetryConfig
     bool enabled = false;
     /** AutoCounter sampling period in target cycles; 0 = no sampler. */
     Cycles samplePeriod = 0;
-    /** Emit Chrome trace spans for rounds / switch ticks / blade ticks. */
-    bool hostProfile = false;
     /**
-     * When non-empty, dump stats.json, autocounter.csv and trace.json
-     * into this (existing) directory at Cluster destruction. Sharded
-     * runs additionally write rank 0's merged cross-shard dumps
-     * (merged_stats.json/.csv, merged_trace.json; telemetry/aggregate).
+     * When non-empty, dump stats.json and autocounter.csv into this
+     * (existing) directory at Cluster destruction. Sharded runs
+     * additionally write rank 0's merged cross-shard dumps
+     * (merged_stats.json/.csv; telemetry/aggregate).
      */
     std::string dumpDir;
     /**
@@ -59,18 +57,14 @@ class Telemetry
 
     StatRegistry &registry() { return reg; }
     const StatRegistry &registry() const { return reg; }
-    TraceEventSink &traceSink() { return sink; }
-    SimRateTelemetry &simRate() { return simRate_; }
 
     /** The sampler, or nullptr when samplePeriod is 0. */
     AutoCounterSampler *sampler() { return sampler_.get(); }
-    /** The profiler, or nullptr when hostProfile is off. */
-    HostProfiler *profiler() { return profiler_.get(); }
 
     /**
-     * Create the configured sampler/profiler and register them as
-     * observers of @p fabric. Call once, after fabric finalize() and
-     * after all stats are registered.
+     * Create the configured sampler and register it as an observer of
+     * @p fabric. Call once, after fabric finalize() and after all
+     * stats are registered.
      */
     void attach(TokenFabric &fabric);
 
@@ -80,10 +74,7 @@ class Telemetry
   private:
     TelemetryConfig cfg;
     StatRegistry reg;
-    TraceEventSink sink;
-    SimRateTelemetry simRate_;
     std::unique_ptr<AutoCounterSampler> sampler_;
-    std::unique_ptr<HostProfiler> profiler_;
     bool attached = false;
 };
 

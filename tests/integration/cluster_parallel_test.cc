@@ -5,14 +5,17 @@
  * telemetry — run with ClusterConfig::parallelHosts 1 vs 2/4/8 must
  * produce byte-identical simulation results AND byte-identical
  * telemetry artifacts (stats.json contents, autocounter.csv contents,
- * health and stats reports). This is the ISSUE's acceptance property
- * at the topmost layer.
+ * health and stats reports). A test-local observer also pins the
+ * advance-bracket contract of FabricObserver at parallelHosts 1, 2
+ * and 4: every onAdvanceStart is closed by an onAdvanceEnd on the same
+ * thread, and brackets fire exactly for the rounds an endpoint is up.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fault/fault_plan.hh"
@@ -23,6 +26,87 @@ namespace firesim
 {
 namespace
 {
+
+// The fault plan's crash window, shared with the bracket check.
+constexpr const char *kCrashNode = "node3";
+constexpr Cycles kCrashAt = 400000;
+constexpr Cycles kRestartAt = 1200000;
+
+/**
+ * Checks the advance brackets. They fire on whichever worker advances
+ * the endpoint, so each endpoint owns one slot, presized at attach
+ * time, that only its advancing thread writes (`skipped` is written on
+ * the driving thread). Runs under TSan in the sanitize-thread suite.
+ */
+class AdvanceBracketCheck : public FabricObserver
+{
+  public:
+    struct Slot
+    {
+        bool open = false;
+        std::thread::id thread;
+        uint64_t brackets = 0;
+        uint64_t broken = 0; //!< nested start, stray end, or thread hop
+        uint64_t whileCrashed = 0;
+        uint64_t skipped = 0;
+    };
+
+    void
+    onAttach(TokenFabric &fabric) override
+    {
+        slots.assign(fabric.endpointCount(), Slot{});
+        quantum = fabric.quantum();
+        for (size_t i = 0; i < fabric.endpointCount(); ++i)
+            if (fabric.endpointAt(i).name() == kCrashNode)
+                crashIdx = i;
+    }
+
+    void
+    onRoundStart(Cycles round_start, uint64_t) override
+    {
+        ++rounds;
+        crashRounds += crashed(round_start);
+    }
+
+    void
+    onEndpointSkipped(size_t idx, Cycles) override
+    {
+        ++slots[idx].skipped;
+    }
+
+    void
+    onAdvanceStart(size_t idx, Cycles round_start) override
+    {
+        Slot &s = slots[idx];
+        s.broken += s.open;
+        s.open = true;
+        s.thread = std::this_thread::get_id();
+        s.whileCrashed += idx == crashIdx && crashed(round_start);
+    }
+
+    void
+    onAdvanceEnd(size_t idx, Cycles) override
+    {
+        Slot &s = slots[idx];
+        s.broken += !s.open || s.thread != std::this_thread::get_id();
+        s.open = false;
+        ++s.brackets;
+    }
+
+    /** The injector's rule: down from the round containing kCrashAt
+     *  until the first round starting at or after kRestartAt. */
+    bool
+    crashed(Cycles round_start) const
+    {
+        return round_start + quantum > kCrashAt && round_start < kRestartAt;
+    }
+
+    std::vector<Slot> slots;
+    size_t crashIdx = SIZE_MAX;
+    Cycles quantum = 0;
+    uint64_t rounds = 0;
+    uint64_t crashRounds = 0;
+};
 
 struct ClusterDigest
 {
@@ -37,23 +121,23 @@ struct ClusterDigest
 
 /**
  * Boot an 8-node single-ToR cluster with telemetry (registry +
- * AutoCounter sampler + host profiler for TSan coverage), optionally a
- * fault plan, run a ring of pings, and digest everything comparable.
+ * AutoCounter sampler), optionally a fault plan and an extra fabric
+ * observer (which must outlive the call), run a ring of pings, and
+ * digest everything comparable.
  */
 ClusterDigest
-runCluster(unsigned hosts, bool with_faults)
+runCluster(unsigned hosts, bool with_faults,
+           FabricObserver *observer = nullptr)
 {
     ClusterConfig cc;
     cc.parallelHosts = hosts;
     cc.telemetry.enabled = true;
     cc.telemetry.samplePeriod = 64000;
-    // Host profiling is wall-clock (never compared byte-wise), but
-    // enabling it puts the concurrent onAdvanceStart/End path under
-    // test — with TSan watching in the sanitize-thread suite.
-    cc.telemetry.hostProfile = true;
 
     auto cluster =
         std::make_unique<Cluster>(topologies::singleTor(8), cc);
+    if (observer)
+        cluster->fabric().addObserver(observer);
 
     if (with_faults) {
         HealthConfig hc;
@@ -62,7 +146,7 @@ runCluster(unsigned hosts, bool with_faults)
         FaultPlan plan;
         plan.withSeed(31337)
             .dropPayload("node1", 0, 200000, 800000, 0.5)
-            .crashNode("node3", 400000, 1200000)
+            .crashNode(kCrashNode, kCrashAt, kRestartAt)
             .corruptFlits("switch0", 2, 600000, 900000, 0.25);
         cluster->injectFaults(plan);
     }
@@ -129,6 +213,28 @@ TEST_P(ClusterParallelDeterminism, FaultsAndTelemetryByteIdentical)
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, ClusterParallelDeterminism,
                          ::testing::Values(2u, 4u, 8u));
+
+TEST(ClusterParallelBrackets, BracketsPairOnOneThreadAndSkipCrashedRounds)
+{
+    for (unsigned hosts : {1u, 2u, 4u}) {
+        SCOPED_TRACE("parallelHosts " + std::to_string(hosts));
+        AdvanceBracketCheck check;
+        runCluster(hosts, true, &check);
+
+        ASSERT_NE(check.crashIdx, SIZE_MAX);
+        ASSERT_GT(check.crashRounds, 0u);
+        ASSERT_LT(check.crashRounds, check.rounds);
+        for (size_t i = 0; i < check.slots.size(); ++i) {
+            const AdvanceBracketCheck::Slot &s = check.slots[i];
+            uint64_t down = i == check.crashIdx ? check.crashRounds : 0;
+            EXPECT_FALSE(s.open) << "endpoint " << i;
+            EXPECT_EQ(s.broken, 0u) << "endpoint " << i;
+            EXPECT_EQ(s.whileCrashed, 0u) << "endpoint " << i;
+            EXPECT_EQ(s.skipped, down) << "endpoint " << i;
+            EXPECT_EQ(s.brackets, check.rounds - down) << "endpoint " << i;
+        }
+    }
+}
 
 } // namespace
 } // namespace firesim

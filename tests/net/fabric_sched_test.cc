@@ -243,7 +243,6 @@ runCluster(unsigned hosts)
     cc.parallelHosts = hosts;
     cc.telemetry.enabled = true;
     cc.telemetry.samplePeriod = 64000;
-    cc.telemetry.hostProfile = true; // exercises the advance brackets
     auto cluster =
         std::make_unique<Cluster>(topologies::singleTor(8), cc);
 

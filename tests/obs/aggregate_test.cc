@@ -4,7 +4,7 @@
  * varint RankTelemetry wire encoding must round-trip exactly, reject
  * every malformed prefix/suffix strictly (network bytes never panic),
  * and the StatAggregator's merged renderings must carry per-rank
- * `rankK.` prefixes and simulated-clock trace lanes.
+ * `rankK.` prefixes.
  */
 
 #include <gtest/gtest.h>
@@ -38,17 +38,6 @@ sampleTelemetry(uint32_t rank, Cycles cycle)
         {"cluster.switch0.packetsOut", -5.0},
         {"cluster.switch0.queue.p99", 1.75e17},
     };
-    SimRateTelemetry::Phase ph;
-    ph.name = "run.0";
-    ph.startCycle = 0;
-    ph.targetCycles = 600000;
-    ph.hostSeconds = 0.125;
-    rt.phases.push_back(ph);
-    ph.name = "run.600000";
-    ph.startCycle = 600000;
-    ph.targetCycles = 40000;
-    ph.hostSeconds = 0.0078125;
-    rt.phases.push_back(ph);
     return rt;
 }
 
@@ -72,14 +61,6 @@ TEST(RankTelemetryCodec, RoundTripsExactly)
                   rt.stats.values[i].second)
             << rt.stats.values[i].first;
     }
-    ASSERT_EQ(back.phases.size(), rt.phases.size());
-    for (size_t i = 0; i < rt.phases.size(); ++i) {
-        EXPECT_EQ(back.phases[i].name, rt.phases[i].name);
-        EXPECT_EQ(back.phases[i].startCycle, rt.phases[i].startCycle);
-        EXPECT_EQ(back.phases[i].targetCycles,
-                  rt.phases[i].targetCycles);
-        EXPECT_EQ(back.phases[i].hostSeconds, rt.phases[i].hostSeconds);
-    }
 }
 
 TEST(RankTelemetryCodec, EmptyTelemetryRoundTrips)
@@ -90,7 +71,6 @@ TEST(RankTelemetryCodec, EmptyTelemetryRoundTrips)
     RankTelemetry back;
     ASSERT_TRUE(decodeRankTelemetry(bytes, back));
     EXPECT_EQ(back.stats.values.size(), 0u);
-    EXPECT_EQ(back.phases.size(), 0u);
 }
 
 TEST(RankTelemetryCodec, RejectsEveryTruncation)
@@ -116,6 +96,33 @@ TEST(RankTelemetryCodec, RejectsTrailingJunkAndBadVersion)
     std::string bad = bytes;
     bad[0] = static_cast<char>(kRankTelemetryVersion + 1);
     EXPECT_FALSE(decodeRankTelemetry(bad, out));
+}
+
+TEST(RankTelemetryCodec, RejectsVersionOnePayloads)
+{
+    // Version 1 appended a sim-rate phase list after the stats. A v1
+    // peer's payload is dropped, whatever its body looks like: both a
+    // genuine v1 layout (empty stats, one phase) and a v2 body that
+    // only carries the old version number.
+    std::string v1;
+    putVarint(v1, 1);                     // version
+    putVarint(v1, 1);                     // rank
+    putVarint(v1, 5);                     // round
+    putVarint(v1, 640);                   // cycle
+    putVarint(v1, 0);                     // nstats
+    putVarint(v1, 1);                     // nphases
+    putVarint(v1, 5);
+    v1 += "run.0";
+    putVarint(v1, 0);                     // startCycle
+    putVarint(v1, 640);                   // targetCycles
+    v1.append(8, '\0');                   // hostSeconds
+    RankTelemetry out;
+    EXPECT_FALSE(decodeRankTelemetry(v1, out));
+
+    std::string relabeled = encodeRankTelemetry(sampleTelemetry(1, 50));
+    ASSERT_TRUE(decodeRankTelemetry(relabeled, out));
+    relabeled[0] = 1;
+    EXPECT_FALSE(decodeRankTelemetry(relabeled, out));
 }
 
 TEST(StatAggregator, AcceptEncodedDropsMalformedAndMismatchedRank)
@@ -209,7 +216,7 @@ TEST(RankTelemetryCodec, HostileCountsCannotReserveUnboundedMemory)
     // decoder must fail cleanly (and fast) instead of reserving
     // terabytes up front on the peer's say-so.
     std::string bytes;
-    putVarint(bytes, 1);                  // version
+    putVarint(bytes, kRankTelemetryVersion);
     putVarint(bytes, 0);                  // rank
     putVarint(bytes, 1);                  // round
     putVarint(bytes, 2);                  // cycle
@@ -220,54 +227,6 @@ TEST(RankTelemetryCodec, HostileCountsCannotReserveUnboundedMemory)
     EXPECT_LT(out.stats.values.capacity(), 1024u)
         << "peer-controlled stat count drove the reserve";
 
-    // Same for the phase count, after a valid empty stats table.
-    std::string bytes2;
-    putVarint(bytes2, 1);                 // version
-    putVarint(bytes2, 0);                 // rank
-    putVarint(bytes2, 1);                 // round
-    putVarint(bytes2, 2);                 // cycle
-    putVarint(bytes2, 0);                 // nstats
-    putVarint(bytes2, 1ULL << 40);        // nphases (hostile)
-    RankTelemetry out2;
-    EXPECT_FALSE(decodeRankTelemetry(bytes2, out2));
-    EXPECT_LT(out2.phases.capacity(), 1024u)
-        << "peer-controlled phase count drove the reserve";
-}
-
-TEST(StatAggregator, MergedTraceAlignsLanesOnSimulatedCycles)
-{
-    StatAggregator agg;
-    agg.accept(sampleTelemetry(0, 1000));
-    agg.accept(sampleTelemetry(1, 2000));
-
-    minijson::ValuePtr doc = minijson::parse(agg.mergedTraceJson());
-    const minijson::Value &events = doc->at("traceEvents");
-    ASSERT_TRUE(events.isArray());
-
-    size_t metadata = 0, spans = 0;
-    for (const minijson::ValuePtr &ev : events.array) {
-        if (ev->at("ph").str == "M") {
-            ++metadata;
-            EXPECT_EQ(ev->at("name").str, "process_name");
-            continue;
-        }
-        ++spans;
-        EXPECT_EQ(ev->at("ph").str, "X");
-        double pid = ev->at("pid").number;
-        EXPECT_TRUE(pid == 1.0 || pid == 2.0) << "pid = rank + 1";
-        // Lanes align on the simulated clock: ts is the phase's start
-        // cycle and dur its cycle span, for both ranks identically.
-        if (ev->at("name").str == "run.0") {
-            EXPECT_DOUBLE_EQ(ev->at("ts").number, 0.0);
-            EXPECT_DOUBLE_EQ(ev->at("dur").number, 600000.0);
-        } else {
-            EXPECT_EQ(ev->at("name").str, "run.600000");
-            EXPECT_DOUBLE_EQ(ev->at("ts").number, 600000.0);
-            EXPECT_DOUBLE_EQ(ev->at("dur").number, 40000.0);
-        }
-    }
-    EXPECT_EQ(metadata, 2u) << "one process_name lane per rank";
-    EXPECT_EQ(spans, 4u) << "two phases per rank";
 }
 
 } // namespace

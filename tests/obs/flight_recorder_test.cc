@@ -85,8 +85,7 @@ TEST(FlightRecorder, EveryEventKindRendersItsName)
         fr.record(static_cast<EventKind>(k), k, k);
     std::string jsonl = fr.renderJsonl("kinds");
     for (const char *name :
-         {"round-barrier", "fault-injected", "health-event",
-          "peer-loss", "peer-message", "checkpoint-write",
+         {"health-event", "peer-loss", "checkpoint-write",
           "restore-diverged", "heartbeat", "straggler", "note"}) {
         EXPECT_NE(jsonl.find(std::string("\"kind\": \"") + name + "\""),
                   std::string::npos)
@@ -153,7 +152,7 @@ TEST(FlightRecorder, ConcurrentWritersAndReaderStayCoherent)
     for (int t = 0; t < kThreads; ++t) {
         writers.emplace_back([&fr, t] {
             for (uint64_t i = 0; i < kPerThread; ++i)
-                fr.record(EventKind::RoundBarrier, i, i * 400,
+                fr.record(EventKind::Note, i, i * 400,
                           "writer", static_cast<uint64_t>(t), i);
         });
     }
