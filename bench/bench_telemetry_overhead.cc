@@ -12,8 +12,8 @@
  *     the tick loop is byte-for-byte the pre-telemetry path and any
  *     difference is noise;
  *  2. live monitoring on (heartbeat every 8192 rounds by default, or
- *     --heartbeat-every, plus the flight recorder) with telemetry
- *     itself off — the observability plane's round-loop cost;
+ *     --heartbeat-every) with telemetry itself off — the
+ *     observability plane's round-loop cost;
  *  3. full telemetry (registry + AutoCounter sampler), reported as
  *     overhead versus the off-mode best.
  *
@@ -51,7 +51,7 @@ heartbeatCadence()
 enum class Mode
 {
     Off,       //!< no telemetry, no monitor — the baseline path
-    Heartbeat, //!< monitor + flight recorder on, telemetry off
+    Heartbeat, //!< heartbeat monitor on, telemetry off
     Full,      //!< registry + sampler
 };
 
@@ -72,11 +72,9 @@ runTrial(Mode mode, double target_us)
     // The trial modes own the observability knobs; whatever the
     // command line set is measured only through its own mode.
     cc.monitor = MonitorConfig{};
-    cc.flightRecorder = FlightRecorderConfig{};
     if (mode == Mode::Heartbeat) {
         cc.monitor.heartbeatEvery = heartbeatCadence();
         cc.monitor.heartbeatPath = "telemetry_heartbeat.jsonl";
-        cc.flightRecorder.enabled = true;
     }
     if (mode == Mode::Full) {
         cc.telemetry.enabled = true;

@@ -94,42 +94,18 @@ parseOnOffKnob(const char *what, const char *text)
     std::exit(2);
 }
 
-/** Parse auto|shm|tcp|unix for --shard-transport or exit(2). */
+/** Parse auto|shm|tcp for --shard-transport or exit(2). */
 inline TransportKind
 parseTransportKnob(const char *what, const char *text)
 {
     TransportKind kind;
     if (!text || !parseTransportKind(text, kind)) {
         std::fprintf(stderr,
-                     "error: %s expects auto, shm, tcp, or unix, got "
-                     "'%s'\n", what, text ? text : "");
-        std::exit(2);
-    }
-    return kind;
-}
-
-/**
- * Parse @p text as a double in (0, 1] for --straggler-alpha or
- * exit(2). The monitor folds alpha into a /256 fixed-point weight;
- * values outside (0, 1] would make the complement weight underflow,
- * so they are rejected here rather than silently clamped.
- */
-inline double
-parseAlphaKnob(const char *what, const char *text)
-{
-    const char *p = text;
-    bool starts = p && ((*p >= '0' && *p <= '9') || *p == '.');
-    char *end = nullptr;
-    errno = 0;
-    double v = starts ? std::strtod(p, &end) : 0.0;
-    if (!starts || end == p || *end != '\0' || errno == ERANGE ||
-        !(v > 0.0) || v > 1.0) {
-        std::fprintf(stderr,
-                     "error: %s expects a value in (0, 1], got '%s'\n",
+                     "error: %s expects auto, shm, or tcp, got '%s'\n",
                      what, text ? text : "");
         std::exit(2);
     }
-    return v;
+    return kind;
 }
 
 /**
@@ -146,15 +122,12 @@ struct Knobs
     unsigned shardConnectTimeoutMs = 0;
     TransportKind shardTransport = TransportKind::Auto;
     unsigned shardShmRing = 1u << 20;
-    double stragglerAlpha = 0.2;
     std::string checkpointPath;
     unsigned checkpointEvery = 0;
     std::string restorePath;
     unsigned heartbeatEvery = 0;
     unsigned statusInterval = 0;
     std::string metricsFile;
-    bool flightRecorder = false;
-    unsigned flightRecorderDepth = 256;
     bool decodeCache = true;
     unsigned decodeCacheEntries = 1u << 15;
 };
@@ -196,11 +169,11 @@ parseShardConnectKnob(const char *what, const char *text)
 }
 
 /**
- * One shared bench knob. A flag ending in '=' takes a value
- * (`--name=VALUE`); any other flag is a bare switch, parsed as "1".
- * `parse` stores the value into knobs() and exits(2) on a malformed
- * one, naming @p what (the flag or the env var). `apply` copies it
- * into a ClusterConfig; null for knobs only the bench driver reads.
+ * One shared bench knob. Every flag takes a value, so `flag` ends in
+ * '=' (`--name=VALUE`). `parse` stores the value into knobs() and
+ * exits(2) on a malformed one, naming @p what (the flag or the env
+ * var). `apply` copies it into a ClusterConfig; null for knobs only
+ * the bench itself reads.
  */
 struct Knob
 {
@@ -266,20 +239,14 @@ inline constexpr Knob kKnobTable[] = {
      [](ClusterConfig &cc, const Knobs &k) {
          cc.shard.transport = k.shardTransport;
      },
-     "cross-shard fabric: auto | shm | tcp | unix (default auto: shm "
-     "for same-host peers, tcp across hosts)"},
+     "cross-shard fabric: auto | shm | tcp (default auto: shm for "
+     "same-host peers, tcp across hosts)"},
     {"--shard-shm-ring=", "FIRESIM_SHARD_SHM_RING",
      parseInto<&Knobs::shardShmRing, parseUnsignedKnob>,
      [](ClusterConfig &cc, const Knobs &k) {
          cc.shard.shmRingBytes = k.shardShmRing;
      },
      "per-direction shm ring bytes, rounded up to a power of two"},
-    {"--straggler-alpha=", "FIRESIM_STRAGGLER_ALPHA",
-     parseInto<&Knobs::stragglerAlpha, parseAlphaKnob>,
-     [](ClusterConfig &cc, const Knobs &k) {
-         cc.monitor.ewmaAlpha = k.stragglerAlpha;
-     },
-     "round-latency EWMA weight of the newest sample, in (0, 1]"},
     {"--checkpoint=", "FIRESIM_CHECKPOINT",
      textInto<&Knobs::checkpointPath>, nullptr,
      "snapshot file for periodic + final checkpoints"},
@@ -306,19 +273,6 @@ inline constexpr Knob kKnobTable[] = {
          cc.monitor.metricsPath = k.metricsFile;
      },
      "Prometheus text file, atomically refreshed on every heartbeat"},
-    {"--flight-recorder", "FIRESIM_FLIGHT_RECORDER",
-     [](const char *, const char *t) { knobs().flightRecorder = *t == '1'; },
-     [](ClusterConfig &cc, const Knobs &k) {
-         cc.flightRecorder.enabled = k.flightRecorder;
-         cc.flightRecorder.installSignalHandler = k.flightRecorder;
-     },
-     "enable the crash flight recorder (env: 1 = on)"},
-    {"--flight-recorder-depth=", "FIRESIM_FLIGHT_RECORDER_DEPTH",
-     parseInto<&Knobs::flightRecorderDepth, parseUnsignedKnob>,
-     [](ClusterConfig &cc, const Knobs &k) {
-         cc.flightRecorder.depth = k.flightRecorderDepth;
-     },
-     "flight recorder ring depth in events"},
     {"--decode-cache=", "FIRESIM_DECODE_CACHE",
      parseInto<&Knobs::decodeCache, parseOnOffKnob>,
      [](ClusterConfig &cc, const Knobs &k) {
@@ -361,8 +315,9 @@ requireSingleShard(const char *bench)
 /**
  * Parse the flags every experiment binary understands (kKnobTable):
  * first every FIRESIM_* variable, then argv, so flags win over the
- * environment. Unknown arguments are ignored so binaries stay
- * permissive. Then cross-check the values.
+ * environment. An argument that matches no knob exits(2) naming it, so
+ * a typo or a retired flag never runs the defaults silently. Then
+ * cross-check the values.
  */
 inline void
 parseCommonFlags(int argc, char **argv)
@@ -372,16 +327,15 @@ parseCommonFlags(int argc, char **argv)
             knob.parse(knob.env, env);
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        for (const Knob &knob : kKnobTable) {
-            std::string flag = knob.flag;
-            if (flag.back() != '=') {
-                if (arg == flag)
-                    knob.parse(knob.flag, "1");
-            } else if (arg.rfind(flag, 0) == 0) {
-                flag.pop_back();
-                knob.parse(flag.c_str(), arg.c_str() + flag.size() + 1);
-            }
-        }
+        const Knob *match = nullptr;
+        for (const Knob &knob : kKnobTable)
+            if (arg.rfind(knob.flag, 0) == 0)
+                match = &knob;
+        requireKnob(match != nullptr,
+                    csprintf("unknown flag '%s'", arg.c_str()));
+        std::string name = match->flag;
+        name.pop_back();
+        match->parse(name.c_str(), arg.c_str() + name.size() + 1);
     }
 
     Knobs &k = knobs();
@@ -400,8 +354,6 @@ parseCommonFlags(int argc, char **argv)
     requireKnob(k.checkpointEvery == 0 || !k.checkpointPath.empty(),
                 csprintf("--checkpoint-every=%u needs --checkpoint=PATH",
                          k.checkpointEvery));
-    requireKnob(k.flightRecorderDepth != 0,
-                "--flight-recorder-depth must be at least 1");
     requireKnob(k.decodeCacheEntries != 0,
                 "--decode-cache-entries must be at least 1");
     if (k.parallelHosts > 1)

@@ -69,8 +69,6 @@ HealthMonitor::record(FaultEvent event)
     ++counts[static_cast<size_t>(event.kind)];
     if (cfg.logEvents)
         warn("health: %s", event.str().c_str());
-    if (eventHook)
-        eventHook(event);
     if (log.size() < kMaxEvents)
         log.push_back(std::move(event));
 }

@@ -25,7 +25,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -103,14 +102,6 @@ class HealthMonitor : public FabricObserver
     /** Record an event (also used by the FaultInjector). */
     void record(FaultEvent event);
 
-    /**
-     * Observe every record() as it happens (the flight recorder
-     * mirrors health transitions into its ring). One hook; runs on
-     * the recording thread before the event is logged.
-     */
-    using EventHookFn = std::function<void(const FaultEvent &)>;
-    void setEventHook(EventHookFn fn) { eventHook = std::move(fn); }
-
     /** Upper bound on retained events (counters keep counting). */
     static constexpr size_t kMaxEvents = 4096;
 
@@ -165,7 +156,6 @@ class HealthMonitor : public FabricObserver
 
     TokenFabric &fab;
     HealthConfig cfg;
-    EventHookFn eventHook;
     std::vector<FaultEvent> log;
     std::array<Counter, static_cast<size_t>(FaultEvent::Kind::kCount)>
         counts;

@@ -456,19 +456,9 @@ CheckpointManager::writeCheckpoint()
     std::string e = clu.saveSnapshot(opt.path);
     if (e.empty()) {
         ++written;
-        // Feed the observability plane: checkpoint age in heartbeats,
-        // a CheckpointWrite entry in any postmortem.
+        // Feed the observability plane: checkpoint age in heartbeats.
         if (clu.clusterMonitor())
             clu.clusterMonitor()->noteCheckpoint(clu.now());
-        if (clu.flightRecorder()) {
-            clu.flightRecorder()->record(
-                FlightRecorder::EventKind::CheckpointWrite,
-                clu.fabric().round(), clu.now(), opt.path.c_str());
-        }
-        if (opt.verbose)
-            warn("checkpoint %llu written to %s at cycle %llu",
-                 (unsigned long long)written, opt.path.c_str(),
-                 (unsigned long long)clu.now());
     } else {
         warn("checkpoint failed: %s", e.c_str());
     }
@@ -542,28 +532,17 @@ resumeFromSnapshot(Cluster &cluster, const std::string &path)
                         (unsigned long long)cluster.now());
     if (cluster.now() < target)
         cluster.run(target - cluster.now());
-    std::string verdict = cluster.loadSnapshot(path);
-    if (!verdict.empty() && cluster.flightRecorder()) {
-        // A diverged restore is a first-class postmortem trigger: the
-        // operator gets the last events leading up to the mismatch.
-        cluster.flightRecorder()->record(
-            FlightRecorder::EventKind::RestoreDiverged,
-            cluster.fabric().round(), cluster.now(), verdict.c_str());
-        cluster.flightRecorder()->dump("snapshot restore diverged");
-    }
-    return verdict;
+    return cluster.loadSnapshot(path);
 }
 
 bool
 runWithCheckpoints(Cluster &cluster, Cycles cycles,
-                   const std::string &path, uint64_t every_rounds,
-                   bool verbose)
+                   const std::string &path, uint64_t every_rounds)
 {
     CheckpointManager::installSignalHandlers();
     CheckpointOptions opts;
     opts.path = path;
     opts.everyRounds = every_rounds;
-    opts.verbose = verbose;
     CheckpointManager mgr(cluster, opts);
     return mgr.run(cycles);
 }

@@ -41,8 +41,6 @@ struct CheckpointOptions
     std::string path;
     /** Checkpoint every N fabric rounds; 0 disables periodic saves. */
     uint64_t everyRounds = 0;
-    /** Log each checkpoint as it is written. */
-    bool verbose = false;
 };
 
 class CheckpointManager
@@ -128,8 +126,7 @@ std::string resumeFromSnapshot(Cluster &cluster,
  * --checkpoint / --checkpoint-every knobs through here.
  */
 bool runWithCheckpoints(Cluster &cluster, Cycles cycles,
-                        const std::string &path, uint64_t every_rounds,
-                        bool verbose = false);
+                        const std::string &path, uint64_t every_rounds);
 
 /**
  * Warm-boot scenario forking. The cluster must be booted (run past

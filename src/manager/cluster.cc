@@ -332,15 +332,6 @@ Cluster::connectShards(
                 "empty tokens",
                 peer);
             monitor_->record(std::move(ev));
-            // Peer loss is exactly what the flight recorder exists
-            // for: capture the event and dump the postmortem now,
-            // while this rank is still healthy enough to write it.
-            if (recorder_) {
-                recorder_->record(
-                    FlightRecorder::EventKind::PeerLoss, round, cycle,
-                    csprintf("peer shard %u lost", peer).c_str(), peer);
-                recorder_->dump(csprintf("peer shard %u lost", peer));
-            }
         });
 }
 
@@ -474,15 +465,6 @@ Cluster::setupObservability()
     const ShardSpec &ss = cfg.shard;
     bool sharded = ss.shards > 1;
 
-    if (cfg.flightRecorder.enabled) {
-        FlightRecorderConfig fc = cfg.flightRecorder;
-        if (fc.path.empty())
-            fc.path = "flight-recorder.jsonl";
-        if (sharded)
-            fc.path = snapshotRankPath(fc.path, ss.shards, ss.rank);
-        recorder_ = std::make_unique<FlightRecorder>(fc);
-    }
-
     if (cfg.monitor.enabled()) {
         MonitorConfig mc = cfg.monitor;
         mc.targetFreqGhz = cfg.freqGhz;
@@ -498,7 +480,6 @@ Cluster::setupObservability()
         clusterMonitor_ = std::make_unique<ClusterMonitor>(
             mc, ss.rank, sharded ? ss.shards : 1);
         clusterMonitor_->setTransport(transport_.get());
-        clusterMonitor_->setFlightRecorder(recorder_.get());
         clusterMonitor_->setHealthEventsProvider([this]() -> uint64_t {
             return monitor_ ? monitor_->totalEvents() : 0;
         });
@@ -525,17 +506,9 @@ Cluster::setupObservability()
                 } else {
                     warn("straggler: %s", what.c_str());
                 }
-                if (recorder_) {
-                    recorder_->record(
-                        FlightRecorder::EventKind::Straggler, round,
-                        cycle, csprintf("rank %u", rank).c_str(),
-                        latency_ns, median_ns);
-                }
             });
         fabric_.addObserver(clusterMonitor_.get());
     }
-
-    wireHealthObservability();
 
     if (transport_) {
         if (clusterMonitor_) {
@@ -543,14 +516,11 @@ Cluster::setupObservability()
             transport_->setRoundLatencyProvider(
                 [cm] { return cm->roundLatencyNs(); });
         }
-        // Satellite of the failFast path: flush telemetry and the
-        // flight recorder before the transport's fatal() so an abort
-        // on peer loss never leaves empty dumps behind.
+        // Flush telemetry before the transport's fail-fast fatal()
+        // so an abort on peer loss never leaves empty dumps behind.
         transport_->setFatalFlushHook([this] {
             if (telemetry_)
                 telemetry_->dumpAtExit(fabric_.now());
-            if (recorder_)
-                recorder_->dump("peer shard lost (fail-fast)");
         });
         if (telemetry_ && !cfg.telemetry.dumpDir.empty()) {
             if (ss.rank == 0) {
@@ -569,19 +539,6 @@ Cluster::setupObservability()
             }
         }
     }
-}
-
-void
-Cluster::wireHealthObservability()
-{
-    if (!monitor_ || !recorder_)
-        return;
-    FlightRecorder *fr = recorder_.get();
-    monitor_->setEventHook([fr](const FaultEvent &ev) {
-        fr->record(FlightRecorder::EventKind::HealthEvent, ev.round,
-                   ev.cycle, ev.detail.c_str(),
-                   static_cast<uint64_t>(ev.kind));
-    });
 }
 
 RankTelemetry
@@ -616,10 +573,8 @@ Cluster::writeMergedDumps()
 HealthMonitor &
 Cluster::health()
 {
-    if (!monitor_) {
+    if (!monitor_)
         monitor_ = std::make_unique<HealthMonitor>(fabric_);
-        wireHealthObservability();
-    }
     return *monitor_;
 }
 
@@ -629,7 +584,6 @@ Cluster::health(const HealthConfig &config)
     if (monitor_)
         fatal("health monitor already attached; its config is fixed");
     monitor_ = std::make_unique<HealthMonitor>(fabric_, config);
-    wireHealthObservability();
     return *monitor_;
 }
 
@@ -669,6 +623,16 @@ Cluster::healthReport() const
     }
     if (any)
         out += sw.render();
+
+    if (transport_ && transport_->anyPeerLost()) {
+        Table peers({"Peer", "State"});
+        for (size_t i = 0; i < transport_->peerRanks().size(); ++i)
+            if (!transport_->peerStatsAt(i).alive)
+                peers.addRow({csprintf("shard %u",
+                                       transport_->peerRanks()[i]),
+                              "LOST"});
+        out += peers.render();
+    }
     return out;
 }
 

@@ -36,7 +36,6 @@
 #include "os/simos.hh"
 #include "switchmodel/switch.hh"
 #include "telemetry/aggregate.hh"
-#include "telemetry/flight_recorder.hh"
 #include "telemetry/monitor.hh"
 #include "telemetry/telemetry.hh"
 
@@ -120,12 +119,6 @@ struct ClusterConfig
      * allocates no monitor and attaches no observer.
      */
     MonitorConfig monitor;
-    /**
-     * Crash flight recorder (telemetry/flight_recorder.hh): a ring of
-     * recent notable events dumped as a postmortem on fatal signals,
-     * peer loss, or restore divergence. Off by default.
-     */
-    FlightRecorderConfig flightRecorder;
     /**
      * Host threads advancing endpoints inside each fabric round — the
      * in-process analogue of the paper's one-blade-per-FPGA scale-out.
@@ -241,17 +234,15 @@ class Cluster
      *  ClusterConfig::monitor was not enabled. */
     ClusterMonitor *clusterMonitor() { return clusterMonitor_.get(); }
 
-    /** The crash flight recorder, or nullptr when not enabled. */
-    FlightRecorder *flightRecorder() { return recorder_.get(); }
-
     /** Rank 0's cross-shard stat aggregator, or nullptr (non-zero
      *  ranks, single-process mode, or telemetry off). */
     StatAggregator *aggregator() { return aggregator_.get(); }
 
     /**
      * Post-run health report: fault/degradation events seen by the
-     * monitor plus per-switch fault-drop counters. Reports a healthy
-     * cluster when no monitor was ever attached.
+     * monitor, per-switch fault-drop counters, and every lost peer
+     * shard. Reports a healthy cluster when no monitor was ever
+     * attached.
      */
     std::string healthReport() const;
 
@@ -344,14 +335,10 @@ class Cluster
      *  and attach the configured fabric observers. */
     void setupTelemetry();
 
-    /** Build the observability plane — flight recorder, heartbeat
-     *  monitor, cross-shard aggregation hooks — per ClusterConfig.
+    /** Build the observability plane — heartbeat monitor,
+     *  cross-shard aggregation hooks — per ClusterConfig.
      *  Called by build(), after setupTelemetry(). */
     void setupObservability();
-
-    /** Mirror HealthMonitor events into the flight recorder (called
-     *  whenever either side comes into existence). */
-    void wireHealthObservability();
 
     /** This rank's point-in-time telemetry, as shipped to rank 0. */
     RankTelemetry localRankTelemetry(uint64_t round, Cycles cycle);
@@ -381,10 +368,7 @@ class Cluster
     std::unique_ptr<ShardTransport> transport_;
     std::vector<std::unique_ptr<NodeSystem>> nodes;
     std::vector<std::unique_ptr<Switch>> switches;
-    // Observability plane. Order matters for destruction: the monitor
-    // holds a flight-recorder pointer, so the recorder is declared
-    // (and destroyed) after it... i.e. recorder first here.
-    std::unique_ptr<FlightRecorder> recorder_;
+    // Observability plane.
     std::unique_ptr<ClusterMonitor> clusterMonitor_;
     std::unique_ptr<StatAggregator> aggregator_;
     // Declared last: the registry's probes read the components above,

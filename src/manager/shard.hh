@@ -60,7 +60,7 @@ struct ShardSpec
     bool failFast = false;
     /** Cross-shard fabric (--shard-transport): Auto negotiates shm
      *  for same-host peers and TCP across hosts; Shm demands the
-     *  shared-memory rings; Tcp/Unix pin the socket paths. */
+     *  shared-memory rings; Tcp pins the socket path. */
     TransportKind transport = TransportKind::Auto;
     /** Per-direction shm ring capacity in bytes (rounded up to a
      *  power of two); must be symmetric across the mesh. */

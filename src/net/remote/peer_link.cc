@@ -41,8 +41,6 @@ parseTransportKind(const char *text, TransportKind &out)
         out = TransportKind::Shm;
     else if (s == "tcp")
         out = TransportKind::Tcp;
-    else if (s == "unix")
-        out = TransportKind::Unix;
     else
         return false;
     return true;

@@ -47,8 +47,9 @@ enum class TransportKind : uint8_t
 /** Canonical knob spelling ("auto", "shm", ...). */
 const char *transportKindName(TransportKind kind);
 
-/** Parse a --shard-transport value; false on anything unknown.
- *  Strict like the other knob parsers: exact lowercase names only. */
+/** Parse a --shard-transport value (auto, shm or tcp); false on
+ *  anything else. Strict like the other knob parsers: exact lowercase
+ *  names only. */
 bool parseTransportKind(const char *text, TransportKind &out);
 
 /** A stable hash identifying this host (hostname FNV-1a), carried in

@@ -85,22 +85,19 @@ recvFrameRaw(const SocketFd &sock, std::string &rx_buf,
  * both ends reach the same answer independently: an explicit `shm` on
  * either side demands shm (fatal across hosts or against an explicit
  * socket choice), `auto`+`auto` on one host picks shm, anything else
- * is TCP. `unix` degrades to TCP here — the socketpair fast path is
- * fromFds, not the rendezvous.
+ * is TCP. The socketpair path is fromFds, not the rendezvous.
  */
 TransportKind
 negotiateTransport(const ShardTransport::Options &opts,
                    uint32_t peer_rank, uint32_t peer_pref_raw,
                    uint64_t peer_token, uint64_t local_token)
 {
-    auto canon = [](TransportKind k) {
-        return k == TransportKind::Unix ? TransportKind::Tcp : k;
-    };
-    TransportKind local = canon(opts.transport);
-    TransportKind peer = canon(static_cast<TransportKind>(peer_pref_raw));
+    TransportKind local = opts.transport;
+    TransportKind peer = static_cast<TransportKind>(peer_pref_raw);
     bool same_host = peer_token == local_token;
     if (local == TransportKind::Shm || peer == TransportKind::Shm) {
-        if (local == TransportKind::Tcp || peer == TransportKind::Tcp)
+        if (local != peer && local != TransportKind::Auto &&
+            peer != TransportKind::Auto)
             fatal("shard %u: transport mismatch with rank %u "
                   "(local --shard-transport=%s, peer %s)",
                   opts.rank, peer_rank,
@@ -405,8 +402,8 @@ ShardTransport::peerLost(Peer &peer, uint64_t round, Cycles cycle,
     if (!peer.stats.alive)
         return;
     if (opts.failFast) {
-        // Record the loss and flush telemetry + flight recorder before
-        // aborting: a failFast death must still leave a postmortem.
+        // Record the loss and flush telemetry before aborting: a
+        // failFast death must still leave its dumps behind.
         if (lossFn)
             lossFn(peer.rank, round, cycle);
         if (fatalFlushFn)

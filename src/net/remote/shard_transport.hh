@@ -92,7 +92,7 @@ class ShardTransport : public RemoteRoundHook
         uint32_t statsEvery = 0;
         /** Fabric preference (--shard-transport): Auto negotiates shm
          *  for same-host peers and TCP across hosts; Shm demands shm
-         *  (fatal across hosts); Tcp/Unix never upgrade. */
+         *  (fatal across hosts); Tcp never upgrades. */
         TransportKind transport = TransportKind::Auto;
         /** Per-direction shm ring capacity (rounded up to a power of
          *  two). Must be symmetric across the mesh. */
@@ -206,8 +206,8 @@ class ShardTransport : public RemoteRoundHook
 
     /**
      * Runs immediately before the failFast fatal() on peer loss (after
-     * the loss callback), so telemetry and the flight recorder can
-     * flush — a failFast abort must never leave an empty postmortem.
+     * the loss callback), so telemetry can flush — a failFast abort
+     * must never leave empty dumps behind.
      */
     using FatalFlushFn = std::function<void()>;
     void setFatalFlushHook(FatalFlushFn fn)

@@ -5,7 +5,6 @@
 #include "base/logging.hh"
 #include "net/remote/shard_transport.hh"
 #include "snapshot/snapshot.hh"
-#include "telemetry/flight_recorder.hh"
 #include "telemetry/stat_registry.hh"
 
 namespace firesim
@@ -74,14 +73,11 @@ ClusterMonitor::onRoundEnd(Cycles round_start, uint64_t round)
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 now - roundT0)
                 .count());
-        // EWMA with integer arithmetic; alpha is folded into a /256
-        // fixed-point weight, clamped to [1, 256] so an out-of-range
-        // alpha cannot underflow the (256 - w) complement.
-        uint32_t w = static_cast<uint32_t>(cfg.ewmaAlpha * 256.0);
-        w = std::min(std::max(w, 1u), 256u);
-        ewmaNs = ewmaNs == 0
-                     ? dt
-                     : (ewmaNs * (256 - w) + dt * w) / 256;
+        // EWMA with integer arithmetic: the newest sample weighs
+        // kEwmaWeight / 256 (about 0.2).
+        ewmaNs = ewmaNs == 0 ? dt
+                             : (ewmaNs * (256 - kEwmaWeight) +
+                                dt * kEwmaWeight) / 256;
         ++sampleCount;
 
         // Straggler detection rides the latency sampling stride, not
@@ -356,12 +352,6 @@ ClusterMonitor::emitHeartbeat(Cycles cycle, uint64_t round)
             "metrics");
         if (!err.empty())
             warn("monitor: %s", err.c_str());
-    }
-
-    if (recorder) {
-        recorder->record(FlightRecorder::EventKind::Heartbeat, round,
-                         cycle, "", ewmaNs,
-                         static_cast<uint64_t>(sim_mhz * 1e6));
     }
 }
 

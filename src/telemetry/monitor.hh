@@ -21,8 +21,8 @@
  * takes the median round latency across {local EWMA, each peer's
  * RoundDone-reported EWMA} and latches any rank whose latency exceeds
  * stragglerFactor x that median, firing the straggler sink once per
- * rank (the Cluster raises a StragglerDetected health event and a
- * flight-recorder entry through it).
+ * rank (the Cluster raises a StragglerDetected health event through
+ * it).
  *
  * Everything here reads simulation state and host clocks only — a
  * monitored run stays byte-identical to an unmonitored one, and with
@@ -45,7 +45,6 @@
 namespace firesim
 {
 
-class FlightRecorder;
 class ShardTransport;
 
 struct MonitorConfig
@@ -63,8 +62,6 @@ struct MonitorConfig
     /** A rank is a straggler when its round-latency EWMA exceeds this
      *  factor times the cluster median. */
     double stragglerFactor = 3.0;
-    /** Round-latency EWMA smoothing (weight of the newest sample). */
-    double ewmaAlpha = 0.2;
     /**
      * Time one round in every this many (round 0 always sampled; 0
      * behaves as 1 = every round). Reading the host clock twice per
@@ -100,9 +97,6 @@ class ClusterMonitor : public FabricObserver
     {
         transport_ = transport;
     }
-
-    /** Heartbeats mirror into the flight recorder when set. */
-    void setFlightRecorder(FlightRecorder *fr) { recorder = fr; }
 
     /** Count of health events to report in heartbeats (the Cluster
      *  bridges its HealthMonitor; telemetry cannot depend on fault). */
@@ -182,7 +176,6 @@ class ClusterMonitor : public FabricObserver
     uint32_t shards_;
     const TokenFabric *fabric = nullptr;
     const ShardTransport *transport_ = nullptr;
-    FlightRecorder *recorder = nullptr;
     std::function<uint64_t()> healthEventsFn;
     StragglerSinkFn stragglerSink;
 
@@ -198,6 +191,9 @@ class ClusterMonitor : public FabricObserver
 
     bool samplingThisRound = false;
 
+    /** Round-latency EWMA weight of the newest sample, in 1/256ths
+     *  (51/256 is about 0.2). */
+    static constexpr uint64_t kEwmaWeight = 51;
     uint64_t ewmaNs = 0;
     uint64_t sampleCount = 0;
     uint64_t heartbeatCount = 0;

@@ -57,8 +57,8 @@ StatSnapshot diffSnapshots(const StatSnapshot &before,
 /**
  * Escape @p s for embedding inside a JSON string literal: `"` and
  * `\` get backslash-escaped, control characters become `\n`/`\t`/...
- * or `\u00XX`. Every telemetry emitter (stat dumps, trace events,
- * heartbeats, flight recorder) routes strings through this.
+ * or `\u00XX`. The stat dump and rank 0's merged dump route every
+ * name through this.
  */
 std::string jsonEscape(const std::string &s);
 

@@ -45,8 +45,7 @@ TEST(KnobParse, AcceptsStrictDecimal)
 
 /**
  * Malformed values per knob-table row, keyed by flag. An empty list
- * marks a free-form row (a path, or the bare --flight-recorder switch):
- * every value is legal there. Cross-check failures (a zero count) count
+ * marks a free-form row (a path): every value is legal there. Cross-check failures (a zero count) count
  * as malformed too: they also exit(2) naming the flag.
  */
 const std::map<std::string, std::vector<const char *>> kMalformed = {
@@ -54,27 +53,22 @@ const std::map<std::string, std::vector<const char *>> kMalformed = {
     // (strtoul would skip it), no sign but '+', no junk, no overflow.
     {"--parallel-hosts=",
      {"", "abc", "-3", "3x", "+", "4294967296", " 8", "\t8", " +8", "8 "}},
-    {"--shards=", {"2x", "0"}},
-    {"--shard-rank=", {"1 ", "x"}},
+    {"--shards=", {"2x", "0", "-2"}},
+    {"--shard-rank=", {"1 ", "x", "-1"}},
     {"--shard-connect=",
      {"nohost", ":9000", "a:b:c", "h:port", "h:0", "h:70000"}},
-    {"--shard-connect-timeout=", {"5s"}},
-    // loopback is a real TransportKind but test-only: the knob must
-    // not accept it from the command line.
-    {"--shard-transport=", {"SHM", "pcie", "", "loopback", "fast"}},
+    {"--shard-connect-timeout=", {"5s", "-1", " 5"}},
+    // loopback is a real TransportKind but test-only, and unix only
+    // names a socketpair link: the knob accepts neither.
+    {"--shard-transport=",
+     {"SHM", "pcie", "", "loopback", "unix", "fast"}},
     {"--shard-shm-ring=", {"1M", "0"}},
-    // The monitor folds alpha into a /256 fixed-point weight whose
-    // complement underflows outside (0, 1].
-    {"--straggler-alpha=",
-     {"0", "0.0", "1.5", "2.0", "-0.2", "fast", " 0.5", "0.5x", ""}},
     {"--checkpoint=", {}},
-    {"--checkpoint-every=", {"x"}},
+    {"--checkpoint-every=", {"x", "-1", "1e3"}},
     {"--restore=", {}},
     {"--heartbeat-every=", {"8x", "1h"}},
-    {"--status-interval=", {" 5"}},
+    {"--status-interval=", {" 5", "5s"}},
     {"--metrics-file=", {}},
-    {"--flight-recorder", {}},
-    {"--flight-recorder-depth=", {"abc", "-1", "0"}},
     {"--decode-cache=", {"1", "ON", "", " on", "off ", "true"}},
     {"--decode-cache-entries=", {"-1", "abc", " 8", "8 ", "0", "64k"}},
 };
@@ -213,6 +207,26 @@ TEST(KnobParseDeath, ShardFlagCrossValidation)
                 ::testing::ExitedWithCode(2), "at least 1");
 }
 
+TEST(KnobParseDeath, UnknownFlagsFailLoudly)
+{
+    // A retired flag, a typo, or a value given as its own argument
+    // exits(2) naming the argument instead of running the defaults.
+    EXPECT_EXIT(parseOneFlag("--heartbeat-evry=64"),
+                ::testing::ExitedWithCode(2),
+                "unknown flag '--heartbeat-evry=64'");
+    EXPECT_EXIT(parseOneFlag("--shard-policy=cost"),
+                ::testing::ExitedWithCode(2),
+                "unknown flag '--shard-policy=cost'");
+    EXPECT_EXIT(parseOneFlag("--shards"), ::testing::ExitedWithCode(2),
+                "unknown flag '--shards'");
+    EXPECT_EXIT(
+        ([] {
+            const char *argv[] = {"bench", "--heartbeat-every", "64"};
+            parseCommonFlags(3, const_cast<char **>(argv));
+        }()),
+        ::testing::ExitedWithCode(2), "unknown flag '--heartbeat-every'");
+}
+
 TEST(KnobParse, ShardConnectRoundTrips)
 {
     parseShardConnectKnob("--shard-connect", "10.1.2.3:9000");
@@ -227,8 +241,6 @@ TEST(KnobParse, ShardTransportRoundTrips)
     EXPECT_EQ(bench::knobs().shardTransport, TransportKind::Shm);
     parseOneFlag("--shard-transport=tcp");
     EXPECT_EQ(bench::knobs().shardTransport, TransportKind::Tcp);
-    parseOneFlag("--shard-transport=unix");
-    EXPECT_EQ(bench::knobs().shardTransport, TransportKind::Unix);
     parseOneFlag("--shard-transport=auto");
     EXPECT_EQ(bench::knobs().shardTransport, TransportKind::Auto);
     parseOneFlag("--shard-shm-ring=65536");
@@ -238,7 +250,7 @@ TEST(KnobParse, ShardTransportRoundTrips)
 TEST(KnobParseDeath, ShardTransportIsStrict)
 {
     EXPECT_EXIT(parseOneFlag("--shard-transport=SHM"),
-                ::testing::ExitedWithCode(2), "auto, shm, tcp, or unix");
+                ::testing::ExitedWithCode(2), "auto, shm, or tcp");
     EXPECT_EXIT(parseOneFlag("--shard-transport=pcie"),
                 ::testing::ExitedWithCode(2), "--shard-transport");
     EXPECT_EXIT(parseOneFlag("--shard-transport="),
@@ -246,6 +258,8 @@ TEST(KnobParseDeath, ShardTransportIsStrict)
     // loopback is a real TransportKind but test-only: the knob parser
     // must not accept it from the command line.
     EXPECT_EXIT(parseOneFlag("--shard-transport=loopback"),
+                ::testing::ExitedWithCode(2), "--shard-transport");
+    EXPECT_EXIT(parseOneFlag("--shard-transport=unix"),
                 ::testing::ExitedWithCode(2), "--shard-transport");
     EXPECT_EXIT(parseOneFlag("--shard-shm-ring=1M"),
                 ::testing::ExitedWithCode(2), "--shard-shm-ring");
@@ -282,47 +296,6 @@ TEST(KnobParseDeath, RequireSingleShardRefusesShardedRuns)
         ::testing::ExitedWithCode(0), "");
 }
 
-TEST(KnobParse, StragglerAlphaRoundTrips)
-{
-    EXPECT_DOUBLE_EQ(bench::knobs().stragglerAlpha, 0.2)
-        << "the monitor's default EWMA weight";
-    parseOneFlag("--straggler-alpha=0.5");
-    EXPECT_DOUBLE_EQ(bench::knobs().stragglerAlpha, 0.5);
-    parseOneFlag("--straggler-alpha=1.0");
-    EXPECT_DOUBLE_EQ(bench::knobs().stragglerAlpha, 1.0);
-    parseOneFlag("--straggler-alpha=.25");
-    EXPECT_DOUBLE_EQ(bench::knobs().stragglerAlpha, 0.25);
-}
-
-TEST(KnobParseDeath, StragglerAlphaDemandsUnitInterval)
-{
-    // The monitor folds alpha into a /256 fixed-point weight whose
-    // complement underflows outside (0, 1]; the knob rejects those
-    // values outright rather than silently clamping.
-    EXPECT_EXIT(parseOneFlag("--straggler-alpha=0"),
-                ::testing::ExitedWithCode(2), "value in");
-    EXPECT_EXIT(parseOneFlag("--straggler-alpha=0.0"),
-                ::testing::ExitedWithCode(2), "value in");
-    EXPECT_EXIT(parseOneFlag("--straggler-alpha=1.5"),
-                ::testing::ExitedWithCode(2), "value in");
-    EXPECT_EXIT(parseOneFlag("--straggler-alpha=-0.2"),
-                ::testing::ExitedWithCode(2), "--straggler-alpha");
-    EXPECT_EXIT(parseOneFlag("--straggler-alpha=fast"),
-                ::testing::ExitedWithCode(2), "--straggler-alpha");
-    EXPECT_EXIT(parseOneFlag("--straggler-alpha= 0.5"),
-                ::testing::ExitedWithCode(2), "--straggler-alpha");
-    EXPECT_EXIT(parseOneFlag("--straggler-alpha=0.5x"),
-                ::testing::ExitedWithCode(2), "--straggler-alpha");
-    EXPECT_EXIT(parseOneFlag("--straggler-alpha="),
-                ::testing::ExitedWithCode(2), "--straggler-alpha");
-    EXPECT_EXIT(
-        {
-            setenv("FIRESIM_STRAGGLER_ALPHA", "2.0", 1);
-            parseCommonFlags(0, nullptr);
-        },
-        ::testing::ExitedWithCode(2), "FIRESIM_STRAGGLER_ALPHA");
-}
-
 TEST(KnobParse, ObservabilityFlagsRoundTrip)
 {
     parseOneFlag("--heartbeat-every=64");
@@ -331,14 +304,6 @@ TEST(KnobParse, ObservabilityFlagsRoundTrip)
     EXPECT_EQ(bench::knobs().statusInterval, 10u);
     parseOneFlag("--metrics-file=/tmp/fs.prom");
     EXPECT_EQ(bench::knobs().metricsFile, "/tmp/fs.prom");
-    parseOneFlag("--flight-recorder-depth=1024");
-    EXPECT_EQ(bench::knobs().flightRecorderDepth, 1024u);
-    // The bare switch must not be shadowed by its =N-suffixed sibling
-    // (both start with "--flight-recorder").
-    EXPECT_FALSE(bench::knobs().flightRecorder);
-    parseOneFlag("--flight-recorder");
-    EXPECT_TRUE(bench::knobs().flightRecorder);
-    EXPECT_EQ(bench::knobs().flightRecorderDepth, 1024u);
 }
 
 TEST(KnobParseDeath, ObservabilityFlagsShareTheStrictParser)
@@ -347,25 +312,12 @@ TEST(KnobParseDeath, ObservabilityFlagsShareTheStrictParser)
                 ::testing::ExitedWithCode(2), "--heartbeat-every");
     EXPECT_EXIT(parseOneFlag("--status-interval= 5"),
                 ::testing::ExitedWithCode(2), "--status-interval");
-    EXPECT_EXIT(parseOneFlag("--flight-recorder-depth=abc"),
-                ::testing::ExitedWithCode(2),
-                "--flight-recorder-depth");
-    // Depth 0 parses but fails cross-validation: a zero-slot ring
-    // records nothing and the FlightRecorder refuses to build one.
-    EXPECT_EXIT(parseOneFlag("--flight-recorder-depth=0"),
-                ::testing::ExitedWithCode(2), "at least 1");
     EXPECT_EXIT(
         {
             setenv("FIRESIM_HEARTBEAT_EVERY", "1h", 1);
             parseCommonFlags(0, nullptr);
         },
         ::testing::ExitedWithCode(2), "FIRESIM_HEARTBEAT_EVERY");
-    EXPECT_EXIT(
-        {
-            setenv("FIRESIM_FLIGHT_RECORDER_DEPTH", "-1", 1);
-            parseCommonFlags(0, nullptr);
-        },
-        ::testing::ExitedWithCode(2), "FIRESIM_FLIGHT_RECORDER_DEPTH");
 }
 
 TEST(KnobParse, DecodeCacheFlagsRoundTrip)

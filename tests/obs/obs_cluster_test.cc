@@ -8,8 +8,9 @@
  *  - a monitored 2-shard run emits a parseable heartbeat JSONL stream
  *    with per-shard latency lanes, refreshes the Prometheus file, and
  *    latches stragglers through the HealthMonitor;
- *  - SIGKILLing rank 1 mid-run leaves rank 0 with a flight-recorder
- *    postmortem whose last events are the peer-loss health transition.
+ *  - SIGKILLing rank 1 mid-run shows on rank 0 through the outputs
+ *    an operator already watches: the last heartbeat counts no live
+ *    peer and the health event, and the health report names the loss.
  */
 
 #include <gtest/gtest.h>
@@ -222,8 +223,6 @@ TEST(ObsCluster, ShardedHeartbeatsCoverEveryRankAndLatchStragglers)
     // ranks latch deterministically once both have reported samples —
     // the detection plumbing without depending on host timing.
     cc0.monitor.stragglerFactor = 0.0;
-    cc0.flightRecorder.enabled = true;
-    cc0.flightRecorder.path = tmp.file("fsobs_cluster_fr.jsonl");
     std::vector<std::pair<uint32_t, SocketFd>> fds0, fds1;
     fds0.emplace_back(1, std::move(fd0));
     fds1.emplace_back(0, std::move(fd1));
@@ -344,8 +343,8 @@ TEST(ObsCluster, KilledPeerLeavesAPostmortemOnRankZero)
     constexpr Cycles kChildRun = 8000;
     constexpr Cycles kRun = 80000;
     ScopedTempDir tmp;
-    std::string fr_base = tmp.file("fsobs_postmortem.jsonl");
-    std::string fr0 = snapshotRankPath(fr_base, 2, 0);
+    std::string hb_base = tmp.file("fsobs_postmortem_hb.jsonl");
+    std::string hb0 = snapshotRankPath(hb_base, 2, 0);
 
     auto [fd0, fd1] = localSocketPair();
     pid_t child = fork();
@@ -373,11 +372,12 @@ TEST(ObsCluster, KilledPeerLeavesAPostmortemOnRankZero)
     cc0.shard.shards = 2;
     cc0.shard.rank = 0;
     cc0.shard.recvTimeoutMs = 5000;
-    cc0.flightRecorder.enabled = true;
-    cc0.flightRecorder.path = fr_base;
+    cc0.monitor.heartbeatEvery = 8;
+    cc0.monitor.heartbeatPath = hb_base;
     std::vector<std::pair<uint32_t, SocketFd>> fds0;
     fds0.emplace_back(1, std::move(fd0));
     uint64_t peer_lost = 0;
+    std::string report;
     {
         Cluster c0(topologies::singleTor(2), std::move(cc0),
                    std::move(fds0));
@@ -386,6 +386,7 @@ TEST(ObsCluster, KilledPeerLeavesAPostmortemOnRankZero)
         EXPECT_TRUE(c0.shardTransport()->anyPeerLost());
         peer_lost =
             c0.health().count(FaultEvent::Kind::PeerShardLost);
+        report = c0.healthReport();
     }
     int status = 0;
     ASSERT_EQ(::waitpid(child, &status, 0), child);
@@ -393,23 +394,19 @@ TEST(ObsCluster, KilledPeerLeavesAPostmortemOnRankZero)
     EXPECT_EQ(WTERMSIG(status), SIGKILL);
     EXPECT_EQ(peer_lost, 1u);
 
-    // The postmortem was dumped at the moment of loss; its last
-    // events are the peer-loss health transition.
-    std::vector<std::string> out = jsonlLines(readFile(fr0));
-    ASSERT_GE(out.size(), 3u)
-        << "flight-recorder postmortem missing or empty";
-    minijson::ValuePtr trailer = minijson::parse(out.back());
-    EXPECT_NE(trailer->at("flight_recorder_end")
-                  .at("reason")
-                  .str.find("peer shard 1 lost"),
-              std::string::npos);
-    minijson::ValuePtr loss = minijson::parse(out[out.size() - 2]);
-    EXPECT_EQ(loss->at("kind").str, "peer-loss");
-    EXPECT_DOUBLE_EQ(loss->at("a").number, 1.0) << "lost peer rank";
-    minijson::ValuePtr health = minijson::parse(out[out.size() - 3]);
-    EXPECT_EQ(health->at("kind").str, "health-event");
-    EXPECT_NE(health->at("detail").str.find("peer"),
-              std::string::npos);
+    // The last heartbeat (the end-of-run flush) counts the loss: no
+    // live peer, and the peer-loss health event.
+    std::vector<std::string> hb = jsonlLines(readFile(hb0));
+    ASSERT_FALSE(hb.empty()) << "rank 0 wrote no heartbeat";
+    minijson::ValuePtr last = minijson::parse(hb.back());
+    EXPECT_DOUBLE_EQ(last->at("live_peers").number, 0.0);
+    EXPECT_GE(last->at("health_events").number, 1.0);
+
+    // The health report names the event kind and the lost peer.
+    EXPECT_NE(report.find("peer-shard-lost"), std::string::npos)
+        << report;
+    EXPECT_NE(report.find("shard 1"), std::string::npos) << report;
+    EXPECT_NE(report.find("LOST"), std::string::npos) << report;
 }
 
 } // namespace
