@@ -88,9 +88,9 @@ class CheckpointManager
 
 /**
  * Strip every entry whose name isHostTimingStat (telemetry/
- * stat_registry.hh) from a StatRegistry::dumpJson or
- * StatAggregator::mergedJson string, leaving only the deterministic
- * simulation stats. The distributed-vs-local parity tests and the
+ * stat_registry.hh) from a StatRegistry::dumpJson string, leaving
+ * only the deterministic simulation stats. The distributed-vs-local
+ * parity tests and the
  * snapshot "stats" section compare dumps through this filter.
  */
 std::string stripHostTimingStats(std::string json);

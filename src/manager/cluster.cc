@@ -288,10 +288,6 @@ Cluster::connectShards(
     topts.recvTimeoutMs = ss.recvTimeoutMs;
     topts.connectTimeoutMs = ss.connectTimeoutMs;
     topts.failFast = ss.failFast;
-    // Periodic telemetry piggyback (telemetry/aggregate): only useful
-    // when a telemetry bundle will exist to snapshot.
-    topts.statsEvery =
-        cfg.telemetry.enabled ? cfg.telemetry.aggregateEvery : 0;
     topts.transport = ss.transport;
     topts.shmRingBytes = ss.shmRingBytes;
     if (!peer_links.empty()) {
@@ -342,30 +338,17 @@ Cluster::~Cluster()
     if (clusterMonitor_ && clusterMonitor_->config().heartbeatEvery != 0)
         clusterMonitor_->emitHeartbeat(fabric_.now(), fabric_.round());
 
-    // Final cross-shard stats exchange, before Bye: the last round
-    // rarely lands on an aggregateEvery boundary, and the merged dump
-    // should reflect end-of-run values. Gated on dumpDir so runs that
-    // dump nothing keep the exact pre-observability shutdown sequence
-    // (every shard must share one config, so the gate is symmetric).
-    if (transport_ && telemetry_ && !cfg.telemetry.dumpDir.empty()) {
-        transport_->exchangeFinalStats(fabric_.round(), fabric_.now());
-        if (aggregator_)
-            aggregator_->accept(
-                localRankTelemetry(fabric_.round(), fabric_.now()));
-    }
-
     if (transport_)
         transport_->shutdown();
-    if (telemetry_) {
+    if (telemetry_)
         telemetry_->dumpAtExit(fabric_.now());
-        writeMergedDumps();
-    }
 }
 
 void
 Cluster::setupTelemetry()
 {
-    telemetry_ = std::make_unique<Telemetry>(cfg.telemetry);
+    telemetry_ = std::make_unique<Telemetry>(
+        cfg.telemetry, cfg.shard.shards, cfg.shard.rank);
     StatRegistry &reg = telemetry_->registry();
 
     for (auto &s : switches)
@@ -522,52 +505,7 @@ Cluster::setupObservability()
             if (telemetry_)
                 telemetry_->dumpAtExit(fabric_.now());
         });
-        if (telemetry_ && !cfg.telemetry.dumpDir.empty()) {
-            if (ss.rank == 0) {
-                aggregator_ = std::make_unique<StatAggregator>();
-                StatAggregator *agg = aggregator_.get();
-                transport_->setStatsConsumer(
-                    [agg](uint32_t peer, const std::string &payload) {
-                        agg->acceptEncoded(peer, payload);
-                    });
-            } else {
-                transport_->setStatsProvider(
-                    [this](uint64_t round, Cycles cycle) {
-                        return encodeRankTelemetry(
-                            localRankTelemetry(round, cycle));
-                    });
-            }
-        }
     }
-}
-
-RankTelemetry
-Cluster::localRankTelemetry(uint64_t round, Cycles cycle)
-{
-    RankTelemetry rt;
-    rt.rank = cfg.shard.rank;
-    rt.round = round;
-    rt.cycle = cycle;
-    rt.stats = telemetry_->registry().snapshot(cycle);
-    return rt;
-}
-
-void
-Cluster::writeMergedDumps()
-{
-    if (!aggregator_ || cfg.telemetry.dumpDir.empty())
-        return;
-    std::string dir = cfg.telemetry.dumpDir + "/";
-    auto put = [&](const char *name, const std::string &bytes) {
-        std::string err =
-            atomicWriteFile(dir + name, bytes, "merged dump");
-        if (!err.empty())
-            warn("merged telemetry dump: %s", err.c_str());
-    };
-    put("merged_stats.json", aggregator_->mergedJson());
-    put("merged_stats.csv", aggregator_->mergedCsv());
-    inform("telemetry: merged dumps for %zu rank(s) written to %s",
-           aggregator_->rankCount(), cfg.telemetry.dumpDir.c_str());
 }
 
 HealthMonitor &

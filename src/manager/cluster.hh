@@ -35,7 +35,6 @@
 #include "os/netstack.hh"
 #include "os/simos.hh"
 #include "switchmodel/switch.hh"
-#include "telemetry/aggregate.hh"
 #include "telemetry/monitor.hh"
 #include "telemetry/telemetry.hh"
 
@@ -108,8 +107,8 @@ struct ClusterConfig
     Cycles functionalWindow = 0;
     /**
      * Out-of-band telemetry (src/telemetry): stat registry, AutoCounter
-     * sampling, host profiling. Off by default — with enabled false the
-     * Cluster allocates nothing and attaches no observers.
+     * sampling, end-of-run dumps. Off by default — with enabled false
+     * the Cluster allocates nothing and attaches no observers.
      */
     TelemetryConfig telemetry;
     /**
@@ -234,10 +233,6 @@ class Cluster
      *  ClusterConfig::monitor was not enabled. */
     ClusterMonitor *clusterMonitor() { return clusterMonitor_.get(); }
 
-    /** Rank 0's cross-shard stat aggregator, or nullptr (non-zero
-     *  ranks, single-process mode, or telemetry off). */
-    StatAggregator *aggregator() { return aggregator_.get(); }
-
     /**
      * Post-run health report: fault/degradation events seen by the
      * monitor, per-switch fault-drop counters, and every lost peer
@@ -335,16 +330,10 @@ class Cluster
      *  and attach the configured fabric observers. */
     void setupTelemetry();
 
-    /** Build the observability plane — heartbeat monitor,
-     *  cross-shard aggregation hooks — per ClusterConfig.
+    /** Build the observability plane — heartbeat monitor, transport
+     *  latency and fatal-flush hooks — per ClusterConfig.
      *  Called by build(), after setupTelemetry(). */
     void setupObservability();
-
-    /** This rank's point-in-time telemetry, as shipped to rank 0. */
-    RankTelemetry localRankTelemetry(uint64_t round, Cycles cycle);
-
-    /** Rank 0, dumpDir set: write the merged cross-shard dumps. */
-    void writeMergedDumps();
 
     SwitchSpec topo;
     ClusterConfig cfg;
@@ -370,7 +359,6 @@ class Cluster
     std::vector<std::unique_ptr<Switch>> switches;
     // Observability plane.
     std::unique_ptr<ClusterMonitor> clusterMonitor_;
-    std::unique_ptr<StatAggregator> aggregator_;
     // Declared last: the registry's probes read the components above,
     // so the telemetry bundle must be destroyed first.
     std::unique_ptr<Telemetry> telemetry_;

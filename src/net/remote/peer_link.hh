@@ -15,8 +15,8 @@
  *                 the round barrier.
  *  - LoopbackLink (below): an in-process queue pair for tests.
  *
- * Because frame encode/decode, the RoundDone barrier, peer-loss
- * degradation, and telemetry piggyback all live above this interface,
+ * Because frame encode/decode, the RoundDone barrier and peer-loss
+ * degradation all live above this interface,
  * simulation results are byte-identical for every link choice — the
  * bridge moves the same bytes, only the host mechanics differ
  * (pinned by the transport parity matrix in tests/dist).

@@ -551,11 +551,6 @@ ShardTransport::drainFrames(Peer &peer, uint64_t round,
             ++peer.stats.roundsBarriered;
             peer.stats.peerRoundNs = f.latencyNs;
             break;
-          case FrameType::Stats:
-            ++peer.stats.statsRx;
-            if (statsConsumerFn)
-                statsConsumerFn(peer.rank, f.payload);
-            break;
           case FrameType::Bye:
             // Orderly exit mid-run still means this peer will never
             // produce tokens again: degrade its links.
@@ -596,17 +591,11 @@ ShardTransport::onRoundComplete(uint64_t round, Cycles round_start)
 {
     // Phase 1: flush. Batches were appended by onTxBatch during the
     // commit phase; cap the round with a RoundDone marker and send the
-    // whole round as one write per peer. Every statsEvery rounds the
-    // RoundDone rides behind a telemetry Stats frame bound for rank 0.
-    bool stats_due = opts.statsEvery != 0 && opts.rank != 0 &&
-                     statsProviderFn &&
-                     (round + 1) % opts.statsEvery == 0;
+    // whole round as one write per peer.
     uint64_t latency_ns = latencyFn ? latencyFn() : 0;
     for (Peer &peer : peers) {
         if (!peer.stats.alive)
             continue;
-        if (stats_due && peer.rank == 0)
-            encodeStats(peer.txBuf, statsProviderFn(round, round_start));
         encodeRoundDone(peer.txBuf, round, round_start, latency_ns);
         if (!sendAllLink(peer, peer.txBuf))
             peerLost(peer, round, round_start, "send failed");
@@ -748,76 +737,6 @@ ShardTransport::onRoundComplete(uint64_t round, Cycles round_start)
 
     // Phase 3: fill in for the dead, if any.
     synthesizeMissing(round);
-}
-
-void
-ShardTransport::exchangeFinalStats(uint64_t round, Cycles cycle)
-{
-    if (finalStatsDone || shutdownDone)
-        return;
-    finalStatsDone = true;
-
-    if (opts.rank != 0) {
-        if (!statsProviderFn)
-            return;
-        Peer &peer = peers[peerIndexOf(0)];
-        if (!peer.stats.alive || !peer.link->isOpen())
-            return;
-        std::string out;
-        encodeStats(out, statsProviderFn(round, cycle));
-        sendAllLink(peer, out);
-        return;
-    }
-
-    if (!statsConsumerFn)
-        return;
-    // Rank 0: one final Stats frame per live peer. A peer that quit
-    // early answers with Bye instead, and a dead one with silence —
-    // both are tolerated (bounded by recvTimeoutMs), since the run is
-    // over and only the merged dump's completeness is at stake.
-    for (Peer &peer : peers) {
-        if (!peer.stats.alive || !peer.link->isOpen())
-            continue;
-        auto deadline = SteadyClock::now() +
-                        std::chrono::milliseconds(opts.recvTimeoutMs);
-        bool done = false;
-        while (!done) {
-            size_t pos = peer.rxPos;
-            Frame f;
-            while (decodeFrame(peer.rxBuf, pos, f)) {
-                if (f.type == FrameType::Stats) {
-                    ++peer.stats.statsRx;
-                    statsConsumerFn(peer.rank, f.payload);
-                    done = true;
-                    break;
-                }
-                if (f.type == FrameType::Bye) {
-                    done = true;
-                    break;
-                }
-                // Skip anything else still buffered behind the barrier.
-            }
-            peer.rxPos = pos;
-            compactRx(peer);
-            if (done)
-                break;
-            auto left =
-                std::chrono::duration_cast<std::chrono::milliseconds>(
-                    deadline - SteadyClock::now())
-                    .count();
-            if (left <= 0) {
-                warn("shard 0: no final stats from rank %u "
-                     "(timeout); merged dump omits it",
-                     peer.rank);
-                break;
-            }
-            int r = peer.link->waitReadable(static_cast<int>(left));
-            if (r == 0)
-                continue; // deadline re-checked above
-            if (pumpRx(peer) < 0)
-                break; // peer gone: run is over, move on
-        }
-    }
 }
 
 void

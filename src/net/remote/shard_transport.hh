@@ -14,10 +14,11 @@
  * (net/remote/peer_link) — TCP or AF_UNIX sockets (socket_link), a
  * lock-free shared-memory ring pair for same-host peers (shm_ring),
  * or an in-process loopback for tests. The engine is transport-
- * agnostic: frame encode/decode, the RoundDone barrier, peer-loss
- * degradation, telemetry piggyback, and the final-stats exchange all
- * live here, above the bridge, so results are byte-identical for any
- * transport mix (pinned by the parity matrix in tests/dist).
+ * agnostic: frame encode/decode, the RoundDone barrier and peer-loss
+ * degradation all live here, above the bridge, so results are
+ * byte-identical for any transport mix (pinned by the parity matrix in
+ * tests/dist). The transport carries tokens only: each rank writes its
+ * own telemetry dumps, so no stats ever cross it.
  *
  * Transport selection (--shard-transport): each rendezvous Hello
  * carries the sender's preference plus a host token; a pair on one
@@ -86,10 +87,6 @@ class ShardTransport : public RemoteRoundHook
         int recvTimeoutMs = 10000;
         /** Abort instead of degrading when a peer is lost. */
         bool failFast = false;
-        /** Piggyback a telemetry Stats frame on the RoundDone barrier
-         *  every this many rounds (0 = never). Non-zero ranks send to
-         *  rank 0, which merges (telemetry/aggregate). */
-        uint32_t statsEvery = 0;
         /** Fabric preference (--shard-transport): Auto negotiates shm
          *  for same-host peers and TCP across hosts; Shm demands shm
          *  (fatal across hosts); Tcp never upgrades. */
@@ -112,7 +109,6 @@ class ShardTransport : public RemoteRoundHook
         /** Peer's self-reported round-latency EWMA (ns), from its most
          *  recent RoundDone — the straggler detector's input. */
         uint64_t peerRoundNs = 0;
-        uint64_t statsRx = 0; //!< telemetry Stats frames received
         bool alive = true;
     };
 
@@ -179,23 +175,6 @@ class ShardTransport : public RemoteRoundHook
     // ---- observability hooks (net cannot depend on telemetry, so the
     // Cluster bridges these as callbacks) ------------------------------
 
-    /** Encodes this rank's telemetry snapshot (telemetry/aggregate
-     *  bytes) when a Stats frame is due. Non-zero ranks only. */
-    using StatsProviderFn =
-        std::function<std::string(uint64_t round, Cycles cycle)>;
-    void setStatsProvider(StatsProviderFn fn)
-    {
-        statsProviderFn = std::move(fn);
-    }
-
-    /** Receives a peer's Stats payload (rank 0 merges them). */
-    using StatsConsumerFn =
-        std::function<void(uint32_t peer_rank, const std::string &payload)>;
-    void setStatsConsumer(StatsConsumerFn fn)
-    {
-        statsConsumerFn = std::move(fn);
-    }
-
     /** Reports this rank's round-latency EWMA (ns), carried in every
      *  outgoing RoundDone for cross-shard straggler detection. */
     using RoundLatencyFn = std::function<uint64_t()>;
@@ -214,16 +193,6 @@ class ShardTransport : public RemoteRoundHook
     {
         fatalFlushFn = std::move(fn);
     }
-
-    /**
-     * End-of-run stats exchange, called once after the last round and
-     * before shutdown(): non-zero ranks send one final Stats frame to
-     * rank 0; rank 0 reads one Stats frame per live peer (tolerating
-     * Bye or a bounded timeout from peers that quit first). The final
-     * merged dump cannot ride the periodic piggyback alone — the last
-     * round rarely lands on a statsEvery boundary.
-     */
-    void exchangeFinalStats(uint64_t round, Cycles cycle);
 
     /** Orderly shutdown: Bye to every live peer, close links (which
      *  reclaims shm segments). Idempotent; also run by the dtor. */
@@ -326,13 +295,10 @@ class ShardTransport : public RemoteRoundHook
     std::vector<RxBinding> rxBindings;
     std::vector<TxBinding> txBindings;
     PeerLossFn lossFn;
-    StatsProviderFn statsProviderFn;
-    StatsConsumerFn statsConsumerFn;
     RoundLatencyFn latencyFn;
     FatalFlushFn fatalFlushFn;
     size_t lostPeers = 0;
     bool shutdownDone = false;
-    bool finalStatsDone = false;
 };
 
 } // namespace firesim

@@ -119,12 +119,6 @@ encodeBye(std::string &out)
     beginFrame(out, FrameType::Bye, std::string());
 }
 
-void
-encodeStats(std::string &out, const std::string &payload)
-{
-    beginFrame(out, FrameType::Stats, payload);
-}
-
 bool
 decodeFrame(const std::string &in, size_t &pos, Frame &out)
 {
@@ -204,12 +198,6 @@ decodeFrame(const std::string &in, size_t &pos, Frame &out)
       }
       case FrameType::Bye: {
         out.type = FrameType::Bye;
-        break;
-      }
-      case FrameType::Stats: {
-        out.type = FrameType::Stats;
-        out.payload = in.substr(p, frame_end - p);
-        p = frame_end;
         break;
       }
       default:

@@ -26,11 +26,6 @@
  *               per peer per round, after that round's batches: the
  *               round barrier, a desync check, and — via the latency
  *               field — the input to cross-shard straggler detection.
- *  - Stats:     an opaque telemetry payload (see telemetry/aggregate)
- *               piggybacked immediately before a RoundDone every
- *               statsEvery rounds; rank 0 merges them into the
- *               cluster-wide stat tree. The transport does not
- *               interpret the bytes.
  *  - Bye:       orderly shutdown (distinguishes a finished peer from
  *               a crashed one).
  *
@@ -55,8 +50,9 @@ namespace firesim
  *  frames piggyback telemetry snapshots on the barrier.
  *  v3: Hello carries the sender's transport preference and a host
  *  token so the rendezvous can negotiate the shared-memory fabric
- *  for same-host peers (--shard-transport=auto). */
-constexpr uint32_t kWireVersion = 3;
+ *  for same-host peers (--shard-transport=auto).
+ *  v4: Stats frames are retired; type byte 5 is unknown again. */
+constexpr uint32_t kWireVersion = 4;
 
 enum class FrameType : uint8_t
 {
@@ -64,7 +60,6 @@ enum class FrameType : uint8_t
     Batch = 2,
     RoundDone = 3,
     Bye = 4,
-    Stats = 5,
 };
 
 /** One decoded frame; `type` selects which fields are meaningful. */
@@ -85,8 +80,6 @@ struct Frame
     uint64_t round = 0;
     Cycles cycle = 0;
     uint64_t latencyNs = 0; //!< sender's per-round host latency EWMA
-    // Stats
-    std::string payload; //!< opaque telemetry bytes
 };
 
 /** @p transport is the sender's TransportKind preference and
@@ -105,9 +98,6 @@ void encodeRoundDone(std::string &out, uint64_t round, Cycles cycle,
                      uint64_t latency_ns = 0);
 
 void encodeBye(std::string &out);
-
-/** Opaque telemetry payload (telemetry/aggregate encoding). */
-void encodeStats(std::string &out, const std::string &payload);
 
 /**
  * Decode the next complete frame from @p in at @p pos. Returns false

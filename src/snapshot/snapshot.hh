@@ -153,7 +153,7 @@ std::string snapshotRankPath(const std::string &path, uint64_t shards,
  * Atomically replace @p path with @p bytes: write `<path>.tmp`, fsync,
  * rename. A crash mid-write leaves either the old file or none, never
  * a torn one. Shared by snapshots, the Prometheus metrics file, and
- * rank 0's merged dumps. Returns empty on success, else a diagnostic
+ * the telemetry dumps. Returns empty on success, else a diagnostic
  * prefixed with @p what.
  */
 std::string atomicWriteFile(const std::string &path,

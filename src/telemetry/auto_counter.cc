@@ -79,7 +79,7 @@ AutoCounterSampler::csv() const
 {
     std::string out = "cycle";
     for (const std::string &c : cols)
-        out += "," + c;
+        out += "," + StatRegistry::csvField(c);
     out += "\n";
     for (const Sample &s : samples) {
         out += csprintf("%llu", (unsigned long long)s.at);
@@ -87,26 +87,6 @@ AutoCounterSampler::csv() const
             out += "," + StatRegistry::formatValue(v);
         out += "\n";
     }
-    return out;
-}
-
-std::string
-AutoCounterSampler::json() const
-{
-    std::string out =
-        csprintf("{\"period\": %llu, \"columns\": [",
-                 (unsigned long long)per);
-    for (size_t i = 0; i < cols.size(); ++i)
-        out += csprintf("%s\"%s\"", i ? ", " : "", cols[i].c_str());
-    out += "], \"samples\": [";
-    for (size_t i = 0; i < samples.size(); ++i) {
-        out += csprintf("%s[%llu", i ? ", " : "",
-                        (unsigned long long)samples[i].at);
-        for (double v : samples[i].values)
-            out += ", " + StatRegistry::formatValue(v);
-        out += "]";
-    }
-    out += "]}";
     return out;
 }
 

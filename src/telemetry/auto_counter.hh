@@ -67,18 +67,16 @@ class AutoCounterSampler : public FabricObserver
      */
     std::vector<double> deltaSeries(const std::string &name) const;
 
-    /** CSV: "cycle,<col>,<col>,..." then one row per sample. */
+    /** CSV: "cycle,<col>,<col>,..." then one row per sample. Column
+     *  names are RFC-4180 quoted (StatRegistry::csvField). */
     std::string csv() const;
-
-    /** JSON: {"period": N, "columns": [...], "samples": [[at, v...]]}. */
-    std::string json() const;
 
     /**
      * Serialize the accumulated series (columns + samples) and the
      * next-sample cursor, so restore can check that the replayed
      * series matches. Host-timing columns (isHostTimingStat) are
      * written as 0: they vary with the shard transport, not the
-     * simulation. csv()/json() keep their real values.
+     * simulation. csv() keeps their real values.
      */
     void snapshotSave(Serializer &s) const;
 

@@ -193,13 +193,6 @@ StatRegistry::dumpJson(Cycles at) const
 bool
 isHostTimingStat(std::string_view name)
 {
-    if (name.substr(0, 4) == "rank") {
-        size_t d = 4;
-        while (d < name.size() && name[d] >= '0' && name[d] <= '9')
-            ++d;
-        if (d > 4 && d < name.size() && name[d] == '.')
-            name.remove_prefix(d + 1);
-    }
     return name.substr(0, 14) == "cluster.shard." ||
            name.find(".host.") != std::string_view::npos;
 }
@@ -219,17 +212,6 @@ StatRegistry::csvField(const std::string &s)
         out += c;
     }
     out += '"';
-    return out;
-}
-
-std::string
-StatRegistry::dumpCsv(Cycles at) const
-{
-    std::string out = csprintf("# cycle %llu\nstat,value\n",
-                               (unsigned long long)at);
-    for (const auto &kv : probes)
-        out += csprintf("%s,%s\n", csvField(kv.first).c_str(),
-                        formatValue(kv.second()).c_str());
     return out;
 }
 

@@ -3,8 +3,8 @@
  * The simulator's single observability spine (TracerV/AutoCounter
  * lineage): every component's counters register here under a
  * hierarchical dotted name ("cluster.switch0.packetsDropped"), and
- * every consumer — the AutoCounter sampler, the end-of-run JSON/CSV
- * dumps, checkpoint diffing — reads through the same registry instead
+ * every consumer — the AutoCounter sampler, the end-of-run JSON dump,
+ * checkpoint diffing — reads through the same registry instead
  * of growing private plumbing per experiment.
  *
  * Registration is non-owning: the registry holds probes (callables)
@@ -57,8 +57,7 @@ StatSnapshot diffSnapshots(const StatSnapshot &before,
 /**
  * Escape @p s for embedding inside a JSON string literal: `"` and
  * `\` get backslash-escaped, control characters become `\n`/`\t`/...
- * or `\u00XX`. The stat dump and rank 0's merged dump route every
- * name through this.
+ * or `\u00XX`. The stat dump routes every name through this.
  */
 std::string jsonEscape(const std::string &s);
 
@@ -67,8 +66,7 @@ std::string jsonEscape(const std::string &s);
  * simulation: the shard transport's `cluster.shard.*` subtree (its byte
  * counters follow kernel recv() chunk boundaries) and any name with a
  * `.host.` segment (host-side acceleration counters such as the decode
- * cache's hits and misses, which a cache-off run never records). Also
- * matches the merged cross-shard dump's `rankN.`-prefixed spelling.
+ * cache's hits and misses, which a cache-off run never records).
  * Parity dumps and snapshot sections leave these values out.
  */
 bool isHostTimingStat(std::string_view name);
@@ -110,15 +108,11 @@ class StatRegistry
     /** One JSON object: {"cycle": N, "stats": {name: value, ...}}. */
     std::string dumpJson(Cycles at = 0) const;
 
-    /** CSV with a header row ("stat,value") for spreadsheet import. */
-    std::string dumpCsv(Cycles at = 0) const;
-
     /** Format @p v the way the dumps do (integers stay integral). */
     static std::string formatValue(double v);
 
     /** RFC-4180 CSV field quoting for stat names (commas/quotes are
-     *  legal in names). Shared by dumpCsv and the cross-shard
-     *  aggregator's mergedCsv so the two emit identical quoting. */
+     *  legal in names); the AutoCounter CSV header uses it. */
     static std::string csvField(const std::string &s);
 
   private:

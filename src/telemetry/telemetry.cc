@@ -1,14 +1,14 @@
 #include "telemetry/telemetry.hh"
 
-#include <cstdio>
-
 #include "base/logging.hh"
+#include "snapshot/snapshot.hh"
 
 namespace firesim
 {
 
-Telemetry::Telemetry(TelemetryConfig config)
-    : cfg(std::move(config))
+Telemetry::Telemetry(TelemetryConfig config, uint32_t shard_count,
+                     uint32_t shard_rank)
+    : cfg(std::move(config)), shards(shard_count), rank(shard_rank)
 {}
 
 void
@@ -33,31 +33,23 @@ Telemetry::dumpAtExit(Cycles now)
     std::string dir = cfg.dumpDir;
     if (dir.back() != '/')
         dir += '/';
+    // Writes @p bytes to dir/<name>, rank-suffixed; false after a warning.
+    auto dump = [&](const char *name, const std::string &bytes,
+                    std::string &path) {
+        path = snapshotRankPath(dir + name, shards, rank);
+        std::string err = atomicWriteFile(path, bytes, "telemetry dump");
+        if (!err.empty())
+            warn("%s", err.c_str());
+        return err.empty();
+    };
 
-    std::string stats_path = dir + "stats.json";
-    std::FILE *f = std::fopen(stats_path.c_str(), "wb");
-    if (!f) {
-        warn("telemetry dump dir '%s' not writable; skipping dump",
-             cfg.dumpDir.c_str());
-        return;
-    }
-    std::string doc = reg.dumpJson(now);
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    inform("telemetry: %zu stats dumped to %s", reg.size(),
-           stats_path.c_str());
-
-    if (sampler_) {
-        std::string csv_path = dir + "autocounter.csv";
-        std::FILE *c = std::fopen(csv_path.c_str(), "wb");
-        if (c) {
-            std::string csv = sampler_->csv();
-            std::fwrite(csv.data(), 1, csv.size(), c);
-            std::fclose(c);
-            inform("telemetry: %zu AutoCounter samples dumped to %s",
-                   sampler_->series().size(), csv_path.c_str());
-        }
-    }
+    std::string path;
+    if (dump("stats.json", reg.dumpJson(now), path))
+        inform("telemetry: %zu stats dumped to %s", reg.size(),
+               path.c_str());
+    if (sampler_ && dump("autocounter.csv", sampler_->csv(), path))
+        inform("telemetry: %zu AutoCounter samples dumped to %s",
+               sampler_->series().size(), path.c_str());
 }
 
 } // namespace firesim

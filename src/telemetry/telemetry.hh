@@ -33,25 +33,21 @@ struct TelemetryConfig
     Cycles samplePeriod = 0;
     /**
      * When non-empty, dump stats.json and autocounter.csv into this
-     * (existing) directory at Cluster destruction. Sharded runs
-     * additionally write rank 0's merged cross-shard dumps
-     * (merged_stats.json/.csv; telemetry/aggregate).
+     * (existing) directory at Cluster destruction. Each rank of a
+     * sharded run writes its own files, rank-suffixed like snapshots
+     * (`stats.json.rank1`; see snapshotRankPath), so ranks may share
+     * one directory.
      */
     std::string dumpDir;
-    /**
-     * Distributed runs only: piggyback this rank's telemetry snapshot
-     * on the RoundDone barrier every this many rounds, so rank 0's
-     * merged view stays live mid-run (0 = final-exchange only, which
-     * still happens whenever dumpDir is set). Pure host observability;
-     * any value leaves simulation results byte-identical.
-     */
-    uint32_t aggregateEvery = 0;
 };
 
 class Telemetry
 {
   public:
-    explicit Telemetry(TelemetryConfig config = {});
+    /** @p shard_count and @p shard_rank pick the dump file names (a
+     *  1-shard run keeps the bare names). */
+    explicit Telemetry(TelemetryConfig config = {},
+                       uint32_t shard_count = 1, uint32_t shard_rank = 0);
 
     const TelemetryConfig &config() const { return cfg; }
 
@@ -68,11 +64,14 @@ class Telemetry
      */
     void attach(TokenFabric &fabric);
 
-    /** End-of-run dump into config().dumpDir (no-op when empty). */
+    /** End-of-run dump into config().dumpDir (no-op when empty).
+     *  Each file is replaced atomically; failures warn. */
     void dumpAtExit(Cycles now);
 
   private:
     TelemetryConfig cfg;
+    uint32_t shards;
+    uint32_t rank;
     StatRegistry reg;
     std::unique_ptr<AutoCounterSampler> sampler_;
     bool attached = false;

@@ -3,7 +3,8 @@
  * The transport parity matrix: the same two-shard cluster run over
  * every bridge fabric — in-process loopback links, an AF_UNIX
  * socketpair, and the shared-memory rings — produces byte-identical
- * stripped stat dumps and byte-identical merged cross-shard telemetry.
+ * stripped stat dumps, in memory and in the rank-suffixed files both
+ * ranks write into one shared dump directory.
  * The bridge moves the same bytes; only host mechanics differ. Plus
  * the cross-fabric snapshot contract (a snapshot taken over shm
  * restores into a socket-transport pair — loadSnapshot's internal
@@ -64,9 +65,6 @@ shardConfig(uint32_t rank, Fabric fabric)
     cc.switchLatency = 10;
     cc.telemetry.enabled = true;
     cc.telemetry.samplePeriod = 2000;
-    // Exercise the mid-run Stats piggyback on every fabric, so the
-    // merged telemetry comparison covers the piggyback path too.
-    cc.telemetry.aggregateEvery = 8;
     cc.shard.shards = 2;
     cc.shard.rank = rank;
     if (fabric == Fabric::Shm)
@@ -98,7 +96,7 @@ spawnWork(Cluster &clu, uint32_t rank)
 struct PairResult
 {
     std::string dump[2]; //!< per-rank stripped stats dump
-    std::string merged;  //!< rank 0's stripped merged telemetry
+    std::string merged;  //!< both ranks' stripped dump files, in order
     TransportKind kind[2] = {TransportKind::Auto, TransportKind::Auto};
 };
 
@@ -121,22 +119,16 @@ runPair(Fabric fabric,
         fds1.emplace_back(0, std::move(fd1));
     }
 
-    // Each rank needs a dump directory: the Stats piggyback provider
-    // (non-zero ranks) and the rank-0 aggregator are both wired only
-    // for dumping runs. Rank 0's directory collects the merged
-    // cross-shard dumps the destructor writes after the final
-    // exchange.
+    // Both ranks dump into one directory; the destructors write
+    // stats.json.rank0 and stats.json.rank1 side by side.
     ScopedTempDir tmp;
-    std::string dir[2];
-    for (int r = 0; r < 2; ++r) {
-        dir[r] = tmp.file("r" + std::to_string(r));
-        ::mkdir(dir[r].c_str(), 0755);
-    }
+    std::string dir = tmp.file("dump");
+    ::mkdir(dir.c_str(), 0755);
 
     PairResult out;
     auto runShard = [&](uint32_t rank) {
         ClusterConfig cc = shardConfig(rank, fabric);
-        cc.telemetry.dumpDir = dir[rank];
+        cc.telemetry.dumpDir = dir;
         auto fds = rank == 0 ? std::move(fds0) : std::move(fds1);
         auto links = rank == 0 ? std::move(links0) : std::move(links1);
         std::unique_ptr<Cluster> clu;
@@ -152,17 +144,13 @@ runPair(Fabric fabric,
         out.kind[rank] = clu->shardTransport()->peerLinkAt(0)->kind();
         out.dump[rank] = stripHostTimingStats(
             clu->telemetry()->registry().dumpJson(clu->now()));
-        // The mid-run piggyback (aggregateEvery) must already have
-        // populated rank 1 before the final destructor-time exchange.
-        if (rank == 0) {
-            EXPECT_TRUE(clu->aggregator()->hasRank(1));
-        }
     };
     std::thread shard1([&] { runShard(1); });
     runShard(0);
     shard1.join();
-    out.merged =
-        stripHostTimingStats(readFile(dir[0] + "/merged_stats.json"));
+    for (uint32_t rank = 0; rank < 2; ++rank)
+        out.merged += stripHostTimingStats(
+            readFile(snapshotRankPath(dir + "/stats.json", 2, rank)));
     return out;
 }
 
@@ -193,7 +181,7 @@ TEST(TransportMatrix, StrippedStatsAndMergedTelemetryAreByteIdentical)
     EXPECT_EQ(loop.dump[0], un.dump[0]);
     EXPECT_EQ(loop.dump[1], un.dump[1]);
 
-    // And so is the merged cross-shard telemetry rank 0 assembles.
+    // And so is what both ranks wrote to the shared dump directory.
     ASSERT_FALSE(un.merged.empty());
     EXPECT_EQ(shm.merged, un.merged);
     EXPECT_EQ(loop.merged, un.merged);

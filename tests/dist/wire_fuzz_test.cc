@@ -1,12 +1,11 @@
 /**
  * @file
  * Deterministic mutation fuzzing of the wire-frame decoder, in the
- * style of snapshot_fuzz_test and telemetry_fuzz_test: no external
- * fuzzer, a fixed seed, and every mutation reproducible from its frame,
- * byte offset and mask.
+ * style of snapshot_fuzz_test: no external fuzzer, a fixed seed, and
+ * every mutation reproducible from its frame, byte offset and mask.
  *
  * One frame of each type is built: Hello, an empty Batch, a
- * flit-bearing Batch, RoundDone, Stats and Bye.
+ * flit-bearing Batch, RoundDone and Bye.
  *  - Every truncation must return false from decodeFrame and leave the
  *    position unchanged. Each truncation is an exact-size copy, so in
  *    the ASan tree a read past its end is a heap overflow.
@@ -55,7 +54,7 @@ sampleFrames()
 {
     std::vector<NamedFrame> frames = {
         {"hello", ""},      {"batch-empty", ""}, {"batch-flits", ""},
-        {"round-done", ""}, {"stats", ""},       {"bye", ""}};
+        {"round-done", ""}, {"bye", ""}};
     encodeHello(frames[0].bytes, 3, 4, 0x9e3779b97f4a7c15ULL, 2,
                 0xfedcba9876543210ULL);
     encodeBatch(frames[1].bytes, 5, TokenBatch(128000, 400));
@@ -71,9 +70,7 @@ sampleFrames()
     }
     encodeBatch(frames[2].bytes, 9, b);
     encodeRoundDone(frames[3].bytes, 4097, 1638800, 21500);
-    encodeStats(frames[4].bytes,
-                std::string("\x02\x01\x80\x20stats\xff", 10));
-    encodeBye(frames[5].bytes);
+    encodeBye(frames[4].bytes);
     return frames;
 }
 

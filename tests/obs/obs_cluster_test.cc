@@ -2,9 +2,9 @@
  * @file
  * The observability plane end to end, on real sharded clusters:
  *
- *  - a 2-shard loopback run with a dump directory produces rank 0
- *    merged dumps equivalent to the single-process run, modulo the
- *    `rankK.` name prefixes and host-timing-dependent keys;
+ *  - the two ranks of a 2-shard socketpair run share one dump
+ *    directory, each writing its own rank-suffixed stats.json, and
+ *    together they carry the single-process run's component stats;
  *  - a monitored 2-shard run emits a parseable heartbeat JSONL stream
  *    with per-shard latency lanes, refreshes the Prometheus file, and
  *    latches stragglers through the HealthMonitor;
@@ -121,22 +121,18 @@ TEST(ObsCluster, MergedDumpMatchesSingleProcessRun)
         ASSERT_FALSE(want.empty());
     }
 
-    // Two shards over a loopback socketpair, each with its own dump
-    // directory; rank 0's gets the merged cross-shard dumps.
+    // Two shards over a loopback socketpair sharing one dump
+    // directory: each rank writes its own rank-suffixed files, so
+    // neither overwrites the other's.
     ScopedTempDir tmp;
-    std::string dir0 = freshDir(tmp, "fsobs_merged_r0");
-    std::string dir1 = freshDir(tmp, "fsobs_merged_r1");
+    std::string dir = freshDir(tmp, "fsobs_shared_dump");
 
     auto [fd0, fd1] = localSocketPair();
     ClusterConfig cc0 = base, cc1 = base;
     cc0.shard.shards = cc1.shard.shards = 2;
     cc0.shard.rank = 0;
     cc1.shard.rank = 1;
-    cc0.telemetry.dumpDir = dir0;
-    cc1.telemetry.dumpDir = dir1;
-    // Exercise the mid-run piggyback path, not only the final
-    // exchange: every 8th RoundDone carries a Stats frame.
-    cc0.telemetry.aggregateEvery = cc1.telemetry.aggregateEvery = 8;
+    cc0.telemetry.dumpDir = cc1.telemetry.dumpDir = dir;
     std::vector<std::pair<uint32_t, SocketFd>> fds0, fds1;
     fds0.emplace_back(1, std::move(fd0));
     fds1.emplace_back(0, std::move(fd1));
@@ -152,53 +148,45 @@ TEST(ObsCluster, MergedDumpMatchesSingleProcessRun)
                    std::move(fds0));
         spawnPing(c0.node(0), 1, &rtt);
         c0.run(kRun);
-        ASSERT_NE(c0.aggregator(), nullptr);
-        // The piggyback already delivered rank 1's telemetry mid-run.
-        EXPECT_TRUE(c0.aggregator()->hasRank(1));
-    } // ~Cluster: final stats exchange, then the merged dumps
+    } // ~Cluster: each rank dumps its own files
     shard1.join();
     EXPECT_EQ(rtt, ref_rtt);
 
-    // merged_stats.json: same component tree as the single-process
-    // dump once the rankK. prefixes are stripped; host-timing keys
-    // (cluster.shard.*, cluster.fabric.*) are per-process and skipped.
-    minijson::ValuePtr doc =
-        minijson::parse(readFile(dir0 + "/merged_stats.json"));
-    EXPECT_DOUBLE_EQ(doc->at("cycle").number,
-                     static_cast<double>(kRun));
-    const minijson::Value &stats = doc->at("stats");
-    ASSERT_TRUE(stats.isObject());
-    bool saw_rank0 = false, saw_rank1 = false;
+    EXPECT_TRUE(readFile(dir + "/stats.json").empty())
+        << "a sharded run must not write the bare single-process name";
+    EXPECT_TRUE(readFile(dir + "/autocounter.csv").empty());
+
+    // The union of both ranks' component stats is the single-process
+    // run's, with each component in exactly one rank's file; host-
+    // timing keys (cluster.shard.*, cluster.fabric.*) are per-process
+    // and skipped.
     std::map<std::string, double> got;
-    for (const auto &[name, value] : stats.object) {
-        ASSERT_EQ(name.rfind("rank", 0), 0u)
-            << "merged stat '" << name << "' is not rank-prefixed";
-        size_t dot = name.find('.');
-        ASSERT_NE(dot, std::string::npos);
-        saw_rank0 |= name.rfind("rank0.", 0) == 0;
-        saw_rank1 |= name.rfind("rank1.", 0) == 0;
-        std::string bare = name.substr(dot + 1);
-        if (bare.rfind("cluster.switch", 0) == 0 ||
-            bare.rfind("cluster.node", 0) == 0) {
-            // Each component is owned by exactly one rank.
-            ASSERT_EQ(got.count(bare), 0u) << bare;
-            got.emplace(bare, value->number);
+    for (uint32_t rank = 0; rank < 2; ++rank) {
+        std::string path = snapshotRankPath(dir + "/stats.json", 2, rank);
+        std::string text = readFile(path);
+        ASSERT_FALSE(text.empty()) << path << " missing";
+        minijson::ValuePtr doc = minijson::parse(text);
+        EXPECT_DOUBLE_EQ(doc->at("cycle").number,
+                         static_cast<double>(kRun));
+        const minijson::Value &stats = doc->at("stats");
+        ASSERT_TRUE(stats.isObject());
+        size_t owned = 0;
+        for (const auto &[name, value] : stats.object) {
+            if (name.rfind("cluster.switch", 0) != 0 &&
+                name.rfind("cluster.node", 0) != 0)
+                continue;
+            ASSERT_EQ(got.count(name), 0u) << name << " in both ranks";
+            got.emplace(name, value->number);
+            ++owned;
         }
+        EXPECT_GT(owned, 0u) << path << " carries no component";
+        EXPECT_FALSE(
+            readFile(snapshotRankPath(dir + "/autocounter.csv", 2, rank))
+                .empty());
     }
-    EXPECT_TRUE(saw_rank0);
-    EXPECT_TRUE(saw_rank1);
     ASSERT_EQ(got.size(), want.size());
     for (const auto &[name, value] : want)
         EXPECT_DOUBLE_EQ(got.at(name), value) << name;
-
-    // merged_stats.csv: same names, one rank-prefixed row per stat.
-    std::string csv = readFile(dir0 + "/merged_stats.csv");
-    EXPECT_EQ(csv.rfind("# cycle 300000\nstat,value\n", 0), 0u);
-    EXPECT_NE(csv.find("rank1.cluster.node1."), std::string::npos);
-
-    // The per-rank local dumps exist too (regular dumpAtExit path).
-    EXPECT_FALSE(readFile(dir0 + "/stats.json").empty());
-    EXPECT_FALSE(readFile(dir1 + "/stats.json").empty());
 }
 
 TEST(ObsCluster, ShardedHeartbeatsCoverEveryRankAndLatchStragglers)

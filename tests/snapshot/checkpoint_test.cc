@@ -208,7 +208,8 @@ TEST(ClusterCheckpoint, CorruptedSnapshotIsRejectedWithDiagnostics)
 TEST(StripHostTimingStats, DropsExactlyTheHostTimingEntries)
 {
     EXPECT_TRUE(isHostTimingStat("cluster.shard.peer1.bytesTx"));
-    EXPECT_TRUE(isHostTimingStat("rank12.cluster.shard.livePeers"));
+    // A `rankN.` prefix is an ordinary name component.
+    EXPECT_FALSE(isHostTimingStat("rank12.cluster.shard.livePeers"));
     EXPECT_TRUE(isHostTimingStat("cluster.node0.core0.host.decode.hits"));
     EXPECT_FALSE(isHostTimingStat("cluster.switch0.packetsIn"));
     EXPECT_FALSE(isHostTimingStat("x.cluster.shard.y"));
@@ -219,7 +220,8 @@ TEST(StripHostTimingStats, DropsExactlyTheHostTimingEntries)
                   "\"cluster.shard.peer1.bytesTx\": 2, "
                   "\"n0.host.decode.hits\": 3, "
                   "\"rank1.cluster.shard.x\": 4, \"rank1.n.c\": 5}}"),
-              "{\"cycle\": 5, \"stats\": {\"a.b\": 1, \"rank1.n.c\": 5}}");
+              "{\"cycle\": 5, \"stats\": {\"a.b\": 1, "
+              "\"rank1.cluster.shard.x\": 4, \"rank1.n.c\": 5}}");
     // A host-timing last entry takes the separator in front of it; a
     // host-timing only entry leaves an empty, still valid object.
     EXPECT_EQ(stripHostTimingStats("{\"cycle\": 5, \"stats\": {\"a\": 1, "

@@ -134,18 +134,6 @@ TEST(StatRegistry, JsonDumpParsesBack)
     EXPECT_DOUBLE_EQ(stats.at("cluster.node0.ipc").number, 0.625);
 }
 
-TEST(StatRegistry, CsvDumpIsWellFormed)
-{
-    StatRegistry reg;
-    Counter c;
-    c += 3;
-    reg.registerCounter("a.one", c);
-    reg.registerProbe("b.two", [] { return 1.5; });
-
-    std::string csv = reg.dumpCsv(77);
-    EXPECT_EQ(csv, "# cycle 77\nstat,value\na.one,3\nb.two,1.5\n");
-}
-
 TEST(StatRegistry, IntegersDumpWithoutExponent)
 {
     // Counters are doubles internally but must print as integers in
@@ -169,22 +157,6 @@ TEST(StatRegistry, JsonEscapesQuotesAndBackslashesInNames)
     ASSERT_TRUE(stats.isObject());
     EXPECT_DOUBLE_EQ(stats.at("net.\"eth0\".rx").number, 7.0);
     EXPECT_DOUBLE_EQ(stats.at("disk.c:\\scratch.writes").number, 3.0);
-}
-
-TEST(StatRegistry, CsvQuotesNamesThatNeedIt)
-{
-    // RFC-4180: fields containing commas or quotes are quoted, with
-    // embedded quotes doubled; plain names stay unquoted.
-    StatRegistry reg;
-    reg.registerProbe("a.plain", [] { return 1.0; });
-    reg.registerProbe("b.with,comma", [] { return 2.0; });
-    reg.registerProbe("c.with\"quote", [] { return 3.0; });
-
-    EXPECT_EQ(reg.dumpCsv(5),
-              "# cycle 5\nstat,value\n"
-              "a.plain,1\n"
-              "\"b.with,comma\",2\n"
-              "\"c.with\"\"quote\",3\n");
 }
 
 TEST(StatRegistryDeath, ControlAndNonAsciiCharsStillPanic)

@@ -8,7 +8,6 @@
 #include "telemetry/auto_counter.hh"
 #include "telemetry/stat_registry.hh"
 #include "tests/net/scripted_endpoint.hh"
-#include "tests/telemetry/mini_json.hh"
 
 namespace firesim
 {
@@ -115,20 +114,21 @@ TEST_F(SamplerFixture, CsvIsWellFormed)
     EXPECT_FALSE(std::getline(csv, line));
 }
 
-TEST_F(SamplerFixture, JsonParsesBack)
+TEST_F(SamplerFixture, CsvQuotesColumnNamesThatNeedIt)
 {
+    // Stat names may carry commas and quotes. RFC-4180: such header
+    // fields are quoted, with embedded quotes doubled, so no column
+    // shifts; plain names stay unquoted.
+    reg.registerProbe("b.with,comma", [] { return 2.0; });
+    reg.registerProbe("c.with\"quote", [] { return 3.0; });
     AutoCounterSampler sampler(reg, 100);
     sampler.attachTo(fabric);
     events += 9;
     fabric.run(100);
 
-    minijson::ValuePtr doc = minijson::parse(sampler.json());
-    EXPECT_DOUBLE_EQ(doc->at("period").number, 100.0);
-    EXPECT_EQ(doc->at("columns").at(0).str, "test.events");
-    const minijson::Value &samples = doc->at("samples");
-    ASSERT_EQ(samples.array.size(), 1u);
-    EXPECT_DOUBLE_EQ(samples.at(0).at(0).number, 100.0);
-    EXPECT_DOUBLE_EQ(samples.at(0).at(1).number, 9.0);
+    EXPECT_EQ(sampler.csv(),
+              "cycle,\"b.with,comma\",\"c.with\"\"quote\",test.events\n"
+              "100,2,3,9\n");
 }
 
 TEST_F(SamplerFixture, SamplingDoesNotPerturbDelivery)
