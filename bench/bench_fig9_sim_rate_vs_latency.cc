@@ -9,12 +9,16 @@
  * of benefits of request batching."
  *
  * Reported series: (1) the host model's predicted F1 rate on the
- * 64-node Figure 1/2 topology; (2) this simulator's measured rate;
+ * 64-node Figure 1/2 topology; (2) this simulator's measured rate
+ * while every node boots;
  * (3) an ablation of the batching design choice itself — host batches
  * moved per target cycle when batching by the full latency vs by a
  * fixed small quantum (what a naive implementation would do).
  */
 
+#include <vector>
+
+#include "apps/boot.hh"
 #include "bench/common.hh"
 #include "host/deployment.hh"
 #include "host/perf_model.hh"
@@ -27,19 +31,42 @@ using namespace firesim;
 namespace
 {
 
+/** Fresh clusters timed per latency point; the fastest counts. */
+constexpr int kTrials = 3;
+
+/**
+ * Measured software-simulation rate. Every local node boots, as in
+ * Fig. 8, and the window ends before the scaled-down boot does (about
+ * 2541.5 us), so the blades have work throughout; an idle cluster
+ * would be fast-forwarded instead of stepped. Each trial's timed
+ * region is a few host milliseconds, so the fastest of kTrials is
+ * reported: other host load only ever adds time.
+ */
 double
 measuredMhz(Cycles link_latency, double target_us)
 {
-    ClusterConfig cc;
-    cc.linkLatency = link_latency;
-    bench::applyClusterFlags(cc);
-    Cluster cluster(topologies::twoLevel(2, 8), cc);
-    bench::maybeResume(cluster);
-    bench::Stopwatch clock;
-    if (!bench::runClusterUs(cluster, target_us))
-        std::exit(0);
+    double best_s = 0.0;
+    for (int trial = 0; trial < kTrials; ++trial) {
+        ClusterConfig cc;
+        cc.linkLatency = link_latency;
+        bench::applyClusterFlags(cc);
+        Cluster cluster(topologies::twoLevel(2, 8), cc);
+        std::vector<BootResult> boots(cluster.nodeCount());
+        BootConfig bc;
+        bc.kernelSectors = 2048;
+        bc.fsMetadataSectors = 256;
+        for (size_t n = 0; n < cluster.nodeCount(); ++n)
+            launchBootWorkload(cluster.node(n), bc, &boots[n]);
+        bench::maybeResume(cluster);
+        bench::Stopwatch clock;
+        if (!bench::runClusterUs(cluster, target_us))
+            std::exit(0);
+        double s = clock.seconds();
+        if (trial == 0 || s < best_s)
+            best_s = s;
+    }
     double cycles = TargetClock().cyclesFromUs(target_us);
-    return cycles / clock.seconds() / 1e6;
+    return cycles / best_s / 1e6;
 }
 
 /** Host batch exchanges needed per target cycle (batching ablation). */

@@ -379,6 +379,11 @@ Cluster::setupTelemetry()
     reg.registerProbe("cluster.fabric.batchesMoved", [fab] {
         return static_cast<double>(fab->batchesMoved());
     });
+    // Host-side (the `.host.` infix keeps it out of parity dumps): a
+    // run with an observer attached steps the same rounds one by one.
+    reg.registerProbe("cluster.fabric.host.roundsFastForwarded", [fab] {
+        return static_cast<double>(fab->roundsFastForwarded());
+    });
 
     if (transport_) {
         // Per-peer transport accounting. Byte and batch counts are a

@@ -1,6 +1,7 @@
 #include "net/fabric.hh"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "net/token_io.hh"
@@ -103,6 +104,24 @@ TokenChannel::pop()
     --used;
     nextPopStart = batch.start + quant;
     return batch;
+}
+
+void
+TokenChannel::skip(Cycles span)
+{
+    FS_ASSERT(span % quant == 0, "skip of %llu cycles on %s is not a "
+              "multiple of the quantum %llu",
+              (unsigned long long)span, lbl.c_str(),
+              (unsigned long long)quant);
+    for (size_t i = 0; i < used; ++i) {
+        TokenBatch &batch = slots[(head + i) % slots.size()];
+        FS_ASSERT(batch.isEmpty(),
+                  "fast-forward over payload in flight on %s at %llu",
+                  lbl.c_str(), (unsigned long long)batch.start);
+        batch.start += span;
+    }
+    nextPushStart += span;
+    nextPopStart += span;
 }
 
 void
@@ -319,6 +338,7 @@ TokenFabric::finalize()
         channels.push_back(std::move(rx));
     }
 
+    size_t widest = 0;
     for (auto &state : endpoints) {
         for (uint32_t p = 0; p < state.in.size(); ++p) {
             bool tx_ok = state.out[p] || state.remoteOut[p] >= 0;
@@ -328,7 +348,10 @@ TokenFabric::finalize()
         }
         state.inPtrs.resize(state.in.size());
         state.outPtrs.resize(state.in.size());
+        outPorts += state.out.size();
+        widest = std::max(widest, state.out.size());
     }
+    ffOut.resize(widest);
 
     if (stepOrder.empty()) {
         stepOrder.resize(endpoints.size());
@@ -508,7 +531,61 @@ TokenFabric::commitEndpoint(size_t idx)
         }
         // Panics with the channel label if the batch is still malformed.
         chan->publish();
+        if (!batch.isEmpty())
+            quietFrom = std::max(quietFrom, batch.start + quant);
     }
+}
+
+void
+TokenFabric::fastForward(Cycles target)
+{
+    // The last round before `target` is always stepped, so there must
+    // be at least one round to skip before it.
+    Cycles rounds_left = (target - curCycle + quant - 1) / quant;
+    if (rounds_left < 2)
+        return;
+    Cycles quiet_until = kNoCycle;
+    for (const EndpointState &state : endpoints) {
+        quiet_until = std::min(quiet_until,
+                               state.endpoint->quiescentUntil(curCycle));
+        if (quiet_until < curCycle + 2 * quant)
+            return;
+    }
+    // Rounds that end by quiet_until do nothing but move clocks. Skip
+    // all but the last of them, which is stepped normally so per-round
+    // state ends byte-identical. One catch-up batch spans the skipped
+    // rounds, and TokenBatch::len (uint32_t) caps that span.
+    Cycles quiet_rounds = (quiet_until - curCycle) / quant;
+    Cycles max_skip = std::numeric_limits<uint32_t>::max() / quant;
+    Cycles skip = std::min({quiet_rounds, rounds_left, max_skip + 1}) - 1;
+    if (skip == 0)
+        return;
+    Cycles span = skip * quant;
+    auto len = static_cast<uint32_t>(span);
+
+    for (auto &chan : channels)
+        chan->skip(span);
+    ffIn.reset(curCycle, len);
+    for (size_t idx : stepOrder) {
+        EndpointState &state = endpoints[idx];
+        for (uint32_t p = 0; p < state.in.size(); ++p) {
+            state.inPtrs[p] = &ffIn;
+            state.outPtrs[p] = &ffOut[p].reset(curCycle, len);
+        }
+        state.endpoint->advance(curCycle, span, state.inPtrs,
+                                state.outPtrs);
+        for (uint32_t p = 0; p < state.out.size(); ++p)
+            FS_ASSERT(ffOut[p].isEmpty(),
+                      "%s emitted a flit at %llu, inside a span its "
+                      "quiescentUntil() declared idle",
+                      state.endpoint->name().c_str(),
+                      (unsigned long long)ffOut[p].absCycle(
+                          ffOut[p].flits.front()));
+    }
+    curCycle += span;
+    roundCount += skip;
+    batchCount += skip * outPorts;
+    ffRounds += skip;
 }
 
 void
@@ -521,6 +598,11 @@ TokenFabric::run(Cycles cycles)
     Cycles target = curCycle + cycles;
 
     while (curCycle < target) {
+        // Payload still in flight, or anything watching every round,
+        // rules fast-forward out before any endpoint is asked.
+        if (observers.empty() && !remoteHook && quietFrom <= curCycle)
+            fastForward(target);
+
         for (FabricObserver *obs : observers)
             obs->onRoundStart(curCycle, roundCount);
 

@@ -46,6 +46,22 @@
  * stats dumps, AutoCounter samples, and fault diagnostics are
  * byte-identical between 1 worker and N workers.
  *
+ * Fast-forward: in the token protocol an empty token carries no work,
+ * so a round in which nothing is in flight and no endpoint has pending
+ * work changes nothing but clocks. At the start of a round, run()
+ * skips whole rounds when all of these hold: no FabricObserver is
+ * attached and no RemoteRoundHook is set; every payload batch already
+ * published has been consumed; and every endpoint's quiescentUntil()
+ * lies at least two rounds ahead. It then shifts every channel by the
+ * skipped span (TokenChannel::skip), catches each endpoint up with one
+ * advance() over that span fed empty batches, and steps the last quiet
+ * round normally, so every endpoint's per-round state (a switch port's
+ * link cursor, a blade's clock) ends exactly where round-by-round
+ * stepping leaves it. now(), round() and batchesMoved() stay exact;
+ * roundsFastForwarded() counts the skipped rounds. Any observer, even
+ * one that overrides nothing, keeps round-by-round stepping: the fabric
+ * cannot yet tell which hooks an observer uses.
+ *
  * Fault modeling and health monitoring: FabricObservers (src/fault) may
  * attach to the fabric to take endpoints down, mutate in-flight batches,
  * and convert token-protocol violations — an endpoint that stops
@@ -159,6 +175,15 @@ class TokenChannel
     }
 
     /**
+     * Fast-forward: move the token stream @p span cycles (a multiple of
+     * the quantum) ahead without popping or publishing, as if that many
+     * cycles of empty batches had flowed through. Restamps the buffered
+     * batches and both cursors; panics, naming the channel, when a
+     * buffered batch carries payload.
+     */
+    void skip(Cycles span);
+
+    /**
      * Serialize the channel's full mid-flight state: latency/quantum,
      * both stream cursors, and every buffered batch's flits. Restore
      * compares these bytes with the replayed channel's.
@@ -227,6 +252,17 @@ class TokenEndpoint
                          const std::vector<const TokenBatch *> &in,
                          const std::vector<TokenBatch *> &out) = 0;
 
+    /**
+     * The earliest cycle at which this endpoint could emit a flit or
+     * change state without new input, asked at the round boundary
+     * @p now. The fabric fast-forwards over rounds that lie wholly
+     * before every endpoint's answer (see the file comment), calling
+     * advance() once over the skipped span with empty inputs; that call
+     * must emit nothing. kNoCycle means "idle until input arrives". The
+     * default, @p now, never lets the fabric skip.
+     */
+    virtual Cycles quiescentUntil(Cycles now) const { return now; }
+
     /** Always 1; perfbench/span_trace.cc is its only user. */
     uint32_t advanceSliceCount() const { return 1; }
 };
@@ -250,6 +286,11 @@ class TokenEndpoint
  * of those two hooks must be thread-safe; for one endpoint the pair is
  * always called on the same thread, in order. The fabric never fires
  * onSliceStart/onSliceEnd.
+ *
+ * Attaching any observer, even one that overrides nothing, turns off
+ * the fabric's fast-forward over quiescent rounds (see the file
+ * comment): every round is stepped and every hook fires, at the host
+ * cost of stepping idle rounds.
  */
 class FabricObserver
 {
@@ -524,6 +565,12 @@ class TokenFabric
     uint64_t batchesMoved() const { return batchCount; }
 
     /**
+     * Rounds skipped by fast-forward so far (included in round()).
+     * Host-side only: the simulated result is the same either way.
+     */
+    uint64_t roundsFastForwarded() const { return ffRounds; }
+
+    /**
      * Attach a fault-injection / health-monitoring observer. Callbacks
      * fire in registration order. May be called after finalize() (the
      * observers typically need the finalized channel list to resolve
@@ -643,6 +690,10 @@ class TokenFabric
     /** Driving thread: transmit observers, checks, publishes. */
     void commitEndpoint(size_t idx);
 
+    /** Skip the quiet rounds ahead of the round starting now, short of
+     *  the last round before @p target (see the file comment). */
+    void fastForward(Cycles target);
+
     Cycles functionalWindow = 0; //!< 0 = cycle-exact timing
     std::vector<Link> pendingLinks;
     std::vector<RemoteLink> pendingRemote;
@@ -666,6 +717,16 @@ class TokenFabric
     Cycles curCycle = 0;
     uint64_t roundCount = 0;
     uint64_t batchCount = 0;
+    uint64_t ffRounds = 0;
+    /** Output ports over all endpoints: batches moved per round. */
+    uint64_t outPorts = 0;
+    /** Arrival end of the latest published payload batch: from this
+     *  cycle on, no channel holds a flit. */
+    Cycles quietFrom = 0;
+    /** Fast-forward catch-up batches: the empty input every port is
+     *  handed, and one output per port of the widest endpoint. */
+    TokenBatch ffIn;
+    std::vector<TokenBatch> ffOut;
     bool finalized = false;
     bool running = false;
 };

@@ -165,6 +165,13 @@ class Nic
      */
     void drainTx(Cycles window_start, TokenBatch &out);
 
+    /** Cycle of the next flit waiting to leave (kNoCycle when none). */
+    Cycles
+    nextTxCycle() const
+    {
+        return txOutbox.empty() ? kNoCycle : txOutbox.front().first;
+    }
+
     /**
      * Serialize all controller queues, both DMA paths mid-transfer
      * (tx outbox flits, partial rx frame, token bucket), and the

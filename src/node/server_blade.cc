@@ -84,6 +84,15 @@ ServerBlade::advance(Cycles window_start, Cycles window,
     nicDev->drainTx(window_start, *out[0]);
 }
 
+Cycles
+ServerBlade::quiescentUntil(Cycles now) const
+{
+    for (const auto &core : harts_)
+        if (!core->halted())
+            return now;
+    return std::min(eq.nextEventCycle(), nicDev->nextTxCycle());
+}
+
 void
 ServerBlade::registerStats(StatRegistry &registry,
                            const std::string &prefix) const

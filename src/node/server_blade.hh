@@ -85,6 +85,8 @@ class ServerBlade : public TokenEndpoint
     void advance(Cycles window_start, Cycles window,
                  const std::vector<const TokenBatch *> &in,
                  const std::vector<TokenBatch *> &out) override;
+    /** @p now while a hart runs, else the next event or NIC flit. */
+    Cycles quiescentUntil(Cycles now) const override;
 
     const BladeConfig &config() const { return cfg; }
     EventQueue &eventQueue() { return eq; }

@@ -99,6 +99,17 @@ Switch::advance(Cycles window_start, Cycles window,
     egress(window_start, window, out);
 }
 
+Cycles
+Switch::quiescentUntil(Cycles now) const
+{
+    if (!pending.empty())
+        return now;
+    for (const OutputPort &port : outputs)
+        if (port.active || !port.queue.empty())
+            return now;
+    return kNoCycle;
+}
+
 void
 Switch::ingress(Cycles window_start, const std::vector<const TokenBatch *> &in)
 {

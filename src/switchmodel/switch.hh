@@ -98,6 +98,9 @@ class Switch : public TokenEndpoint
     void advance(Cycles window_start, Cycles window,
                  const std::vector<const TokenBatch *> &in,
                  const std::vector<TokenBatch *> &out) override;
+    /** @p now while a packet is pending, queued or on the wire, else
+     *  kNoCycle: an idle switch acts only on arriving flits. */
+    Cycles quiescentUntil(Cycles now) const override;
 
     /** Install a static MAC table entry: frames for @p mac exit @p port. */
     void addMacEntry(MacAddr mac, uint32_t port);

@@ -1,0 +1,422 @@
+/**
+ * @file
+ * Fast-forward over quiescent rounds (TokenFabric::run): an idle fabric
+ * catches its endpoints up in one advance() per stretch instead of one
+ * per round, keeps now(), round() and batchesMoved() exact, and never
+ * skips past an endpoint's next activity — a switch's queued packet, a
+ * blade's rate-limited transmit flits, an armed hart. Every comparison
+ * run attaches a no-op FabricObserver, which keeps round-by-round
+ * stepping.
+ */
+
+#include <gtest/gtest.h>
+
+#include <array>
+#include <deque>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "net/eth.hh"
+#include "net/fabric.hh"
+#include "node/server_blade.hh"
+#include "riscv/assembler.hh"
+#include "snapshot/serial.hh"
+#include "switchmodel/switch.hh"
+
+namespace firesim
+{
+namespace
+{
+
+/** Overrides nothing: attaching it turns fast-forward off. */
+class NoopObserver : public FabricObserver
+{};
+
+/**
+ * A single-port endpoint that idles until input arrives (kNoCycle)
+ * unless it has scripted flits left to send. Records every flit it
+ * receives with its arrival cycle and counts its advance() calls,
+ * checking that each call's batches cover exactly its window.
+ */
+class QuietEndpoint : public TokenEndpoint
+{
+  public:
+    explicit QuietEndpoint(std::string name) : label(std::move(name)) {}
+
+    void
+    sendAt(Cycles start, const EthFrame &frame)
+    {
+        FrameSerializer ser(frame);
+        for (Cycles c = start; !ser.done(); ++c)
+            txScript.emplace_back(c, ser.next());
+    }
+
+    uint32_t numPorts() const override { return 1; }
+    std::string name() const override { return label; }
+
+    Cycles
+    quiescentUntil(Cycles) const override
+    {
+        return txScript.empty() ? kNoCycle : txScript.front().first;
+    }
+
+    void
+    advance(Cycles window_start, Cycles window,
+            const std::vector<const TokenBatch *> &in,
+            const std::vector<TokenBatch *> &out) override
+    {
+        ++advances;
+        maxWindow = std::max(maxWindow, window);
+        EXPECT_EQ(in[0]->start, window_start);
+        EXPECT_EQ(in[0]->len, window);
+        EXPECT_EQ(out[0]->start, window_start);
+        EXPECT_EQ(out[0]->len, window);
+        for (const Flit &flit : in[0]->flits)
+            received.emplace_back(in[0]->absCycle(flit), flit.data);
+        Cycles window_end = window_start + window;
+        while (!txScript.empty() && txScript.front().first < window_end) {
+            auto [cycle, flit] = txScript.front();
+            flit.offset = static_cast<uint32_t>(cycle - window_start);
+            out[0]->push(flit);
+            txScript.pop_front();
+        }
+    }
+
+    uint64_t advances = 0;
+    Cycles maxWindow = 0;
+    /** (arrival cycle, payload) of every received flit. */
+    std::vector<std::pair<Cycles, std::array<uint8_t, kFlitBytes>>>
+        received;
+
+  private:
+    std::string label;
+    std::deque<std::pair<Cycles, Flit>> txScript;
+};
+
+EthFrame
+testFrame(MacAddr dst, MacAddr src, size_t payload_bytes)
+{
+    std::vector<uint8_t> payload(payload_bytes);
+    for (size_t i = 0; i < payload.size(); ++i)
+        payload[i] = static_cast<uint8_t>(i * 7 + 3);
+    return EthFrame(dst, src, EtherType::Raw, payload);
+}
+
+struct PairRun
+{
+    Cycles now = 0;
+    uint64_t rounds = 0;
+    uint64_t batches = 0;
+    uint64_t skipped = 0;
+    uint64_t advances = 0;
+};
+
+/** Two idle QuietEndpoints on one link, run for @p cycles. */
+PairRun
+runIdlePair(Cycles cycles, bool observed)
+{
+    QuietEndpoint a("A"), b("B");
+    NoopObserver noop;
+    TokenFabric fabric;
+    fabric.addEndpoint(&a);
+    fabric.addEndpoint(&b);
+    fabric.connect(&a, 0, &b, 0, 1000);
+    fabric.finalize();
+    if (observed)
+        fabric.addObserver(&noop);
+    fabric.run(cycles);
+    return {fabric.now(), fabric.round(), fabric.batchesMoved(),
+            fabric.roundsFastForwarded(), a.advances};
+}
+
+TEST(FastForward, IdleRunTakesAtMostThreeAdvancesAndKeepsCountersExact)
+{
+    // 100 rounds plus a partial one, which run() rounds up.
+    constexpr Cycles kCycles = 100500;
+    PairRun ff = runIdlePair(kCycles, false);
+    PairRun stepped = runIdlePair(kCycles, true);
+
+    EXPECT_LE(ff.advances, 3u);
+    EXPECT_EQ(stepped.advances, 101u);
+    EXPECT_GT(ff.skipped, 0u);
+    EXPECT_EQ(stepped.skipped, 0u);
+    EXPECT_EQ(ff.now, stepped.now);
+    EXPECT_EQ(ff.now, 101000u);
+    EXPECT_EQ(ff.rounds, stepped.rounds);
+    EXPECT_EQ(ff.batches, stepped.batches);
+}
+
+TEST(FastForward, EveryRunCallFastForwardsOnItsOwn)
+{
+    QuietEndpoint a("A"), b("B");
+    TokenFabric fabric;
+    fabric.addEndpoint(&a);
+    fabric.addEndpoint(&b);
+    fabric.connect(&a, 0, &b, 0, 1000);
+    fabric.finalize();
+    for (int call = 1; call <= 4; ++call) {
+        fabric.run(50000);
+        EXPECT_LE(a.advances, 3u * call);
+        EXPECT_EQ(fabric.round(), 50u * call);
+        EXPECT_EQ(fabric.batchesMoved(), 2u * 50u * call);
+    }
+    // A one-round run() has nothing to skip before its stepped round.
+    uint64_t before = fabric.roundsFastForwarded();
+    fabric.run(1000);
+    EXPECT_EQ(fabric.roundsFastForwarded(), before);
+}
+
+TEST(FastForward, CatchUpSpanStaysWithinTheBatchLengthField)
+{
+    // More than 2^32 idle cycles in one run(): the catch-up batch's
+    // uint32_t len caps each skipped span, so the fabric takes several
+    // stretches and still lands on the exact round.
+    constexpr Cycles kQuantum = 1000;
+    constexpr Cycles kCycles = (Cycles(1) << 32) + 7 * kQuantum;
+    QuietEndpoint a("A"), b("B");
+    TokenFabric fabric;
+    fabric.addEndpoint(&a);
+    fabric.addEndpoint(&b);
+    fabric.connect(&a, 0, &b, 0, kQuantum);
+    fabric.finalize();
+    fabric.run(kCycles);
+
+    Cycles rounds = (kCycles + kQuantum - 1) / kQuantum;
+    EXPECT_EQ(fabric.now(), rounds * kQuantum);
+    EXPECT_EQ(fabric.round(), rounds);
+    EXPECT_EQ(fabric.batchesMoved(), 2 * rounds);
+    EXPECT_LE(a.maxWindow, std::numeric_limits<uint32_t>::max());
+    EXPECT_GT(a.maxWindow, Cycles(1) << 31);
+    EXPECT_LE(a.advances, 8u);
+    EXPECT_GE(a.advances, 3u);
+}
+
+TEST(FastForward, PayloadInFlightIsDeliveredAtItsExactCycle)
+{
+    auto run = [](bool observed, uint64_t *skipped) {
+        QuietEndpoint a("A"), b("B");
+        a.sendAt(25300, testFrame(MacAddr(2), MacAddr(1), 50));
+        NoopObserver noop;
+        TokenFabric fabric;
+        fabric.addEndpoint(&a);
+        fabric.addEndpoint(&b);
+        fabric.connect(&a, 0, &b, 0, 3000); // three batches in flight
+        fabric.finalize();
+        if (observed)
+            fabric.addObserver(&noop);
+        fabric.run(80000);
+        *skipped = fabric.roundsFastForwarded();
+        return b.received;
+    };
+    uint64_t ff_skipped = 0, stepped_skipped = 0;
+    auto ff = run(false, &ff_skipped);
+    auto stepped = run(true, &stepped_skipped);
+    ASSERT_EQ(ff.size(), 8u); // 64 bytes
+    EXPECT_EQ(ff.front().first, 28300u);
+    EXPECT_EQ(ff, stepped);
+    EXPECT_GT(ff_skipped, 0u);
+}
+
+struct SwitchRun
+{
+    std::vector<std::pair<Cycles, std::array<uint8_t, kFlitBytes>>>
+        received;
+    uint64_t skipped = 0;
+    bool queuedAt5000 = false;
+    std::string state;
+};
+
+/** A frame waits 20 rounds in a switch output queue before leaving. */
+SwitchRun
+runQueuedSwitch(bool observed)
+{
+    SwitchConfig sc;
+    sc.ports = 2;
+    sc.minLatency = 20000;
+    Switch sw(sc);
+    sw.addMacEntry(MacAddr(2), 1);
+    QuietEndpoint a("A"), b("B");
+    a.sendAt(100, testFrame(MacAddr(2), MacAddr(1), 90));
+    NoopObserver noop;
+    TokenFabric fabric;
+    fabric.addEndpoint(&sw);
+    fabric.addEndpoint(&a);
+    fabric.addEndpoint(&b);
+    fabric.connect(&a, 0, &sw, 0, 1000);
+    fabric.connect(&b, 0, &sw, 1, 1000);
+    fabric.finalize();
+    if (observed)
+        fabric.addObserver(&noop);
+
+    SwitchRun out;
+    fabric.run(5000);
+    out.queuedAt5000 = sw.quiescentUntil(fabric.now()) == fabric.now();
+    fabric.run(95000);
+    out.received = b.received;
+    out.skipped = fabric.roundsFastForwarded();
+    Serializer s;
+    sw.snapshotSave(s);
+    out.state = s.takeBytes();
+    return out;
+}
+
+TEST(FastForward, SwitchWithAQueuedPacketIsNeverSkipped)
+{
+    SwitchRun ff = runQueuedSwitch(false);
+    SwitchRun stepped = runQueuedSwitch(true);
+    EXPECT_TRUE(ff.queuedAt5000);
+    ASSERT_EQ(ff.received.size(), 13u); // 104 bytes
+    // Last flit reaches the switch at 1112, leaves at its release.
+    EXPECT_EQ(ff.received.front().first, 1112u + 20000u + 1000u);
+    EXPECT_EQ(ff.received, stepped.received);
+    EXPECT_EQ(ff.state, stepped.state) << "switch state diverged";
+    EXPECT_GT(ff.skipped, 0u);
+}
+
+BladeConfig
+testBlade(uint32_t harts)
+{
+    BladeConfig bc;
+    bc.name = "blade";
+    bc.cores = 1;
+    bc.memBytes = 64 * MiB;
+    bc.mac = MacAddr(1);
+    bc.harts = harts;
+    return bc;
+}
+
+struct BladeRun
+{
+    std::vector<std::pair<Cycles, std::array<uint8_t, kFlitBytes>>>
+        received;
+    uint64_t skipped = 0;
+    uint64_t skippedWhileArmed = 0;
+    Cycles hartCycle = 0;
+    std::string state;
+};
+
+/** Rate-limited to one flit per 5 rounds: between two of a frame's
+ *  flits the blade has no event, only a TX-outbox flit past the end
+ *  of the round. */
+BladeRun
+runPacedBlade(bool observed)
+{
+    ServerBlade blade(testBlade(0));
+    QuietEndpoint peer("peer");
+    NoopObserver noop;
+    TokenFabric fabric;
+    fabric.addEndpoint(&blade);
+    fabric.addEndpoint(&peer);
+    fabric.connect(&blade, 0, &peer, 0, 1000);
+    fabric.finalize();
+    if (observed)
+        fabric.addObserver(&noop);
+
+    EthFrame frame = testFrame(MacAddr(2), MacAddr(1), 50);
+    blade.memory().write(0x1000, frame.bytes.data(), frame.size());
+    blade.nic().setRateLimit(1, 5000);
+    EXPECT_TRUE(blade.nic().pushSendRequest(0x1000, frame.size()));
+    fabric.run(100000);
+
+    BladeRun out;
+    out.received = peer.received;
+    out.skipped = fabric.roundsFastForwarded();
+    Serializer s;
+    blade.snapshotSave(s);
+    out.state = s.takeBytes();
+    return out;
+}
+
+TEST(FastForward, BladeWithAPendingTxFlitIsNeverSkippedPastIt)
+{
+    BladeRun ff = runPacedBlade(false);
+    BladeRun stepped = runPacedBlade(true);
+    ASSERT_EQ(ff.received.size(), 8u);
+    // Several rounds pass between two flits.
+    for (size_t i = 1; i < ff.received.size(); ++i)
+        EXPECT_GT(ff.received[i].first - ff.received[i - 1].first, 4000u);
+    EXPECT_EQ(ff.received, stepped.received);
+    EXPECT_EQ(ff.state, stepped.state) << "blade state diverged";
+    EXPECT_GT(ff.skipped, 0u);
+}
+
+/** An armed hart counts down, then halts. */
+BladeRun
+runArmedHart(bool observed)
+{
+    using namespace regs;
+    ServerBlade blade(testBlade(1));
+    QuietEndpoint peer("peer");
+    NoopObserver noop;
+    TokenFabric fabric;
+    fabric.addEndpoint(&blade);
+    fabric.addEndpoint(&peer);
+    fabric.connect(&blade, 0, &peer, 0, 1000);
+    fabric.finalize();
+    if (observed)
+        fabric.addObserver(&noop);
+
+    Assembler a(blade.memory(), memmap::kDramBase);
+    a.li(t0, 20000);
+    Assembler::Label loop = a.newLabel();
+    a.bind(loop);
+    a.addi(t0, t0, -1);
+    a.bne(t0, zero, loop);
+    a.halt(t0);
+    a.finalize();
+    blade.hart(0).reset(memmap::kDramBase);
+
+    BladeRun out;
+    fabric.run(10000);
+    EXPECT_FALSE(blade.hart(0).halted()) << "the loop ended too soon";
+    EXPECT_EQ(blade.quiescentUntil(fabric.now()), fabric.now());
+    out.skippedWhileArmed = fabric.roundsFastForwarded();
+    fabric.run(400000);
+    EXPECT_TRUE(blade.hart(0).halted());
+    out.skipped = fabric.roundsFastForwarded();
+    out.hartCycle = blade.hart(0).cycle();
+    Serializer s;
+    blade.snapshotSave(s);
+    out.state = s.takeBytes();
+    return out;
+}
+
+TEST(FastForward, BladeWithAnArmedHartIsNeverSkipped)
+{
+    BladeRun ff = runArmedHart(false);
+    BladeRun stepped = runArmedHart(true);
+    EXPECT_EQ(ff.skippedWhileArmed, 0u);
+    EXPECT_GT(ff.skipped, 0u) << "a halted hart should let rounds skip";
+    EXPECT_EQ(ff.hartCycle, stepped.hartCycle);
+    EXPECT_EQ(ff.state, stepped.state) << "blade state diverged";
+}
+
+TEST(FastForwardDeath, EndpointThatLiesAboutQuiescenceIsCaught)
+{
+    // Claims to idle forever, then emits a flit at cycle 5000: the
+    // catch-up advance must refuse to swallow it.
+    class Liar : public QuietEndpoint
+    {
+      public:
+        using QuietEndpoint::QuietEndpoint;
+        Cycles quiescentUntil(Cycles) const override { return kNoCycle; }
+    };
+    EXPECT_DEATH(
+        {
+            Liar a("liar");
+            QuietEndpoint b("B");
+            a.sendAt(5000, testFrame(MacAddr(2), MacAddr(1), 2));
+            TokenFabric fabric;
+            fabric.addEndpoint(&a);
+            fabric.addEndpoint(&b);
+            fabric.connect(&a, 0, &b, 0, 1000);
+            fabric.finalize();
+            fabric.run(20000);
+        },
+        "liar emitted a flit at 5000");
+}
+
+} // namespace
+} // namespace firesim

@@ -211,6 +211,9 @@ TEST(StripHostTimingStats, DropsExactlyTheHostTimingEntries)
     // A `rankN.` prefix is an ordinary name component.
     EXPECT_FALSE(isHostTimingStat("rank12.cluster.shard.livePeers"));
     EXPECT_TRUE(isHostTimingStat("cluster.node0.core0.host.decode.hits"));
+    EXPECT_TRUE(
+        isHostTimingStat("cluster.fabric.host.roundsFastForwarded"));
+    EXPECT_FALSE(isHostTimingStat("cluster.fabric.rounds"));
     EXPECT_FALSE(isHostTimingStat("cluster.switch0.packetsIn"));
     EXPECT_FALSE(isHostTimingStat("x.cluster.shard.y"));
     EXPECT_FALSE(isHostTimingStat("rankA.cluster.shard.y"));
@@ -219,6 +222,7 @@ TEST(StripHostTimingStats, DropsExactlyTheHostTimingEntries)
                   "{\"cycle\": 5, \"stats\": {\"a.b\": 1, "
                   "\"cluster.shard.peer1.bytesTx\": 2, "
                   "\"n0.host.decode.hits\": 3, "
+                  "\"cluster.fabric.host.roundsFastForwarded\": 6, "
                   "\"rank1.cluster.shard.x\": 4, \"rank1.n.c\": 5}}"),
               "{\"cycle\": 5, \"stats\": {\"a.b\": 1, "
               "\"rank1.cluster.shard.x\": 4, \"rank1.n.c\": 5}}");
