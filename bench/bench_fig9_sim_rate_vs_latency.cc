@@ -37,10 +37,10 @@ constexpr int kTrials = 3;
 /**
  * Measured software-simulation rate. Every local node boots, as in
  * Fig. 8, and the window ends before the scaled-down boot does (about
- * 2541.5 us), so the blades have work throughout; an idle cluster
- * would be fast-forwarded instead of stepped. Each trial's timed
- * region is a few host milliseconds, so the fastest of kTrials is
- * reported: other host load only ever adds time.
+ * 2541.5 us), so the blades have work throughout; in an idle cluster
+ * no endpoint would be due and its rounds would be jumped. Each
+ * trial's timed region is a few host milliseconds, so the fastest of
+ * kTrials is reported: other host load only ever adds time.
  */
 double
 measuredMhz(Cycles link_latency, double target_us)

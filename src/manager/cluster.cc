@@ -379,10 +379,13 @@ Cluster::setupTelemetry()
     reg.registerProbe("cluster.fabric.batchesMoved", [fab] {
         return static_cast<double>(fab->batchesMoved());
     });
-    // Host-side (the `.host.` infix keeps it out of parity dumps): a
-    // run with an observer attached steps the same rounds one by one.
+    // Host-side (the `.host.` infix keeps them out of parity dumps): a
+    // run with an observer attached steps every endpoint every round.
     reg.registerProbe("cluster.fabric.host.roundsFastForwarded", [fab] {
         return static_cast<double>(fab->roundsFastForwarded());
+    });
+    reg.registerProbe("cluster.fabric.host.endpointRoundsStepped", [fab] {
+        return static_cast<double>(fab->endpointRoundsStepped());
     });
 
     if (transport_) {

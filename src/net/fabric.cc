@@ -1,7 +1,6 @@
 #include "net/fabric.hh"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "net/token_io.hh"
@@ -17,17 +16,14 @@ TokenChannel::TokenChannel(Cycles latency, Cycles quantum)
     FS_ASSERT(quantum > 0 && latency % quantum == 0,
               "quantum %llu must divide latency %llu",
               (unsigned long long)quantum, (unsigned long long)latency);
-    // Ring sized for the invariant occupancy plus slack, so the slot a
-    // producer fills is never the one its consumer reads that round.
-    slots.resize(static_cast<size_t>(latency / quantum) + 2);
+    // At most latency/quantum payload batches are buffered, with an
+    // empty run before each and after the last, plus one slot spare.
+    size_t in_flight = static_cast<size_t>(latency / quantum);
+    slots.resize(2 * in_flight + 3);
     // Seed the link with latency/quantum batches of empty tokens: the
     // first `latency` arrival cycles carry nothing because nothing was
     // transmitted before target cycle 0.
-    for (Cycles at = 0; at < latency; at += quantum) {
-        claim(at); // seeds are stamped with their arrival cycles
-        enqueueTail();
-        nextPushStart = at + quantum;
-    }
+    appendEmpties(in_flight);
 }
 
 void
@@ -36,11 +32,28 @@ TokenChannel::enqueueTail()
     ++used;
     if (used < slots.size())
         return;
-    std::vector<TokenBatch> bigger(slots.size() * 2);
+    std::vector<Slot> bigger(slots.size() * 2);
     for (size_t i = 0; i < used; ++i)
-        bigger[i] = std::move(slots[(head + i) % slots.size()]);
+        bigger[i] = std::move(slots[ringIndex(i)]);
     slots = std::move(bigger);
     head = 0;
+}
+
+void
+TokenChannel::appendEmpties(uint64_t count)
+{
+    Slot *last = used ? &slots[ringIndex(used - 1)] : nullptr;
+    if (last && last->empties &&
+        last->batch.start + last->empties * quant == nextPushStart) {
+        last->empties += count;
+    } else {
+        Slot &slot = tailSlot();
+        slot.batch.reset(nextPushStart, static_cast<uint32_t>(quant));
+        slot.empties = count;
+        enqueueTail();
+    }
+    batches += count;
+    nextPushStart += count * quant;
 }
 
 TokenChannel::PushError
@@ -53,75 +66,111 @@ TokenChannel::accepts(const TokenBatch &batch) const
     return PushError::Ok;
 }
 
-TokenBatch &
-TokenChannel::claim(Cycles production_start)
+TokenBatch *
+TokenChannel::admit(const TokenBatch &batch)
 {
-    return slots[(head + used) % slots.size()].reset(
-        production_start, static_cast<uint32_t>(quant));
-}
-
-void
-TokenChannel::publish()
-{
-    TokenBatch &batch = slots[(head + used) % slots.size()];
     FS_ASSERT(batch.len == quant,
               "batch len %u != channel quantum %llu on %s", batch.len,
               (unsigned long long)quant, lbl.c_str());
-    // Restamp from production time to arrival time: a token produced at
-    // cycle M is consumed at M + latency.
-    batch.start += lat;
-    FS_ASSERT(batch.start == nextPushStart,
+    // A token produced at cycle M is consumed at M + latency.
+    FS_ASSERT(batch.start + lat == nextPushStart,
               "non-contiguous batch push on %s: got %llu expected %llu",
-              lbl.c_str(), (unsigned long long)batch.start,
+              lbl.c_str(), (unsigned long long)(batch.start + lat),
               (unsigned long long)nextPushStart);
+    if (batch.isEmpty()) {
+        appendEmpties(1);
+        return nullptr;
+    }
+    Slot &slot = tailSlot();
+    slot.batch.reset(nextPushStart, static_cast<uint32_t>(quant));
+    slot.empties = 0;
+    enqueueTail(); // may grow the ring: re-find the slot below
+    ++batches;
     nextPushStart += quant;
-    enqueueTail();
+    return &slots[ringIndex(used - 1)].batch;
+}
+
+void
+TokenChannel::publish(TokenBatch &batch)
+{
+    if (TokenBatch *slot = admit(batch))
+        std::swap(slot->flits, batch.flits);
 }
 
 void
 TokenChannel::push(const TokenBatch &batch)
 {
-    TokenBatch &slot = claim(batch.start);
-    slot.len = batch.len;
-    slot.flits.assign(batch.flits.begin(), batch.flits.end());
-    publish();
+    if (TokenBatch *slot = admit(batch))
+        slot->flits.assign(batch.flits.begin(), batch.flits.end());
 }
 
 void
 TokenChannel::pushRaw(TokenBatch batch)
 {
     batch.start += lat;
-    claim(0) = std::move(batch);
+    Slot &slot = tailSlot();
+    slot.batch = std::move(batch);
+    slot.empties = 0;
     enqueueTail();
+    ++batches;
 }
 
 TokenBatch &
 TokenChannel::pop()
 {
-    FS_ASSERT(used > 0, "pop from empty token channel %s", lbl.c_str());
-    TokenBatch &batch = slots[head];
-    head = (head + 1) % slots.size();
-    --used;
-    nextPopStart = batch.start + quant;
-    return batch;
+    FS_ASSERT(batches > 0, "pop from empty token channel %s", lbl.c_str());
+    Slot &slot = slots[head];
+    TokenBatch *batch = &slot.batch;
+    if (slot.empties > 0) {
+        // Hand out the run's first batch; the slot keeps the rest.
+        batch = &idle.reset(slot.batch.start, static_cast<uint32_t>(quant));
+        slot.batch.start += quant;
+        --slot.empties;
+    }
+    if (slot.empties == 0) {
+        head = ringIndex(1);
+        --used;
+    }
+    --batches;
+    nextPopStart = batch->start + quant;
+    return *batch;
 }
 
 void
-TokenChannel::skip(Cycles span)
+TokenChannel::dropEmpties(uint64_t count)
 {
-    FS_ASSERT(span % quant == 0, "skip of %llu cycles on %s is not a "
-              "multiple of the quantum %llu",
-              (unsigned long long)span, lbl.c_str(),
-              (unsigned long long)quant);
-    for (size_t i = 0; i < used; ++i) {
-        TokenBatch &batch = slots[(head + i) % slots.size()];
-        FS_ASSERT(batch.isEmpty(),
-                  "fast-forward over payload in flight on %s at %llu",
-                  lbl.c_str(), (unsigned long long)batch.start);
-        batch.start += span;
+    while (count > 0) {
+        FS_ASSERT(batches > 0, "idle drain of empty token channel %s",
+                  lbl.c_str());
+        Slot &slot = slots[head];
+        FS_ASSERT(slot.empties > 0,
+                  "payload batch at %llu on %s arrived while its consumer "
+                  "was not due",
+                  (unsigned long long)slot.batch.start, lbl.c_str());
+        uint64_t take = std::min(count, slot.empties);
+        slot.empties -= take;
+        slot.batch.start += take * quant;
+        batches -= take;
+        count -= take;
+        nextPopStart = slot.batch.start;
+        if (slot.empties == 0) {
+            head = ringIndex(1);
+            --used;
+        }
     }
-    nextPushStart += span;
-    nextPopStart += span;
+}
+
+Cycles
+TokenChannel::nextPayloadCycle() const
+{
+    Cycles at = nextPopStart;
+    for (size_t i = 0; i < used; ++i) {
+        const Slot &slot = slots[ringIndex(i)];
+        if (slot.empties == 0)
+            return at;
+        at += slot.empties * quant;
+    }
+    return kNoCycle;
 }
 
 void
@@ -139,6 +188,8 @@ TokenFabric::addEndpoint(TokenEndpoint *endpoint)
     state.remoteOut.assign(endpoint->numPorts(), -1);
     state.inIndex.assign(endpoint->numPorts(), 0);
     state.outIndex.assign(endpoint->numPorts(), 0);
+    state.outPeer.assign(endpoint->numPorts(), -1);
+    state.outPeerPort.assign(endpoint->numPorts(), 0);
     endpoints.push_back(std::move(state));
 }
 
@@ -212,7 +263,7 @@ TokenFabric::connectRemote(TokenEndpoint *local, uint32_t port,
                   rl.rxLinkId == rx_link_id ? rx_link_id : tx_link_id);
     }
     pendingRemote.push_back(RemoteLink{local, port, latency, rx_link_id,
-                                       tx_link_id, peer_label, {}});
+                                       tx_link_id, peer_label});
 }
 
 TokenChannel *
@@ -249,8 +300,7 @@ TokenFabric::setParallelHosts(unsigned hosts)
         workers.reset();
     } else if (!workers || workers->width() != parHosts) {
         workers = std::make_unique<ThreadPool>(parHosts);
-        if (finalized)
-            sched.configure(endpoints.size(), parHosts);
+        sched.configure(parHosts);
     }
 }
 
@@ -318,6 +368,10 @@ TokenFabric::finalize()
         channels.push_back(std::move(ab));
         sb.outIndex[link.portB] = sa.inIndex[link.portA] = channels.size();
         channels.push_back(std::move(ba));
+        sa.outPeer[link.portA] = &sb - endpoints.data();
+        sa.outPeerPort[link.portA] = link.portB;
+        sb.outPeer[link.portB] = &sa - endpoints.data();
+        sb.outPeerPort[link.portB] = link.portA;
     }
 
     for (size_t i = 0; i < pendingRemote.size(); ++i) {
@@ -334,11 +388,11 @@ TokenFabric::finalize()
         state.in[rl.port] = rx.get();
         state.inIndex[rl.port] = channels.size();
         state.remoteOut[rl.port] = static_cast<int64_t>(i);
+        state.remote = true;
         remoteRx.emplace_back(rl.rxLinkId, rx.get());
         channels.push_back(std::move(rx));
     }
 
-    size_t widest = 0;
     for (auto &state : endpoints) {
         for (uint32_t p = 0; p < state.in.size(); ++p) {
             bool tx_ok = state.out[p] || state.remoteOut[p] >= 0;
@@ -348,18 +402,17 @@ TokenFabric::finalize()
         }
         state.inPtrs.resize(state.in.size());
         state.outPtrs.resize(state.in.size());
+        state.outBuf.resize(state.in.size());
+        state.inNext.assign(state.in.size(), kNoCycle);
         outPorts += state.out.size();
-        widest = std::max(widest, state.out.size());
     }
-    ffOut.resize(widest);
+    wake.assign(endpoints.size(), 0);
+    due.reserve(endpoints.size());
 
     if (stepOrder.empty()) {
         stepOrder.resize(endpoints.size());
         std::iota(stepOrder.begin(), stepOrder.end(), 0);
     }
-
-    if (workers)
-        sched.configure(endpoints.size(), workers->width());
 
     finalized = true;
 }
@@ -435,6 +488,21 @@ TokenFabric::prepareEndpoint(size_t idx)
 
     for (uint32_t p = 0; p < state.in.size(); ++p) {
         TokenChannel *chan = state.in[p];
+        bool remote = state.remoteOut[p] >= 0;
+        if (!denseRound && !remote && state.inNext[p] > curCycle) {
+            // Nothing arrives on this port: leave the channel alone
+            // (its consumer side catches up when it is next popped).
+            state.inPtrs[p] = &idleIn;
+            continue;
+        }
+        if (!remote && observers.empty()) {
+            // A skipped local producer has not enqueued this round's
+            // input yet, and the consumer side may lag. (A remote
+            // producer is kept current by the transport, and with an
+            // observer attached every round is dense.)
+            chan->fillIdle(curCycle + quant - chan->latency());
+            chan->drainTo(curCycle);
+        }
         if (!chan->ready()) {
             missingBatch.reset(chan->nextPopCycle(), quantum);
             if (!reportAnomaly(FabricObserver::Anomaly::ChannelUnderflow,
@@ -462,18 +530,20 @@ TokenFabric::prepareEndpoint(size_t idx)
             batch.len = quantum;
         }
         state.inPtrs[p] = &batch;
+        // Wake bookkeeping only matters while some endpoints can sit
+        // out rounds, i.e. with no observer attached.
+        if (observers.empty())
+            state.inNext[p] = chan->nextPayloadCycle();
     }
 
-    for (uint32_t p = 0; p < state.out.size(); ++p) {
-        state.outPtrs[p] =
-            state.out[p] ? &state.out[p]->claim(curCycle)
-                         : &pendingRemote[state.remoteOut[p]].tx.reset(
-                               curCycle, quantum);
-    }
+    // Every output is produced into the port's own batch; commit moves
+    // it into the channel.
+    for (uint32_t p = 0; p < state.out.size(); ++p)
+        state.outPtrs[p] = &state.outBuf[p].reset(curCycle, quantum);
 
     if (state.down) {
         // Graceful degradation: a crashed / stalled endpoint keeps the
-        // token protocol alive with the empty batches claimed above so
+        // token protocol alive with the empty output batches above so
         // every other endpoint stays cycle-exact. Notified here, on the
         // driving thread, so only the advance brackets ever run on
         // workers.
@@ -502,7 +572,11 @@ TokenFabric::commitEndpoint(size_t idx)
     for (uint32_t p = 0; p < state.out.size(); ++p) {
         TokenBatch &batch = *state.outPtrs[p];
         TokenChannel *chan = state.out[p];
-        ++batchCount;
+        if (state.catchUp && !batch.isEmpty())
+            panic("%s emitted a flit at %llu, in a round its "
+                  "quiescentUntil() declared idle",
+                  state.endpoint->name().c_str(),
+                  (unsigned long long)batch.absCycle(batch.flits.front()));
         if (!chan) {
             // Remote TX: no local channel — serialize the batch to the
             // peer shard instead. Still on the driving thread in step
@@ -519,6 +593,17 @@ TokenFabric::commitEndpoint(size_t idx)
         }
         for (FabricObserver *obs : observers)
             obs->onTransmit(state.outIndex[p], batch);
+        if (batch.isEmpty() && batch.len == quant &&
+            batch.start == curCycle) {
+            // A well-formed empty batch: a dense round appends it to
+            // the channel's empty run; otherwise it stays implicit (the
+            // producer side catches up when it next publishes or is
+            // popped).
+            if (denseRound)
+                chan->fillIdle(curCycle + quant);
+            continue;
+        }
+        chan->fillIdle(curCycle);
         TokenChannel::PushError err = chan->accepts(batch);
         if (err != TokenChannel::PushError::Ok &&
             reportAnomaly(err == TokenChannel::PushError::BadLength
@@ -529,63 +614,34 @@ TokenFabric::commitEndpoint(size_t idx)
             // channel's token stream intact.
             batch.reset(curCycle, static_cast<uint32_t>(quant));
         }
+        Cycles arrival = batch.start + chan->latency();
+        bool payload = !batch.isEmpty();
         // Panics with the channel label if the batch is still malformed.
-        chan->publish();
-        if (!batch.isEmpty())
-            quietFrom = std::max(quietFrom, batch.start + quant);
+        chan->publish(batch);
+        if (payload && observers.empty()) {
+            EndpointState &peer = endpoints[state.outPeer[p]];
+            Cycles &next = peer.inNext[state.outPeerPort[p]];
+            next = std::min(next, arrival);
+            Cycles &peer_wake = wake[state.outPeer[p]];
+            peer_wake = std::min(peer_wake, arrival);
+        }
     }
+    if (observers.empty())
+        wake[idx] = wakeOf(idx, curCycle + quant);
 }
 
-void
-TokenFabric::fastForward(Cycles target)
+Cycles
+TokenFabric::wakeOf(size_t idx, Cycles now) const
 {
-    // The last round before `target` is always stepped, so there must
-    // be at least one round to skip before it.
-    Cycles rounds_left = (target - curCycle + quant - 1) / quant;
-    if (rounds_left < 2)
-        return;
-    Cycles quiet_until = kNoCycle;
-    for (const EndpointState &state : endpoints) {
-        quiet_until = std::min(quiet_until,
-                               state.endpoint->quiescentUntil(curCycle));
-        if (quiet_until < curCycle + 2 * quant)
-            return;
-    }
-    // Rounds that end by quiet_until do nothing but move clocks. Skip
-    // all but the last of them, which is stepped normally so per-round
-    // state ends byte-identical. One catch-up batch spans the skipped
-    // rounds, and TokenBatch::len (uint32_t) caps that span.
-    Cycles quiet_rounds = (quiet_until - curCycle) / quant;
-    Cycles max_skip = std::numeric_limits<uint32_t>::max() / quant;
-    Cycles skip = std::min({quiet_rounds, rounds_left, max_skip + 1}) - 1;
-    if (skip == 0)
-        return;
-    Cycles span = skip * quant;
-    auto len = static_cast<uint32_t>(span);
-
-    for (auto &chan : channels)
-        chan->skip(span);
-    ffIn.reset(curCycle, len);
-    for (size_t idx : stepOrder) {
-        EndpointState &state = endpoints[idx];
-        for (uint32_t p = 0; p < state.in.size(); ++p) {
-            state.inPtrs[p] = &ffIn;
-            state.outPtrs[p] = &ffOut[p].reset(curCycle, len);
-        }
-        state.endpoint->advance(curCycle, span, state.inPtrs,
-                                state.outPtrs);
-        for (uint32_t p = 0; p < state.out.size(); ++p)
-            FS_ASSERT(ffOut[p].isEmpty(),
-                      "%s emitted a flit at %llu, inside a span its "
-                      "quiescentUntil() declared idle",
-                      state.endpoint->name().c_str(),
-                      (unsigned long long)ffOut[p].absCycle(
-                          ffOut[p].flits.front()));
-    }
-    curCycle += span;
-    roundCount += skip;
-    batchCount += skip * outPorts;
-    ffRounds += skip;
+    const EndpointState &state = endpoints[idx];
+    if (state.remote)
+        return 0; // due every round
+    Cycles at = state.endpoint->quiescentUntil(now);
+    if (at <= now)
+        return now; // due next round whatever arrives
+    for (Cycles next : state.inNext)
+        at = std::min(at, next);
+    return at - at % quant; // the start of the round containing it
 }
 
 void
@@ -594,45 +650,97 @@ TokenFabric::run(Cycles cycles)
     FS_ASSERT(finalized, "run() before finalize()");
     FS_ASSERT(pendingRemote.empty() || remoteHook,
               "remote links configured but no RemoteRoundHook attached");
+    if (cycles == 0)
+        return;
     running = true;
-    Cycles target = curCycle + cycles;
+    // Start of this run()'s last round, in which every endpoint is
+    // stepped so the run ends with all of them caught up.
+    Cycles last = curCycle + (cycles - 1) / quant * quant;
+    // Any observer watches every endpoint in every round; a remote
+    // hook barriers with the peers in every round.
+    bool every_endpoint = !observers.empty();
+    bool every_round = every_endpoint || remoteHook;
 
-    while (curCycle < target) {
-        // Payload still in flight, or anything watching every round,
-        // rules fast-forward out before any endpoint is asked.
-        if (observers.empty() && !remoteHook && quietFrom <= curCycle)
-            fastForward(target);
+    // Endpoint and channel state may have changed between run() calls
+    // (a NIC request posted, a hart armed, a batch pushed): ask again.
+    for (size_t idx = 0; idx < endpoints.size(); ++idx) {
+        EndpointState &state = endpoints[idx];
+        for (uint32_t p = 0; p < state.in.size(); ++p)
+            state.inNext[p] = state.in[p]->nextPayloadCycle();
+        wake[idx] = wakeOf(idx, curCycle);
+    }
+    if (every_endpoint) {
+        due.assign(stepOrder.begin(), stepOrder.end());
+        for (uint32_t idx : due)
+            endpoints[idx].catchUp = false;
+    }
+
+    while (curCycle <= last) {
+        if (!every_round) {
+            Cycles next = *std::min_element(wake.begin(), wake.end());
+            if (next > curCycle) {
+                // Nothing is due before `next`: jump there, but no
+                // further than the last round.
+                Cycles to = std::min(next, last);
+                uint64_t jumped = (to - curCycle) / quant;
+                curCycle = to;
+                roundCount += jumped;
+                jumpedRounds += jumped;
+            }
+        }
+        bool final_round = curCycle == last;
+        // Dense rounds move every port's batch through its channel, so
+        // observers see every channel exactly as round-by-round
+        // stepping leaves it, and the run ends with no channel behind.
+        denseRound = every_endpoint || final_round;
+        idleIn.reset(curCycle, static_cast<uint32_t>(quant));
+
+        if (every_endpoint) {
+            dueSteps += due.size();
+        } else {
+            due.clear();
+            for (size_t idx : stepOrder) {
+                bool woken = wake[idx] <= curCycle;
+                if (!woken && !final_round)
+                    continue;
+                endpoints[idx].catchUp = !woken;
+                dueSteps += woken;
+                due.push_back(static_cast<uint32_t>(idx));
+            }
+        }
 
         for (FabricObserver *obs : observers)
             obs->onRoundStart(curCycle, roundCount);
 
         // Phase 1 (driving thread, step order): down-verdicts, input
-        // pops, output-slot claims. Latency seeding guarantees every
-        // channel already holds this round's input batch, so all pops
-        // complete before any publish and channels need no locks.
-        for (size_t idx : stepOrder)
+        // pops, output batch resets. Latency seeding guarantees every
+        // channel holds this round's input batch once its skipped
+        // producer is topped up, so all pops complete before any
+        // publish and channels need no locks.
+        for (uint32_t idx : due)
             prepareEndpoint(idx);
 
         // Phase 2: the actual endpoint work, in parallel when a pool
         // is configured. Workers touch only their endpoint's popped
-        // and claimed slots; the dispatch barrier publishes their
-        // writes.
+        // slots and output batches; the dispatch barrier publishes
+        // their writes.
         if (workers) {
             sched.dispatch(
-                *workers,
-                [](void *ctx, uint32_t u) {
-                    static_cast<TokenFabric *>(ctx)->advanceEndpoint(u);
+                *workers, due,
+                [](void *ctx, uint32_t idx) {
+                    static_cast<TokenFabric *>(ctx)->advanceEndpoint(idx);
                 },
                 this);
         } else {
-            for (size_t idx : stepOrder)
+            for (uint32_t idx : due)
                 advanceEndpoint(idx);
         }
 
-        // Phase 3 (driving thread, step order): transmit observers and
-        // channel publishes — all shared counters accumulate here, in an
-        // order independent of which worker ran what.
-        for (size_t idx : stepOrder)
+        // Phase 3 (driving thread, step order): transmit observers,
+        // channel publishes and wake-ups — all shared counters
+        // accumulate here, in an order independent of which worker ran
+        // what.
+        for (uint32_t idx : due)
             commitEndpoint(idx);
 
         for (FabricObserver *obs : observers)
@@ -660,9 +768,17 @@ TokenChannel::snapshotSave(Serializer &s) const
     s.putU(quant);
     s.putU(nextPushStart);
     s.putU(nextPopStart);
-    s.putU(used);
-    for (size_t i = 0; i < used; ++i)
-        saveBatch(s, slots[(head + i) % slots.size()]);
+    s.putU(batches);
+    for (size_t i = 0; i < used; ++i) {
+        const Slot &slot = slots[ringIndex(i)];
+        if (slot.empties == 0) {
+            saveBatch(s, slot.batch);
+            continue;
+        }
+        for (uint64_t k = 0; k < slot.empties; ++k)
+            saveBatch(s, TokenBatch(slot.batch.start + k * quant,
+                                    static_cast<uint32_t>(quant)));
+    }
 }
 
 void

@@ -14,30 +14,32 @@
  * per-flit delivery cycles exactly.
  *
  * Determinism: each endpoint consumes exactly one batch per input port
- * and produces one per output port each round, so channel occupancy is
- * invariant and results are independent of the order in which endpoints
- * are stepped (property-tested in tests/net).
+ * and produces one per output port each round (implicit empty ones in
+ * rounds it sits out, see below), so channel occupancy is invariant and
+ * results are independent of the order in which endpoints are stepped
+ * (property-tested in tests/net).
  *
  * Parallel round execution: that same step-order independence is the
  * license to advance endpoints concurrently within a round — the
  * decomposition the paper uses to put one blade per FPGA. Each round is
- * executed in three phases:
+ * executed in three phases over its due endpoints (see below):
  *
  *   1. prepare (driving thread, step order): per endpoint, query the
  *      observers' down-verdict, pop one input batch per port, and
- *      claim one output slot per port. Batches never move: the
- *      endpoint is handed pointers to the channels' ring slots.
+ *      reset the port's own output batch. Input batches never move:
+ *      the endpoint is handed pointers to the channels' ring slots.
  *   2. advance (one pool dispatch, barrier at the end): every
  *      endpoint's advance() is one unit, and a RoundScheduler
  *      (net/sched.hh) places the units on workers. Every channel
- *      already holds this round's input batch before the round starts
- *      (latency seeding), so a worker reads the head slots and fills
- *      the tail slots of its endpoint's channels — distinct slots per
- *      endpoint — while ring heads and tails move only on the driving
+ *      already holds this round's input batch once prepared (latency
+ *      seeding, plus the empties of a skipped producer), so a worker
+ *      only reads popped slots and fills its endpoint's own output
+ *      batches, while ring heads and tails move only on the driving
  *      thread. Placement is pure host policy and never affects
  *      simulated state.
  *   3. commit (driving thread, step order): per endpoint, run transmit
- *      observers, check each filled slot in place and publish it.
+ *      observers, check each output batch and publish it, which swaps
+ *      its flit storage into a ring slot.
  *
  * Because phases 1 and 3 run on the driving thread in step order, every
  * observer callback except onAdvanceStart/onAdvanceEnd fires in a
@@ -46,21 +48,37 @@
  * stats dumps, AutoCounter samples, and fault diagnostics are
  * byte-identical between 1 worker and N workers.
  *
- * Fast-forward: in the token protocol an empty token carries no work,
- * so a round in which nothing is in flight and no endpoint has pending
- * work changes nothing but clocks. At the start of a round, run()
- * skips whole rounds when all of these hold: no FabricObserver is
- * attached and no RemoteRoundHook is set; every payload batch already
- * published has been consumed; and every endpoint's quiescentUntil()
- * lies at least two rounds ahead. It then shifts every channel by the
- * skipped span (TokenChannel::skip), catches each endpoint up with one
- * advance() over that span fed empty batches, and steps the last quiet
- * round normally, so every endpoint's per-round state (a switch port's
- * link cursor, a blade's clock) ends exactly where round-by-round
- * stepping leaves it. now(), round() and batchesMoved() stay exact;
- * roundsFastForwarded() counts the skipped rounds. Any observer, even
- * one that overrides nothing, keeps round-by-round stepping: the fabric
- * cannot yet tell which hooks an observer uses.
+ * Activity-driven rounds: in the token protocol an empty token carries
+ * no work, so a round in which an endpoint receives no payload and has
+ * nothing of its own to do changes nothing in it but clocks. Each
+ * round therefore prepares, advances and commits only the endpoints
+ * that are *due*, in step order. An endpoint is due in the round
+ * containing its self-wake — its quiescentUntil(), asked after each of
+ * its steps and at the start of every run() — and in the arrival round
+ * of any payload batch buffered for it (its input-wake). Rounds in
+ * which no endpoint is due are jumped. The same holds per port of a
+ * due endpoint: a port on which nothing arrives is handed a shared
+ * empty batch, and an empty output batch is not published, so idle
+ * ports leave their channels alone. Channels keep the batches so
+ * skipped implicitly, as run-length counts of empty batches: a
+ * channel's producer side is topped up with empties when it next
+ * publishes or is popped, and its consumer side drops the empties that
+ * arrived meanwhile when it is next popped, both in O(1). The last
+ * round of every run() is dense: each endpoint that was not due is
+ * stepped once with empty inputs (a catch-up step, which must emit
+ * nothing) and every port moves its batch through its channel, so
+ * every clock, cursor, channel and the state image end exactly where
+ * round-by-round stepping leaves them; now(), round() and
+ * batchesMoved() are exact at all times.
+ *
+ * Two things keep every endpoint due: an attached FabricObserver (any
+ * one, even one that overrides nothing, because the fabric cannot tell
+ * which hooks it uses), which also keeps every round dense, and a
+ * remote port under a RemoteRoundHook (the wire carries one batch per
+ * link per round, and such a port is always popped). With a hook set, no
+ * round is jumped, since every round is a barrier with the peers.
+ * roundsFastForwarded() counts jumped rounds and endpointRoundsStepped()
+ * the due steps; both are host-side only.
  *
  * Fault modeling and health monitoring: FabricObservers (src/fault) may
  * attach to the fabric to take endpoints down, mutate in-flight batches,
@@ -125,21 +143,17 @@ class TokenChannel
     PushError accepts(const TokenBatch &batch) const;
 
     /**
-     * Producer side: the ring's free slot, emptied (flit capacity kept)
-     * and stamped (@p production_start, quantum), to be filled in place
-     * and then enqueued by publish(). The slot is never the one the
-     * consumer is reading this round.
+     * Producer side: enqueue @p batch (stamped with its production
+     * window), restamped from production to arrival time. A payload
+     * batch takes a ring slot and swaps its flit storage with the
+     * slot's, so @p batch keeps a warmed-up capacity and nothing is
+     * copied; an empty one extends the tail run. Panics, naming the
+     * channel, when the batch has the wrong length or does not extend
+     * the token stream.
      */
-    TokenBatch &claim(Cycles production_start);
+    void publish(TokenBatch &batch);
 
-    /**
-     * Producer side: enqueue the claimed slot, restamped from production
-     * to arrival time. Panics, naming the channel, when the batch has
-     * the wrong length or does not extend the token stream.
-     */
-    void publish();
-
-    /** Producer side: enqueue a copy of @p batch (claim + publish). */
+    /** Producer side: enqueue a copy of @p batch (see publish()). */
     void push(const TokenBatch &batch);
 
     /**
@@ -152,21 +166,23 @@ class TokenChannel
     void pushRaw(TokenBatch batch);
 
     /** Consumer side: true when a batch is ready. */
-    bool ready() const { return used > 0; }
+    bool ready() const { return batches > 0; }
 
     /**
-     * Consumer side: dequeue the oldest batch and return its slot,
-     * which stays intact until the producer claims it again (not this
-     * round). Only moves the ring head; checking that the batch is the
-     * one the consumer expects is the caller's job (TokenFabric).
+     * Consumer side: dequeue the oldest batch and return it: its ring
+     * slot for a payload batch, or a batch of the channel's own for
+     * one of an empty run. Either stays intact until the channel next
+     * enqueues or pops (the fabric's commit phase or next round). Only
+     * moves the ring head; checking that the batch is the one the
+     * consumer expects is the caller's job (TokenFabric).
      */
     TokenBatch &pop();
 
     /** Arrival cycle the next pop() is expected to carry. */
     Cycles nextPopCycle() const { return nextPopStart; }
 
-    /** Number of buffered batches. */
-    size_t depth() const { return used; }
+    /** Number of buffered batches, empty runs expanded. */
+    size_t depth() const { return batches; }
 
     /** Steady-state depth: latency/quantum batches are always in flight. */
     size_t expectedDepth() const
@@ -175,13 +191,39 @@ class TokenChannel
     }
 
     /**
-     * Fast-forward: move the token stream @p span cycles (a multiple of
-     * the quantum) ahead without popping or publishing, as if that many
-     * cycles of empty batches had flowed through. Restamps the buffered
-     * batches and both cursors; panics, naming the channel, when a
-     * buffered batch carries payload.
+     * Producer side, for a producer that sat out rounds: enqueue the
+     * empty batches of every production window before
+     * @p production_start it has not published, as if it had stepped
+     * through them idle. A no-op when it is up to date. O(1).
      */
-    void skip(Cycles span);
+    void
+    fillIdle(Cycles production_start)
+    {
+        Cycles end = production_start + lat;
+        if (nextPushStart < end)
+            appendEmpties((end - nextPushStart) / quant);
+    }
+
+    /**
+     * Consumer side, for a consumer that sat out rounds: drop every
+     * batch due to arrive before @p arrival, as if it had popped each.
+     * Panics, naming the channel, when one carries payload (its
+     * arrival should have made the consumer pop it). O(1) per run.
+     */
+    void
+    drainTo(Cycles arrival)
+    {
+        if (nextPopStart < arrival)
+            dropEmpties((arrival - nextPopStart) / quant);
+    }
+
+    /**
+     * Arrival cycle at which the consumer, popping once per round from
+     * nextPopCycle() on, reaches the oldest buffered batch that is not
+     * part of an empty run (payload, or a pushRaw() batch); kNoCycle
+     * when there is none.
+     */
+    Cycles nextPayloadCycle() const;
 
     /**
      * Serialize the channel's full mid-flight state: latency/quantum,
@@ -191,25 +233,58 @@ class TokenChannel
     void snapshotSave(Serializer &s) const;
 
   private:
+    /**
+     * A ring entry: either one buffered batch (`empties` == 0) or a
+     * run of `empties` empty batches, the first stamped `batch.start`
+     * and the rest following it at quantum steps.
+     */
+    struct Slot
+    {
+        TokenBatch batch;
+        uint64_t empties = 0;
+    };
+
     /** Enqueue the tail slot, growing the ring when that fills it
-     *  (only pushRaw() abuse can: the protocol keeps the occupancy
-     *  at latency/quantum). */
+     *  (only pushRaw() abuse can: the protocol bounds the entries). */
     void enqueueTail();
+    /** publish()/push(): check @p batch and enqueue it, returning the
+     *  ring slot batch (stamped, flits cleared) that is to receive its
+     *  payload, or null when it extended the tail run. */
+    TokenBatch *admit(const TokenBatch &batch);
+    /** Append @p count empty batches at the producer cursor. */
+    void appendEmpties(uint64_t count);
+    /** Drop @p count empty batches from the head (drainTo()). */
+    void dropEmpties(uint64_t count);
+    /** Ring index of the entry @p i places behind the head
+     *  (@p i <= slots.size()). */
+    size_t
+    ringIndex(size_t i) const
+    {
+        size_t k = head + i;
+        return k < slots.size() ? k : k - slots.size();
+    }
+    Slot &tailSlot() { return slots[ringIndex(used)]; }
 
     Cycles lat;
     Cycles quant;
-    std::string lbl = "unnamed-channel";
     Cycles nextPushStart = 0; //!< producer-side batch start bookkeeping
     Cycles nextPopStart = 0;  //!< consumer-side expected batch start
-    // The ring owns all of the link's batch storage: producers fill
-    // the tail slot in place and consumers read the head slot in
-    // place, so once each slot's flit capacity has warmed up, moving
-    // tokens allocates nothing (tests/net/fabric_alloc_test). Sized at
-    // construction for the invariant occupancy plus slack, it never
-    // reallocates in the steady state.
-    std::vector<TokenBatch> slots;
-    size_t head = 0; //!< index of the oldest batch
-    size_t used = 0; //!< batches in the ring
+    // The ring holds the link's buffered batches: publish() swaps a
+    // payload batch's flit storage into the tail slot and consumers
+    // read payload slots in place, so once the storage in circulation
+    // has warmed up, moving tokens allocates nothing
+    // (tests/net/fabric_alloc_test). Empty batches take no slot of
+    // their own: they extend a run entry. Sized at construction for
+    // the most entries the protocol allows (latency/quantum payload
+    // batches and the runs between them), it never reallocates in the
+    // steady state.
+    std::vector<Slot> slots;
+    size_t head = 0;    //!< index of the oldest entry
+    size_t used = 0;    //!< entries in the ring
+    size_t batches = 0; //!< buffered batches, empty runs expanded
+    /** What pop() hands out for a batch of an empty run. */
+    TokenBatch idle;
+    std::string lbl = "unnamed-channel"; // cold: diagnostics only
 };
 
 /**
@@ -244,9 +319,10 @@ class TokenEndpoint
      * @param out one empty output batch per port to fill, stamped with
      *            this window (start = window_start, len = window)
      *
-     * Both batch sets live in the channels' ring slots and are valid
-     * only during this call; the fabric checks and publishes the
-     * outputs afterwards.
+     * Both batch sets belong to the fabric (input batches are the
+     * channels' ring slots, or a shared empty batch) and are valid only
+     * during this call; the fabric checks and publishes the outputs
+     * afterwards.
      */
     virtual void advance(Cycles window_start, Cycles window,
                          const std::vector<const TokenBatch *> &in,
@@ -255,11 +331,18 @@ class TokenEndpoint
     /**
      * The earliest cycle at which this endpoint could emit a flit or
      * change state without new input, asked at the round boundary
-     * @p now. The fabric fast-forwards over rounds that lie wholly
-     * before every endpoint's answer (see the file comment), calling
-     * advance() once over the skipped span with empty inputs; that call
-     * must emit nothing. kNoCycle means "idle until input arrives". The
-     * default, @p now, never lets the fabric skip.
+     * @p now (after each of its steps and at the start of run()). The
+     * fabric steps it next in the round containing the answer, or
+     * earlier when payload arrives for it (see the file comment);
+     * kNoCycle means "idle until input arrives". The default, @p now,
+     * makes it due every round.
+     *
+     * The contract that licenses skipping: an advance() over a window
+     * before the answer, with empty inputs, only moves the endpoint's
+     * clocks and emits nothing — so stepping just the last of a stretch
+     * of such windows leaves the endpoint exactly as stepping every one
+     * of them does. Each window stepped in a run()'s last round that
+     * the endpoint was not due for is checked to emit nothing.
      */
     virtual Cycles quiescentUntil(Cycles now) const { return now; }
 
@@ -287,10 +370,10 @@ class TokenEndpoint
  * always called on the same thread, in order. The fabric never fires
  * onSliceStart/onSliceEnd.
  *
- * Attaching any observer, even one that overrides nothing, turns off
- * the fabric's fast-forward over quiescent rounds (see the file
- * comment): every round is stepped and every hook fires, at the host
- * cost of stepping idle rounds.
+ * Attaching any observer, even one that overrides nothing, makes every
+ * endpoint due every round (see the file comment): every endpoint is
+ * stepped in every round and every hook fires for it, at the host cost
+ * of stepping idle endpoints.
  */
 class FabricObserver
 {
@@ -561,14 +644,22 @@ class TokenFabric
     /** Round quantum in cycles (min link latency). */
     Cycles quantum() const { return quant; }
 
-    /** Total batches moved across all channels so far (host traffic). */
-    uint64_t batchesMoved() const { return batchCount; }
+    /** Total batches moved across all output ports so far (host
+     *  traffic), counting the implicit empty ones. */
+    uint64_t batchesMoved() const { return roundCount * outPorts; }
 
     /**
-     * Rounds skipped by fast-forward so far (included in round()).
-     * Host-side only: the simulated result is the same either way.
+     * Rounds in which no endpoint was due, jumped without stepping
+     * anything (included in round()). Host-side only: the simulated
+     * result is the same either way.
      */
-    uint64_t roundsFastForwarded() const { return ffRounds; }
+    uint64_t roundsFastForwarded() const { return jumpedRounds; }
+
+    /**
+     * Endpoint-rounds stepped because the endpoint was due, excluding
+     * the catch-up steps at the end of each run(). Host-side only.
+     */
+    uint64_t endpointRoundsStepped() const { return dueSteps; }
 
     /**
      * Attach a fault-injection / health-monitoring observer. Callbacks
@@ -644,9 +735,6 @@ class TokenFabric
         uint32_t rxLinkId = 0; //!< id of tokens arriving on this port
         uint32_t txLinkId = 0; //!< id of tokens produced by this port
         std::string peerLabel;
-        /** The port's output batch, reused every round (the TX half
-         *  has no channel to own it). */
-        TokenBatch tx;
     };
 
     struct EndpointState
@@ -657,12 +745,19 @@ class TokenFabric
         std::vector<TokenChannel *> out;
 
         // This round's batches, set in the prepare phase: inPtrs[p] is
-        // the slot popped from in[p], outPtrs[p] the slot claimed in
-        // out[p] (or the remote link's `tx` batch). Only the worker
-        // stepping this endpoint touches the batches during the advance
-        // phase.
+        // the batch popped from in[p] (or the fabric's shared empty
+        // batch when nothing arrives there), outPtrs[p] is outBuf[p].
+        // Only the worker stepping this endpoint touches them during
+        // the advance phase.
         std::vector<const TokenBatch *> inPtrs;
         std::vector<TokenBatch *> outPtrs;
+        /** Per-port output batch, reused every round; commit publishes
+         *  it into out[p] (or hands it to the RemoteRoundHook). */
+        std::vector<TokenBatch> outBuf;
+        /** Per port: the arrival cycle of the oldest payload batch
+         *  buffered in in[p] (TokenChannel::nextPayloadCycle()), or
+         *  kNoCycle. Kept here so idle ports cost no channel access. */
+        std::vector<Cycles> inNext;
         // Per-port index into `pendingRemote` when the TX side is
         // carried by the RemoteRoundHook instead of a TokenChannel; -1
         // for local ports (out[p] set).
@@ -671,7 +766,13 @@ class TokenFabric
         // finalize()): the observer callbacks' channel_idx.
         std::vector<size_t> inIndex;
         std::vector<size_t> outIndex;
-        bool down = false; //!< observers parked it this round
+        // Per port: the endpoint consuming out[p] and its port there,
+        // for its input-wake; -1 for remote ports.
+        std::vector<int64_t> outPeer;
+        std::vector<uint32_t> outPeerPort;
+        bool remote = false;  //!< owns a remote port: due every round
+        bool down = false;    //!< observers parked it this round
+        bool catchUp = false; //!< stepped only because run() ends
     };
 
     EndpointState &stateFor(TokenEndpoint *endpoint);
@@ -683,16 +784,18 @@ class TokenFabric
                        const TokenBatch &batch);
 
     // ---- The three round phases (see the file comment) ---------------
-    /** Driving thread: down-verdict, input pops, output-slot claims. */
+    /** Driving thread: down-verdict, input pops, output resets. */
     void prepareEndpoint(size_t idx);
     /** Any thread: one endpoint's advance() inside its brackets. */
     void advanceEndpoint(size_t idx);
     /** Driving thread: transmit observers, checks, publishes. */
     void commitEndpoint(size_t idx);
 
-    /** Skip the quiet rounds ahead of the round starting now, short of
-     *  the last round before @p target (see the file comment). */
-    void fastForward(Cycles target);
+    /** The round start at which endpoint @p idx is next due, asked
+     *  at the round boundary @p now: the earlier of its self-wake and
+     *  its oldest buffered payload's arrival (0 for an endpoint with a
+     *  remote port, due every round). */
+    Cycles wakeOf(size_t idx, Cycles now) const;
 
     Cycles functionalWindow = 0; //!< 0 = cycle-exact timing
     std::vector<Link> pendingLinks;
@@ -708,6 +811,12 @@ class TokenFabric
     /** Stands in for the batch of an input channel that underflowed,
      *  when an observer recovers it. */
     TokenBatch missingBatch;
+    /** This round's input on every port with nothing arriving. */
+    TokenBatch idleIn;
+    /** Every port of every stepped endpoint moves its batch through
+     *  its channel this round (observers attached, or the last round
+     *  of a run()); otherwise idle ports leave their channels alone. */
+    bool denseRound = false;
     std::unique_ptr<ThreadPool> workers; //!< null when single-threaded
     unsigned parHosts = 1;
     /** Unit u is endpoint u; configured for `workers` whenever the
@@ -716,17 +825,15 @@ class TokenFabric
     Cycles quant = 0;
     Cycles curCycle = 0;
     uint64_t roundCount = 0;
-    uint64_t batchCount = 0;
-    uint64_t ffRounds = 0;
+    uint64_t jumpedRounds = 0;
+    uint64_t dueSteps = 0;
     /** Output ports over all endpoints: batches moved per round. */
     uint64_t outPorts = 0;
-    /** Arrival end of the latest published payload batch: from this
-     *  cycle on, no channel holds a flit. */
-    Cycles quietFrom = 0;
-    /** Fast-forward catch-up batches: the empty input every port is
-     *  handed, and one output per port of the widest endpoint. */
-    TokenBatch ffIn;
-    std::vector<TokenBatch> ffOut;
+    /** Per endpoint: the round start at which it is next due. */
+    std::vector<Cycles> wake;
+    /** This round's due endpoints, in step order (capacity reserved
+     *  at finalize()). */
+    std::vector<uint32_t> due;
     bool finalized = false;
     bool running = false;
 };

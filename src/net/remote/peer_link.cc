@@ -1,6 +1,5 @@
 #include "net/remote/peer_link.hh"
 
-#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <mutex>
@@ -63,11 +62,10 @@ namespace
 {
 
 /** One direction of the loopback pair: a byte queue with its own
- *  mutex/condvar and a closed flag set by the producer's close(). */
+ *  mutex and a closed flag set by the producer's close(). */
 struct LoopbackPipe
 {
     std::mutex mu;
-    std::condition_variable cv;
     std::deque<char> bytes;
     bool closed = false;
 };
@@ -90,7 +88,6 @@ class LoopbackLink : public PeerLink
             return -1;
         const char *p = static_cast<const char *>(buf);
         tx_->bytes.insert(tx_->bytes.end(), p, p + len);
-        tx_->cv.notify_one();
         return static_cast<long>(len);
     }
 
@@ -109,21 +106,6 @@ class LoopbackLink : public PeerLink
         return static_cast<long>(n);
     }
 
-    int
-    waitReadable(int timeout_ms) override
-    {
-        std::unique_lock<std::mutex> lk(rx_->mu);
-        auto ready = [this] {
-            return !rx_->bytes.empty() || rx_->closed || closed_;
-        };
-        if (timeout_ms < 0)
-            rx_->cv.wait(lk, ready);
-        else if (!rx_->cv.wait_for(
-                     lk, std::chrono::milliseconds(timeout_ms), ready))
-            return 0;
-        return rx_->bytes.empty() ? -1 : 1;
-    }
-
     bool
     readable() override
     {
@@ -140,10 +122,9 @@ class LoopbackLink : public PeerLink
         if (closed_)
             return;
         closed_ = true;
-        // Wake a peer blocked in waitReadable: its RX is our TX.
+        // The peer reads its RX (our TX) as gone once drained.
         std::lock_guard<std::mutex> lk(tx_->mu);
         tx_->closed = true;
-        tx_->cv.notify_all();
     }
 
     bool isOpen() const override { return !closed_; }

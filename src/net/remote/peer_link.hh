@@ -93,13 +93,6 @@ class PeerLink
      */
     virtual long recvSome(void *buf, size_t len) = 0;
 
-    /**
-     * Block until receivable: 1 ready, 0 timeout, -1 peer gone.
-     * @p timeout_ms -1 waits forever. Bounded-backoff for fabrics
-     * without a kernel wait primitive (the shm ring).
-     */
-    virtual int waitReadable(int timeout_ms) = 0;
-
     /** Cheap readiness probe for multi-peer wait sets: true when
      *  recvSome would return bytes (or the peer-gone -1). */
     virtual bool readable() = 0;

@@ -578,8 +578,8 @@ ShardTransport::synthesizeMissing(uint64_t round)
                       "live peer rank %u missed round %llu on link %u",
                       ranks[b.peerIdx], (unsigned long long)round,
                       b.linkId);
-            b.chan->claim(b.nextStart);
-            b.chan->publish();
+            b.chan->push(TokenBatch(
+                b.nextStart, static_cast<uint32_t>(b.chan->quantum())));
             b.nextStart += b.chan->quantum();
             ++b.pushed;
         }

@@ -1,7 +1,6 @@
 #include "net/remote/shm_ring.hh"
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -180,49 +179,6 @@ class ShmLink : public PeerLink
         // Empty ring: only now does peer death mean end-of-stream —
         // everything the peer pushed before dying is still readable.
         return peerDeadNow() ? -1 : 0;
-    }
-
-    int
-    waitReadable(int timeout_ms) override
-    {
-        auto start = std::chrono::steady_clock::now();
-        // Short spin first: the same-host barrier usually resolves in
-        // well under a microsecond, no sleep wanted.
-        for (int i = 0; i < 256; ++i) {
-            int r = quickProbe();
-            if (r != 0)
-                return r;
-            cpuRelax();
-        }
-        // Escalating poll slices on the control fd: wakes early on
-        // peer death (POLLHUP) or the creator's announcement, and
-        // bounds ring re-probe latency to the slice.
-        static const int kSlices[] = {0, 0, 1, 1, 2, 4, 8};
-        size_t slice = 0;
-        for (;;) {
-            int r = quickProbe();
-            if (r != 0)
-                return r;
-            int remaining_ms = -1;
-            if (timeout_ms >= 0) {
-                auto spent =
-                    std::chrono::duration_cast<std::chrono::milliseconds>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-                remaining_ms = timeout_ms - static_cast<int>(spent);
-                if (remaining_ms <= 0)
-                    return 0;
-            }
-            int wait = kSlices[std::min(
-                slice, sizeof(kSlices) / sizeof(kSlices[0]) - 1)];
-            ++slice;
-            if (remaining_ms >= 0)
-                wait = std::min(wait, remaining_ms);
-            if (control_.valid())
-                pollIn(control_.fd(), wait);
-            else if (wait > 0)
-                ::usleep(static_cast<useconds_t>(wait) * 1000);
-        }
     }
 
     bool

@@ -54,14 +54,6 @@ class SocketLink : public PeerLink
         }
     }
 
-    int
-    waitReadable(int timeout_ms) override
-    {
-        if (!sock_.valid())
-            return -1;
-        return pollIn(sock_.fd(), timeout_ms);
-    }
-
     bool
     readable() override
     {

@@ -74,40 +74,43 @@ SchedTelemetry::totalBusyNs() const
 }
 
 void
-RoundScheduler::configure(size_t units, unsigned width)
+RoundScheduler::configure(unsigned width)
 {
     FS_ASSERT(width >= 1, "scheduler width must be at least 1");
-    units_ = units;
     tel.reset(width);
     roundBusy.assign(width, 0);
 }
 
 void
-RoundScheduler::runWorker(unsigned worker, unsigned width, UnitFn fn,
+RoundScheduler::runWorker(unsigned worker, unsigned width,
+                          const std::vector<uint32_t> &units, UnitFn fn,
                           void *ctx)
 {
     // A worker with no units records 0 busy, so it stays out of the
     // telemetry's active-worker mean.
-    if (worker >= units_) {
+    if (worker >= units.size()) {
         roundBusy[worker] = 0;
         return;
     }
     uint64_t t0 = nowNs();
-    for (size_t u = worker; u < units_; u += width)
-        fn(ctx, static_cast<uint32_t>(u));
+    for (size_t i = worker; i < units.size(); i += width)
+        fn(ctx, units[i]);
     roundBusy[worker] = nowNs() - t0;
 }
 
 void
-RoundScheduler::dispatch(ThreadPool &pool, UnitFn fn, void *ctx)
+RoundScheduler::dispatch(ThreadPool &pool,
+                         const std::vector<uint32_t> &units, UnitFn fn,
+                         void *ctx)
 {
-    if (units_ == 0)
+    if (units.empty())
         return;
     unsigned width = pool.width();
     FS_ASSERT(roundBusy.size() == width,
               "RoundScheduler not configured for this pool");
-    pool.parallelRun(
-        [this, width, fn, ctx](unsigned w) { runWorker(w, width, fn, ctx); });
+    pool.parallelRun([this, width, &units, fn, ctx](unsigned w) {
+        runWorker(w, width, units, fn, ctx);
+    });
     // Post-barrier, driving thread.
     tel.recordRound(roundBusy);
 }

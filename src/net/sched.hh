@@ -2,10 +2,11 @@
  * @file
  * Round scheduling for the token fabric's worker pool.
  *
- * Each round's advance phase is one unit per endpoint (unit u is
- * endpoint u; see net/fabric.hh). The RoundScheduler runs them with one
+ * Each round's advance phase is one unit per due endpoint (see
+ * net/fabric.hh); the fabric hands the round's due list, in step order,
+ * to dispatch(). The RoundScheduler runs them with one
  * ThreadPool::parallelRun dispatch and a fixed strided assignment:
- * worker w of W runs units w, w+W, w+2W, ... every round.
+ * worker w of W runs list entries w, w+W, w+2W, ... every round.
  *
  * Determinism: the assignment moves host work between host threads and
  * never touches simulated state. Units share no mutable state (the
@@ -21,8 +22,9 @@
  * StatRegistry.
  *
  * Allocation discipline: every per-round structure is sized at
- * configure() time, keeping the parallel round loop's steady-state
- * zero-allocation guarantee (tests/net/fabric_alloc_test.cc).
+ * configure() time and the due list is the caller's, keeping the
+ * parallel round loop's steady-state zero-allocation guarantee
+ * (tests/net/fabric_alloc_test.cc).
  */
 
 #ifndef FIRESIM_NET_SCHED_HH
@@ -84,27 +86,29 @@ class RoundScheduler
     using UnitFn = void (*)(void *ctx, uint32_t unit);
 
     /**
-     * (Re)configure for @p units work items on a pool of @p width
-     * workers. Resets the telemetry. Driving thread only, between
-     * rounds.
+     * (Re)configure for a pool of @p width workers. Resets the
+     * telemetry. Driving thread only, between rounds.
      */
-    void configure(size_t units, unsigned width);
+    void configure(unsigned width);
 
     /**
-     * Run fn(ctx, u) exactly once for every configured unit across
+     * Run fn(ctx, u) exactly once for every unit u in @p units across
      * @p pool (the calling thread participates), measure each worker's
      * wall time, and fold it into the telemetry. Full barrier; driving
      * thread only.
      */
-    void dispatch(ThreadPool &pool, UnitFn fn, void *ctx);
+    void dispatch(ThreadPool &pool, const std::vector<uint32_t> &units,
+                  UnitFn fn, void *ctx);
 
     const SchedTelemetry &telemetry() const { return tel; }
 
   private:
-    /** Worker @p worker's share: units worker, worker + width, ... */
-    void runWorker(unsigned worker, unsigned width, UnitFn fn, void *ctx);
+    /** Worker @p worker's share: units[worker], units[worker + width],
+     *  ... */
+    void runWorker(unsigned worker, unsigned width,
+                   const std::vector<uint32_t> &units, UnitFn fn,
+                   void *ctx);
 
-    size_t units_ = 0;
     SchedTelemetry tel;
 
     /** This round's busy ns per worker, each slot written once per

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <dirent.h>
 #include <unistd.h>
@@ -140,6 +141,28 @@ liveShmSegments()
     return live;
 }
 
+/**
+ * Wait up to @p timeout_ms for @p link to become readable, sleeping in
+ * its pollFd() (the shm control socket, a death watch) between
+ * readable() probes, then take up to @p len bytes: >0 bytes read, -1
+ * peer gone with nothing left, 0 timed out.
+ */
+long
+recvWithin(PeerLink &link, void *buf, size_t len, int timeout_ms)
+{
+    auto deadline = std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(timeout_ms);
+    while (!link.readable()) {
+        if (std::chrono::steady_clock::now() >= deadline)
+            return 0;
+        if (link.pollFd() >= 0)
+            pollIn(link.pollFd(), 1);
+        else
+            ::usleep(1000);
+    }
+    return link.recvSome(buf, len);
+}
+
 TEST(ShmLink, HandshakeRoundTripAndCleanup)
 {
     size_t before = liveShmSegments();
@@ -156,9 +179,8 @@ TEST(ShmLink, HandshakeRoundTripAndCleanup)
     std::string msg = "hello over the ring";
     ASSERT_EQ(creator->sendSome(msg.data(), msg.size()),
               static_cast<long>(msg.size()));
-    ASSERT_EQ(opener->waitReadable(2000), 1);
     char buf[64];
-    long n = opener->recvSome(buf, sizeof(buf));
+    long n = recvWithin(*opener, buf, sizeof(buf), 2000);
     ASSERT_EQ(n, static_cast<long>(msg.size()));
     EXPECT_EQ(std::string(buf, n), msg);
 
@@ -166,8 +188,7 @@ TEST(ShmLink, HandshakeRoundTripAndCleanup)
     std::string back = "and back";
     ASSERT_EQ(opener->sendSome(back.data(), back.size()),
               static_cast<long>(back.size()));
-    ASSERT_EQ(creator->waitReadable(2000), 1);
-    n = creator->recvSome(buf, sizeof(buf));
+    n = recvWithin(*creator, buf, sizeof(buf), 2000);
     ASSERT_EQ(n, static_cast<long>(back.size()));
     EXPECT_EQ(std::string(buf, n), back);
 
@@ -215,7 +236,7 @@ TEST(ShmLink, RingFullBackpressuresThenDrains)
 
     // Draining the consumer side frees the producer again.
     char sink[4096];
-    ASSERT_EQ(opener->waitReadable(2000), 1);
+    ASSERT_GT(recvWithin(*opener, sink, sizeof(sink), 2000), 0);
     while (opener->recvSome(sink, sizeof(sink)) > 0) {
     }
     EXPECT_GT(creator->sendSome(blob.data(), 1024), 0);
@@ -237,9 +258,8 @@ TEST(ShmLink, PeerCloseReadsAsGoneAfterDrain)
     std::string probe = "attach";
     ASSERT_EQ(creator->sendSome(probe.data(), probe.size()),
               static_cast<long>(probe.size()));
-    ASSERT_EQ(opener->waitReadable(2000), 1);
     char buf[64];
-    ASSERT_EQ(opener->recvSome(buf, sizeof(buf)),
+    ASSERT_EQ(recvWithin(*opener, buf, sizeof(buf), 2000),
               static_cast<long>(probe.size()));
 
     std::string last = "parting words";
@@ -249,12 +269,11 @@ TEST(ShmLink, PeerCloseReadsAsGoneAfterDrain)
 
     // Already-pushed bytes must still be readable after the peer
     // closed — only then does the link report peer-gone.
-    ASSERT_EQ(opener->waitReadable(2000), 1);
-    long n = opener->recvSome(buf, sizeof(buf));
+    long n = recvWithin(*opener, buf, sizeof(buf), 2000);
     ASSERT_EQ(n, static_cast<long>(last.size()));
     EXPECT_EQ(std::string(buf, n), last);
     EXPECT_EQ(opener->recvSome(buf, sizeof(buf)), -1);
-    EXPECT_EQ(opener->waitReadable(2000), -1);
+    EXPECT_EQ(recvWithin(*opener, buf, sizeof(buf), 2000), -1);
     opener->close();
 }
 

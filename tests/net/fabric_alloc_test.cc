@@ -124,6 +124,46 @@ class SteadyEndpoint : public TokenEndpoint
     uint32_t flitsPerBatch;
 };
 
+/**
+ * A two-port endpoint that wakes itself every `period` rounds and then
+ * emits a fixed flit pattern on both ports; in between it is due only
+ * when payload arrives. Its neighbors therefore sit out rounds, and its
+ * channels mix payload batches with runs of empty ones.
+ */
+class PulseEndpoint : public SteadyEndpoint
+{
+  public:
+    PulseEndpoint(std::string name, Cycles period_cycles)
+        : SteadyEndpoint(std::move(name), 3), period(period_cycles)
+    {}
+
+    Cycles
+    quiescentUntil(Cycles now) const override
+    {
+        return (now + period - 1) / period * period;
+    }
+
+    void
+    advance(Cycles window_start, Cycles window,
+            const std::vector<const TokenBatch *> &in,
+            const std::vector<TokenBatch *> &out) override
+    {
+        ++advances;
+        if (window_start % period == 0) {
+            SteadyEndpoint::advance(window_start, window, in, out);
+            return;
+        }
+        for (const TokenBatch *batch : in)
+            for (const Flit &f : batch->flits)
+                rxSum += batch->absCycle(f) + f.data[0];
+    }
+
+    uint64_t advances = 0;
+
+  private:
+    Cycles period;
+};
+
 /** No-op observer: every observer callback site runs. */
 class NullObserver : public FabricObserver
 {
@@ -193,6 +233,53 @@ TEST(FabricAlloc, ParallelSteadyStateAllocatesNothing)
 TEST(FabricAlloc, ParallelMonitoredSteadyStateAllocatesNothing)
 {
     expectSteadyStateZeroAllocs(true, 4);
+}
+
+TEST(FabricAlloc, PartlyIdleSteadyStateAllocatesNothing)
+{
+    // A ring of busy endpoints (due every round) beside a ring of
+    // pulsing ones (due every 2..5 rounds or on arrival): the due list
+    // changes length every round and the pulsing rings' channels are
+    // caught up with empty runs, all in reused capacity.
+    for (unsigned hosts : {1u, 4u}) {
+        std::vector<std::unique_ptr<SteadyEndpoint>> busy;
+        std::vector<std::unique_ptr<PulseEndpoint>> pulse;
+        TokenFabric fabric;
+        for (int i = 0; i < 4; ++i) {
+            busy.push_back(std::make_unique<SteadyEndpoint>(
+                csprintf("s%d", i), 5 + i));
+            fabric.addEndpoint(busy.back().get());
+            pulse.push_back(std::make_unique<PulseEndpoint>(
+                csprintf("p%d", i), 128 * (2 + i)));
+            fabric.addEndpoint(pulse.back().get());
+        }
+        for (int i = 0; i < 4; ++i) {
+            fabric.connect(busy[i].get(), 1, busy[(i + 1) % 4].get(), 0,
+                           128);
+            fabric.connect(pulse[i].get(), 1, pulse[(i + 1) % 4].get(), 0,
+                           128 * (1 + i % 2));
+        }
+        fabric.finalize();
+        fabric.setParallelHosts(hosts);
+        fabric.run(fabric.quantum() * 64);
+
+        uint64_t stepped = fabric.endpointRoundsStepped();
+        g_allocs.store(0);
+        g_counting.store(true);
+        fabric.run(fabric.quantum() * 256);
+        g_counting.store(false);
+
+        EXPECT_EQ(g_allocs.load(), 0u)
+            << "heap allocations in the partly idle round loop (hosts="
+            << hosts << ")";
+        stepped = fabric.endpointRoundsStepped() - stepped;
+        EXPECT_GE(stepped, 4u * 256u); // the busy ring, every round
+        EXPECT_LT(stepped, 8u * 256u) << "no pulsing endpoint sat out";
+        for (auto &ep : pulse) {
+            EXPECT_GT(ep->rxSum, 0u);
+            EXPECT_LT(ep->advances, 64u + 256u);
+        }
+    }
 }
 
 /**

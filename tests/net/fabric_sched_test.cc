@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -294,7 +295,9 @@ TEST(SchedulerDispatch, EveryUnitRunsExactlyOncePerRound)
     for (unsigned width : {1u, 2u, 4u}) {
         ThreadPool pool(width);
         RoundScheduler sched;
-        sched.configure(kUnits, width);
+        sched.configure(width);
+        std::vector<uint32_t> units(kUnits);
+        std::iota(units.begin(), units.end(), 0);
 
         std::vector<std::atomic<uint32_t>> runs(kUnits);
         for (auto &r : runs)
@@ -307,7 +310,7 @@ TEST(SchedulerDispatch, EveryUnitRunsExactlyOncePerRound)
         const int kRounds = 20;
         for (int round = 0; round < kRounds; ++round) {
             sched.dispatch(
-                pool,
+                pool, units,
                 [](void *c, uint32_t u) {
                     (*static_cast<Ctx *>(c)->runs)[u].fetch_add(
                         1, std::memory_order_seq_cst);

@@ -1,19 +1,21 @@
 /**
  * @file
- * Fast-forward over quiescent rounds (TokenFabric::run): an idle fabric
- * catches its endpoints up in one advance() per stretch instead of one
- * per round, keeps now(), round() and batchesMoved() exact, and never
- * skips past an endpoint's next activity — a switch's queued packet, a
- * blade's rate-limited transmit flits, an armed hart. Every comparison
- * run attaches a no-op FabricObserver, which keeps round-by-round
- * stepping.
+ * Activity-driven rounds (TokenFabric::run): an endpoint is stepped
+ * only in rounds it is due — its quiescentUntil() is reached or payload
+ * arrives for it — plus one catch-up step in the last round of each
+ * run(). Rounds with nothing due are jumped, now(), round() and
+ * batchesMoved() stay exact, and no endpoint is left behind past its
+ * next activity: a switch's queued packet, a blade's rate-limited
+ * transmit flits, an armed hart. Every comparison run attaches a no-op
+ * FabricObserver, which makes every endpoint due every round (dense
+ * stepping). Also covers the channels' implicit empty runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <deque>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,7 +32,7 @@ namespace firesim
 namespace
 {
 
-/** Overrides nothing: attaching it turns fast-forward off. */
+/** Overrides nothing: attaching it makes the fabric step densely. */
 class NoopObserver : public FabricObserver
 {};
 
@@ -38,7 +40,10 @@ class NoopObserver : public FabricObserver
  * A single-port endpoint that idles until input arrives (kNoCycle)
  * unless it has scripted flits left to send. Records every flit it
  * receives with its arrival cycle and counts its advance() calls,
- * checking that each call's batches cover exactly its window.
+ * checking that each call's batches cover exactly its window. A flit
+ * scripted before the window it is handed (only a stepping bug, or a
+ * subclass that lies about quiescence, can cause that) leaves at the
+ * window's first free cycles.
  */
 class QuietEndpoint : public TokenEndpoint
 {
@@ -76,9 +81,12 @@ class QuietEndpoint : public TokenEndpoint
         for (const Flit &flit : in[0]->flits)
             received.emplace_back(in[0]->absCycle(flit), flit.data);
         Cycles window_end = window_start + window;
+        Cycles free_from = window_start;
         while (!txScript.empty() && txScript.front().first < window_end) {
             auto [cycle, flit] = txScript.front();
-            flit.offset = static_cast<uint32_t>(cycle - window_start);
+            Cycles at = std::max(cycle, free_from);
+            free_from = at + 1;
+            flit.offset = static_cast<uint32_t>(at - window_start);
             out[0]->push(flit);
             txScript.pop_front();
         }
@@ -110,7 +118,10 @@ struct PairRun
     uint64_t rounds = 0;
     uint64_t batches = 0;
     uint64_t skipped = 0;
+    uint64_t stepped = 0;
     uint64_t advances = 0;
+    Cycles maxWindow = 0;
+    std::string channels;
 };
 
 /** Two idle QuietEndpoints on one link, run for @p cycles. */
@@ -127,8 +138,17 @@ runIdlePair(Cycles cycles, bool observed)
     if (observed)
         fabric.addObserver(&noop);
     fabric.run(cycles);
-    return {fabric.now(), fabric.round(), fabric.batchesMoved(),
-            fabric.roundsFastForwarded(), a.advances};
+    Serializer s;
+    for (size_t c = 0; c < fabric.channelCount(); ++c)
+        fabric.channelAt(c).snapshotSave(s);
+    return {fabric.now(),
+            fabric.round(),
+            fabric.batchesMoved(),
+            fabric.roundsFastForwarded(),
+            fabric.endpointRoundsStepped(),
+            a.advances,
+            a.maxWindow,
+            s.takeBytes()};
 }
 
 TEST(FastForward, IdleRunTakesAtMostThreeAdvancesAndKeepsCountersExact)
@@ -138,14 +158,20 @@ TEST(FastForward, IdleRunTakesAtMostThreeAdvancesAndKeepsCountersExact)
     PairRun ff = runIdlePair(kCycles, false);
     PairRun stepped = runIdlePair(kCycles, true);
 
-    EXPECT_LE(ff.advances, 3u);
+    // Nothing is ever due: the only step is the last round's catch-up,
+    // one quantum long like every other advance().
+    EXPECT_EQ(ff.advances, 1u);
+    EXPECT_EQ(ff.maxWindow, 1000u);
+    EXPECT_EQ(ff.stepped, 0u);
+    EXPECT_EQ(ff.skipped, 100u);
     EXPECT_EQ(stepped.advances, 101u);
-    EXPECT_GT(ff.skipped, 0u);
+    EXPECT_EQ(stepped.stepped, 2u * 101u);
     EXPECT_EQ(stepped.skipped, 0u);
     EXPECT_EQ(ff.now, stepped.now);
     EXPECT_EQ(ff.now, 101000u);
     EXPECT_EQ(ff.rounds, stepped.rounds);
     EXPECT_EQ(ff.batches, stepped.batches);
+    EXPECT_EQ(ff.channels, stepped.channels) << "channel state diverged";
 }
 
 TEST(FastForward, EveryRunCallFastForwardsOnItsOwn)
@@ -158,7 +184,7 @@ TEST(FastForward, EveryRunCallFastForwardsOnItsOwn)
     fabric.finalize();
     for (int call = 1; call <= 4; ++call) {
         fabric.run(50000);
-        EXPECT_LE(a.advances, 3u * call);
+        EXPECT_EQ(a.advances, unsigned(call)) << "one catch-up per run()";
         EXPECT_EQ(fabric.round(), 50u * call);
         EXPECT_EQ(fabric.batchesMoved(), 2u * 50u * call);
     }
@@ -166,31 +192,6 @@ TEST(FastForward, EveryRunCallFastForwardsOnItsOwn)
     uint64_t before = fabric.roundsFastForwarded();
     fabric.run(1000);
     EXPECT_EQ(fabric.roundsFastForwarded(), before);
-}
-
-TEST(FastForward, CatchUpSpanStaysWithinTheBatchLengthField)
-{
-    // More than 2^32 idle cycles in one run(): the catch-up batch's
-    // uint32_t len caps each skipped span, so the fabric takes several
-    // stretches and still lands on the exact round.
-    constexpr Cycles kQuantum = 1000;
-    constexpr Cycles kCycles = (Cycles(1) << 32) + 7 * kQuantum;
-    QuietEndpoint a("A"), b("B");
-    TokenFabric fabric;
-    fabric.addEndpoint(&a);
-    fabric.addEndpoint(&b);
-    fabric.connect(&a, 0, &b, 0, kQuantum);
-    fabric.finalize();
-    fabric.run(kCycles);
-
-    Cycles rounds = (kCycles + kQuantum - 1) / kQuantum;
-    EXPECT_EQ(fabric.now(), rounds * kQuantum);
-    EXPECT_EQ(fabric.round(), rounds);
-    EXPECT_EQ(fabric.batchesMoved(), 2 * rounds);
-    EXPECT_LE(a.maxWindow, std::numeric_limits<uint32_t>::max());
-    EXPECT_GT(a.maxWindow, Cycles(1) << 31);
-    EXPECT_LE(a.advances, 8u);
-    EXPECT_GE(a.advances, 3u);
 }
 
 TEST(FastForward, PayloadInFlightIsDeliveredAtItsExactCycle)
@@ -395,8 +396,9 @@ TEST(FastForward, BladeWithAnArmedHartIsNeverSkipped)
 
 TEST(FastForwardDeath, EndpointThatLiesAboutQuiescenceIsCaught)
 {
-    // Claims to idle forever, then emits a flit at cycle 5000: the
-    // catch-up advance must refuse to swallow it.
+    // Claims to idle forever but has a flit scripted at cycle 5000:
+    // never due, it is first stepped by the catch-up in the last round
+    // (19000), where it emits the flit — which the fabric refuses.
     class Liar : public QuietEndpoint
     {
       public:
@@ -415,7 +417,110 @@ TEST(FastForwardDeath, EndpointThatLiesAboutQuiescenceIsCaught)
             fabric.finalize();
             fabric.run(20000);
         },
-        "liar emitted a flit at 5000");
+        "liar emitted a flit at 19000, in a round its quiescentUntil\\(\\) "
+        "declared idle");
+}
+
+TEST(FastForward, OnlyEndpointsWithWorkAreStepped)
+{
+    // A star: A sends one frame through the switch to B; C only ever
+    // sees empty tokens. A is due for its scripted flits, the switch
+    // and B for the round the frame reaches each; everyone is stepped
+    // once more by the catch-up in the last round, and C only then.
+    SwitchConfig sc;
+    sc.ports = 3;
+    sc.minLatency = 10;
+    Switch sw(sc);
+    sw.addMacEntry(MacAddr(2), 1);
+    QuietEndpoint a("A"), b("B"), c("C");
+    a.sendAt(2500, testFrame(MacAddr(2), MacAddr(1), 50));
+    TokenFabric fabric;
+    fabric.addEndpoint(&sw);
+    fabric.addEndpoint(&a);
+    fabric.addEndpoint(&b);
+    fabric.addEndpoint(&c);
+    fabric.connect(&a, 0, &sw, 0, 1000);
+    fabric.connect(&b, 0, &sw, 1, 1000);
+    fabric.connect(&c, 0, &sw, 2, 1000);
+    fabric.finalize();
+    fabric.run(40000);
+
+    ASSERT_EQ(b.received.size(), 8u);
+    // Store-and-forward: the last flit reaches the switch at 3507 and
+    // the frame leaves 10 cycles later, inside the same round.
+    EXPECT_EQ(b.received.front().first, 3507u + 10u + 1000u);
+    EXPECT_EQ(a.advances, 2u); // round 2 (its flits), then the catch-up
+    EXPECT_EQ(b.advances, 2u); // round 4 (the frame), then the catch-up
+    EXPECT_EQ(c.advances, 1u);
+    // A in round 2, the switch in round 3, B in round 4.
+    EXPECT_EQ(fabric.endpointRoundsStepped(), 3u);
+    EXPECT_EQ(fabric.round(), 40u);
+    EXPECT_EQ(fabric.batchesMoved(), 40u * 6u);
+    // Rounds 0, 1 and 5..38 have nothing due; round 39 is the last.
+    EXPECT_EQ(fabric.roundsFastForwarded(), 36u);
+}
+
+/** Depth, next pop cycle and snapshot bytes of @p chan. */
+std::string
+channelImage(const TokenChannel &chan)
+{
+    Serializer s;
+    chan.snapshotSave(s);
+    return csprintf("depth %zu next %llu ", chan.depth(),
+                    (unsigned long long)chan.nextPopCycle()) +
+           s.takeBytes();
+}
+
+TEST(FastForward, IdleFillAndDrainMatchRoundByRoundEmpties)
+{
+    // Two channels of three batches in flight carry the same stream:
+    // `dense` has every batch popped and published, `lazy` sits out
+    // the idle rounds and is caught up in one call per side.
+    constexpr Cycles kQ = 100;
+    TokenChannel dense(3 * kQ, kQ), lazy(3 * kQ, kQ);
+    TokenBatch payload(0, kQ);
+    Flit f;
+    f.offset = 7;
+    f.size = 8;
+    payload.push(f);
+
+    auto dense_round = [&](Cycles at, bool with_payload) {
+        dense.pop();
+        payload.start = at;
+        dense.push(with_payload ? payload : TokenBatch(at, kQ));
+    };
+    // Rounds 0..5 idle, round 6 carries payload, rounds 7..9 idle.
+    for (Cycles r = 0; r < 10; ++r)
+        dense_round(r * kQ, r == 6);
+
+    lazy.fillIdle(6 * kQ); // the producer sat out rounds 0..5
+    payload.start = 6 * kQ;
+    lazy.push(payload);
+    EXPECT_EQ(lazy.nextPayloadCycle(), 9 * kQ);
+    lazy.drainTo(9 * kQ); // the consumer sat out rounds 0..8
+    EXPECT_EQ(lazy.pop().flits.size(), 1u); // round 9 gets the payload
+    lazy.fillIdle(10 * kQ);
+    EXPECT_EQ(lazy.nextPayloadCycle(), kNoCycle);
+    EXPECT_EQ(channelImage(lazy), channelImage(dense));
+
+    // Already up to date: both calls are no-ops.
+    lazy.fillIdle(5 * kQ);
+    lazy.drainTo(9 * kQ);
+    EXPECT_EQ(channelImage(lazy), channelImage(dense));
+}
+
+TEST(FastForwardDeath, IdleDrainOverPayloadNamesTheChannel)
+{
+    TokenChannel chan(100, 100);
+    chan.setLabel("A:0->B:0");
+    TokenBatch payload(0, 100);
+    Flit f;
+    f.size = 8;
+    payload.push(f);
+    chan.push(payload);
+    EXPECT_DEATH(chan.drainTo(200),
+                 "payload batch at 100 on A:0->B:0 arrived while its "
+                 "consumer was not due");
 }
 
 } // namespace

@@ -213,6 +213,8 @@ TEST(StripHostTimingStats, DropsExactlyTheHostTimingEntries)
     EXPECT_TRUE(isHostTimingStat("cluster.node0.core0.host.decode.hits"));
     EXPECT_TRUE(
         isHostTimingStat("cluster.fabric.host.roundsFastForwarded"));
+    EXPECT_TRUE(
+        isHostTimingStat("cluster.fabric.host.endpointRoundsStepped"));
     EXPECT_FALSE(isHostTimingStat("cluster.fabric.rounds"));
     EXPECT_FALSE(isHostTimingStat("cluster.switch0.packetsIn"));
     EXPECT_FALSE(isHostTimingStat("x.cluster.shard.y"));
@@ -223,6 +225,7 @@ TEST(StripHostTimingStats, DropsExactlyTheHostTimingEntries)
                   "\"cluster.shard.peer1.bytesTx\": 2, "
                   "\"n0.host.decode.hits\": 3, "
                   "\"cluster.fabric.host.roundsFastForwarded\": 6, "
+                  "\"cluster.fabric.host.endpointRoundsStepped\": 7, "
                   "\"rank1.cluster.shard.x\": 4, \"rank1.n.c\": 5}}"),
               "{\"cycle\": 5, \"stats\": {\"a.b\": 1, "
               "\"rank1.cluster.shard.x\": 4, \"rank1.n.c\": 5}}");
