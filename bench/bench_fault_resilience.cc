@@ -26,7 +26,6 @@
 #include "fault/fault_plan.hh"
 #include "host/deployment.hh"
 #include "host/perf_model.hh"
-#include "manager/checkpoint.hh"
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
 
@@ -72,9 +71,7 @@ runScenario(const FaultPlan &plan, size_t src, size_t dst,
     pc.interval = clk.cyclesFromUs(10.0);
     PingResult result;
     launchPing(cluster.node(src), pc, &result);
-    bench::maybeResume(cluster);
-    if (!bench::runClusterUs(cluster, budget_us))
-        std::exit(0);
+    cluster.runUs(budget_us);
 
     ScenarioResult out;
     out.pingsCompleted =

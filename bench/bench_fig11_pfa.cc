@@ -12,7 +12,6 @@
  */
 
 #include "bench/common.hh"
-#include "manager/checkpoint.hh"
 #include "pfa/pager.hh"
 #include "pfa/remote_memory.hh"
 #include "pfa/workloads.hh"
@@ -64,10 +63,8 @@ runOne(bool genome, PagingMode mode, double local_fraction,
     else
         launchQsort(cluster.node(0), pager, wc, &result);
 
-    bench::maybeResume(cluster);
     for (int i = 0; i < 20000 && !result.done; ++i)
-        if (!bench::runClusterUs(cluster, 1000.0))
-            std::exit(0);
+        cluster.runUs(1000.0);
     if (!result.done)
         fatal("PFA workload did not finish in the time budget");
 

@@ -12,7 +12,6 @@
 
 #include "apps/ping.hh"
 #include "bench/common.hh"
-#include "manager/checkpoint.hh"
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
 
@@ -45,9 +44,7 @@ main(int argc, char **argv)
         launchPing(cluster.node(0), pc, &result);
         // Run until finished: RTT ~ (4*lat + overhead) per ping.
         double budget_us = (pings + 2) * (4 * lat_us + 60.0 + 10.0);
-        bench::maybeResume(cluster);
-        if (!bench::runClusterUs(cluster, budget_us))
-            std::exit(0);
+        cluster.runUs(budget_us);
         if (!result.finished)
             fatal("ping run did not complete at %.1f us", lat_us);
 

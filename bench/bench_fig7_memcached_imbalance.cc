@@ -18,7 +18,6 @@
 #include "apps/memcached.hh"
 #include "apps/mutilate.hh"
 #include "bench/common.hh"
-#include "manager/checkpoint.hh"
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
 
@@ -67,10 +66,7 @@ runPoint(uint32_t threads, bool pinned, double target_qps,
         clients.back()->start();
     }
 
-    bench::maybeResume(cluster);
-    if (!bench::runClusterUs(cluster,
-                             (warmup_ms + measure_ms) * 1000.0 + 2000.0))
-        std::exit(0);
+    cluster.runUs((warmup_ms + measure_ms) * 1000.0 + 2000.0);
 
     Histogram merged;
     double achieved = 0.0;

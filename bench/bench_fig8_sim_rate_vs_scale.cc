@@ -33,7 +33,6 @@
 #include "bench/common.hh"
 #include "host/deployment.hh"
 #include "host/perf_model.hh"
-#include "manager/checkpoint.hh"
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
 
@@ -73,10 +72,8 @@ measuredMhz(uint32_t nodes, double target_us, unsigned hosts)
     bc.fsMetadataSectors = 256;
     for (uint32_t n = 0; n < nodes; ++n)
         launchBootWorkload(cluster.node(n), bc, &boots[n]);
-    bench::maybeResume(cluster);
     bench::Stopwatch clock;
-    if (!bench::runClusterUs(cluster, target_us))
-        std::exit(0);
+    cluster.runUs(target_us);
     double wall_s = clock.seconds();
     for (uint32_t n = 0; n < nodes; ++n)
         if (!boots[n].poweredDown)
@@ -122,10 +119,8 @@ runBalance(unsigned hosts, double target_us)
     bc.fsMetadataSectors = 256;
     for (uint32_t n = 0; n < 32; ++n)
         launchBootWorkload(cluster.node(n), bc, &boots[n]);
-    bench::maybeResume(cluster);
     bench::Stopwatch clock;
-    if (!bench::runClusterUs(cluster, target_us))
-        std::exit(0);
+    cluster.runUs(target_us);
     double wall_s = clock.seconds();
 
     const SchedTelemetry &tel = cluster.fabric().schedTelemetry();

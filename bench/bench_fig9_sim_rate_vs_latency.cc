@@ -22,7 +22,6 @@
 #include "bench/common.hh"
 #include "host/deployment.hh"
 #include "host/perf_model.hh"
-#include "manager/checkpoint.hh"
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
 
@@ -57,10 +56,8 @@ measuredMhz(Cycles link_latency, double target_us)
         bc.fsMetadataSectors = 256;
         for (size_t n = 0; n < cluster.nodeCount(); ++n)
             launchBootWorkload(cluster.node(n), bc, &boots[n]);
-        bench::maybeResume(cluster);
         bench::Stopwatch clock;
-        if (!bench::runClusterUs(cluster, target_us))
-            std::exit(0);
+        cluster.runUs(target_us);
         double s = clock.seconds();
         if (trial == 0 || s < best_s)
             best_s = s;
@@ -79,9 +76,7 @@ batchesPerKCycle(Cycles link_latency, Cycles quantum)
     Cluster cluster(topologies::twoLevel(2, 8), cc);
     (void)quantum; // the fabric always batches by min link latency
     Cycles target = 64000;
-    bench::maybeResume(cluster);
-    if (!bench::runClusterCycles(cluster, target))
-        std::exit(0);
+    cluster.run(target);
     return static_cast<double>(cluster.fabric().batchesMoved()) * 1000.0 /
            static_cast<double>(target);
 }

@@ -12,7 +12,6 @@
 
 #include "apps/iperf.hh"
 #include "bench/common.hh"
-#include "manager/checkpoint.hh"
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
 
@@ -34,9 +33,7 @@ runOnce(uint32_t segment_bytes, double duration_ms)
     ic.segmentBytes = segment_bytes;
     ic.duration = TargetClock().cyclesFromUs(duration_ms * 1000.0);
     launchIperfClient(cluster.node(1), ic);
-    bench::maybeResume(cluster);
-    if (!bench::runClusterUs(cluster, duration_ms * 1000.0 + 500.0))
-        std::exit(0);
+    cluster.runUs(duration_ms * 1000.0 + 500.0);
     return result.gbps(cluster.config().freqGhz);
 }
 

@@ -28,7 +28,6 @@
 #include "bench/common.hh"
 #include "host/deployment.hh"
 #include "host/perf_model.hh"
-#include "manager/checkpoint.hh"
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
 
@@ -140,10 +139,7 @@ runPairing(const DcShape &shape, Pairing pairing, double per_server_qps,
         clients.back()->start();
     }
 
-    bench::maybeResume(cluster);
-    if (!bench::runClusterUs(cluster,
-                             (warmup_ms + measure_ms) * 1000.0 + 1500.0))
-        std::exit(0);
+    cluster.runUs((warmup_ms + measure_ms) * 1000.0 + 1500.0);
 
     Histogram merged;
     double qps = 0.0;

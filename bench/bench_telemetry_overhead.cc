@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "bench/common.hh"
-#include "manager/checkpoint.hh"
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
 
@@ -88,10 +87,8 @@ runTrial(Mode mode, double target_us)
             co_await n0.net().ping(Cluster::ipFor(1));
     });
 
-    bench::maybeResume(cluster);
     bench::Stopwatch watch;
-    if (!bench::runClusterUs(cluster, target_us))
-        std::exit(0);
+    cluster.runUs(target_us);
     TrialResult r;
     r.seconds = watch.seconds();
     r.finalCycle = cluster.now();

@@ -19,7 +19,6 @@
 
 #include "base/table.hh"
 #include "base/units.hh"
-#include "manager/checkpoint.hh"
 #include "manager/cluster.hh"
 #include "net/remote/peer_link.hh"
 
@@ -122,9 +121,6 @@ struct Knobs
     unsigned shardConnectTimeoutMs = 0;
     TransportKind shardTransport = TransportKind::Auto;
     unsigned shardShmRing = 1u << 20;
-    std::string checkpointPath;
-    unsigned checkpointEvery = 0;
-    std::string restorePath;
     unsigned heartbeatEvery = 0;
     unsigned statusInterval = 0;
     std::string metricsFile;
@@ -172,8 +168,7 @@ parseShardConnectKnob(const char *what, const char *text)
  * One shared bench knob. Every flag takes a value, so `flag` ends in
  * '=' (`--name=VALUE`). `parse` stores the value into knobs() and
  * exits(2) on a malformed one, naming @p what (the flag or the env
- * var). `apply` copies it into a ClusterConfig; null for knobs only
- * the bench itself reads.
+ * var). `apply` copies it into a ClusterConfig.
  */
 struct Knob
 {
@@ -247,14 +242,6 @@ inline constexpr Knob kKnobTable[] = {
          cc.shard.shmRingBytes = k.shardShmRing;
      },
      "per-direction shm ring bytes, rounded up to a power of two"},
-    {"--checkpoint=", "FIRESIM_CHECKPOINT",
-     textInto<&Knobs::checkpointPath>, nullptr,
-     "snapshot file for periodic + final checkpoints"},
-    {"--checkpoint-every=", "FIRESIM_CHECKPOINT_EVERY",
-     parseInto<&Knobs::checkpointEvery, parseUnsignedKnob>, nullptr,
-     "checkpoint every N fabric rounds (needs --checkpoint)"},
-    {"--restore=", "FIRESIM_RESTORE", textInto<&Knobs::restorePath>,
-     nullptr, "resume the first cluster this bench builds from a snapshot"},
     {"--heartbeat-every=", "FIRESIM_HEARTBEAT_EVERY",
      parseInto<&Knobs::heartbeatEvery, parseUnsignedKnob>,
      [](ClusterConfig &cc, const Knobs &k) {
@@ -351,9 +338,6 @@ parseCommonFlags(int argc, char **argv)
                          "the rendezvous",
                          k.shards));
     requireKnob(k.shardShmRing != 0, "--shard-shm-ring must be at least 1");
-    requireKnob(k.checkpointEvery == 0 || !k.checkpointPath.empty(),
-                csprintf("--checkpoint-every=%u needs --checkpoint=PATH",
-                         k.checkpointEvery));
     requireKnob(k.decodeCacheEntries != 0,
                 "--decode-cache-entries must be at least 1");
     if (k.parallelHosts > 1)
@@ -372,108 +356,7 @@ inline void
 applyClusterFlags(ClusterConfig &cc)
 {
     for (const Knob &knob : kKnobTable)
-        if (knob.apply)
-            knob.apply(cc, knobs());
-}
-
-/** Where a --restore / --checkpoint bench is in its cluster sweep. */
-struct ResumeState
-{
-    /**
-     * Cycles already covered by a --restore replay. The first
-     * runClusterUs/runClusterCycles spans consume this credit instead
-     * of re-running, so a resumed bench follows the same absolute-cycle
-     * trajectory as the uninterrupted one.
-     */
-    uint64_t credit = 0;
-    /** Number of clusters this bench has passed through maybeResume();
-     *  the current cluster's sweep ordinal is this minus one. */
-    uint64_t clusters = 0;
-};
-
-inline ResumeState &
-resumeState()
-{
-    static ResumeState state;
-    return state;
-}
-
-/**
- * Per-sweep-point snapshot path: the bench's k-th cluster checkpoints
- * to `<path>.run<k>` (bare path for k == 0), so a termination signal
- * can land on any point of a multi-configuration sweep and --restore
- * still pairs every snapshot with the cluster it was taken from.
- */
-inline std::string
-ordinalSnapPath(const std::string &path, uint64_t ordinal)
-{
-    return ordinal == 0 ? path
-                        : path + ".run" + std::to_string(ordinal);
-}
-
-/**
- * Apply --restore to this cluster if a snapshot exists for its sweep
- * ordinal (ordinalSnapPath): replay to the snapshot cycle and
- * byte-compare against the saved state. Call once per cluster, after
- * all setup — fault plans, telemetry, workloads — so the replay matches
- * the saved run.
- * Sweep points the interrupted run never checkpointed re-run fresh;
- * a snapshot that exists but fails to resume is an error, not a
- * silent fresh start. No-op without --restore.
- */
-inline void
-maybeResume(Cluster &clu)
-{
-    ResumeState &rs = resumeState();
-    uint64_t ordinal = rs.clusters++;
-    rs.credit = 0; // credit never crosses clusters
-    if (knobs().restorePath.empty())
-        return;
-    std::string path = ordinalSnapPath(knobs().restorePath, ordinal);
-    if (!snapshotExists(clu, path))
-        return;
-    std::string e = resumeFromSnapshot(clu, path);
-    if (!e.empty()) {
-        std::fprintf(stderr, "error: --restore=%s: %s\n",
-                     path.c_str(), e.c_str());
-        std::exit(1);
-    }
-    rs.credit = clu.now();
-    std::printf("[bench] resumed from %s at cycle %llu\n",
-                path.c_str(), (unsigned long long)clu.now());
-}
-
-/**
- * Advance @p clu by @p cycles, honouring --checkpoint /
- * --checkpoint-every and the resume credit left by maybeResume().
- * Returns false when a termination signal stopped the run early — the
- * bench should skip its measurements and exit cleanly (a final
- * snapshot was written).
- */
-inline bool
-runClusterCycles(Cluster &clu, uint64_t cycles)
-{
-    ResumeState &rs = resumeState();
-    uint64_t skip = rs.credit < cycles ? rs.credit : cycles;
-    rs.credit -= skip;
-    cycles -= skip;
-    if (cycles == 0)
-        return true;
-    if (knobs().checkpointPath.empty()) {
-        clu.run(cycles);
-        return true;
-    }
-    uint64_t ordinal = rs.clusters ? rs.clusters - 1 : 0;
-    return runWithCheckpoints(
-        clu, cycles, ordinalSnapPath(knobs().checkpointPath, ordinal),
-        knobs().checkpointEvery);
-}
-
-/** runClusterCycles for a span given in target microseconds. */
-inline bool
-runClusterUs(Cluster &clu, double us)
-{
-    return runClusterCycles(clu, clu.clock().cyclesFromUs(us));
+        knob.apply(cc, knobs());
 }
 
 /** Wall-clock stopwatch for simulation-rate measurements. */

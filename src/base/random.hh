@@ -86,7 +86,7 @@ class Random
     /** Bernoulli draw with probability @p p of true. */
     bool chance(double p) { return uniform() < p; }
 
-    /** Copy the raw 256-bit stream state out (checkpoint support). */
+    /** Copy the raw 256-bit stream state out (state image support). */
     void
     saveState(uint64_t out[4]) const
     {

@@ -167,13 +167,13 @@ class Histogram
     /** Retained samples in arrival (exact) or reservoir order. */
     const std::vector<double> &samples() const { return values; }
 
-    /** Exact running sum, valid at any count (checkpoint support). */
+    /** Exact running sum, valid at any count (state image support). */
     double rawSum() const { return sum; }
     /** Raw min/max including the empty-histogram infinities. */
     double rawMin() const { return lo; }
     double rawMax() const { return hi; }
 
-    /** The reservoir's RNG stream (state travels with checkpoints). */
+    /** The reservoir's RNG stream (state travels with the state image). */
     const Random &reservoirRng() const { return rng; }
 
   private:
@@ -216,7 +216,7 @@ class RunningStat
     double min() const { return n ? lo : 0.0; }
     double max() const { return n ? hi : 0.0; }
 
-    /** Raw aggregates for checkpointing (rawMin/rawMax keep the
+    /** Raw aggregates for the state image (rawMin/rawMax keep the
      *  empty-state infinities that min()/max() mask). */
     double rawSum() const { return sum; }
     double rawMin() const { return lo; }

@@ -273,7 +273,7 @@ HealthMonitor::report() const
     return out;
 }
 
-// ---- Checkpoint support ---------------------------------------------
+// ---- State image ----------------------------------------------------
 
 void
 HealthMonitor::snapshotSave(Serializer &s) const

@@ -126,9 +126,8 @@ class HealthMonitor : public FabricObserver
     /**
      * Serialize the full diagnostic record: the event log, per-kind
      * counters, per-endpoint health, latched channel-occupancy flags
-     * and the round cursor; restore compares it with the replayed
-     * monitor, so a resumed run's health report matches an unbroken
-     * run's.
+     * and the round cursor, so two runs whose health reports differ
+     * hold different sections.
      */
     void snapshotSave(Serializer &s) const;
 

@@ -261,7 +261,7 @@ FaultInjector::onTransmit(size_t channel_idx, TokenBatch &batch)
     }
 }
 
-// ---- Checkpoint support ---------------------------------------------
+// ---- State image ----------------------------------------------------
 
 void
 FaultInjector::snapshotSave(Serializer &s) const

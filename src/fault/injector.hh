@@ -61,9 +61,8 @@ class FaultInjector : public FabricObserver
     /**
      * Serialize injection progress: per-link RNG streams and delay
      * carry buffers, port/crash applied flags, round cursor and the
-     * drop/corrupt/delay totals. Restore compares this with the
-     * replayed injector, so a resumed run's faults land on the same
-     * flits they would have in an unbroken run.
+     * drop/corrupt/delay totals, so two runs whose faults land on
+     * different flits hold different sections.
      */
     void snapshotSave(Serializer &s) const;
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "base/table.hh"
-#include "snapshot/snapshot.hh"
+#include "snapshot/serial.hh"
 
 namespace firesim
 {
@@ -79,8 +79,8 @@ Cluster::resolvePlan() const
     // Everything here is a pure function of the shared config, so every
     // rank independently computes the same plan; planHash double-checks
     // that at rendezvous. A single-process run is the trivial 1-shard
-    // plan, which still carries the global numbering and topoHash that
-    // snapshots are keyed by. An explicit owner map replaces the block
+    // plan, which still carries the global numbering the state image
+    // names components by. An explicit owner map replaces the block
     // placement.
     const ShardSpec &ss = cfg.shard;
     if (ss.shards > 1 && !ss.owners.empty())
@@ -426,9 +426,10 @@ Cluster::setupTelemetry()
             });
             // Ring counters are registered for every fabric (zero on
             // links without rings): the AutoCounter sampler pins its
-            // column set at the first sample and a restore compares
-            // that set byte for byte, so the registry shape must not
-            // vary with the transport choice — only values may.
+            // column set at the first sample and the parity tests
+            // compare that set byte for byte, so the registry shape
+            // must not vary with the transport choice — only values
+            // may.
             auto shmStat = [tr, i](auto field) {
                 const ShmLinkStats *s = tr->peerLinkAt(i)->shmStats();
                 return s ? static_cast<double>(s->*field) : 0.0;
@@ -463,10 +464,10 @@ Cluster::setupObservability()
             mc.heartbeatPath = "heartbeat.jsonl";
         if (sharded) {
             mc.heartbeatPath =
-                snapshotRankPath(mc.heartbeatPath, ss.shards, ss.rank);
+                rankPath(mc.heartbeatPath, ss.shards, ss.rank);
             if (!mc.metricsPath.empty())
                 mc.metricsPath =
-                    snapshotRankPath(mc.metricsPath, ss.shards, ss.rank);
+                    rankPath(mc.metricsPath, ss.shards, ss.rank);
         }
         clusterMonitor_ = std::make_unique<ClusterMonitor>(
             mc, ss.rank, sharded ? ss.shards : 1);
@@ -580,6 +581,42 @@ Cluster::healthReport() const
         out += peers.render();
     }
     return out;
+}
+
+StateImage
+Cluster::stateImage() const
+{
+    StateImage image;
+    auto add = [&image](std::string name, const auto &component) {
+        Serializer s;
+        component.snapshotSave(s);
+        image.emplace_back(std::move(name), s.takeBytes());
+    };
+    // The fabric's own save asserts the round barrier.
+    add("fabric", fabric_);
+    for (size_t c = 0; c < fabric_.channelCount(); ++c)
+        add(csprintf("chan%u", channelGlobalLink[c]), fabric_.channelAt(c));
+    for (size_t i = 0; i < switches.size(); ++i)
+        add(csprintf("switch%u", switchGlobal[i]), *switches[i]);
+    for (size_t i = 0; i < nodes.size(); ++i) {
+        add(csprintf("blade%u", nodeGlobal[i]), nodes[i]->blade());
+        add(csprintf("os%u", nodeGlobal[i]), nodes[i]->os());
+        add(csprintf("net%u", nodeGlobal[i]), nodes[i]->net());
+    }
+    if (injector_)
+        add("fault", *injector_);
+    if (monitor_)
+        add("health", *monitor_);
+    if (telemetry_) {
+        if (telemetry_->sampler())
+            add("autocounter", *telemetry_->sampler());
+        // The cluster.shard.* transport subtree and the .host. counters
+        // depend on the host, not the simulation.
+        image.emplace_back("stats",
+                           stripHostTimingStats(
+                               telemetry_->registry().dumpJson(now())));
+    }
+    return image;
 }
 
 std::string

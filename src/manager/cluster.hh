@@ -22,6 +22,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_plan.hh"
@@ -40,6 +41,9 @@
 
 namespace firesim
 {
+
+/** (section name, bytes) pairs; see Cluster::stateImage. */
+using StateImage = std::vector<std::pair<std::string, std::string>>;
 
 /** Everything that makes one simulated server usable: the blade
  *  hardware, the OS, and the network stack bound together. */
@@ -254,38 +258,22 @@ class Cluster
      *  (single-process runs carry the trivial 1-shard plan). */
     const ShardPlan &plan() const { return plan_; }
 
-    // ---- Checkpoint / restore (manager/checkpoint.cc) ----------------
-
     /**
-     * Topology/timing hash this cluster's snapshots are keyed by.
-     * Deliberately independent of the shard count and owner map, so a
-     * snapshot restores under any shard plan of the same target
-     * (re-sharding). The transport's Hello exchanges the stricter
-     * plan().planHash instead.
+     * This rank's simulated state at a round barrier (between run()
+     * calls), one (section name, bytes) pair per component in a fixed
+     * order, each holding that component's snapshotSave bytes:
+     * "fabric" (round state), "chan<link>" per channel by global
+     * directed-link id, "switch<i>", and "blade<i>", "os<i>", "net<i>"
+     * per node by global index; then the rank-local "fault", "health",
+     * "autocounter" and "stats" (the registry dump without host-timing
+     * stats) when those components exist. The simulation is
+     * deterministic, so two runs of one target agree on every section
+     * at every barrier, whatever the worker count, transport or shard
+     * plan; a sharded run's channel sections each live on exactly one
+     * rank. Parity tests compare two live runs' images. Panics off a
+     * round barrier.
      */
-    uint64_t topoHash() const;
-
-    /**
-     * Write a versioned snapshot of the whole cluster to @p path
-     * (sharded runs write `<path>.rank<N>`; see snapshotRankPath).
-     * Must be called at a round barrier, i.e. between run() calls.
-     * Atomic: tmp + fsync + rename. Returns "" on success, else a
-     * diagnostic.
-     */
-    std::string saveSnapshot(const std::string &path);
-
-    /**
-     * Check this cluster against a snapshot written by an identically
-     * configured cluster. The caller must first replay this cluster to
-     * the snapshot's cycle (coroutine frames and event closures are
-     * rebuilt by deterministic replay; see README "Checkpoint &
-     * recovery"). Every section is then byte-compared with the live
-     * component's snapshotSave and nothing is written back, so any
-     * divergence from the saved run is reported (section name and
-     * first differing byte), never silently continued from. Returns ""
-     * on success.
-     */
-    std::string loadSnapshot(const std::string &path);
+    StateImage stateImage() const;
 
   private:
     /** One direction of a cross-shard link: its global link id, the
@@ -346,8 +334,8 @@ class Cluster
     // Local -> global component numbering (identity in single-process
     // mode): switchGlobal[i] is the global index of switches[i],
     // nodeGlobal[i] of nodes[i]. channelGlobalLink[c] is the global
-    // directed link id carried by fabric channel c — the key re-shard
-    // restore uses to re-home per-channel state across ranks.
+    // directed link id carried by fabric channel c, which names its
+    // state image section under every shard plan.
     std::vector<uint32_t> switchGlobal;
     std::vector<uint32_t> nodeGlobal;
     std::vector<uint32_t> channelGlobalLink;

@@ -25,8 +25,7 @@
  * an arbitrary deterministic server->rank map (ShardSpec::owners,
  * which the re-shard parity tests use); the map is folded into
  * planHash so shards launched with diverging maps are caught at
- * rendezvous, while topoHash stays a pure topology+timing hash so
- * snapshots can be restored under a *different* plan (re-sharding).
+ * rendezvous.
  */
 
 #ifndef FIRESIM_MANAGER_SHARD_HH
@@ -103,10 +102,8 @@ struct ShardPlan
     /** Per switch: total ports including the uplink. */
     std::vector<uint32_t> switchPorts;
     /** FNV-1a over the topology structure and the timing-relevant
-     *  config only — deliberately independent of the shard count and
-     *  owner map, so any two plans over the same target agree. This
-     *  is the hash snapshots carry: a checkpoint taken under one plan
-     *  restores under any other plan with the same topoHash. */
+     *  config only — independent of the shard count and owner map, so
+     *  any two plans over the same target agree. Seeds planHash. */
     uint64_t topoHash = 0;
     /** topoHash further mixed with the shard count and the full
      *  server->rank map — the value exchanged in the transport Hello,

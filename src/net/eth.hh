@@ -117,7 +117,7 @@ class FrameAssembler
     /** Drop any partial frame state. */
     void reset() { partial.clear(); }
 
-    /** Buffered bytes of the in-progress frame (checkpoint support). */
+    /** Buffered bytes of the in-progress frame (state image support). */
     const std::vector<uint8_t> &partialBytes() const { return partial; }
 
   private:

@@ -759,7 +759,7 @@ TokenFabric::run(Cycles cycles)
     running = false;
 }
 
-// ---- Checkpoint support -------------------------------------------------
+// ---- State image ------------------------------------------------------
 
 void
 TokenChannel::snapshotSave(Serializer &s) const

@@ -227,8 +227,8 @@ class TokenChannel
 
     /**
      * Serialize the channel's full mid-flight state: latency/quantum,
-     * both stream cursors, and every buffered batch's flits. Restore
-     * compares these bytes with the replayed channel's.
+     * both stream cursors, and every buffered batch's flits (the
+     * state image's "chan<link>" section).
      */
     void snapshotSave(Serializer &s) const;
 
@@ -708,11 +708,11 @@ class TokenFabric
     /**
      * Serialize the fabric's round state: the quantum, cycle and
      * round count — *without* the channels or the
-     * host-local batch counter. Snapshots (manager/checkpoint) store
-     * this as the "fabric" section and every channel under its own
-     * global link name, so a restore under a different ShardPlan can
-     * re-home channels individually. Requires finalize() and a round
-     * boundary (now() a multiple of quantum).
+     * host-local batch counter. Cluster::stateImage stores this as the
+     * "fabric" section and every channel under its own global link
+     * name, so images taken under different ShardPlans compare
+     * channel by channel. Requires finalize() and a round boundary
+     * (now() a multiple of quantum).
      */
     void snapshotSave(Serializer &s) const;
 

@@ -214,8 +214,8 @@ pollIn(int fd, int timeout_ms)
 {
     using Clock = std::chrono::steady_clock;
     // Restart after EINTR with the *remaining* time, not the full
-    // timeout — otherwise a steady signal stream (periodic checkpoint
-    // SIGTERMs, profiler SIGPROFs) pushes the deadline out forever.
+    // timeout — otherwise a steady signal stream (profiler SIGPROFs)
+    // pushes the deadline out forever.
     Clock::time_point deadline =
         timeout_ms >= 0 ? Clock::now() + std::chrono::milliseconds(
                                              timeout_ms)

@@ -116,7 +116,7 @@ bool sendAll(int fd, const void *buf, size_t len);
  * Wait until @p fd is readable: 1 ready, 0 timeout, -1 error/hangup
  * with nothing left to read. @p timeout_ms -1 waits forever. EINTR
  * restarts against the *remaining* time (a signal storm cannot extend
- * the deadline), so SIGTERM-driven checkpoint stops stay prompt.
+ * the deadline).
  */
 int pollIn(int fd, int timeout_ms);
 

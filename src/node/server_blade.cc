@@ -124,7 +124,7 @@ ServerBlade::snapshotSave(Serializer &s) const
     nicDev->snapshotSave(s);
     blkDev->snapshotSave(s);
     // Hart state only exists when configured, so the stream layout is
-    // config-symmetric and harts=0 snapshots keep their old format.
+    // config-symmetric and harts=0 sections stay hart-free.
     if (!harts_.empty()) {
         hier_->snapshotSave(s);
         for (const auto &core : harts_)

@@ -116,9 +116,8 @@ class ServerBlade : public TokenEndpoint
     /**
      * Serialize the blade: DRAM, NIC, block device, plus the event
      * queue's clock and schedule digest. Pending events are closures
-     * and cannot be serialized; restore compares the whole section
-     * with the live (replay-rebuilt) blade, so any divergence in the
-     * schedule is caught rather than silently continued from.
+     * and cannot be serialized; the digest stands in for them, so two
+     * runs whose schedules diverge hold different sections.
      */
     void snapshotSave(Serializer &s) const;
 

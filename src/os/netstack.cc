@@ -363,7 +363,7 @@ NetStack::handleFrame(const EthFrame &frame)
     }
 }
 
-// ---- Checkpoint support ---------------------------------------------
+// ---- State image ----------------------------------------------------
 
 void
 NetStack::snapshotSave(Serializer &s) const

@@ -216,8 +216,7 @@ class NetStack
     /**
      * Serialize counters and protocol cursors plus the tables —
      * bound ports, ping waiters, hardware fast paths — that live
-     * inside application coroutine frames; restore compares them with
-     * the live (replay-rebuilt) stack.
+     * inside application coroutine frames.
      */
     void snapshotSave(Serializer &s) const;
 

@@ -433,7 +433,7 @@ SimOS::offCore(uint32_t core_idx, SimThread *t)
     dispatch(core_idx);
 }
 
-// ---- Checkpoint support ---------------------------------------------
+// ---- State image ----------------------------------------------------
 
 void
 SimOS::snapshotSave(Serializer &s) const

@@ -169,9 +169,8 @@ class SimOS
     /**
      * Serialize the scheduler state: RNG stream, per-core run queues
      * (threads by spawn index), slice bookkeeping, and per-thread
-     * scheduling fields. Coroutine frames cannot be serialized, so
-     * restore compares this section with the live (replay-rebuilt)
-     * scheduler and reports any divergence.
+     * scheduling fields. Coroutine frames cannot be serialized; two
+     * runs whose schedulers diverge hold different sections.
      */
     void snapshotSave(Serializer &s) const;
 

@@ -120,7 +120,7 @@ class EventQueue
      * queues with equal digests, equal now() and equal
      * scheduledTotal() will replay identically if the closures were
      * built by the same deterministic construction — which is what
-     * snapshot restore verifies.
+     * comparing two runs' state images checks.
      */
     uint64_t
     scheduleDigest() const

@@ -1,19 +1,19 @@
 /**
  * @file
- * Byte-stream primitives for the versioned snapshot subsystem.
+ * Byte-stream primitives for component state.
  *
- * A Serializer appends length-prefixed, varint-backed fields to a
- * growable byte buffer; a Deserializer reads them back with full
- * bounds checking. Neither side ever crashes on malformed input:
- * every decode error is recorded as a diagnostic string and the
- * stream degrades to returning zeros, so a truncated or bit-flipped
- * snapshot surfaces as a clear error message instead of UB
- * (tests/ckpt pin this for truncation, corruption, and version skew).
+ * Every stateful component writes its simulated state with
+ * snapshotSave(Serializer &); the Cluster collects those bytes, one
+ * named section per component, into its state image
+ * (Cluster::stateImage), which parity tests compare between two live
+ * runs. A Serializer appends varint-backed, length-prefixed fields to
+ * a growable byte buffer. A Deserializer reads them back with full
+ * bounds checking: a decode error is recorded as a diagnostic string
+ * and the stream degrades to returning zeros, never to UB. Tests use
+ * it to look inside a section.
  *
- * The varint/zigzag encoding is the tree-wide one from base/varint.hh
- * — the same bytes the instruction-trace compressor and the
- * distributed wire protocol use, so snapshot files stay mutually
- * debuggable with the other FireSim byte streams.
+ * The varint/zigzag encoding is the tree-wide one from base/varint.hh,
+ * the same bytes the distributed wire protocol uses.
  */
 
 #ifndef FIRESIM_SNAPSHOT_SERIAL_HH
@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "base/logging.hh"
 #include "base/varint.hh"
@@ -30,36 +29,7 @@
 namespace firesim
 {
 
-/** CRC32 (IEEE 802.3, reflected) over @p data. Snapshot sections are
- *  individually checksummed so corruption names the section it hit. */
-uint32_t crc32(const void *data, size_t len, uint32_t seed = 0);
-
-/**
- * Accumulates restore diagnostics instead of aborting, so a failed
- * restore reports *every* divergent section at once.
- */
-struct SnapshotErrors
-{
-    std::vector<std::string> msgs;
-
-    void add(std::string msg) { msgs.push_back(std::move(msg)); }
-    bool ok() const { return msgs.empty(); }
-
-    /** All diagnostics, newline-joined. */
-    std::string
-    str() const
-    {
-        std::string out;
-        for (const auto &m : msgs) {
-            if (!out.empty())
-                out += "\n";
-            out += m;
-        }
-        return out;
-    }
-};
-
-/** Appends snapshot fields to a byte buffer. */
+/** Appends state fields to a byte buffer. */
 class Serializer
 {
   public:
@@ -72,7 +42,7 @@ class Serializer
     /** Bool as one byte. */
     void putB(bool v) { buf.push_back(v ? 1 : 0); }
 
-    /** Fixed-width little-endian u32 (headers, CRCs). */
+    /** Fixed-width little-endian u32. */
     void
     putFixed32(uint32_t v)
     {

@@ -304,7 +304,7 @@ Switch::registerStats(StatRegistry &registry,
                              stats_.portTransitions);
 }
 
-// ---- Checkpoint support ---------------------------------------------
+// ---- State image ----------------------------------------------------
 
 void
 Switch::snapshotSave(Serializer &s) const

@@ -90,7 +90,7 @@ AutoCounterSampler::csv() const
     return out;
 }
 
-// ---- Checkpoint support ---------------------------------------------
+// ---- State image ----------------------------------------------------
 
 void
 AutoCounterSampler::snapshotSave(Serializer &s) const
@@ -98,18 +98,18 @@ AutoCounterSampler::snapshotSave(Serializer &s) const
     s.putU(per);
     s.putU(quantum);
     s.putU(nextAt);
-    s.putU(cols.size());
-    std::vector<bool> host(cols.size());
-    for (size_t i = 0; i < cols.size(); ++i) {
+    std::vector<size_t> simulated;
+    for (size_t i = 0; i < cols.size(); ++i)
+        if (!isHostTimingStat(cols[i]))
+            simulated.push_back(i);
+    s.putU(simulated.size());
+    for (size_t i : simulated)
         s.putStr(cols[i]);
-        host[i] = isHostTimingStat(cols[i]);
-    }
     s.putU(samples.size());
     for (const Sample &smp : samples) {
         s.putU(smp.at);
-        s.putU(smp.values.size());
-        for (size_t i = 0; i < smp.values.size(); ++i)
-            s.putD(host[i] ? 0.0 : smp.values[i]);
+        for (size_t i : simulated)
+            s.putD(smp.values[i]);
     }
 }
 

@@ -44,7 +44,7 @@ class AutoCounterSampler : public FabricObserver
     /** FabricObserver: sample at every period boundary the round crossed. */
     void onRoundEnd(Cycles round_start, uint64_t round) override;
 
-    /** Take an immediate sample stamped @p at (checkpoint support). */
+    /** Take an immediate sample stamped @p at. */
     void sampleNow(Cycles at);
 
     Cycles period() const { return per; }
@@ -73,10 +73,11 @@ class AutoCounterSampler : public FabricObserver
 
     /**
      * Serialize the accumulated series (columns + samples) and the
-     * next-sample cursor, so restore can check that the replayed
-     * series matches. Host-timing columns (isHostTimingStat) are
-     * written as 0: they vary with the shard transport, not the
-     * simulation. csv() keeps their real values.
+     * next-sample cursor, so two runs' series compare byte for byte.
+     * Host-timing columns (isHostTimingStat) are left out, names and
+     * values: which of them exist and what they read depend on the
+     * host (the shard transport, the decode cache), not on the
+     * simulation. csv() keeps them.
      */
     void snapshotSave(Serializer &s) const;
 

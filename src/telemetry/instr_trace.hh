@@ -11,19 +11,13 @@
  * overwritten and counted, exactly like TracerV's bounded DMA buffer.
  *
  * Draining happens on the host's schedule: drain() hands back the
- * retained records in commit order, encodeCompressed() delta+varint
- * packs them (~3-5 bytes/record for loopy code vs 17 raw) for the
- * to-disk sink, and HotnessProfile accumulates a top-N-PC report — the
- * poor man's flame graph the paper's out-of-band debugging story
- * enables.
+ * retained records in commit order.
  */
 
 #ifndef FIRESIM_TELEMETRY_INSTR_TRACE_HH
 #define FIRESIM_TELEMETRY_INSTR_TRACE_HH
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "base/units.hh"
@@ -45,9 +39,6 @@ enum class OpClass : uint8_t
     System = 6, //!< ECALL / EBREAK / fences
     Custom = 7, //!< RoCC custom-0/1
 };
-
-/** Printable name of @p cls ("load", "branch", ...). */
-const char *opClassName(OpClass cls);
 
 struct TraceRecord
 {
@@ -99,29 +90,9 @@ class InstructionTrace
     std::vector<TraceRecord> drain();
 
     /**
-     * Delta+LEB128 encoding of the retained records (does not drain):
-     * a 16-byte header, then per record a zigzag pc delta, a cycle
-     * delta, and the class byte. Deterministic: identical traces
-     * encode to identical bytes, which is what the bit-identical
-     * reproducibility test compares.
-     */
-    std::string encodeCompressed() const;
-
-    /** Inverse of encodeCompressed(); panics on a corrupt stream. */
-    static std::vector<TraceRecord> decodeCompressed(
-        const std::string &bytes);
-
-    /** Write encodeCompressed() to @p path; false on I/O failure. */
-    bool writeCompressed(const std::string &path) const;
-
-    /** Read a file written by writeCompressed(). */
-    static std::vector<TraceRecord> readCompressed(
-        const std::string &path);
-
-    /**
      * Serialize the retained records in logical (commit) order plus
      * the lifetime counters. The physical ring offset is not saved: it
-     * is not observable through drain() or encodeCompressed().
+     * is not observable through drain().
      */
     void snapshotSave(Serializer &s) const;
 
@@ -131,42 +102,6 @@ class InstructionTrace
     size_t count = 0; //!< retained records
     uint64_t committed_ = 0;
     uint64_t overwritten = 0;
-};
-
-/**
- * Top-N-PC hotness accumulated from drained trace records. Feed it
- * every drain; report() renders the classic profile table.
- */
-class HotnessProfile
-{
-  public:
-    void add(const TraceRecord &rec);
-    void add(const std::vector<TraceRecord> &recs);
-
-    uint64_t total() const { return total_; }
-
-    struct Entry
-    {
-        uint64_t pc = 0;
-        uint64_t commits = 0;
-        OpClass cls = OpClass::IntAlu; //!< class of the last commit seen
-    };
-
-    /** The @p n hottest PCs, most-committed first (ties by pc). */
-    std::vector<Entry> top(size_t n) const;
-
-    /** Rendered top-N table with per-PC commit share. */
-    std::string report(size_t n) const;
-
-  private:
-    struct Cell
-    {
-        uint64_t commits = 0;
-        OpClass cls = OpClass::IntAlu;
-    };
-    // pc -> cell; an ordered map keeps ranking ties deterministic.
-    std::map<uint64_t, Cell> cells;
-    uint64_t total_ = 0;
 };
 
 } // namespace firesim

@@ -4,8 +4,8 @@
 
 #include "base/logging.hh"
 #include "net/remote/shard_transport.hh"
-#include "snapshot/snapshot.hh"
 #include "telemetry/stat_registry.hh"
+#include "telemetry/telemetry.hh"
 
 namespace firesim
 {
@@ -22,8 +22,8 @@ ClusterMonitor::ClusterMonitor(MonitorConfig config, uint32_t rank,
     if (cfg.heartbeatEvery != 0) {
         // A crashed run's heartbeat trail is exactly what a postmortem
         // wants to read; opening with "wb" would truncate it. Rotate a
-        // non-empty leftover to `.prev` so resume keeps one generation
-        // of history.
+        // non-empty leftover to `.prev` so a re-run keeps one
+        // generation of history.
         if (std::FILE *old = std::fopen(cfg.heartbeatPath.c_str(), "rb")) {
             std::fseek(old, 0, SEEK_END);
             long size = std::ftell(old);
@@ -220,24 +220,19 @@ ClusterMonitor::heartbeatJson(Cycles cycle, uint64_t round,
         stragglers += csprintf("%u", r);
     }
     uint64_t health = healthEventsFn ? healthEventsFn() : 0;
-    std::string ckpt_age =
-        haveCheckpoint
-            ? csprintf("%llu",
-                       (unsigned long long)(cycle - lastCheckpointCycle))
-            : std::string("null");
     return csprintf(
         "{\"cycle\": %llu, \"round\": %llu, \"rank\": %u, "
         "\"shards\": %u, \"sim_mhz\": %.6g, "
         "\"round_latency_ns\": %llu, \"barrier_stall_ns\": %llu, "
         "\"channel_occupancy\": %llu, \"health_events\": %llu, "
-        "\"live_peers\": %zu, \"checkpoint_age_cycles\": %s, "
+        "\"live_peers\": %zu, "
         "\"per_shard\": [%s], \"stragglers\": [%s]}",
         (unsigned long long)cycle, (unsigned long long)round, rank_,
         shards_, sim_mhz, (unsigned long long)ewmaNs,
         (unsigned long long)stall_ns, (unsigned long long)occupancy,
         (unsigned long long)health,
-        transport_ ? transport_->livePeers() : 0, ckpt_age.c_str(),
-        shards.c_str(), stragglers.c_str());
+        transport_ ? transport_->livePeers() : 0, shards.c_str(),
+        stragglers.c_str());
 }
 
 std::string
@@ -278,12 +273,6 @@ ClusterMonitor::prometheusText(Cycles cycle,
     out += "# TYPE firesim_stragglers gauge\n";
     out += csprintf("firesim_stragglers{rank=\"%u\"} %zu\n", rank_,
                     latchedStragglers.size());
-    if (haveCheckpoint) {
-        out += "# TYPE firesim_checkpoint_age_cycles gauge\n";
-        out += csprintf(
-            "firesim_checkpoint_age_cycles{rank=\"%u\"} %llu\n", rank_,
-            (unsigned long long)(cycle - lastCheckpointCycle));
-    }
     return out;
 }
 

@@ -10,9 +10,9 @@
  *
  *  - one structured-JSONL heartbeat line (simulated cycle, target-MHz
  *    sim rate, per-shard round-latency EWMA, barrier skew, channel
- *    occupancy, health-event count, live peers, checkpoint age),
- *  - an optional Prometheus text-exposition file, refreshed via the
- *    snapshot layer's atomic tmp+fsync+rename write so scrapers never
+ *    occupancy, health-event count, live peers),
+ *  - an optional Prometheus text-exposition file, refreshed via an
+ *    atomic tmp+fsync+rename write (atomicWriteFile) so scrapers never
  *    see a torn file,
  *  - an optional human-readable status line on a wall-clock cadence
  *    (--status-interval).
@@ -114,14 +114,6 @@ class ClusterMonitor : public FabricObserver
         stragglerSink = std::move(fn);
     }
 
-    /** The CheckpointManager reports snapshot writes for the
-     *  checkpoint-age heartbeat field. */
-    void noteCheckpoint(Cycles cycle)
-    {
-        lastCheckpointCycle = cycle;
-        haveCheckpoint = true;
-    }
-
     /** Local round-latency EWMA in ns — the transport's RoundDone
      *  latency provider reads this. */
     uint64_t roundLatencyNs() const { return ewmaNs; }
@@ -197,8 +189,6 @@ class ClusterMonitor : public FabricObserver
     uint64_t ewmaNs = 0;
     uint64_t sampleCount = 0;
     uint64_t heartbeatCount = 0;
-    Cycles lastCheckpointCycle = 0;
-    bool haveCheckpoint = false;
     std::vector<uint32_t> latchedStragglers;
 };
 

@@ -197,6 +197,40 @@ isHostTimingStat(std::string_view name)
            name.find(".host.") != std::string_view::npos;
 }
 
+std::string
+stripHostTimingStats(std::string json)
+{
+    // Drop every `"name": value` entry whose name isHostTimingStat,
+    // with the separator that joined it to its neighbour.
+    size_t at = 0;
+    while ((at = json.find('"', at)) != std::string::npos) {
+        size_t close = at + 1;
+        while (close < json.size() && json[close] != '"')
+            close += json[close] == '\\' ? 2 : 1;
+        if (close + 1 >= json.size())
+            break;
+        std::string_view name(json.data() + at + 1, close - at - 1);
+        if (json[close + 1] != ':' || !isHostTimingStat(name)) {
+            at = close + 1;
+            continue;
+        }
+        size_t next = json.find(", \"", close);
+        if (next != std::string::npos) {
+            json.erase(at, next + 2 - at);
+        } else {
+            // Last entry: drop the separator in front of it instead.
+            size_t stop = json.find('}', close);
+            if (stop == std::string::npos)
+                stop = json.size();
+            size_t begin =
+                at >= 2 && json.compare(at - 2, 2, ", ") == 0 ? at - 2 : at;
+            json.erase(begin, stop - begin);
+            at = begin;
+        }
+    }
+    return json;
+}
+
 // RFC-4180 quoting for the few names that need it (commas or quotes
 // are possible now that stat names accept printable ASCII).
 std::string

@@ -4,8 +4,8 @@
  * lineage): every component's counters register here under a
  * hierarchical dotted name ("cluster.switch0.packetsDropped"), and
  * every consumer — the AutoCounter sampler, the end-of-run JSON dump,
- * checkpoint diffing — reads through the same registry instead
- * of growing private plumbing per experiment.
+ * phase diffing — reads through the same registry instead of growing
+ * private plumbing per experiment.
  *
  * Registration is non-owning: the registry holds probes (callables)
  * that read the live counter on demand, so registering costs nothing
@@ -47,9 +47,8 @@ struct StatSnapshot
 /**
  * Element-wise `after - before`, matched by name. Both snapshots must
  * come from the same registry (identical name sets); the result's
- * cycle stamp is the elapsed cycles. This is the diff-between-
- * checkpoints primitive: dump a snapshot before and after a phase and
- * diff them to see exactly what that phase did.
+ * cycle stamp is the elapsed cycles. Take a snapshot before and after
+ * a phase and diff them to see exactly what that phase did.
  */
 StatSnapshot diffSnapshots(const StatSnapshot &before,
                            const StatSnapshot &after);
@@ -67,9 +66,17 @@ std::string jsonEscape(const std::string &s);
  * counters follow kernel recv() chunk boundaries) and any name with a
  * `.host.` segment (host-side acceleration counters such as the decode
  * cache's hits and misses, which a cache-off run never records).
- * Parity dumps and snapshot sections leave these values out.
+ * Parity dumps and the cluster's state image leave these values out.
  */
 bool isHostTimingStat(std::string_view name);
+
+/**
+ * Strip every entry whose name isHostTimingStat from a
+ * StatRegistry::dumpJson string, leaving only the deterministic
+ * simulation stats. The parity tests and the state image's "stats"
+ * section compare dumps through this filter.
+ */
+std::string stripHostTimingStats(std::string json);
 
 class StatRegistry
 {

@@ -34,9 +34,9 @@ struct TelemetryConfig
     /**
      * When non-empty, dump stats.json and autocounter.csv into this
      * (existing) directory at Cluster destruction. Each rank of a
-     * sharded run writes its own files, rank-suffixed like snapshots
-     * (`stats.json.rank1`; see snapshotRankPath), so ranks may share
-     * one directory.
+     * sharded run writes its own files, rank-suffixed
+     * (`stats.json.rank1`; see rankPath), so ranks may share one
+     * directory.
      */
     std::string dumpDir;
 };
@@ -76,6 +76,22 @@ class Telemetry
     std::unique_ptr<AutoCounterSampler> sampler_;
     bool attached = false;
 };
+
+/** `<path>.rank<N>`: the per-rank file of a sharded run's telemetry
+ *  dumps, heartbeat trail and metrics file. A 1-shard run uses @p path
+ *  unadorned. */
+std::string rankPath(const std::string &path, uint64_t shards,
+                     uint64_t rank);
+
+/**
+ * Atomically replace @p path with @p bytes: write `<path>.tmp`, fsync,
+ * rename. A crash mid-write leaves either the old file or none, never
+ * a torn one. Shared by the telemetry dumps and the Prometheus metrics
+ * file. Returns empty on success, else a diagnostic prefixed with
+ * @p what.
+ */
+std::string atomicWriteFile(const std::string &path,
+                            const std::string &bytes, const char *what);
 
 } // namespace firesim
 

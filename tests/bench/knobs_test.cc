@@ -63,11 +63,8 @@ const std::map<std::string, std::vector<const char *>> kMalformed = {
     {"--shard-transport=",
      {"SHM", "pcie", "", "loopback", "unix", "fast"}},
     {"--shard-shm-ring=", {"1M", "0"}},
-    {"--checkpoint=", {}},
-    {"--checkpoint-every=", {"x", "-1", "1e3"}},
-    {"--restore=", {}},
-    {"--heartbeat-every=", {"8x", "1h"}},
-    {"--status-interval=", {" 5", "5s"}},
+    {"--heartbeat-every=", {"8x", "1h", "-1", ""}},
+    {"--status-interval=", {" 5", "5s", "-5"}},
     {"--metrics-file=", {}},
     {"--decode-cache=", {"1", "ON", "", " on", "off ", "true"}},
     {"--decode-cache-entries=", {"-1", "abc", " 8", "8 ", "0", "64k"}},
@@ -219,6 +216,12 @@ TEST(KnobParseDeath, UnknownFlagsFailLoudly)
                 "unknown flag '--shard-policy=cost'");
     EXPECT_EXIT(parseOneFlag("--shards"), ::testing::ExitedWithCode(2),
                 "unknown flag '--shards'");
+    EXPECT_EXIT(parseOneFlag("--restore=run.snap"),
+                ::testing::ExitedWithCode(2),
+                "unknown flag '--restore=run.snap'");
+    EXPECT_EXIT(parseOneFlag("--checkpoint-every=100"),
+                ::testing::ExitedWithCode(2),
+                "unknown flag '--checkpoint-every=100'");
     EXPECT_EXIT(
         ([] {
             const char *argv[] = {"bench", "--heartbeat-every", "64"};

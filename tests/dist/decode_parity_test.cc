@@ -4,8 +4,9 @@
  * path on and off must produce byte-identical telemetry dumps (after
  * stripping host-timing stats, which legitimately differ between any
  * two host executions) and identical hart consoles — for the Fig. 5
- * style single-process ping cluster AND a two-shard distributed run
- * whose per-rank stats must also match.
+ * style single-process ping cluster, whose full state image must also
+ * match mid-run and at the end, AND a two-shard distributed run whose
+ * per-rank stats must also match.
  */
 
 #include <gtest/gtest.h>
@@ -15,12 +16,12 @@
 #include <utility>
 #include <vector>
 
-#include "manager/checkpoint.hh"
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
 #include "net/remote/socket.hh"
 #include "riscv/assembler.hh"
 #include "riscv/decode_cache.hh"
+#include "tests/state_image.hh"
 
 namespace firesim
 {
@@ -82,6 +83,7 @@ spawnPing(NodeSystem &from, size_t to_index, Cycles *rtt_out)
 struct SingleRun
 {
     std::string strippedStats;
+    StateImage midImage, endImage;
     std::vector<std::string> consoles;
     std::vector<uint64_t> exitCodes;
     Cycles rtt = 0;
@@ -96,7 +98,10 @@ runSingleProcess(bool decode_cache)
     for (size_t i = 0; i < c.nodeCount(); ++i)
         armHart(c.node(i), i);
     spawnPing(c.node(0), 1, &out.rtt);
-    c.run(600000);
+    c.run(300000);
+    out.midImage = c.stateImage();
+    c.run(300000);
+    out.endImage = c.stateImage();
     for (size_t i = 0; i < c.nodeCount(); ++i) {
         RocketCore &hart = c.node(i).blade().hart(0);
         EXPECT_TRUE(hart.halted()) << "node " << i;
@@ -126,6 +131,9 @@ TEST(DecodeParity, SingleProcessPingClusterByteIdentical)
     // include the decode cache's own hit/miss counters) the two dumps
     // are byte for byte the same.
     EXPECT_EQ(on.strippedStats, off.strippedStats);
+    // So is every component's state, harts included.
+    EXPECT_EQ(imageDiff(on.midImage, off.midImage), "") << "mid-run";
+    EXPECT_EQ(imageDiff(on.endImage, off.endImage), "") << "at the end";
 
     // And the fast path really ran: the loop body re-executes hundreds
     // of times, so hits must dominate.

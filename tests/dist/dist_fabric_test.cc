@@ -26,7 +26,7 @@ namespace
  * ScriptedEndpoint that also records a TracerV-style trace derived
  * purely from the tokens it receives (pc = flit payload, cycle = token
  * arrival cycle). Target-deterministic by construction, so the
- * encoded trace bytes must match between local and remote runs.
+ * drained trace records must match between local and remote runs.
  */
 class TracedEndpoint : public ScriptedEndpoint
 {
@@ -146,11 +146,9 @@ TEST(DistFabric, RemoteLinkMatchesLocalLinkExactly)
     expectSameDelivery(*s0.ep, la);
     expectSameDelivery(*s1.ep, lb);
 
-    // Out-of-band artifacts are byte-identical, not just equivalent.
-    EXPECT_EQ(s0.ep->trace.encodeCompressed(),
-              la.trace.encodeCompressed());
-    EXPECT_EQ(s1.ep->trace.encodeCompressed(),
-              lb.trace.encodeCompressed());
+    // Out-of-band artifacts are identical, not just equivalent.
+    EXPECT_EQ(s0.ep->trace.drain(), la.trace.drain());
+    EXPECT_EQ(s1.ep->trace.drain(), lb.trace.drain());
 
     // Both shards saw every round barrier, and every produced batch
     // crossed the wire exactly once per direction per round.

@@ -1,33 +1,31 @@
 /**
  * @file
- * Re-shard parity matrix: a snapshot written under one ShardPlan
- * restores under a *different* plan — 1<->2<->3 ranks, block placement
- * vs explicit owner maps — and the continued run is byte-identical
- * (stripped stat dumps) to the same plan's uninterrupted run.
+ * Re-shard parity matrix: the same target run in one process, split
+ * across 2 ranks (block placement and an explicit owner map) and
+ * across 3 ranks holds the same state image mid-run and at the end.
+ * Once a sharded run's rank images are unioned, every component and
+ * channel section matches the one-process run's byte for byte.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "manager/checkpoint.hh"
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
 #include "net/remote/socket.hh"
-#include "snapshot/snapshot.hh"
-#include "tests/scoped_temp_dir.hh"
+#include "tests/state_image.hh"
 
 namespace firesim
 {
 namespace
 {
 
-constexpr Cycles kSave = 60000;
-constexpr Cycles kTotal = 120000;
+constexpr Cycles kMid = 60000;
+constexpr Cycles kEnd = 120000;
 
 ClusterConfig
 testConfig()
@@ -69,35 +67,22 @@ spawnWork(Cluster &clu)
     }
 }
 
-std::string
-strippedDump(Cluster &clu)
+struct PlanSpec
 {
-    return stripHostTimingStats(
-        clu.telemetry()->registry().dumpJson(clu.now()));
-}
-
-/** Run the twoLevel(2,2) workload single-process; returns the final
- *  stripped dump. */
-std::string
-runSingle(const std::function<void(Cluster &)> &body)
-{
-    Cluster clu(topologies::twoLevel(2, 2), testConfig());
-    spawnWork(clu);
-    body(clu);
-    return strippedDump(clu);
-}
-
-struct MultiSpec
-{
-    uint32_t shards = 2;
+    uint32_t shards = 1;
     std::vector<uint32_t> owners; //!< empty = block placement
 };
 
-/** Run the same workload split across @p spec.shards thread-ranks
- *  over a full socketpair mesh; returns per-rank stripped dumps. */
-std::vector<std::string>
-runMulti(const MultiSpec &spec,
-         const std::function<void(Cluster &, uint32_t)> &body)
+/** Each rank's state image at kMid and at kEnd. */
+struct PlanImages
+{
+    std::vector<StateImage> mid, end;
+};
+
+/** Run the workload under @p spec, one thread per rank over a full
+ *  socketpair mesh (one process when spec.shards is 1). */
+PlanImages
+runPlan(const PlanSpec &spec)
 {
     uint32_t n = spec.shards;
     std::vector<std::vector<std::pair<uint32_t, SocketFd>>> fds(n);
@@ -109,17 +94,23 @@ runMulti(const MultiSpec &spec,
         }
     }
 
-    std::vector<std::string> dumps(n);
+    PlanImages out;
+    out.mid.resize(n);
+    out.end.resize(n);
     auto runRank = [&](uint32_t rank) {
         ClusterConfig cc = testConfig();
-        cc.shard.shards = n;
-        cc.shard.rank = rank;
-        cc.shard.owners = spec.owners;
+        if (n > 1) {
+            cc.shard.shards = n;
+            cc.shard.rank = rank;
+            cc.shard.owners = spec.owners;
+        }
         Cluster clu(topologies::twoLevel(2, 2), std::move(cc),
                     std::move(fds[rank]));
         spawnWork(clu);
-        body(clu, rank);
-        dumps[rank] = strippedDump(clu);
+        clu.run(kMid);
+        out.mid[rank] = clu.stateImage();
+        clu.run(kEnd - kMid);
+        out.end[rank] = clu.stateImage();
     };
     std::vector<std::thread> rest;
     for (uint32_t r = 1; r < n; ++r)
@@ -127,148 +118,45 @@ runMulti(const MultiSpec &spec,
     runRank(0);
     for (auto &t : rest)
         t.join();
-    return dumps;
+    return out;
+}
+
+/** @p got's unioned images match @p one's at kMid and at kEnd. */
+void
+expectSameAsOneProcess(const PlanImages &got, const PlanImages &one,
+                       const std::string &what)
+{
+    EXPECT_EQ(imageDiff(unionRankImages(one.mid), unionRankImages(got.mid)),
+              "")
+        << what << ", mid-run";
+    EXPECT_EQ(imageDiff(unionRankImages(one.end), unionRankImages(got.end)),
+              "")
+        << what << ", at the end";
 }
 
 // ---- Re-shard parity matrix -----------------------------------------
 
-TEST(ReShard, OneProcessSnapshotRestoresAcrossPlans)
+TEST(ReShard, OneProcessImageMatchesTwoRankPlans)
 {
-    ScopedTempDir tmp;
-    std::string path = tmp.file("fsnp_reshard_1toN.snap");
+    PlanImages one = runPlan({1, {}});
+    ASSERT_FALSE(one.end[0].empty());
 
-    // The snapshot source: a single-process run saved mid-flight.
-    runSingle([&](Cluster &clu) {
-        clu.run(kSave);
-        ASSERT_EQ(clu.saveSnapshot(path), "");
-        clu.run(kTotal - kSave);
-    });
+    PlanImages block = runPlan({2, {}});
+    expectSameAsOneProcess(block, one, "2 ranks, block split");
 
-    auto resume_body = [&](Cluster &clu, uint32_t rank) {
-        ASSERT_EQ(resumeFromSnapshot(clu, path), "") << "rank " << rank;
-        EXPECT_EQ(clu.now(), kSave);
-        clu.run(kTotal - kSave);
-    };
-
-    // 1 -> 2 ranks, block split.
-    MultiSpec block2;
-    std::vector<std::string> ref2 =
-        runMulti(block2, [](Cluster &clu, uint32_t) { clu.run(kTotal); });
-    std::vector<std::string> got2 = runMulti(block2, resume_body);
-    ASSERT_FALSE(ref2[0].empty());
-    EXPECT_EQ(got2[0], ref2[0]) << "rank 0 diverged after 1->2 re-shard";
-    EXPECT_EQ(got2[1], ref2[1]) << "rank 1 diverged after 1->2 re-shard";
-
-    // 1 -> 2 ranks, explicit owner map splitting tor0's servers
-    // across ranks (stresses cross-shard switch<->server links).
-    MultiSpec remap2;
-    remap2.owners = {0, 1, 1, 0};
-    std::vector<std::string> ref_remap =
-        runMulti(remap2, [](Cluster &clu, uint32_t) { clu.run(kTotal); });
-    std::vector<std::string> got_remap = runMulti(remap2, resume_body);
-    EXPECT_NE(ref_remap[0], ref2[0])
+    // An explicit owner map splitting tor0's servers across ranks
+    // (stresses cross-shard switch<->server links).
+    PlanImages remap = runPlan({2, {0, 1, 1, 0}});
+    EXPECT_NE(imageDiff(block.end[0], remap.end[0]), "")
         << "owner remap did not change rank 0's component set";
-    EXPECT_EQ(got_remap[0], ref_remap[0])
-        << "rank 0 diverged after 1->2 owner-remap re-shard";
-    EXPECT_EQ(got_remap[1], ref_remap[1])
-        << "rank 1 diverged after 1->2 owner-remap re-shard";
-
-    // 1 -> 3 ranks.
-    MultiSpec block3;
-    block3.shards = 3;
-    std::vector<std::string> ref3 =
-        runMulti(block3, [](Cluster &clu, uint32_t) { clu.run(kTotal); });
-    std::vector<std::string> got3 = runMulti(block3, resume_body);
-    for (int r = 0; r < 3; ++r)
-        EXPECT_EQ(got3[r], ref3[r])
-            << "rank " << r << " diverged after 1->3 re-shard";
+    expectSameAsOneProcess(remap, one, "2 ranks, owner remap");
 }
 
-TEST(ReShard, ShardedSnapshotRestoresIntoOtherGeometries)
+TEST(ReShard, OneProcessImageMatchesThreeRanks)
 {
-    ScopedTempDir tmp;
-    std::string path = tmp.file("fsnp_reshard_Nto.snap");
-
-    // Source: a 2-shard block run saved mid-flight.
-    MultiSpec block2;
-    runMulti(block2, [&](Cluster &clu, uint32_t rank) {
-        clu.run(kSave);
-        ASSERT_EQ(clu.saveSnapshot(path), "") << "rank " << rank;
-        clu.run(kTotal - kSave);
-    });
-
-    // 2 -> 1: merge back into a single process.
-    std::string ref1 =
-        runSingle([](Cluster &clu) { clu.run(kTotal); });
-    std::string got1 = runSingle([&](Cluster &clu) {
-        ASSERT_EQ(resumeFromSnapshot(clu, path), "");
-        EXPECT_EQ(clu.now(), kSave);
-        clu.run(kTotal - kSave);
-    });
-    ASSERT_FALSE(ref1.empty());
-    EXPECT_EQ(got1, ref1) << "single process diverged after 2->1";
-
-    auto resume_body = [&](Cluster &clu, uint32_t rank) {
-        ASSERT_EQ(resumeFromSnapshot(clu, path), "") << "rank " << rank;
-        EXPECT_EQ(clu.now(), kSave);
-        clu.run(kTotal - kSave);
-    };
-
-    // 2 -> 2 with a different owner map (same rank count, different
-    // placement — the header alone cannot tell these apart; the plan
-    // section must).
-    MultiSpec remap2;
-    remap2.owners = {0, 1, 1, 0};
-    std::vector<std::string> ref_remap =
-        runMulti(remap2, [](Cluster &clu, uint32_t) { clu.run(kTotal); });
-    std::vector<std::string> got_remap = runMulti(remap2, resume_body);
-    EXPECT_EQ(got_remap[0], ref_remap[0])
-        << "rank 0 diverged after owner-remap restore";
-    EXPECT_EQ(got_remap[1], ref_remap[1])
-        << "rank 1 diverged after owner-remap restore";
-
-    // 2 -> 3 ranks.
-    MultiSpec block3;
-    block3.shards = 3;
-    std::vector<std::string> ref3 =
-        runMulti(block3, [](Cluster &clu, uint32_t) { clu.run(kTotal); });
-    std::vector<std::string> got3 = runMulti(block3, resume_body);
-    for (int r = 0; r < 3; ++r)
-        EXPECT_EQ(got3[r], ref3[r])
-            << "rank " << r << " diverged after 2->3 re-shard";
-}
-
-TEST(ReShard, SamePlanRestoreStillFullyVerifies)
-{
-    // The re-shard machinery must not have cost the same-plan path its
-    // verification: restoring rank files written by a *different*
-    // owner map under the same shard count goes through the re-home
-    // path (checked above); restoring the same plan still runs the
-    // stats byte-check, and a topology mismatch is still refused.
-    ScopedTempDir tmp;
-    std::string path = tmp.file("fsnp_reshard_verify.snap");
-    runSingle([&](Cluster &clu) {
-        clu.run(kSave);
-        ASSERT_EQ(clu.saveSnapshot(path), "");
-    });
-
-    // Different topology: refused with a hash diagnostic.
-    {
-        ClusterConfig cc = testConfig();
-        Cluster clu(topologies::singleTor(4), std::move(cc));
-        spawnWork(clu);
-        clu.run(kSave);
-        std::string e = clu.loadSnapshot(path);
-        EXPECT_NE(e.find("topology"), std::string::npos) << e;
-    }
-
-    // Same plan: clean verified restore.
-    {
-        Cluster clu(topologies::twoLevel(2, 2), testConfig());
-        spawnWork(clu);
-        clu.run(kSave);
-        EXPECT_EQ(clu.loadSnapshot(path), "");
-    }
+    PlanImages one = runPlan({1, {}});
+    PlanImages three = runPlan({3, {}});
+    expectSameAsOneProcess(three, one, "3 ranks");
 }
 
 } // namespace

@@ -6,10 +6,9 @@
  * stripped stat dumps, in memory and in the rank-suffixed files both
  * ranks write into one shared dump directory.
  * The bridge moves the same bytes; only host mechanics differ. Plus
- * the cross-fabric snapshot contract (a snapshot taken over shm
- * restores into a socket-transport pair — loadSnapshot's internal
- * stats check is the byte-identity proof) and the shm peer-kill path
- * (SIGKILL mid-round degrades, never hangs, leaks no /dev/shm name).
+ * the full state image of each rank, shm against socketpair, mid-run
+ * and at the end, and the shm peer-kill path (SIGKILL mid-round
+ * degrades, never hangs, leaks no /dev/shm name).
  */
 
 #include <gtest/gtest.h>
@@ -28,13 +27,12 @@
 #include <utility>
 #include <vector>
 
-#include "manager/checkpoint.hh"
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
 #include "net/remote/peer_link.hh"
 #include "net/remote/socket.hh"
-#include "snapshot/snapshot.hh"
 #include "tests/scoped_temp_dir.hh"
+#include "tests/state_image.hh"
 
 namespace firesim
 {
@@ -150,7 +148,7 @@ runPair(Fabric fabric,
     shard1.join();
     for (uint32_t rank = 0; rank < 2; ++rank)
         out.merged += stripHostTimingStats(
-            readFile(snapshotRankPath(dir + "/stats.json", 2, rank)));
+            readFile(rankPath(dir + "/stats.json", 2, rank)));
     return out;
 }
 
@@ -187,47 +185,36 @@ TEST(TransportMatrix, StrippedStatsAndMergedTelemetryAreByteIdentical)
     EXPECT_EQ(loop.merged, un.merged);
 }
 
-TEST(TransportMatrix, ShmSnapshotRestoresIntoSocketPair)
+TEST(TransportMatrix, ShmAndSocketPairImagesMatchMidRunAndAtEnd)
 {
-    constexpr Cycles kSave = 200000, kTotal = 400000;
-    ScopedTempDir tmp;
-    std::string path = tmp.file("fsnp_matrix.snap");
-
-    // Reference: an uninterrupted socket-transport run.
-    PairResult ref = runPair(Fabric::Unix, [](Cluster &clu,
-                                              uint32_t rank) {
-        spawnWork(clu, rank);
-        clu.run(kTotal);
-    });
-
-    // Save over shm mid-run, continue: still identical to the socket
-    // reference.
-    PairResult saved =
-        runPair(Fabric::Shm, [&](Cluster &clu, uint32_t rank) {
+    constexpr Cycles kMid = 200000, kEnd = 400000;
+    struct Images
+    {
+        StateImage mid[2], end[2];
+    };
+    auto imagesOver = [&](Fabric fabric) {
+        Images out;
+        runPair(fabric, [&](Cluster &clu, uint32_t rank) {
             spawnWork(clu, rank);
-            clu.run(kSave);
-            ASSERT_EQ(clu.saveSnapshot(path), "") << "rank " << rank;
-            clu.run(kTotal - kSave);
+            clu.run(kMid);
+            out.mid[rank] = clu.stateImage();
+            clu.run(kEnd - kMid);
+            out.end[rank] = clu.stateImage();
         });
-    EXPECT_EQ(saved.dump[0], ref.dump[0]);
-    EXPECT_EQ(saved.dump[1], ref.dump[1]);
+        return out;
+    };
 
-    // Restore the shm-written snapshot into a fresh *socket* pair:
-    // loadSnapshot verifies the stat dump byte-for-byte internally, so
-    // a clean return here is the cross-fabric identity proof. The
-    // recorded transport mix difference is a warning, never an error.
-    PairResult restored =
-        runPair(Fabric::Unix, [&](Cluster &clu, uint32_t rank) {
-            spawnWork(clu, rank);
-            ASSERT_EQ(resumeFromSnapshot(clu, path), "")
-                << "rank " << rank;
-            EXPECT_EQ(clu.now(), kSave);
-            clu.run(kTotal - kSave);
-        });
-    EXPECT_EQ(restored.dump[0], ref.dump[0])
-        << "rank 0 diverged after shm -> socket restore";
-    EXPECT_EQ(restored.dump[1], ref.dump[1])
-        << "rank 1 diverged after shm -> socket restore";
+    // Every section, rank-local ones included: both pairs run the same
+    // shard plan, so "stats" and "autocounter" must match too.
+    Images un = imagesOver(Fabric::Unix);
+    Images shm = imagesOver(Fabric::Shm);
+    for (uint32_t rank = 0; rank < 2; ++rank) {
+        ASSERT_FALSE(un.end[rank].empty());
+        EXPECT_EQ(imageDiff(un.mid[rank], shm.mid[rank]), "")
+            << "rank " << rank << ", mid-run";
+        EXPECT_EQ(imageDiff(un.end[rank], shm.end[rank]), "")
+            << "rank " << rank << ", at the end";
+    }
 }
 
 /** /dev/shm entries left by this process's shm links. */

@@ -8,9 +8,9 @@
  * as one run(), in 50-round chunks and one round per run(), in
  * cycle-exact and functional mode. Every variant must leave the same
  * state image, the same stripped stats.json, the same per-blade
- * event-queue clock and schedule and the same app results; checkpoints
- * taken where endpoints sit idle must restore; two shards over a
- * socketpair must match one activity-driven process. A hand-built
+ * event-queue clock and schedule and the same app results; state
+ * images taken where endpoints sit idle must match dense stepping's;
+ * two shards over a socketpair must match one activity-driven process. A hand-built
  * fabric adds links of two and three quanta, so payload stays in
  * flight for several rounds, under a Switch and a PrioritySwitch.
  */
@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "apps/boot.hh"
-#include "manager/checkpoint.hh"
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
 #include "net/eth.hh"
@@ -35,6 +34,7 @@
 #include "snapshot/serial.hh"
 #include "switchmodel/priority_switch.hh"
 #include "tests/scoped_temp_dir.hh"
+#include "tests/state_image.hh"
 
 namespace firesim
 {
@@ -47,13 +47,13 @@ class NoopObserver : public FabricObserver
 constexpr Cycles kLatency = 3200;
 constexpr Cycles kTotal = 3200 * 900;
 /** Every node has powered down well before this; the pings start at
- *  kPingAt. The idle checkpoint falls in between. */
-constexpr Cycles kSnapAt = 3200 * 501;
+ *  kPingAt. The idle-stretch image is taken in between. */
+constexpr Cycles kIdleImageAt = 3200 * 501;
 constexpr Cycles kPingAt = 3200 * 700;
 /** Between the first and the last of the three pings (about 43
  *  rounds each): node 0, node 3 and the switches carry them while
  *  nodes 1 and 2 sit idle. */
-constexpr Cycles kPingSnapAt = kPingAt + 3200 * 60;
+constexpr Cycles kPingImageAt = kPingAt + 3200 * 60;
 
 std::string
 readFile(const std::string &path)
@@ -180,7 +180,7 @@ struct Target
 
 struct Outcome
 {
-    std::string image;
+    StateImage image;
     std::string stats;
     std::vector<Cycles> eqNow;
     std::vector<uint64_t> eqScheduled;
@@ -200,8 +200,7 @@ runVariant(const Variant &v)
         Target t(v, tmp.path());
         t.run(kTotal, v.chunks);
         Cluster &clu = *t.cluster;
-        EXPECT_EQ(clu.saveSnapshot(tmp.file("end.snap")), "");
-        out.image = readFile(tmp.file("end.snap"));
+        out.image = clu.stateImage();
         for (size_t i = 0; i < clu.nodeCount(); ++i) {
             const EventQueue &eq = clu.node(i).blade().eventQueue();
             out.eqNow.push_back(eq.now());
@@ -221,7 +220,7 @@ runVariant(const Variant &v)
 void
 expectSame(const Outcome &got, const Outcome &ref, const std::string &what)
 {
-    EXPECT_EQ(got.image, ref.image) << what << ": state image diverged";
+    EXPECT_EQ(imageDiff(ref.image, got.image), "") << what;
     EXPECT_EQ(got.stats, ref.stats) << what << ": stats.json diverged";
     EXPECT_EQ(got.eqNow, ref.eqNow) << what;
     EXPECT_EQ(got.eqScheduled, ref.eqScheduled) << what;
@@ -298,59 +297,31 @@ TEST(FastForwardParity, FunctionalModeMatchesDenseStepping)
                                {Chunks::One, Chunks::Fifty});
 }
 
-/** Restores @p path into a fresh activity-driven target, runs it to
- *  the end and checks it matches @p whole. */
-void
-expectRestoreMatches(const std::string &path, Cycles at,
-                     const Outcome &whole)
+TEST(FastForwardParity, ImageInsideAFastForwardedStretchMatchesDense)
 {
-    ScopedTempDir dump;
-    {
-        Target restored({false, 1, Chunks::One, 0}, dump.path());
-        ASSERT_EQ(resumeFromSnapshot(*restored.cluster, path), "");
-        EXPECT_EQ(restored.cluster->now(), at);
-        restored.run(kTotal - restored.cluster->now(), Chunks::One);
-        EXPECT_EQ(restored.rtts, whole.rtts);
-    }
-    EXPECT_EQ(stripHostTimingStats(readFile(dump.file("stats.json"))),
-              whole.stats);
-}
-
-TEST(FastForwardParity, CheckpointInsideAFastForwardedStretchRestores)
-{
-    // Two checkpoints, each where one run() would have left endpoints
+    // Two images, each where one run() would have left endpoints
     // unstepped: inside an idle stretch, and mid-ping while nodes 1
     // and 2 idle. The run() that ends there catches them up, so the
     // image equals the dense one.
-    Outcome whole = runVariant({false, 1, Chunks::One, 0});
-    for (Cycles at : {kSnapAt, kPingSnapAt}) {
-        ScopedTempDir tmp;
-        std::string path = tmp.file("mid.snap");
-        std::string ref_path = tmp.file("mid_ref.snap");
-        {
-            Target ref({true, 1, Chunks::One, 0}, "");
-            ref.run(at, Chunks::One);
-            ASSERT_EQ(ref.cluster->saveSnapshot(ref_path), "");
+    for (Cycles at : {kIdleImageAt, kPingImageAt}) {
+        Target dense({true, 1, Chunks::One, 0}, "");
+        dense.run(at, Chunks::One);
+        Target activity({false, 1, Chunks::One, 0}, "");
+        activity.run(at, Chunks::One);
+        Cluster &clu = *activity.cluster;
+        TokenFabric &fab = clu.fabric();
+        EXPECT_GT(fab.roundsFastForwarded(), 0u);
+        // Node 1 is idle well past the image.
+        EXPECT_GE(clu.node(1).blade().quiescentUntil(clu.now()),
+                  clu.now() + 2 * fab.quantum());
+        if (at == kPingImageAt) {
+            EXPECT_GT(activity.rtts[0], 0u) << "first ping not done";
+            EXPECT_EQ(activity.rtts[2], 0u) << "last ping already done";
         }
-        {
-            Target saver({false, 1, Chunks::One, 0}, "");
-            saver.run(at, Chunks::One);
-            Cluster &clu = *saver.cluster;
-            TokenFabric &fab = clu.fabric();
-            EXPECT_GT(fab.roundsFastForwarded(), 0u);
-            // Node 1 is idle well past the checkpoint.
-            EXPECT_GE(clu.node(1).blade().quiescentUntil(clu.now()),
-                      clu.now() + 2 * fab.quantum());
-            if (at == kPingSnapAt) {
-                EXPECT_GT(saver.rtts[0], 0u) << "first ping not done";
-                EXPECT_EQ(saver.rtts[2], 0u) << "last ping already done";
-            }
-            ASSERT_EQ(clu.saveSnapshot(path), "");
-            EXPECT_EQ(readFile(path), readFile(ref_path))
-                << "activity-driven image at " << at
-                << " differs from the dense one";
-        }
-        expectRestoreMatches(path, at, whole);
+        EXPECT_EQ(imageDiff(dense.cluster->stateImage(), clu.stateImage()),
+                  "")
+            << "activity-driven image at " << at
+            << " differs from the dense one";
     }
 }
 

@@ -63,7 +63,6 @@ TEST(ClusterMonitor, HeartbeatJsonlSchema)
     {
         ClusterMonitor mon(mc, 0, 1);
         mon.emitHeartbeat(1000, 3);
-        mon.noteCheckpoint(1500);
         mon.emitHeartbeat(2500, 7);
         EXPECT_EQ(mon.heartbeats(), 2u);
     } // closes the heartbeat file
@@ -82,9 +81,7 @@ TEST(ClusterMonitor, HeartbeatJsonlSchema)
     EXPECT_TRUE(first->has("channel_occupancy"));
     EXPECT_TRUE(first->has("health_events"));
     EXPECT_TRUE(first->has("live_peers"));
-    // No checkpoint yet: the age is JSON null, not a fake zero.
-    EXPECT_TRUE(first->has("checkpoint_age_cycles"));
-    EXPECT_FALSE(first->at("checkpoint_age_cycles").isNumber());
+    EXPECT_FALSE(first->has("checkpoint_age_cycles"));
     // A single-process run still reports its own shard lane.
     const minijson::Value &shards = first->at("per_shard");
     ASSERT_TRUE(shards.isArray());
@@ -94,8 +91,7 @@ TEST(ClusterMonitor, HeartbeatJsonlSchema)
 
     minijson::ValuePtr second = minijson::parse(hb_lines[1]);
     EXPECT_DOUBLE_EQ(second->at("cycle").number, 2500.0);
-    EXPECT_DOUBLE_EQ(second->at("checkpoint_age_cycles").number,
-                     1000.0);
+    EXPECT_DOUBLE_EQ(second->at("round").number, 7.0);
 }
 
 TEST(ClusterMonitor, PrometheusFileIsRefreshedInPlace)
@@ -119,6 +115,7 @@ TEST(ClusterMonitor, PrometheusFileIsRefreshedInPlace)
     EXPECT_NE(text.find("firesim_round_latency_ns"), std::string::npos);
     EXPECT_NE(text.find("firesim_live_peers{rank=\"0\"} 0"),
               std::string::npos);
+    EXPECT_EQ(text.find("checkpoint"), std::string::npos);
 
     // The next heartbeat atomically replaces the file (no append).
     mon.emitHeartbeat(2000, 1);

@@ -30,7 +30,6 @@
 #include "manager/cluster.hh"
 #include "manager/topology.hh"
 #include "net/remote/socket.hh"
-#include "snapshot/snapshot.hh"
 #include "tests/scoped_temp_dir.hh"
 #include "tests/telemetry/mini_json.hh"
 
@@ -162,7 +161,7 @@ TEST(ObsCluster, MergedDumpMatchesSingleProcessRun)
     // and skipped.
     std::map<std::string, double> got;
     for (uint32_t rank = 0; rank < 2; ++rank) {
-        std::string path = snapshotRankPath(dir + "/stats.json", 2, rank);
+        std::string path = rankPath(dir + "/stats.json", 2, rank);
         std::string text = readFile(path);
         ASSERT_FALSE(text.empty()) << path << " missing";
         minijson::ValuePtr doc = minijson::parse(text);
@@ -181,7 +180,7 @@ TEST(ObsCluster, MergedDumpMatchesSingleProcessRun)
         }
         EXPECT_GT(owned, 0u) << path << " carries no component";
         EXPECT_FALSE(
-            readFile(snapshotRankPath(dir + "/autocounter.csv", 2, rank))
+            readFile(rankPath(dir + "/autocounter.csv", 2, rank))
                 .empty());
     }
     ASSERT_EQ(got.size(), want.size());
@@ -195,8 +194,8 @@ TEST(ObsCluster, ShardedHeartbeatsCoverEveryRankAndLatchStragglers)
     ScopedTempDir tmp;
     std::string hb_base = tmp.file("fsobs_cluster_hb.jsonl");
     std::string prom_base = tmp.file("fsobs_cluster.prom");
-    std::string hb0 = snapshotRankPath(hb_base, 2, 0);
-    std::string prom0 = snapshotRankPath(prom_base, 2, 0);
+    std::string hb0 = rankPath(hb_base, 2, 0);
+    std::string prom0 = rankPath(prom_base, 2, 0);
 
     auto [fd0, fd1] = localSocketPair();
     ClusterConfig cc0, cc1;
@@ -332,7 +331,7 @@ TEST(ObsCluster, KilledPeerLeavesAPostmortemOnRankZero)
     constexpr Cycles kRun = 80000;
     ScopedTempDir tmp;
     std::string hb_base = tmp.file("fsobs_postmortem_hb.jsonl");
-    std::string hb0 = snapshotRankPath(hb_base, 2, 0);
+    std::string hb0 = rankPath(hb_base, 2, 0);
 
     auto [fd0, fd1] = localSocketPair();
     pid_t child = fork();

@@ -2,6 +2,7 @@
 
 #include "base/stats.hh"
 #include "telemetry/stat_registry.hh"
+#include "telemetry/telemetry.hh"
 #include "tests/telemetry/mini_json.hh"
 
 namespace firesim
@@ -170,6 +171,46 @@ TEST(StatRegistryDeath, ControlAndNonAsciiCharsStillPanic)
     EXPECT_DEATH(reg.registerProbe("a\x01b", [] { return 0.0; }), "");
     EXPECT_DEATH(reg.registerProbe("a\xc3\xa9", [] { return 0.0; }),
                  "");
+}
+
+TEST(StripHostTimingStats, DropsExactlyTheHostTimingEntries)
+{
+    EXPECT_TRUE(isHostTimingStat("cluster.shard.peer1.bytesTx"));
+    // A `rankN.` prefix is an ordinary name component.
+    EXPECT_FALSE(isHostTimingStat("rank12.cluster.shard.livePeers"));
+    EXPECT_TRUE(isHostTimingStat("cluster.node0.core0.host.decode.hits"));
+    EXPECT_TRUE(
+        isHostTimingStat("cluster.fabric.host.roundsFastForwarded"));
+    EXPECT_TRUE(
+        isHostTimingStat("cluster.fabric.host.endpointRoundsStepped"));
+    EXPECT_FALSE(isHostTimingStat("cluster.fabric.rounds"));
+    EXPECT_FALSE(isHostTimingStat("cluster.switch0.packetsIn"));
+    EXPECT_FALSE(isHostTimingStat("x.cluster.shard.y"));
+    EXPECT_FALSE(isHostTimingStat("rankA.cluster.shard.y"));
+
+    EXPECT_EQ(stripHostTimingStats(
+                  "{\"cycle\": 5, \"stats\": {\"a.b\": 1, "
+                  "\"cluster.shard.peer1.bytesTx\": 2, "
+                  "\"n0.host.decode.hits\": 3, "
+                  "\"cluster.fabric.host.roundsFastForwarded\": 6, "
+                  "\"cluster.fabric.host.endpointRoundsStepped\": 7, "
+                  "\"rank1.cluster.shard.x\": 4, \"rank1.n.c\": 5}}"),
+              "{\"cycle\": 5, \"stats\": {\"a.b\": 1, "
+              "\"rank1.cluster.shard.x\": 4, \"rank1.n.c\": 5}}");
+    // A host-timing last entry takes the separator in front of it; a
+    // host-timing only entry leaves an empty, still valid object.
+    EXPECT_EQ(stripHostTimingStats("{\"cycle\": 5, \"stats\": {\"a\": 1, "
+                                   "\"cluster.shard.x\": 2}}"),
+              "{\"cycle\": 5, \"stats\": {\"a\": 1}}");
+    EXPECT_EQ(stripHostTimingStats(
+                  "{\"cycle\": 5, \"stats\": {\"cluster.shard.x\": 2}}"),
+              "{\"cycle\": 5, \"stats\": {}}");
+}
+
+TEST(TelemetryFiles, RankPathSuffixesOnlyShardedRuns)
+{
+    EXPECT_EQ(rankPath("stats.json", 1, 0), "stats.json");
+    EXPECT_EQ(rankPath("stats.json", 4, 2), "stats.json.rank2");
 }
 
 } // namespace
