@@ -11,13 +11,24 @@
  * stripped away, so the measured ns/round is almost pure transport.
  * Fabrics: AF_UNIX socketpair (the kernel-socket baseline), the
  * lock-free shared-memory rings (--shard-shm-ring sizes them), and the
- * in-process loopback queue pair as the no-kernel reference point.
+ * in-process loopback queue pair (a mutex and condvar per direction,
+ * the test fabric).
  *
  * The headline number is the shm-vs-unix speedup: the rings replace
  * two kernel round trips per barrier (send + blocking recv) with
- * cache-line traffic. Results land in BENCH_shm.json.
+ * cache-line traffic.
+ *
+ * A second, skewed case gives each rank 300 us of busy work on
+ * alternate rounds (rank 0 on even rounds, rank 1 on odd ones), as
+ * uneven advance phases do in a real 2-rank simulation. Every barrier
+ * then waits far longer than a reader's spin window, so it measures
+ * how fast a parked reader wakes: the ideal is 300 us per round, and
+ * anything above it is wake-up latency. Results land in
+ * BENCH_shm.json. The exit code is 0 unless the run itself fails:
+ * host timing is reported, never asserted.
  */
 
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -37,6 +48,11 @@ namespace
 {
 
 constexpr Cycles kQuantum = 400;
+
+/** Busy work per skewed round, on one rank at a time. */
+constexpr auto kSkewWork = std::chrono::microseconds(300);
+constexpr double kSkewIdealNs =
+    std::chrono::duration<double, std::nano>(kSkewWork).count();
 
 enum class Fabric
 {
@@ -107,11 +123,18 @@ buildMesh(Fabric fabric, Rank &r0, Rank &r1)
 }
 
 /** Drive @p rounds barriers on one rank: pop the inbound batch, ship
- *  one small batch, barrier. Mirrors the fabric's round discipline. */
+ *  one small batch, barrier. Mirrors the fabric's round discipline.
+ *  With @p skewed, rank @p tx_link busy-waits kSkewWork first on the
+ *  rounds whose parity matches it. */
 void
-driveRank(Rank &rank, uint32_t tx_link, uint64_t rounds)
+driveRank(Rank &rank, uint32_t tx_link, uint64_t rounds, bool skewed)
 {
     for (uint64_t r = 0; r < rounds; ++r) {
+        if (skewed && r % 2 == tx_link) {
+            auto until = std::chrono::steady_clock::now() + kSkewWork;
+            while (std::chrono::steady_clock::now() < until) {
+            }
+        }
         rank.rx.pop();
         TokenBatch out(Cycles(r) * kQuantum, kQuantum);
         Flit f;
@@ -128,15 +151,15 @@ driveRank(Rank &rank, uint32_t tx_link, uint64_t rounds)
 
 /** Best-of-@p trials ns/round for @p fabric. */
 double
-measure(Fabric fabric, uint64_t rounds, int trials)
+measure(Fabric fabric, uint64_t rounds, int trials, bool skewed)
 {
     double best = 0.0;
     for (int t = 0; t < trials; ++t) {
         Rank r0, r1;
         buildMesh(fabric, r0, r1);
-        std::thread peer([&] { driveRank(r1, 1, rounds); });
+        std::thread peer([&] { driveRank(r1, 1, rounds, skewed); });
         bench::Stopwatch watch;
-        driveRank(r0, 0, rounds);
+        driveRank(r0, 0, rounds, skewed);
         double ns =
             watch.seconds() * 1e9 / static_cast<double>(rounds);
         peer.join();
@@ -149,8 +172,8 @@ measure(Fabric fabric, uint64_t rounds, int trials)
 }
 
 void
-writeBenchJson(const char *path, uint64_t rounds, double unix_ns,
-               double shm_ns, double loop_ns)
+writeBenchJson(const char *path, uint64_t rounds, const double *ns,
+               uint64_t skew_rounds, const double *skew_ns)
 {
     FILE *f = std::fopen(path, "w");
     if (!f) {
@@ -167,11 +190,21 @@ writeBenchJson(const char *path, uint64_t rounds, double unix_ns,
                  "    \"shm\": %.1f,\n"
                  "    \"loopback\": %.1f\n"
                  "  },\n"
-                 "  \"shm_speedup_vs_unix\": %.3f\n"
+                 "  \"shm_speedup_vs_unix\": %.3f,\n"
+                 "  \"skewed\": {\n"
+                 "    \"rounds\": %llu,\n"
+                 "    \"ideal_ns\": %.1f,\n"
+                 "    \"round_ns\": {\n"
+                 "      \"unix\": %.1f,\n"
+                 "      \"shm\": %.1f,\n"
+                 "      \"loopback\": %.1f\n"
+                 "    }\n"
+                 "  }\n"
                  "}\n",
                  (unsigned long long)rounds, bench::knobs().shardShmRing,
-                 unix_ns, shm_ns, loop_ns,
-                 shm_ns > 0 ? unix_ns / shm_ns : 0.0);
+                 ns[0], ns[1], ns[2], ns[1] > 0 ? ns[0] / ns[1] : 0.0,
+                 (unsigned long long)skew_rounds, kSkewIdealNs,
+                 skew_ns[0], skew_ns[1], skew_ns[2]);
     std::fclose(f);
     std::printf("Results written to %s\n", path);
 }
@@ -195,7 +228,7 @@ main(int argc, char **argv)
     Fabric order[3] = {Fabric::Unix, Fabric::Shm, Fabric::Loopback};
     Table table({"fabric", "ns/round", "rounds/s", "vs unix"});
     for (int i = 0; i < 3; ++i) {
-        ns[i] = measure(order[i], rounds, trials);
+        ns[i] = measure(order[i], rounds, trials, false);
         table.addRow({fabricName(order[i]), Table::fmt(ns[i], 0),
                       Table::fmt(1e9 / ns[i], 0),
                       Table::fmt(ns[0] > 0 ? ns[0] / ns[i] : 0.0, 2) +
@@ -216,6 +249,22 @@ main(int argc, char **argv)
                     "(%.0f ns) on this host\n",
                     ns[1], ns[0]);
     }
-    writeBenchJson("BENCH_shm.json", rounds, ns[0], ns[1], ns[2]);
+
+    const uint64_t skew_rounds = bench::fullScale() ? 20000 : 2000;
+    std::printf("\nSkewed rounds: %llu per trial, best of %d; each rank "
+                "busy-waits %.0f us on alternate rounds\n\n",
+                (unsigned long long)skew_rounds, trials,
+                kSkewIdealNs / 1e3);
+    double skew_ns[3] = {0, 0, 0};
+    Table skew({"fabric", "ns/round", "ideal", "wake-up ns/round"});
+    for (int i = 0; i < 3; ++i) {
+        skew_ns[i] = measure(order[i], skew_rounds, trials, true);
+        skew.addRow({fabricName(order[i]), Table::fmt(skew_ns[i], 0),
+                     Table::fmt(kSkewIdealNs, 0),
+                     Table::fmt(skew_ns[i] - kSkewIdealNs, 0)});
+    }
+    std::printf("%s", skew.render().c_str());
+
+    writeBenchJson("BENCH_shm.json", rounds, ns, skew_rounds, skew_ns);
     return 0;
 }

@@ -1,5 +1,6 @@
 #include "net/remote/peer_link.hh"
 
+#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <mutex>
@@ -62,10 +63,12 @@ namespace
 {
 
 /** One direction of the loopback pair: a byte queue with its own
- *  mutex and a closed flag set by the producer's close(). */
+ *  mutex, a closed flag set by the producer's close(), and a condvar
+ *  the producer signals after each push and on close. */
 struct LoopbackPipe
 {
     std::mutex mu;
+    std::condition_variable cv;
     std::deque<char> bytes;
     bool closed = false;
 };
@@ -83,11 +86,14 @@ class LoopbackLink : public PeerLink
     long
     sendSome(const void *buf, size_t len) override
     {
-        std::lock_guard<std::mutex> lk(tx_->mu);
-        if (closed_ || tx_->closed)
-            return -1;
-        const char *p = static_cast<const char *>(buf);
-        tx_->bytes.insert(tx_->bytes.end(), p, p + len);
+        {
+            std::lock_guard<std::mutex> lk(tx_->mu);
+            if (closed_ || tx_->closed)
+                return -1;
+            const char *p = static_cast<const char *>(buf);
+            tx_->bytes.insert(tx_->bytes.end(), p, p + len);
+        }
+        tx_->cv.notify_all();
         return static_cast<long>(len);
     }
 
@@ -107,14 +113,13 @@ class LoopbackLink : public PeerLink
     }
 
     bool
-    readable() override
+    waitReadable(std::chrono::steady_clock::time_point deadline) override
     {
-        std::lock_guard<std::mutex> lk(rx_->mu);
-        return !rx_->bytes.empty() || rx_->closed || closed_;
+        std::unique_lock<std::mutex> lk(rx_->mu);
+        return rx_->cv.wait_until(lk, deadline, [this] {
+            return !rx_->bytes.empty() || rx_->closed || closed_;
+        });
     }
-
-    int pollFd() const override { return -1; }
-    bool needsRingPolling() const override { return true; }
 
     void
     close() override
@@ -123,8 +128,11 @@ class LoopbackLink : public PeerLink
             return;
         closed_ = true;
         // The peer reads its RX (our TX) as gone once drained.
-        std::lock_guard<std::mutex> lk(tx_->mu);
-        tx_->closed = true;
+        {
+            std::lock_guard<std::mutex> lk(tx_->mu);
+            tx_->closed = true;
+        }
+        tx_->cv.notify_all();
     }
 
     bool isOpen() const override { return !closed_; }

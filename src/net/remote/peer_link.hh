@@ -5,14 +5,14 @@
  * host platform offers" — PCIe, shared memory, or the network).
  *
  * A PeerLink is a narrow, transport-agnostic byte bridge to one peer
- * shard: send bytes, receive bytes, poll, close, describe. The round
- * engine (shard_transport) speaks only this interface; everything
- * fabric-specific lives in the implementations:
+ * shard: send bytes, receive bytes, wait for bytes, close, describe.
+ * The round engine (shard_transport) speaks only this interface;
+ * everything fabric-specific lives in the implementations:
  *
  *  - SocketLink   (socket_link.hh): the TCP / AF_UNIX byte stream.
  *  - ShmLink      (shm_ring.hh): a lock-free SPSC shared-memory ring
  *                 pair for same-host shards — no kernel round trip on
- *                 the round barrier.
+ *                 the round barrier unless a reader has to park.
  *  - LoopbackLink (below): an in-process queue pair for tests.
  *
  * Because frame encode/decode, the RoundDone barrier and peer-loss
@@ -25,6 +25,7 @@
 #ifndef FIRESIM_NET_REMOTE_PEER_LINK_HH
 #define FIRESIM_NET_REMOTE_PEER_LINK_HH
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -93,22 +94,17 @@ class PeerLink
      */
     virtual long recvSome(void *buf, size_t len) = 0;
 
-    /** Cheap readiness probe for multi-peer wait sets: true when
-     *  recvSome would return bytes (or the peer-gone -1). */
-    virtual bool readable() = 0;
-
     /**
-     * An fd whose POLLIN/POLLHUP is a wake-up hint for this link, or
-     * -1. For sockets it is the data fd; for shm it is the control
-     * socket kept as a death watch (peer exit wakes the poll set even
-     * though data never rides it). A readable() recheck after every
-     * poll wake-up is still required.
+     * Block until recvSome would return bytes (or the peer-gone -1),
+     * or until @p deadline passes; true when readable. A deadline in
+     * the past makes this a non-blocking probe. Each fabric parks its
+     * own way: sockets poll their fd, shm rings spin briefly and then
+     * sleep on a futex doorbell, loopback waits on a condvar. A caller
+     * waiting on several peers keeps each park short so it can probe
+     * the others.
      */
-    virtual int pollFd() const = 0;
-
-    /** True when this link cannot signal data arrival through
-     *  pollFd() — the barrier must keep re-probing readable(). */
-    virtual bool needsRingPolling() const { return false; }
+    virtual bool waitReadable(std::chrono::steady_clock::time_point
+                                  deadline) = 0;
 
     /** Close now (idempotent; also run by the destructor). Releases
      *  host resources — fds, mappings, shm names. */
@@ -127,7 +123,7 @@ class PeerLink
 };
 
 /**
- * In-process bridge for tests: two SPSC byte queues guarded by a
+ * In-process bridge for tests: two SPSC byte queues, each guarded by a
  * mutex + condvar (correctness, not speed — the lock-free path is the
  * shm ring's job). createPair() returns the two connected ends;
  * either end's close() makes the other's receive direction report

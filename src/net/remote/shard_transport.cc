@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <poll.h>
 #include <thread>
 
 #include "base/logging.hh"
@@ -30,20 +29,11 @@ elapsedNs(SteadyClock::time_point t0)
  *  every parsed frame. */
 constexpr size_t kRxCompactBytes = 64 * 1024;
 
-/** Barrier poll slices for ring-backed links, which cannot signal
- *  data arrival through poll(): re-probe immediately twice, then back
- *  off to bounded sleeps. Reset on any progress. */
-constexpr int kRingSlicesMs[] = {0, 0, 1, 1, 2, 4, 8};
-constexpr size_t kRingSliceCount =
-    sizeof(kRingSlicesMs) / sizeof(kRingSlicesMs[0]);
-
-/** Spin-probe window for ring-backed links before the barrier falls
- *  back to poll sleeps. A same-host barrier usually resolves in
- *  single-digit microseconds; the first sleep slice is a millisecond,
- *  which would dominate every round of a fast simulation. Bounded so
- *  a genuinely late peer costs at most this much busy CPU per
- *  escalation cycle. */
-constexpr int64_t kRingSpinNs = 100 * 1000;
+/** Longest single park in the round barrier. Between parks the
+ *  barrier re-probes every pending peer, enforces recvTimeoutMs, and
+ *  lets a shm link consult its death watch (a peer killed without
+ *  closing never rings the doorbell). */
+constexpr auto kParkSlice = std::chrono::milliseconds(5);
 
 /**
  * Blocking read of one frame straight off a rendezvous socket, before
@@ -605,134 +595,60 @@ ShardTransport::onRoundComplete(uint64_t round, Cycles round_start)
     }
 
     // Phase 2: barrier. Wait for every live peer's RoundDone for this
-    // round, consuming batches as they arrive — all pending peers sit
-    // in one poll set, so a slow peer delays only itself while the
-    // others' frames drain. stallNs is attributed per peer as the
-    // wall-clock from barrier entry until *that* peer's RoundDone (or
-    // loss): the peer that keeps the barrier open longest shows the
+    // round, consuming batches as they arrive. One loop: probe every
+    // peer still holding the barrier open, settle those that are done
+    // (or lost — loss also ends the wait), and park on the first one
+    // still pending, for at most kParkSlice. stallNs is attributed per
+    // peer as the wall-clock from barrier entry until *that* peer
+    // settles: the peer that keeps the barrier open longest shows the
     // largest stall. Bounded by recvTimeoutMs: a vanished peer
     // degrades (or aborts under failFast) instead of hanging us.
     auto barrier_t0 = SteadyClock::now();
-    for (Peer &peer : peers)
-        peer.roundDone = false;
-
+    auto give_up = barrier_t0 + std::chrono::milliseconds(opts.recvTimeoutMs);
+    auto holding = [](const Peer &peer) {
+        return peer.stats.alive && !peer.roundDone;
+    };
+    auto probe = [&](Peer &peer) {
+        drainFrames(peer, round, round_start); // already-buffered bytes
+        if (!holding(peer))
+            return;
+        long n = pumpRx(peer);
+        if (n > 0)
+            drainFrames(peer, round, round_start);
+        else if (n < 0)
+            peerLost(peer, round, round_start, "peer closed connection");
+    };
     auto settle = [&](Peer &peer) {
-        // Done (or lost — loss also ends the wait): attribute the time
-        // this peer kept the barrier open.
         peer.stats.stallNs += static_cast<uint64_t>(elapsedNs(barrier_t0));
     };
 
-    size_t pending = 0;
-    for (Peer &peer : peers) {
-        if (!peer.stats.alive)
-            continue;
-        drainFrames(peer, round, round_start); // already-buffered bytes
-        if (peer.stats.alive && !peer.roundDone) {
-            long n = pumpRx(peer);
-            if (n > 0)
-                drainFrames(peer, round, round_start);
-            else if (n < 0)
-                peerLost(peer, round, round_start,
-                         "peer closed connection");
-        }
-        if (peer.stats.alive && !peer.roundDone)
-            ++pending;
-        else
-            settle(peer);
-    }
-
-    size_t slice = 0;
-    std::vector<pollfd> pfds;
-    std::vector<Peer *> waiting;
-    while (pending > 0) {
-        int64_t left_ms =
-            opts.recvTimeoutMs - elapsedNs(barrier_t0) / 1000000;
-        if (left_ms <= 0) {
-            for (Peer &peer : peers) {
-                if (peer.stats.alive && !peer.roundDone) {
-                    peerLost(peer, round, round_start,
-                             "barrier timeout");
-                    settle(peer);
-                }
-            }
-            pending = 0;
-            break;
-        }
-
-        // One poll set over every pending peer. Ring-backed links
-        // cannot signal data through their fd (it is only a death
-        // watch), so their presence caps the wait at a short
-        // escalating slice and we re-probe readable() after.
-        pfds.clear();
-        waiting.clear();
-        bool ring_wait = false;
+    for (Peer &peer : peers)
+        peer.roundDone = false;
+    for (;;) {
+        Peer *park = nullptr;
         for (Peer &peer : peers) {
-            if (!peer.stats.alive || peer.roundDone)
+            if (!holding(peer))
                 continue;
-            waiting.push_back(&peer);
-            if (peer.link->needsRingPolling())
-                ring_wait = true;
-            int fd = peer.link->pollFd();
-            if (fd >= 0)
-                pfds.push_back({fd, POLLIN, 0});
-        }
-        // Rings first get a bounded spin-probe: readable() is one
-        // acquire load, and the peer's RoundDone lands microseconds
-        // after ours in the common case — reaching poll()'s
-        // millisecond granularity would turn every fast round into a
-        // sleep. Only after the spin window expires do we escalate to
-        // the poll slices.
-        bool ring_ready = false;
-        if (ring_wait && slice == 0) {
-            auto spin_t0 = SteadyClock::now();
-            while (!ring_ready && elapsedNs(spin_t0) < kRingSpinNs) {
-                for (Peer *pp : waiting) {
-                    if (pp->link->needsRingPolling() &&
-                        pp->link->readable()) {
-                        ring_ready = true;
-                        break;
-                    }
-                }
-                if (!ring_ready)
-                    std::this_thread::yield();
-            }
-        }
-        if (!ring_ready) {
-            int timeout = static_cast<int>(left_ms);
-            if (ring_wait)
-                timeout = std::min(
-                    timeout,
-                    kRingSlicesMs[std::min(slice, kRingSliceCount - 1)]);
-            ++slice;
-            if (!pfds.empty())
-                ::poll(pfds.data(), pfds.size(), timeout); // EINTR: re-loop
-            else if (timeout > 0)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(std::min(timeout, 1)));
-        }
-
-        bool progress = false;
-        for (Peer *pp : waiting) {
-            Peer &peer = *pp;
-            if (!peer.stats.alive || peer.roundDone)
-                continue;
-            long n = pumpRx(peer);
-            if (n > 0) {
-                progress = true;
-                drainFrames(peer, round, round_start);
-            } else if (n < 0) {
-                drainFrames(peer, round, round_start); // leftover bytes
-                if (peer.stats.alive && !peer.roundDone)
-                    peerLost(peer, round, round_start,
-                             "peer closed connection");
-            }
-            if (!peer.stats.alive || peer.roundDone) {
+            probe(peer);
+            if (!holding(peer))
                 settle(peer);
-                --pending;
+            else if (!park)
+                park = &peer;
+        }
+        if (!park)
+            break;
+        auto now = SteadyClock::now();
+        if (now < give_up) {
+            park->link->waitReadable(std::min(give_up, now + kParkSlice));
+            continue;
+        }
+        for (Peer &peer : peers) {
+            if (holding(peer)) {
+                peerLost(peer, round, round_start, "barrier timeout");
+                settle(peer);
             }
         }
-        if (progress)
-            slice = 0;
+        break;
     }
 
     // Phase 3: fill in for the dead, if any.

@@ -31,12 +31,13 @@
  * round's outbound batches plus a RoundDone marker to every peer, then
  * blocks until every peer's RoundDone for the same round has arrived,
  * pushing the received batches into their RX channels along the way.
- * The barrier waits on all live peers as one poll set — one slow peer
- * delays only itself, the others' frames drain as they arrive, and
- * stallNs is attributed to the peer that actually kept the barrier
- * open. Because the fabric quantum never exceeds any link latency,
- * round R's remote productions are not consumed before round R+1 — no
- * shard can run ahead. All transport work happens on the fabric's
+ * The barrier probes every pending peer, then parks on the first one
+ * still pending (PeerLink::waitReadable) for a short slice and probes
+ * again — one slow peer delays only itself, the others' frames drain
+ * between parks, and stallNs is attributed to the peer that actually
+ * kept the barrier open. Because the fabric quantum never exceeds any
+ * link latency, round R's remote productions are not consumed before
+ * round R+1 — no shard can run ahead. All transport work happens on the fabric's
  * driving thread, so the simulation stays byte-identical to the
  * single-process run for any shard count (tested in tests/dist).
  *

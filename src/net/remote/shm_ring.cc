@@ -1,16 +1,59 @@
 #include "net/remote/shm_ring.hh"
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <fcntl.h>
+#include <linux/futex.h>
 #include <sys/mman.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
+#include <thread>
 #include <unistd.h>
 
 #include "base/logging.hh"
 
 namespace firesim
 {
+
+namespace
+{
+
+using SteadyClock = std::chrono::steady_clock;
+
+/** How long a reader spins on an empty ring before it parks. A
+ *  same-host peer's push usually lands within a few microseconds; a
+ *  futex sleep and wake costs tens. */
+constexpr auto kSpin = std::chrono::microseconds(100);
+
+static_assert(sizeof(std::atomic<uint32_t>) == sizeof(uint32_t) &&
+                  std::atomic<uint32_t>::is_always_lock_free,
+              "the doorbell must be a plain 32-bit futex word");
+
+/** Sleep while @p word still reads @p seen, at most @p timeout. Not
+ *  FUTEX_PRIVATE: the two ends map the segment at different
+ *  addresses, often in different processes. EINTR, EAGAIN (the word
+ *  moved) and ETIMEDOUT all just return. */
+void
+futexWait(std::atomic<uint32_t> &word, uint32_t seen,
+          std::chrono::nanoseconds timeout)
+{
+    timespec ts{};
+    ts.tv_sec = static_cast<time_t>(timeout.count() / 1000000000);
+    ts.tv_nsec = static_cast<long>(timeout.count() % 1000000000);
+    ::syscall(SYS_futex, reinterpret_cast<uint32_t *>(&word), FUTEX_WAIT,
+              seen, &ts, nullptr, 0);
+}
+
+void
+futexWakeAll(std::atomic<uint32_t> &word)
+{
+    ::syscall(SYS_futex, reinterpret_cast<uint32_t *>(&word), FUTEX_WAKE,
+              INT_MAX, nullptr, nullptr, 0);
+}
+
+} // namespace
 
 size_t
 ShmRing::push(const void *buf, size_t len)
@@ -28,7 +71,59 @@ ShmRing::push(const void *buf, size_t len)
         std::memcpy(data_, static_cast<const char *>(buf) + first,
                     n - first);
     ctl_->head.store(head + n, std::memory_order_release);
+    ring();
     return n;
+}
+
+void
+ShmRing::close()
+{
+    ctl_->closed.store(1, std::memory_order_release);
+    ring();
+}
+
+bool
+ShmRing::producerClosed() const
+{
+    return ctl_->closed.load(std::memory_order_acquire) != 0;
+}
+
+void
+ShmRing::ring()
+{
+    // Bump, then read the sleeper count; a parking consumer registers,
+    // then reads the doorbell. With both pairs sequentially consistent,
+    // either the consumer's re-check sees this push or this read sees
+    // the sleeper and wakes it (and a FUTEX_WAIT entered after the bump
+    // returns at once, since the word no longer reads its value).
+    ctl_->doorbell.fetch_add(1);
+    if (ctl_->sleepers.load() != 0)
+        futexWakeAll(ctl_->doorbell);
+}
+
+bool
+ShmRing::waitReadable(SteadyClock::time_point deadline)
+{
+    auto ready = [this] { return readableBytes() > 0 || producerClosed(); };
+    SteadyClock::time_point spin_end =
+        std::min(deadline, SteadyClock::now() + kSpin);
+    do {
+        if (ready())
+            return true;
+        std::this_thread::yield();
+    } while (SteadyClock::now() < spin_end);
+
+    for (SteadyClock::time_point now = SteadyClock::now(); now < deadline;
+         now = SteadyClock::now()) {
+        ctl_->sleepers.fetch_add(1);
+        uint32_t seen = ctl_->doorbell.load();
+        if (!ready())
+            futexWait(ctl_->doorbell, seen, deadline - now);
+        ctl_->sleepers.fetch_sub(1);
+        if (ready())
+            return true;
+    }
+    return ready();
 }
 
 size_t
@@ -78,20 +173,19 @@ namespace
 {
 
 constexpr uint32_t kShmMagic = 0x4653484d; // "FSHM"
-constexpr uint32_t kShmVersion = 1;
+constexpr uint32_t kShmVersion = 2;
 
 /** Shared segment: header + two rings' control words + data. The
- *  whole segment starts zeroed (ftruncate), so head/tail need no
- *  explicit init; `ready` flips to 1 after the creator fills in the
- *  geometry. `closedBits` collects one bit per side on close so a
- *  drained ring can distinguish "peer finished" from "peer slow". */
+ *  whole segment starts zeroed (ftruncate), so the control words need
+ *  no explicit init; `ready` flips to 1 after the creator fills in the
+ *  geometry. Each side closes the ring it produces into, so a drained
+ *  ring can distinguish "peer finished" from "peer slow". */
 struct SegmentHeader
 {
     uint32_t magic;
     uint32_t version;
     uint64_t ringBytes;
     std::atomic<uint32_t> ready;
-    std::atomic<uint32_t> closedBits;
     ShmRingCtl ctl[2]; // [0] creator->opener, [1] opener->creator
 };
 
@@ -182,13 +276,23 @@ class ShmLink : public PeerLink
     }
 
     bool
-    readable() override
+    waitReadable(SteadyClock::time_point deadline) override
     {
-        return quickProbe() != 0;
+        if (closed_)
+            return true;
+        if (!attached_ && !tryAttach()) {
+            // The creator's announcement rides the control socket.
+            if (!peerDead_)
+                pollInUntil(control_.fd(), deadline);
+            if (!tryAttach())
+                return peerDead_;
+        }
+        flushPreTx();
+        // A peer killed without closing never rings: its control
+        // socket's hang-up is the only sign, checked once the park
+        // times out.
+        return rx_.waitReadable(deadline) || peerDeadNow();
     }
-
-    int pollFd() const override { return control_.fd(); }
-    bool needsRingPolling() const override { return true; }
 
     void
     close() override
@@ -196,11 +300,8 @@ class ShmLink : public PeerLink
         if (closed_)
             return;
         closed_ = true;
-        if (attached_ && mapped_) {
-            auto *hdr = static_cast<SegmentHeader *>(mapped_);
-            hdr->closedBits.fetch_or(creator_ ? 1u : 2u,
-                                     std::memory_order_release);
-        }
+        if (attached_ && mapped_)
+            tx_.close(); // wakes a parked peer
         // The opener unlinked at attach; the creator unlinks here so a
         // SIGKILL'd opener cannot leave the name behind (ENOENT fine).
         if (creator_ && !name_.empty())
@@ -393,38 +494,16 @@ class ShmLink : public PeerLink
         return false;
     }
 
-    /** 1 when recvSome would make progress, -1 when the link is done
-     *  (peer dead and ring drained), 0 otherwise. */
-    int
-    quickProbe()
-    {
-        if (closed_)
-            return -1;
-        if (!attached_) {
-            if (!tryAttach())
-                return peerDead_ ? -1 : 0;
-        }
-        flushPreTx();
-        if (rx_.readableBytes() > 0)
-            return 1;
-        return peerDeadNow() ? -1 : 0;
-    }
-
-    /** Death watch: the peer's closed bit, or its control-socket end
-     *  gone (covers SIGKILL, where no bit is ever set). */
+    /** Death watch: the peer closed its ring, or its control-socket
+     *  end is gone (covers SIGKILL, where the ring is never closed). */
     bool
     peerDeadNow()
     {
         if (peerDead_)
             return true;
-        if (attached_ && mapped_) {
-            uint32_t peer_bit = creator_ ? 2u : 1u;
-            auto *hdr = static_cast<SegmentHeader *>(mapped_);
-            if (hdr->closedBits.load(std::memory_order_acquire) &
-                peer_bit) {
-                peerDead_ = true;
-                return true;
-            }
+        if (attached_ && mapped_ && rx_.producerClosed()) {
+            peerDead_ = true;
+            return true;
         }
         if (control_.valid() && pollIn(control_.fd(), 0) != 0) {
             // Data never rides the control socket after the handshake,

@@ -10,8 +10,16 @@
  * with monotonically increasing head/tail indices on separate cache
  * lines; the producer is the only head writer, the consumer the only
  * tail writer, so a release-store on the producer side paired with an
- * acquire-load on the consumer side is the entire synchronization
- * story (TSan-clean by construction, pinned by tests/dist).
+ * acquire-load on the consumer side is the entire data
+ * synchronization story (TSan-clean by construction, pinned by
+ * tests/dist).
+ *
+ * Waiting: a consumer with nothing to read spins for about 100 us (a
+ * same-host peer is usually microseconds behind), then parks with
+ * FUTEX_WAIT on the ring's doorbell word. The producer bumps the
+ * doorbell after every push and on close, and makes the FUTEX_WAKE
+ * system call only when the consumer has registered as a sleeper, so
+ * a round whose reader is already spinning costs no kernel entry.
  *
  * Handshake: the lower rank (creator) shm_opens a uniquely named
  * segment, initializes it, and sends {magic, version, ringBytes, name}
@@ -22,17 +30,17 @@
  * close() (ENOENT is fine) so a SIGKILL'd opener cannot leak the name.
  *
  * The control socket stays open for the life of the link as a death
- * watch: ring writes never signal through poll(), but a dying peer's
- * kernel closes its socket end, which wakes the barrier's poll set
- * with POLLHUP. Waits therefore interleave ring probes with short
- * escalating poll slices on the control fd (backoff-based, no futex —
- * same recvTimeoutMs semantics as the socket path).
+ * watch: a peer that dies without closing (SIGKILL) never rings the
+ * doorbell, but its kernel closes its socket end. A wait checks the
+ * control fd when its deadline passes, so callers park in bounded
+ * slices (same recvTimeoutMs semantics as the socket path).
  */
 
 #ifndef FIRESIM_NET_REMOTE_SHM_RING_HH
 #define FIRESIM_NET_REMOTE_SHM_RING_HH
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -44,13 +52,17 @@
 namespace firesim
 {
 
-/** Head/tail of one SPSC ring, each on its own cache line so the
- *  producer and consumer never false-share. Indices are monotonic;
- *  the ring position is index & (capacity - 1). */
+/** Control words of one SPSC ring: the producer's and the consumer's
+ *  each on their own cache line, so the two sides never false-share.
+ *  Indices are monotonic; the ring position is index & (capacity - 1).
+ *  All words start at zero. */
 struct ShmRingCtl
 {
     alignas(64) std::atomic<uint64_t> head; //!< producer-owned
+    std::atomic<uint32_t> doorbell; //!< bumped after each push and on close
+    std::atomic<uint32_t> closed;   //!< 1 once the producer closed
     alignas(64) std::atomic<uint64_t> tail; //!< consumer-owned
+    std::atomic<uint32_t> sleepers; //!< consumers parked on the doorbell
 };
 
 /**
@@ -71,9 +83,23 @@ class ShmRing
     bool valid() const { return ctl_ != nullptr; }
     size_t capacity() const { return cap_; }
 
-    /** Producer: copy in up to @p len bytes; returns bytes accepted
-     *  (0 when full — never blocks). */
+    /** Producer: copy in up to @p len bytes and ring the doorbell;
+     *  returns bytes accepted (0 when full — never blocks). */
     size_t push(const void *buf, size_t len);
+
+    /** Producer: mark the ring finished and ring the doorbell. */
+    void close();
+
+    /** Consumer: the producer called close(). Bytes it pushed before
+     *  may still be readable. */
+    bool producerClosed() const;
+
+    /**
+     * Consumer: wait until bytes are readable or the producer closed,
+     * or until @p deadline passes; true unless the deadline passed.
+     * Spins about 100 us, then parks on the doorbell futex.
+     */
+    bool waitReadable(std::chrono::steady_clock::time_point deadline);
 
     /** Consumer: copy out up to @p len bytes; returns bytes taken
      *  (0 when empty — never blocks). */
@@ -86,6 +112,9 @@ class ShmRing
     size_t freeBytes() const;
 
   private:
+    /** Wake the consumer if it registered as a sleeper. */
+    void ring();
+
     ShmRingCtl *ctl_ = nullptr;
     char *data_ = nullptr;
     size_t cap_ = 0;

@@ -248,6 +248,16 @@ pollIn(int fd, int timeout_ms)
     }
 }
 
+bool
+pollInUntil(int fd, std::chrono::steady_clock::time_point deadline)
+{
+    int64_t left = std::chrono::ceil<std::chrono::milliseconds>(
+                       deadline - std::chrono::steady_clock::now())
+                       .count();
+    return pollIn(fd, static_cast<int>(std::clamp<int64_t>(
+                          left, 0, INT32_MAX))) != 0;
+}
+
 long
 recvSome(int fd, void *buf, size_t len)
 {

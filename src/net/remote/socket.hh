@@ -17,6 +17,7 @@
 #ifndef FIRESIM_NET_REMOTE_SOCKET_HH
 #define FIRESIM_NET_REMOTE_SOCKET_HH
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -119,6 +120,11 @@ bool sendAll(int fd, const void *buf, size_t len);
  * the deadline).
  */
 int pollIn(int fd, int timeout_ms);
+
+/** pollIn() until @p deadline (rounded up to the next millisecond, so
+ *  it never returns early; a past deadline polls once): true when
+ *  @p fd is readable or hung up. */
+bool pollInUntil(int fd, std::chrono::steady_clock::time_point deadline);
 
 /**
  * One recv() of at most @p len bytes. >0 bytes read, 0 orderly EOF,

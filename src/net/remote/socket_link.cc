@@ -55,12 +55,12 @@ class SocketLink : public PeerLink
     }
 
     bool
-    readable() override
+    waitReadable(std::chrono::steady_clock::time_point deadline) override
     {
-        return sock_.valid() && pollIn(sock_.fd(), 0) != 0;
+        // An invalid socket is readable: recvSome reports the -1.
+        return !sock_.valid() || pollInUntil(sock_.fd(), deadline);
     }
 
-    int pollFd() const override { return sock_.fd(); }
     void close() override { sock_.close(); }
     bool isOpen() const override { return sock_.valid(); }
     TransportKind kind() const override { return kind_; }

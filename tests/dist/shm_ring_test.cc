@@ -6,6 +6,9 @@
  * is the entire cross-process synchronization story), and the ShmLink
  * handshake over a socketpair control channel, including lazy opener
  * attach, backpressure, peer-close detection, and segment cleanup.
+ * Parking: a reader blocked in PeerLink::waitReadable on a shm ring
+ * (futex doorbell) or a loopback queue (condvar) wakes on the peer's
+ * push and on the peer's close.
  */
 
 #include <gtest/gtest.h>
@@ -36,6 +39,10 @@ TEST(ShmRing, CapacityRoundsUpToPowerOfTwo)
     EXPECT_EQ(shmRingCapacity(1u << 20), 1u << 20);
     EXPECT_EQ(shmRingCapacity((1u << 20) + 1), 2u << 20);
 }
+
+/** The deadline a parked reader is given. Only a lost wake-up runs
+ *  into it, so the tests need no timing margin. */
+constexpr auto kParkDeadline = std::chrono::seconds(30);
 
 /** Heap-backed ring for the unit tests (the view doesn't care where
  *  the control words and data live). */
@@ -88,8 +95,11 @@ TEST(ShmRing, ConcurrentProducerConsumerPreservesByteStream)
 {
     // One real producer thread against one consumer through a ring far
     // smaller than the stream, so head chases tail across thousands of
-    // wraps. Run under ctest -L sanitize-thread this is the proof the
-    // acquire/release pairing is complete.
+    // wraps. The producer pauses past the consumer's spin window every
+    // 64 pushes, so the consumer also parks on the doorbell. Run under
+    // ctest -L sanitize-thread this is the proof the acquire/release
+    // pairing and the doorbell protocol are complete; a lost wake-up
+    // runs into the park deadline.
     constexpr size_t kStream = 1 << 20;
     HeapRing hr(4096);
     ShmRing &r = hr.ring;
@@ -97,7 +107,7 @@ TEST(ShmRing, ConcurrentProducerConsumerPreservesByteStream)
     std::thread producer([&r] {
         size_t sent = 0;
         char buf[257];
-        while (sent < kStream) {
+        for (int pushes = 1; sent < kStream; ++pushes) {
             size_t want = std::min(sizeof(buf), kStream - sent);
             for (size_t i = 0; i < want; ++i)
                 buf[i] = static_cast<char>((sent + i) * 31 + 7);
@@ -105,6 +115,8 @@ TEST(ShmRing, ConcurrentProducerConsumerPreservesByteStream)
             sent += n;
             if (n == 0)
                 std::this_thread::yield();
+            if (pushes % 64 == 0)
+                std::this_thread::sleep_for(std::chrono::microseconds(300));
         }
     });
 
@@ -113,7 +125,11 @@ TEST(ShmRing, ConcurrentProducerConsumerPreservesByteStream)
     while (got < kStream) {
         size_t n = r.pop(buf, sizeof(buf));
         if (n == 0) {
-            std::this_thread::yield();
+            auto t0 = std::chrono::steady_clock::now();
+            ASSERT_TRUE(r.waitReadable(t0 + kParkDeadline));
+            ASSERT_LT(std::chrono::steady_clock::now() - t0,
+                      kParkDeadline / 2)
+                << "lost wake-up at byte " << got;
             continue;
         }
         for (size_t i = 0; i < n; ++i)
@@ -142,24 +158,16 @@ liveShmSegments()
 }
 
 /**
- * Wait up to @p timeout_ms for @p link to become readable, sleeping in
- * its pollFd() (the shm control socket, a death watch) between
- * readable() probes, then take up to @p len bytes: >0 bytes read, -1
- * peer gone with nothing left, 0 timed out.
+ * Wait up to @p timeout_ms for @p link to become readable, then take up
+ * to @p len bytes: >0 bytes read, -1 peer gone with nothing left, 0
+ * timed out.
  */
 long
 recvWithin(PeerLink &link, void *buf, size_t len, int timeout_ms)
 {
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::chrono::milliseconds(timeout_ms);
-    while (!link.readable()) {
-        if (std::chrono::steady_clock::now() >= deadline)
-            return 0;
-        if (link.pollFd() >= 0)
-            pollIn(link.pollFd(), 1);
-        else
-            ::usleep(1000);
-    }
+    if (!link.waitReadable(std::chrono::steady_clock::now() +
+                           std::chrono::milliseconds(timeout_ms)))
+        return 0;
     return link.recvSome(buf, len);
 }
 
@@ -296,6 +304,87 @@ TEST(ShmLink, CreatorClosedBeforeFirstAttachReadsAsGone)
     opener->close();
     EXPECT_FALSE(opener->isOpen());
     EXPECT_EQ(liveShmSegments(), before) << "leaked shm segment";
+}
+
+/** A shm link pair whose opener has already attached (it attaches
+ *  lazily, on its first receive), so a wait on it parks on the ring. */
+std::pair<std::unique_ptr<PeerLink>, std::unique_ptr<PeerLink>>
+attachedShmPair(const std::string &tag)
+{
+    auto [fd0, fd1] = localSocketPair();
+    auto creator = makeShmLink(std::move(fd0), true, 1 << 16, tag, {});
+    auto opener = makeShmLink(std::move(fd1), false, 1 << 16, tag, {});
+    char buf[16];
+    EXPECT_EQ(creator->sendSome("attach", 6), 6);
+    EXPECT_EQ(recvWithin(*opener, buf, sizeof(buf), 2000), 6);
+    return {std::move(creator), std::move(opener)};
+}
+
+/**
+ * Park @p reader while a thread acts on @p writer after 50 ms: the
+ * wait must report readable, and return well before the deadline.
+ */
+template <typename Act>
+void
+expectParkedReaderWakes(PeerLink &writer, PeerLink &reader, Act act)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    std::thread peer([&writer, act] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        act(writer);
+    });
+    bool readable = reader.waitReadable(t0 + kParkDeadline);
+    auto waited = std::chrono::steady_clock::now() - t0;
+    peer.join();
+    EXPECT_TRUE(readable);
+    EXPECT_LT(waited, kParkDeadline / 2) << "the wake-up was lost";
+}
+
+void
+expectParkedReaderWakesOnPush(PeerLink &writer, PeerLink &reader)
+{
+    expectParkedReaderWakes(writer, reader, [](PeerLink &w) {
+        EXPECT_EQ(w.sendSome("wake", 4), 4);
+    });
+    char buf[16];
+    EXPECT_EQ(reader.recvSome(buf, sizeof(buf)), 4);
+    EXPECT_EQ(std::string(buf, 4), "wake");
+}
+
+void
+expectParkedReaderWakesOnPeerClose(PeerLink &writer, PeerLink &reader)
+{
+    expectParkedReaderWakes(writer, reader,
+                            [](PeerLink &w) { w.close(); });
+    char buf[16];
+    EXPECT_EQ(reader.recvSome(buf, sizeof(buf)), -1);
+}
+
+TEST(ShmLink, ParkedReaderWakesOnPush)
+{
+    auto [creator, opener] = attachedShmPair("wp");
+    expectParkedReaderWakesOnPush(*creator, *opener);
+    // And the other direction, whose ring has its own doorbell.
+    expectParkedReaderWakesOnPush(*opener, *creator);
+}
+
+TEST(ShmLink, ParkedReaderWakesOnPeerClose)
+{
+    auto [creator, opener] = attachedShmPair("wc");
+    expectParkedReaderWakesOnPeerClose(*creator, *opener);
+}
+
+TEST(LoopbackLink, ParkedReaderWakesOnPush)
+{
+    auto [a, b] = loopbackLinkPair();
+    expectParkedReaderWakesOnPush(*a, *b);
+    expectParkedReaderWakesOnPush(*b, *a);
+}
+
+TEST(LoopbackLink, ParkedReaderWakesOnPeerClose)
+{
+    auto [a, b] = loopbackLinkPair();
+    expectParkedReaderWakesOnPeerClose(*a, *b);
 }
 
 } // namespace

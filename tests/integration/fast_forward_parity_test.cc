@@ -229,13 +229,21 @@ expectSame(const Outcome &got, const Outcome &ref, const std::string &what)
     EXPECT_EQ(got.rtts, ref.rtts) << what;
 }
 
-/** Every activity-driven variant of @p base matches the dense one and
- *  steps the same endpoint-rounds, far fewer than dense stepping. */
-void
-expectActivityMatchesDense(Variant base, std::vector<Chunks> chunkings)
+/** @p v stepped densely: a no-op observer keeps every round dense. */
+Variant
+denseOf(Variant v)
 {
-    base.observed = true;
-    Outcome ref = runVariant(base);
+    v.observed = true;
+    return v;
+}
+
+/** Every activity-driven variant of @p base matches @p ref, the dense
+ *  run of @p base, and steps the same endpoint-rounds, far fewer than
+ *  dense stepping. */
+void
+expectActivityMatchesDense(const Outcome &ref, Variant base,
+                           std::vector<Chunks> chunkings)
+{
     EXPECT_EQ(ref.skipped, 0u);
     ASSERT_FALSE(ref.image.empty());
     for (Cycles rtt : ref.rtts)
@@ -275,7 +283,10 @@ expectActivityMatchesDense(Variant base, std::vector<Chunks> chunkings)
 
 TEST(FastForwardParity, ClusterMatchesRoundByRoundStepping)
 {
-    Outcome ref = runVariant({true, 1, Chunks::One, 0});
+    // The dense reference is the first image this process takes, so a
+    // save that corrupts only a first image fails the comparison too.
+    Variant base{false, 1, Chunks::One, 0};
+    Outcome ref = runVariant(denseOf(base));
     ASSERT_NE(ref.stats.find("cluster.fabric.rounds"), std::string::npos);
     EXPECT_EQ(ref.stats.find("roundsFastForwarded"), std::string::npos)
         << "the host-only counters must be stripped";
@@ -286,14 +297,15 @@ TEST(FastForwardParity, ClusterMatchesRoundByRoundStepping)
     // every round.
     EXPECT_EQ(ref.stepped, 7u * (kTotal / kLatency));
 
-    expectActivityMatchesDense({false, 1, Chunks::One, 0},
+    expectActivityMatchesDense(ref, base,
                                {Chunks::One, Chunks::Fifty,
                                 Chunks::Quantum});
 }
 
 TEST(FastForwardParity, FunctionalModeMatchesDenseStepping)
 {
-    expectActivityMatchesDense({false, 1, Chunks::One, 4 * kLatency},
+    Variant base{false, 1, Chunks::One, 4 * kLatency};
+    expectActivityMatchesDense(runVariant(denseOf(base)), base,
                                {Chunks::One, Chunks::Fifty});
 }
 
@@ -341,6 +353,7 @@ componentSubtree(const StatSnapshot &snap, const std::string &component)
  *  keyed by global component. */
 struct ShardOutcome
 {
+    StateImage image;
     std::map<std::string, std::map<std::string, double>> stats;
     std::map<size_t, std::vector<uint64_t>> eq; // now, total, digest
     std::vector<BootResult> boots;
@@ -352,6 +365,7 @@ collect(Target &t, ShardOutcome &out)
 {
     Cluster &clu = *t.cluster;
     t.run(kTotal, Chunks::One);
+    out.image = clu.stateImage();
     StatSnapshot snap = clu.telemetry()->registry().snapshot(clu.now());
     for (const char *comp : {"switch0", "switch1", "switch2", "node0",
                              "node1", "node2", "node3"}) {
@@ -404,6 +418,11 @@ TEST(FastForwardParity, TwoShardsMatchOneActivityDrivenProcess)
     }
     shard1.join();
 
+    // Every channel, switch, blade and OS section, held once across
+    // the two ranks, matches the one-process run byte for byte.
+    EXPECT_EQ(imageDiff(unionRankImages({one.image}),
+                        unionRankImages({r0.image, r1.image})),
+              "");
     ASSERT_EQ(one.stats.size(), 7u);
     ASSERT_EQ(r0.stats.size() + r1.stats.size(), 7u);
     for (const ShardOutcome *rank : {&r0, &r1}) {
