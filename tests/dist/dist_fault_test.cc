@@ -4,14 +4,21 @@
  * degrade gracefully through the HealthMonitor (the PR-1 degraded-host
  * model) instead of hanging in a blocking recv — and must do so within
  * the configured barrier timeout even when the peer vanishes silently.
- * With failFast the loss is fatal instead, for CI death tests.
+ * With failFast the loss is fatal instead, for CI death tests. A
+ * SIGKILL'd peer process over the shm rings degrades the survivor the
+ * same way and leaks no /dev/shm name.
  */
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <csignal>
+#include <dirent.h>
 #include <memory>
+#include <string>
+#include <sys/wait.h>
 #include <thread>
+#include <unistd.h>
 #include <utility>
 #include <vector>
 
@@ -120,6 +127,80 @@ TEST(DistFaultDeath, FailFastAbortsOnLostPeer)
     fds.second = SocketFd(); // close the peer's end: EOF at the barrier
     EXPECT_EXIT(t->onRoundComplete(0, 0), ::testing::ExitedWithCode(1),
                 "lost peer shard 1");
+}
+
+/** /dev/shm entries left by this process's shm links. */
+size_t
+liveShmSegments()
+{
+    std::string prefix = "fsim-shm-" + std::to_string(::getpid()) + "-";
+    size_t live = 0;
+    DIR *d = ::opendir("/dev/shm");
+    if (!d)
+        return 0;
+    while (struct dirent *e = ::readdir(d))
+        if (std::string(e->d_name).rfind(prefix, 0) == 0)
+            ++live;
+    ::closedir(d);
+    return live;
+}
+
+TEST(TransportMatrix, ShmPeerKillDegradesWithoutHangOrLeak)
+{
+    constexpr Cycles kChildRun = 8000;
+    constexpr Cycles kRun = 80000;
+    size_t before = liveShmSegments();
+    ClusterConfig cc;
+    cc.linkLatency = 400;
+    cc.shard.shards = 2;
+    cc.shard.transport = TransportKind::Shm;
+
+    auto [fd0, fd1] = localSocketPair();
+    pid_t child = fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) {
+        // Rank 1 in a real process: run a while over the shm rings,
+        // then die with no Bye, no close, no destructor — the worst
+        // case for segment cleanup and barrier liveness.
+        { SocketFd drop = std::move(fd0); }
+        std::vector<std::pair<uint32_t, SocketFd>> fds1;
+        fds1.emplace_back(0, std::move(fd1));
+        cc.shard.rank = 1;
+        Cluster c1(topologies::singleTor(2), cc, std::move(fds1));
+        c1.run(kChildRun);
+        ::raise(SIGKILL);
+        ::_exit(0); // not reached
+    }
+    { SocketFd drop = std::move(fd1); }
+
+    cc.shard.recvTimeoutMs = 5000;
+    std::vector<std::pair<uint32_t, SocketFd>> fds0;
+    fds0.emplace_back(1, std::move(fd0));
+    uint64_t peer_lost = 0;
+    {
+        Cluster c0(topologies::singleTor(2), cc, std::move(fds0));
+        NodeSystem &n0 = c0.node(0);
+        n0.os().spawn("pinger", -1, [&n0]() -> Task<> {
+            while (true) // cross-shard traffic
+                co_await n0.net().ping(Cluster::ipFor(1));
+        });
+
+        EXPECT_EQ(c0.shardTransport()->peerLinkAt(0)->kind(),
+                  TransportKind::Shm);
+        c0.run(kRun); // must terminate degraded, not hang
+        EXPECT_EQ(c0.now(), kRun);
+        EXPECT_TRUE(c0.shardTransport()->anyPeerLost());
+        peer_lost = c0.health().count(FaultEvent::Kind::PeerShardLost);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFSIGNALED(status));
+    EXPECT_EQ(WTERMSIG(status), SIGKILL);
+    EXPECT_EQ(peer_lost, 1u);
+
+    // The rank-0 creator unlinked the segment when it reclaimed the
+    // dead peer's link: a SIGKILL'd opener cannot leak the name.
+    EXPECT_EQ(liveShmSegments(), before) << "stale shm segment left";
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <dirent.h>
@@ -104,10 +105,14 @@ TEST(ShmRing, ConcurrentProducerConsumerPreservesByteStream)
     HeapRing hr(4096);
     ShmRing &r = hr.ring;
 
-    std::thread producer([&r] {
+    // A failure stops the producer and joins it before the test
+    // asserts, so it is reported as a failure instead of destroying a
+    // joinable thread.
+    std::atomic<bool> stop{false};
+    std::thread producer([&r, &stop] {
         size_t sent = 0;
         char buf[257];
-        for (int pushes = 1; sent < kStream; ++pushes) {
+        for (int pushes = 1; sent < kStream && !stop.load(); ++pushes) {
             size_t want = std::min(sizeof(buf), kStream - sent);
             for (size_t i = 0; i < want; ++i)
                 buf[i] = static_cast<char>((sent + i) * 31 + 7);
@@ -120,24 +125,27 @@ TEST(ShmRing, ConcurrentProducerConsumerPreservesByteStream)
         }
     });
 
+    std::string failure;
     size_t got = 0;
     char buf[389];
-    while (got < kStream) {
+    while (got < kStream && failure.empty()) {
         size_t n = r.pop(buf, sizeof(buf));
         if (n == 0) {
             auto t0 = std::chrono::steady_clock::now();
-            ASSERT_TRUE(r.waitReadable(t0 + kParkDeadline));
-            ASSERT_LT(std::chrono::steady_clock::now() - t0,
-                      kParkDeadline / 2)
-                << "lost wake-up at byte " << got;
+            bool readable = r.waitReadable(t0 + kParkDeadline);
+            if (!readable ||
+                std::chrono::steady_clock::now() - t0 >= kParkDeadline / 2)
+                failure = "lost wake-up at byte " + std::to_string(got);
             continue;
         }
-        for (size_t i = 0; i < n; ++i)
-            ASSERT_EQ(buf[i], static_cast<char>((got + i) * 31 + 7))
-                << "stream corrupt at byte " << got + i;
+        for (size_t i = 0; i < n && failure.empty(); ++i)
+            if (buf[i] != static_cast<char>((got + i) * 31 + 7))
+                failure = "stream corrupt at byte " + std::to_string(got + i);
         got += n;
     }
+    stop = true;
     producer.join();
+    ASSERT_EQ(failure, "");
     EXPECT_EQ(r.readableBytes(), 0u);
 }
 

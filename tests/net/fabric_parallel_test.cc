@@ -5,14 +5,20 @@
  * results — final cycle, per-channel token streams, delivered frames,
  * and host-side counters. This is the acceptance bar for
  * TokenFabric::setParallelHosts (and what `ctest -L sanitize-thread`
- * hammers under TSan).
+ * hammers under TSan). Also FabricObserver's advance brackets on a
+ * whole cluster under a fault plan.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "fault/fault_plan.hh"
+#include "manager/cluster.hh"
+#include "manager/topology.hh"
 #include "net/fabric.hh"
 #include "switchmodel/switch.hh"
 #include "tests/net/scripted_endpoint.hh"
@@ -276,6 +282,134 @@ TEST(ParallelFabric, ParallelHostsAccessors)
     EXPECT_EQ(fabric.parallelHosts(), 4u);
     fabric.setParallelHosts(0); // 0 means "single-threaded", like 1
     EXPECT_EQ(fabric.parallelHosts(), 1u);
+}
+
+// ---- Advance brackets on a whole cluster ---------------------------
+
+// The fault plan's crash window, shared with the bracket check.
+constexpr const char *kCrashNode = "node3";
+constexpr Cycles kCrashAt = 400000;
+constexpr Cycles kRestartAt = 1200000;
+
+/**
+ * Checks the advance brackets. They fire on whichever worker advances
+ * the endpoint, so each endpoint owns one slot, presized at attach
+ * time, that only its advancing thread writes (`skipped` is written on
+ * the driving thread). Runs under TSan in the sanitize-thread suite.
+ */
+class AdvanceBracketCheck : public FabricObserver
+{
+  public:
+    struct Slot
+    {
+        bool open = false;
+        std::thread::id thread;
+        uint64_t brackets = 0;
+        uint64_t broken = 0; //!< nested start, stray end, or thread hop
+        uint64_t whileCrashed = 0;
+        uint64_t skipped = 0;
+    };
+
+    void
+    onAttach(TokenFabric &fabric) override
+    {
+        slots.assign(fabric.endpointCount(), Slot{});
+        quantum = fabric.quantum();
+        for (size_t i = 0; i < fabric.endpointCount(); ++i)
+            if (fabric.endpointAt(i).name() == kCrashNode)
+                crashIdx = i;
+    }
+
+    void
+    onRoundStart(Cycles round_start, uint64_t) override
+    {
+        ++rounds;
+        crashRounds += crashed(round_start);
+    }
+
+    void
+    onEndpointSkipped(size_t idx, Cycles) override
+    {
+        ++slots[idx].skipped;
+    }
+
+    void
+    onAdvanceStart(size_t idx, Cycles round_start) override
+    {
+        Slot &s = slots[idx];
+        s.broken += s.open;
+        s.open = true;
+        s.thread = std::this_thread::get_id();
+        s.whileCrashed += idx == crashIdx && crashed(round_start);
+    }
+
+    void
+    onAdvanceEnd(size_t idx, Cycles) override
+    {
+        Slot &s = slots[idx];
+        s.broken += !s.open || s.thread != std::this_thread::get_id();
+        s.open = false;
+        ++s.brackets;
+    }
+
+    /** The injector's rule: down from the round containing kCrashAt
+     *  until the first round starting at or after kRestartAt. */
+    bool
+    crashed(Cycles round_start) const
+    {
+        return round_start + quantum > kCrashAt && round_start < kRestartAt;
+    }
+
+    std::vector<Slot> slots;
+    size_t crashIdx = SIZE_MAX;
+    Cycles quantum = 0;
+    uint64_t rounds = 0;
+    uint64_t crashRounds = 0;
+};
+
+TEST(ClusterParallelBrackets, BracketsPairOnOneThreadAndSkipCrashedRounds)
+{
+    for (unsigned hosts : {1u, 2u, 4u}) {
+        SCOPED_TRACE("parallelHosts " + std::to_string(hosts));
+        AdvanceBracketCheck check;
+        {
+            // An 8-node ring of pings under a fault plan.
+            ClusterConfig cc;
+            cc.parallelHosts = hosts;
+            Cluster clu(topologies::singleTor(8), cc);
+            clu.fabric().addObserver(&check);
+            HealthConfig hc;
+            hc.logEvents = false;
+            clu.health(hc);
+            FaultPlan plan;
+            plan.withSeed(31337)
+                .dropPayload("node1", 0, 200000, 800000, 0.5)
+                .crashNode(kCrashNode, kCrashAt, kRestartAt)
+                .corruptFlits("switch0", 2, 600000, 900000, 0.25);
+            clu.injectFaults(plan);
+            for (size_t i = 0; i < clu.nodeCount(); ++i) {
+                NodeSystem &n = clu.node(i);
+                Ip dst = Cluster::ipFor((i + 1) % clu.nodeCount());
+                n.os().spawn("ping", -1, [&n, dst]() -> Task<> {
+                    co_await n.net().ping(dst);
+                });
+            }
+            clu.runUs(600.0);
+        }
+
+        ASSERT_NE(check.crashIdx, SIZE_MAX);
+        ASSERT_GT(check.crashRounds, 0u);
+        ASSERT_LT(check.crashRounds, check.rounds);
+        for (size_t i = 0; i < check.slots.size(); ++i) {
+            const AdvanceBracketCheck::Slot &s = check.slots[i];
+            uint64_t down = i == check.crashIdx ? check.crashRounds : 0;
+            EXPECT_FALSE(s.open) << "endpoint " << i;
+            EXPECT_EQ(s.broken, 0u) << "endpoint " << i;
+            EXPECT_EQ(s.whileCrashed, 0u) << "endpoint " << i;
+            EXPECT_EQ(s.skipped, down) << "endpoint " << i;
+            EXPECT_EQ(s.brackets, check.rounds - down) << "endpoint " << i;
+        }
+    }
 }
 
 } // namespace

@@ -8,7 +8,9 @@
  * next activity: a switch's queued packet, a blade's rate-limited
  * transmit flits, an armed hart. Every comparison run attaches a no-op
  * FabricObserver, which makes every endpoint due every round (dense
- * stepping). Also covers the channels' implicit empty runs.
+ * stepping). Also covers the channels' implicit empty runs, and links
+ * of two and three quanta under a Switch and a PrioritySwitch, whose
+ * payload stays in flight for several rounds.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <algorithm>
 #include <array>
 #include <deque>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "node/server_blade.hh"
 #include "riscv/assembler.hh"
 #include "snapshot/serial.hh"
+#include "switchmodel/priority_switch.hh"
 #include "switchmodel/switch.hh"
 
 namespace firesim
@@ -521,6 +525,130 @@ TEST(FastForwardDeath, IdleDrainOverPayloadNamesTheChannel)
     EXPECT_DEATH(chan.drainTo(200),
                  "payload batch at 100 on A:0->B:0 arrived while its "
                  "consumer was not due");
+}
+
+// ---- Mixed link latencies ------------------------------------------
+
+constexpr Cycles kQuantum = 1000;
+
+EthFrame
+frameOf(MacAddr dst, MacAddr src, size_t payload_bytes, uint8_t tag)
+{
+    std::vector<uint8_t> payload(payload_bytes);
+    for (size_t i = 0; i < payload.size(); ++i)
+        payload[i] = static_cast<uint8_t>(i * 13 + tag);
+    return EthFrame(dst, src, EtherType::Raw, payload);
+}
+
+/**
+ * Four NIC-only blades on one switch over links of one, two, three and
+ * three quanta. Each blade sends a rate-limited mix of mice and
+ * elephants to the others, so payload is in flight for up to three
+ * rounds and packets queue at the switch.
+ */
+struct MixedRig
+{
+    std::unique_ptr<Switch> sw;
+    std::vector<std::unique_ptr<ServerBlade>> blades;
+    TokenFabric fabric;
+    NoopObserver noop;
+
+    MixedRig(bool priority, bool observed, unsigned workers)
+    {
+        SwitchConfig sc;
+        sc.name = "sw";
+        sc.ports = 4;
+        sc.minLatency = 10;
+        sw = priority ? std::make_unique<PrioritySwitch>(sc, 128)
+                      : std::make_unique<Switch>(sc);
+        fabric.addEndpoint(sw.get());
+        const Cycles lat[4] = {kQuantum, 2 * kQuantum, 3 * kQuantum,
+                               3 * kQuantum};
+        for (uint32_t i = 0; i < 4; ++i) {
+            BladeConfig bc;
+            bc.name = csprintf("blade%u", i);
+            bc.cores = 1;
+            bc.memBytes = 64 * MiB;
+            bc.mac = MacAddr(i + 1);
+            bc.harts = 0;
+            blades.push_back(std::make_unique<ServerBlade>(bc));
+            sw->addMacEntry(MacAddr(i + 1), i);
+            fabric.addEndpoint(blades.back().get());
+            fabric.connect(blades.back().get(), 0, sw.get(), i, lat[i]);
+        }
+        fabric.finalize();
+        fabric.setParallelHosts(workers);
+        if (observed)
+            fabric.addObserver(&noop);
+
+        for (uint32_t i = 0; i < 4; ++i) {
+            ServerBlade &b = *blades[i];
+            b.nic().setRateLimit(1, 2 + i);
+            uint64_t addr = 0x10000;
+            for (uint32_t k = 0; k < 6; ++k) {
+                uint32_t to = (i + 1 + k % 3) % 4;
+                size_t bytes = (k + i) % 2 ? 1200 : 40 + 8 * k;
+                EthFrame f = frameOf(MacAddr(to + 1), MacAddr(i + 1),
+                                     bytes, static_cast<uint8_t>(i * 8 + k));
+                b.memory().write(addr, f.bytes.data(), f.size());
+                EXPECT_TRUE(b.nic().pushSendRequest(
+                    addr, static_cast<uint32_t>(f.size())));
+                addr += 0x1000;
+            }
+            for (uint32_t k = 0; k < 8; ++k)
+                EXPECT_TRUE(b.nic().pushRecvRequest(0x100000 + 0x1000 * k));
+        }
+    }
+
+    /** Every endpoint's and channel's snapshot bytes (a blade's holds
+     *  its event-queue clock and schedule). */
+    std::string
+    image() const
+    {
+        Serializer s;
+        sw->snapshotSave(s);
+        for (const auto &b : blades)
+            b->snapshotSave(s);
+        for (size_t c = 0; c < fabric.channelCount(); ++c)
+            fabric.channelAt(c).snapshotSave(s);
+        return s.takeBytes();
+    }
+};
+
+TEST(FastForwardParity, MultiRoundLinksMatchDenseStepping)
+{
+    constexpr Cycles kRun = 400 * kQuantum;
+    for (bool priority : {false, true}) {
+        std::string ref;
+        uint64_t received = 0;
+        {
+            MixedRig rig(priority, true, 1);
+            rig.fabric.run(kRun);
+            ref = rig.image();
+            for (const auto &b : rig.blades)
+                received += b->nic().stats().framesReceived.value();
+        }
+        EXPECT_EQ(received, 24u) << "priority " << priority;
+        for (unsigned workers : {1u, 2u}) {
+            // One run(), 50-round chunks, one round per run().
+            for (Cycles chunk : {kRun, 50 * kQuantum, kQuantum}) {
+                MixedRig rig(priority, false, workers);
+                for (Cycles done = 0; done < kRun; done += chunk)
+                    rig.fabric.run(chunk);
+                std::string what = csprintf(
+                    "%s, %u worker(s), %llu-cycle run()s",
+                    priority ? "PrioritySwitch" : "Switch", workers,
+                    (unsigned long long)chunk);
+                EXPECT_EQ(rig.image(), ref) << what;
+                EXPECT_LT(rig.fabric.endpointRoundsStepped(), 5u * 400u)
+                    << what;
+                if (chunk != kQuantum) {
+                    EXPECT_GT(rig.fabric.roundsFastForwarded(), 0u)
+                        << what;
+                }
+            }
+        }
+    }
 }
 
 } // namespace

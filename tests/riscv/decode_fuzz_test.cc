@@ -6,9 +6,9 @@
  * Every test runs the same randomly generated RV64IM program on two
  * cores — decode cache on and off — and demands *bit-identical*
  * architectural state, CoreStats, console output, and committed
- * instruction trace. One test snapshots both modes at the same mid-run
- * cut and demands identical images (the decode cache is host-only
- * state and never serialized), another rewrites an already-executed
+ * instruction trace. One test saves both modes' state at the same
+ * mid-run cut and demands identical bytes (the decode cache is
+ * host-only state and never serialized), another rewrites an already-executed
  * instruction to pin down the self-modifying-code invalidation path.
  */
 
@@ -276,12 +276,11 @@ saveRig(const Rig &r)
     return s.takeBytes();
 }
 
-TEST(DecodeFuzz, SnapshotMidRunCrossRestoresBetweenModes)
+TEST(DecodeFuzz, MidRunSavesMatchBetweenModes)
 {
     // The decode cache is host-only and never serialized: rigs with the
     // cache on and off, stopped at the same cut, must save byte-identical
-    // images (what a restore's replay-and-compare checks) and then
-    // finish on the reference result.
+    // state and then finish on the reference result.
     const uint64_t seed = 7;
     // Reference: cache-off straight through.
     Rig ref(false);
