@@ -462,6 +462,10 @@ Cluster::setupObservability()
         mc.targetFreqGhz = cfg.freqGhz;
         if (mc.heartbeatPath.empty())
             mc.heartbeatPath = "heartbeat.jsonl";
+        const std::string &dump_dir = cfg.telemetry.dumpDir;
+        if (!dump_dir.empty() && mc.heartbeatPath.front() != '/')
+            mc.heartbeatPath = dump_dir +
+                (dump_dir.back() == '/' ? "" : "/") + mc.heartbeatPath;
         if (sharded) {
             mc.heartbeatPath =
                 rankPath(mc.heartbeatPath, ss.shards, ss.rank);

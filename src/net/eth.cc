@@ -92,9 +92,9 @@ FrameAssembler::feed(const Flit &flit, Cycles abs_cycle, EthFrame &out)
                    flit.data.begin() + flit.size);
     if (!flit.last)
         return false;
-    out.bytes = std::move(partial);
+    out.bytes.clear();
+    out.bytes.swap(partial);
     out.timestamp = abs_cycle;
-    partial.clear();
     return true;
 }
 

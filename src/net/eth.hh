@@ -97,7 +97,13 @@ struct EthFrame
 
 /**
  * Incrementally reassembles a frame from a flit stream (used by switch
- * ingress ports and the NIC receive path).
+ * ingress ports and the NIC receive path). Non-final flits only append
+ * to the buffered partial frame; the last flit hands the whole frame
+ * out. The hand-out swaps buffers: the caller's frame takes the filled
+ * buffer, and the caller's old buffer, cleared, becomes the next
+ * frame's. A caller that passes in a recycled buffer therefore keeps
+ * its capacity in circulation, and frames stop regrowing once every
+ * buffer has held the largest frame it will see.
  */
 class FrameAssembler
 {
@@ -106,7 +112,9 @@ class FrameAssembler
      * Feed one flit.
      * @param flit the incoming token
      * @param abs_cycle absolute target cycle of the token's arrival
-     * @param out filled with the completed frame when this flit is last
+     * @param out when this flit is last, swapped with the partial
+     *        frame: it receives the completed frame, and its previous
+     *        buffer is kept (cleared) for the next one
      * @return true when a full frame was produced into @p out
      */
     bool feed(const Flit &flit, Cycles abs_cycle, EthFrame &out);
@@ -122,6 +130,45 @@ class FrameAssembler
 
   private:
     std::vector<uint8_t> partial;
+};
+
+/**
+ * A small free list of frame byte buffers. An endpoint takes one for
+ * each frame it builds and gives it back once the frame is consumed,
+ * so in steady state its frames reuse capacity instead of allocating.
+ * Buffers are not reserved ahead: each keeps the capacity of the
+ * largest frame it has held. One pool belongs to one endpoint and is
+ * touched only while that endpoint advances, so it needs no lock.
+ */
+class FrameBufferPool
+{
+  public:
+    /** Most buffers kept; a surplus beyond it is freed. */
+    static constexpr size_t kMaxFree = 64;
+
+    /** A cleared buffer (without capacity when the pool is empty). */
+    std::vector<uint8_t>
+    take()
+    {
+        if (free.empty())
+            return {};
+        std::vector<uint8_t> buf = std::move(free.back());
+        free.pop_back();
+        return buf;
+    }
+
+    /** Return @p buf's capacity to the pool. */
+    void
+    give(std::vector<uint8_t> buf)
+    {
+        if (buf.capacity() == 0 || free.size() >= kMaxFree)
+            return;
+        buf.clear();
+        free.push_back(std::move(buf));
+    }
+
+  private:
+    std::vector<std::vector<uint8_t>> free;
 };
 
 /**

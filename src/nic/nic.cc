@@ -106,27 +106,31 @@ Nic::readerPump()
 
     readerBusy = true;
     reservationOccupied += req.len;
-    SendRequest active = req;
+    readerReq = req;
     sendReq.pop_front();
 
     Cycles dma = cfg.dmaStartLatency +
-        static_cast<Cycles>(std::ceil(active.len / cfg.dmaBytesPerCycle));
-    eq.scheduleIn(dma, [this, active] {
-        TxPacket pkt;
-        pkt.frame.bytes.resize(active.len);
-        mem.read(active.addr, pkt.frame.bytes.data(), active.len);
-        txReady.push_back(std::move(pkt));
-        // "The reader sends a completion signal to the controller once
-        // all the reads for the packet have been issued."
-        sendComp.push_back(1);
-        raiseInterrupt();
-        readerBusy = false;
-        if (!txPumpScheduled) {
-            txPumpScheduled = true;
-            eq.scheduleIn(cfg.alignLatency, [this] { txPump(); });
-        }
-        readerPump();
-    });
+        static_cast<Cycles>(std::ceil(readerReq.len / cfg.dmaBytesPerCycle));
+    eq.scheduleIn(dma, [this] { readerDone(); });
+}
+
+void
+Nic::readerDone()
+{
+    TxPacket &pkt = txReady.emplace_back();
+    pkt.frame.bytes = bufs.take();
+    pkt.frame.bytes.resize(readerReq.len);
+    mem.read(readerReq.addr, pkt.frame.bytes.data(), readerReq.len);
+    // "The reader sends a completion signal to the controller once
+    // all the reads for the packet have been issued."
+    sendComp.push_back(1);
+    raiseInterrupt();
+    readerBusy = false;
+    if (!txPumpScheduled) {
+        txPumpScheduled = true;
+        eq.scheduleIn(cfg.alignLatency, [this] { txPump(); });
+    }
+    readerPump();
 }
 
 void
@@ -150,9 +154,8 @@ Nic::txPump()
     uint64_t cap = std::max<uint64_t>(cfg.rateK, 16);
 
     while (!txReady.empty()) {
-        TxPacket pkt = std::move(txReady.front());
-        txReady.pop_front();
-        FrameSerializer ser(pkt.frame);
+        EthFrame &frame = txReady.front().frame;
+        FrameSerializer ser(frame);
         // Walk virtual time forward flit by flit, consuming bucket
         // tokens; when the bucket empties, jump to the next refill.
         // This computes the exact cycle-by-cycle emission schedule of
@@ -180,7 +183,9 @@ Nic::txPump()
         bucket = vbucket;
         lastRefill = vrefill;
 
-        uint32_t len = static_cast<uint32_t>(pkt.frame.bytes.size());
+        uint32_t len = frame.size();
+        bufs.give(std::move(frame.bytes));
+        txReady.pop_front();
         ++stats_.framesSent;
         stats_.bytesSent += len;
         // Free the reservation buffer once the last flit has left the
@@ -212,23 +217,34 @@ Nic::drainTx(Cycles window_start, TokenBatch &out)
 
 // ---- Receive path ----------------------------------------------------
 
-void
-Nic::deliverFlit(const Flit &flit, Cycles at)
+bool
+Nic::feedFlit(const Flit &flit, Cycles at)
 {
-    EthFrame frame;
-    if (!rxAssembler.feed(flit, at, frame))
-        return;
-    uint32_t len = frame.size();
+    if (!rxAssembler.feed(flit, at, rxSpare))
+        return false;
+    arrivals.push_back(RxPacket{std::move(rxSpare)});
+    rxSpare.bytes = bufs.take();
+    return true;
+}
+
+void
+Nic::admitFrame()
+{
+    FS_ASSERT(!arrivals.empty(), "admitFrame with no completed frame");
+    RxPacket pkt = std::move(arrivals.front());
+    arrivals.pop_front();
+    uint32_t len = pkt.frame.size();
     // The Ethernet link cannot be back-pressured: drop whole packets
     // when the buffer lacks space, so the OS never sees a partial one.
     if (rxBufOccupied + len > cfg.packetBufBytes) {
         ++stats_.framesDroppedRx;
+        bufs.give(std::move(pkt.frame.bytes));
         return;
     }
     rxBufOccupied += len;
     ++stats_.framesReceived;
     stats_.bytesReceived += len;
-    rxBuffer.push_back(RxPacket{std::move(frame)});
+    rxBuffer.push_back(std::move(pkt));
     writerPump();
 }
 
@@ -241,24 +257,30 @@ Nic::writerPump()
         return;
 
     writerBusy = true;
-    RxPacket pkt = std::move(rxBuffer.front());
+    writerPkt = std::move(rxBuffer.front());
     rxBuffer.pop_front();
-    uint64_t addr = recvReq.front();
+    writerAddr = recvReq.front();
     recvReq.pop_front();
 
-    uint32_t len = pkt.frame.size();
     Cycles dma = cfg.dmaStartLatency +
-        static_cast<Cycles>(std::ceil(len / cfg.dmaBytesPerCycle));
-    eq.scheduleIn(dma, [this, addr, pkt = std::move(pkt), len] {
-        mem.write(addr, pkt.frame.bytes.data(), len);
-        rxBufOccupied -= len;
-        // "The writer sends a completion to the controller only after
-        // all writes for the packet have retired."
-        recvComp.push_back(RecvCompletion{addr, len});
-        raiseInterrupt();
-        writerBusy = false;
-        writerPump();
-    });
+        static_cast<Cycles>(
+            std::ceil(writerPkt.frame.size() / cfg.dmaBytesPerCycle));
+    eq.scheduleIn(dma, [this] { writerDone(); });
+}
+
+void
+Nic::writerDone()
+{
+    uint32_t len = writerPkt.frame.size();
+    mem.write(writerAddr, writerPkt.frame.bytes.data(), len);
+    bufs.give(std::move(writerPkt.frame.bytes));
+    rxBufOccupied -= len;
+    // "The writer sends a completion to the controller only after
+    // all writes for the packet have retired."
+    recvComp.push_back(RecvCompletion{writerAddr, len});
+    raiseInterrupt();
+    writerBusy = false;
+    writerPump();
 }
 
 void
@@ -299,6 +321,10 @@ Nic::snapshotSave(Serializer &s) const
     }
     // Send path.
     s.putB(readerBusy);
+    if (readerBusy) {
+        s.putU(readerReq.addr);
+        s.putU(readerReq.len);
+    }
     s.putU(reservationOccupied);
     s.putU(txReady.size());
     for (const TxPacket &p : txReady)
@@ -314,11 +340,18 @@ Nic::snapshotSave(Serializer &s) const
     s.putU(lastRefill);
     // Receive path.
     saveAssembler(s, rxAssembler);
+    s.putU(arrivals.size());
+    for (const RxPacket &p : arrivals)
+        saveFrame(s, p.frame);
     s.putU(rxBufOccupied);
     s.putU(rxBuffer.size());
     for (const RxPacket &p : rxBuffer)
         saveFrame(s, p.frame);
     s.putB(writerBusy);
+    if (writerBusy) {
+        s.putU(writerAddr);
+        saveFrame(s, writerPkt.frame);
+    }
     // Counters.
     saveCounter(s, stats_.framesSent);
     saveCounter(s, stats_.framesReceived);

@@ -23,20 +23,27 @@
  *    address; posts the receive completion only after all writes have
  *    retired).
  *
- * The top-level interface is FAME-1 decoupled: the owning server blade
- * feeds one token per target cycle in and drains one per cycle out via
- * deliverFlit()/drainTx().
+ * The top-level interface is FAME-1 decoupled, but the receive side
+ * acts per frame, as the packet buffer does: at the start of each token
+ * window the owning server blade feeds every arriving flit into the
+ * NIC's frame assembler (feedFlit(), which only appends bytes until a
+ * frame's last flit), and schedules one event per completed frame at
+ * its last flit's cycle (admitFrame()), where the drop-or-buffer
+ * decision is made. On the send side the blade drains one token per
+ * cycle out via drainTx(). Frame byte buffers are recycled through one
+ * per-NIC pool: receive DMA and transmit serialization give them back,
+ * the assembler and the reader DMA take them.
  */
 
 #ifndef FIRESIM_NIC_NIC_HH
 #define FIRESIM_NIC_NIC_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
 
+#include "base/ring_queue.hh"
 #include "base/stats.hh"
 #include "base/units.hh"
 #include "mem/functional_memory.hh"
@@ -155,8 +162,20 @@ class Nic
 
     // ---- Blade-facing token interface --------------------------------
 
-    /** Feed one received token (called for each input flit's cycle). */
-    void deliverFlit(const Flit &flit, Cycles at);
+    /**
+     * Feed one received token arriving at cycle @p at. Non-final flits
+     * only extend the partial frame. @return true when @p flit
+     * completes a frame; the frame then waits in the arrival FIFO,
+     * and the caller must run admitFrame() at cycle @p at.
+     */
+    bool feedFlit(const Flit &flit, Cycles at);
+
+    /**
+     * Packet-buffer admission of the oldest completed frame, at its
+     * last flit's cycle: drop it whole when the buffer lacks space,
+     * else buffer it and start the writer.
+     */
+    void admitFrame();
 
     /**
      * Move transmitted flits with stamps inside [window_start,
@@ -174,10 +193,12 @@ class Nic
 
     /**
      * Serialize all controller queues, both DMA paths mid-transfer
-     * (tx outbox flits, partial rx frame, token bucket), and the
-     * counters. Event-queue closures (reader/writer/tx pumps) are not
-     * in the section — the owning blade's schedule digest covers
-     * them; deterministic replay rebuilds them.
+     * (the reader's and writer's in-flight packets, tx outbox flits,
+     * partial rx frame, completed frames awaiting admission, token
+     * bucket), and the counters. Event-queue closures (the pumps and
+     * admissions) are not in the section — the owning blade's
+     * schedule digest covers them; deterministic replay rebuilds
+     * them.
      */
     void snapshotSave(Serializer &s) const;
 
@@ -201,8 +222,12 @@ class Nic
     };
 
     void readerPump();
+    /** The reader's DMA completes: the frame is ready to send. */
+    void readerDone();
     void txPump();
     void writerPump();
+    /** The writer's DMA retires: post the receive completion. */
+    void writerDone();
     void raiseInterrupt();
     /** Refill the token bucket up to the current cycle. */
     void refillBucket();
@@ -214,17 +239,21 @@ class Nic
     NicStats stats_;
 
     // Controller queues.
-    std::deque<SendRequest> sendReq;
-    std::deque<uint64_t> recvReq;
-    std::deque<uint8_t> sendComp;
-    std::deque<RecvCompletion> recvComp;
+    RingQueue<SendRequest> sendReq;
+    RingQueue<uint64_t> recvReq;
+    RingQueue<uint8_t> sendComp;
+    RingQueue<RecvCompletion> recvComp;
     std::function<void()> interruptHandler;
+
+    /** Recycled frame byte buffers, shared by both paths. */
+    FrameBufferPool bufs;
 
     // Send path.
     bool readerBusy = false;
+    SendRequest readerReq; //!< the reader's DMA in flight
     uint32_t reservationOccupied = 0; //!< bytes read but not yet sent
-    std::deque<TxPacket> txReady;
-    std::deque<std::pair<Cycles, Flit>> txOutbox;
+    RingQueue<TxPacket> txReady;
+    RingQueue<std::pair<Cycles, Flit>> txOutbox;
     bool txPumpScheduled = false;
     Cycles txCursor = 0; //!< next cycle the transmit link is free
     // Token bucket.
@@ -233,9 +262,15 @@ class Nic
 
     // Receive path.
     FrameAssembler rxAssembler;
+    /** Holds the recycled buffer the next completed frame swaps in. */
+    EthFrame rxSpare;
+    /** Completed frames awaiting admitFrame(), oldest first. */
+    RingQueue<RxPacket> arrivals;
     uint32_t rxBufOccupied = 0;
-    std::deque<RxPacket> rxBuffer;
+    RingQueue<RxPacket> rxBuffer;
     bool writerBusy = false;
+    RxPacket writerPkt;      //!< the writer's DMA in flight
+    uint64_t writerAddr = 0; //!< its receive-request address
 };
 
 } // namespace firesim

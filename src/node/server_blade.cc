@@ -61,10 +61,20 @@ ServerBlade::advance(Cycles window_start, Cycles window,
     // window is then replayed with bounded skew.
     Cycles window_end = window_start + window;
 
-    // Turn each arriving token into a NIC delivery at its exact cycle.
+    // Receive per frame, as the NIC's packet buffer decides per frame.
+    // Every arriving flit goes into the NIC's assembler now; a flit
+    // that is not a frame's last has no effect but appending bytes,
+    // which nothing reads before the frame completes (a state image is
+    // taken at a round barrier, after the whole window was fed). Each
+    // completed frame gets one event at its last flit's cycle, where
+    // the NIC admits or drops it. All of them are scheduled here, after
+    // every earlier event and before anything this window schedules,
+    // so each runs at the same point of the (cycle, insertion) order
+    // as it would if every flit were delivered by its own event.
     for (const Flit &flit : in[0]->flits) {
         Cycles at = std::max(in[0]->absCycle(flit), eq.now());
-        eq.schedule(at, [this, flit, at] { nicDev->deliverFlit(flit, at); });
+        if (nicDev->feedFlit(flit, at))
+            eq.schedule(at, [this] { nicDev->admitFrame(); });
     }
 
     // Batched hart stepping: each armed hart executes to the token

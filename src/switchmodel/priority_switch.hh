@@ -46,14 +46,13 @@ class PrioritySwitch : public Switch
         // Mouse: insert after any queued mice but ahead of the first
         // elephant, keeping release timestamps monotone within the
         // class (they arrive pre-sorted from the switching step).
-        auto it = port.queue.begin();
-        while (it != port.queue.end() &&
-               it->frame.size() <= miceThreshold) {
-            ++it;
-        }
-        if (it != port.queue.end())
+        size_t at = 0;
+        while (at < port.queue.size() &&
+               port.queue[at].frame.size() <= miceThreshold)
+            ++at;
+        if (at < port.queue.size())
             ++promotions;
-        port.queue.insert(it, std::move(packet));
+        port.queue.insert(at, std::move(packet));
     }
 
   private:

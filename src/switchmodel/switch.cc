@@ -124,38 +124,36 @@ Switch::ingress(Cycles window_start, const std::vector<const TokenBatch *> &in)
             continue;
         }
         for (const Flit &flit : batch.flits) {
-            EthFrame frame;
-            if (assemblers[p].feed(flit, batch.absCycle(flit), frame)) {
-                ++stats_.packetsIn;
-                stats_.bytesIn += frame.size();
-                // Timestamp = arrival cycle of last token + minimum
-                // port-to-port switching latency (Section III-B1).
-                QueuedPacket qp;
-                qp.release = frame.timestamp + cfg.minLatency;
-                qp.seq = nextSeq++;
-                qp.frame = std::move(frame);
-                pending.push_back(std::move(qp));
-            }
+            if (!assemblers[p].feed(flit, batch.absCycle(flit),
+                                    ingressSpare))
+                continue;
+            ++stats_.packetsIn;
+            stats_.bytesIn += ingressSpare.size();
+            // Timestamp = arrival cycle of last token + minimum
+            // port-to-port switching latency (Section III-B1).
+            QueuedPacket &qp = pending.emplace_back();
+            qp.release = ingressSpare.timestamp + cfg.minLatency;
+            qp.seq = nextSeq++;
+            qp.frame = std::move(ingressSpare);
+            ingressSpare.bytes = bufs.take();
         }
     }
 }
 
-void
-Switch::route(const EthFrame &frame, std::vector<uint32_t> &out_ports) const
+uint32_t
+Switch::route(const EthFrame &frame, std::vector<uint32_t> &ports) const
 {
     MacAddr dst = frame.dst();
     if (!dst.isBroadcast()) {
-        auto port = lookupMac(dst);
-        if (port) {
-            out_ports.push_back(*port);
-            return;
-        }
+        if (auto port = lookupMac(dst))
+            return *port;
         // Unknown unicast: flood, like a learning switch without an
         // entry. The manager always fully populates tables, so this
         // path only triggers in hand-built experiments.
     }
     for (uint32_t p = 0; p < cfg.ports; ++p)
-        out_ports.push_back(p);
+        ports.push_back(p);
+    return kMultiPort;
 }
 
 void
@@ -169,20 +167,26 @@ Switch::switchingStep()
 {
     // Drain this round's packets in timestamp order into output port
     // buffers via the forwarding policy (default: static MAC table,
-    // duplicating for broadcast/flood). The last egress port takes the
-    // frame itself; only the extra ports of a flood copy it.
+    // duplicating for broadcast/flood). A unicast moves the frame; the
+    // last port of a flood takes the frame itself and only the extra
+    // ports copy it.
     std::sort(pending.begin(), pending.end(),
               releaseOrder<QueuedPacket>);
-    std::vector<uint32_t> out_ports;
     for (QueuedPacket &qp : pending) {
-        out_ports.clear();
-        route(qp.frame, out_ports);
         if (qp.frame.dst().isBroadcast())
             ++stats_.broadcasts;
-        for (size_t i = 0; i + 1 < out_ports.size(); ++i)
-            enqueueOutput(out_ports[i], qp.frame, qp.release, qp.seq);
-        if (!out_ports.empty())
-            enqueueOutput(out_ports.back(), std::move(qp.frame),
+        floodPorts.clear();
+        uint32_t port = route(qp.frame, floodPorts);
+        if (port != kMultiPort) {
+            enqueueOutput(port, std::move(qp.frame), qp.release, qp.seq);
+            continue;
+        }
+        for (size_t i = 0; i + 1 < floodPorts.size(); ++i)
+            enqueueOutput(floodPorts[i], qp.frame, qp.release, qp.seq);
+        if (floodPorts.empty())
+            bufs.give(std::move(qp.frame.bytes));
+        else
+            enqueueOutput(floodPorts.back(), std::move(qp.frame),
                           qp.release, qp.seq);
     }
     pending.clear();
@@ -238,6 +242,7 @@ Switch::egressPort(uint32_t p, Cycles window_start, Cycles window_end,
             // the drop bound past its release time is discarded.
             if (start > head.release + cfg.dropBound) {
                 ++stats_.packetsDropped;
+                bufs.give(std::move(head.frame.bytes));
                 port.queue.pop_front();
                 continue;
             }
@@ -268,6 +273,7 @@ Switch::egressPort(uint32_t p, Cycles window_start, Cycles window_end,
             ++stats_.packetsOut;
             stats_.bytesOut += bytes.size();
             bytesOutSinceQuery += bytes.size();
+            bufs.give(std::move(port.active->frame.bytes));
             port.active.reset();
             port.activePos = 0;
         } else {

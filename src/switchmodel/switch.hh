@@ -25,12 +25,12 @@
 #define FIRESIM_SWITCH_SWITCH_HH
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "base/flat_map.hh"
+#include "base/ring_queue.hh"
 #include "base/stats.hh"
 #include "base/units.hh"
 #include "net/eth.hh"
@@ -84,8 +84,14 @@ struct SwitchStats
  * Extensibility (paper: "a user can easily plug in their own switching
  * algorithm or their own link-layer protocol parsing code in C++ to
  * model new switch designs"): subclasses override route() to change
- * the forwarding decision and insertInQueue() to change the output
- * queueing discipline. priority_switch.hh is a worked example.
+ * the forwarding decision — return one egress port, or kMultiPort
+ * after listing several, each of which gets a copy — and
+ * insertInQueue() to change the output queueing discipline.
+ * priority_switch.hh is a worked example.
+ *
+ * Frame bytes are recycled through one per-switch buffer pool: ingress
+ * takes a buffer for each packet it completes, and egress gives it
+ * back once the packet has left or been dropped.
  */
 class Switch : public TokenEndpoint
 {
@@ -154,7 +160,7 @@ class Switch : public TokenEndpoint
 
     struct OutputPort
     {
-        std::deque<QueuedPacket> queue;
+        RingQueue<QueuedPacket> queue;
         /** Packet currently being serialized onto the link, if any. */
         std::optional<QueuedPacket> active;
         /** Byte position within the active packet. */
@@ -163,13 +169,18 @@ class Switch : public TokenEndpoint
         Cycles cursor = 0;
     };
 
+    /** route()'s answer for a frame that leaves through the ports it
+     *  listed. */
+    static constexpr uint32_t kMultiPort = ~0u;
+
     /**
-     * Forwarding decision: fill @p out_ports with the ports @p frame
-     * leaves through. Default: static MAC table, flooding broadcast
-     * and unknown unicast.
+     * Forwarding decision: the one port @p frame leaves through, or
+     * kMultiPort after appending every port it leaves through to the
+     * empty @p ports (each gets its own copy). Default: static MAC
+     * table, flooding broadcast and unknown unicast.
      */
-    virtual void route(const EthFrame &frame,
-                       std::vector<uint32_t> &out_ports) const;
+    virtual uint32_t route(const EthFrame &frame,
+                           std::vector<uint32_t> &ports) const;
 
     /**
      * Output queueing discipline: place @p packet into @p port's
@@ -197,6 +208,11 @@ class Switch : public TokenEndpoint
     std::vector<bool> portDown_; //!< administratively-down ports
 
     std::vector<FrameAssembler> assemblers;      //!< per input port
+    /** Holds the recycled buffer the next completed frame swaps in. */
+    EthFrame ingressSpare;
+    FrameBufferPool bufs;
+    /** route()'s port list for a multi-port frame (capacity reused). */
+    std::vector<uint32_t> floodPorts;
     /** Packets completed at ingress this round, in arrival (seq)
      *  order; the switching step drains them in (timestamp, seq)
      *  order. */

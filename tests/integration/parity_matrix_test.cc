@@ -445,10 +445,8 @@ run(const Scenario &sc, const Variant &v, bool probe)
         cc.parallelHosts = v.workers;
         cc.hart.decodeCache = !v.decodeOff;
         cc.telemetry.dumpDir = tmp.path();
-        if (v.heartbeat) {
-            cc.monitor.heartbeatEvery = 64;
-            cc.monitor.heartbeatPath = tmp.file("heartbeat.jsonl");
-        }
+        if (v.heartbeat)
+            cc.monitor.heartbeatEvery = 64; // heartbeat.jsonl lands in tmp
         if (n > 1) {
             cc.shard.shards = n;
             cc.shard.rank = rank;

@@ -1,11 +1,14 @@
 /**
  * @file
- * Steady-state zero-allocation test for the token fabric's round loop.
+ * Steady-state zero-allocation tests for the token fabric's round loop
+ * and the packet path through it.
  *
  * Every token batch lives in a TokenChannel ring slot that endpoints
  * read and fill in place, so once the slots' flit capacities have
  * warmed up, moving tokens allocates nothing — sequentially, with a
- * worker pool, and across remote links. This test replaces the global
+ * worker pool, and across remote links. Frames recycle their byte
+ * buffers, so a switch forwarding frames and a NIC receiving them
+ * allocate nothing per frame either. This test replaces the global
  * operator new to count heap allocations inside a measurement window,
  * which is why it lives in its own test binary (test_fabric_alloc) and
  * must not share a process with other suites.
@@ -19,7 +22,10 @@
 #include <new>
 #include <vector>
 
+#include "net/eth.hh"
 #include "net/fabric.hh"
+#include "node/server_blade.hh"
+#include "switchmodel/switch.hh"
 
 namespace
 {
@@ -338,6 +344,139 @@ TEST(FabricAlloc, RemoteLinksAllocateNothing)
            "remote links";
     EXPECT_EQ(hook.txBatches, 2u * 320u);
     EXPECT_GT(s1.rxSum, 0u);
+}
+
+/**
+ * A one-port endpoint that starts the same frame every `period` cycles
+ * (flits serialized once, up front) and counts the frames it receives
+ * through an assembler whose buffers ping-pong, so it allocates
+ * nothing itself once both buffers have grown.
+ */
+class FrameSource : public TokenEndpoint
+{
+  public:
+    FrameSource(std::string name, const EthFrame &frame, Cycles period)
+        : label(std::move(name)), period(period)
+    {
+        FrameSerializer ser(frame);
+        while (!ser.done())
+            flits.push_back(ser.next());
+    }
+
+    uint32_t numPorts() const override { return 1; }
+    std::string name() const override { return label; }
+
+    void
+    advance(Cycles window_start, Cycles window,
+            const std::vector<const TokenBatch *> &in,
+            const std::vector<TokenBatch *> &out) override
+    {
+        for (const Flit &f : in[0]->flits)
+            if (rx.feed(f, in[0]->absCycle(f), rxFrame))
+                ++framesIn;
+        for (Cycles c = window_start; c < window_start + window; ++c) {
+            Cycles phase = c % period;
+            if (phase >= flits.size())
+                continue;
+            Flit f = flits[phase];
+            f.offset = static_cast<uint32_t>(c - window_start);
+            out[0]->push(f);
+        }
+    }
+
+    uint64_t framesIn = 0;
+
+  private:
+    std::string label;
+    Cycles period;
+    std::vector<Flit> flits;
+    FrameAssembler rx;
+    EthFrame rxFrame;
+};
+
+EthFrame
+frameTo(MacAddr dst, MacAddr src)
+{
+    return EthFrame(dst, src, EtherType::Raw,
+                    std::vector<uint8_t>(100, 0x5a));
+}
+
+TEST(FabricAlloc, SwitchForwardsFramesWithoutAllocating)
+{
+    // Four sources on one switch, each streaming unicast frames to the
+    // next: every frame is packetized at ingress, switched and
+    // re-serialized at egress.
+    constexpr uint32_t kPorts = 4;
+    SwitchConfig sc;
+    sc.ports = kPorts;
+    Switch sw(sc);
+    std::vector<std::unique_ptr<FrameSource>> srcs;
+    TokenFabric fabric;
+    fabric.addEndpoint(&sw);
+    for (uint32_t i = 0; i < kPorts; ++i) {
+        MacAddr mac(0x100 + i), next(0x100 + (i + 1) % kPorts);
+        sw.addMacEntry(mac, i);
+        srcs.push_back(std::make_unique<FrameSource>(
+            csprintf("src%u", i), frameTo(next, mac), 40 + 8 * i));
+        fabric.addEndpoint(srcs.back().get());
+        fabric.connect(srcs.back().get(), 0, &sw, i, 128);
+    }
+    fabric.finalize();
+    fabric.run(fabric.quantum() * 64);
+
+    uint64_t forwarded = sw.stats().packetsOut.value();
+    g_allocs.store(0);
+    g_counting.store(true);
+    fabric.run(fabric.quantum() * 256);
+    g_counting.store(false);
+    forwarded = sw.stats().packetsOut.value() - forwarded;
+
+    EXPECT_EQ(g_allocs.load(), 0u)
+        << "heap allocations while forwarding " << forwarded << " frames";
+    EXPECT_GT(forwarded, 2000u);
+    EXPECT_EQ(sw.stats().packetsDropped.value(), 0u);
+    for (auto &src : srcs)
+        EXPECT_GT(src->framesIn, 0u);
+}
+
+TEST(FabricAlloc, NicReceivesFramesWithoutAllocating)
+{
+    // A source streams frames into one blade; its interrupt handler
+    // hands every filled receive buffer straight back to the NIC, as
+    // a driver re-posting its ring would.
+    BladeConfig bc;
+    bc.name = "dut";
+    bc.memBytes = 64 * MiB;
+    bc.mac = MacAddr(0xa);
+    ServerBlade blade(bc);
+    Nic &nic = blade.nic();
+    nic.setInterruptHandler([&nic] {
+        while (auto comp = nic.popRecvComp())
+            nic.pushRecvRequest(comp->addr);
+    });
+    for (uint64_t i = 0; i < 8; ++i)
+        ASSERT_TRUE(nic.pushRecvRequest(0x10000 + 0x1000 * i));
+    // One frame per 128 cycles: the writer's DMA (about 90 cycles a
+    // frame) keeps up, so the packet buffer's backlog stays bounded.
+    FrameSource src("src", frameTo(bc.mac, MacAddr(0xb)), 128);
+    TokenFabric fabric;
+    fabric.addEndpoint(&blade);
+    fabric.addEndpoint(&src);
+    fabric.connect(&blade, 0, &src, 0, 128);
+    fabric.finalize();
+    fabric.run(fabric.quantum() * 64);
+
+    uint64_t received = nic.stats().framesReceived.value();
+    g_allocs.store(0);
+    g_counting.store(true);
+    fabric.run(fabric.quantum() * 256);
+    g_counting.store(false);
+    received = nic.stats().framesReceived.value() - received;
+
+    EXPECT_EQ(g_allocs.load(), 0u)
+        << "heap allocations while receiving " << received << " frames";
+    EXPECT_EQ(received, 256u);
+    EXPECT_EQ(nic.stats().framesDroppedRx.value(), 0u);
 }
 
 } // namespace

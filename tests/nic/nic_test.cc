@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "net/fabric.hh"
 #include "node/server_blade.hh"
+#include "snapshot/serial.hh"
 #include "tests/net/scripted_endpoint.hh"
 
 namespace firesim
@@ -176,6 +180,153 @@ TEST_F(NicFixture, QueueDepthBackpressure)
     bool third = blade->nic().pushSendRequest(addr, len);
     bool fourth = blade->nic().pushSendRequest(addr, len);
     EXPECT_FALSE(third && fourth);
+}
+
+// ---- Receive timing --------------------------------------------------
+//
+// The peer link has latency 400, so the fabric runs 400-cycle rounds
+// and a flit the peer sends at cycle c arrives at cycle c + 400. With
+// the default DMA model a received frame of len bytes is in memory
+// dmaStartLatency + ceil(len / 4) cycles after its writer starts.
+
+/** A frame to the blade whose payload bytes are all distinct from
+ *  their neighbours, so any prefix is found only where it was put. */
+EthFrame
+patternFrame(uint32_t payload_bytes, uint8_t seed)
+{
+    std::vector<uint8_t> payload(payload_bytes);
+    for (uint32_t i = 0; i < payload_bytes; ++i)
+        payload[i] = static_cast<uint8_t>(seed + i * 7);
+    return EthFrame(MacAddr(0xa), MacAddr(0xb), EtherType::Raw, payload);
+}
+
+/** The NIC's state-image section. */
+std::string
+nicImage(const Nic &nic)
+{
+    Serializer s;
+    nic.snapshotSave(s);
+    return s.takeBytes();
+}
+
+bool
+holdsBytes(const std::string &image, const std::vector<uint8_t> &bytes,
+           size_t n)
+{
+    std::string needle(bytes.begin(), bytes.begin() + n);
+    return image.find(needle) != std::string::npos;
+}
+
+TEST_F(NicFixture, FrameStraddlingRoundsCompletesAtItsLastFlit)
+{
+    boot();
+    Cycles irq_at = kNoCycle;
+    blade->nic().setInterruptHandler(
+        [&] { irq_at = blade->eventQueue().now(); });
+    ASSERT_TRUE(blade->nic().pushRecvRequest(0x20000));
+    EthFrame f = patternFrame(kFlitBytes * 50 - kEthHeaderBytes, 3);
+    ASSERT_EQ(f.flitCount(), 50u);
+    peer->sendAt(370, f); // arrives over cycles 770..819
+
+    fabric.run(800); // round boundary after the frame's 30th flit
+    EXPECT_EQ(blade->nic().stats().framesReceived.value(), 0u);
+    EXPECT_EQ(irq_at, kNoCycle);
+
+    fabric.run(800);
+    EXPECT_EQ(blade->nic().stats().framesReceived.value(), 1u);
+    // Admitted at the last flit (819), then written by DMA.
+    EXPECT_EQ(irq_at, 819u + 60 + f.size() / 4);
+    auto comp = blade->nic().popRecvComp();
+    ASSERT_TRUE(comp.has_value());
+    EXPECT_EQ(comp->len, f.size());
+    std::vector<uint8_t> buf(f.size());
+    blade->memory().read(0x20000, buf.data(), f.size());
+    EXPECT_EQ(buf, f.bytes);
+}
+
+/**
+ * Frame A (800 B) fills a 1600 B packet buffer until a receive request
+ * posted at cycle 600 has written it out: the writer frees A's space at
+ * 600 + 60 + 800/4 = 860. Frame B (904 B, 113 flits) starts arriving
+ * while A is still there and ends at @p b_last. @return B was admitted.
+ */
+bool
+frameBAdmitted(Cycles b_last)
+{
+    BladeConfig bc;
+    bc.name = "dut";
+    bc.memBytes = 64 * MiB;
+    bc.nic.packetBufBytes = 1600;
+    bc.mac = MacAddr(0xa);
+    ServerBlade blade(bc);
+    ScriptedEndpoint peer("peer");
+    TokenFabric fabric;
+    fabric.addEndpoint(&blade);
+    fabric.addEndpoint(&peer);
+    fabric.connect(&blade, 0, &peer, 0, 400);
+    fabric.finalize();
+
+    EthFrame a = patternFrame(800 - kEthHeaderBytes, 1);
+    EthFrame b = patternFrame(904 - kEthHeaderBytes, 2);
+    EXPECT_EQ(b.flitCount(), 113u);
+    peer.sendAt(0, a); // arrives over cycles 400..499
+    Cycles b_first = b_last - 112;
+    EXPECT_LT(b_first, 860u) << "B must start while A fills the buffer";
+    peer.sendAt(b_first - 400, b);
+    blade.eventQueue().schedule(
+        600, [&] { blade.nic().pushRecvRequest(0x20000); });
+
+    fabric.run(2400);
+    const NicStats &st = blade.nic().stats();
+    EXPECT_EQ(st.framesReceived.value() + st.framesDroppedRx.value(), 2u);
+    return st.framesReceived.value() == 2;
+}
+
+TEST(NicRxTiming, DropIsDecidedAtTheLastFlitCycle)
+{
+    EXPECT_TRUE(frameBAdmitted(861));
+    EXPECT_FALSE(frameBAdmitted(859));
+}
+
+TEST_F(NicFixture, BackToBackFramesInOneBatchArriveInOrder)
+{
+    boot();
+    std::vector<EthFrame> frames;
+    for (uint8_t i = 0; i < 3; ++i) {
+        frames.push_back(patternFrame(64, static_cast<uint8_t>(16 * i)));
+        // 10 flits each, back to back: all arrive in cycles 400..429.
+        peer->sendAt(10 * i, frames.back());
+        ASSERT_TRUE(blade->nic().pushRecvRequest(0x20000 + 0x1000 * i));
+    }
+    fabric.run(2000);
+    EXPECT_EQ(blade->nic().stats().framesReceived.value(), 3u);
+    for (uint32_t i = 0; i < 3; ++i) {
+        auto comp = blade->nic().popRecvComp();
+        ASSERT_TRUE(comp.has_value());
+        EXPECT_EQ(comp->addr, 0x20000u + 0x1000 * i);
+        std::vector<uint8_t> buf(comp->len);
+        blade->memory().read(comp->addr, buf.data(), comp->len);
+        EXPECT_EQ(buf, frames[i].bytes) << "frame " << i;
+    }
+}
+
+TEST_F(NicFixture, StateImageMidFrameHoldsThePartialBytes)
+{
+    boot();
+    ASSERT_TRUE(blade->nic().pushRecvRequest(0x20000));
+    EthFrame f = patternFrame(kFlitBytes * 50 - kEthHeaderBytes, 5);
+    peer->sendAt(370, f); // arrives over cycles 770..819
+    fabric.run(800);
+    // 30 flits (240 bytes) have arrived, the next 20 have not.
+    std::string mid = nicImage(blade->nic());
+    EXPECT_TRUE(holdsBytes(mid, f.bytes, 30 * kFlitBytes));
+    EXPECT_FALSE(holdsBytes(mid, f.bytes, 31 * kFlitBytes));
+
+    // Once the frame has been written to memory the NIC holds none of
+    // it, so the bytes above came from the partial frame.
+    fabric.run(800);
+    ASSERT_EQ(blade->nic().stats().framesReceived.value(), 1u);
+    EXPECT_FALSE(holdsBytes(nicImage(blade->nic()), f.bytes, 64));
 }
 
 TEST_F(NicFixture, UndersizeSendIsFatal)

@@ -17,6 +17,7 @@
 
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <sys/stat.h>
@@ -269,6 +270,36 @@ TEST(ObsCluster, ShardedHeartbeatsCoverEveryRankAndLatchStragglers)
               std::string::npos);
     EXPECT_NE(prom.find("firesim_stragglers{rank=\"0\"} 2"),
               std::string::npos);
+}
+
+TEST(ObsCluster, HeartbeatsLandInTheDumpDir)
+{
+    // Run from an empty working directory, so that anything written
+    // relative to it shows up there.
+    ScopedTempDir cwd, dump;
+    struct Chdir
+    {
+        std::filesystem::path old = std::filesystem::current_path();
+        explicit Chdir(const std::string &to)
+        {
+            std::filesystem::current_path(to);
+        }
+        ~Chdir() { std::filesystem::current_path(old); }
+    };
+    uint64_t heartbeats = 0;
+    {
+        Chdir in(cwd.path());
+        ClusterConfig cc;
+        cc.telemetry.dumpDir = dump.path();
+        cc.monitor.heartbeatEvery = 4;
+        Cluster c(topologies::singleTor(2), cc);
+        c.run(40000);
+        ASSERT_NE(c.clusterMonitor(), nullptr);
+        heartbeats = c.clusterMonitor()->heartbeats();
+    }
+    EXPECT_GT(heartbeats, 0u);
+    EXPECT_TRUE(std::filesystem::exists(dump.file("heartbeat.jsonl")));
+    EXPECT_TRUE(std::filesystem::is_empty(cwd.path()));
 }
 
 TEST(ObsCluster, StragglersDetectWithoutHeartbeatsAndUnlatchDeadRanks)

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -234,6 +235,65 @@ TEST_F(ThreePortSwitchTest, TimestampTiesResolveDeterministically)
         else
             EXPECT_EQ(first_run, tags);
     }
+}
+
+/** A switch that also copies every frame to a monitor on port 0:
+ *  route()'s multi-port answer from a subclass. */
+class MirrorSwitch : public Switch
+{
+  public:
+    using Switch::Switch;
+
+  protected:
+    uint32_t
+    route(const EthFrame &frame, std::vector<uint32_t> &ports) const override
+    {
+        uint32_t port = Switch::route(frame, ports);
+        if (port == kMultiPort || port == 0)
+            return port;
+        ports.push_back(port);
+        ports.push_back(0);
+        return kMultiPort;
+    }
+};
+
+TEST(SwitchRouteOverride, MultiPortRouteCopiesTheFrame)
+{
+    SwitchConfig cfg;
+    cfg.ports = 3;
+    MirrorSwitch sw(cfg);
+    std::vector<std::unique_ptr<ScriptedEndpoint>> eps;
+    TokenFabric fabric;
+    for (uint32_t i = 0; i < 3; ++i) {
+        eps.push_back(std::make_unique<ScriptedEndpoint>(
+            std::string("ep") + std::to_string(i)));
+        fabric.addEndpoint(eps.back().get());
+    }
+    fabric.addEndpoint(&sw);
+    for (uint32_t i = 0; i < 3; ++i) {
+        sw.addMacEntry(MacAddr(0x10 + i), i);
+        fabric.connect(eps[i].get(), 0, &sw, i, 100);
+    }
+    fabric.finalize();
+    EthFrame mirrored = frameTo(MacAddr(0x12), MacAddr(0x11), 30, 1);
+    EthFrame direct = frameTo(MacAddr(0x10), MacAddr(0x12), 30, 2);
+    eps[1]->sendAt(0, mirrored);
+    eps[2]->sendAt(0, direct);
+    fabric.run(2000);
+
+    ASSERT_EQ(eps[2]->received.size(), 1u);
+    EXPECT_EQ(eps[2]->received[0].second.bytes, mirrored.bytes);
+    // The monitor sees the mirrored copy and its own unicast once each.
+    ASSERT_EQ(eps[0]->received.size(), 2u);
+    std::vector<std::vector<uint8_t>> at_monitor = {
+        eps[0]->received[0].second.bytes, eps[0]->received[1].second.bytes};
+    std::sort(at_monitor.begin(), at_monitor.end());
+    std::vector<std::vector<uint8_t>> expected = {mirrored.bytes,
+                                                  direct.bytes};
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(at_monitor, expected);
+    EXPECT_EQ(eps[1]->received.size(), 0u);
+    EXPECT_EQ(sw.stats().packetsOut.value(), 3u);
 }
 
 TEST(SwitchMacTable, SparseTableRoutesFloodsOverwritesAndRoundTrips)
