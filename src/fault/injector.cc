@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "base/table.hh"
 #include "net/token_io.hh"
 #include "snapshot/state_io.hh"
 #include "switchmodel/switch.hh"
@@ -62,6 +63,7 @@ FaultInjector::FaultInjector(TokenFabric &fabric, FaultPlan plan,
         crashes.push_back({spec, static_cast<size_t>(ep), false, false});
     }
 
+    skipped.assign(fab.endpointCount(), 0);
     fab.addObserver(this);
 }
 
@@ -97,9 +99,34 @@ FaultInjector::crashActive(const CrashState &crash,
     return true;
 }
 
+uint64_t
+FaultInjector::roundsAdvanced(size_t idx) const
+{
+    return idx < skipped.size() ? rounds - skipped[idx] : 0;
+}
+
+std::string
+FaultInjector::report() const
+{
+    // Anomalies and State keep the health report's columns: the fabric
+    // panics on a malformed batch, so neither ever reads otherwise.
+    Table ep({"Endpoint", "Rounds ok", "Skipped", "Anomalies", "State"});
+    bool any = false;
+    for (size_t i = 0; i < skipped.size(); ++i) {
+        if (skipped[i] == 0)
+            continue;
+        any = true;
+        ep.addRow({fab.endpointAt(i).name(),
+                   Table::fmt(roundsAdvanced(i), 0),
+                   Table::fmt(skipped[i], 0), "0", "ok"});
+    }
+    return any ? ep.render() : "";
+}
+
 void
 FaultInjector::onRoundStart(Cycles round_start, uint64_t round)
 {
+    ++rounds;
     curRound = round;
     Cycles round_end = round_start + fab.quantum();
 
@@ -154,6 +181,13 @@ FaultInjector::endpointDown(size_t endpoint_idx, Cycles round_start)
             crashActive(crash, round_start))
             return true;
     return false;
+}
+
+void
+FaultInjector::onEndpointSkipped(size_t endpoint_idx, Cycles round_start)
+{
+    (void)round_start;
+    ++skipped[endpoint_idx];
 }
 
 void
@@ -267,6 +301,9 @@ void
 FaultInjector::snapshotSave(Serializer &s) const
 {
     s.putU(curRound);
+    s.putU(rounds);
+    for (uint64_t n : skipped)
+        s.putU(n);
     s.putU(dropped);
     s.putU(corrupted);
     s.putU(delayed);

@@ -26,6 +26,8 @@
  *    like every host-side action in FireSim).
  *  - Crash parks the endpoint: the fabric discards its inputs and
  *    emits empty token batches on its behalf until the restart cycle.
+ *    The injector counts the rounds each endpoint sat out, for the
+ *    health report (report()).
  */
 
 #ifndef FIRESIM_FAULT_INJECTOR_HH
@@ -33,6 +35,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -60,9 +63,10 @@ class FaultInjector : public FabricObserver
 
     /**
      * Serialize injection progress: per-link RNG streams and delay
-     * carry buffers, port/crash applied flags, round cursor and the
-     * drop/corrupt/delay totals, so two runs whose faults land on
-     * different flits hold different sections.
+     * carry buffers, port/crash applied flags, round cursor, rounds
+     * skipped per endpoint and the drop/corrupt/delay totals, so two
+     * runs whose faults land on different flits hold different
+     * sections.
      */
     void snapshotSave(Serializer &s) const;
 
@@ -70,9 +74,19 @@ class FaultInjector : public FabricObserver
     uint64_t flitsCorrupted() const { return corrupted; }
     uint64_t flitsDelayed() const { return delayed; }
 
+    /** Rounds endpoint @p idx advanced since the injector attached:
+     *  every round it was not parked by a crash. */
+    uint64_t roundsAdvanced(size_t idx) const;
+
+    /** One row per endpoint that sat out rounds (rounds advanced and
+     *  skipped); "" when none did. */
+    std::string report() const;
+
     // ---- FabricObserver ---------------------------------------------
     void onRoundStart(Cycles round_start, uint64_t round) override;
     bool endpointDown(size_t endpoint_idx, Cycles round_start) override;
+    void onEndpointSkipped(size_t endpoint_idx,
+                           Cycles round_start) override;
     void onTransmit(size_t channel_idx, TokenBatch &batch) override;
 
   private:
@@ -129,6 +143,9 @@ class FaultInjector : public FabricObserver
     std::vector<LinkState> links;
     std::vector<PortState> ports;
     std::vector<CrashState> crashes;
+    /** Per endpoint: rounds the fabric skipped it while down. */
+    std::vector<uint64_t> skipped;
+    uint64_t rounds = 0; //!< rounds seen since attaching
     uint64_t curRound = 0;
     uint64_t dropped = 0;
     uint64_t corrupted = 0;

@@ -313,10 +313,6 @@ Cluster::connectShards(
         }
     }
     fabric_.setRemoteHook(transport_.get());
-
-    // Eagerly attach the health monitor: observers cannot attach
-    // mid-run, and peer-shard loss is a mid-run event.
-    health();
     transport_->onPeerLoss(
         [this](uint32_t peer, uint64_t round, Cycles cycle) {
             FaultEvent ev;
@@ -327,7 +323,7 @@ Cluster::connectShards(
                 "peer shard %u lost; its cross-shard links degraded to "
                 "empty tokens",
                 peer);
-            monitor_->record(std::move(ev));
+            health().record(std::move(ev));
         });
 }
 
@@ -380,7 +376,8 @@ Cluster::setupTelemetry()
         return static_cast<double>(fab->batchesMoved());
     });
     // Host-side (the `.host.` infix keeps them out of parity dumps): a
-    // run with an observer attached steps every endpoint every round.
+    // run with an observer attached jumps no round, and one that
+    // watches endpoints steps every endpoint every round.
     reg.registerProbe("cluster.fabric.host.roundsFastForwarded", [fab] {
         return static_cast<double>(fab->roundsFastForwarded());
     });
@@ -488,20 +485,12 @@ Cluster::setupObservability()
                     rank, (unsigned long long)latency_ns,
                     clusterMonitor_->config().stragglerFactor,
                     (unsigned long long)median_ns);
-                // The HealthMonitor can only be raised through here
-                // when it is already attached (observers cannot attach
-                // mid-run); sharded builds attach it eagerly, and a
-                // single-process run has no peers to straggle behind.
-                if (monitor_) {
-                    FaultEvent ev;
-                    ev.kind = FaultEvent::Kind::StragglerDetected;
-                    ev.round = round;
-                    ev.cycle = cycle;
-                    ev.detail = what;
-                    monitor_->record(std::move(ev));
-                } else {
-                    warn("straggler: %s", what.c_str());
-                }
+                FaultEvent ev;
+                ev.kind = FaultEvent::Kind::StragglerDetected;
+                ev.round = round;
+                ev.cycle = cycle;
+                ev.detail = what;
+                health().record(std::move(ev));
             });
         fabric_.addObserver(clusterMonitor_.get());
     }
@@ -525,7 +514,7 @@ HealthMonitor &
 Cluster::health()
 {
     if (!monitor_)
-        monitor_ = std::make_unique<HealthMonitor>(fabric_);
+        monitor_ = std::make_unique<HealthMonitor>();
     return *monitor_;
 }
 
@@ -534,7 +523,7 @@ Cluster::health(const HealthConfig &config)
 {
     if (monitor_)
         fatal("health monitor already attached; its config is fixed");
-    monitor_ = std::make_unique<HealthMonitor>(fabric_, config);
+    monitor_ = std::make_unique<HealthMonitor>(config);
     return *monitor_;
 }
 
@@ -557,6 +546,8 @@ Cluster::healthReport() const
         return "Fabric health report\n  no monitor attached; run was "
                "unobserved (and did not abort)\n";
     std::string out = monitor_->report();
+    if (injector_)
+        out += injector_->report();
 
     Table sw({"Switch", "Port transitions", "Flits dropped (in)",
               "Pkts dropped (out)"});

@@ -199,23 +199,24 @@ class Cluster
     std::string statsReport();
 
     /**
-     * Attach a HealthMonitor (if none yet) and a FaultInjector driving
-     * @p plan. Call once, before running the simulation; the same
-     * topology + plan + seed replays bit-identically, and an empty
-     * plan leaves results bit-identical to never calling this.
+     * Create the HealthMonitor (if none yet) and attach a
+     * FaultInjector driving @p plan. Call once, before running the
+     * simulation; the same topology + plan + seed replays
+     * bit-identically, and an empty plan leaves results bit-identical
+     * to never calling this.
      */
     void injectFaults(const FaultPlan &plan);
 
     /**
-     * The fabric health monitor, attached on demand. Converts
-     * recoverable token-protocol anomalies into FaultEvents (instead
-     * of aborts) from the moment it is first requested.
+     * The fault event log, created on demand (it is no fabric observer,
+     * so it may be created at any time). The fault injector, peer-shard
+     * loss and straggler detection record into it.
      */
     HealthMonitor &health();
 
     /**
      * Like health(), but the monitor is created with @p config. When a
-     * monitor is already attached its config is fixed; asking for a
+     * monitor already exists its config is fixed; asking for a
      * different one is a user error.
      */
     HealthMonitor &health(const HealthConfig &config);
@@ -238,10 +239,10 @@ class Cluster
     ClusterMonitor *clusterMonitor() { return clusterMonitor_.get(); }
 
     /**
-     * Post-run health report: fault/degradation events seen by the
-     * monitor, per-switch fault-drop counters, and every lost peer
-     * shard. Reports a healthy cluster when no monitor was ever
-     * attached.
+     * Post-run health report: the fault events recorded, the rounds
+     * each crashed endpoint sat out, per-switch fault-drop counters,
+     * and every lost peer shard. Reports a healthy cluster when no
+     * monitor was ever created.
      */
     std::string healthReport() const;
 
@@ -305,8 +306,7 @@ class Cluster
     /**
      * Sharded builds only: connect the transport (caller's links, then
      * caller's fds, else TCP rendezvous), bind the cross-shard links,
-     * and eagerly attach the health monitor so peer loss mid-run can
-     * be recorded.
+     * and record peer loss in the health monitor.
      */
     void connectShards(
         const std::vector<CrossBinding> &cross,

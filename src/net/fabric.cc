@@ -56,16 +56,6 @@ TokenChannel::appendEmpties(uint64_t count)
     nextPushStart += count * quant;
 }
 
-TokenChannel::PushError
-TokenChannel::accepts(const TokenBatch &batch) const
-{
-    if (batch.len != quant)
-        return PushError::BadLength;
-    if (batch.start + lat != nextPushStart)
-        return PushError::NonContiguous;
-    return PushError::Ok;
-}
-
 TokenBatch *
 TokenChannel::admit(const TokenBatch &batch)
 {
@@ -186,7 +176,6 @@ TokenFabric::addEndpoint(TokenEndpoint *endpoint)
     state.in.assign(endpoint->numPorts(), nullptr);
     state.out.assign(endpoint->numPorts(), nullptr);
     state.remoteOut.assign(endpoint->numPorts(), -1);
-    state.inIndex.assign(endpoint->numPorts(), 0);
     state.outIndex.assign(endpoint->numPorts(), 0);
     state.outPeer.assign(endpoint->numPorts(), -1);
     state.outPeerPort.assign(endpoint->numPorts(), 0);
@@ -364,9 +353,9 @@ TokenFabric::finalize()
         sb.in[link.portB] = ab.get();
         sb.out[link.portB] = ba.get();
         sa.in[link.portA] = ba.get();
-        sa.outIndex[link.portA] = sb.inIndex[link.portB] = channels.size();
+        sa.outIndex[link.portA] = channels.size();
         channels.push_back(std::move(ab));
-        sb.outIndex[link.portB] = sa.inIndex[link.portA] = channels.size();
+        sb.outIndex[link.portB] = channels.size();
         channels.push_back(std::move(ba));
         sa.outPeer[link.portA] = &sb - endpoints.data();
         sa.outPeerPort[link.portA] = link.portB;
@@ -386,7 +375,6 @@ TokenFabric::finalize()
                               rl.local->name().c_str(), rl.port,
                               rl.rxLinkId));
         state.in[rl.port] = rx.get();
-        state.inIndex[rl.port] = channels.size();
         state.remoteOut[rl.port] = static_cast<int64_t>(i);
         state.remote = true;
         remoteRx.emplace_back(rl.rxLinkId, rx.get());
@@ -431,6 +419,8 @@ TokenFabric::addObserver(FabricObserver *observer)
     FS_ASSERT(observer != nullptr, "null fabric observer");
     FS_ASSERT(!running, "cannot attach observers mid-run");
     observers.push_back(observer);
+    if (observer->watchesEndpoints())
+        endpointObservers.push_back(observer);
     observer->onAttach(*this);
 }
 
@@ -464,18 +454,6 @@ TokenFabric::txChannelOf(size_t endpoint_idx, uint32_t port) const
     return static_cast<int>(state.outIndex[port]);
 }
 
-bool
-TokenFabric::reportAnomaly(FabricObserver::Anomaly kind,
-                           size_t endpoint_idx, uint32_t port,
-                           size_t channel_idx, const TokenBatch &batch)
-{
-    bool recovered = false;
-    for (FabricObserver *obs : observers)
-        recovered |= obs->onAnomaly(kind, endpoint_idx, port, channel_idx,
-                                    curCycle, batch);
-    return recovered;
-}
-
 void
 TokenFabric::prepareEndpoint(size_t idx)
 {
@@ -483,7 +461,7 @@ TokenFabric::prepareEndpoint(size_t idx)
     auto quantum = static_cast<uint32_t>(quant);
 
     state.down = false;
-    for (FabricObserver *obs : observers)
+    for (FabricObserver *obs : endpointObservers)
         state.down |= obs->endpointDown(idx, curCycle);
 
     for (uint32_t p = 0; p < state.in.size(); ++p) {
@@ -495,44 +473,26 @@ TokenFabric::prepareEndpoint(size_t idx)
             state.inPtrs[p] = &idleIn;
             continue;
         }
-        if (!remote && observers.empty()) {
+        if (!remote && endpointObservers.empty()) {
             // A skipped local producer has not enqueued this round's
             // input yet, and the consumer side may lag. (A remote
             // producer is kept current by the transport, and with an
-            // observer attached every round is dense.)
+            // endpoint observer attached every round is dense.)
             chan->fillIdle(curCycle + quant - chan->latency());
             chan->drainTo(curCycle);
         }
-        if (!chan->ready()) {
-            missingBatch.reset(chan->nextPopCycle(), quantum);
-            if (!reportAnomaly(FabricObserver::Anomaly::ChannelUnderflow,
-                               idx, p, state.inIndex[p], missingBatch)) {
-                panic("channel underflow into %s:%u (%s)",
-                      state.endpoint->name().c_str(), p,
-                      chan->label().c_str());
-            }
-            state.inPtrs[p] = &missingBatch.reset(curCycle, quantum);
-            continue;
-        }
+        if (!chan->ready())
+            panic("channel underflow into %s:%u (%s)",
+                  state.endpoint->name().c_str(), p, chan->label().c_str());
         TokenBatch &batch = chan->pop();
-        if (batch.start != curCycle) {
-            if (!reportAnomaly(FabricObserver::Anomaly::StaleBatch, idx, p,
-                               state.inIndex[p], batch)) {
-                panic("non-contiguous batch pop on %s: got %llu "
-                      "expected %llu",
-                      chan->label().c_str(),
-                      (unsigned long long)batch.start,
-                      (unsigned long long)curCycle);
-            }
-            // Recover by restamping the payload into the current window
-            // (a real lossy transport delivers late tokens late).
-            batch.start = curCycle;
-            batch.len = quantum;
-        }
+        if (batch.start != curCycle)
+            panic("non-contiguous batch pop on %s: got %llu expected %llu",
+                  chan->label().c_str(), (unsigned long long)batch.start,
+                  (unsigned long long)curCycle);
         state.inPtrs[p] = &batch;
         // Wake bookkeeping only matters while some endpoints can sit
-        // out rounds, i.e. with no observer attached.
-        if (observers.empty())
+        // out rounds, i.e. with no endpoint observer attached.
+        if (endpointObservers.empty())
             state.inNext[p] = chan->nextPayloadCycle();
     }
 
@@ -547,7 +507,7 @@ TokenFabric::prepareEndpoint(size_t idx)
         // every other endpoint stays cycle-exact. Notified here, on the
         // driving thread, so only the advance brackets ever run on
         // workers.
-        for (FabricObserver *obs : observers)
+        for (FabricObserver *obs : endpointObservers)
             obs->onEndpointSkipped(idx, curCycle);
     }
 }
@@ -558,10 +518,10 @@ TokenFabric::advanceEndpoint(size_t idx)
     EndpointState &state = endpoints[idx];
     if (state.down)
         return;
-    for (FabricObserver *obs : observers)
+    for (FabricObserver *obs : endpointObservers)
         obs->onAdvanceStart(idx, curCycle);
     state.endpoint->advance(curCycle, quant, state.inPtrs, state.outPtrs);
-    for (FabricObserver *obs : observers)
+    for (FabricObserver *obs : endpointObservers)
         obs->onAdvanceEnd(idx, curCycle);
 }
 
@@ -591,7 +551,7 @@ TokenFabric::commitEndpoint(size_t idx)
             remoteHook->onTxBatch(link, batch);
             continue;
         }
-        for (FabricObserver *obs : observers)
+        for (FabricObserver *obs : endpointObservers)
             obs->onTransmit(state.outIndex[p], batch);
         if (batch.isEmpty() && batch.len == quant &&
             batch.start == curCycle) {
@@ -604,21 +564,11 @@ TokenFabric::commitEndpoint(size_t idx)
             continue;
         }
         chan->fillIdle(curCycle);
-        TokenChannel::PushError err = chan->accepts(batch);
-        if (err != TokenChannel::PushError::Ok &&
-            reportAnomaly(err == TokenChannel::PushError::BadLength
-                              ? FabricObserver::Anomaly::BadLength
-                              : FabricObserver::Anomaly::NonContiguous,
-                          idx, p, state.outIndex[p], batch)) {
-            // Substitute a well-formed empty batch to keep the
-            // channel's token stream intact.
-            batch.reset(curCycle, static_cast<uint32_t>(quant));
-        }
         Cycles arrival = batch.start + chan->latency();
         bool payload = !batch.isEmpty();
-        // Panics with the channel label if the batch is still malformed.
+        // Panics, naming the channel, when the batch is malformed.
         chan->publish(batch);
-        if (payload && observers.empty()) {
+        if (payload && endpointObservers.empty()) {
             EndpointState &peer = endpoints[state.outPeer[p]];
             Cycles &next = peer.inNext[state.outPeerPort[p]];
             next = std::min(next, arrival);
@@ -626,7 +576,7 @@ TokenFabric::commitEndpoint(size_t idx)
             peer_wake = std::min(peer_wake, arrival);
         }
     }
-    if (observers.empty())
+    if (endpointObservers.empty())
         wake[idx] = wakeOf(idx, curCycle + quant);
 }
 
@@ -656,10 +606,11 @@ TokenFabric::run(Cycles cycles)
     // Start of this run()'s last round, in which every endpoint is
     // stepped so the run ends with all of them caught up.
     Cycles last = curCycle + (cycles - 1) / quant * quant;
-    // Any observer watches every endpoint in every round; a remote
-    // hook barriers with the peers in every round.
-    bool every_endpoint = !observers.empty();
-    bool every_round = every_endpoint || remoteHook;
+    // An endpoint observer watches every endpoint in every round; any
+    // observer sees every round, and a remote hook barriers with the
+    // peers in every round.
+    bool every_endpoint = !endpointObservers.empty();
+    bool every_round = !observers.empty() || remoteHook;
 
     // Endpoint and channel state may have changed between run() calls
     // (a NIC request posted, a hart armed, a batch pushed): ask again.
@@ -690,7 +641,7 @@ TokenFabric::run(Cycles cycles)
         }
         bool final_round = curCycle == last;
         // Dense rounds move every port's batch through its channel, so
-        // observers see every channel exactly as round-by-round
+        // endpoint observers see every channel exactly as round-by-round
         // stepping leaves it, and the run ends with no channel behind.
         denseRound = every_endpoint || final_round;
         idleIn.reset(curCycle, static_cast<uint32_t>(quant));

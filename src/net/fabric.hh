@@ -25,7 +25,7 @@
  * executed in three phases over its due endpoints (see below):
  *
  *   1. prepare (driving thread, step order): per endpoint, query the
- *      observers' down-verdict, pop one input batch per port, and
+ *      endpoint observers' down-verdict, pop one input batch per port, and
  *      reset the port's own output batch. Input batches never move:
  *      the endpoint is handed pointers to the channels' ring slots.
  *   2. advance (one pool dispatch, barrier at the end): every
@@ -71,22 +71,25 @@
  * round-by-round stepping leaves them; now(), round() and
  * batchesMoved() are exact at all times.
  *
- * Two things keep every endpoint due: an attached FabricObserver (any
- * one, even one that overrides nothing, because the fabric cannot tell
- * which hooks it uses), which also keeps every round dense, and a
- * remote port under a RemoteRoundHook (the wire carries one batch per
- * link per round, and such a port is always popped). With a hook set, no
- * round is jumped, since every round is a barrier with the peers.
- * roundsFastForwarded() counts jumped rounds and endpointRoundsStepped()
- * the due steps; both are host-side only.
+ * Observers come in two kinds (FabricObserver::watchesEndpoints()). An
+ * endpoint observer — the default, since the fabric cannot tell which
+ * hooks an observer uses — makes every endpoint due and every round
+ * dense, so each of its per-endpoint hooks fires for every endpoint in
+ * every round. A round observer (the heartbeat monitor) only stops the
+ * fabric from jumping rounds: its round hooks fire in every round, and
+ * only the due endpoints are stepped. A remote port under a
+ * RemoteRoundHook keeps its endpoint due (the wire carries one batch
+ * per link per round, and such a port is always popped), and with a
+ * hook set no round is jumped, since every round is a barrier with the
+ * peers. roundsFastForwarded() counts jumped rounds and
+ * endpointRoundsStepped() the due steps; both are host-side only.
  *
- * Fault modeling and health monitoring: FabricObservers (src/fault) may
- * attach to the fabric to take endpoints down, mutate in-flight batches,
- * and convert token-protocol violations — an endpoint that stops
- * producing well-formed batches — into structured diagnostics instead of
- * aborts. The round loop has one path: it detects every violation and
- * asks the observers; when none recovers it (always, with no observers
- * attached) it panics, naming the channel.
+ * Token-protocol violations: every batch an endpoint emits and every
+ * batch an input channel hands out is checked, and a violation — an
+ * endpoint that stops producing well-formed batches, or a corrupted
+ * token stream — panics, naming the channel, observers or not. Fault
+ * injection (src/fault) acts through the observer hooks: it takes
+ * endpoints down and mutates the payload of well-formed batches.
  */
 
 #ifndef FIRESIM_NET_FABRIC_HH
@@ -113,14 +116,6 @@ class Serializer;
 class TokenChannel
 {
   public:
-    /** Why a batch cannot be accepted (see accepts()). */
-    enum class PushError
-    {
-        Ok,            //!< batch is well formed and contiguous
-        BadLength,     //!< batch length differs from the channel quantum
-        NonContiguous, //!< batch start does not extend the token stream
-    };
-
     /**
      * @param latency link latency in cycles
      * @param quantum batch length in cycles (must divide latency)
@@ -137,10 +132,6 @@ class TokenChannel
      */
     const std::string &label() const { return lbl; }
     void setLabel(std::string label) { lbl = std::move(label); }
-
-    /** Check whether publishing @p batch would satisfy the token
-     *  protocol. */
-    PushError accepts(const TokenBatch &batch) const;
 
     /**
      * Producer side: enqueue @p batch (stamped with its production
@@ -184,10 +175,27 @@ class TokenChannel
     /** Number of buffered batches, empty runs expanded. */
     size_t depth() const { return batches; }
 
-    /** Steady-state depth: latency/quantum batches are always in flight. */
-    size_t expectedDepth() const
+    /**
+     * depth() as it would read once the producer had published every
+     * production window that starts before @p round_end and the
+     * consumer had popped every batch arriving before it: the depth a
+     * dense round leaves, whatever rounds either side sat out. Not for
+     * the RX half of a remote link, whose producer side the transport
+     * fills in the round barrier: its depth() is already current.
+     */
+    size_t
+    depthAt(Cycles round_end) const
     {
-        return static_cast<size_t>(lat / quant);
+        Cycles pushed = round_end + lat;
+        size_t pending = nextPushStart < pushed
+                             ? static_cast<size_t>((pushed - nextPushStart) /
+                                                   quant)
+                             : 0;
+        size_t drained = nextPopStart < round_end
+                             ? static_cast<size_t>((round_end - nextPopStart) /
+                                                   quant)
+                             : 0;
+        return batches + pending - drained;
     }
 
     /**
@@ -351,14 +359,15 @@ class TokenEndpoint
 };
 
 /**
- * Hook interface for fault injection and health monitoring (src/fault).
- * All callbacks default to no-ops; a fabric with no observers — or only
- * no-op observers — simulates bit-identically to one without the hooks.
+ * Hook interface for fault injection (src/fault), telemetry and
+ * monitoring (src/telemetry). All callbacks default to no-ops; a fabric
+ * with no observers — or only no-op observers — simulates
+ * bit-identically to one without the hooks.
  *
  * Callback order within a round:
- *   onRoundStart -> per endpoint: endpointDown? -> [input anomalies]
+ *   onRoundStart -> per due endpoint: endpointDown?
  *   -> skip notification for down endpoints -> advance brackets
- *   -> per port: onTransmit -> [output anomalies] -> onRoundEnd
+ *   -> per port: onTransmit -> onRoundEnd
  * Observers fire in registration order; endpointDown answers are OR-ed.
  *
  * Threading contract: every callback fires on the fabric's driving
@@ -370,24 +379,28 @@ class TokenEndpoint
  * always called on the same thread, in order. The fabric never fires
  * onSliceStart/onSliceEnd.
  *
- * Attaching any observer, even one that overrides nothing, makes every
- * endpoint due every round (see the file comment): every endpoint is
- * stepped in every round and every hook fires for it, at the host cost
- * of stepping idle endpoints.
+ * Attaching any observer stops the fabric from jumping rounds, so its
+ * round hooks fire in every round. One whose watchesEndpoints() is
+ * true (the default) also makes every endpoint due every round (see
+ * the file comment): every endpoint is stepped in every round and every
+ * per-endpoint hook fires for it, at the host cost of stepping idle
+ * endpoints. One that returns false gets only onAttach, onRoundStart
+ * and onRoundEnd.
  */
 class FabricObserver
 {
   public:
-    /** Anomaly classes the monitored fabric can recover from. */
-    enum class Anomaly
-    {
-        BadLength,        //!< endpoint produced a wrong-length batch
-        NonContiguous,    //!< batch does not extend the token stream
-        StaleBatch,       //!< popped batch not for the current window
-        ChannelUnderflow, //!< input channel had no batch ready
-    };
-
     virtual ~FabricObserver() = default;
+
+    /**
+     * True when this observer uses the per-endpoint hooks
+     * (endpointDown, onEndpointSkipped, the advance brackets,
+     * onTransmit), which then fire for every endpoint in every round.
+     * An observer that overrides only the round hooks returns false,
+     * and the fabric keeps stepping only the endpoints that are due.
+     * Asked once, at TokenFabric::addObserver.
+     */
+    virtual bool watchesEndpoints() const { return true; }
 
     /**
      * Called once from TokenFabric::addObserver with the fabric the
@@ -477,25 +490,6 @@ class FabricObserver
     {
         (void)channel_idx;
         (void)batch;
-    }
-
-    /**
-     * A token-protocol violation was detected at @p endpoint_idx /
-     * @p port. Return true to recover: the fabric substitutes a
-     * well-formed batch (empty on the output side, restamped on the
-     * input side) and continues. Return false to abort as before.
-     */
-    virtual bool onAnomaly(Anomaly kind, size_t endpoint_idx, uint32_t port,
-                           size_t channel_idx, Cycles round_start,
-                           const TokenBatch &batch)
-    {
-        (void)kind;
-        (void)endpoint_idx;
-        (void)port;
-        (void)channel_idx;
-        (void)round_start;
-        (void)batch;
-        return false;
     }
 
     /** Called once at the end of every round. */
@@ -662,15 +656,15 @@ class TokenFabric
     uint64_t endpointRoundsStepped() const { return dueSteps; }
 
     /**
-     * Attach a fault-injection / health-monitoring observer. Callbacks
-     * fire in registration order. May be called after finalize() (the
-     * observers typically need the finalized channel list to resolve
-     * their targets); must not be called mid-run. The fabric does not
-     * take ownership.
+     * Attach an observer (fault injection, telemetry, monitoring).
+     * Callbacks fire in registration order. May be called after
+     * finalize() (the observers typically need the finalized channel
+     * list to resolve their targets); must not be called mid-run. The
+     * fabric does not take ownership.
      */
     void addObserver(FabricObserver *observer);
 
-    /** Number of attached observers. */
+    /** Number of attached observers, of either kind. */
     size_t observerCount() const { return observers.size(); }
 
     // ---- Introspection for observers and diagnostics ----------------
@@ -689,8 +683,8 @@ class TokenFabric
      * True when channel @p idx is the RX half of a remote link. Such a
      * channel is one batch short at onRoundEnd time: its refill
      * arrives in the round barrier (RemoteRoundHook::onRoundComplete),
-     * which runs after the observers. Health monitors use this to
-     * adjust their occupancy expectations.
+     * which runs after the observers, and its depth() is current then
+     * (see TokenChannel::depthAt).
      */
     bool channelIsRemoteRx(size_t idx) const;
     /**
@@ -762,26 +756,19 @@ class TokenFabric
         // carried by the RemoteRoundHook instead of a TokenChannel; -1
         // for local ports (out[p] set).
         std::vector<int64_t> remoteOut;
-        // Per-port indices of in[p] / out[p] in `channels` (set at
-        // finalize()): the observer callbacks' channel_idx.
-        std::vector<size_t> inIndex;
+        // Per-port index of out[p] in `channels` (set at finalize()):
+        // onTransmit's channel_idx.
         std::vector<size_t> outIndex;
         // Per port: the endpoint consuming out[p] and its port there,
         // for its input-wake; -1 for remote ports.
         std::vector<int64_t> outPeer;
         std::vector<uint32_t> outPeerPort;
         bool remote = false;  //!< owns a remote port: due every round
-        bool down = false;    //!< observers parked it this round
+        bool down = false;    //!< an observer parked it this round
         bool catchUp = false; //!< stepped only because run() ends
     };
 
     EndpointState &stateFor(TokenEndpoint *endpoint);
-
-    /** Report @p kind to the observers; returns true when some
-     *  observer recovered it (never with no observers attached). */
-    bool reportAnomaly(FabricObserver::Anomaly kind, size_t endpoint_idx,
-                       uint32_t port, size_t channel_idx,
-                       const TokenBatch &batch);
 
     // ---- The three round phases (see the file comment) ---------------
     /** Driving thread: down-verdict, input pops, output resets. */
@@ -806,16 +793,18 @@ class TokenFabric
     RemoteRoundHook *remoteHook = nullptr;
     std::vector<EndpointState> endpoints;
     std::vector<std::unique_ptr<TokenChannel>> channels;
+    /** Every observer: the round hooks fire for these. */
     std::vector<FabricObserver *> observers;
+    /** The observers that watch endpoints (watchesEndpoints()): the
+     *  per-endpoint hooks fire for these, and any makes rounds dense. */
+    std::vector<FabricObserver *> endpointObservers;
     std::vector<size_t> stepOrder;
-    /** Stands in for the batch of an input channel that underflowed,
-     *  when an observer recovers it. */
-    TokenBatch missingBatch;
     /** This round's input on every port with nothing arriving. */
     TokenBatch idleIn;
     /** Every port of every stepped endpoint moves its batch through
-     *  its channel this round (observers attached, or the last round
-     *  of a run()); otherwise idle ports leave their channels alone. */
+     *  its channel this round (an endpoint observer attached, or the
+     *  last round of a run()); otherwise idle ports leave their
+     *  channels alone. */
     bool denseRound = false;
     std::unique_ptr<ThreadPool> workers; //!< null when single-threaded
     unsigned parHosts = 1;

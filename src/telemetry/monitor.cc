@@ -106,8 +106,10 @@ ClusterMonitor::onRoundEnd(Cycles round_start, uint64_t round)
         }
     }
 
-    if (cfg.heartbeatEvery != 0 && (round + 1) % cfg.heartbeatEvery == 0)
-        emitHeartbeat(round_start, round);
+    if (cfg.heartbeatEvery != 0 && (round + 1) % cfg.heartbeatEvery == 0) {
+        Cycles round_end = round_start + (fabric ? fabric->quantum() : 0);
+        emitHeartbeat(round_start, round, round_end);
+    }
 }
 
 std::vector<ClusterMonitor::RankLatency>
@@ -131,13 +133,19 @@ ClusterMonitor::rankLatencies() const
 }
 
 uint64_t
-ClusterMonitor::channelOccupancy() const
+ClusterMonitor::channelOccupancy(Cycles round_end) const
 {
     if (!fabric)
         return 0;
+    // Endpoints the fabric did not step leave their channels behind;
+    // count each as if both sides had caught up, so the value does not
+    // depend on which endpoints were due.
     uint64_t sum = 0;
-    for (size_t i = 0; i < fabric->channelCount(); ++i)
-        sum += fabric->channelAt(i).depth();
+    for (size_t i = 0; i < fabric->channelCount(); ++i) {
+        const TokenChannel &chan = fabric->channelAt(i);
+        sum += fabric->channelIsRemoteRx(i) ? chan.depth()
+                                            : chan.depthAt(round_end);
+    }
     return sum;
 }
 
@@ -303,7 +311,8 @@ ClusterMonitor::statusLine(Cycles cycle, uint64_t round, double sim_mhz,
 }
 
 void
-ClusterMonitor::emitHeartbeat(Cycles cycle, uint64_t round)
+ClusterMonitor::emitHeartbeat(Cycles cycle, uint64_t round,
+                              Cycles round_end)
 {
     auto now = Clock::now();
     // Sim rate over the heartbeat window; the first heartbeat rates
@@ -322,7 +331,7 @@ ClusterMonitor::emitHeartbeat(Cycles cycle, uint64_t round)
 
     auto lat = rankLatencies();
     detectStragglers(lat, round, cycle);
-    uint64_t occupancy = channelOccupancy();
+    uint64_t occupancy = channelOccupancy(round_end);
     uint64_t stall_ns = totalStallNs();
 
     if (heartbeatFile) {

@@ -4,9 +4,10 @@
  * manager's operator view — FireSim operators watch hundreds of
  * FPGA-hosted nodes through one pane of glass).
  *
- * A ClusterMonitor is a FabricObserver that times a strided sample of
- * rounds on the driving thread (latencySampleEvery) and, every
- * `heartbeatEvery` rounds, emits:
+ * A ClusterMonitor is a round-level FabricObserver (it watches no
+ * endpoint, so the fabric keeps stepping only the due ones) that times
+ * a strided sample of rounds on the driving thread (latencySampleEvery)
+ * and, every `heartbeatEvery` rounds, emits:
  *
  *  - one structured-JSONL heartbeat line (simulated cycle, target-MHz
  *    sim rate, per-shard round-latency EWMA, barrier skew, channel
@@ -129,10 +130,15 @@ class ClusterMonitor : public FabricObserver
         return latchedStragglers;
     }
 
-    /** Force one heartbeat now (end-of-run flush; also testable). */
-    void emitHeartbeat(Cycles cycle, uint64_t round);
+    /** Force one heartbeat now, at the round boundary @p cycle
+     *  (end-of-run flush; also testable). */
+    void emitHeartbeat(Cycles cycle, uint64_t round)
+    {
+        emitHeartbeat(cycle, round, cycle);
+    }
 
     // ---- FabricObserver ---------------------------------------------
+    bool watchesEndpoints() const override { return false; }
     void onAttach(TokenFabric &fabric) override;
     void onRoundStart(Cycles round_start, uint64_t round) override;
     void onRoundEnd(Cycles round_start, uint64_t round) override;
@@ -160,7 +166,12 @@ class ClusterMonitor : public FabricObserver
                                uint64_t stall_ns) const;
     void statusLine(Cycles cycle, uint64_t round, double sim_mhz,
                     const std::vector<RankLatency> &lat);
-    uint64_t channelOccupancy() const;
+    /** One heartbeat for round @p round starting at @p cycle, with the
+     *  channels counted as of the round boundary @p round_end. */
+    void emitHeartbeat(Cycles cycle, uint64_t round, Cycles round_end);
+    /** Tokens in flight over all channels, counted as a dense round
+     *  leaves them at the boundary @p round_end (depthAt). */
+    uint64_t channelOccupancy(Cycles round_end) const;
     uint64_t totalStallNs() const;
 
     MonitorConfig cfg;

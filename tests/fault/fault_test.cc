@@ -1,7 +1,8 @@
 /**
  * Unit tests for the fault layer: FaultPlan builders, the deterministic
- * FaultInjector's link/crash faults on a two-endpoint fabric, and the
- * HealthMonitor's stall detection and graceful degradation.
+ * FaultInjector's link/crash faults on a two-endpoint fabric, and rogue
+ * endpoints, which panic naming their channel with the fault layer
+ * attached or not.
  */
 
 #include <gtest/gtest.h>
@@ -77,7 +78,7 @@ class InjectedPairTest : public ::testing::Test
         if (with_monitor) {
             HealthConfig hc;
             hc.logEvents = false;
-            monitor = std::make_unique<HealthMonitor>(fabric, hc);
+            monitor = std::make_unique<HealthMonitor>(hc);
         }
         injector = std::make_unique<FaultInjector>(fabric, plan,
                                                    monitor.get());
@@ -182,8 +183,12 @@ TEST_F(InjectedPairTest, CrashedEndpointDegradesToEmptyTokens)
     EXPECT_TRUE(a->received.empty());
     EXPECT_TRUE(b->received.empty());
     EXPECT_EQ(monitor->count(FaultEvent::Kind::NodeCrash), 1u);
-    EXPECT_EQ(monitor->roundsAdvanced(0), 0u);
-    EXPECT_EQ(monitor->roundsAdvanced(1), 1000u / kLat);
+    EXPECT_EQ(injector->roundsAdvanced(0), 0u);
+    EXPECT_EQ(injector->roundsAdvanced(1), 1000u / kLat);
+    // The report lists the endpoint that sat out rounds, and only it.
+    std::string report = injector->report();
+    EXPECT_NE(report.find("\nA "), std::string::npos) << report;
+    EXPECT_EQ(report.find("\nB "), std::string::npos) << report;
 }
 
 TEST_F(InjectedPairTest, CrashRestartResumesService)
@@ -198,7 +203,7 @@ TEST_F(InjectedPairTest, CrashRestartResumesService)
     EXPECT_EQ(monitor->count(FaultEvent::Kind::NodeCrash), 1u);
     EXPECT_EQ(monitor->count(FaultEvent::Kind::NodeRestart), 1u);
     // Crashed for rounds [0, 400), alive for [400, 1000).
-    EXPECT_EQ(monitor->roundsAdvanced(0), (1000u - 400u) / kLat);
+    EXPECT_EQ(injector->roundsAdvanced(0), (1000u - 400u) / kLat);
 }
 
 TEST_F(InjectedPairTest, SameSeedReplaysBitIdentically)
@@ -247,7 +252,7 @@ TEST_F(InjectedPairTest, ZeroFaultPlanIsBitIdenticalToNoInjector)
         if (with_fault_layer) {
             HealthConfig hc;
             hc.logEvents = false;
-            mon = std::make_unique<HealthMonitor>(fab, hc);
+            mon = std::make_unique<HealthMonitor>(hc);
             inj = std::make_unique<FaultInjector>(fab, FaultPlan{},
                                                   mon.get());
         }
@@ -325,53 +330,10 @@ class StallingEndpoint : public TokenEndpoint
     Cycles stallAt;
 };
 
-TEST(HealthMonitorStall, StalledEndpointIsAStructuredEventNotAnAbort)
-{
-    StallingEndpoint staller(600);
-    ScriptedEndpoint peer("peer");
-    TokenFabric fabric;
-    fabric.addEndpoint(&staller);
-    fabric.addEndpoint(&peer);
-    fabric.connect(&staller, 0, &peer, 0, 200);
-    fabric.finalize();
-    HealthConfig hc;
-    hc.stallRoundBudget = 2;
-    hc.logEvents = false;
-    HealthMonitor monitor(fabric, hc);
-
-    fabric.run(2000); // survives the stall
-
-    // The stall is reported with endpoint name, port, and round number.
-    ASSERT_GE(monitor.count(FaultEvent::Kind::BatchStall), 1u);
-    const FaultEvent *stall = nullptr;
-    for (const FaultEvent &ev : monitor.events())
-        if (ev.kind == FaultEvent::Kind::BatchStall && !stall)
-            stall = &ev;
-    ASSERT_NE(stall, nullptr);
-    EXPECT_EQ(stall->endpoint, "staller");
-    EXPECT_EQ(stall->port, 0);
-    EXPECT_EQ(stall->round, 600u / 200u);
-    EXPECT_EQ(stall->cycle, 600u);
-    EXPECT_NE(stall->detail.find("0-cycle batch"), std::string::npos);
-
-    // Past the budget the endpoint is parked (graceful degradation) and
-    // the fabric finishes the run on empty tokens.
-    EXPECT_EQ(monitor.count(FaultEvent::Kind::EndpointDegraded), 1u);
-    EXPECT_TRUE(monitor.isDegraded(0));
-    EXPECT_EQ(monitor.degradedCount(), 1u);
-    EXPECT_EQ(fabric.now(), 2000u);
-    // 3 healthy rounds before cycle 600; budget burns 3 more (bad
-    // rounds don't count as advanced); the rest are skipped.
-    EXPECT_EQ(monitor.roundsAdvanced(0), 3u);
-    std::string report = monitor.report();
-    EXPECT_NE(report.find("DEGRADED"), std::string::npos);
-    EXPECT_NE(report.find("staller"), std::string::npos);
-}
-
 TEST(HealthMonitorStallDeath, UnmonitoredStallStillAborts)
 {
-    // Without a monitor the old contract holds: a malformed batch is a
-    // hard invariant failure, and the abort names the channel.
+    // On the unobserved, activity-driven path a malformed batch is a
+    // hard invariant failure too, and the abort names the channel.
     StallingEndpoint staller(600);
     ScriptedEndpoint peer("peer");
     TokenFabric fabric;
@@ -382,10 +344,39 @@ TEST(HealthMonitorStallDeath, UnmonitoredStallStillAborts)
     EXPECT_DEATH(fabric.run(2000), "staller:0->peer:0");
 }
 
-TEST(HealthMonitorStall, RecoveringEndpointKeepsItsBudget)
+/** Runs @p rogue (port 0) against a scripted peer under an empty fault
+ *  plan, so the observed, dense path of the fabric checks its batches;
+ *  @p corrupt may tamper with the finalized fabric first. */
+void
+runWithFaultLayer(TokenEndpoint &rogue,
+                  void (*corrupt)(TokenFabric &) = nullptr)
 {
-    // One bad round, then healthy again: consecutiveBad resets and the
-    // endpoint is never degraded.
+    ScriptedEndpoint peer("peer");
+    TokenFabric fabric;
+    fabric.addEndpoint(&rogue);
+    fabric.addEndpoint(&peer);
+    fabric.connect(&rogue, 0, &peer, 0, 200);
+    fabric.finalize();
+    HealthConfig hc;
+    hc.logEvents = false;
+    HealthMonitor monitor(hc);
+    FaultInjector injector(fabric, FaultPlan{}, &monitor);
+    if (corrupt)
+        corrupt(fabric);
+    fabric.run(2000);
+}
+
+TEST(RogueEndpointDeath, StalledEndpointPanicsNamingItsChannel)
+{
+    // With the fault layer attached a stalled endpoint is no event to
+    // log: the fabric aborts, naming the channel, as it does without.
+    StallingEndpoint staller(600);
+    EXPECT_DEATH(runWithFaultLayer(staller), "staller:0->peer:0");
+}
+
+TEST(RogueEndpointDeath, OneBadRoundPanicsNamingItsChannel)
+{
+    // A single malformed batch is fatal too: nothing recovers it.
     class Hiccup : public TokenEndpoint
     {
       public:
@@ -400,49 +391,22 @@ TEST(HealthMonitorStall, RecoveringEndpointKeepsItsBudget)
                 *out[0] = TokenBatch();
         }
     } hiccup;
-    ScriptedEndpoint peer("peer");
-    TokenFabric fabric;
-    fabric.addEndpoint(&hiccup);
-    fabric.addEndpoint(&peer);
-    fabric.connect(&hiccup, 0, &peer, 0, 200);
-    fabric.finalize();
-    HealthConfig hc;
-    hc.stallRoundBudget = 2;
-    hc.logEvents = false;
-    HealthMonitor monitor(fabric, hc);
-    fabric.run(2000);
-    EXPECT_EQ(monitor.count(FaultEvent::Kind::BatchStall), 1u);
-    EXPECT_EQ(monitor.count(FaultEvent::Kind::EndpointDegraded), 0u);
-    EXPECT_FALSE(monitor.isDegraded(0));
+    EXPECT_DEATH(runWithFaultLayer(hiccup), "hiccup:0->peer:0");
 }
 
-TEST(HealthMonitor, RogueBatchIsRecoveredAndReported)
+TEST(RogueEndpointDeath, RogueBatchPanicsNamingItsChannel)
 {
-    // Deliberately corrupt the token stream from outside (pushRaw skips
-    // the contiguity check): the extra batch shifts the consumer one
-    // round behind forever. The monitored fabric reports stale batches
-    // plus the occupancy deviation and keeps running — late tokens are
-    // delivered late — where the unmonitored fabric aborts.
-    ScriptedEndpoint a("A"), b("B");
-    TokenFabric fabric;
-    fabric.addEndpoint(&a);
-    fabric.addEndpoint(&b);
-    fabric.connect(&a, 0, &b, 0, 200);
-    fabric.finalize();
-    HealthConfig hc;
-    hc.logEvents = false;
-    HealthMonitor monitor(fabric, hc);
-
-    int chan = fabric.txChannelOf(0, 0); // A:0 -> B:0
-    ASSERT_GE(chan, 0);
-    fabric.channelAt(chan).pushRaw(TokenBatch(5000, 200));
-
-    fabric.run(1000);
-    EXPECT_EQ(fabric.now(), 1000u);
-    EXPECT_GE(monitor.count(FaultEvent::Kind::StaleBatch), 1u);
-    EXPECT_GE(monitor.count(FaultEvent::Kind::ChannelOccupancy), 1u);
-    // The producer did nothing wrong: no degradation.
-    EXPECT_EQ(monitor.degradedCount(), 0u);
+    // Corrupt the token stream from outside (pushRaw skips the
+    // contiguity check): the consumer pops a batch for the wrong
+    // window, and the fabric aborts naming the channel.
+    ScriptedEndpoint rogue("A");
+    EXPECT_DEATH(runWithFaultLayer(rogue,
+                                   [](TokenFabric &fabric) {
+                                       int chan = fabric.txChannelOf(0, 0);
+                                       fabric.channelAt(chan).pushRaw(
+                                           TokenBatch(5000, 200));
+                                   }),
+                 "non-contiguous batch pop on A:0->peer:0");
 }
 
 } // namespace

@@ -10,7 +10,8 @@
  *    latches stragglers through the HealthMonitor;
  *  - SIGKILLing rank 1 mid-run shows on rank 0 through the outputs
  *    an operator already watches: the last heartbeat counts no live
- *    peer and the health event, and the health report names the loss.
+ *    peer and the health event, and the health report names the loss;
+ *  - heartbeats of an activity-driven run read as a dense run's.
  */
 
 #include <gtest/gtest.h>
@@ -300,6 +301,62 @@ TEST(ObsCluster, HeartbeatsLandInTheDumpDir)
     EXPECT_GT(heartbeats, 0u);
     EXPECT_TRUE(std::filesystem::exists(dump.file("heartbeat.jsonl")));
     EXPECT_TRUE(std::filesystem::is_empty(cwd.path()));
+}
+
+/** Overrides nothing, so it watches endpoints: attaching it makes
+ *  the fabric step every endpoint in every round. */
+class NoopObserver : public FabricObserver
+{};
+
+TEST(ObsCluster, HeartbeatsMatchADenseRun)
+{
+    // The heartbeat monitor watches rounds, not endpoints, so the
+    // monitored run steps only its due endpoints and leaves idle
+    // channels behind. Its heartbeats must still read as those of a
+    // dense run, in which every channel moves every round.
+    struct Run
+    {
+        std::vector<std::string> lines;
+        uint64_t stepped = 0;
+    };
+    auto run = [](bool dense) {
+        ScopedTempDir dump;
+        NoopObserver noop;
+        Run out;
+        {
+            ClusterConfig cc;
+            cc.linkLatency = 400;
+            cc.telemetry.dumpDir = dump.path();
+            cc.monitor.heartbeatEvery = 16;
+            Cluster c(topologies::twoLevel(2, 2), cc);
+            if (dense)
+                c.fabric().addObserver(&noop);
+            Cycles rtt[2] = {0, 0};
+            spawnPing(c.node(0), 3, &rtt[0]);
+            spawnPing(c.node(2), 1, &rtt[1]);
+            c.run(400000);
+            EXPECT_GT(rtt[0], 0u);
+            EXPECT_GT(rtt[1], 0u);
+            out.stepped = c.fabric().endpointRoundsStepped();
+        }
+        out.lines = jsonlLines(readFile(dump.file("heartbeat.jsonl")));
+        return out;
+    };
+    Run activity = run(false);
+    Run dense = run(true);
+    EXPECT_LT(activity.stepped * 4, dense.stepped)
+        << "the monitored run stepped idle endpoints";
+    ASSERT_EQ(activity.lines.size(), dense.lines.size());
+    ASSERT_GT(activity.lines.size(), 50u);
+    for (size_t i = 0; i < dense.lines.size(); ++i) {
+        minijson::ValuePtr got = minijson::parse(activity.lines[i]);
+        minijson::ValuePtr want = minijson::parse(dense.lines[i]);
+        for (const char *field : {"cycle", "round", "channel_occupancy",
+                                  "health_events", "live_peers"}) {
+            EXPECT_EQ(got->at(field).number, want->at(field).number)
+                << "heartbeat " << i << ": " << field;
+        }
+    }
 }
 
 TEST(ObsCluster, StragglersDetectWithoutHeartbeatsAndUnlatchDeadRanks)
