@@ -9,10 +9,9 @@
  * cross-shard link, one small token batch per direction per round —
  * the steady-state shape of a sharded Cluster with the simulation work
  * stripped away, so the measured ns/round is almost pure transport.
- * Fabrics: AF_UNIX socketpair (the kernel-socket baseline), the
- * lock-free shared-memory rings (--shard-shm-ring sizes them), and the
- * in-process loopback queue pair (a mutex and condvar per direction,
- * the test fabric).
+ * Fabrics: AF_UNIX socketpair (the kernel-socket baseline) and the
+ * lock-free shared-memory rings (--shard-shm-ring sizes them), the
+ * two that in-process ranks (manager/local_ranks) ride.
  *
  * The headline number is the shm-vs-unix speedup: the rings replace
  * two kernel round trips per barrier (send + blocking recv) with
@@ -38,7 +37,6 @@
 
 #include "base/table.hh"
 #include "bench/common.hh"
-#include "net/remote/peer_link.hh"
 #include "net/remote/shard_transport.hh"
 #include "net/remote/socket.hh"
 
@@ -58,7 +56,6 @@ enum class Fabric
 {
     Unix,
     Shm,
-    Loopback,
 };
 
 const char *
@@ -69,8 +66,6 @@ fabricName(Fabric f)
         return "unix";
       case Fabric::Shm:
         return "shm";
-      case Fabric::Loopback:
-        return "loopback";
     }
     return "?";
 }
@@ -95,24 +90,12 @@ buildMesh(Fabric fabric, Rank &r0, Rank &r1)
     if (fabric == Fabric::Shm)
         opts0.transport = opts1.transport = TransportKind::Shm;
 
-    if (fabric == Fabric::Loopback) {
-        auto [end0, end1] = loopbackLinkPair();
-        std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>> l0,
-            l1;
-        l0.emplace_back(1, std::move(end0));
-        l1.emplace_back(0, std::move(end1));
-        r0.transport =
-            ShardTransport::fromLinks(opts0, std::move(l0), 7);
-        r1.transport =
-            ShardTransport::fromLinks(opts1, std::move(l1), 7);
-    } else {
-        auto [fd0, fd1] = localSocketPair();
-        std::vector<std::pair<uint32_t, SocketFd>> v0, v1;
-        v0.emplace_back(1, std::move(fd0));
-        v1.emplace_back(0, std::move(fd1));
-        r0.transport = ShardTransport::fromFds(opts0, std::move(v0), 7);
-        r1.transport = ShardTransport::fromFds(opts1, std::move(v1), 7);
-    }
+    auto [fd0, fd1] = localSocketPair();
+    std::vector<std::pair<uint32_t, SocketFd>> v0, v1;
+    v0.emplace_back(1, std::move(fd0));
+    v1.emplace_back(0, std::move(fd1));
+    r0.transport = ShardTransport::fromFds(opts0, std::move(v0), 7);
+    r1.transport = ShardTransport::fromFds(opts1, std::move(v1), 7);
 
     r0.transport->bindTxLink(0, 1);
     r1.transport->bindRxChannel(0, 0, &r1.rx);
@@ -187,8 +170,7 @@ writeBenchJson(const char *path, uint64_t rounds, const double *ns,
                  "  \"ring_bytes\": %u,\n"
                  "  \"barrier_ns\": {\n"
                  "    \"unix\": %.1f,\n"
-                 "    \"shm\": %.1f,\n"
-                 "    \"loopback\": %.1f\n"
+                 "    \"shm\": %.1f\n"
                  "  },\n"
                  "  \"shm_speedup_vs_unix\": %.3f,\n"
                  "  \"skewed\": {\n"
@@ -196,15 +178,14 @@ writeBenchJson(const char *path, uint64_t rounds, const double *ns,
                  "    \"ideal_ns\": %.1f,\n"
                  "    \"round_ns\": {\n"
                  "      \"unix\": %.1f,\n"
-                 "      \"shm\": %.1f,\n"
-                 "      \"loopback\": %.1f\n"
+                 "      \"shm\": %.1f\n"
                  "    }\n"
                  "  }\n"
                  "}\n",
                  (unsigned long long)rounds, bench::knobs().shardShmRing,
-                 ns[0], ns[1], ns[2], ns[1] > 0 ? ns[0] / ns[1] : 0.0,
+                 ns[0], ns[1], ns[1] > 0 ? ns[0] / ns[1] : 0.0,
                  (unsigned long long)skew_rounds, kSkewIdealNs,
-                 skew_ns[0], skew_ns[1], skew_ns[2]);
+                 skew_ns[0], skew_ns[1]);
     std::fclose(f);
     std::printf("Results written to %s\n", path);
 }
@@ -224,10 +205,10 @@ main(int argc, char **argv)
                 "per direction per round\n\n",
                 (unsigned long long)rounds, trials);
 
-    double ns[3] = {0, 0, 0};
-    Fabric order[3] = {Fabric::Unix, Fabric::Shm, Fabric::Loopback};
+    double ns[2] = {0, 0};
+    Fabric order[2] = {Fabric::Unix, Fabric::Shm};
     Table table({"fabric", "ns/round", "rounds/s", "vs unix"});
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < 2; ++i) {
         ns[i] = measure(order[i], rounds, trials, false);
         table.addRow({fabricName(order[i]), Table::fmt(ns[i], 0),
                       Table::fmt(1e9 / ns[i], 0),
@@ -255,9 +236,9 @@ main(int argc, char **argv)
                 "busy-waits %.0f us on alternate rounds\n\n",
                 (unsigned long long)skew_rounds, trials,
                 kSkewIdealNs / 1e3);
-    double skew_ns[3] = {0, 0, 0};
+    double skew_ns[2] = {0, 0};
     Table skew({"fabric", "ns/round", "ideal", "wake-up ns/round"});
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < 2; ++i) {
         skew_ns[i] = measure(order[i], skew_rounds, trials, true);
         skew.addRow({fabricName(order[i]), Table::fmt(skew_ns[i], 0),
                      Table::fmt(kSkewIdealNs, 0),

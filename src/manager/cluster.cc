@@ -62,15 +62,7 @@ Cluster::Cluster(SwitchSpec root, ClusterConfig config,
                  std::vector<std::pair<uint32_t, SocketFd>> peer_fds)
     : topo(std::move(root)), cfg(std::move(config))
 {
-    build(std::move(peer_fds), {});
-}
-
-Cluster::Cluster(SwitchSpec root, ClusterConfig config,
-                 std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>>
-                     peer_links)
-    : topo(std::move(root)), cfg(std::move(config))
-{
-    build({}, std::move(peer_links));
+    build(std::move(peer_fds));
 }
 
 ShardPlan
@@ -93,9 +85,7 @@ Cluster::resolvePlan() const
 }
 
 void
-Cluster::build(
-    std::vector<std::pair<uint32_t, SocketFd>> peer_fds,
-    std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>> peer_links)
+Cluster::build(std::vector<std::pair<uint32_t, SocketFd>> peer_fds)
 {
     if (topo.downlinkCount() == 0)
         fatal("cluster topology has an empty root switch");
@@ -106,7 +96,7 @@ Cluster::build(
     // Single process = rank 0 of the trivial plan, with no transport.
     const bool sharded = ss.shards > 1;
     const uint32_t rank = sharded ? ss.rank : 0;
-    if (!sharded && (!peer_fds.empty() || !peer_links.empty()))
+    if (!sharded && !peer_fds.empty())
         fatal("shard peers passed to a single-process cluster");
     if (sharded && ss.rank >= ss.shards)
         fatal("shard rank %u >= shard count %u", ss.rank, ss.shards);
@@ -263,7 +253,7 @@ Cluster::build(
     fabric_.setParallelHosts(cfg.parallelHosts);
 
     if (sharded)
-        connectShards(cross, std::move(peer_fds), std::move(peer_links));
+        connectShards(cross, std::move(peer_fds));
 
     if (cfg.telemetry.enabled)
         setupTelemetry();
@@ -274,10 +264,8 @@ Cluster::build(
 }
 
 void
-Cluster::connectShards(
-    const std::vector<CrossBinding> &cross,
-    std::vector<std::pair<uint32_t, SocketFd>> peer_fds,
-    std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>> peer_links)
+Cluster::connectShards(const std::vector<CrossBinding> &cross,
+                       std::vector<std::pair<uint32_t, SocketFd>> peer_fds)
 {
     const ShardSpec &ss = cfg.shard;
     ShardTransport::Options topts;
@@ -290,10 +278,7 @@ Cluster::connectShards(
     topts.failFast = ss.failFast;
     topts.transport = ss.transport;
     topts.shmRingBytes = ss.shmRingBytes;
-    if (!peer_links.empty()) {
-        transport_ = ShardTransport::fromLinks(
-            topts, std::move(peer_links), plan_.planHash);
-    } else if (!peer_fds.empty()) {
+    if (!peer_fds.empty()) {
         transport_ = ShardTransport::fromFds(topts, std::move(peer_fds),
                                              plan_.planHash);
     } else {

@@ -153,22 +153,15 @@ class Cluster
 
     /**
      * Sharded build over pre-connected sockets: @p peer_fds carries
-     * one (peer_rank, fd) pair per peer shard, typically AF_UNIX
-     * socketpair halves for same-host shards (and the tests). Peers
-     * passed to a single-process config are an error.
+     * one (peer_rank, fd) pair per peer shard, AF_UNIX socketpair
+     * halves for same-host shards. runLocalRanks (manager/local_ranks)
+     * builds in-process ranks this way; a forked rank process takes
+     * its halves directly. ShardSpec::transport Shm upgrades each fd
+     * to shared-memory rings. Peers passed to a single-process config
+     * are an error.
      */
     Cluster(SwitchSpec root, ClusterConfig config,
             std::vector<std::pair<uint32_t, SocketFd>> peer_fds);
-
-    /**
-     * Sharded build over caller-supplied transport bridges: one
-     * (peer_rank, PeerLink) pair per peer shard — any fabric,
-     * including loopbackLinkPair() for in-process tests. Peers passed
-     * to a single-process config are an error.
-     */
-    Cluster(SwitchSpec root, ClusterConfig config,
-            std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>>
-                peer_links);
 
     /** Dumps telemetry into TelemetryConfig::dumpDir when configured. */
     ~Cluster();
@@ -287,32 +280,26 @@ class Cluster
     };
 
     /**
-     * The one build path, behind all three constructors. Computes the
+     * The one build path, behind both constructors. Computes the
      * ShardPlan (the trivial 1-shard plan in single-process mode) and
      * instantiates only the components this rank owns — with *global*
      * names, MACs, and IPs — wiring links between local components
      * through fabric channels and cross-shard links through the
      * transport. Single-process runs build no transport.
      */
-    void
-    build(std::vector<std::pair<uint32_t, SocketFd>> peer_fds,
-          std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>>
-              peer_links);
+    void build(std::vector<std::pair<uint32_t, SocketFd>> peer_fds);
 
     /** The shard plan config().shard asks for: explicit owners, then
      *  the placement policy; the trivial plan when not sharded. */
     ShardPlan resolvePlan() const;
 
     /**
-     * Sharded builds only: connect the transport (caller's links, then
-     * caller's fds, else TCP rendezvous), bind the cross-shard links,
-     * and record peer loss in the health monitor.
+     * Sharded builds only: connect the transport (caller's fds, else
+     * TCP rendezvous), bind the cross-shard links, and record peer
+     * loss in the health monitor.
      */
-    void connectShards(
-        const std::vector<CrossBinding> &cross,
-        std::vector<std::pair<uint32_t, SocketFd>> peer_fds,
-        std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>>
-            peer_links);
+    void connectShards(const std::vector<CrossBinding> &cross,
+                       std::vector<std::pair<uint32_t, SocketFd>> peer_fds);
 
     /** Build the telemetry bundle, register every component's stats,
      *  and attach the configured fabric observers. */

@@ -9,17 +9,18 @@
  * The round engine (shard_transport) speaks only this interface;
  * everything fabric-specific lives in the implementations:
  *
- *  - SocketLink   (socket_link.hh): the TCP / AF_UNIX byte stream.
- *  - ShmLink      (shm_ring.hh): a lock-free SPSC shared-memory ring
- *                 pair for same-host shards — no kernel round trip on
- *                 the round barrier unless a reader has to park.
- *  - LoopbackLink (below): an in-process queue pair for tests.
+ *  - SocketLink (socket_link.hh): the TCP / AF_UNIX byte stream.
+ *  - ShmLink    (shm_ring.hh): a lock-free SPSC shared-memory ring
+ *               pair for same-host shards — no kernel round trip on
+ *               the round barrier unless a reader has to park.
  *
- * Because frame encode/decode, the RoundDone barrier and peer-loss
- * degradation all live above this interface,
- * simulation results are byte-identical for every link choice — the
- * bridge moves the same bytes, only the host mechanics differ
- * (pinned by the transport parity matrix in tests/dist).
+ * In-process ranks (manager/local_ranks) use the same two: a
+ * socketpair, upgraded to rings under --shard-transport=shm. Because
+ * frame encode/decode, the RoundDone barrier and peer-loss
+ * degradation all live above this interface, simulation results are
+ * byte-identical for every link choice — the bridge moves the same
+ * bytes, only the host mechanics differ (pinned by the parity
+ * matrix's Ranks2 and Shm cells).
  */
 
 #ifndef FIRESIM_NET_REMOTE_PEER_LINK_HH
@@ -28,9 +29,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <utility>
 
 namespace firesim
 {
@@ -42,7 +41,6 @@ enum class TransportKind : uint8_t
     Shm = 1,  //!< shared-memory rings; peers must share a host
     Tcp = 2,  //!< TCP, the cross-host fabric
     Unix = 3, //!< AF_UNIX stream (pre-connected fds / socketpair)
-    Loopback = 4, //!< in-process queues (tests only)
 };
 
 /** Canonical knob spelling ("auto", "shm", ...). */
@@ -99,9 +97,8 @@ class PeerLink
      * or until @p deadline passes; true when readable. A deadline in
      * the past makes this a non-blocking probe. Each fabric parks its
      * own way: sockets poll their fd, shm rings spin briefly and then
-     * sleep on a futex doorbell, loopback waits on a condvar. A caller
-     * waiting on several peers keeps each park short so it can probe
-     * the others.
+     * sleep on a futex doorbell. A caller waiting on several peers
+     * keeps each park short so it can probe the others.
      */
     virtual bool waitReadable(std::chrono::steady_clock::time_point
                                   deadline) = 0;
@@ -121,16 +118,6 @@ class PeerLink
     /** Shared-memory host counters, or nullptr for other fabrics. */
     virtual const ShmLinkStats *shmStats() const { return nullptr; }
 };
-
-/**
- * In-process bridge for tests: two SPSC byte queues, each guarded by a
- * mutex + condvar (correctness, not speed — the lock-free path is the
- * shm ring's job). createPair() returns the two connected ends;
- * either end's close() makes the other's receive direction report
- * peer-gone once drained.
- */
-std::pair<std::unique_ptr<PeerLink>, std::unique_ptr<PeerLink>>
-loopbackLinkPair();
 
 } // namespace firesim
 

@@ -234,55 +234,36 @@ ShardTransport::fromFds(const Options &opts,
                         std::vector<std::pair<uint32_t, SocketFd>> fds,
                         uint64_t plan_hash)
 {
-    // Auto keeps the fds as the byte stream itself (the caller chose
-    // the socketpair fast path; honor it); only an explicit `shm`
-    // upgrades each fd into the control socket of a ring pair.
-    std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>> links;
-    links.reserve(fds.size());
+    std::unique_ptr<ShardTransport> t(
+        new ShardTransport(opts, plan_hash));
+    FS_ASSERT(fds.size() == opts.shards - 1,
+              "fromFds: %zu peers for %u shards", fds.size(), opts.shards);
+
+    std::sort(fds.begin(), fds.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+
     for (auto &[peer_rank, sock] : fds) {
-        std::unique_ptr<PeerLink> link;
+        FS_ASSERT(peer_rank < opts.shards && peer_rank != opts.rank,
+                  "fromFds: bad peer rank %u", peer_rank);
+        FS_ASSERT(t->ranks.empty() || t->ranks.back() != peer_rank,
+                  "fromFds: duplicate peer rank %u", peer_rank);
+        Peer peer;
+        peer.rank = peer_rank;
+        // Auto keeps the fd as the byte stream itself (the caller
+        // chose the socketpair fast path; honor it); only an explicit
+        // `shm` upgrades it into the control socket of a ring pair.
         if (opts.transport == TransportKind::Shm) {
-            link = makeShmLink(
+            peer.link = makeShmLink(
                 std::move(sock), opts.rank < peer_rank,
                 opts.shmRingBytes,
                 csprintf("r%ur%u", std::min(opts.rank, peer_rank),
                          std::max(opts.rank, peer_rank)));
         } else {
-            link = makeSocketLink(std::move(sock), TransportKind::Unix,
-                                  "unix socketpair");
+            peer.link = makeSocketLink(
+                std::move(sock), TransportKind::Unix, "unix socketpair");
         }
-        links.emplace_back(peer_rank, std::move(link));
-    }
-    return fromLinks(opts, std::move(links), plan_hash);
-}
-
-std::unique_ptr<ShardTransport>
-ShardTransport::fromLinks(
-    const Options &opts,
-    std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>> links,
-    uint64_t plan_hash)
-{
-    std::unique_ptr<ShardTransport> t(
-        new ShardTransport(opts, plan_hash));
-    FS_ASSERT(links.size() == opts.shards - 1,
-              "fromLinks: %zu links for %u shards", links.size(),
-              opts.shards);
-
-    std::sort(links.begin(), links.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-
-    for (auto &[peer_rank, link] : links) {
-        FS_ASSERT(peer_rank < opts.shards && peer_rank != opts.rank,
-                  "fromLinks: bad peer rank %u", peer_rank);
-        FS_ASSERT(t->ranks.empty() || t->ranks.back() != peer_rank,
-                  "fromLinks: duplicate peer rank %u", peer_rank);
-        FS_ASSERT(link != nullptr, "fromLinks: null link for rank %u",
-                  peer_rank);
-        Peer peer;
-        peer.rank = peer_rank;
-        peer.link = std::move(link);
         // The peer's hello is validated lazily by drainFrames(): both
-        // ends of a link pair can be built in any order on one thread.
+        // ends of a socketpair can be built in any order on one thread.
         t->peers.push_back(std::move(peer));
         t->ranks.push_back(peer_rank);
         t->sendHello(t->peers.back());

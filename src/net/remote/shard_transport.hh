@@ -11,14 +11,16 @@
  * the RX direction is a normal latency-seeded TokenChannel, the TX
  * direction hands each round's batch to this transport, which frames
  * it (net/remote/wire) and ships it over a PeerLink bridge
- * (net/remote/peer_link) — TCP or AF_UNIX sockets (socket_link), a
- * lock-free shared-memory ring pair for same-host peers (shm_ring),
- * or an in-process loopback for tests. The engine is transport-
- * agnostic: frame encode/decode, the RoundDone barrier and peer-loss
- * degradation all live here, above the bridge, so results are
- * byte-identical for any transport mix (pinned by the parity matrix in
- * tests/dist). The transport carries tokens only: each rank writes its
- * own telemetry dumps, so no stats ever cross it.
+ * (net/remote/peer_link) — TCP or AF_UNIX sockets (socket_link), or a
+ * lock-free shared-memory ring pair for same-host peers (shm_ring).
+ * Ranks in one process (manager/local_ranks) meet over socketpairs
+ * (fromFds); separate processes by TCP rendezvous. The engine is
+ * transport-agnostic: frame encode/decode, the RoundDone barrier and
+ * peer-loss degradation all live here, above the bridge, so results
+ * are byte-identical for any transport mix (pinned by the parity
+ * matrix's rank and transport cells). The transport carries tokens
+ * only: each rank writes its own telemetry dumps, so no stats ever
+ * cross it.
  *
  * Transport selection (--shard-transport): each rendezvous Hello
  * carries the sender's preference plus a host token; a pair on one
@@ -149,17 +151,6 @@ class ShardTransport : public RemoteRoundHook
             std::vector<std::pair<uint32_t, SocketFd>> peers,
             uint64_t plan_hash);
 
-    /**
-     * Bridge-level entry: @p links carries (peer_rank, PeerLink)
-     * pairs — any fabric, including loopbackLinkPair() for tests.
-     * Hello rides the link; validation is lazy, as in fromFds.
-     */
-    static std::unique_ptr<ShardTransport>
-    fromLinks(const Options &opts,
-              std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>>
-                  links,
-              uint64_t plan_hash);
-
     ~ShardTransport() override;
 
     /** Incoming direction: batches for @p link_id arrive from
@@ -257,8 +248,8 @@ class ShardTransport : public RemoteRoundHook
     size_t peerIndexOf(uint32_t peer_rank) const;
     void validateHello(Peer &peer, const Frame &frame) const;
 
-    /** Send @p peer its Hello through the link (lazy validation path:
-     *  fromFds / fromLinks). */
+    /** Send @p peer its Hello through the link (lazy validation
+     *  path: fromFds). */
     void sendHello(Peer &peer);
 
     /**

@@ -100,7 +100,8 @@ SocketFd tcpConnectRetry(const std::string &host, uint16_t port,
 
 /**
  * Same-host fast path: a connected AF_UNIX stream pair (no TCP stack,
- * no ports). Used for shards sharing a machine and by the tests.
+ * no ports). runLocalRanks (manager/local_ranks) joins in-process
+ * ranks with these; a forked rank process can inherit one half.
  */
 std::pair<SocketFd, SocketFd> localSocketPair();
 

@@ -16,6 +16,9 @@ namespace
  *  smuggle an invalid flit into a TokenBatch. */
 constexpr uint8_t kLastBit = 0x80;
 
+/** RoundDone's latency field: little-endian, this many bytes. */
+constexpr int kLatencyBytes = 8;
+
 void
 beginFrame(std::string &out, FrameType type, const std::string &payload)
 {
@@ -109,7 +112,11 @@ encodeRoundDone(std::string &out, uint64_t round, Cycles cycle,
     p.clear();
     putVarint(p, round);
     putVarint(p, cycle);
-    putVarint(p, latency_ns);
+    // Fixed width: the latency is host-measured, and a varint would
+    // make the frame's size, and so the transport's byte count, vary
+    // between identical jobs.
+    for (int b = 0; b < kLatencyBytes; ++b)
+        p.push_back(static_cast<char>(latency_ns >> (8 * b)));
     beginFrame(out, FrameType::RoundDone, p);
 }
 
@@ -193,7 +200,12 @@ decodeFrame(const std::string &in, size_t &pos, Frame &out)
         out.type = FrameType::RoundDone;
         out.round = getField(in, p, frame_end);
         out.cycle = getField(in, p, frame_end);
-        out.latencyNs = getField(in, p, frame_end);
+        if (frame_end - p < kLatencyBytes)
+            panic("wire: truncated round latency at byte %zu", p);
+        for (int b = 0; b < kLatencyBytes; ++b)
+            out.latencyNs |= static_cast<uint64_t>(
+                                 static_cast<uint8_t>(in[p++]))
+                             << (8 * b);
         break;
       }
       case FrameType::Bye: {

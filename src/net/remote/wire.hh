@@ -21,11 +21,14 @@
  *               the flits as (offset-delta+1 varint, meta byte,
  *               payload bytes). Empty batches — the common case on an
  *               idle link — are 4-6 bytes.
- *  - RoundDone: round number, round-start cycle, and the sender's
- *               recent per-round host latency (EWMA, nanoseconds). One
- *               per peer per round, after that round's batches: the
- *               round barrier, a desync check, and — via the latency
- *               field — the input to cross-shard straggler detection.
+ *  - RoundDone: round number, round-start cycle (varints), and the
+ *               sender's recent per-round host latency (EWMA,
+ *               nanoseconds) as 8 little-endian bytes. One per peer
+ *               per round, after that round's batches: the round
+ *               barrier, a desync check, and — via the latency field —
+ *               the input to cross-shard straggler detection. The
+ *               latency is host timing, so it has a fixed width: a
+ *               job's transport byte count must not depend on it.
  *  - Bye:       orderly shutdown (distinguishes a finished peer from
  *               a crashed one).
  *
@@ -51,8 +54,10 @@ namespace firesim
  *  v3: Hello carries the sender's transport preference and a host
  *  token so the rendezvous can negotiate the shared-memory fabric
  *  for same-host peers (--shard-transport=auto).
- *  v4: Stats frames are retired; type byte 5 is unknown again. */
-constexpr uint32_t kWireVersion = 4;
+ *  v4: Stats frames are retired; type byte 5 is unknown again.
+ *  v5: RoundDone's latency is 8 fixed little-endian bytes, not a
+ *  varint. */
+constexpr uint32_t kWireVersion = 5;
 
 enum class FrameType : uint8_t
 {

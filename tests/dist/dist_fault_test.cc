@@ -17,12 +17,12 @@
 #include <memory>
 #include <string>
 #include <sys/wait.h>
-#include <thread>
 #include <unistd.h>
 #include <utility>
 #include <vector>
 
 #include "manager/cluster.hh"
+#include "manager/local_ranks.hh"
 #include "manager/topology.hh"
 #include "net/remote/shard_transport.hh"
 #include "net/remote/socket.hh"
@@ -34,38 +34,30 @@ namespace
 
 TEST(DistFault, PeerDeathDegradesSurvivorThroughHealthMonitor)
 {
-    auto [fd0, fd1] = localSocketPair();
-    ClusterConfig cc0, cc1;
-    cc0.linkLatency = cc1.linkLatency = 400;
-    cc0.shard.shards = cc1.shard.shards = 2;
-    cc0.shard.rank = 0;
-    cc1.shard.rank = 1;
-    cc0.shard.recvTimeoutMs = 5000;
-    std::vector<std::pair<uint32_t, SocketFd>> fds0, fds1;
-    fds0.emplace_back(1, std::move(fd0));
-    fds1.emplace_back(0, std::move(fd1));
+    ClusterConfig cc;
+    cc.linkLatency = 400;
+    cc.shard.recvTimeoutMs = 5000;
+    runLocalRanks(
+        2, [] { return topologies::singleTor(2); }, cc, [](Cluster &c) {
+            if (c.config().shard.rank == 1) {
+                // The peer shard simulates a short while, then exits
+                // (its destructor sends an orderly Bye — a "peer
+                // process finished early" failure, caught mid-run by
+                // the survivor's barrier).
+                c.run(4000);
+                return;
+            }
+            c.run(40000); // well past the peer's exit
 
-    // The peer shard simulates a short while, then exits (its
-    // destructor sends an orderly Bye — a "peer process finished
-    // early" failure, caught mid-run by the survivor's barrier).
-    std::thread dying([&] {
-        Cluster c1(topologies::singleTor(2), std::move(cc1),
-                   std::move(fds1));
-        c1.run(4000);
-    });
-
-    Cluster c0(topologies::singleTor(2), std::move(cc0),
-               std::move(fds0));
-    c0.run(40000); // well past the peer's exit
-    dying.join();
-
-    // The survivor ran to completion, degraded rather than hung.
-    EXPECT_EQ(c0.now(), 40000u);
-    ASSERT_TRUE(c0.shardTransport()->anyPeerLost());
-    EXPECT_EQ(c0.shardTransport()->livePeers(), 0u);
-    EXPECT_EQ(c0.health().count(FaultEvent::Kind::PeerShardLost), 1u);
-    EXPECT_NE(c0.healthReport().find("peer-shard-lost"),
-              std::string::npos);
+            // The survivor ran to completion, degraded rather than hung.
+            EXPECT_EQ(c.now(), 40000u);
+            ASSERT_TRUE(c.shardTransport()->anyPeerLost());
+            EXPECT_EQ(c.shardTransport()->livePeers(), 0u);
+            EXPECT_EQ(c.health().count(FaultEvent::Kind::PeerShardLost),
+                      1u);
+            EXPECT_NE(c.healthReport().find("peer-shard-lost"),
+                      std::string::npos);
+        });
 }
 
 TEST(DistFault, SilentPeerTimesOutWithinBound)

@@ -7,8 +7,7 @@
  * handshake over a socketpair control channel, including lazy opener
  * attach, backpressure, peer-close detection, and segment cleanup.
  * Parking: a reader blocked in PeerLink::waitReadable on a shm ring
- * (futex doorbell) or a loopback queue (condvar) wakes on the peer's
- * push and on the peer's close.
+ * (futex doorbell) wakes on the peer's push and on the peer's close.
  */
 
 #include <gtest/gtest.h>
@@ -380,19 +379,6 @@ TEST(ShmLink, ParkedReaderWakesOnPeerClose)
 {
     auto [creator, opener] = attachedShmPair("wc");
     expectParkedReaderWakesOnPeerClose(*creator, *opener);
-}
-
-TEST(LoopbackLink, ParkedReaderWakesOnPush)
-{
-    auto [a, b] = loopbackLinkPair();
-    expectParkedReaderWakesOnPush(*a, *b);
-    expectParkedReaderWakesOnPush(*b, *a);
-}
-
-TEST(LoopbackLink, ParkedReaderWakesOnPeerClose)
-{
-    auto [a, b] = loopbackLinkPair();
-    expectParkedReaderWakesOnPeerClose(*a, *b);
 }
 
 } // namespace

@@ -84,6 +84,23 @@ TEST(Wire, RoundDoneAndByeRoundTrip)
     EXPECT_FALSE(decodeFrame(buf, pos, f));
 }
 
+TEST(Wire, RoundDoneSizeIgnoresTheHostLatency)
+{
+    // The latency is host timing: two identical jobs must still move
+    // the same number of bytes, so its width is fixed.
+    std::string fast, slow;
+    encodeRoundDone(fast, 41, 6400, 1);
+    encodeRoundDone(slow, 41, 6400, uint64_t(1) << 40);
+    EXPECT_EQ(fast.size(), slow.size());
+    size_t pos = 0;
+    Frame f;
+    ASSERT_TRUE(decodeFrame(slow, pos, f));
+    EXPECT_EQ(f.latencyNs, uint64_t(1) << 40);
+    pos = 0;
+    ASSERT_TRUE(decodeFrame(fast, pos, f));
+    EXPECT_EQ(f.latencyNs, 1u);
+}
+
 TEST(Wire, EmptyBatchIsTiny)
 {
     // An idle link's batch — the common case — must stay a handful of

@@ -24,7 +24,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/boot.hh"
@@ -32,10 +31,9 @@
 #include "apps/mutilate.hh"
 #include "fault/fault_plan.hh"
 #include "manager/cluster.hh"
+#include "manager/local_ranks.hh"
 #include "manager/topology.hh"
-#include "net/remote/peer_link.hh"
 #include "net/remote/shard_transport.hh"
-#include "net/remote/socket.hh"
 #include "riscv/assembler.hh"
 #include "riscv/decode_cache.hh"
 #include "tests/scoped_temp_dir.hh"
@@ -296,7 +294,7 @@ scenarios()
         {"Ping", twoByTwo, config(400, 6000, 1), launchPing,
          {300000, 600000},
          {"Workers4", "DecodeOff", "NoMidImage", "Ranks2", "Ranks2Owners",
-          "Ranks3", "Shm", "Loopback"}},
+          "Ranks3", "Shm"}},
         {"Memcached", twoByTwo, config(3200, 0), launchMemcached,
          {3200 * 1500, 3200 * 3000},
          {"Workers4", "Noop", "Ranks2", "Ranks2Heartbeat"}},
@@ -344,7 +342,6 @@ const std::vector<Variant> kVariants = {
     {.name = "Ranks2Owners", .ranks = 2, .owners = {0, 1, 1, 0}},
     {.name = "Ranks3", .ranks = 3},
     {.name = "Shm", .ranks = 2, .link = TransportKind::Shm},
-    {.name = "Loopback", .ranks = 2, .link = TransportKind::Loopback},
     // The shape of perfbench's dc_memcached_2shard.
     {.name = "Ranks2Heartbeat",
      .heartbeat = true,
@@ -420,114 +417,80 @@ collect(Cluster &clu, Outcome &o)
     o.healthReport = clu.healthReport();
 }
 
-/** Run @p sc under @p v, one thread per rank over a full mesh of
- *  socketpairs (or loopback links); @p probe the run with sc.probe. */
+/** Run @p sc under @p v on runLocalRanks; @p probe the run with
+ *  sc.probe. */
 Outcome
 run(const Scenario &sc, const Variant &v, bool probe)
 {
     const uint32_t n = v.ranks;
-    std::vector<std::vector<std::pair<uint32_t, SocketFd>>> fds(n);
-    std::vector<std::vector<std::pair<uint32_t, std::unique_ptr<PeerLink>>>>
-        links(n);
-    for (uint32_t a = 0; a < n; ++a) {
-        for (uint32_t b = a + 1; b < n; ++b) {
-            if (v.link == TransportKind::Loopback) {
-                auto [la, lb] = loopbackLinkPair();
-                links[a].emplace_back(b, std::move(la));
-                links[b].emplace_back(a, std::move(lb));
-            } else {
-                auto [fa, fb] = localSocketPair();
-                fds[a].emplace_back(b, std::move(fa));
-                fds[b].emplace_back(a, std::move(fb));
-            }
-        }
-    }
-
     ScopedTempDir tmp; // every rank dumps here, rank-suffixed if sharded
-    std::vector<Outcome> per(n);
-    auto runRank = [&](uint32_t rank) {
-        Outcome &o = per[rank];
-        ClusterConfig cc = sc.config;
-        cc.parallelHosts = v.workers;
-        cc.hart.decodeCache = !v.decodeOff;
-        cc.telemetry.dumpDir = tmp.path();
-        if (v.heartbeat)
-            cc.monitor.heartbeatEvery = 64; // heartbeat.jsonl lands in tmp
-        if (n > 1) {
-            cc.shard.shards = n;
-            cc.shard.rank = rank;
-            cc.shard.owners = v.owners;
-            if (v.link == TransportKind::Shm)
-                cc.shard.transport = TransportKind::Shm;
-        }
-        NoopObserver noop;
-        Apps apps;
-        {
-            auto clu = v.link == TransportKind::Loopback
-                           ? std::make_unique<Cluster>(sc.topology(),
-                                                       std::move(cc),
-                                                       std::move(links[rank]))
-                           : std::make_unique<Cluster>(sc.topology(),
-                                                       std::move(cc),
-                                                       std::move(fds[rank]));
-            if (v.noop)
-                clu->fabric().addObserver(&noop);
-            if (sc.arm)
-                sc.arm(*clu);
-            for (size_t i = 0; i < clu->nodeCount(); ++i) {
-                NodeSystem &node = clu->node(i);
-                sc.launch(node, std::stoul(node.name().substr(4)), apps);
-            }
-            Cycles chunk = v.chunkRounds * clu->fabric().quantum();
-            o.images.emplace_back();
-            for (size_t s = 0; s < sc.stops.size(); ++s) {
-                if (!v.midImages && s + 1 < sc.stops.size()) {
-                    o.images[0].emplace_back();
-                    continue;
-                }
-                while (clu->now() < sc.stops[s]) {
-                    Cycles left = sc.stops[s] - clu->now();
-                    clu->run(chunk ? std::min(chunk, left) : left);
-                }
-                o.images[0].push_back(clu->stateImage());
-                if (probe && sc.probe)
-                    sc.probe(*clu, apps, s);
-            }
-            collect(*clu, o);
-            for (auto &finish : apps.atEnd)
-                finish();
-            apps.atEnd.clear();
-        } // the Cluster writes stats.json on destruction
-        auto dumped = [&](const char *name) {
-            return readFile(rankPath(tmp.file(name), n, rank));
-        };
-        o.rawStats = dumped("stats.json");
-        o.dumps.push_back(stripHostTimingStats(o.rawStats));
-        o.counterCsv = dumped("autocounter.csv");
-        o.apps = std::move(apps.log);
-        o.decodeHits = apps.decodeHits;
-    };
-    std::vector<std::thread> rest;
-    for (uint32_t r = 1; r < n; ++r)
-        rest.emplace_back(runRank, r);
-    runRank(0);
-    for (auto &t : rest)
-        t.join();
+    ClusterConfig cc = sc.config;
+    cc.parallelHosts = v.workers;
+    cc.hart.decodeCache = !v.decodeOff;
+    cc.telemetry.dumpDir = tmp.path();
+    if (v.heartbeat)
+        cc.monitor.heartbeatEvery = 64; // heartbeat.jsonl lands in tmp
+    cc.shard.owners = v.owners;
+    if (v.link == TransportKind::Shm)
+        cc.shard.transport = TransportKind::Shm;
 
+    NoopObserver noop;
+    std::vector<Outcome> per(n);
+    std::vector<Apps> apps(n);
+    runLocalRanks(n, sc.topology, cc, [&](Cluster &clu) {
+        const uint32_t rank = clu.config().shard.rank;
+        Outcome &o = per[rank];
+        Apps &a = apps[rank];
+        if (v.noop)
+            clu.fabric().addObserver(&noop);
+        if (sc.arm)
+            sc.arm(clu);
+        for (size_t i = 0; i < clu.nodeCount(); ++i) {
+            NodeSystem &node = clu.node(i);
+            sc.launch(node, std::stoul(node.name().substr(4)), a);
+        }
+        Cycles chunk = v.chunkRounds * clu.fabric().quantum();
+        o.images.emplace_back();
+        for (size_t s = 0; s < sc.stops.size(); ++s) {
+            if (!v.midImages && s + 1 < sc.stops.size()) {
+                o.images[0].emplace_back();
+                continue;
+            }
+            while (clu.now() < sc.stops[s]) {
+                Cycles left = sc.stops[s] - clu.now();
+                clu.run(chunk ? std::min(chunk, left) : left);
+            }
+            o.images[0].push_back(clu.stateImage());
+            if (probe && sc.probe)
+                sc.probe(clu, a, s);
+        }
+        collect(clu, o);
+        for (auto &finish : a.atEnd)
+            finish();
+        a.atEnd.clear();
+    }); // each Cluster writes its stats.json on destruction
+
+    auto dumped = [&](const char *name, uint32_t rank) {
+        return readFile(rankPath(tmp.file(name), n, rank));
+    };
     Outcome out = std::move(per[0]);
-    for (uint32_t r = 1; r < n; ++r) {
+    out.rawStats = dumped("stats.json", 0);
+    out.counterCsv = dumped("autocounter.csv", 0);
+    for (uint32_t r = 0; r < n; ++r) {
+        out.dumps.push_back(stripHostTimingStats(dumped("stats.json", r)));
+        out.apps.merge(apps[r].log);
+        out.decodeHits += apps[r].decodeHits;
+        if (r == 0)
+            continue;
         Outcome &o = per[r];
         out.images.push_back(std::move(o.images[0]));
-        out.dumps.push_back(std::move(o.dumps[0]));
         out.links.push_back(o.links[0]);
-        out.apps.merge(o.apps);
         out.components.merge(o.components);
         out.series.merge(o.series);
         EXPECT_EQ(o.sampledAt, out.sampledAt) << "rank " << r;
         out.batches += o.batches;
         out.stepped += o.stepped;
         out.dense += o.dense;
-        out.decodeHits += o.decodeHits;
     }
     return out;
 }

@@ -24,12 +24,12 @@
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
-#include <thread>
 #include <unistd.h>
 #include <utility>
 #include <vector>
 
 #include "manager/cluster.hh"
+#include "manager/local_ranks.hh"
 #include "manager/topology.hh"
 #include "net/remote/socket.hh"
 #include "tests/scoped_temp_dir.hh"
@@ -87,6 +87,12 @@ spawnPing(NodeSystem &from, size_t to_index, Cycles *rtt_out)
     });
 }
 
+SwitchSpec
+singleTor2()
+{
+    return topologies::singleTor(2);
+}
+
 /** Deterministic per-component stats of @p snap: every
  *  cluster.switch* / cluster.node* entry (cluster.fabric.* and
  *  cluster.shard.* are per-process host accounting). */
@@ -122,35 +128,18 @@ TEST(ObsCluster, MergedDumpMatchesSingleProcessRun)
         ASSERT_FALSE(want.empty());
     }
 
-    // Two shards over a loopback socketpair sharing one dump
-    // directory: each rank writes its own rank-suffixed files, so
-    // neither overwrites the other's.
+    // Two ranks sharing one dump directory: each rank writes its own
+    // rank-suffixed files, so neither overwrites the other's.
     ScopedTempDir tmp;
     std::string dir = freshDir(tmp, "fsobs_shared_dump");
-
-    auto [fd0, fd1] = localSocketPair();
-    ClusterConfig cc0 = base, cc1 = base;
-    cc0.shard.shards = cc1.shard.shards = 2;
-    cc0.shard.rank = 0;
-    cc1.shard.rank = 1;
-    cc0.telemetry.dumpDir = cc1.telemetry.dumpDir = dir;
-    std::vector<std::pair<uint32_t, SocketFd>> fds0, fds1;
-    fds0.emplace_back(1, std::move(fd0));
-    fds1.emplace_back(0, std::move(fd1));
-
+    ClusterConfig cc = base;
+    cc.telemetry.dumpDir = dir;
     Cycles rtt = 0;
-    std::thread shard1([&] {
-        Cluster c1(topologies::singleTor(2), std::move(cc1),
-                   std::move(fds1));
-        c1.run(kRun);
-    });
-    {
-        Cluster c0(topologies::singleTor(2), std::move(cc0),
-                   std::move(fds0));
-        spawnPing(c0.node(0), 1, &rtt);
-        c0.run(kRun);
-    } // ~Cluster: each rank dumps its own files
-    shard1.join();
+    runLocalRanks(2, singleTor2, cc, [&](Cluster &c) {
+        if (c.config().shard.rank == 0)
+            spawnPing(c.node(0), 1, &rtt);
+        c.run(kRun);
+    }); // ~Cluster: each rank dumps its own files
     EXPECT_EQ(rtt, ref_rtt);
 
     EXPECT_TRUE(readFile(dir + "/stats.json").empty())
@@ -199,47 +188,33 @@ TEST(ObsCluster, ShardedHeartbeatsCoverEveryRankAndLatchStragglers)
     std::string hb0 = rankPath(hb_base, 2, 0);
     std::string prom0 = rankPath(prom_base, 2, 0);
 
-    auto [fd0, fd1] = localSocketPair();
-    ClusterConfig cc0, cc1;
-    cc0.linkLatency = cc1.linkLatency = 400;
-    cc0.shard.shards = cc1.shard.shards = 2;
-    cc0.shard.rank = 0;
-    cc1.shard.rank = 1;
-    cc0.monitor.heartbeatEvery = cc1.monitor.heartbeatEvery = 4;
-    cc0.monitor.heartbeatPath = cc1.monitor.heartbeatPath = hb_base;
-    cc0.monitor.metricsPath = prom_base;
+    ClusterConfig cc;
+    cc.linkLatency = 400;
+    cc.monitor.heartbeatEvery = 4;
+    cc.monitor.heartbeatPath = hb_base;
+    cc.monitor.metricsPath = prom_base;
     // With factor 0 any nonzero latency exceeds 0 x median, so both
     // ranks latch deterministically once both have reported samples —
     // the detection plumbing without depending on host timing.
-    cc0.monitor.stragglerFactor = 0.0;
-    std::vector<std::pair<uint32_t, SocketFd>> fds0, fds1;
-    fds0.emplace_back(1, std::move(fd0));
-    fds1.emplace_back(0, std::move(fd1));
+    cc.monitor.stragglerFactor = 0.0;
 
-    uint64_t hb1_count = 0;
-    std::thread shard1([&] {
-        Cluster c1(topologies::singleTor(2), std::move(cc1),
-                   std::move(fds1));
-        c1.run(kRun);
-        hb1_count = c1.clusterMonitor()->heartbeats();
-    });
+    uint64_t hb_count[2] = {0, 0};
     uint64_t straggler_events = 0;
     std::vector<uint32_t> latched;
-    uint64_t hb0_count = 0;
-    {
-        Cluster c0(topologies::singleTor(2), std::move(cc0),
-                   std::move(fds0));
-        c0.run(kRun);
-        ASSERT_NE(c0.clusterMonitor(), nullptr);
-        hb0_count = c0.clusterMonitor()->heartbeats();
-        latched = c0.clusterMonitor()->stragglers();
-        straggler_events =
-            c0.health().count(FaultEvent::Kind::StragglerDetected);
-    }
-    shard1.join();
+    runLocalRanks(2, singleTor2, cc, [&](Cluster &c) {
+        c.run(kRun);
+        ASSERT_NE(c.clusterMonitor(), nullptr);
+        const uint32_t rank = c.config().shard.rank;
+        hb_count[rank] = c.clusterMonitor()->heartbeats();
+        if (rank == 0) {
+            latched = c.clusterMonitor()->stragglers();
+            straggler_events =
+                c.health().count(FaultEvent::Kind::StragglerDetected);
+        }
+    });
 
-    EXPECT_GE(hb0_count, 20u); // ~100 rounds / heartbeatEvery 4
-    EXPECT_GE(hb1_count, 20u);
+    EXPECT_GE(hb_count[0], 20u); // ~100 rounds / heartbeatEvery 4
+    EXPECT_GE(hb_count[1], 20u);
     // Factor 0 condemns every sampled rank; both must have latched,
     // each raising one StragglerDetected health event.
     ASSERT_EQ(latched.size(), 2u);
@@ -250,7 +225,7 @@ TEST(ObsCluster, ShardedHeartbeatsCoverEveryRankAndLatchStragglers)
     // The heartbeat stream: every line parses, and once the peer has
     // reported, the per-shard array carries both ranks' latencies.
     std::vector<std::string> hb_lines = jsonlLines(readFile(hb0));
-    ASSERT_GE(hb_lines.size(), hb0_count);
+    ASSERT_GE(hb_lines.size(), hb_count[0]);
     for (const std::string &line : hb_lines)
         EXPECT_NO_THROW(minijson::parse(line));
     minijson::ValuePtr last = minijson::parse(hb_lines.back());
@@ -370,47 +345,37 @@ TEST(ObsCluster, StragglersDetectWithoutHeartbeatsAndUnlatchDeadRanks)
     ScopedTempDir tmp;
     std::string prom_base = tmp.file("fsobs_nohb.prom");
 
-    auto [fd0, fd1] = localSocketPair();
-    ClusterConfig cc0, cc1;
-    cc0.linkLatency = cc1.linkLatency = 400;
-    cc0.shard.shards = cc1.shard.shards = 2;
-    cc0.shard.rank = 0;
-    cc1.shard.rank = 1;
-    cc0.monitor.heartbeatEvery = cc1.monitor.heartbeatEvery = 0;
-    cc0.monitor.metricsPath = cc1.monitor.metricsPath = prom_base;
-    cc0.monitor.latencySampleEvery = cc1.monitor.latencySampleEvery = 1;
-    cc0.monitor.stragglerFactor = cc1.monitor.stragglerFactor = 0.0;
-    std::vector<std::pair<uint32_t, SocketFd>> fds0, fds1;
-    fds0.emplace_back(1, std::move(fd0));
-    fds1.emplace_back(0, std::move(fd1));
+    ClusterConfig cc;
+    cc.linkLatency = 400;
+    cc.monitor.heartbeatEvery = 0;
+    cc.monitor.metricsPath = prom_base;
+    cc.monitor.latencySampleEvery = 1;
+    cc.monitor.stragglerFactor = 0.0;
 
-    std::thread shard1([&] {
-        Cluster c1(topologies::singleTor(2), std::move(cc1),
-                   std::move(fds1));
-        c1.run(kHalf);
-        // Destruction sends Bye: rank 0 sees an orderly mid-run exit.
+    runLocalRanks(2, singleTor2, cc, [&](Cluster &c) {
+        c.run(kHalf);
+        // Rank 1's Cluster is destroyed next, which sends Bye: rank 0
+        // sees an orderly mid-run exit.
+        if (c.config().shard.rank == 1)
+            return;
+        ASSERT_NE(c.clusterMonitor(), nullptr);
+        EXPECT_EQ(c.clusterMonitor()->heartbeats(), 0u)
+            << "heartbeats are off; detection must not depend on them";
+        std::vector<uint32_t> latched = c.clusterMonitor()->stragglers();
+        ASSERT_EQ(latched.size(), 2u)
+            << "factor 0 must latch both ranks from the sampled path alone";
+        EXPECT_EQ(latched[0], 0u);
+        EXPECT_EQ(latched[1], 1u);
+
+        // Rank 1 stops; rank 0 keeps running degraded. The detector
+        // must drop the dead rank from the latched set.
+        c.run(kHalf);
+        latched = c.clusterMonitor()->stragglers();
+        ASSERT_EQ(latched.size(), 1u)
+            << "a dead rank must be unlatched from firesim_stragglers";
+        EXPECT_EQ(latched[0], 0u);
+        EXPECT_GE(c.health().count(FaultEvent::Kind::PeerShardLost), 1u);
     });
-    Cluster c0(topologies::singleTor(2), std::move(cc0),
-               std::move(fds0));
-    c0.run(kHalf);
-    ASSERT_NE(c0.clusterMonitor(), nullptr);
-    EXPECT_EQ(c0.clusterMonitor()->heartbeats(), 0u)
-        << "heartbeats are off; detection must not depend on them";
-    std::vector<uint32_t> latched = c0.clusterMonitor()->stragglers();
-    ASSERT_EQ(latched.size(), 2u)
-        << "factor 0 must latch both ranks from the sampled path alone";
-    EXPECT_EQ(latched[0], 0u);
-    EXPECT_EQ(latched[1], 1u);
-    shard1.join();
-
-    // Rank 1 is gone; rank 0 keeps running degraded. The detector must
-    // drop the dead rank from the latched set.
-    c0.run(kHalf);
-    latched = c0.clusterMonitor()->stragglers();
-    ASSERT_EQ(latched.size(), 1u)
-        << "a dead rank must be unlatched from firesim_stragglers";
-    EXPECT_EQ(latched[0], 0u);
-    EXPECT_GE(c0.health().count(FaultEvent::Kind::PeerShardLost), 1u);
 }
 
 TEST(ObsCluster, KilledPeerLeavesAPostmortemOnRankZero)
