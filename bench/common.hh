@@ -79,20 +79,6 @@ parseUnsignedKnob(const char *what, const char *text)
     return static_cast<unsigned>(v);
 }
 
-/** Parse on|off or exit(2). */
-inline bool
-parseOnOffKnob(const char *what, const char *text)
-{
-    std::string s = text ? text : "";
-    if (s == "on")
-        return true;
-    if (s == "off")
-        return false;
-    std::fprintf(stderr, "error: %s expects on or off, got '%s'\n",
-                 what, s.c_str());
-    std::exit(2);
-}
-
 /** Parse auto|shm|tcp for --shard-transport or exit(2). */
 inline TransportKind
 parseTransportKnob(const char *what, const char *text)
@@ -124,8 +110,6 @@ struct Knobs
     unsigned heartbeatEvery = 0;
     unsigned statusInterval = 0;
     std::string metricsFile;
-    bool decodeCache = true;
-    unsigned decodeCacheEntries = 1u << 15;
 };
 
 /** The process-wide knob values. */
@@ -260,18 +244,6 @@ inline constexpr Knob kKnobTable[] = {
          cc.monitor.metricsPath = k.metricsFile;
      },
      "Prometheus text file, atomically refreshed on every heartbeat"},
-    {"--decode-cache=", "FIRESIM_DECODE_CACHE",
-     parseInto<&Knobs::decodeCache, parseOnOffKnob>,
-     [](ClusterConfig &cc, const Knobs &k) {
-         cc.hart.decodeCache = k.decodeCache;
-     },
-     "on | off: host-side predecode + superblock fast path for harts"},
-    {"--decode-cache-entries=", "FIRESIM_DECODE_CACHE_ENTRIES",
-     parseInto<&Knobs::decodeCacheEntries, parseUnsignedKnob>,
-     [](ClusterConfig &cc, const Knobs &k) {
-         cc.hart.decodeCacheEntries = k.decodeCacheEntries;
-     },
-     "decode-cache slots, rounded up to a power of two"},
 };
 
 /** Exit(2) with @p msg unless @p ok (a parseCommonFlags cross-check). */
@@ -338,8 +310,6 @@ parseCommonFlags(int argc, char **argv)
                          "the rendezvous",
                          k.shards));
     requireKnob(k.shardShmRing != 0, "--shard-shm-ring must be at least 1");
-    requireKnob(k.decodeCacheEntries != 0,
-                "--decode-cache-entries must be at least 1");
     if (k.parallelHosts > 1)
         std::printf("[bench] parallel hosts: %u fabric worker threads\n",
                     k.parallelHosts);

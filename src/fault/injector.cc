@@ -10,14 +10,14 @@
 namespace firesim
 {
 
-FaultInjector::FaultInjector(TokenFabric &fabric, FaultPlan plan,
+FaultInjector::FaultInjector(TokenFabric &fabric, const FaultPlan &plan,
                              HealthMonitor *monitor)
-    : fab(fabric), plan_(std::move(plan)), mon(monitor)
+    : fab(fabric), mon(monitor)
 {
     // Resolve link faults to channels. Each fault owns an independent
     // RNG stream so fault decisions do not perturb one another.
-    for (size_t i = 0; i < plan_.linkFaults.size(); ++i) {
-        const LinkFaultSpec &spec = plan_.linkFaults[i];
+    for (size_t i = 0; i < plan.linkFaults.size(); ++i) {
+        const LinkFaultSpec &spec = plan.linkFaults[i];
         int ep = fab.endpointIndexOf(spec.endpoint);
         if (ep < 0)
             fatal("fault plan names unknown endpoint '%s'",
@@ -29,14 +29,29 @@ FaultInjector::FaultInjector(TokenFabric &fabric, FaultPlan plan,
         if (spec.probability < 0.0 || spec.probability > 1.0)
             fatal("fault probability %f out of [0, 1]",
                   spec.probability);
+        if (spec.until != 0 && spec.until <= spec.from)
+            fatal("link fault on %s:%u has an empty window [%llu, %llu)",
+                  spec.endpoint.c_str(), spec.port,
+                  (unsigned long long)spec.from,
+                  (unsigned long long)spec.until);
+        if (spec.kind == LinkFaultKind::ExtraLatency &&
+            spec.extraCycles == 0)
+            fatal("extra-latency fault on %s:%u adds 0 cycles",
+                  spec.endpoint.c_str(), spec.port);
+        // One tap per faulted channel, applying its faults in plan order.
+        size_t c = static_cast<size_t>(chan);
+        if (std::none_of(links.begin(), links.end(),
+                         [c](const LinkState &l) { return l.channel == c; }))
+            fab.tapChannel(static_cast<size_t>(ep), spec.port,
+                           [this, c](TokenBatch &b) { transmit(c, b); });
         LinkState link;
         link.spec = spec;
-        link.channel = static_cast<size_t>(chan);
-        link.rng.reseed(plan_.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
+        link.channel = c;
+        link.rng.reseed(plan.seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
         links.push_back(std::move(link));
     }
 
-    for (const PortDownSpec &spec : plan_.portDowns) {
+    for (const PortDownSpec &spec : plan.portDowns) {
         int ep = fab.endpointIndexOf(spec.switchName);
         if (ep < 0)
             fatal("fault plan names unknown switch '%s'",
@@ -51,7 +66,7 @@ FaultInjector::FaultInjector(TokenFabric &fabric, FaultPlan plan,
         ports.push_back({spec, static_cast<size_t>(ep), false, false});
     }
 
-    for (const CrashSpec &spec : plan_.crashes) {
+    for (const CrashSpec &spec : plan.crashes) {
         int ep = fab.endpointIndexOf(spec.endpoint);
         if (ep < 0)
             fatal("fault plan names unknown endpoint '%s'",
@@ -61,6 +76,7 @@ FaultInjector::FaultInjector(TokenFabric &fabric, FaultPlan plan,
                   (unsigned long long)spec.restartAt,
                   (unsigned long long)spec.at);
         crashes.push_back({spec, static_cast<size_t>(ep), false, false});
+        fab.parkEndpoint(static_cast<size_t>(ep), spec.at, spec.restartAt);
     }
 
     skipped.assign(fab.endpointCount(), 0);
@@ -83,20 +99,6 @@ FaultInjector::recordEvent(FaultEvent::Kind kind, Cycles cycle,
     ev.channel = channel;
     ev.detail = std::move(detail);
     mon->record(std::move(ev));
-}
-
-bool
-FaultInjector::crashActive(const CrashState &crash,
-                           Cycles round_start) const
-{
-    // The crash takes effect in the round containing `at` and the
-    // restart in the round containing `restartAt` (host-side actions
-    // are quantized to the token round).
-    if (round_start + fab.quantum() <= crash.spec.at)
-        return false;
-    if (crash.spec.restartAt != 0 && round_start >= crash.spec.restartAt)
-        return false;
-    return true;
 }
 
 uint64_t
@@ -153,8 +155,16 @@ FaultInjector::onRoundStart(Cycles round_start, uint64_t round)
         }
     }
 
-    for (CrashState &crash : crashes) {
+    for (size_t i = 0; i < crashes.size(); ++i) {
+        CrashState &crash = crashes[i];
         bool active = crashActive(crash, round_start);
+        // Once per round, however many of its windows overlap it.
+        skipped[crash.endpoint] +=
+            active && std::none_of(crashes.begin(), crashes.begin() + i,
+                                   [&](const CrashState &c) {
+                                       return c.endpoint == crash.endpoint &&
+                                              crashActive(c, round_start);
+                                   });
         if (active && !crash.crashLogged) {
             crash.crashLogged = true;
             recordEvent(FaultEvent::Kind::NodeCrash, round_start,
@@ -171,23 +181,6 @@ FaultInjector::onRoundStart(Cycles round_start, uint64_t round)
                                  (unsigned long long)crash.spec.restartAt));
         }
     }
-}
-
-bool
-FaultInjector::endpointDown(size_t endpoint_idx, Cycles round_start)
-{
-    for (const CrashState &crash : crashes)
-        if (crash.endpoint == endpoint_idx &&
-            crashActive(crash, round_start))
-            return true;
-    return false;
-}
-
-void
-FaultInjector::onEndpointSkipped(size_t endpoint_idx, Cycles round_start)
-{
-    (void)round_start;
-    ++skipped[endpoint_idx];
 }
 
 void
@@ -276,10 +269,10 @@ FaultInjector::applyDelay(LinkState &link, TokenBatch &batch)
 }
 
 void
-FaultInjector::onTransmit(size_t channel_idx, TokenBatch &batch)
+FaultInjector::transmit(size_t channel, TokenBatch &batch)
 {
     for (LinkState &link : links) {
-        if (link.channel != channel_idx)
+        if (link.channel != channel)
             continue;
         switch (link.spec.kind) {
           case LinkFaultKind::DropPayload:

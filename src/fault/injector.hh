@@ -4,8 +4,9 @@
  *
  * The FaultInjector interprets a FaultPlan against a finalized
  * TokenFabric: it resolves the plan's symbolic endpoint names to
- * endpoints and channels, then applies every scheduled fault from
- * inside the fabric's round loop via the FabricObserver hooks.
+ * endpoints and channels, hands the fabric a down-window per crash and
+ * a channel tap per faulted channel, and applies the rest from its
+ * round hooks. It watches rounds, not endpoints.
  *
  * Determinism: every stochastic decision (which flit to drop, which
  * bit to flip) is drawn from a per-fault xoshiro stream seeded from
@@ -14,6 +15,8 @@
  * reproducible-experiment workflow depends on.
  *
  * Fault mechanics:
+ *  - Link faults run in their channel's tap, in plan order. One that
+ *    would do nothing (an empty window, 0 extra cycles) is fatal.
  *  - DropPayload / CorruptFlit mutate flits of outbound batches whose
  *    transmit cycle falls in the fault window, at per-flit precision.
  *  - ExtraLatency delays payload through a per-channel carry buffer:
@@ -24,10 +27,10 @@
  *  - PortDown calls Switch::setPortDown at the round containing the
  *    scheduled cycle (fault timing is quantized to the fabric round,
  *    like every host-side action in FireSim).
- *  - Crash parks the endpoint: the fabric discards its inputs and
- *    emits empty token batches on its behalf until the restart cycle.
- *    The injector counts the rounds each endpoint sat out, for the
- *    health report (report()).
+ *  - Crash parks the endpoint (TokenFabric::parkEndpoint) in every
+ *    round overlapping [at, restartAt): the fabric discards its inputs
+ *    and emits empty token batches on its behalf. The injector counts
+ *    those rounds, for the health report (report()).
  */
 
 #ifndef FIRESIM_FAULT_INJECTOR_HH
@@ -56,10 +59,8 @@ class FaultInjector : public FabricObserver
      * @p monitor, when given, receives a FaultEvent for every applied
      * fault; without it the injector only keeps counters.
      */
-    FaultInjector(TokenFabric &fabric, FaultPlan plan,
+    FaultInjector(TokenFabric &fabric, const FaultPlan &plan,
                   HealthMonitor *monitor = nullptr);
-
-    const FaultPlan &plan() const { return plan_; }
 
     /**
      * Serialize injection progress: per-link RNG streams and delay
@@ -74,8 +75,8 @@ class FaultInjector : public FabricObserver
     uint64_t flitsCorrupted() const { return corrupted; }
     uint64_t flitsDelayed() const { return delayed; }
 
-    /** Rounds endpoint @p idx advanced since the injector attached:
-     *  every round it was not parked by a crash. */
+    /** Rounds since the injector attached in which endpoint @p idx
+     *  was not parked by a crash. */
     uint64_t roundsAdvanced(size_t idx) const;
 
     /** One row per endpoint that sat out rounds (rounds advanced and
@@ -83,11 +84,8 @@ class FaultInjector : public FabricObserver
     std::string report() const;
 
     // ---- FabricObserver ---------------------------------------------
+    bool watchesEndpoints() const override { return false; }
     void onRoundStart(Cycles round_start, uint64_t round) override;
-    bool endpointDown(size_t endpoint_idx, Cycles round_start) override;
-    void onEndpointSkipped(size_t endpoint_idx,
-                           Cycles round_start) override;
-    void onTransmit(size_t channel_idx, TokenBatch &batch) override;
 
   private:
     struct LinkState
@@ -126,9 +124,17 @@ class FaultInjector : public FabricObserver
                (spec.until == 0 || cycle < spec.until);
     }
 
-    /** True when the crash covers the round starting at @p start. */
-    bool crashActive(const CrashState &crash, Cycles round_start) const;
+    /** True when the fabric parks @p crash's endpoint in the round
+     *  starting at @p round_start. */
+    bool
+    crashActive(const CrashState &crash, Cycles round_start) const
+    {
+        return fab.roundOverlaps(round_start, crash.spec.at,
+                                 crash.spec.restartAt);
+    }
 
+    /** The tap of @p channel: its link faults, in plan order. */
+    void transmit(size_t channel, TokenBatch &batch);
     void applyDrop(LinkState &link, TokenBatch &batch);
     void applyCorrupt(LinkState &link, TokenBatch &batch);
     void applyDelay(LinkState &link, TokenBatch &batch);
@@ -138,12 +144,11 @@ class FaultInjector : public FabricObserver
                      const std::string &channel, std::string detail);
 
     TokenFabric &fab;
-    FaultPlan plan_;
     HealthMonitor *mon;
     std::vector<LinkState> links;
     std::vector<PortState> ports;
     std::vector<CrashState> crashes;
-    /** Per endpoint: rounds the fabric skipped it while down. */
+    /** Per endpoint: rounds the fabric parked it. */
     std::vector<uint64_t> skipped;
     uint64_t rounds = 0; //!< rounds seen since attaching
     uint64_t curRound = 0;

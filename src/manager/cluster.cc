@@ -495,6 +495,21 @@ Cluster::setupObservability()
     }
 }
 
+void
+Cluster::run(Cycles cycles)
+{
+    const AutoCounterSampler *ac =
+        telemetry_ ? telemetry_->sampler() : nullptr;
+    if (!ac)
+        return fabric_.run(cycles);
+    Cycles q = fabric_.quantum();
+    Cycles end = fabric_.now() + (cycles + q - 1) / q * q;
+    while (fabric_.now() < end) {
+        Cycles at = std::max(ac->nextSampleAt(), fabric_.now() + 1);
+        fabric_.run(std::min(end, (at + q - 1) / q * q) - fabric_.now());
+    }
+}
+
 HealthMonitor &
 Cluster::health()
 {

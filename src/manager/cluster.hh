@@ -100,7 +100,7 @@ struct ClusterConfig
      */
     uint32_t harts = 0;
     /** Core template for every instantiated hart — carries the
-     *  decode-cache knobs (--decode-cache / --decode-cache-entries). */
+     *  decode-cache settings (CoreConfig::decodeCache, entries). */
     CoreConfig hart;
     /**
      * Nonzero switches the network to purely functional simulation
@@ -166,8 +166,9 @@ class Cluster
     /** Dumps telemetry into TelemetryConfig::dumpDir when configured. */
     ~Cluster();
 
-    /** Advance the whole target by @p cycles. */
-    void run(Cycles cycles) { fabric_.run(cycles); }
+    /** Advance the whole target by @p cycles: one fabric run(), or
+     *  with a sampler one per sampling round, whose last is dense. */
+    void run(Cycles cycles);
 
     /** Advance by @p us of target time: one run() call. */
     void runUs(double us) { run(clock().cyclesFromUs(us)); }

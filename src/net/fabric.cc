@@ -376,7 +376,7 @@ TokenFabric::finalize()
                               rl.rxLinkId));
         state.in[rl.port] = rx.get();
         state.remoteOut[rl.port] = static_cast<int64_t>(i);
-        state.remote = true;
+        state.everyRound = true;
         remoteRx.emplace_back(rl.rxLinkId, rx.get());
         channels.push_back(std::move(rx));
     }
@@ -396,6 +396,7 @@ TokenFabric::finalize()
     }
     wake.assign(endpoints.size(), 0);
     due.reserve(endpoints.size());
+    taps.resize(channels.size());
 
     if (stepOrder.empty()) {
         stepOrder.resize(endpoints.size());
@@ -422,6 +423,16 @@ TokenFabric::addObserver(FabricObserver *observer)
     if (observer->watchesEndpoints())
         endpointObservers.push_back(observer);
     observer->onAttach(*this);
+}
+
+void
+TokenFabric::tapChannel(size_t idx, uint32_t port, ChannelTap tap)
+{
+    FS_ASSERT(!running, "tapChannel() mid-run");
+    int chan = txChannelOf(idx, port);
+    FS_ASSERT(chan >= 0, "tapChannel(%zu, %u): no local channel", idx, port);
+    taps[chan].push_back(std::move(tap));
+    endpoints[idx].tapped = endpoints[idx].everyRound = true;
 }
 
 int
@@ -461,8 +472,8 @@ TokenFabric::prepareEndpoint(size_t idx)
     auto quantum = static_cast<uint32_t>(quant);
 
     state.down = false;
-    for (FabricObserver *obs : endpointObservers)
-        state.down |= obs->endpointDown(idx, curCycle);
+    for (const auto &[from, until] : state.parked)
+        state.down |= roundOverlaps(curCycle, from, until);
 
     for (uint32_t p = 0; p < state.in.size(); ++p) {
         TokenChannel *chan = state.in[p];
@@ -497,19 +508,9 @@ TokenFabric::prepareEndpoint(size_t idx)
     }
 
     // Every output is produced into the port's own batch; commit moves
-    // it into the channel.
+    // it into the channel (empty for a parked endpoint).
     for (uint32_t p = 0; p < state.out.size(); ++p)
         state.outPtrs[p] = &state.outBuf[p].reset(curCycle, quantum);
-
-    if (state.down) {
-        // Graceful degradation: a crashed / stalled endpoint keeps the
-        // token protocol alive with the empty output batches above so
-        // every other endpoint stays cycle-exact. Notified here, on the
-        // driving thread, so only the advance brackets ever run on
-        // workers.
-        for (FabricObserver *obs : endpointObservers)
-            obs->onEndpointSkipped(idx, curCycle);
-    }
 }
 
 void
@@ -551,8 +552,9 @@ TokenFabric::commitEndpoint(size_t idx)
             remoteHook->onTxBatch(link, batch);
             continue;
         }
-        for (FabricObserver *obs : endpointObservers)
-            obs->onTransmit(state.outIndex[p], batch);
+        if (state.tapped)
+            for (const ChannelTap &tap : taps[state.outIndex[p]])
+                tap(batch);
         if (batch.isEmpty() && batch.len == quant &&
             batch.start == curCycle) {
             // A well-formed empty batch: a dense round appends it to
@@ -584,14 +586,20 @@ Cycles
 TokenFabric::wakeOf(size_t idx, Cycles now) const
 {
     const EndpointState &state = endpoints[idx];
-    if (state.remote)
-        return 0; // due every round
+    if (state.everyRound)
+        return 0;
     Cycles at = state.endpoint->quiescentUntil(now);
     if (at <= now)
         return now; // due next round whatever arrives
     for (Cycles next : state.inNext)
         at = std::min(at, next);
-    return at - at % quant; // the start of the round containing it
+    at -= at % quant; // the start of the round containing it
+    for (const auto &window : state.parked) {
+        Cycles first = window.first - window.first % quant;
+        if (first >= now + quant) // due in the round before it
+            at = std::min(at, first - quant);
+    }
+    return at;
 }
 
 void
@@ -663,7 +671,7 @@ TokenFabric::run(Cycles cycles)
         for (FabricObserver *obs : observers)
             obs->onRoundStart(curCycle, roundCount);
 
-        // Phase 1 (driving thread, step order): down-verdicts, input
+        // Phase 1 (driving thread, step order): down-windows, input
         // pops, output batch resets. Latency seeding guarantees every
         // channel holds this round's input batch once its skipped
         // producer is topped up, so all pops complete before any
@@ -687,8 +695,8 @@ TokenFabric::run(Cycles cycles)
                 advanceEndpoint(idx);
         }
 
-        // Phase 3 (driving thread, step order): transmit observers,
-        // channel publishes and wake-ups — all shared counters
+        // Phase 3 (driving thread, step order): channel taps, channel
+        // publishes and wake-ups — all shared counters
         // accumulate here, in an order independent of which worker ran
         // what.
         for (uint32_t idx : due)

@@ -24,8 +24,8 @@
  * decomposition the paper uses to put one blade per FPGA. Each round is
  * executed in three phases over its due endpoints (see below):
  *
- *   1. prepare (driving thread, step order): per endpoint, query the
- *      endpoint observers' down-verdict, pop one input batch per port, and
+ *   1. prepare (driving thread, step order): per endpoint, check its
+ *      down-windows (parkEndpoint), pop one input batch per port, and
  *      reset the port's own output batch. Input batches never move:
  *      the endpoint is handed pointers to the channels' ring slots.
  *   2. advance (one pool dispatch, barrier at the end): every
@@ -37,14 +37,14 @@
  *      batches, while ring heads and tails move only on the driving
  *      thread. Placement is pure host policy and never affects
  *      simulated state.
- *   3. commit (driving thread, step order): per endpoint, run transmit
- *      observers, check each output batch and publish it, which swaps
- *      its flit storage into a ring slot.
+ *   3. commit (driving thread, step order): per endpoint, run channel
+ *      taps, check each output batch and publish it, which swaps its
+ *      flit storage into a ring slot.
  *
  * Because phases 1 and 3 run on the driving thread in step order, every
- * observer callback except onAdvanceStart/onAdvanceEnd fires in a
- * deterministic sequence that is independent of the worker count, and
- * all shared counters are accumulated there — simulation results,
+ * tap and observer callback except onAdvanceStart/onAdvanceEnd fires in
+ * a deterministic sequence that is independent of the worker count,
+ * and all shared counters are accumulated there — simulation results,
  * stats dumps, AutoCounter samples, and fault diagnostics are
  * byte-identical between 1 worker and N workers.
  *
@@ -72,30 +72,35 @@
  * batchesMoved() are exact at all times.
  *
  * Observers come in two kinds (FabricObserver::watchesEndpoints()). An
- * endpoint observer — the default, since the fabric cannot tell which
- * hooks an observer uses — makes every endpoint due and every round
- * dense, so each of its per-endpoint hooks fires for every endpoint in
- * every round. A round observer (the heartbeat monitor) only stops the
- * fabric from jumping rounds: its round hooks fire in every round, and
- * only the due endpoints are stepped. A remote port under a
- * RemoteRoundHook keeps its endpoint due (the wire carries one batch
- * per link per round, and such a port is always popped), and with a
- * hook set no round is jumped, since every round is a barrier with the
- * peers. roundsFastForwarded() counts jumped rounds and
- * endpointRoundsStepped() the due steps; both are host-side only.
+ * endpoint observer (the default; perfbench's span tracer and test
+ * observers) makes every endpoint due and every round dense. A round
+ * observer (the heartbeat monitor, the fault injector, the AutoCounter
+ * sampler) only stops rounds from being jumped. So only the last round
+ * of a run() is dense, and Cluster::run ends a run() at each
+ * AutoCounter sample. A remote port or a tapped channel keeps its
+ * endpoint due every round, and a RemoteRoundHook stops every jump,
+ * since each round is a barrier with the peers. roundsFastForwarded()
+ * counts jumped rounds and endpointRoundsStepped() the due steps; both
+ * are host-side only.
+ *
+ * Faults (src/fault) watch no endpoint. A down-window (parkEndpoint),
+ * checked in prepare for due endpoints, discards an endpoint's inputs
+ * and leaves its outputs empty; it is due in the round before each
+ * window, so it is parked where round-by-round stepping parks it. A
+ * channel tap (tapChannel) may rewrite each batch its producer emits,
+ * one per round. Without either, each costs one test per due endpoint.
  *
  * Token-protocol violations: every batch an endpoint emits and every
  * batch an input channel hands out is checked, and a violation — an
  * endpoint that stops producing well-formed batches, or a corrupted
- * token stream — panics, naming the channel, observers or not. Fault
- * injection (src/fault) acts through the observer hooks: it takes
- * endpoints down and mutates the payload of well-formed batches.
+ * token stream — panics, naming the channel, observers or not.
  */
 
 #ifndef FIRESIM_NET_FABRIC_HH
 #define FIRESIM_NET_FABRIC_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -148,7 +153,7 @@ class TokenChannel
     void push(const TokenBatch &batch);
 
     /**
-     * Testing / fault-injection hook: enqueue a batch with the usual
+     * Testing hook: enqueue a batch with the usual
      * production-to-arrival restamp but *without* the contiguity check
      * and without touching the producer-side bookkeeping, deliberately
      * corrupting the token stream so consumer-side error handling can
@@ -359,16 +364,14 @@ class TokenEndpoint
 };
 
 /**
- * Hook interface for fault injection (src/fault), telemetry and
- * monitoring (src/telemetry). All callbacks default to no-ops; a fabric
+ * Hook interface for telemetry, monitoring, fault bookkeeping and
+ * perfbench's span tracer. All callbacks default to no-ops; a fabric
  * with no observers — or only no-op observers — simulates
  * bit-identically to one without the hooks.
  *
- * Callback order within a round:
- *   onRoundStart -> per due endpoint: endpointDown?
- *   -> skip notification for down endpoints -> advance brackets
- *   -> per port: onTransmit -> onRoundEnd
- * Observers fire in registration order; endpointDown answers are OR-ed.
+ * Callback order within a round: onRoundStart -> advance brackets per
+ * due endpoint that is not parked -> (channel taps) -> onRoundEnd.
+ * Observers fire in registration order.
  *
  * Threading contract: every callback fires on the fabric's driving
  * thread, in an order independent of the worker count, EXCEPT
@@ -379,13 +382,11 @@ class TokenEndpoint
  * always called on the same thread, in order. The fabric never fires
  * onSliceStart/onSliceEnd.
  *
- * Attaching any observer stops the fabric from jumping rounds, so its
- * round hooks fire in every round. One whose watchesEndpoints() is
- * true (the default) also makes every endpoint due every round (see
- * the file comment): every endpoint is stepped in every round and every
- * per-endpoint hook fires for it, at the host cost of stepping idle
- * endpoints. One that returns false gets only onAttach, onRoundStart
- * and onRoundEnd.
+ * Attaching any observer stops the fabric from jumping rounds. One
+ * whose watchesEndpoints() is true (the default) also steps every
+ * endpoint in every round (see the file comment). One that returns
+ * false gets only onAttach, onRoundStart and onRoundEnd, and only a
+ * run()'s last round has every endpoint caught up at onRoundEnd.
  */
 class FabricObserver
 {
@@ -393,12 +394,9 @@ class FabricObserver
     virtual ~FabricObserver() = default;
 
     /**
-     * True when this observer uses the per-endpoint hooks
-     * (endpointDown, onEndpointSkipped, the advance brackets,
-     * onTransmit), which then fire for every endpoint in every round.
-     * An observer that overrides only the round hooks returns false,
-     * and the fabric keeps stepping only the endpoints that are due.
-     * Asked once, at TokenFabric::addObserver.
+     * True when this observer uses the advance brackets, which then
+     * fire for every endpoint in every round; false keeps the fabric
+     * stepping only due endpoints. Asked once, at addObserver.
      */
     virtual bool watchesEndpoints() const { return true; }
 
@@ -418,29 +416,8 @@ class FabricObserver
     }
 
     /**
-     * True when endpoint @p endpoint_idx must not run this round: the
-     * fabric discards its inputs and emits empty token batches on its
-     * behalf, keeping the rest of the cluster cycle-exact.
-     * Must depend only on (endpoint_idx, round_start) and state settled
-     * before the round — the fabric may ask before stepping anything.
-     */
-    virtual bool endpointDown(size_t endpoint_idx, Cycles round_start)
-    {
-        (void)endpoint_idx;
-        (void)round_start;
-        return false;
-    }
-
-    /** Notification that a down endpoint was skipped this round. */
-    virtual void onEndpointSkipped(size_t endpoint_idx, Cycles round_start)
-    {
-        (void)endpoint_idx;
-        (void)round_start;
-    }
-
-    /**
      * Bracketing hooks around an endpoint's advance() call, fired only
-     * when the endpoint actually runs (not when skipped while down).
+     * when the endpoint actually runs (not when parked).
      * perfbench's SpanTracer (perfbench/span_trace.cc, `--trace 1`)
      * hangs scoped timers here to attribute wall-clock to switch ticks
      * vs blade ticks without touching the endpoints themselves.
@@ -481,17 +458,6 @@ class FabricObserver
         (void)round_start;
     }
 
-    /**
-     * Mutate an outbound batch before it enters its channel. Called for
-     * every produced batch, including the empty ones emitted on behalf
-     * of down endpoints (so e.g. delayed payload can still drain).
-     */
-    virtual void onTransmit(size_t channel_idx, TokenBatch &batch)
-    {
-        (void)channel_idx;
-        (void)batch;
-    }
-
     /** Called once at the end of every round. */
     virtual void onRoundEnd(Cycles round_start, uint64_t round)
     {
@@ -499,6 +465,10 @@ class FabricObserver
         (void)round;
     }
 };
+
+/** A channel's transmit tap (TokenFabric::tapChannel): may rewrite
+ *  the payload of each batch, not its stamp or length. */
+using ChannelTap = std::function<void(TokenBatch &batch)>;
 
 /**
  * Transport hook for links whose far end lives in another OS process
@@ -656,7 +626,33 @@ class TokenFabric
     uint64_t endpointRoundsStepped() const { return dueSteps; }
 
     /**
-     * Attach an observer (fault injection, telemetry, monitoring).
+     * Park endpoint @p idx in every round overlapping [@p from,
+     * @p until) (see the file comment). Windows accumulate. Not mid-run.
+     */
+    void
+    parkEndpoint(size_t idx, Cycles from, Cycles until)
+    {
+        FS_ASSERT(!running, "parkEndpoint() mid-run");
+        endpoints.at(idx).parked.emplace_back(from, until);
+    }
+
+    /** True when round @p round_start overlaps [@p from, @p until),
+     *  where @p until 0 is forever. */
+    bool
+    roundOverlaps(Cycles round_start, Cycles from, Cycles until) const
+    {
+        return round_start + quant > from &&
+               (until == 0 || round_start < until);
+    }
+
+    /** Run @p tap on each batch endpoint @p idx emits into the local
+     *  channel out of port @p port, in commit, before an empty batch is
+     *  left implicit; the endpoint becomes due every round. Taps run in
+     *  registration order. After finalize(), not mid-run. */
+    void tapChannel(size_t idx, uint32_t port, ChannelTap tap);
+
+    /**
+     * Attach an observer (telemetry, monitoring, fault bookkeeping).
      * Callbacks fire in registration order. May be called after
      * finalize() (the observers typically need the finalized channel
      * list to resolve their targets); must not be called mid-run. The
@@ -756,32 +752,34 @@ class TokenFabric
         // carried by the RemoteRoundHook instead of a TokenChannel; -1
         // for local ports (out[p] set).
         std::vector<int64_t> remoteOut;
-        // Per-port index of out[p] in `channels` (set at finalize()):
-        // onTransmit's channel_idx.
+        // Per-port index of out[p] in `channels` (set at finalize()),
+        // which keys `taps`.
         std::vector<size_t> outIndex;
         // Per port: the endpoint consuming out[p] and its port there,
         // for its input-wake; -1 for remote ports.
         std::vector<int64_t> outPeer;
         std::vector<uint32_t> outPeerPort;
-        bool remote = false;  //!< owns a remote port: due every round
-        bool down = false;    //!< an observer parked it this round
+        std::vector<std::pair<Cycles, Cycles>> parked; //!< down-windows
+        bool everyRound = false; //!< a remote port or tapped channel
+        bool tapped = false;     //!< some out[p] has a tap
+        bool down = false;       //!< parked this round
         bool catchUp = false; //!< stepped only because run() ends
     };
 
     EndpointState &stateFor(TokenEndpoint *endpoint);
 
     // ---- The three round phases (see the file comment) ---------------
-    /** Driving thread: down-verdict, input pops, output resets. */
+    /** Driving thread: down-windows, input pops, output resets. */
     void prepareEndpoint(size_t idx);
     /** Any thread: one endpoint's advance() inside its brackets. */
     void advanceEndpoint(size_t idx);
-    /** Driving thread: transmit observers, checks, publishes. */
+    /** Driving thread: channel taps, checks, publishes. */
     void commitEndpoint(size_t idx);
 
     /** The round start at which endpoint @p idx is next due, asked
-     *  at the round boundary @p now: the earlier of its self-wake and
-     *  its oldest buffered payload's arrival (0 for an endpoint with a
-     *  remote port, due every round). */
+     *  at the round boundary @p now: the earliest of its self-wake,
+     *  its oldest buffered payload's arrival and the round before its
+     *  next down-window (0 for an endpoint due every round). */
     Cycles wakeOf(size_t idx, Cycles now) const;
 
     Cycles functionalWindow = 0; //!< 0 = cycle-exact timing
@@ -796,8 +794,10 @@ class TokenFabric
     /** Every observer: the round hooks fire for these. */
     std::vector<FabricObserver *> observers;
     /** The observers that watch endpoints (watchesEndpoints()): the
-     *  per-endpoint hooks fire for these, and any makes rounds dense. */
+     *  advance brackets fire for these, and any makes rounds dense. */
     std::vector<FabricObserver *> endpointObservers;
+    /** Per channel: its taps, in registration order. */
+    std::vector<std::vector<ChannelTap>> taps;
     std::vector<size_t> stepOrder;
     /** This round's input on every port with nothing arriving. */
     TokenBatch idleIn;

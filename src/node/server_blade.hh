@@ -66,7 +66,7 @@ struct BladeConfig
      */
     uint32_t harts = 0;
     /** Core template applied to every instantiated hart (hartId is
-     *  overridden per hart). Carries the decode-cache knobs. */
+     *  overridden per hart). Carries the decode-cache settings. */
     CoreConfig hart;
 };
 

@@ -116,7 +116,7 @@ struct CoreConfig
     /** Host-side fast path: predecode instructions into a PC-indexed
      *  direct-mapped cache and dispatch superblocks. Pure host
      *  optimization — architectural and timing state is bit-identical
-     *  with it on or off (--decode-cache=off is the escape hatch). */
+     *  with it on or off (false is the escape hatch). */
     bool decodeCache = true;
     /** Decode cache capacity in entries (one per 4-byte word; rounded
      *  up to a power of two). 32Ki entries covers 128 KiB of code. */

@@ -8,7 +8,9 @@
  * time series. Because the read happens between fabric rounds — on the
  * host side of the decoupling boundary — sampling is invisible to the
  * target: no target cycle is perturbed, matching the paper's token-
- * level out-of-band instrumentation discipline.
+ * level out-of-band instrumentation discipline. It watches rounds only:
+ * Cluster::run ends a fabric run(), whose last round is dense, at each
+ * sampling round, so every component is caught up when it is read.
  *
  * Sample stamps are exact multiples of the period even when the period
  * is not a multiple of the round quantum: a sample due at cycle k*N is
@@ -41,6 +43,7 @@ class AutoCounterSampler : public FabricObserver
     /** Register with @p fabric and learn its round quantum. */
     void attachTo(TokenFabric &fabric);
 
+    bool watchesEndpoints() const override { return false; }
     /** FabricObserver: sample at every period boundary the round crossed. */
     void onRoundEnd(Cycles round_start, uint64_t round) override;
 
@@ -48,6 +51,9 @@ class AutoCounterSampler : public FabricObserver
     void sampleNow(Cycles at);
 
     Cycles period() const { return per; }
+
+    /** The stamp of the next periodic sample. */
+    Cycles nextSampleAt() const { return nextAt; }
 
     /** Column names, fixed at the first sample. */
     const std::vector<std::string> &columns() const { return cols; }

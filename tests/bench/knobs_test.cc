@@ -53,21 +53,19 @@ const std::map<std::string, std::vector<const char *>> kMalformed = {
     // (strtoul would skip it), no sign but '+', no junk, no overflow.
     {"--parallel-hosts=",
      {"", "abc", "-3", "3x", "+", "4294967296", " 8", "\t8", " +8", "8 "}},
-    {"--shards=", {"2x", "0", "-2"}},
-    {"--shard-rank=", {"1 ", "x", "-1"}},
+    {"--shards=", {"2x", "0", "-2", " 2", "2 ", "+"}},
+    {"--shard-rank=", {"1 ", "x", "-1", "\t1", "4294967296"}},
     {"--shard-connect=",
      {"nohost", ":9000", "a:b:c", "h:port", "h:0", "h:70000"}},
-    {"--shard-connect-timeout=", {"5s", "-1", " 5"}},
+    {"--shard-connect-timeout=", {"5s", "-1", " 5", "5 ", "1e3"}},
     // loopback is a real TransportKind but test-only, and unix only
     // names a socketpair link: the knob accepts neither.
     {"--shard-transport=",
      {"SHM", "pcie", "", "loopback", "unix", "fast"}},
-    {"--shard-shm-ring=", {"1M", "0"}},
-    {"--heartbeat-every=", {"8x", "1h", "-1", ""}},
-    {"--status-interval=", {" 5", "5s", "-5"}},
+    {"--shard-shm-ring=", {"1M", "0", "-1", "abc"}},
+    {"--heartbeat-every=", {"8x", "1h", "-1", "", "4294967296"}},
+    {"--status-interval=", {" 5", "5s", "-5", "+"}},
     {"--metrics-file=", {}},
-    {"--decode-cache=", {"1", "ON", "", " on", "off ", "true"}},
-    {"--decode-cache-entries=", {"-1", "abc", " 8", "8 ", "0", "64k"}},
 };
 
 TEST(KnobTableDeath, EveryRowRejectsMalformedValuesOnFlagAndEnv)
@@ -222,6 +220,12 @@ TEST(KnobParseDeath, UnknownFlagsFailLoudly)
     EXPECT_EXIT(parseOneFlag("--checkpoint-every=100"),
                 ::testing::ExitedWithCode(2),
                 "unknown flag '--checkpoint-every=100'");
+    EXPECT_EXIT(parseOneFlag("--decode-cache=off"),
+                ::testing::ExitedWithCode(2),
+                "unknown flag '--decode-cache=off'");
+    EXPECT_EXIT(parseOneFlag("--decode-cache-entries=4096"),
+                ::testing::ExitedWithCode(2),
+                "unknown flag '--decode-cache-entries=4096'");
     EXPECT_EXIT(
         ([] {
             const char *argv[] = {"bench", "--heartbeat-every", "64"};
@@ -321,76 +325,6 @@ TEST(KnobParseDeath, ObservabilityFlagsShareTheStrictParser)
             parseCommonFlags(0, nullptr);
         },
         ::testing::ExitedWithCode(2), "FIRESIM_HEARTBEAT_EVERY");
-}
-
-TEST(KnobParse, DecodeCacheFlagsRoundTrip)
-{
-    // Default: on, 32Ki entries.
-    EXPECT_TRUE(bench::knobs().decodeCache);
-    parseOneFlag("--decode-cache=off");
-    EXPECT_FALSE(bench::knobs().decodeCache);
-    parseOneFlag("--decode-cache=on");
-    EXPECT_TRUE(bench::knobs().decodeCache);
-    // The =N-suffixed sibling must not be swallowed by the shorter
-    // prefix (both start with "--decode-cache").
-    parseOneFlag("--decode-cache-entries=4096");
-    EXPECT_EQ(bench::knobs().decodeCacheEntries, 4096u);
-    EXPECT_TRUE(bench::knobs().decodeCache);
-}
-
-TEST(KnobParseDeath, DecodeCacheFlagIsStrictOnOff)
-{
-    EXPECT_EXIT(parseOneFlag("--decode-cache=1"),
-                ::testing::ExitedWithCode(2), "on or off");
-    EXPECT_EXIT(parseOneFlag("--decode-cache=ON"),
-                ::testing::ExitedWithCode(2), "on or off");
-    EXPECT_EXIT(parseOneFlag("--decode-cache="),
-                ::testing::ExitedWithCode(2), "on or off");
-    EXPECT_EXIT(parseOneFlag("--decode-cache= on"),
-                ::testing::ExitedWithCode(2), "on or off");
-    EXPECT_EXIT(parseOneFlag("--decode-cache=off "),
-                ::testing::ExitedWithCode(2), "on or off");
-}
-
-TEST(KnobParseDeath, DecodeCacheEntriesShareTheStrictParser)
-{
-    EXPECT_EXIT(parseOneFlag("--decode-cache-entries=-1"),
-                ::testing::ExitedWithCode(2), "--decode-cache-entries");
-    EXPECT_EXIT(parseOneFlag("--decode-cache-entries=abc"),
-                ::testing::ExitedWithCode(2), "--decode-cache-entries");
-    EXPECT_EXIT(parseOneFlag("--decode-cache-entries= 8"),
-                ::testing::ExitedWithCode(2), "--decode-cache-entries");
-    EXPECT_EXIT(parseOneFlag("--decode-cache-entries=8 "),
-                ::testing::ExitedWithCode(2), "--decode-cache-entries");
-    // 0 parses but fails cross-validation: a zero-entry cache can
-    // serve nothing.
-    EXPECT_EXIT(parseOneFlag("--decode-cache-entries=0"),
-                ::testing::ExitedWithCode(2), "at least 1");
-}
-
-TEST(KnobParseDeath, DecodeCacheEnvPathIsStrictToo)
-{
-    EXPECT_EXIT(
-        {
-            setenv("FIRESIM_DECODE_CACHE", "true", 1);
-            parseCommonFlags(0, nullptr);
-        },
-        ::testing::ExitedWithCode(2), "FIRESIM_DECODE_CACHE");
-    EXPECT_EXIT(
-        {
-            setenv("FIRESIM_DECODE_CACHE_ENTRIES", "64k", 1);
-            parseCommonFlags(0, nullptr);
-        },
-        ::testing::ExitedWithCode(2), "FIRESIM_DECODE_CACHE_ENTRIES");
-}
-
-TEST(KnobParse, DecodeCacheFlagOverridesEnv)
-{
-    // Flags win over the environment, same as every other knob.
-    setenv("FIRESIM_DECODE_CACHE", "off", 1);
-    parseOneFlag("--decode-cache=on");
-    EXPECT_TRUE(bench::knobs().decodeCache);
-    unsetenv("FIRESIM_DECODE_CACHE");
 }
 
 } // namespace

@@ -275,7 +275,9 @@ TEST_F(InjectedPairTest, ZeroFaultPlanIsBitIdenticalToNoInjector)
     EXPECT_EQ(run_once(false), run_once(true));
 }
 
-TEST(FaultInjectorDeath, UnknownEndpointIsFatal)
+/** Resolving @p plan against an A-B pair must exit(1) with @p msg. */
+void
+expectFatalPlan(const FaultPlan &plan, const char *msg)
 {
     ScriptedEndpoint a("A"), b("B");
     TokenFabric fabric;
@@ -283,24 +285,44 @@ TEST(FaultInjectorDeath, UnknownEndpointIsFatal)
     fabric.addEndpoint(&b);
     fabric.connect(&a, 0, &b, 0, 100);
     fabric.finalize();
+    EXPECT_EXIT(FaultInjector(fabric, plan), ::testing::ExitedWithCode(1),
+                msg);
+}
+
+TEST(FaultInjectorDeath, UnknownEndpointIsFatal)
+{
     FaultPlan plan;
     plan.dropPayload("nope", 0);
-    EXPECT_EXIT(FaultInjector(fabric, plan),
-                ::testing::ExitedWithCode(1), "nope");
+    expectFatalPlan(plan, "nope");
 }
 
 TEST(FaultInjectorDeath, PortDownNeedsASwitch)
 {
-    ScriptedEndpoint a("A"), b("B");
-    TokenFabric fabric;
-    fabric.addEndpoint(&a);
-    fabric.addEndpoint(&b);
-    fabric.connect(&a, 0, &b, 0, 100);
-    fabric.finalize();
     FaultPlan plan;
     plan.portDown("A", 0, 100);
-    EXPECT_EXIT(FaultInjector(fabric, plan),
-                ::testing::ExitedWithCode(1), "not a switch");
+    expectFatalPlan(plan, "not a switch");
+}
+
+TEST(FaultInjectorDeath, EmptyLinkFaultWindowIsFatal)
+{
+    // A window that ends where (or before) it starts never fires.
+    FaultPlan drop;
+    drop.dropPayload("A", 0, 500, 500);
+    expectFatalPlan(drop, "A:0 has an empty window \\[500, 500\\)");
+    FaultPlan corrupt;
+    corrupt.corruptFlits("A", 0, 600, 400);
+    expectFatalPlan(corrupt, "empty window \\[600, 400\\)");
+    FaultPlan delay;
+    delay.extraLatency("A", 0, 10, 300, 200);
+    expectFatalPlan(delay, "empty window");
+}
+
+TEST(FaultInjectorDeath, ZeroExtraLatencyIsFatal)
+{
+    // It would only log "payload delayed 0 cycles" events.
+    FaultPlan plan;
+    plan.extraLatency("A", 0, 0);
+    expectFatalPlan(plan, "extra-latency fault on A:0 adds 0 cycles");
 }
 
 /**
@@ -345,8 +367,8 @@ TEST(HealthMonitorStallDeath, UnmonitoredStallStillAborts)
 }
 
 /** Runs @p rogue (port 0) against a scripted peer under an empty fault
- *  plan, so the observed, dense path of the fabric checks its batches;
- *  @p corrupt may tamper with the finalized fabric first. */
+ *  plan, so the fabric checks its batches with the fault layer
+ *  attached; @p corrupt may tamper with the finalized fabric first. */
 void
 runWithFaultLayer(TokenEndpoint &rogue,
                   void (*corrupt)(TokenFabric &) = nullptr)

@@ -242,7 +242,9 @@ armFaults(Cluster &clu)
     plan.withSeed(31337)
         .dropPayload("node1", 0, 200000, 800000, 0.5)
         .crashNode("node3", 400000, 1200000)
-        .corruptFlits("switch0", 2, 600000, 900000, 0.25);
+        .corruptFlits("switch0", 2, 600000, 900000, 0.25)
+        .extraLatency("node5", 0, 10000, 0, 300000)
+        .portDown("switch0", 6, 500000, 700000);
     clu.injectFaults(plan);
 }
 
@@ -291,20 +293,26 @@ scenarios()
         {"BootFunctional", twoByTwo, config(3200, 0, 0, 4 * 3200),
          launchBoot, {3200 * 500, 3200 * 800, 3200 * 900},
          {"Workers4", "Chunks50", "Noop", "Ranks2"}, nullptr, probeBoot},
+        // A sampler: Cluster::run makes each sampling round dense.
         {"Ping", twoByTwo, config(400, 6000, 1), launchPing,
          {300000, 600000},
-         {"Workers4", "DecodeOff", "NoMidImage", "Ranks2", "Ranks2Owners",
-          "Ranks3", "Shm"}},
+         {"Workers4", "Noop", "DecodeOff", "NoMidImage", "Ranks2",
+          "Ranks2Owners", "Ranks3", "Shm"}},
         {"Memcached", twoByTwo, config(3200, 0), launchMemcached,
          {3200 * 1500, 3200 * 3000},
          {"Workers4", "Noop", "Ranks2", "Ranks2Heartbeat"}},
+        // A sampler and a fault plan: down-windows and channel taps.
         {"FaultRing", [] { return topologies::singleTor(8); },
-         config(6400, 64000), launchRing, {960000, 1920000}, {"Workers4"},
+         config(6400, 64000), launchRing, {960000, 1920000},
+         {"Workers4", "Noop", "Chunks50"},
          armFaults, [](Cluster &clu, const Apps &, size_t stop) {
              if (stop == 1) {
-                 EXPECT_NE(clu.healthReport().find("node-crash"),
-                           std::string::npos)
-                     << "the fault plan never fired";
+                 std::string report = clu.healthReport();
+                 for (const char *kind :
+                      {"node-crash", "flit-delay", "port-restored"}) {
+                     EXPECT_NE(report.find(kind), std::string::npos)
+                         << kind << ": the fault plan never fired";
+                 }
              }
          }},
     };
@@ -507,9 +515,14 @@ unionAt(const Outcome &o, size_t s)
 
 /** Guards against vacuous cells: the reference moved and dumped. */
 void
-checkReference(const Outcome &ref)
+checkReference(const Scenario &sc, const Outcome &ref)
 {
     EXPECT_FALSE(ref.components.empty());
+    if (sc.config.telemetry.samplePeriod || sc.arm) {
+        // The sampler and the fault injector watch rounds, not
+        // endpoints: the reference steps only the due ones.
+        EXPECT_LT(ref.stepped, ref.dense) << sc.name;
+    }
     for (const auto &rank : ref.images)
         for (size_t s = 1; s < rank.size(); ++s) {
             EXPECT_NE(imageDiff(rank[s - 1], rank[s]), "")
@@ -651,7 +664,7 @@ TEST_P(Parity, Matches)
     const Variant &base =
         v.link == TransportKind::Unix ? kReference : variant("Ranks2");
     Outcome ref = run(sc, base, base.ranks == 1);
-    checkReference(ref);
+    checkReference(sc, ref);
     expectParity(sc, v, ref, run(sc, v, false), cellName(GetParam()));
 }
 

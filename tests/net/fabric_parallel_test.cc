@@ -22,49 +22,12 @@
 #include "net/fabric.hh"
 #include "switchmodel/switch.hh"
 #include "tests/net/scripted_endpoint.hh"
+#include "tests/net/stream_hash.hh"
 
 namespace firesim
 {
 namespace
 {
-
-/**
- * Hashes every transmitted batch — channel, stamp, and full flit
- * payload — in commit order. Two runs with identical hashes moved
- * identical token streams through identical channels in the same
- * order (onTransmit fires on the driving thread in step order, for
- * any worker count).
- */
-class StreamHashObserver : public FabricObserver
-{
-  public:
-    uint64_t hash = 1469598103934665603ull;
-    uint64_t transmits = 0;
-
-    void
-    onTransmit(size_t channel_idx, TokenBatch &batch) override
-    {
-        ++transmits;
-        mix(channel_idx);
-        mix(batch.start);
-        mix(batch.len);
-        for (const Flit &f : batch.flits) {
-            mix(f.offset);
-            mix(f.last ? 1 : 0);
-            mix(f.size);
-            for (uint8_t b : f.data)
-                mix(b);
-        }
-    }
-
-  private:
-    void
-    mix(uint64_t v)
-    {
-        hash ^= v;
-        hash *= 1099511628211ull;
-    }
-};
 
 struct RunDigest
 {
@@ -115,9 +78,9 @@ runTopology(unsigned hosts, Cycles cycles)
         swB.addMacEntry(MacAddr(i + 1), i < 4 ? 4 : i % 4);
     }
 
-    StreamHashObserver stream;
-    fabric.addObserver(&stream);
     fabric.finalize();
+    StreamHash stream;
+    stream.tapAll(fabric);
     fabric.setParallelHosts(hosts);
 
     // All-to-all: node i sends to nodes i+1 and i+3 (mod 8), staggered
@@ -194,9 +157,9 @@ TEST(ParallelFabric, WorkerCountChangeableBetweenRuns)
         swA.addMacEntry(MacAddr(i + 1), i < 4 ? i : 4);
         swB.addMacEntry(MacAddr(i + 1), i < 4 ? 4 : i % 4);
     }
-    StreamHashObserver stream;
-    fabric.addObserver(&stream);
     fabric.finalize();
+    StreamHash stream;
+    stream.tapAll(fabric);
     for (uint32_t i = 0; i < 8; ++i) {
         for (int wave = 0; wave < 3; ++wave) {
             EthFrame f1(MacAddr(((i + 1) % 8) + 1), MacAddr(i + 1),
@@ -294,8 +257,10 @@ constexpr Cycles kRestartAt = 1200000;
 /**
  * Checks the advance brackets. They fire on whichever worker advances
  * the endpoint, so each endpoint owns one slot, presized at attach
- * time, that only its advancing thread writes (`skipped` is written on
- * the driving thread). Runs under TSan in the sanitize-thread suite.
+ * time, that only its advancing thread writes. It watches endpoints,
+ * so every endpoint is due every round and the brackets of each round
+ * it was not parked in fire for it. Runs under TSan in the
+ * sanitize-thread suite.
  */
 class AdvanceBracketCheck : public FabricObserver
 {
@@ -307,7 +272,6 @@ class AdvanceBracketCheck : public FabricObserver
         uint64_t brackets = 0;
         uint64_t broken = 0; //!< nested start, stray end, or thread hop
         uint64_t whileCrashed = 0;
-        uint64_t skipped = 0;
     };
 
     void
@@ -325,12 +289,6 @@ class AdvanceBracketCheck : public FabricObserver
     {
         ++rounds;
         crashRounds += crashed(round_start);
-    }
-
-    void
-    onEndpointSkipped(size_t idx, Cycles) override
-    {
-        ++slots[idx].skipped;
     }
 
     void
@@ -372,6 +330,7 @@ TEST(ClusterParallelBrackets, BracketsPairOnOneThreadAndSkipCrashedRounds)
     for (unsigned hosts : {1u, 2u, 4u}) {
         SCOPED_TRACE("parallelHosts " + std::to_string(hosts));
         AdvanceBracketCheck check;
+        std::vector<uint64_t> advanced; // per endpoint, by the injector
         {
             // An 8-node ring of pings under a fault plan.
             ClusterConfig cc;
@@ -395,6 +354,8 @@ TEST(ClusterParallelBrackets, BracketsPairOnOneThreadAndSkipCrashedRounds)
                 });
             }
             clu.runUs(600.0);
+            for (size_t i = 0; i < clu.fabric().endpointCount(); ++i)
+                advanced.push_back(clu.injector()->roundsAdvanced(i));
         }
 
         ASSERT_NE(check.crashIdx, SIZE_MAX);
@@ -406,7 +367,7 @@ TEST(ClusterParallelBrackets, BracketsPairOnOneThreadAndSkipCrashedRounds)
             EXPECT_FALSE(s.open) << "endpoint " << i;
             EXPECT_EQ(s.broken, 0u) << "endpoint " << i;
             EXPECT_EQ(s.whileCrashed, 0u) << "endpoint " << i;
-            EXPECT_EQ(s.skipped, down) << "endpoint " << i;
+            EXPECT_EQ(advanced[i], check.rounds - down) << "endpoint " << i;
             EXPECT_EQ(s.brackets, check.rounds - down) << "endpoint " << i;
         }
     }

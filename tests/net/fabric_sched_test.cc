@@ -26,44 +26,12 @@
 #include "net/sched.hh"
 #include "switchmodel/switch.hh"
 #include "tests/net/scripted_endpoint.hh"
+#include "tests/net/stream_hash.hh"
 
 namespace firesim
 {
 namespace
 {
-
-/** FNV-style hash of every transmitted batch in commit order (the
- *  same detector tests/net/fabric_parallel_test.cc uses). */
-class StreamHashObserver : public FabricObserver
-{
-  public:
-    uint64_t hash = 1469598103934665603ull;
-    uint64_t transmits = 0;
-
-    void
-    onTransmit(size_t channel_idx, TokenBatch &batch) override
-    {
-        ++transmits;
-        mix(channel_idx);
-        mix(batch.start);
-        mix(batch.len);
-        for (const Flit &f : batch.flits) {
-            mix(f.offset);
-            mix(f.last ? 1 : 0);
-            mix(f.size);
-            for (uint8_t b : f.data)
-                mix(b);
-        }
-    }
-
-  private:
-    void
-    mix(uint64_t v)
-    {
-        hash ^= v;
-        hash *= 1099511628211ull;
-    }
-};
 
 struct RunDigest
 {
@@ -124,9 +92,9 @@ runFabric(unsigned hosts, Cycles functional_window, bool with_faults)
 
     if (functional_window)
         fabric.setFunctionalMode(functional_window);
-    StreamHashObserver stream;
-    fabric.addObserver(&stream);
     fabric.finalize();
+    StreamHash stream;
+    stream.tapAll(fabric);
     fabric.setParallelHosts(hosts);
 
     std::unique_ptr<FaultInjector> injector;
