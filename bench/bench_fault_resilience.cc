@@ -59,9 +59,7 @@ runScenario(const FaultPlan &plan, size_t src, size_t dst,
     if (!plan.empty()) {
         // The benchmark prints its own tables; keep the per-event
         // warn() log quiet.
-        HealthConfig hc;
-        hc.logEvents = false;
-        cluster.health(hc);
+        cluster.health().setLogEvents(false);
         cluster.injectFaults(plan);
     }
 

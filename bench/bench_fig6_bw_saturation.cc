@@ -96,7 +96,7 @@ runConfig(double rate_gbps, Cycles stagger, Cycles bucket, int buckets)
         root.addMacEntry(mac, i < kPerTor ? 0 : 1);
     }
     fabric.finalize();
-    fabric.setParallelHosts(bench::knobs().parallelHosts);
+    fabric.setParallelHosts(bench::flags().parallelHosts);
 
     // Rate limit: k/p of the 204.8 Gbit/s line rate.
     uint64_t p = std::max<uint64_t>(

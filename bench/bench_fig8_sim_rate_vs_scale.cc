@@ -226,7 +226,7 @@ main(int argc, char **argv)
         if (nodes <= measure_limit)
             meas = Table::fmt(
                 measuredMhz(nodes, kBootWindowUs,
-                            bench::knobs().parallelHosts),
+                            bench::flags().parallelHosts),
                 2);
         t.addRow({Table::fmt(nodes, 0), Table::fmt(std_est.targetMhz, 2),
                   Table::fmt(sup_est.targetMhz, 2), meas});
@@ -279,7 +279,7 @@ main(int argc, char **argv)
 
     // Worker-pool balance on the same 32-node target: results are
     // bit-identical to 1 worker — only the balance and wall clock move.
-    const unsigned balance_hosts = std::max(2u, bench::knobs().parallelHosts);
+    const unsigned balance_hosts = std::max(2u, bench::flags().parallelHosts);
     BalanceRow balance = runBalance(balance_hosts, kBootWindowUs);
     Table bal({"Max/mean busy", "Rounds", "Target cycles/s"});
     bal.addRow({Table::fmt(balance.maxMeanBusy, 3),

@@ -82,20 +82,21 @@ struct Rank
 void
 buildMesh(Fabric fabric, Rank &r0, Rank &r1)
 {
-    ShardTransport::Options opts0, opts1;
-    opts0.rank = 0;
-    opts1.rank = 1;
-    opts0.shards = opts1.shards = 2;
-    opts0.shmRingBytes = opts1.shmRingBytes = bench::knobs().shardShmRing;
+    ShardSpec spec0, spec1;
+    spec0.rank = 0;
+    spec1.rank = 1;
+    spec0.shards = spec1.shards = 2;
+    spec0.shmRingBytes = spec1.shmRingBytes =
+        bench::flags().shard.shmRingBytes;
     if (fabric == Fabric::Shm)
-        opts0.transport = opts1.transport = TransportKind::Shm;
+        spec0.transport = spec1.transport = TransportKind::Shm;
 
     auto [fd0, fd1] = localSocketPair();
     std::vector<std::pair<uint32_t, SocketFd>> v0, v1;
     v0.emplace_back(1, std::move(fd0));
     v1.emplace_back(0, std::move(fd1));
-    r0.transport = ShardTransport::fromFds(opts0, std::move(v0), 7);
-    r1.transport = ShardTransport::fromFds(opts1, std::move(v1), 7);
+    r0.transport = ShardTransport::fromFds(spec0, std::move(v0), 7);
+    r1.transport = ShardTransport::fromFds(spec1, std::move(v1), 7);
 
     r0.transport->bindTxLink(0, 1);
     r1.transport->bindRxChannel(0, 0, &r1.rx);
@@ -167,7 +168,7 @@ writeBenchJson(const char *path, uint64_t rounds, const double *ns,
                  "{\n"
                  "  \"bench\": \"shard_transport_barrier\",\n"
                  "  \"rounds\": %llu,\n"
-                 "  \"ring_bytes\": %u,\n"
+                 "  \"ring_bytes\": %zu,\n"
                  "  \"barrier_ns\": {\n"
                  "    \"unix\": %.1f,\n"
                  "    \"shm\": %.1f\n"
@@ -182,7 +183,8 @@ writeBenchJson(const char *path, uint64_t rounds, const double *ns,
                  "    }\n"
                  "  }\n"
                  "}\n",
-                 (unsigned long long)rounds, bench::knobs().shardShmRing,
+                 (unsigned long long)rounds,
+                 bench::flags().shard.shmRingBytes,
                  ns[0], ns[1], ns[1] > 0 ? ns[0] / ns[1] : 0.0,
                  (unsigned long long)skew_rounds, kSkewIdealNs,
                  skew_ns[0], skew_ns[1]);

@@ -43,8 +43,8 @@ namespace
 uint64_t
 heartbeatCadence()
 {
-    return bench::knobs().heartbeatEvery ? bench::knobs().heartbeatEvery
-                                      : 8192;
+    uint64_t every = bench::flags().monitor.heartbeatEvery;
+    return every ? every : 8192;
 }
 
 enum class Mode

@@ -94,34 +94,19 @@ parseTransportKnob(const char *what, const char *text)
 }
 
 /**
- * Every value the shared bench flags set, at its default. Filled by
- * parseCommonFlags() from kKnobTable; read through knobs().
+ * The cluster settings the shared bench flags write, at their
+ * defaults: parseCommonFlags() fills them from kKnobTable, and
+ * applyClusterFlags() copies them into each bench's ClusterConfig.
  */
-struct Knobs
+inline ClusterConfig &
+flags()
 {
-    unsigned parallelHosts = 1;
-    unsigned shards = 1;
-    unsigned shardRank = 0;
-    std::string shardConnectHost = "127.0.0.1";
-    unsigned shardBasePort = 0;
-    unsigned shardConnectTimeoutMs = 0;
-    TransportKind shardTransport = TransportKind::Auto;
-    unsigned shardShmRing = 1u << 20;
-    unsigned heartbeatEvery = 0;
-    unsigned statusInterval = 0;
-    std::string metricsFile;
-};
-
-/** The process-wide knob values. */
-inline Knobs &
-knobs()
-{
-    static Knobs k;
-    return k;
+    static ClusterConfig cc;
+    return cc;
 }
 
 /**
- * Parse HOST:PORT for --shard-connect into knobs(). The host may not
+ * Parse HOST:PORT for --shard-connect into flags().shard. The host may not
  * be empty or contain a second colon (no IPv6 literals — use a
  * hostname), and the port goes through parseUnsignedKnob and must fit
  * in 16 bits.
@@ -144,40 +129,23 @@ parseShardConnectKnob(const char *what, const char *text)
                      what, port);
         std::exit(2);
     }
-    knobs().shardConnectHost = s.substr(0, colon);
-    knobs().shardBasePort = port;
+    flags().shard.connectHost = s.substr(0, colon);
+    flags().shard.basePort = static_cast<uint16_t>(port);
 }
 
 /**
  * One shared bench knob. Every flag takes a value, so `flag` ends in
- * '=' (`--name=VALUE`). `parse` stores the value into knobs() and
- * exits(2) on a malformed one, naming @p what (the flag or the env
- * var). `apply` copies it into a ClusterConfig.
+ * '=' (`--name=VALUE`). `parse` writes the value into its field of
+ * flags() and exits(2) on a malformed one, naming @p what (the flag or
+ * the env var).
  */
 struct Knob
 {
     const char *flag;
     const char *env;
     void (*parse)(const char *what, const char *text);
-    void (*apply)(ClusterConfig &cc, const Knobs &k);
     const char *doc;
 };
-
-/** `parse` column: knobs().*Field = Parse(what, text). */
-template <auto Field, auto Parse>
-void
-parseInto(const char *what, const char *text)
-{
-    knobs().*Field = Parse(what, text);
-}
-
-/** `parse` column for free-form text (paths): any value is legal. */
-template <auto Field>
-void
-textInto(const char *, const char *text)
-{
-    knobs().*Field = text;
-}
 
 /**
  * The flags every experiment binary understands. Flags win over the
@@ -187,61 +155,52 @@ textInto(const char *, const char *text)
  */
 inline constexpr Knob kKnobTable[] = {
     {"--parallel-hosts=", "FIRESIM_PARALLEL_HOSTS",
-     parseInto<&Knobs::parallelHosts, parseUnsignedKnob>,
-     [](ClusterConfig &cc, const Knobs &k) {
-         cc.parallelHosts = k.parallelHosts;
+     [](const char *what, const char *text) {
+         flags().parallelHosts = parseUnsignedKnob(what, text);
      },
      "fabric worker threads (0 and 1 = single-threaded)"},
     {"--shards=", "FIRESIM_SHARDS",
-     parseInto<&Knobs::shards, parseUnsignedKnob>,
-     [](ClusterConfig &cc, const Knobs &k) { cc.shard.shards = k.shards; },
+     [](const char *what, const char *text) {
+         flags().shard.shards = parseUnsignedKnob(what, text);
+     },
      "split the cluster across N OS processes (default 1)"},
     {"--shard-rank=", "FIRESIM_SHARD_RANK",
-     parseInto<&Knobs::shardRank, parseUnsignedKnob>,
-     [](ClusterConfig &cc, const Knobs &k) { cc.shard.rank = k.shardRank; },
+     [](const char *what, const char *text) {
+         flags().shard.rank = parseUnsignedKnob(what, text);
+     },
      "this process's shard, 0 <= K < N"},
     {"--shard-connect=", "FIRESIM_SHARD_CONNECT", parseShardConnectKnob,
-     [](ClusterConfig &cc, const Knobs &k) {
-         cc.shard.connectHost = k.shardConnectHost;
-         cc.shard.basePort = static_cast<uint16_t>(k.shardBasePort);
-     },
      "HOST:PORT rendezvous address; rank r listens on PORT + r"},
     {"--shard-connect-timeout=", "FIRESIM_SHARD_CONNECT_TIMEOUT",
-     parseInto<&Knobs::shardConnectTimeoutMs, parseUnsignedKnob>,
-     [](ClusterConfig &cc, const Knobs &k) {
-         cc.shard.connectTimeoutMs =
-             static_cast<int>(k.shardConnectTimeoutMs);
+     [](const char *what, const char *text) {
+         flags().shard.connectTimeoutMs =
+             static_cast<int>(parseUnsignedKnob(what, text));
      },
      "ms cap on the whole rendezvous connect loop; 0 = attempt-bounded"},
     {"--shard-transport=", "FIRESIM_SHARD_TRANSPORT",
-     parseInto<&Knobs::shardTransport, parseTransportKnob>,
-     [](ClusterConfig &cc, const Knobs &k) {
-         cc.shard.transport = k.shardTransport;
+     [](const char *what, const char *text) {
+         flags().shard.transport = parseTransportKnob(what, text);
      },
      "cross-shard fabric: auto | shm | tcp (default auto: shm for "
      "same-host peers, tcp across hosts)"},
     {"--shard-shm-ring=", "FIRESIM_SHARD_SHM_RING",
-     parseInto<&Knobs::shardShmRing, parseUnsignedKnob>,
-     [](ClusterConfig &cc, const Knobs &k) {
-         cc.shard.shmRingBytes = k.shardShmRing;
+     [](const char *what, const char *text) {
+         flags().shard.shmRingBytes = parseUnsignedKnob(what, text);
      },
      "per-direction shm ring bytes, rounded up to a power of two"},
     {"--heartbeat-every=", "FIRESIM_HEARTBEAT_EVERY",
-     parseInto<&Knobs::heartbeatEvery, parseUnsignedKnob>,
-     [](ClusterConfig &cc, const Knobs &k) {
-         cc.monitor.heartbeatEvery = k.heartbeatEvery;
+     [](const char *what, const char *text) {
+         flags().monitor.heartbeatEvery = parseUnsignedKnob(what, text);
      },
      "emit a monitoring heartbeat every N fabric rounds; 0 = off"},
     {"--status-interval=", "FIRESIM_STATUS_INTERVAL",
-     parseInto<&Knobs::statusInterval, parseUnsignedKnob>,
-     [](ClusterConfig &cc, const Knobs &k) {
-         cc.monitor.statusIntervalSec = k.statusInterval;
+     [](const char *what, const char *text) {
+         flags().monitor.statusIntervalSec = parseUnsignedKnob(what, text);
      },
      "human-readable status line every SEC wall seconds; 0 = off"},
     {"--metrics-file=", "FIRESIM_METRICS_FILE",
-     textInto<&Knobs::metricsFile>,
-     [](ClusterConfig &cc, const Knobs &k) {
-         cc.monitor.metricsPath = k.metricsFile;
+     [](const char *, const char *text) {
+         flags().monitor.metricsPath = text;
      },
      "Prometheus text file, atomically refreshed on every heartbeat"},
 };
@@ -265,10 +224,10 @@ requireKnob(bool ok, const std::string &msg)
 inline void
 requireSingleShard(const char *bench)
 {
-    requireKnob(knobs().shards <= 1,
+    requireKnob(flags().shard.shards <= 1,
                 csprintf("%s reads every node and cannot run sharded "
                          "(--shards=%u); run it with --shards=1",
-                         bench, knobs().shards));
+                         bench, flags().shard.shards));
 }
 
 /**
@@ -297,36 +256,43 @@ parseCommonFlags(int argc, char **argv)
         match->parse(name.c_str(), arg.c_str() + name.size() + 1);
     }
 
-    Knobs &k = knobs();
-    if (k.parallelHosts == 0)
-        k.parallelHosts = 1;
-    requireKnob(k.shards != 0, "--shards must be at least 1");
-    requireKnob(k.shardRank < k.shards,
+    ClusterConfig &f = flags();
+    const ShardSpec &ss = f.shard;
+    if (f.parallelHosts == 0)
+        f.parallelHosts = 1;
+    requireKnob(ss.shards != 0, "--shards must be at least 1");
+    requireKnob(ss.rank < ss.shards,
                 csprintf("--shard-rank=%u out of range for --shards=%u "
                          "(need 0 <= rank < shards)",
-                         k.shardRank, k.shards));
-    requireKnob(k.shards <= 1 || k.shardBasePort != 0,
+                         ss.rank, ss.shards));
+    requireKnob(ss.shards <= 1 || ss.basePort != 0,
                 csprintf("--shards=%u needs --shard-connect=HOST:PORT for "
                          "the rendezvous",
-                         k.shards));
-    requireKnob(k.shardShmRing != 0, "--shard-shm-ring must be at least 1");
-    if (k.parallelHosts > 1)
+                         ss.shards));
+    requireKnob(ss.shmRingBytes != 0, "--shard-shm-ring must be at least 1");
+    if (f.parallelHosts > 1)
         std::printf("[bench] parallel hosts: %u fabric worker threads\n",
-                    k.parallelHosts);
-    if (k.shards > 1)
+                    f.parallelHosts);
+    if (ss.shards > 1)
         std::printf("[bench] distributed: shard %u of %u, rendezvous "
                     "%s:%u, transport %s\n",
-                    k.shardRank, k.shards, k.shardConnectHost.c_str(),
-                    k.shardBasePort, transportKindName(k.shardTransport));
+                    ss.rank, ss.shards, ss.connectHost.c_str(),
+                    unsigned(ss.basePort), transportKindName(ss.transport));
 }
 
-/** Apply every parsed knob to @p cc. Every bench that builds a Cluster
- *  funnels through here, so new knobs reach all of them at once. */
+/**
+ * Copy the flag-set members of flags() into @p cc: the whole shard
+ * spec, the whole monitor config and the worker count. Every bench
+ * that builds a Cluster funnels through here, so a new knob reaches
+ * all of them at once; a bench that wants its own monitor or shard
+ * settings sets them after this call.
+ */
 inline void
 applyClusterFlags(ClusterConfig &cc)
 {
-    for (const Knob &knob : kKnobTable)
-        knob.apply(cc, knobs());
+    cc.parallelHosts = flags().parallelHosts;
+    cc.shard = flags().shard;
+    cc.monitor = flags().monitor;
 }
 
 /** Wall-clock stopwatch for simulation-rate measurements. */

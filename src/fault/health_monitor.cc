@@ -53,7 +53,7 @@ void
 HealthMonitor::record(FaultEvent event)
 {
     ++counts[static_cast<size_t>(event.kind)];
-    if (cfg.logEvents)
+    if (logEvents)
         warn("health: %s", event.str().c_str());
     if (log.size() < kMaxEvents)
         log.push_back(std::move(event));

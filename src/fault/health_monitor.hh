@@ -67,20 +67,14 @@ struct FaultEvent
 /** Stable display name of an event kind. */
 const char *faultKindName(FaultEvent::Kind kind);
 
-/** HealthMonitor tuning. */
-struct HealthConfig
-{
-    /** warn() each event as it is recorded. */
-    bool logEvents = true;
-};
-
 class HealthMonitor
 {
   public:
-    explicit HealthMonitor(HealthConfig config = {}) : cfg(config) {}
-
-    /** Record an event. */
+    /** Record an event, and warn() it unless logging is off. */
     void record(FaultEvent event);
+
+    /** warn() each event as it is recorded (the default), or not. */
+    void setLogEvents(bool on) { logEvents = on; }
 
     /** Upper bound on retained events (counters keep counting). */
     static constexpr size_t kMaxEvents = 4096;
@@ -90,8 +84,6 @@ class HealthMonitor
     uint64_t count(FaultEvent::Kind kind) const;
     /** Total events recorded across all kinds. */
     uint64_t totalEvents() const;
-
-    const HealthConfig &config() const { return cfg; }
 
     /** Multi-line report: the count of each kind recorded. */
     std::string report() const;
@@ -103,7 +95,7 @@ class HealthMonitor
     void snapshotSave(Serializer &s) const;
 
   private:
-    HealthConfig cfg;
+    bool logEvents = true;
     std::vector<FaultEvent> log;
     std::array<Counter, static_cast<size_t>(FaultEvent::Kind::kCount)>
         counts;

@@ -268,21 +268,11 @@ Cluster::connectShards(const std::vector<CrossBinding> &cross,
                        std::vector<std::pair<uint32_t, SocketFd>> peer_fds)
 {
     const ShardSpec &ss = cfg.shard;
-    ShardTransport::Options topts;
-    topts.rank = ss.rank;
-    topts.shards = ss.shards;
-    topts.host = ss.connectHost;
-    topts.basePort = ss.basePort;
-    topts.recvTimeoutMs = ss.recvTimeoutMs;
-    topts.connectTimeoutMs = ss.connectTimeoutMs;
-    topts.failFast = ss.failFast;
-    topts.transport = ss.transport;
-    topts.shmRingBytes = ss.shmRingBytes;
     if (!peer_fds.empty()) {
-        transport_ = ShardTransport::fromFds(topts, std::move(peer_fds),
+        transport_ = ShardTransport::fromFds(ss, std::move(peer_fds),
                                              plan_.planHash);
     } else {
-        transport_ = ShardTransport::rendezvousTcp(topts, plan_.planHash);
+        transport_ = ShardTransport::rendezvousTcp(ss, plan_.planHash);
     }
     for (size_t i = 0; i < transport_->peerRanks().size(); ++i) {
         inform("shard %u: peer rank %u via %s", ss.rank,
@@ -441,11 +431,8 @@ Cluster::setupObservability()
 
     if (cfg.monitor.enabled()) {
         MonitorConfig mc = cfg.monitor;
-        mc.targetFreqGhz = cfg.freqGhz;
-        if (mc.heartbeatPath.empty())
-            mc.heartbeatPath = "heartbeat.jsonl";
         const std::string &dump_dir = cfg.telemetry.dumpDir;
-        if (!dump_dir.empty() && mc.heartbeatPath.front() != '/')
+        if (!dump_dir.empty() && mc.heartbeatPath.rfind('/', 0) != 0)
             mc.heartbeatPath = dump_dir +
                 (dump_dir.back() == '/' ? "" : "/") + mc.heartbeatPath;
         if (sharded) {
@@ -515,15 +502,6 @@ Cluster::health()
 {
     if (!monitor_)
         monitor_ = std::make_unique<HealthMonitor>();
-    return *monitor_;
-}
-
-HealthMonitor &
-Cluster::health(const HealthConfig &config)
-{
-    if (monitor_)
-        fatal("health monitor already attached; its config is fixed");
-    monitor_ = std::make_unique<HealthMonitor>(config);
     return *monitor_;
 }
 

@@ -130,7 +130,8 @@ struct ClusterConfig
      */
     unsigned parallelHosts = 1;
     /**
-     * Distributed simulation (manager/shard.hh): with shards > 1 this
+     * Distributed simulation (ShardSpec, net/remote/shard_transport.hh;
+     * the partition is manager/shard.hh): with shards > 1 this
      * process builds only its own shard of the topology and carries
      * cross-shard links over the socket token transport (net/remote).
      * Every shard must be launched with the same topology and config,
@@ -207,13 +208,6 @@ class Cluster
      * loss and straggler detection record into it.
      */
     HealthMonitor &health();
-
-    /**
-     * Like health(), but the monitor is created with @p config. When a
-     * monitor already exists its config is fixed; asking for a
-     * different one is a user error.
-     */
-    HealthMonitor &health(const HealthConfig &config);
 
     /** The attached injector, or nullptr when no faults were injected. */
     FaultInjector *injector() { return injector_.get(); }

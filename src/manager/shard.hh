@@ -4,7 +4,10 @@
  * "simulations are automatically partitioned across FPGAs and
  * machines" by the manager).
  *
- * A ShardPlan is a pure function of (topology, ShardSpec): every shard
+ * A ShardPlan is a pure function of the topology and the ShardSpec's
+ * shard count and owner map. ShardSpec, the one struct that holds
+ * every shard setting, lives beside the transport that reads the rest
+ * of it (net/remote/shard_transport.hh). Every shard
  * process computes the same plan from the same inputs, so no
  * coordination is needed to agree on who owns what — the plan's
  * topoHash is exchanged in the transport's Hello handshake to catch
@@ -23,7 +26,7 @@
  * minimizing cross-shard links (which each cost one socket round trip
  * of pipeline slack the fabric already hides). build() also accepts
  * an arbitrary deterministic server->rank map (ShardSpec::owners,
- * which the re-shard parity tests use); the map is folded into
+ * which the parity matrix's owner-map cell uses); the map is folded into
  * planHash so shards launched with diverging maps are caught at
  * rendezvous.
  */
@@ -32,44 +35,14 @@
 #define FIRESIM_MANAGER_SHARD_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "base/units.hh"
 #include "manager/topology.hh"
-#include "net/remote/peer_link.hh"
+#include "net/remote/shard_transport.hh"
 
 namespace firesim
 {
-
-/** How (and whether) to split a Cluster across shard processes. */
-struct ShardSpec
-{
-    uint32_t shards = 1; //!< 1 = ordinary single-process simulation
-    uint32_t rank = 0;   //!< this process's shard index
-    /** Rendezvous address (rank r listens on basePort + r). */
-    std::string connectHost = "127.0.0.1";
-    uint16_t basePort = 0;
-    /** Max wall-clock to wait on one peer per round barrier. */
-    int recvTimeoutMs = 10000;
-    /** Wall-clock cap on the rendezvous connect loop
-     *  (--shard-connect-timeout); 0 = attempt-bounded only. */
-    int connectTimeoutMs = 0;
-    /** Abort instead of degrading when a peer shard is lost. */
-    bool failFast = false;
-    /** Cross-shard fabric (--shard-transport): Auto negotiates shm
-     *  for same-host peers and TCP across hosts; Shm demands the
-     *  shared-memory rings; Tcp pins the socket path. */
-    TransportKind transport = TransportKind::Auto;
-    /** Per-direction shm ring capacity in bytes (rounded up to a
-     *  power of two); must be symmetric across the mesh. */
-    size_t shmRingBytes = 1 << 20;
-    /** Explicit server->rank map; when non-empty it overrides the
-     *  block placement.
-     *  Every launching process must pass the same map (checked via
-     *  planHash at rendezvous). */
-    std::vector<uint32_t> owners;
-};
 
 /**
  * The deterministic partition of one topology over N shards. All

@@ -78,11 +78,11 @@ recvFrameRaw(const SocketFd &sock, std::string &rx_buf,
  * is TCP. The socketpair path is fromFds, not the rendezvous.
  */
 TransportKind
-negotiateTransport(const ShardTransport::Options &opts,
+negotiateTransport(const ShardSpec &spec,
                    uint32_t peer_rank, uint32_t peer_pref_raw,
                    uint64_t peer_token, uint64_t local_token)
 {
-    TransportKind local = opts.transport;
+    TransportKind local = spec.transport;
     TransportKind peer = static_cast<TransportKind>(peer_pref_raw);
     bool same_host = peer_token == local_token;
     if (local == TransportKind::Shm || peer == TransportKind::Shm) {
@@ -90,13 +90,13 @@ negotiateTransport(const ShardTransport::Options &opts,
             peer != TransportKind::Auto)
             fatal("shard %u: transport mismatch with rank %u "
                   "(local --shard-transport=%s, peer %s)",
-                  opts.rank, peer_rank,
-                  transportKindName(opts.transport),
+                  spec.rank, peer_rank,
+                  transportKindName(spec.transport),
                   transportKindName(peer));
         if (!same_host)
             fatal("shard %u: --shard-transport=shm but rank %u runs on "
                   "a different host (host tokens %016llx != %016llx)",
-                  opts.rank, peer_rank,
+                  spec.rank, peer_rank,
                   (unsigned long long)local_token,
                   (unsigned long long)peer_token);
         return TransportKind::Shm;
@@ -109,12 +109,12 @@ negotiateTransport(const ShardTransport::Options &opts,
 
 } // namespace
 
-ShardTransport::ShardTransport(const Options &o, uint64_t plan_hash)
-    : opts(o), planHash(plan_hash)
+ShardTransport::ShardTransport(const ShardSpec &s, uint64_t plan_hash)
+    : spec(s), planHash(plan_hash)
 {
-    FS_ASSERT(opts.shards >= 2, "shard transport needs >= 2 shards");
-    FS_ASSERT(opts.rank < opts.shards, "shard rank %u >= shard count %u",
-              opts.rank, opts.shards);
+    FS_ASSERT(spec.shards >= 2, "shard transport needs >= 2 shards");
+    FS_ASSERT(spec.rank < spec.shards, "shard rank %u >= shard count %u",
+              spec.rank, spec.shards);
 }
 
 ShardTransport::~ShardTransport()
@@ -123,19 +123,19 @@ ShardTransport::~ShardTransport()
 }
 
 std::unique_ptr<ShardTransport>
-ShardTransport::rendezvousTcp(const Options &opts, uint64_t plan_hash)
+ShardTransport::rendezvousTcp(const ShardSpec &spec, uint64_t plan_hash)
 {
     std::unique_ptr<ShardTransport> t(
-        new ShardTransport(opts, plan_hash));
+        new ShardTransport(spec, plan_hash));
 
     // Every rank listens on basePort + rank, connects to all lower
     // ranks, and accepts all higher ranks — a full mesh with one TCP
     // connection per shard pair and no central coordinator.
     SocketFd listener = tcpListen(
-        "", static_cast<uint16_t>(opts.basePort + opts.rank));
+        "", static_cast<uint16_t>(spec.basePort + spec.rank));
 
-    for (uint32_t q = 0; q < opts.shards; ++q) {
-        if (q == opts.rank)
+    for (uint32_t q = 0; q < spec.shards; ++q) {
+        if (q == spec.rank)
             continue;
         Peer peer;
         peer.rank = q;
@@ -145,8 +145,8 @@ ShardTransport::rendezvousTcp(const Options &opts, uint64_t plan_hash)
 
     uint64_t host_token = localHostToken();
     std::string hello;
-    encodeHello(hello, opts.rank, opts.shards, plan_hash,
-                static_cast<uint32_t>(opts.transport), host_token);
+    encodeHello(hello, spec.rank, spec.shards, plan_hash,
+                static_cast<uint32_t>(spec.transport), host_token);
 
     // Once a pair's Hellos are exchanged, both ends independently
     // negotiate the fabric and build the link. For shm the TCP socket
@@ -158,69 +158,69 @@ ShardTransport::rendezvousTcp(const Options &opts, uint64_t plan_hash)
                          std::string carry) {
         t->validateHello(peer, f);
         TransportKind kind = negotiateTransport(
-            opts, peer.rank, f.transport, f.hostToken, host_token);
+            spec, peer.rank, f.transport, f.hostToken, host_token);
         if (kind == TransportKind::Shm) {
-            bool creator = opts.rank < peer.rank;
+            bool creator = spec.rank < peer.rank;
             FS_ASSERT(!creator || carry.empty(),
                       "shard %u: unexpected %zu control bytes from "
                       "opener rank %u",
-                      opts.rank, carry.size(), peer.rank);
+                      spec.rank, carry.size(), peer.rank);
             peer.link = makeShmLink(
-                std::move(sock), creator, opts.shmRingBytes,
-                csprintf("r%ur%u", std::min(opts.rank, peer.rank),
-                         std::max(opts.rank, peer.rank)),
+                std::move(sock), creator, spec.shmRingBytes,
+                csprintf("r%ur%u", std::min(spec.rank, peer.rank),
+                         std::max(spec.rank, peer.rank)),
                 std::move(carry));
         } else {
             peer.link = makeSocketLink(
                 std::move(sock), TransportKind::Tcp,
-                csprintf("tcp %s:%u", opts.host.c_str(),
-                         opts.basePort + peer.rank));
+                csprintf("tcp %s:%u", spec.connectHost.c_str(),
+                         spec.basePort + peer.rank));
             peer.rxBuf = std::move(carry);
         }
-        debug("shard %u: rank %u via %s", opts.rank, peer.rank,
+        debug("shard %u: rank %u via %s", spec.rank, peer.rank,
               peer.link->describe().c_str());
     };
 
     // Connect side: lower ranks are already listening (or will be
     // shortly — bounded-backoff retry absorbs the startup race). The
     // connector speaks first so the acceptor can identify it.
-    for (uint32_t q = 0; q < opts.rank; ++q) {
+    for (uint32_t q = 0; q < spec.rank; ++q) {
         Peer &peer = t->peers[t->peerIndexOf(q)];
         SocketFd sock = tcpConnectRetry(
-            opts.host, static_cast<uint16_t>(opts.basePort + q),
-            opts.connectTimeoutMs);
+            spec.connectHost, static_cast<uint16_t>(spec.basePort + q),
+            spec.connectTimeoutMs);
         if (!sendAll(sock.fd(), hello.data(), hello.size()))
-            fatal("shard %u: hello send to rank %u failed", opts.rank, q);
+            fatal("shard %u: hello send to rank %u failed", spec.rank, q);
         peer.stats.bytesTx += hello.size();
         std::string carry;
         Frame f = recvFrameRaw(sock, carry, peer.stats.bytesRx,
-                               opts.recvTimeoutMs, opts.rank, q);
+                               spec.recvTimeoutMs, spec.rank, q);
         establish(peer, std::move(sock), f, std::move(carry));
     }
 
     // Accept side: identify each incoming connection by its Hello.
-    uint32_t expected = opts.shards - opts.rank - 1;
+    uint32_t expected = spec.shards - spec.rank - 1;
     for (uint32_t i = 0; i < expected; ++i) {
-        SocketFd sock = tcpAccept(listener, opts.recvTimeoutMs);
+        SocketFd sock = tcpAccept(listener, spec.recvTimeoutMs);
         if (!sock.valid())
             fatal("shard %u: timed out waiting for %u more peer shard(s)",
-                  opts.rank, expected - i);
+                  spec.rank, expected - i);
         std::string carry;
         uint64_t probe_rx = 0;
         Frame f = recvFrameRaw(sock, carry, probe_rx,
-                               opts.recvTimeoutMs, opts.rank,
-                               opts.shards);
+                               spec.recvTimeoutMs, spec.rank,
+                               spec.shards);
         if (f.type != FrameType::Hello)
-            fatal("shard %u: peer spoke before hello", opts.rank);
-        if (f.rank <= opts.rank || f.rank >= opts.shards)
-            fatal("shard %u: unexpected hello from rank %u", opts.rank,
+            fatal("shard %u: peer spoke before hello", spec.rank);
+        if (f.rank <= spec.rank || f.rank >= spec.shards)
+            fatal("shard %u: unexpected hello from rank %u", spec.rank,
                   f.rank);
         Peer &peer = t->peers[t->peerIndexOf(f.rank)];
         if (peer.link)
-            fatal("shard %u: rank %u connected twice", opts.rank, f.rank);
+            fatal("shard %u: rank %u connected twice", spec.rank, f.rank);
         peer.stats.bytesRx += probe_rx;
         if (!sendAll(sock.fd(), hello.data(), hello.size()))
-            fatal("shard %u: hello send to rank %u failed", opts.rank,
+            fatal("shard %u: hello send to rank %u failed", spec.rank,
                   f.rank);
         peer.stats.bytesTx += hello.size();
         establish(peer, std::move(sock), f, std::move(carry));
@@ -230,20 +230,20 @@ ShardTransport::rendezvousTcp(const Options &opts, uint64_t plan_hash)
 }
 
 std::unique_ptr<ShardTransport>
-ShardTransport::fromFds(const Options &opts,
+ShardTransport::fromFds(const ShardSpec &spec,
                         std::vector<std::pair<uint32_t, SocketFd>> fds,
                         uint64_t plan_hash)
 {
     std::unique_ptr<ShardTransport> t(
-        new ShardTransport(opts, plan_hash));
-    FS_ASSERT(fds.size() == opts.shards - 1,
-              "fromFds: %zu peers for %u shards", fds.size(), opts.shards);
+        new ShardTransport(spec, plan_hash));
+    FS_ASSERT(fds.size() == spec.shards - 1,
+              "fromFds: %zu peers for %u shards", fds.size(), spec.shards);
 
     std::sort(fds.begin(), fds.end(),
               [](const auto &a, const auto &b) { return a.first < b.first; });
 
     for (auto &[peer_rank, sock] : fds) {
-        FS_ASSERT(peer_rank < opts.shards && peer_rank != opts.rank,
+        FS_ASSERT(peer_rank < spec.shards && peer_rank != spec.rank,
                   "fromFds: bad peer rank %u", peer_rank);
         FS_ASSERT(t->ranks.empty() || t->ranks.back() != peer_rank,
                   "fromFds: duplicate peer rank %u", peer_rank);
@@ -252,12 +252,12 @@ ShardTransport::fromFds(const Options &opts,
         // Auto keeps the fd as the byte stream itself (the caller
         // chose the socketpair fast path; honor it); only an explicit
         // `shm` upgrades it into the control socket of a ring pair.
-        if (opts.transport == TransportKind::Shm) {
+        if (spec.transport == TransportKind::Shm) {
             peer.link = makeShmLink(
-                std::move(sock), opts.rank < peer_rank,
-                opts.shmRingBytes,
-                csprintf("r%ur%u", std::min(opts.rank, peer_rank),
-                         std::max(opts.rank, peer_rank)));
+                std::move(sock), spec.rank < peer_rank,
+                spec.shmRingBytes,
+                csprintf("r%ur%u", std::min(spec.rank, peer_rank),
+                         std::max(spec.rank, peer_rank)));
         } else {
             peer.link = makeSocketLink(
                 std::move(sock), TransportKind::Unix, "unix socketpair");
@@ -275,11 +275,13 @@ void
 ShardTransport::sendHello(Peer &peer)
 {
     std::string hello;
-    encodeHello(hello, opts.rank, opts.shards, planHash,
-                static_cast<uint32_t>(opts.transport), localHostToken());
+    encodeHello(hello, spec.rank, spec.shards, planHash,
+                static_cast<uint32_t>(spec.transport), localHostToken());
+    // A peer that closed before this end was built (a rank that failed
+    // early) is no setup error: the first barrier finds it lost, as it
+    // would a peer that closes later.
     if (!sendAllLink(peer, hello))
-        fatal("shard %u: hello send to rank %u failed", opts.rank,
-              peer.rank);
+        debug("shard %u: rank %u gone before hello", spec.rank, peer.rank);
 }
 
 size_t
@@ -288,32 +290,32 @@ ShardTransport::peerIndexOf(uint32_t peer_rank) const
     for (size_t i = 0; i < ranks.size(); ++i)
         if (ranks[i] == peer_rank)
             return i;
-    panic("shard %u: rank %u is not a peer", opts.rank, peer_rank);
+    panic("shard %u: rank %u is not a peer", spec.rank, peer_rank);
 }
 
 void
 ShardTransport::validateHello(Peer &peer, const Frame &frame) const
 {
     if (frame.type != FrameType::Hello)
-        fatal("shard %u: expected hello from rank %u", opts.rank,
+        fatal("shard %u: expected hello from rank %u", spec.rank,
               peer.rank);
     if (frame.version != kWireVersion)
         fatal("shard %u: peer rank %u speaks wire version %u, "
               "expected %u",
-              opts.rank, peer.rank, frame.version, kWireVersion);
-    if (frame.shards != opts.shards)
+              spec.rank, peer.rank, frame.version, kWireVersion);
+    if (frame.shards != spec.shards)
         fatal("shard %u: peer rank %u was launched with --shards=%u, "
               "local --shards=%u",
-              opts.rank, peer.rank, frame.shards, opts.shards);
-    if (peer.rank < opts.shards && frame.rank != peer.rank)
-        fatal("shard %u: peer claims rank %u, expected %u", opts.rank,
+              spec.rank, peer.rank, frame.shards, spec.shards);
+    if (peer.rank < spec.shards && frame.rank != peer.rank)
+        fatal("shard %u: peer claims rank %u, expected %u", spec.rank,
               frame.rank, peer.rank);
     if (frame.topoHash != planHash)
         fatal("shard %u: shard-plan mismatch with rank %u "
               "(hash %016llx != %016llx) — the shard processes were "
               "launched with different topologies, configs, or "
               "server->rank owner maps",
-              opts.rank, frame.rank,
+              spec.rank, frame.rank,
               (unsigned long long)frame.topoHash,
               (unsigned long long)planHash);
     peer.helloSeen = true;
@@ -363,7 +365,7 @@ ShardTransport::onTxBatch(uint32_t link_id, const TokenBatch &batch)
         ++peer.stats.batchesTx;
         return;
     }
-    panic("shard %u: TX batch for unbound link %u", opts.rank, link_id);
+    panic("shard %u: TX batch for unbound link %u", spec.rank, link_id);
 }
 
 void
@@ -372,7 +374,7 @@ ShardTransport::peerLost(Peer &peer, uint64_t round, Cycles cycle,
 {
     if (!peer.stats.alive)
         return;
-    if (opts.failFast) {
+    if (spec.failFast) {
         // Record the loss and flush telemetry before aborting: a
         // failFast death must still leave its dumps behind.
         if (lossFn)
@@ -380,11 +382,11 @@ ShardTransport::peerLost(Peer &peer, uint64_t round, Cycles cycle,
         if (fatalFlushFn)
             fatalFlushFn();
         fatal("shard %u: lost peer shard %u at round %llu (%s)",
-              opts.rank, peer.rank, (unsigned long long)round, why);
+              spec.rank, peer.rank, (unsigned long long)round, why);
     }
     warn("shard %u: lost peer shard %u at round %llu (%s); degrading "
          "its links to empty tokens",
-         opts.rank, peer.rank, (unsigned long long)round, why);
+         spec.rank, peer.rank, (unsigned long long)round, why);
     peer.stats.alive = false;
     // Closing the link reclaims host resources now, not at exit: for
     // shm that unlinks the segment name, so a SIGKILL'd peer cannot
@@ -422,7 +424,7 @@ ShardTransport::sendAllLink(Peer &peer, const std::string &buf)
         if (pumpRx(peer) < 0)
             return false;
         if (elapsedNs(t0) >
-            int64_t(opts.recvTimeoutMs) * 1000000)
+            int64_t(spec.recvTimeoutMs) * 1000000)
             return false;
         if (++spins < 256)
             std::this_thread::yield();
@@ -506,7 +508,7 @@ ShardTransport::drainFrames(Peer &peer, uint64_t round,
             }
             if (!bound)
                 panic("shard %u: batch for unbound link %u from rank %u",
-                      opts.rank, f.linkId, peer.rank);
+                      spec.rank, f.linkId, peer.rank);
             break;
           }
           case FrameType::RoundDone:
@@ -514,7 +516,7 @@ ShardTransport::drainFrames(Peer &peer, uint64_t round,
                 fatal("shard %u desynchronized from rank %u: peer at "
                       "round %llu cycle %llu, local round %llu cycle "
                       "%llu",
-                      opts.rank, peer.rank, (unsigned long long)f.round,
+                      spec.rank, peer.rank, (unsigned long long)f.round,
                       (unsigned long long)f.cycle,
                       (unsigned long long)round,
                       (unsigned long long)round_start);
@@ -585,7 +587,7 @@ ShardTransport::onRoundComplete(uint64_t round, Cycles round_start)
     // largest stall. Bounded by recvTimeoutMs: a vanished peer
     // degrades (or aborts under failFast) instead of hanging us.
     auto barrier_t0 = SteadyClock::now();
-    auto give_up = barrier_t0 + std::chrono::milliseconds(opts.recvTimeoutMs);
+    auto give_up = barrier_t0 + std::chrono::milliseconds(spec.recvTimeoutMs);
     auto holding = [](const Peer &peer) {
         return peer.stats.alive && !peer.roundDone;
     };

@@ -39,8 +39,8 @@
  * between parks, and stallNs is attributed to the peer that actually
  * kept the barrier open. Because the fabric quantum never exceeds any
  * link latency, round R's remote productions are not consumed before
- * round R+1 — no shard can run ahead. All transport work happens on the fabric's
- * driving thread, so the simulation stays byte-identical to the
+ * round R+1 — no shard can run ahead. All transport work happens on
+ * the fabric's driving thread, so the simulation stays byte-identical to the
  * single-process run for any shard count (tested in tests/dist).
  *
  * Peer death: a vanished peer (EOF, connection reset, or a barrier
@@ -50,8 +50,13 @@
  * (the Cluster records a PeerShardLost fault in its HealthMonitor),
  * and from then on synthesizes empty token batches for the dead
  * peer's links, exactly the degraded-host model the fabric already
- * applies to down endpoints. With Options::failFast the loss is
+ * applies to down endpoints. With ShardSpec::failFast the loss is
  * fatal() instead, so CI death tests stay bounded.
+ *
+ * Configuration: the transport takes the ShardSpec that the Cluster
+ * holds as ClusterConfig::shard, unchanged. It reads rank, shards,
+ * the rendezvous address, both timeouts, failFast, the transport
+ * preference and the ring size; the owner map is the ShardPlan's.
  */
 
 #ifndef FIRESIM_NET_REMOTE_SHARD_TRANSPORT_HH
@@ -72,33 +77,44 @@
 namespace firesim
 {
 
+/**
+ * How (and whether) to split a Cluster across shard processes: the
+ * manager's ShardPlan reads shards, rank and owners, and the transport
+ * reads the rest. It is the one home of every shard setting —
+ * ClusterConfig::shard holds it, and Cluster hands it to the transport
+ * as is.
+ */
+struct ShardSpec
+{
+    uint32_t shards = 1; //!< 1 = ordinary single-process simulation
+    uint32_t rank = 0;   //!< this process's shard index
+    /** Rendezvous address (rank r listens on basePort + r). */
+    std::string connectHost = "127.0.0.1";
+    uint16_t basePort = 0;
+    /** Max wall-clock to wait on one peer in a round barrier. */
+    int recvTimeoutMs = 10000;
+    /** Wall-clock cap on the whole rendezvous connect loop
+     *  (--shard-connect-timeout); 0 = bounded only by
+     *  tcpConnectRetry's attempt count. */
+    int connectTimeoutMs = 0;
+    /** Abort instead of degrading when a peer shard is lost. */
+    bool failFast = false;
+    /** Cross-shard fabric (--shard-transport): Auto negotiates shm
+     *  for same-host peers and TCP across hosts; Shm demands the
+     *  shared-memory rings (fatal across hosts); Tcp never upgrades. */
+    TransportKind transport = TransportKind::Auto;
+    /** Per-direction shm ring capacity in bytes (rounded up to a
+     *  power of two); must be symmetric across the mesh. */
+    size_t shmRingBytes = 1 << 20;
+    /** Explicit server->rank map (manager/shard.hh); when non-empty
+     *  it overrides the block placement. Every launching process must
+     *  pass the same map (checked via planHash at rendezvous). */
+    std::vector<uint32_t> owners;
+};
+
 class ShardTransport : public RemoteRoundHook
 {
   public:
-    struct Options
-    {
-        uint32_t rank = 0;   //!< this process's shard index
-        uint32_t shards = 1; //!< total shard processes
-        /** Rendezvous address: rank r listens on basePort + r. */
-        std::string host = "127.0.0.1";
-        uint16_t basePort = 0;
-        /** Wall-clock cap on the whole rendezvous connect loop
-         *  (--shard-connect-timeout); 0 = bounded only by
-         *  tcpConnectRetry's attempt count. */
-        int connectTimeoutMs = 0;
-        /** Max wall-clock to wait on one peer in a round barrier. */
-        int recvTimeoutMs = 10000;
-        /** Abort instead of degrading when a peer is lost. */
-        bool failFast = false;
-        /** Fabric preference (--shard-transport): Auto negotiates shm
-         *  for same-host peers and TCP across hosts; Shm demands shm
-         *  (fatal across hosts); Tcp never upgrades. */
-        TransportKind transport = TransportKind::Auto;
-        /** Per-direction shm ring capacity (rounded up to a power of
-         *  two). Must be symmetric across the mesh. */
-        size_t shmRingBytes = 1 << 20;
-    };
-
     /** Per-peer transport accounting (host-side only, never part of
      *  the deterministic simulation surface). */
     struct PeerStats
@@ -129,25 +145,26 @@ class ShardTransport : public RemoteRoundHook
      * count, *and* the server->rank owner map — so two processes
      * launched with different topologies or diverging shard plans are
      * both fatal(). Same-host pairs then upgrade the connection to a
-     * shared-memory ring per opts.transport; the TCP socket stays
+     * shared-memory ring per spec.transport; the TCP socket stays
      * open as the shm control channel and death watch. Setup failures
      * are fatal(); this never returns null.
      */
     static std::unique_ptr<ShardTransport>
-    rendezvousTcp(const Options &opts, uint64_t plan_hash);
+    rendezvousTcp(const ShardSpec &spec, uint64_t plan_hash);
 
     /**
      * Pre-connected fast path: @p peers carries (peer_rank, fd) pairs,
      * typically AF_UNIX socketpair halves for same-host shards. Under
-     * opts.transport Shm each fd becomes the control socket of a
+     * spec.transport Shm each fd becomes the control socket of a
      * shared-memory ring pair (lower rank creates); otherwise the fd
      * is the byte stream itself. Hello is sent immediately and the
      * peer's Hello validated lazily on first receive, so two
      * transports sharing a socketpair can be constructed in any order
-     * on one thread without deadlock.
+     * on one thread without deadlock. A peer that has already closed
+     * its end is no error here: the first barrier finds it lost.
      */
     static std::unique_ptr<ShardTransport>
-    fromFds(const Options &opts,
+    fromFds(const ShardSpec &spec,
             std::vector<std::pair<uint32_t, SocketFd>> peers,
             uint64_t plan_hash);
 
@@ -190,9 +207,8 @@ class ShardTransport : public RemoteRoundHook
      *  reclaims shm segments). Idempotent; also run by the dtor. */
     void shutdown();
 
-    uint32_t rank() const { return opts.rank; }
-    uint32_t shards() const { return opts.shards; }
-    const Options &options() const { return opts; }
+    uint32_t rank() const { return spec.rank; }
+    uint32_t shards() const { return spec.shards; }
 
     /** Ascending rank order; parallel to peerStatsAt()/peerLinkAt(). */
     const std::vector<uint32_t> &peerRanks() const { return ranks; }
@@ -243,13 +259,14 @@ class ShardTransport : public RemoteRoundHook
         uint32_t peerIdx = 0;
     };
 
-    ShardTransport(const Options &opts, uint64_t plan_hash);
+    ShardTransport(const ShardSpec &spec, uint64_t plan_hash);
 
     size_t peerIndexOf(uint32_t peer_rank) const;
     void validateHello(Peer &peer, const Frame &frame) const;
 
     /** Send @p peer its Hello through the link (lazy validation
-     *  path: fromFds). */
+     *  path: fromFds). A peer already gone is left for the first
+     *  barrier to find lost. */
     void sendHello(Peer &peer);
 
     /**
@@ -279,7 +296,7 @@ class ShardTransport : public RemoteRoundHook
     /** Push empty batches for dead peers' links missing round data. */
     void synthesizeMissing(uint64_t round);
 
-    Options opts;
+    ShardSpec spec;
     /** ShardPlan::planHash carried in Hello (wire field topoHash). */
     uint64_t planHash;
     std::vector<Peer> peers;   //!< ascending rank

@@ -33,13 +33,7 @@ AutoCounterSampler::sampleNow(Cycles at)
               "the first sample",
               cols.size(), reg.size());
     }
-    StatSnapshot snap = reg.snapshot(at);
-    Sample s;
-    s.at = at;
-    s.values.reserve(snap.values.size());
-    for (const auto &kv : snap.values)
-        s.values.push_back(kv.second);
-    samples.push_back(std::move(s));
+    samples.push_back({at, reg.values()});
     debug("autocounter: sampled %zu stats at cycle %llu", cols.size(),
           (unsigned long long)at);
 }

@@ -14,8 +14,6 @@ ClusterMonitor::ClusterMonitor(MonitorConfig config, uint32_t rank,
                                uint32_t shards)
     : cfg(std::move(config)), rank_(rank), shards_(shards)
 {
-    if (cfg.heartbeatPath.empty())
-        cfg.heartbeatPath = "heartbeat.jsonl";
     epoch = Clock::now();
     lastHeartbeatAt = epoch;
     lastStatusAt = epoch;

@@ -52,9 +52,9 @@ struct MonitorConfig
 {
     /** Emit a heartbeat every this many fabric rounds (0 = off). */
     uint64_t heartbeatEvery = 0;
-    /** Heartbeat JSONL path ("" = heartbeat.jsonl; the Cluster
-     *  prefixes its dump dir and rank-suffixes distributed runs). */
-    std::string heartbeatPath;
+    /** Heartbeat JSONL path. The Cluster prefixes a relative path
+     *  with its dump dir and rank-suffixes distributed runs. */
+    std::string heartbeatPath = "heartbeat.jsonl";
     /** Human status line every this many wall seconds (0 = off). */
     uint64_t statusIntervalSec = 0;
     /** Prometheus text-exposition file, atomically refreshed on every
@@ -72,8 +72,6 @@ struct MonitorConfig
      * straggler detection is built from a strided sample instead.
      */
     uint64_t latencySampleEvery = 64;
-    /** Target clock for the sim-rate line (paper: 3.2 GHz cores). */
-    double targetFreqGhz = 1.0;
 
     bool
     enabled() const

@@ -25,28 +25,6 @@ StatSnapshot::value(const std::string &name) const
     return *v;
 }
 
-StatSnapshot
-diffSnapshots(const StatSnapshot &before, const StatSnapshot &after)
-{
-    if (before.values.size() != after.values.size())
-        panic("snapshot diff across different registries (%zu vs %zu "
-              "stats)",
-              before.values.size(), after.values.size());
-    StatSnapshot out;
-    out.at = after.at - before.at;
-    out.values.reserve(after.values.size());
-    for (size_t i = 0; i < after.values.size(); ++i) {
-        if (before.values[i].first != after.values[i].first)
-            panic("snapshot diff name mismatch: '%s' vs '%s'",
-                  before.values[i].first.c_str(),
-                  after.values[i].first.c_str());
-        out.values.emplace_back(after.values[i].first,
-                                after.values[i].second -
-                                    before.values[i].second);
-    }
-    return out;
-}
-
 std::string
 jsonEscape(const std::string &s)
 {
@@ -159,6 +137,16 @@ StatRegistry::snapshot(Cycles at) const
     for (const auto &kv : probes)
         snap.values.emplace_back(kv.first, kv.second());
     return snap;
+}
+
+std::vector<double>
+StatRegistry::values() const
+{
+    std::vector<double> out;
+    out.reserve(probes.size());
+    for (const auto &kv : probes)
+        out.push_back(kv.second());
+    return out;
 }
 
 std::string

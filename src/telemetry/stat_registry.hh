@@ -3,8 +3,8 @@
  * The simulator's single observability spine (TracerV/AutoCounter
  * lineage): every component's counters register here under a
  * hierarchical dotted name ("cluster.switch0.packetsDropped"), and
- * every consumer — the AutoCounter sampler, the end-of-run JSON dump,
- * phase diffing — reads through the same registry instead of growing
+ * every consumer — the AutoCounter sampler, the end-of-run JSON dump
+ * — reads through the same registry instead of growing
  * private plumbing per experiment.
  *
  * Registration is non-owning: the registry holds probes (callables)
@@ -43,15 +43,6 @@ struct StatSnapshot
     /** Value of @p name; panics when absent. */
     double value(const std::string &name) const;
 };
-
-/**
- * Element-wise `after - before`, matched by name. Both snapshots must
- * come from the same registry (identical name sets); the result's
- * cycle stamp is the elapsed cycles. Take a snapshot before and after
- * a phase and diff them to see exactly what that phase did.
- */
-StatSnapshot diffSnapshots(const StatSnapshot &before,
-                           const StatSnapshot &after);
 
 /**
  * Escape @p s for embedding inside a JSON string literal: `"` and
@@ -111,6 +102,10 @@ class StatRegistry
 
     /** Read every stat now; @p at stamps the target cycle. */
     StatSnapshot snapshot(Cycles at = 0) const;
+
+    /** Read every stat now, values only, in names() order (the
+     *  AutoCounter's sample: no name is copied). */
+    std::vector<double> values() const;
 
     /** One JSON object: {"cycle": N, "stats": {name: value, ...}}. */
     std::string dumpJson(Cycles at = 0) const;

@@ -4,15 +4,17 @@
  * contract is strict — no leading whitespace (strtoul would silently
  * skip it), no signs, no trailing junk — on both the --flag and the
  * FIRESIM_* environment paths, which share each row's parser. One loop
- * feeds every row malformed values on both paths; the per-knob death
- * tests pin each parser's error message, and the rest pins value round
- * trips, cross-checks, and flag-over-env precedence.
+ * feeds every row malformed values on both paths; another gives every
+ * row a valid value on both paths and checks the ClusterConfig field
+ * applyClusterFlags fills. The per-knob death tests pin each parser's
+ * error message and the cross-checks.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -58,8 +60,8 @@ const std::map<std::string, std::vector<const char *>> kMalformed = {
     {"--shard-connect=",
      {"nohost", ":9000", "a:b:c", "h:port", "h:0", "h:70000"}},
     {"--shard-connect-timeout=", {"5s", "-1", " 5", "5 ", "1e3"}},
-    // loopback is a real TransportKind but test-only, and unix only
-    // names a socketpair link: the knob accepts neither.
+    // There is no loopback transport, and unix only names the
+    // socketpair link of in-process ranks: the knob accepts neither.
     {"--shard-transport=",
      {"SHM", "pcie", "", "loopback", "unix", "fast"}},
     {"--shard-shm-ring=", {"1M", "0", "-1", "abc"}},
@@ -67,6 +69,104 @@ const std::map<std::string, std::vector<const char *>> kMalformed = {
     {"--status-interval=", {" 5", "5s", "-5", "+"}},
     {"--metrics-file=", {}},
 };
+
+/**
+ * One valid value for a knob-table row, the flags its cross-checks
+ * need alongside it, and the check of the ClusterConfig field that
+ * applyClusterFlags fills from it. Every row has at least one case.
+ */
+struct ValidCase
+{
+    const char *flag;
+    const char *value;
+    std::vector<const char *> alongside;
+    void (*check)(const ClusterConfig &cc);
+};
+
+const std::vector<ValidCase> kValid = {
+    {"--parallel-hosts=", "3", {},
+     [](const ClusterConfig &cc) { EXPECT_EQ(cc.parallelHosts, 3u); }},
+    {"--shards=", "3", {"--shard-connect=h:9000"},
+     [](const ClusterConfig &cc) { EXPECT_EQ(cc.shard.shards, 3u); }},
+    {"--shard-rank=", "1", {"--shards=2", "--shard-connect=h:9000"},
+     [](const ClusterConfig &cc) { EXPECT_EQ(cc.shard.rank, 1u); }},
+    {"--shard-connect=", "10.1.2.3:9000", {},
+     [](const ClusterConfig &cc) {
+         EXPECT_EQ(cc.shard.connectHost, "10.1.2.3");
+         EXPECT_EQ(cc.shard.basePort, 9000u);
+     }},
+    {"--shard-connect-timeout=", "2500", {},
+     [](const ClusterConfig &cc) {
+         EXPECT_EQ(cc.shard.connectTimeoutMs, 2500);
+     }},
+    {"--shard-transport=", "shm", {},
+     [](const ClusterConfig &cc) {
+         EXPECT_EQ(cc.shard.transport, TransportKind::Shm);
+     }},
+    {"--shard-transport=", "tcp", {},
+     [](const ClusterConfig &cc) {
+         EXPECT_EQ(cc.shard.transport, TransportKind::Tcp);
+     }},
+    {"--shard-transport=", "auto", {},
+     [](const ClusterConfig &cc) {
+         EXPECT_EQ(cc.shard.transport, TransportKind::Auto);
+     }},
+    {"--shard-shm-ring=", "65536", {},
+     [](const ClusterConfig &cc) {
+         EXPECT_EQ(cc.shard.shmRingBytes, 65536u);
+     }},
+    {"--heartbeat-every=", "64", {},
+     [](const ClusterConfig &cc) {
+         EXPECT_EQ(cc.monitor.heartbeatEvery, 64u);
+     }},
+    {"--status-interval=", "10", {},
+     [](const ClusterConfig &cc) {
+         EXPECT_EQ(cc.monitor.statusIntervalSec, 10u);
+     }},
+    {"--metrics-file=", "/tmp/fs.prom", {},
+     [](const ClusterConfig &cc) {
+         EXPECT_EQ(cc.monitor.metricsPath, "/tmp/fs.prom");
+     }},
+};
+
+TEST(KnobParse, EveryRowFillsItsClusterConfigFieldFromFlagAndEnv)
+{
+    std::map<std::string, const bench::Knob *> rows;
+    for (const bench::Knob &knob : bench::kKnobTable)
+        rows[knob.flag] = &knob;
+    std::set<std::string> covered;
+    for (const ValidCase &c : kValid) {
+        auto row = rows.find(c.flag);
+        ASSERT_NE(row, rows.end()) << c.flag << " is no knob-table row";
+        covered.insert(c.flag);
+        const bench::Knob &knob = *row->second;
+        std::vector<std::string> args = {"bench"};
+        for (const char *extra : c.alongside)
+            args.push_back(extra);
+        for (bool by_env : {false, true}) {
+            SCOPED_TRACE(by_env ? std::string(knob.env) + "=" + c.value
+                                : std::string(c.flag) + c.value);
+            std::vector<std::string> argv_s = args;
+            if (by_env)
+                setenv(knob.env, c.value, 1);
+            else
+                argv_s.push_back(std::string(c.flag) + c.value);
+            std::vector<char *> argv;
+            for (std::string &a : argv_s)
+                argv.push_back(a.data());
+            bench::flags() = ClusterConfig{};
+            parseCommonFlags(static_cast<int>(argv.size()), argv.data());
+            if (by_env)
+                unsetenv(knob.env);
+            ClusterConfig cc;
+            bench::applyClusterFlags(cc);
+            c.check(cc);
+        }
+    }
+    EXPECT_EQ(covered.size(), rows.size())
+        << "every knob-table row needs a valid case";
+    bench::flags() = ClusterConfig{};
+}
 
 TEST(KnobTableDeath, EveryRowRejectsMalformedValuesOnFlagAndEnv)
 {
@@ -84,14 +184,14 @@ TEST(KnobTableDeath, EveryRowRejectsMalformedValuesOnFlagAndEnv)
             // by an earlier test can satisfy a cross-check.
             EXPECT_EXIT(
                 {
-                    bench::knobs() = bench::Knobs{};
+                    bench::flags() = ClusterConfig{};
                     parseOneFlag(arg.c_str());
                 },
                 ::testing::ExitedWithCode(2), name)
                 << arg;
             EXPECT_EXIT(
                 {
-                    bench::knobs() = bench::Knobs{};
+                    bench::flags() = ClusterConfig{};
                     setenv(knob.env, bad, 1);
                     parseCommonFlags(0, nullptr);
                 },
@@ -177,6 +277,42 @@ TEST(KnobParseDeath, ShardConnectDemandsHostColonPort)
                 ::testing::ExitedWithCode(2), "1, 65535");
 }
 
+TEST(KnobParse, ShardConnectRoundTrips)
+{
+    bench::flags() = ClusterConfig{};
+    parseShardConnectKnob("--shard-connect", "10.1.2.3:9000");
+    EXPECT_EQ(bench::flags().shard.connectHost, "10.1.2.3");
+    EXPECT_EQ(bench::flags().shard.basePort, 9000u);
+    bench::flags() = ClusterConfig{};
+}
+
+TEST(KnobParse, ShardTransportRoundTrips)
+{
+    bench::flags() = ClusterConfig{};
+    EXPECT_EQ(bench::flags().shard.transport, TransportKind::Auto);
+    parseOneFlag("--shard-transport=shm");
+    EXPECT_EQ(bench::flags().shard.transport, TransportKind::Shm);
+    parseOneFlag("--shard-transport=tcp");
+    EXPECT_EQ(bench::flags().shard.transport, TransportKind::Tcp);
+    parseOneFlag("--shard-transport=auto");
+    EXPECT_EQ(bench::flags().shard.transport, TransportKind::Auto);
+    parseOneFlag("--shard-shm-ring=65536");
+    EXPECT_EQ(bench::flags().shard.shmRingBytes, 65536u);
+    bench::flags() = ClusterConfig{};
+}
+
+TEST(KnobParse, ObservabilityFlagsRoundTrip)
+{
+    bench::flags() = ClusterConfig{};
+    parseOneFlag("--heartbeat-every=64");
+    EXPECT_EQ(bench::flags().monitor.heartbeatEvery, 64u);
+    parseOneFlag("--status-interval=10");
+    EXPECT_EQ(bench::flags().monitor.statusIntervalSec, 10u);
+    parseOneFlag("--metrics-file=/tmp/fs.prom");
+    EXPECT_EQ(bench::flags().monitor.metricsPath, "/tmp/fs.prom");
+    bench::flags() = ClusterConfig{};
+}
+
 TEST(KnobParseDeath, ShardFlagCrossValidation)
 {
     // IIFEs: EXPECT_EXIT is a macro, so brace-initializer commas in a
@@ -193,7 +329,7 @@ TEST(KnobParseDeath, ShardFlagCrossValidation)
         ([] {
             // The parser state is process-global; make sure no earlier
             // test's --shard-connect satisfies the check in this child.
-            bench::knobs().shardBasePort = 0;
+            bench::flags().shard.basePort = 0;
             const char *argv[] = {"bench", "--shards=2"};
             parseCommonFlags(2, const_cast<char **>(argv));
         }()),
@@ -234,26 +370,6 @@ TEST(KnobParseDeath, UnknownFlagsFailLoudly)
         ::testing::ExitedWithCode(2), "unknown flag '--heartbeat-every'");
 }
 
-TEST(KnobParse, ShardConnectRoundTrips)
-{
-    parseShardConnectKnob("--shard-connect", "10.1.2.3:9000");
-    EXPECT_EQ(bench::knobs().shardConnectHost, "10.1.2.3");
-    EXPECT_EQ(bench::knobs().shardBasePort, 9000u);
-}
-
-TEST(KnobParse, ShardTransportRoundTrips)
-{
-    EXPECT_EQ(bench::knobs().shardTransport, TransportKind::Auto);
-    parseOneFlag("--shard-transport=shm");
-    EXPECT_EQ(bench::knobs().shardTransport, TransportKind::Shm);
-    parseOneFlag("--shard-transport=tcp");
-    EXPECT_EQ(bench::knobs().shardTransport, TransportKind::Tcp);
-    parseOneFlag("--shard-transport=auto");
-    EXPECT_EQ(bench::knobs().shardTransport, TransportKind::Auto);
-    parseOneFlag("--shard-shm-ring=65536");
-    EXPECT_EQ(bench::knobs().shardShmRing, 65536u);
-}
-
 TEST(KnobParseDeath, ShardTransportIsStrict)
 {
     EXPECT_EXIT(parseOneFlag("--shard-transport=SHM"),
@@ -262,8 +378,8 @@ TEST(KnobParseDeath, ShardTransportIsStrict)
                 ::testing::ExitedWithCode(2), "--shard-transport");
     EXPECT_EXIT(parseOneFlag("--shard-transport="),
                 ::testing::ExitedWithCode(2), "--shard-transport");
-    // loopback is a real TransportKind but test-only: the knob parser
-    // must not accept it from the command line.
+    // There is no loopback transport, and unix names only the
+    // socketpair link of in-process ranks: the knob accepts neither.
     EXPECT_EXIT(parseOneFlag("--shard-transport=loopback"),
                 ::testing::ExitedWithCode(2), "--shard-transport");
     EXPECT_EXIT(parseOneFlag("--shard-transport=unix"),
@@ -286,7 +402,7 @@ TEST(KnobParseDeath, RequireSingleShardRefusesShardedRuns)
     // their own name, before they build any Cluster.
     EXPECT_EXIT(
         ([] {
-            bench::knobs() = bench::Knobs{};
+            bench::flags() = ClusterConfig{};
             const char *argv[] = {"bench", "--shards=2", "--shard-rank=1",
                                   "--shard-connect=h:9000"};
             parseCommonFlags(4, const_cast<char **>(argv));
@@ -296,21 +412,11 @@ TEST(KnobParseDeath, RequireSingleShardRefusesShardedRuns)
         "bench_fig8_sim_rate_vs_scale .*cannot run sharded");
     EXPECT_EXIT(
         {
-            bench::knobs() = bench::Knobs{};
+            bench::flags() = ClusterConfig{};
             bench::requireSingleShard("bench_fig8_sim_rate_vs_scale");
             std::exit(0);
         },
         ::testing::ExitedWithCode(0), "");
-}
-
-TEST(KnobParse, ObservabilityFlagsRoundTrip)
-{
-    parseOneFlag("--heartbeat-every=64");
-    EXPECT_EQ(bench::knobs().heartbeatEvery, 64u);
-    parseOneFlag("--status-interval=10");
-    EXPECT_EQ(bench::knobs().statusInterval, 10u);
-    parseOneFlag("--metrics-file=/tmp/fs.prom");
-    EXPECT_EQ(bench::knobs().metricsFile, "/tmp/fs.prom");
 }
 
 TEST(KnobParseDeath, ObservabilityFlagsShareTheStrictParser)

@@ -102,12 +102,12 @@ struct Shard
                              rank == 0 ? "B" : "A");
         fabric.finalize();
 
-        ShardTransport::Options opts;
-        opts.rank = rank;
-        opts.shards = 2;
+        ShardSpec spec;
+        spec.rank = rank;
+        spec.shards = 2;
         std::vector<std::pair<uint32_t, SocketFd>> fds;
         fds.emplace_back(1 - rank, std::move(fd));
-        transport = ShardTransport::fromFds(opts, std::move(fds), 77);
+        transport = ShardTransport::fromFds(spec, std::move(fds), 77);
         transport->bindTxLink(tx, 1 - rank);
         transport->bindRxChannel(rx, 1 - rank, fabric.remoteRxChannel(rx));
         fabric.setRemoteHook(transport.get());
@@ -175,17 +175,17 @@ TEST(DistFabric, BarrierKeepsShardsInLockstepAcrossRounds)
     constexpr int kRounds = 6;
 
     auto [fd0, fd1] = localSocketPair();
-    ShardTransport::Options opts0, opts1;
-    opts0.rank = 0;
-    opts0.shards = 2;
-    opts1.rank = 1;
-    opts1.shards = 2;
+    ShardSpec spec0, spec1;
+    spec0.rank = 0;
+    spec0.shards = 2;
+    spec1.rank = 1;
+    spec1.shards = 2;
 
     std::vector<std::pair<uint32_t, SocketFd>> v0, v1;
     v0.emplace_back(1, std::move(fd0));
     v1.emplace_back(0, std::move(fd1));
-    auto t0 = ShardTransport::fromFds(opts0, std::move(v0), 5);
-    auto t1 = ShardTransport::fromFds(opts1, std::move(v1), 5);
+    auto t0 = ShardTransport::fromFds(spec0, std::move(v0), 5);
+    auto t1 = ShardTransport::fromFds(spec1, std::move(v1), 5);
 
     TokenChannel chan(kQuantum, kQuantum); // latency == quantum
     chan.setLabel("t0->t1 [remote link 0]");

@@ -66,13 +66,13 @@ TEST(DistFault, SilentPeerTimesOutWithinBound)
     // must give up after recvTimeoutMs and synthesize empty tokens,
     // not block forever.
     auto [fd0, fd1] = localSocketPair();
-    ShardTransport::Options opts;
-    opts.rank = 0;
-    opts.shards = 2;
-    opts.recvTimeoutMs = 250;
+    ShardSpec spec;
+    spec.rank = 0;
+    spec.shards = 2;
+    spec.recvTimeoutMs = 250;
     std::vector<std::pair<uint32_t, SocketFd>> fds;
     fds.emplace_back(1, std::move(fd0));
-    auto t = ShardTransport::fromFds(opts, std::move(fds), 9);
+    auto t = ShardTransport::fromFds(spec, std::move(fds), 9);
 
     TokenChannel chan(400, 400);
     chan.setLabel("silent->here [remote link 3]");
@@ -105,17 +105,35 @@ TEST(DistFault, SilentPeerTimesOutWithinBound)
     (void)fd1; // intentionally kept open and silent
 }
 
+TEST(DistFault, PeerGoneBeforeHelloIsLostAtTheFirstBarrier)
+{
+    // A rank that fails before its peer is built closes its end
+    // first. Building the survivor's transport is no error; its first
+    // barrier finds the peer lost and degrades, as for a later loss.
+    auto fds = localSocketPair();
+    fds.second = SocketFd();
+    ShardSpec spec;
+    spec.rank = 0;
+    spec.shards = 2;
+    std::vector<std::pair<uint32_t, SocketFd>> v;
+    v.emplace_back(1, std::move(fds.first));
+    auto t = ShardTransport::fromFds(spec, std::move(v), 9);
+    EXPECT_FALSE(t->anyPeerLost());
+    t->onRoundComplete(0, 0);
+    EXPECT_TRUE(t->anyPeerLost());
+}
+
 TEST(DistFaultDeath, FailFastAbortsOnLostPeer)
 {
     auto fds = localSocketPair();
-    ShardTransport::Options opts;
-    opts.rank = 0;
-    opts.shards = 2;
-    opts.recvTimeoutMs = 250;
-    opts.failFast = true;
+    ShardSpec spec;
+    spec.rank = 0;
+    spec.shards = 2;
+    spec.recvTimeoutMs = 250;
+    spec.failFast = true;
     std::vector<std::pair<uint32_t, SocketFd>> v;
     v.emplace_back(1, std::move(fds.first));
-    auto t = ShardTransport::fromFds(opts, std::move(v), 9);
+    auto t = ShardTransport::fromFds(spec, std::move(v), 9);
     fds.second = SocketFd(); // close the peer's end: EOF at the barrier
     EXPECT_EXIT(t->onRoundComplete(0, 0), ::testing::ExitedWithCode(1),
                 "lost peer shard 1");

@@ -28,9 +28,7 @@ makeCluster(const FaultPlan *plan)
     auto cluster =
         std::make_unique<Cluster>(topologies::singleTor(8), cc);
     if (plan) {
-        HealthConfig hc;
-        hc.logEvents = false;
-        cluster->health(hc);
+        cluster->health().setLogEvents(false);
         cluster->injectFaults(*plan);
     }
     return cluster;
@@ -161,14 +159,6 @@ TEST(ClusterFaultDeath, DoubleInjectIsFatal)
     auto cluster = makeCluster(&plan);
     EXPECT_EXIT(cluster->injectFaults(plan),
                 ::testing::ExitedWithCode(1), "already has a fault plan");
-}
-
-TEST(ClusterFaultDeath, MonitorConfigIsFixedOnceAttached)
-{
-    auto cluster = makeCluster(nullptr);
-    cluster->health();
-    EXPECT_EXIT(cluster->health(HealthConfig{}),
-                ::testing::ExitedWithCode(1), "already attached");
 }
 
 } // namespace

@@ -76,9 +76,8 @@ class InjectedPairTest : public ::testing::Test
         fabric.connect(a.get(), 0, b.get(), 0, kLat);
         fabric.finalize();
         if (with_monitor) {
-            HealthConfig hc;
-            hc.logEvents = false;
-            monitor = std::make_unique<HealthMonitor>(hc);
+            monitor = std::make_unique<HealthMonitor>();
+            monitor->setLogEvents(false);
         }
         injector = std::make_unique<FaultInjector>(fabric, plan,
                                                    monitor.get());
@@ -250,9 +249,8 @@ TEST_F(InjectedPairTest, ZeroFaultPlanIsBitIdenticalToNoInjector)
         std::unique_ptr<HealthMonitor> mon;
         std::unique_ptr<FaultInjector> inj;
         if (with_fault_layer) {
-            HealthConfig hc;
-            hc.logEvents = false;
-            mon = std::make_unique<HealthMonitor>(hc);
+            mon = std::make_unique<HealthMonitor>();
+            mon->setLogEvents(false);
             inj = std::make_unique<FaultInjector>(fab, FaultPlan{},
                                                   mon.get());
         }
@@ -379,9 +377,8 @@ runWithFaultLayer(TokenEndpoint &rogue,
     fabric.addEndpoint(&peer);
     fabric.connect(&rogue, 0, &peer, 0, 200);
     fabric.finalize();
-    HealthConfig hc;
-    hc.logEvents = false;
-    HealthMonitor monitor(hc);
+    HealthMonitor monitor;
+    monitor.setLogEvents(false);
     FaultInjector injector(fabric, FaultPlan{}, &monitor);
     if (corrupt)
         corrupt(fabric);

@@ -235,9 +235,7 @@ launchRing(NodeSystem &node, size_t g, Apps &apps)
 void
 armFaults(Cluster &clu)
 {
-    HealthConfig hc;
-    hc.logEvents = false;
-    clu.health(hc);
+    clu.health().setLogEvents(false);
     FaultPlan plan;
     plan.withSeed(31337)
         .dropPayload("node1", 0, 200000, 800000, 0.5)

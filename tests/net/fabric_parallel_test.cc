@@ -337,9 +337,7 @@ TEST(ClusterParallelBrackets, BracketsPairOnOneThreadAndSkipCrashedRounds)
             cc.parallelHosts = hosts;
             Cluster clu(topologies::singleTor(8), cc);
             clu.fabric().addObserver(&check);
-            HealthConfig hc;
-            hc.logEvents = false;
-            clu.health(hc);
+            clu.health().setLogEvents(false);
             FaultPlan plan;
             plan.withSeed(31337)
                 .dropPayload("node1", 0, 200000, 800000, 0.5)

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "base/stats.hh"
 #include "telemetry/stat_registry.hh"
 #include "telemetry/telemetry.hh"
@@ -27,6 +29,8 @@ TEST(StatRegistry, RegisterAndSnapshot)
     EXPECT_DOUBLE_EQ(snap.value("cluster.switch0.packetsIn"), 7.0);
     EXPECT_DOUBLE_EQ(snap.value("cluster.node0.ipc"), 0.75);
     EXPECT_EQ(snap.find("not.there"), nullptr);
+    // values() reads the same stats in the same (name) order.
+    EXPECT_EQ(reg.values(), (std::vector<double>{0.75, 7.0}));
 }
 
 TEST(StatRegistry, ProbesReadLiveValues)
@@ -84,37 +88,6 @@ TEST(StatRegistryDeath, MalformedNamesPanic)
     EXPECT_DEATH(reg.registerProbe("trailing.", [] { return 0.0; }), "");
     EXPECT_DEATH(reg.registerProbe("two..dots", [] { return 0.0; }), "");
     EXPECT_DEATH(reg.registerProbe("bad char", [] { return 0.0; }), "");
-}
-
-TEST(StatRegistry, DiffBetweenCheckpoints)
-{
-    StatRegistry reg;
-    Counter c;
-    Counter d;
-    reg.registerCounter("x.c", c);
-    reg.registerCounter("x.d", d);
-
-    c += 10;
-    StatSnapshot before = reg.snapshot(1000);
-    c += 5;
-    d += 2;
-    StatSnapshot after = reg.snapshot(1800);
-
-    StatSnapshot delta = diffSnapshots(before, after);
-    EXPECT_EQ(delta.at, 800u); // elapsed cycles
-    EXPECT_DOUBLE_EQ(delta.value("x.c"), 5.0);
-    EXPECT_DOUBLE_EQ(delta.value("x.d"), 2.0);
-}
-
-TEST(StatRegistryDeath, DiffRequiresMatchingNameSets)
-{
-    StatRegistry a, b;
-    Counter c;
-    a.registerCounter("only.in.a", c);
-    b.registerCounter("only.in.b", c);
-    StatSnapshot sa = a.snapshot(0);
-    StatSnapshot sb = b.snapshot(10);
-    EXPECT_DEATH(diffSnapshots(sa, sb), "");
 }
 
 TEST(StatRegistry, JsonDumpParsesBack)
